@@ -37,13 +37,13 @@ measures = rng.dirichlet(np.full(n, 2.0), size=m)
 mu_n = 0.1
 
 instance = barycenter_problem(measures, Cn, mu_n, Topology.ring(m))
-x_nodes, trace, comm = run_distributed(
+x_nodes, trace, counter = run_distributed(
     "spdstm", instance,
     {"eps": 1e-6, "beta": 0.1, "N": 5000, "metric_every": 0})
 
 print(f"\nbarycenter nodes agree to {np.abs(x_nodes - x_nodes.mean(axis=0)).max():.1e}")
 print("per-node barycenter estimate:", np.array2string(x_nodes[0], precision=4))
-print(f"communication rounds: {comm.rounds}")
+print(f"communication rounds: {counter.comm_rounds}")
 
 # centralized verification oracle: projected gradient on the simplex
 p_ref = projected_gradient_barycenter(measures, Cn, mu_n, iters=150, inner_tol=1e-9)

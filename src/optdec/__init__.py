@@ -14,7 +14,7 @@ from .primal import (CompositeProblem, PenaltyProblem, argmax_solver_via_stm,
 from .dual import (DivergenceError, RegularizedDual, RestartConfig, ac_sa,
                    ac_sa2, duality_gap, primal_recovery, restarted_rrma,
                    rrma_ac_sa2, spdstm, sstm_sc, sstm_sc_batch_rule)
-from .network import (CommStats, DecentralizedInstance, LaplacianPair,
+from .network import (DecentralizedInstance, KronOperator, LaplacianPair,
                       Topology, build_distributed_dual, chi, consensus_check,
                       laplacian, laplacian_pair, lift_laplacian, lift_problem,
                       run_distributed, sqrt_psd)

@@ -29,7 +29,7 @@ import numpy as np
 from .dual import (DivergenceError, RegularizedDual, ac_sa, restarted_rrma,
                    rrma_ac_sa2, spdstm, sstm_sc, sstm_sc_batch_rule,
                    default_rrma_lambda)
-from .network import Topology, laplacian, chi, lift_problem, run_distributed
+from .network import Topology, lift_problem, run_distributed
 from .oracles import NoiseSpec, RngStreams, dual_from_primal
 from .primal import build_penalty, sstm, stm, stm_ips
 from .problems import (load_cost_csv, load_measures_csv, min_norm_dual_solution,
@@ -184,7 +184,7 @@ def _build_consensus(problem, seed):
         o = qp.oracle()
         o.x_star = qp.x_star
         locals_.append(o)
-    return lift_problem(locals_, topo, n), topo
+    return lift_problem(locals_, topo, n)
 
 
 def _noise_spec(noise_cfg) -> NoiseSpec:
@@ -222,7 +222,7 @@ def execute_run(cfg: dict):
 
     if kind in DECENTRALIZED_KINDS:
         if kind == "consensus_quadratic":
-            instance, topo = _build_consensus(problem, seed)
+            instance = _build_consensus(problem, seed)
         else:
             measures = load_measures_csv(problem["measures"])
             cost = load_cost_csv(problem["cost"])
@@ -239,11 +239,12 @@ def execute_run(cfg: dict):
             "max_N": int(consts.get("max_N", 200_000)),
             "R_y": consts.get("R_y"),
         }
-        x_nodes, trace, comm = run_distributed(method, instance, run_cfg)
+        x_nodes, trace, _ = run_distributed(method, instance, run_cfg)
         trace.metadata.update(meta)
         extra = {
-            "chi": chi(laplacian(topo)),
-            "m": topo.m,
+            "chi": instance.pair.chi,
+            "m": instance.m,
+            # sqrt(W) is the blockwise operator: no dense lift is formed
             "consensus_residual": float(np.linalg.norm(instance.pair.sqrtW @ x_nodes.reshape(-1))),
         }
         return trace, {**summary_from_trace(trace), **extra}

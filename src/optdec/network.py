@@ -5,7 +5,18 @@ is encoded as the affinely constrained problem ``sqrt(W) x = 0`` where
 ``W = W_bar (x) I_n`` lifts the graph Laplacian blockwise.  The dual
 oracle of the lifted problem evaluates blockwise local conjugate argmaxes
 between two ``sqrt(W)`` multiplications; each multiplication is one
-synchronous, lossless communication round and is counted.
+synchronous, lossless communication round and is counted in
+``CallCounter.comm_rounds``.
+
+Only ``m x m`` matrices are ever formed.  ``W`` and ``sqrt(W)`` are
+:class:`KronOperator` objects: a product with a stacked vector ``x`` is
+the node-mixing product ``M @ x.reshape(m, n)``, and the dense
+``(mn) x (mn)`` lift is built only when asked for with ``np.asarray``
+(tests and diagnostics).  The spectral constants of the dual come from
+the eigenvalues of ``W_bar``, since ``lambda(A^T A) = lambda(W_bar)`` for
+``A = sqrt(W_bar) (x) I_n``.  Quadratic local objectives are inverted once,
+as one stacked ``(m, n, n)`` array, so the blockwise argmax is a single
+batched product.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ __all__ = [
     "Topology",
     "LaplacianPair",
     "DecentralizedInstance",
-    "CommStats",
+    "KronOperator",
     "laplacian",
     "lift_laplacian",
     "sqrt_psd",
@@ -167,7 +178,8 @@ def sqrt_psd(W: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
     if evals[0] < -1e-10 * max(1.0, lam_max):
         raise ValueError("matrix is not positive semidefinite")
     d = np.where(evals < 1e-10 * lam_max, 0.0, evals)
-    return (U * np.sqrt(d)) @ U.T
+    S = (U * np.sqrt(d)) @ U.T
+    return (S + S.T) / 2.0  # exactly symmetric, so a lift of it is its own transpose
 
 
 def chi(M: np.ndarray) -> float:
@@ -178,13 +190,50 @@ def chi(M: np.ndarray) -> float:
     return lam_max / float(positive[0])
 
 
+class KronOperator:
+    """The lift ``M (x) I_n`` of a symmetric ``m x m`` matrix, kept as ``M``.
+
+    ``K @ x`` on a stacked vector is the blockwise product
+    ``M @ x.reshape(m, n)``: O(m^2 n) work and no ``(mn) x (mn)`` array.
+    ``K.T`` is ``K``.  ``np.asarray(K)`` builds the dense lift, for tests
+    and diagnostics only.
+    """
+
+    def __init__(self, M, n: int):
+        M = np.asarray(M, dtype=float)
+        if M.ndim != 2 or not np.array_equal(M, M.T):
+            raise ValueError("M must be a symmetric matrix")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.M = M
+        self.n = int(n)
+        size = M.shape[0] * self.n
+        self.shape = (size, size)
+
+    @property
+    def T(self) -> "KronOperator":
+        return self
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.shape[1],):
+            raise ValueError(f"expected a stacked vector of length {self.shape[1]}, got shape {x.shape}")
+        return (self.M @ x.reshape(-1, self.n)).reshape(-1)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(lift_laplacian(self.M, self.n), dtype=dtype)
+
+
 @dataclass
 class LaplacianPair:
-    """Node Laplacian, its blockwise lift and the lift's square root."""
+    """Node Laplacian with the operators ``W = W_bar (x) I_n`` and ``sqrt(W)``.
+
+    The eigenvalue fields are those of ``W_bar``, which are those of ``W``.
+    """
 
     W_bar: np.ndarray
-    W: np.ndarray
-    sqrtW: np.ndarray
+    W: KronOperator
+    sqrtW: KronOperator
     lambda_max: float
     lambda_min_plus: float
     chi: float
@@ -192,19 +241,18 @@ class LaplacianPair:
 
 def laplacian_pair(topology: Topology, n: int) -> LaplacianPair:
     W_bar = laplacian(topology)
-    W = lift_laplacian(W_bar, n)
     evals = np.linalg.eigvalsh(W_bar)
     lam_max = float(evals[-1])
     positive = evals[evals > 1e-10 * max(lam_max, 1e-300)]
     lam_min_plus = float(positive[0]) if positive.size else 0.0
     return LaplacianPair(
-        W_bar=W_bar, W=W, sqrtW=sqrt_psd(W), lambda_max=lam_max,
-        lambda_min_plus=lam_min_plus,
+        W_bar=W_bar, W=KronOperator(W_bar, n), sqrtW=KronOperator(sqrt_psd(W_bar), n),
+        lambda_max=lam_max, lambda_min_plus=lam_min_plus,
         chi=lam_max / lam_min_plus if lam_min_plus > 0 else math.inf)
 
 
 def consensus_check(x_stacked, W, tol: float) -> bool:
-    """True iff ``||W x|| <= tol * max(1, ||x||)``."""
+    """True iff ``||W x|| <= tol * max(1, ||x||)`` (``W`` dense or a :class:`KronOperator`)."""
     x = np.asarray(x_stacked, dtype=float)
     return float(np.linalg.norm(W @ x)) <= tol * max(1.0, float(np.linalg.norm(x)))
 
@@ -213,24 +261,15 @@ def consensus_check(x_stacked, W, tol: float) -> bool:
 # lifted instances
 
 
-class CommStats:
-    """Synchronous communication accounting: one round per W/sqrt(W) product."""
-
-    def __init__(self, payload_dim: int):
-        self.rounds = 0
-        self.per_round_payload = int(payload_dim)
-
-    def tick(self):
-        self.rounds += 1
-
-
 class DecentralizedInstance:
     """Per-node objectives plus the consensus constraint ``sqrt(W) x = 0``.
 
     The stacked objective is ``f(x) = (1/m) sum_k f_k(x_k)``; it inherits
     ``L/m`` smoothness and ``mu/m`` strong convexity from the worst local
     constants.  ``local_argmax`` maps stacked dual inputs through the
-    blockwise conjugate maximisers ``x_k(m u_k)``.
+    blockwise conjugate maximisers ``x_k(m u_k)``: one batched product with
+    the stacked inverses when every local exposes its quadratic ``Q``/``b``,
+    otherwise one ``conjugate_argmax`` call per node.
     """
 
     def __init__(self, locals_, topology: Topology, n: int, counter=None):
@@ -257,9 +296,16 @@ class DecentralizedInstance:
         mu = min(f.mu for f in self.locals) / m
         self.stacked = FirstOrderOracle(m * n, value, gradient, L, mu, counter=self.counter)
         self.A = self.pair.sqrtW
+        self._Q_inv = self._b = None
+        if all(hasattr(f, "Q") and hasattr(f, "b") for f in self.locals):
+            self._Q_inv = np.linalg.inv(np.stack([f.Q for f in self.locals]))
+            self._b = np.stack([f.b for f in self.locals])
 
     def local_argmax(self, u_stacked: np.ndarray) -> np.ndarray:
         blocks = u_stacked.reshape(self.m, self.n)
+        if self._Q_inv is not None:
+            # x_k = Q_k^{-1} (m u_k + b_k) for every node at once
+            return np.matmul(self._Q_inv, (self.m * blocks + self._b)[:, :, None]).reshape(-1)
         out = np.empty_like(blocks)
         for k, f in enumerate(self.locals):
             out[k] = f.conjugate_argmax(self.m * blocks[k])
@@ -291,7 +337,6 @@ class DistributedDualOracle(DualOracle):
 
     def __init__(self, instance: DecentralizedInstance, noise: NoiseSpec | None = None):
         self.instance = instance
-        self.comm = CommStats(instance.n)
         self.node_noise = noise if noise is not None else NoiseSpec(0.0, 0.0, "none")
         # per-node levels stack to sqrt(m) times the node level (norm-wise)
         stacked_noise = NoiseSpec(
@@ -302,8 +347,14 @@ class DistributedDualOracle(DualOracle):
                          instance.local_argmax, noise=stacked_noise,
                          counter=instance.counter)
 
+    def _constraint_map(self, A):
+        """``sqrt(W)`` stays an operator; ``lambda(A^T A) = lambda(W_bar)``."""
+        pair = self.instance.pair
+        if pair.lambda_min_plus == 0.0:
+            raise ValueError("a single node has no consensus constraint to dualise")
+        return A, pair.lambda_max, pair.lambda_min_plus
+
     def _comm_mult(self, v):
-        self.comm.tick()
         self.counter.comm_rounds += 1
         return self.A @ v
 
@@ -355,10 +406,11 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
     """Run a dual solver on the lifted instance over the simulated network.
 
     ``method`` is one of ``spdstm``, ``sstm_sc``, ``restarted_rrma``.
-    Returns ``(x_per_node, trace, comm_stats)`` where ``x_per_node`` has
-    one row per node.  Every counted communication round is one ``W`` or
-    ``sqrt(W)`` multiplication; metric evaluations are computed centrally
-    by the simulator and are free.
+    Returns ``(x_per_node, trace, counter)`` where ``x_per_node`` has one
+    row per node and ``counter`` is the instance's :class:`CallCounter`.
+    Every counted communication round (``counter.comm_rounds``) is one
+    ``W`` or ``sqrt(W)`` multiplication; metric evaluations are computed
+    centrally by the simulator and are free.
     """
     cfg = dict(_RUN_DEFAULTS)
     unknown = set(config) - set(cfg)
@@ -395,7 +447,7 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
     # closing row: primal recovery rounds happen after the last iteration
     final = trace.final
     trace.record(final.get("iter", 0), final.get("A_k", 0.0), instance.counter)
-    return instance.blocks(x), trace, dual.comm
+    return instance.blocks(x), trace, instance.counter
 
 
 def _recover(dual: DistributedDualOracle, y, r: int, seed: int):

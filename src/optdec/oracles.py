@@ -15,7 +15,8 @@ Every solver in this package consumes one of three oracle flavours:
 Randomness is organised in explicit streams: the generator used for sample
 ``l`` of iteration ``k`` of a run with seed ``s`` depends only on
 ``(s, ..., k, l)``, so batches may be evaluated in any order (or in
-parallel) without changing results.
+parallel) without changing results.  A silent oracle (``NoiseSpec.silent``)
+draws nothing, and its batches build no generator.
 """
 
 from __future__ import annotations
@@ -199,9 +200,10 @@ class StochasticGradientOracle:
     def batch(self, x: np.ndarray, r: int, streams: RngStreams) -> np.ndarray:
         if r < 1:
             raise ValueError("batch size must be >= 1")
+        silent = self.noise.silent
         acc = np.zeros(self.dim)
         for l in range(r):
-            acc += self.sample(x, streams.generator(l))
+            acc += self.sample(x, None if silent else streams.generator(l))
         return acc / r
 
 
@@ -221,26 +223,32 @@ class DualOracle:
                  noise: NoiseSpec | None = None, bias_direction=None, counter=None):
         if primal.mu <= 0:
             raise ValueError("dual oracle requires a strongly convex primal (mu > 0)")
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[1] != primal.dim:
-            raise ValueError("A must be a (m_rows x dim) matrix")
-        if not np.any(A):
-            raise ValueError("A must not be identically zero")
         self.primal = primal
-        self.A = A
+        self.A, self.lam_max_AtA, self.lam_min_plus_AtA = self._constraint_map(A)
         self.argmax_solver = argmax_solver
         self.noise = noise if noise is not None else NoiseSpec(0.0, 0.0, "none")
         self.bias_direction = bias_direction or _default_bias_direction
         self.counter = counter if counter is not None else primal.counter
+        self.L_psi = self.lam_max_AtA / primal.mu
+        self.mu_psi = self.lam_min_plus_AtA / primal.L if primal.L > 0 else 0.0
 
+    def _constraint_map(self, A):
+        """Checked ``A`` with ``lambda_max`` and ``lambda_min_plus`` of ``A^T A``.
+
+        ``A`` becomes a dense matrix; eigenvalues below
+        ``RANK_TOL * lambda_max`` count as zeros.  Subclasses that know the
+        spectrum of a structured ``A`` override this.
+        """
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[1] != self.primal.dim:
+            raise ValueError("A must be a (m_rows x dim) matrix")
+        if not np.any(A):
+            raise ValueError("A must not be identically zero")
         AtA = A.T @ A
         evals = np.linalg.eigvalsh((AtA + AtA.T) / 2.0)
         lam_max = float(evals[-1])
         positive = evals[evals > RANK_TOL * lam_max]
-        self.lam_max_AtA = lam_max
-        self.lam_min_plus_AtA = float(positive[0])
-        self.L_psi = lam_max / primal.mu
-        self.mu_psi = self.lam_min_plus_AtA / primal.L if primal.L > 0 else 0.0
+        return A, lam_max, float(positive[0])
 
     # -- linear maps (hooks for the communication simulator) ---------------
 
@@ -306,9 +314,11 @@ class DualOracle:
         if r < 1:
             raise ValueError("batch size must be >= 1")
         u = self.apply_At(np.asarray(y, dtype=float))
+        silent = self.noise.silent
         acc = np.zeros(self.primal.dim)
         for l in range(r):
-            acc += self.sample_x(u, streams.generator(l))
+            # a noiseless sample draws nothing, so it needs no generator
+            acc += self.sample_x(u, None if silent else streams.generator(l))
         x_mean = acc / r
         return self.apply_A(x_mean), x_mean
 

@@ -273,8 +273,8 @@ def test_criterion_9_decentralized_equivalence():
         # one multiplication pair per dual evaluation: the defining one, one
         # per iteration, one recovery; metric evaluations are free
         iters = trace.final["iter"]
-        accounting_ok &= comm.rounds == 2 * (iters + 1) + 2
-        accounting_ok &= comm.rounds == trace.final["comm_rounds"]
+        accounting_ok &= comm.comm_rounds == 2 * (iters + 1) + 2
+        accounting_ok &= comm.comm_rounds == trace.final["comm_rounds"]
 
     # badly conditioned path vs complete graph on m = 8
     iters = {}

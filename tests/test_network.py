@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fd_grad, rel_err
-from optdec import (NoiseSpec, RngStreams, Topology, build_distributed_dual,
-                    chi, consensus_check, laplacian, laplacian_pair,
+from optdec import (CallCounter, DualOracle, FirstOrderOracle, NoiseSpec,
+                    RngStreams, Topology, build_distributed_dual, chi,
+                    consensus_check, laplacian, laplacian_pair,
                     lift_laplacian, lift_problem, quadratic_problem,
-                    run_distributed, sqrt_psd, stm)
+                    random_quadratic, run_distributed, spdstm, sqrt_psd,
+                    sstm_sc, stm)
 from optdec.problems import constrained_quadratic_optimum
 
 
@@ -125,6 +130,31 @@ def test_kernel_dimension_of_lift():
     assert nullity == 3  # one consensus direction per coordinate
 
 
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 9), n=st.integers(1, 4), p=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_kron_operators_match_dense_lift(m, n, p, seed):
+    rng = np.random.default_rng(seed)
+    inst, _ = consensus_instance(m, n, topo=Topology.erdos_renyi(m, p, rng), seed=seed)
+    pair = inst.pair
+    x = rng.standard_normal(m * n)
+    for op, M in ((pair.W, pair.W_bar), (pair.sqrtW, sqrt_psd(pair.W_bar))):
+        dense = np.kron(M, np.eye(n))
+        assert op.shape == dense.shape
+        assert rel_err(op @ x, dense @ x) <= 1e-12
+        assert rel_err(op.T @ x, dense.T @ x) <= 1e-12
+        assert np.array_equal(np.asarray(op), dense)
+    with pytest.raises(ValueError):
+        pair.W @ np.zeros(m * n + 1)
+
+    # the spectral constants from W_bar equal those of the dense lift
+    dual = build_distributed_dual(inst, NoiseSpec(0.0, 0.3))
+    dense_dual = DualOracle(inst.stacked, np.kron(sqrt_psd(pair.W_bar), np.eye(n)),
+                            inst.local_argmax, noise=dual.noise, counter=CallCounter())
+    for name in ("L_psi", "mu_psi", "sigma_psi"):
+        assert getattr(dual, name) == pytest.approx(getattr(dense_dual, name), rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # consensus checks
 
@@ -192,6 +222,77 @@ def test_single_node_rejected_for_dual():
     assert np.allclose(x, cs[0], atol=1e-6)
 
 
+def quadratic_locals(m, n, seed, cond=10.0):
+    rng = np.random.default_rng(seed)
+    return [random_quadratic(n, cond, rng).oracle() for _ in range(m)]
+
+
+def per_node_argmax(locals_, u):
+    m = len(locals_)
+    return np.concatenate([f.conjugate_argmax(m * block)
+                           for f, block in zip(locals_, u.reshape(m, -1))])
+
+
+def test_batched_local_argmax_matches_per_node_loop():
+    m, n = 7, 4
+    stacked = lift_problem(quadratic_locals(m, n, seed=16, cond=50.0), Topology.ring(m), n)
+    # the same locals without Q/b: the per-node conjugate_argmax path
+    plain = [FirstOrderOracle(n, f.value, f.gradient, f.L, f.mu) for f in stacked.locals]
+    for g, f in zip(plain, stacked.locals):
+        g.conjugate_argmax = f.conjugate_argmax
+    looped = lift_problem(plain, Topology.ring(m), n)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        u = 3.0 * rng.standard_normal(m * n)
+        reference = per_node_argmax(stacked.locals, u)
+        assert rel_err(stacked.local_argmax(u), reference) <= 1e-12
+        assert np.array_equal(looped.local_argmax(u), reference)
+
+
+@pytest.mark.parametrize("method", ["sstm_sc", "spdstm"])
+def test_lifted_solvers_match_dense_reference(method):
+    # the same solver on a plain DualOracle over the dense lift sqrt(W_bar) (x) I
+    # with per-node argmax solves
+    m, n, N = 6, 3, 40
+    inst = lift_problem(quadratic_locals(m, n, seed=18), Topology.path(m), n)
+    lifted = build_distributed_dual(inst)
+    dense = DualOracle(inst.stacked, np.kron(sqrt_psd(inst.pair.W_bar), np.eye(n)),
+                       lambda u: per_node_argmax(inst.locals, u), counter=CallCounter())
+    traces = []
+    for dual in (lifted, dense):
+        if method == "sstm_sc":
+            _, trace = sstm_sc(dual, np.zeros(m * n), N)
+        else:
+            _, _, trace = spdstm(dual, N, 1e-4, 0.1)
+        traces.append(trace)
+    ours, ref = traces
+    for col in ("A_k", "dual_gap", "grad_norm", "constraint_norm"):
+        a, b = ours.column(col), ref.column(col)
+        kept = ~np.isnan(b)
+        assert np.array_equal(np.isnan(a), ~kept)
+        assert np.linalg.norm(a[kept] - b[kept]) <= 1e-9 * np.linalg.norm(b[kept])
+    for col in ("iter", "grad_calls", "stoch_samples"):
+        assert np.array_equal(ours.column(col), ref.column(col))
+    # two rounds per batched dual evaluation; sstm_sc makes one before its loop
+    evaluations = ours.column("iter") + (1 if method == "sstm_sc" else 0)
+    assert np.array_equal(ours.column("comm_rounds"), 2 * evaluations)
+
+
+def test_building_pair_and_dual_allocates_no_lift():
+    m, n = 100, 20
+    locals_ = quadratic_locals(m, n, seed=19)
+    tracemalloc.start()
+    try:
+        inst = lift_problem(locals_, Topology.ring(m), n)
+        dual = build_distributed_dual(inst)
+        dual.grad(np.zeros(m * n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lift_bytes = 8 * (m * n) ** 2  # one dense (mn) x (mn) lift: 32 MB
+    assert peak < lift_bytes / 8
+
+
 # ---------------------------------------------------------------------------
 # distributed dual oracle
 
@@ -199,10 +300,10 @@ def test_single_node_rejected_for_dual():
 def test_distributed_dual_two_rounds_per_gradient():
     inst, _ = consensus_instance(3, 2)
     dual = build_distributed_dual(inst)
-    before = dual.comm.rounds
+    before = inst.counter.comm_rounds
     dual.grad(np.zeros(6))
-    assert dual.comm.rounds - before == 2
-    assert inst.counter.comm_rounds == dual.comm.rounds
+    assert inst.counter.comm_rounds - before == 2
+    assert dual.counter is inst.counter
 
 
 def test_distributed_dual_consensus_at_optimum():
@@ -256,7 +357,7 @@ def test_run_distributed_sstm_sc_reaches_consensus_mean():
         "sstm_sc", inst, {"eps": 1e-5, "stop_grad_norm": 1e-7, "max_N": 5000})
     mean = cs.mean(axis=0)
     assert np.abs(x_nodes - mean).max() <= 1e-3
-    assert comm.rounds == trace.final["comm_rounds"]
+    assert comm.comm_rounds == trace.final["comm_rounds"]
 
 
 def test_run_distributed_round_accounting():
@@ -266,7 +367,7 @@ def test_run_distributed_round_accounting():
                                                              "recovery_batch": 1})
     # one gradient per iteration plus the defining one, 2 rounds each, plus
     # one recovery evaluation (2 rounds)
-    assert comm.rounds == 2 * (N + 1) + 2
+    assert comm.comm_rounds == 2 * (N + 1) + 2
 
 
 def test_metric_evaluations_are_free():
@@ -276,12 +377,12 @@ def test_metric_evaluations_are_free():
     _, _, comm_a = run_distributed("spdstm", inst_a, {"N": N, "metric_every": 1})
     inst_b, _ = consensus_instance(3, 2, seed=21)
     _, _, comm_b = run_distributed("spdstm", inst_b, {"N": N, "metric_every": 0})
-    assert comm_a.rounds == comm_b.rounds
+    assert comm_a.comm_rounds == comm_b.comm_rounds
     inst_c, _ = consensus_instance(3, 2, seed=21)
     _, tr_c, comm_c = run_distributed("sstm_sc", inst_c, {"N": N, "metric_every": 1})
     inst_d, _ = consensus_instance(3, 2, seed=21)
     _, _, comm_d = run_distributed("sstm_sc", inst_d, {"N": N, "metric_every": 0})
-    assert comm_c.rounds == comm_d.rounds
+    assert comm_c.comm_rounds == comm_d.comm_rounds
 
 
 def test_run_distributed_spdstm_barycenterless_quadratic():
@@ -311,7 +412,7 @@ def test_run_distributed_reproducible_rounds():
     _, _, comm1 = run_distributed("sstm_sc", inst1, dict(cfg))
     inst2, _ = consensus_instance(3, 2, seed=14)
     _, _, comm2 = run_distributed("sstm_sc", inst2, dict(cfg))
-    assert comm1.rounds == comm2.rounds
+    assert comm1.comm_rounds == comm2.comm_rounds
 
 
 def test_chi_monotonicity_path_vs_complete():

@@ -149,6 +149,23 @@ def test_batch_noiseless_any_size_exact():
                        oracle.gradient(x))
 
 
+class _NoGenerators(RngStreams):
+    def generator(self, *index):
+        raise AssertionError("a silent batch built a generator")
+
+
+def test_silent_batches_build_no_generator():
+    oracle, qp = make_quadratic_oracle(c=[1.0, -1.0])
+    stoch = StochasticGradientOracle(oracle, NoiseSpec(0.0, 0.0))
+    x = np.array([0.1, 0.2])
+    assert np.allclose(stoch.batch(x, 7, _NoGenerators(0)), oracle.gradient(x), rtol=0, atol=1e-15)
+    dual = dual_from_primal(oracle, np.eye(2), qp.conjugate_argmax, NoiseSpec(0.0, 0.0))
+    _, x_mean = dual.batch_grad_and_x(np.zeros(2), 5, _NoGenerators(0))
+    assert np.allclose(x_mean, qp.conjugate_argmax(np.zeros(2)), rtol=0, atol=1e-15)
+    # every sample is still counted
+    assert oracle.counter.stoch_samples == 7 + 5
+
+
 def test_batch_rejects_zero():
     oracle, _ = make_quadratic_oracle(dim=2)
     stoch = StochasticGradientOracle(oracle, NoiseSpec(0.0, 1.0))
