@@ -115,6 +115,14 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"topology.kind must be one of {TOPOLOGY_KINDS}")
         elif not isinstance(topo, str):
             raise ConfigError("topology must be a file path or an inline spec")
+        if kind == "barycenter":
+            missing = sorted({"measures", "cost", "mu"} - set(problem))
+            if missing:
+                raise ConfigError(f"problem kind 'barycenter' requires {missing}")
+            mu = problem["mu"]
+            if isinstance(mu, bool) or not isinstance(mu, (int, float)) \
+                    or not (0 < mu < math.inf):
+                raise ConfigError(f"barycenter mu must be a positive number, got {mu!r}")
     elif out["method"] in ("stm", "sstm") and kind not in ("quadratic", "custom"):
         raise ConfigError(f"method {out['method']} expects a quadratic or custom problem")
     elif out["method"] in ("stm_ips",) and kind not in ("penalty", "custom"):
@@ -168,9 +176,22 @@ def _build_constraint(problem, dim, seed):
     return rng.standard_normal((m_rows, dim))
 
 
-def _build_consensus(problem, seed):
-    topo_spec = problem["topology"]
-    topo = _resolve_topology(topo_spec, seed)
+def _build_decentralized(problem, seed):
+    """Lifted instance of a decentralized problem; bad inputs raise ConfigError."""
+    try:
+        topo = _resolve_topology(problem["topology"], seed)
+        if topo.m < 2:
+            raise ConfigError("a single node has no consensus constraint; need m >= 2")
+        if problem["kind"] == "consensus_quadratic":
+            return _build_consensus(problem, topo, seed)
+        measures = load_measures_csv(problem["measures"])
+        cost = load_cost_csv(problem["cost"])
+        return barycenter_problem(measures, cost, float(problem["mu"]), topo)
+    except (ValueError, KeyError, OSError) as exc:
+        raise ConfigError(f"invalid {problem['kind']} problem: {exc}") from exc
+
+
+def _build_consensus(problem, topo, seed):
     n = int(problem.get("n", 2))
     cond = float(problem.get("cond", 1.0))
     spread = float(problem.get("spread", 1.0))
@@ -221,13 +242,7 @@ def execute_run(cfg: dict):
     extra: dict = {}
 
     if kind in DECENTRALIZED_KINDS:
-        if kind == "consensus_quadratic":
-            instance = _build_consensus(problem, seed)
-        else:
-            measures = load_measures_csv(problem["measures"])
-            cost = load_cost_csv(problem["cost"])
-            topo = _resolve_topology(problem["topology"], seed)
-            instance = barycenter_problem(measures, cost, float(problem["mu"]), topo)
+        instance = _build_decentralized(problem, seed)
         run_cfg = {
             "N": None if cfg["N"] == "auto" else cfg["N"],
             "eps": eps, "beta": beta, "seed": seed,
@@ -441,6 +456,9 @@ def cmd_run(args) -> int:
     h = config_hash(cfg)
     try:
         trace, summary = execute_run(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except DivergenceError as exc:
         if exc.trace is not None:
             exc.trace.metadata.setdefault("config_hash", h)
@@ -497,6 +515,9 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     try:
         rows = run_sweep(raw, args.param, values)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except DivergenceError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

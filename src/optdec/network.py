@@ -14,9 +14,10 @@ the node-mixing product ``M @ x.reshape(m, n)``, and the dense
 ``(mn) x (mn)`` lift is built only when asked for with ``np.asarray``
 (tests and diagnostics).  The spectral constants of the dual come from
 the eigenvalues of ``W_bar``, since ``lambda(A^T A) = lambda(W_bar)`` for
-``A = sqrt(W_bar) (x) I_n``.  Quadratic local objectives are inverted once,
-as one stacked ``(m, n, n)`` array, so the blockwise argmax is a single
-batched product.
+``A = sqrt(W_bar) (x) I_n``.  The blockwise argmax is one batched call
+when the instance has one: quadratic local objectives are inverted once,
+as one stacked ``(m, n, n)`` array, and barycenter nodes evaluate their
+transport marginals as one stacked softmax.
 """
 
 from __future__ import annotations
@@ -267,14 +268,21 @@ class DecentralizedInstance:
     The stacked objective is ``f(x) = (1/m) sum_k f_k(x_k)``; it inherits
     ``L/m`` smoothness and ``mu/m`` strong convexity from the worst local
     constants.  ``local_argmax`` maps stacked dual inputs through the
-    blockwise conjugate maximisers ``x_k(m u_k)``: one batched product with
-    the stacked inverses when every local exposes its quadratic ``Q``/``b``,
-    otherwise one ``conjugate_argmax`` call per node.
+    blockwise conjugate maximisers ``x_k(m u_k)``.  ``batched_argmax``, when
+    given, maps the ``(m, n)`` stack of inputs ``m u_k`` to the ``(m, n)``
+    stack of maximisers in one call; when every local exposes its quadratic
+    ``Q``/``b`` it defaults to one batched product with the stacked
+    inverses.  Otherwise ``local_argmax`` makes one ``conjugate_argmax``
+    call per node.
     """
 
-    def __init__(self, locals_, topology: Topology, n: int, counter=None):
+    def __init__(self, locals_, topology: Topology, n: int, counter=None,
+                 batched_argmax=None):
         if any(f.dim != n for f in locals_):
             raise ValueError("all local oracles must share dimension n")
+        if len(locals_) != topology.m:
+            raise ValueError(f"the topology has {topology.m} nodes but there are "
+                             f"{len(locals_)} local objectives")
         self.locals = list(locals_)
         self.topology = topology
         self.n = int(n)
@@ -296,33 +304,42 @@ class DecentralizedInstance:
         mu = min(f.mu for f in self.locals) / m
         self.stacked = FirstOrderOracle(m * n, value, gradient, L, mu, counter=self.counter)
         self.A = self.pair.sqrtW
-        self._Q_inv = self._b = None
-        if all(hasattr(f, "Q") and hasattr(f, "b") for f in self.locals):
-            self._Q_inv = np.linalg.inv(np.stack([f.Q for f in self.locals]))
-            self._b = np.stack([f.b for f in self.locals])
+        if batched_argmax is None and all(hasattr(f, "Q") and hasattr(f, "b") for f in self.locals):
+            batched_argmax = _stacked_quadratic_argmax(self.locals)
+        self.batched_argmax = batched_argmax
 
     def local_argmax(self, u_stacked: np.ndarray) -> np.ndarray:
-        blocks = u_stacked.reshape(self.m, self.n)
-        if self._Q_inv is not None:
-            # x_k = Q_k^{-1} (m u_k + b_k) for every node at once
-            return np.matmul(self._Q_inv, (self.m * blocks + self._b)[:, :, None]).reshape(-1)
-        out = np.empty_like(blocks)
+        U = self.m * u_stacked.reshape(self.m, self.n)
+        if self.batched_argmax is not None:
+            return self.batched_argmax(U).reshape(-1)
+        out = np.empty_like(U)
         for k, f in enumerate(self.locals):
-            out[k] = f.conjugate_argmax(self.m * blocks[k])
+            out[k] = f.conjugate_argmax(U[k])
         return out.reshape(-1)
 
     def blocks(self, x_stacked) -> np.ndarray:
         return np.asarray(x_stacked, dtype=float).reshape(self.m, self.n)
 
 
-def lift_problem(locals_, topology: Topology, n: int) -> DecentralizedInstance:
-    """Stack per-node objectives into a consensus-constrained instance."""
+def _stacked_quadratic_argmax(locals_):
+    """``U -> X`` with ``X_k = Q_k^{-1} (U_k + b_k)``, inverting every ``Q_k`` once."""
+    Q_inv = np.linalg.inv(np.stack([f.Q for f in locals_]))
+    b = np.stack([f.b for f in locals_])
+    return lambda U: np.matmul(Q_inv, (U + b)[:, :, None])[:, :, 0]
+
+
+def lift_problem(locals_, topology: Topology, n: int,
+                 batched_argmax=None) -> DecentralizedInstance:
+    """Stack per-node objectives into a consensus-constrained instance.
+
+    ``batched_argmax`` is passed to :class:`DecentralizedInstance`.
+    """
     missing = [k for k, f in enumerate(locals_) if not hasattr(f, "conjugate_argmax")]
     if missing:
         from .primal import argmax_solver_via_stm
         for k in missing:
             locals_[k].conjugate_argmax = argmax_solver_via_stm(locals_[k])
-    return DecentralizedInstance(locals_, topology, n)
+    return DecentralizedInstance(locals_, topology, n, batched_argmax=batched_argmax)
 
 
 class DistributedDualOracle(DualOracle):

@@ -144,30 +144,48 @@ def _check_simplex(q, tol=1e-12):
     return np.clip(q, 0.0, None)
 
 
-def _column_lse(lam, C, mu):
-    """Per-column stabilised ``log sum_i exp((lam_i - C_ij)/mu)``."""
-    E = (lam[:, None] - C) / mu
-    m = E.max(axis=0)
-    return m + np.log(np.exp(E - m[None, :]).sum(axis=0)), E, m
+def _check_entropic(q, C, mu):
+    """Validated ``(q, C)`` for the entropic functions; ``mu`` must be positive."""
+    if not mu > 0:
+        raise ValueError("mu must be positive")
+    q = _check_simplex(q)
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 2 or C.shape[1] != q.size:
+        raise ValueError(f"cost must have one column per atom of q ({q.size}), got shape {C.shape}")
+    return q, C
+
+
+def _column_plan(lam, C, mu):
+    """Column softmax ``S`` of ``E = (lam_i - C_ij)/mu`` and each column's log-sum-exp.
+
+    ``lam`` may carry leading batch axes: a ``(m, n)`` stack of potentials
+    gives the ``(m, n, n)`` stack of plans.
+    """
+    E = (lam[..., :, None] - C) / mu
+    top = E.max(axis=-2, keepdims=True)
+    W = np.exp(E - top)
+    total = W.sum(axis=-2, keepdims=True)
+    return W / total, (top + np.log(total))[..., 0, :]
+
+
+def _conjugate(lse, q, mu):
+    """``W*(lam) = mu sum_j q_j (lse_j - log q_j)``; zero-mass atoms contribute zero."""
+    kept = q > 0
+    return float(mu * np.sum(q[kept] * (lse[kept] - np.log(q[kept]))))
+
+
+def _log_marginal(lam, lse, q, C, mu):
+    """``log(S q)`` in the log domain, so no entry underflows to zero."""
+    kept = q > 0
+    L = (lam[:, None] - C[:, kept]) / mu - lse[kept] + np.log(q[kept])
+    top = L.max(axis=1)
+    return top + np.log(np.exp(L - top[:, None]).sum(axis=1))
 
 
 def entropic_ot_dual_value(lam, q, C, mu: float) -> float:
     """Smoothed-transport dual value; zero-mass atoms contribute zero."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    q = _check_simplex(q)
-    lam = np.asarray(lam, dtype=float)
-    C = np.asarray(C, dtype=float)
-    lse, _, _ = _column_lse(lam, C, mu)
-    mask = q > 0
-    return float(mu * np.sum(q[mask] * (lse[mask] - np.log(q[mask]))))
-
-
-def _column_softmax(lam, C, mu):
-    E = (lam[:, None] - C) / mu
-    E -= E.max(axis=0, keepdims=True)
-    P = np.exp(E)
-    return P / P.sum(axis=0, keepdims=True)
+    q, C = _check_entropic(q, C, mu)
+    return _conjugate(_column_plan(np.asarray(lam, dtype=float), C, mu)[1], q, mu)
 
 
 def entropic_ot_dual_grad(lam, q, C, mu: float) -> np.ndarray:
@@ -176,21 +194,14 @@ def entropic_ot_dual_grad(lam, q, C, mu: float) -> np.ndarray:
     Component ``i`` is ``sum_j q_j softmax_i((lam - C_:j)/mu)``; the result
     is a probability vector.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    q = _check_simplex(q)
-    lam = np.asarray(lam, dtype=float)
-    C = np.asarray(C, dtype=float)
-    return _column_softmax(lam, C, mu) @ q
+    q, C = _check_entropic(q, C, mu)
+    return _column_plan(np.asarray(lam, dtype=float), C, mu)[0] @ q
 
 
 def entropic_ot_stoch_grad(lam, q, C, mu: float, rng: np.random.Generator) -> np.ndarray:
     """Unbiased single-column estimate: draw ``j ~ q``, return that column's softmax."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    q = _check_simplex(q)
+    q, C = _check_entropic(q, C, mu)
     lam = np.asarray(lam, dtype=float)
-    C = np.asarray(C, dtype=float)
     j = rng.choice(q.size, p=q / q.sum())
     E = (lam - C[:, j]) / mu
     E -= E.max()
@@ -202,28 +213,57 @@ def entropic_wasserstein(p, q, C, mu: float, tol: float = 1e-8,
                          max_iter: int = 500_000):
     """Smoothed transport distance and its optimal dual potential.
 
-    Maximises the concave dual ``<lam, p> - W*(lam)`` by gradient ascent on
-    the zero-sum subspace (the gradient ``p - grad W*`` already sums to
+    Maximises the concave dual ``D(lam) = <lam, p> - W*(lam)`` on the
+    zero-sum subspace (the residual ``g = p - grad W*`` already sums to
     zero, and the value is invariant under constant shifts, so the
-    zero-mean representative is returned).  Raises on non-convergence.
+    zero-mean representative is returned) until ``||g|| <= tol``.  Each of
+    at most ``max_iter`` steps is a Newton step or one log-domain Sinkhorn
+    sweep.  With the plan ``S`` and marginal ``P = S q``, the Newton step
+    solves ``(H + 11^T) d = g`` for the Hessian ``H = (diag(P) - (S*q) S^T)/mu``
+    of ``W*``, whose kernel is the constant vector.  It is kept when it
+    strictly lowers ``||g||`` without lowering ``D`` by more than rounding;
+    otherwise the Sinkhorn sweep, which always raises ``D``, is taken.
+    Raises on non-convergence.
     """
     p = _check_simplex(p)
-    q = _check_simplex(q)
-    C = np.asarray(C, dtype=float)
+    q, C = _check_entropic(q, C, mu)
+    if C.shape[0] != p.size:
+        raise ValueError(f"cost must have one row per atom of p ({p.size}), got shape {C.shape}")
+    log_p = np.log(np.maximum(p, np.finfo(float).tiny))
+
+    def evaluate(lam):
+        S, lse = _column_plan(lam, C, mu)
+        P = S @ q
+        g = p - P
+        return S, P, lse, g, float(np.linalg.norm(g)), float(lam @ p - _conjugate(lse, q, mu))
+
     lam = np.zeros(p.size)
-    step = mu  # ascent step 1/L; the dual gradient is (1/mu)-Lipschitz
+    S, P, lse, g, res, value = evaluate(lam)
     for _ in range(max_iter):
-        g = p - entropic_ot_dual_grad(lam, q, C, mu)
-        if np.linalg.norm(g) <= tol:
+        if res <= tol:
             break
-        lam = lam + step * g
+        try:
+            H = (np.diag(P) - (S * q) @ S.T) / mu
+            d = np.linalg.solve(H + 1.0, g)
+        except np.linalg.LinAlgError:  # a saturated plan: H + 11^T is singular
+            pass
+        else:
+            trial = lam + d
+            trial -= trial.mean()
+            state = evaluate(trial)
+            # a far jump can lower ||g|| and yet lose D, then Sinkhorn undoes it;
+            # near the solution D moves by less than rounding, so allow for that
+            if state[4] < res and state[5] >= value - 1e-12 * (1.0 + abs(value)):
+                lam, (S, P, lse, g, res, value) = trial, state
+                continue
+        # Sinkhorn sweep: rescale the rows of the plan to the marginal p
+        lam = lam + mu * (log_p - _log_marginal(lam, lse, q, C, mu))
         lam -= lam.mean()
-    else:
+        S, P, lse, g, res, value = evaluate(lam)
+    if res > tol:
         raise RuntimeError(
-            f"entropic dual ascent did not reach tol={tol:g} in {max_iter} iterations "
-            f"(residual {np.linalg.norm(g):.3e})")
-    lam -= lam.mean()
-    value = float(lam @ p - entropic_ot_dual_value(lam, q, C, mu))
+            f"entropic dual solve did not reach tol={tol:g} in {max_iter} steps "
+            f"(residual {res:.3e})")
     return value, lam
 
 
@@ -248,11 +288,11 @@ def barycenter_local_oracle(q, C, mu: float, tol: float = 1e-10,
 
     The conjugate of the smoothed transport distance in ``p`` is exactly
     the log-sum-exp dual, so ``conjugate_argmax`` (the transport marginal)
-    and ``conjugate_value`` need no inner solves.  Values/gradients in
-    ``p`` run the dual ascent and are meant for diagnostics only.
+    and ``conjugate_value`` need no inner solves; ``q``, ``C`` and ``mu`` are
+    validated here, once.  Values/gradients in ``p`` run the dual solve and
+    are meant for diagnostics only.
     """
-    q = _check_simplex(q)
-    C = np.asarray(C, dtype=float)
+    q, C = _check_entropic(q, C, mu)
     n = q.size
 
     def value(p):
@@ -263,14 +303,19 @@ def barycenter_local_oracle(q, C, mu: float, tol: float = 1e-10,
         _, lam = entropic_wasserstein(p, q, C, mu, tol=max(tol, 1e-10))
         return lam
 
+    def conjugate_argmax(u):
+        return _column_plan(np.asarray(u, dtype=float), C, mu)[0] @ q
+
+    def conjugate_value(u):
+        return _conjugate(_column_plan(np.asarray(u, dtype=float), C, mu)[1], q, mu)
+
     # L is unknown in closed form (the conjugate is only strictly convex);
     # the dual pipeline needs only mu.
     oracle = FirstOrderOracle(n, value, gradient, L=0.0, mu=mu, counter=counter)
-    oracle.conjugate_argmax = lambda u: entropic_ot_dual_grad(u, q, C, mu)
-    oracle.conjugate_value = lambda u: entropic_ot_dual_value(u, q, C, mu)
-    oracle.measure = q
+    oracle.conjugate_argmax = conjugate_argmax
+    oracle.conjugate_value = conjugate_value
     # minimiser of W_mu(., q) over the simplex: the zero-potential marginal
-    oracle.x_star = entropic_ot_dual_grad(np.zeros(n), q, C, mu)
+    oracle.x_star = oracle.conjugate_argmax(np.zeros(n))
     return oracle
 
 
@@ -278,18 +323,26 @@ def barycenter_problem(measures, C, mu: float, topology):
     """Decentralized instance of the empirical smoothed-barycenter problem.
 
     One node per measure; node ``i`` owns ``p -> W_mu(p, q^i)`` and its
-    closed-form conjugate oracle.  Solving the lifted dual and recovering
-    the primal per node yields the empirical barycenter.
+    closed-form conjugate oracle, and the instance evaluates all the nodes'
+    marginals as one stacked softmax and one batched product.  Solving the
+    lifted dual and recovering the primal per node yields the empirical
+    barycenter.
     """
     from .network import lift_problem
 
     measures = np.atleast_2d(np.asarray(measures, dtype=float))
+    n = measures.shape[1]
+    C = np.asarray(C, dtype=float)
+    if C.shape != (n, n):
+        raise ValueError(f"cost must be {n}x{n} for {n} atoms, got shape {C.shape}")
     locals_ = [barycenter_local_oracle(q, C, mu) for q in measures]
-    instance = lift_problem(locals_, topology, measures.shape[1])
-    instance.measures = measures
-    instance.cost = np.asarray(C, dtype=float)
-    instance.mu_entropy = float(mu)
-    return instance
+    Q = np.clip(measures, 0.0, None)[:, :, None]
+
+    def batched_argmax(U):
+        # X_k = S(U_k) q^k for all nodes: equal to the per-node conjugate_argmax
+        return np.matmul(_column_plan(U, C, mu)[0], Q)[:, :, 0]
+
+    return lift_problem(locals_, topology, n, batched_argmax=batched_argmax)
 
 
 def projected_gradient_barycenter(measures, C, mu: float, iters: int = 2000,

@@ -161,6 +161,48 @@ def test_run_divergent_exit_3(tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.trace.csv"))  # partial trace persisted
 
 
+def _bad_barycenter(tmp_path, mu=0.5, measures=None, cost=None, topology=None):
+    measures = np.array([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]]) if measures is None else measures
+    cost = np.array([[0.0, 1.0], [1.0, 0.0]]) if cost is None else cost
+    np.savetxt(tmp_path / "measures.csv", measures, delimiter=",")
+    np.savetxt(tmp_path / "cost.csv", cost, delimiter=",")
+    return {"method": "spdstm",
+            "problem": {"kind": "barycenter", "measures": str(tmp_path / "measures.csv"),
+                        "cost": str(tmp_path / "cost.csv"), "mu": mu,
+                        "topology": topology or {"kind": "ring", "m": 3}},
+            "eps": 1e-3, "N": 10, "seed": 0}
+
+
+def _single_node_file(tmp_path):
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({"m": 1, "edges": []}))
+    return str(path)
+
+
+BAD_DECENTRALIZED = {
+    "mu_zero": lambda t: _bad_barycenter(t, mu=0),
+    "mu_negative": lambda t: _bad_barycenter(t, mu=-1),
+    "measure_off_simplex": lambda t: _bad_barycenter(
+        t, measures=np.array([[0.3, 0.7], [0.6, 0.6], [0.5, 0.5]])),
+    "cost_not_n_by_n": lambda t: _bad_barycenter(t, cost=np.ones((3, 3)) - np.eye(3)),
+    "ring_m_differs_from_measures": lambda t: _bad_barycenter(t, topology={"kind": "ring", "m": 4}),
+    "single_node_barycenter": lambda t: _bad_barycenter(
+        t, measures=np.array([[0.3, 0.7]]), topology=_single_node_file(t)),
+    "single_node_consensus": lambda t: {
+        "method": "sstm_sc", "N": 10,
+        "problem": {"kind": "consensus_quadratic", "n": 2, "topology": _single_node_file(t)}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DECENTRALIZED))
+def test_run_bad_decentralized_input_exit_2(tmp_path, capsys, case):
+    cfgp = write_config(tmp_path, BAD_DECENTRALIZED[case](tmp_path))
+    assert main(["run", str(cfgp), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.trace.csv"))
+
+
 # ---------------------------------------------------------------------------
 # gen-topology command
 

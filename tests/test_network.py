@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fd_grad, rel_err
 from optdec import (CallCounter, DualOracle, FirstOrderOracle, NoiseSpec,
-                    RngStreams, Topology, build_distributed_dual, chi,
-                    consensus_check, laplacian, laplacian_pair,
-                    lift_laplacian, lift_problem, quadratic_problem,
+                    RngStreams, Topology, barycenter_problem,
+                    build_distributed_dual, chi, consensus_check,
+                    laplacian, laplacian_pair, lift_laplacian,
+                    lift_problem, quadratic_problem,
                     random_quadratic, run_distributed, spdstm, sqrt_psd,
                     sstm_sc, stm)
 from optdec.problems import constrained_quadratic_optimum
@@ -247,6 +248,15 @@ def test_batched_local_argmax_matches_per_node_loop():
         reference = per_node_argmax(stacked.locals, u)
         assert rel_err(stacked.local_argmax(u), reference) <= 1e-12
         assert np.array_equal(looped.local_argmax(u), reference)
+    # barycenter nodes: one stacked softmax against the per-node marginals
+    x = np.linspace(0.0, 1.0, n)
+    for mu in (0.02, 0.3):
+        measures = rng.dirichlet(np.full(n, 0.5), size=m)
+        bary = barycenter_problem(measures, np.abs(x[:, None] - x[None, :]), mu, Topology.ring(m))
+        assert bary.batched_argmax is not None
+        for _ in range(20):
+            u = 3.0 * rng.standard_normal(m * n)
+            assert np.abs(bary.local_argmax(u) - per_node_argmax(bary.locals, u)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("method", ["sstm_sc", "spdstm"])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import optdec.problems
 from conftest import fd_grad, rel_err
 from optdec import (Topology, barycenter_problem, entropic_ot_dual_grad,
                     entropic_ot_dual_value, entropic_ot_stoch_grad,
@@ -235,12 +237,63 @@ def test_wasserstein_strong_convexity_in_first_argument():
         assert w1 >= lower - 1e-8
 
 
+def test_wasserstein_zero_mass_first_argument():
+    # p = (1, 0) forces the plan ((1/2, 1/2), (0, 0)): cost 1/2, entropy term mu log(1/2)
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    val, lam = entropic_wasserstein(np.array([1.0, 0.0]), np.array([0.5, 0.5]), C, 0.5, tol=1e-10)
+    assert abs(val - (0.5 + 0.5 * np.log(0.5))) <= 1e-9
+    assert abs(lam.sum()) <= 1e-12
+
+
 def test_wasserstein_nonconvergence_diagnostic():
     p = np.array([0.5, 0.5])
     q = np.array([0.2, 0.8])
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(RuntimeError):
         entropic_wasserstein(p, q, C, 0.5, tol=1e-12, max_iter=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 40), log_mu=st.floats(np.log(1e-2), np.log(3.0)),
+       log_alpha=st.floats(np.log(0.1), np.log(10.0)), grid=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_wasserstein_converges_with_strong_duality(n, log_mu, log_alpha, grid, seed):
+    rng = np.random.default_rng(seed)
+    mu, alpha, tol = float(np.exp(log_mu)), float(np.exp(log_alpha)), 1e-10
+    p = rng.dirichlet(np.full(n, alpha))
+    q = rng.dirichlet(np.full(n, alpha))
+    x = np.linspace(0.0, 1.0, n) if grid else rng.random(n)
+    C = np.abs(x[:, None] - x[None, :])
+    val, lam = entropic_wasserstein(p, q, C, mu, tol=tol)
+    assert abs(lam.sum()) <= 1e-9
+    # the plan pi_ij = S_ij q_j of the column softmax S at lam
+    E = (lam[:, None] - C) / mu
+    S = np.exp(E - E.max(axis=0))
+    pi = S / S.sum(axis=0) * q
+    assert np.linalg.norm(p - pi.sum(axis=1)) <= tol
+    # value - primal(pi) is exactly lam . (p - S q)
+    kept = pi > 0
+    primal = float((C * pi).sum() + mu * (pi[kept] * np.log(pi[kept])).sum())
+    assert abs(val - primal) <= np.linalg.norm(lam) * tol + 1e-12
+
+
+def test_wasserstein_solve_needs_few_marginals(monkeypatch):
+    # the barycenter benchmark's shape: Dirichlet(2) measures on 30 atoms of [0, 1]
+    calls = []
+    softmax = optdec.problems._column_plan
+
+    def counted(*args):
+        calls.append(1)
+        return softmax(*args)
+
+    monkeypatch.setattr(optdec.problems, "_column_plan", counted)
+    x = np.linspace(0.0, 1.0, 30)
+    C = np.abs(x[:, None] - x[None, :])
+    measures = np.random.default_rng(21).dirichlet(np.full(30, 2.0), size=8)
+    for k in range(8):
+        calls.clear()
+        entropic_wasserstein(measures[k], measures[(k + 1) % 8], C, 0.05, tol=1e-10)
+        assert len(calls) <= 50
 
 
 def test_simplex_project():
