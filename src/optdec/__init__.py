@@ -13,7 +13,7 @@ from .primal import (CompositeProblem, PenaltyProblem, argmax_solver_via_stm,
                      build_penalty, sstm, stm, stm_ips, verify_penalty_transfer)
 from .dual import (DivergenceError, RegularizedDual, RestartConfig, ac_sa,
                    ac_sa2, duality_gap, primal_recovery, restarted_rrma,
-                   rrma_ac_sa2, spdstm, sstm_sc, sstm_sc_batch_rule)
+                   rrma_ac_sa2, spdstm, sstm_sc)
 from .network import (DecentralizedInstance, KronOperator, LaplacianPair,
                       Topology, build_distributed_dual, chi, consensus_check,
                       laplacian, laplacian_pair, lift_laplacian, lift_problem,

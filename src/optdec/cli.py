@@ -27,14 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .dual import (DivergenceError, RegularizedDual, ac_sa, restarted_rrma,
-                   rrma_ac_sa2, spdstm, sstm_sc, sstm_sc_batch_rule,
-                   default_rrma_lambda)
+                   rrma_ac_sa2, spdstm, sstm_sc, default_rrma_lambda)
 from .network import Topology, lift_problem, run_distributed
 from .oracles import NoiseSpec, RngStreams, dual_from_primal
 from .primal import build_penalty, sstm, stm, stm_ips
 from .problems import (load_cost_csv, load_measures_csv, min_norm_dual_solution,
                        quadratic_problem, random_quadratic, barycenter_problem)
-from .schedules import next_alpha_spdstm, next_alpha_stm
+from .schedules import batch_size_sstm_sc, gap_certificate_N
 from .trace import RunTrace, summary_from_trace
 
 METHODS = ("stm", "stm_ips", "sstm", "spdstm", "sstm_sc", "ac_sa", "rrma",
@@ -66,12 +65,40 @@ _PROBLEM_KEYS = {
     "custom": {"kind", "Q_csv", "b_csv", "A_csv"},
 }
 _TOPOLOGY_INLINE_KEYS = {"kind", "m", "p"}
+# numeric keys of ``problem`` and ``constants``: (integer, lowest value,
+# lowest value excluded); keys in _NULLABLE may be null for the default
+_NUMBERS = {
+    "dim": (True, 1, False), "m_rows": (True, 1, False), "n": (True, 1, False),
+    "inner_T": (True, 0, False), "m_iters": (True, 0, False),
+    "metric_every": (True, 0, False), "max_N": (True, 1, False),
+    "cond": (False, 0, True), "mu": (False, 0, True), "C": (False, 0, True),
+    "C_hat": (False, 0, True), "step_factor": (False, 0, True),
+    "L_tilde_factor": (False, 0, True), "lambda": (False, 0, True), "R_y": (False, 0, True),
+    "b_scale": (False, -math.inf, False), "spread": (False, -math.inf, False),
+    "stop_gap": (False, -math.inf, False), "stop_grad_norm": (False, -math.inf, False),
+}
+_NULLABLE = {"inner_T", "R_y", "stop_gap", "stop_grad_norm"}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str):
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _number(value, where, integer=False, low=-math.inf, strict=False):
+    """``value`` as a finite int or float of at least ``low`` (above it when ``strict``)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        x = int(value) if integer else float(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}") from None
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        raise ConfigError(f"{where} must be finite and {'>' if strict else '>='} {low}, "
+                          f"got {value!r}")
+    return x
 
 
 def validate_config(cfg: dict) -> dict:
@@ -83,10 +110,10 @@ def validate_config(cfg: dict) -> dict:
         "method": cfg.get("method"),
         "problem": cfg.get("problem"),
         "noise": dict(cfg.get("noise") or {}),
-        "eps": float(cfg.get("eps", 1e-3)),
-        "beta": float(cfg.get("beta", 0.1)),
+        "eps": _number(cfg.get("eps", 1e-3), "eps", low=0, strict=True),
+        "beta": _number(cfg.get("beta", 0.1), "beta"),
         "N": cfg.get("N", "auto"),
-        "seed": int(cfg.get("seed", 0)),
+        "seed": _number(cfg.get("seed", 0), "seed", integer=True, low=0),
         "constants": dict(cfg.get("constants") or {}),
     }
     if out["method"] not in METHODS:
@@ -98,10 +125,14 @@ def validate_config(cfg: dict) -> dict:
     _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem ({kind})")
     _reject_unknown(out["noise"], _NOISE_KEYS, "noise")
     _reject_unknown(out["constants"], _CONSTANT_KEYS, "constants")
-    if out["N"] != "auto" and (not isinstance(out["N"], int) or out["N"] < 0):
+    for where, fields in (("problem", problem), ("constants", out["constants"])):
+        for key, value in fields.items():
+            if key in _NUMBERS and not (value is None and key in _NULLABLE):
+                _number(value, f"{where}.{key}", *_NUMBERS[key])
+    if out["N"] != "auto" and (type(out["N"]) is not int or out["N"] < 0):
         raise ConfigError("N must be a non-negative integer or \"auto\"")
-    if out["eps"] <= 0 or not (0 < out["beta"] < 1):
-        raise ConfigError("need eps > 0 and beta in (0, 1)")
+    if not (0 < out["beta"] < 1):
+        raise ConfigError(f"beta must be in (0, 1), got {out['beta']!r}")
 
     if kind in DECENTRALIZED_KINDS:
         if out["method"] not in ("spdstm", "sstm_sc", "restarted_rrma"):
@@ -119,10 +150,6 @@ def validate_config(cfg: dict) -> dict:
             missing = sorted({"measures", "cost", "mu"} - set(problem))
             if missing:
                 raise ConfigError(f"problem kind 'barycenter' requires {missing}")
-            mu = problem["mu"]
-            if isinstance(mu, bool) or not isinstance(mu, (int, float)) \
-                    or not (0 < mu < math.inf):
-                raise ConfigError(f"barycenter mu must be a positive number, got {mu!r}")
     elif out["method"] in ("stm", "sstm") and kind not in ("quadratic", "custom"):
         raise ConfigError(f"method {out['method']} expects a quadratic or custom problem")
     elif out["method"] in ("stm_ips",) and kind not in ("penalty", "custom"):
@@ -216,15 +243,6 @@ def _noise_spec(noise_cfg) -> NoiseSpec:
                      noise_cfg.get("kind", "gaussian"))
 
 
-def _auto_N_gap_certificate(R0, L, eps, factor=2.0, max_N=500_000):
-    A = 0.0
-    for k in range(1, max_N + 1):
-        _, A = next_alpha_stm(A, L, 0.0, factor=factor)
-        if 1.5 * R0 * R0 / A <= eps:
-            return k
-    return max_N
-
-
 # ---------------------------------------------------------------------------
 # run execution
 
@@ -276,18 +294,17 @@ def execute_run(cfg: dict):
 
     if method in ("stm", "sstm"):
         N = cfg["N"]
+        step_factor = float(consts.get("step_factor", 2.0))
         if N == "auto":
-            R0 = float(np.linalg.norm(x0 - qp.x_star))
-            N = _auto_N_gap_certificate(R0, oracle.L, eps,
-                                        factor=float(consts.get("step_factor", 2.0)))
+            N = gap_certificate_N(float(np.linalg.norm(x0 - qp.x_star)), oracle.L, eps,
+                                  factor=step_factor)
         if method == "stm":
             x, trace = stm(oracle, x0, N, f_star=qp.f_star, x_star=qp.x_star,
-                           step_factor=float(consts.get("step_factor", 2.0)), metadata=meta)
+                           step_factor=step_factor, metadata=meta)
         else:
             from .oracles import StochasticGradientOracle
             stoch = StochasticGradientOracle(oracle, noise)
-            x, trace = sstm(stoch, x0, N, eps, beta, seed=seed,
-                            step_factor=float(consts.get("step_factor", 2.0)),
+            x, trace = sstm(stoch, x0, N, eps, beta, seed=seed, step_factor=step_factor,
                             f_star=qp.f_star, x_star=qp.x_star, metadata=meta)
         return trace, summary_from_trace(trace)
 
@@ -295,7 +312,7 @@ def execute_run(cfg: dict):
         raise ConfigError(f"method {method} needs a constraint matrix")
 
     y_star, x_c = min_norm_dual_solution(qp.Q, qp.b, A)
-    R_y = float(consts.get("R_y", max(np.linalg.norm(y_star), 1e-12)))
+    R_y = float(consts.get("R_y") or max(np.linalg.norm(y_star), 1e-12))
 
     if method == "stm_ips":
         pen = build_penalty(oracle, A, R_y, eps)
@@ -304,8 +321,7 @@ def execute_run(cfg: dict):
         F_star = pen.F_value(x_F)
         N = cfg["N"]
         if N == "auto":
-            R0 = float(np.linalg.norm(x0 - x_F))
-            N = _auto_N_gap_certificate(R0, oracle.L, eps)
+            N = gap_certificate_N(float(np.linalg.norm(x0 - x_F)), oracle.L, eps)
         x, trace = stm_ips(pen, x0, N, inner_T=consts.get("inner_T"),
                            F_star=F_star, x_star=x_F, metadata=meta)
         trace.metadata["R_y"] = format(R_y, ".17g")
@@ -315,12 +331,7 @@ def execute_run(cfg: dict):
     if method == "spdstm":
         N = cfg["N"]
         if N == "auto":
-            A_run, k = 0.0, 0
-            L_t = float(consts.get("L_tilde_factor", 2.0)) * dual.L_psi
-            while 1.5 * R_y * R_y / max(A_run, 1e-300) > eps and k < 500_000:
-                k += 1
-                _, A_run = next_alpha_spdstm(A_run, L_t)
-            N = k
+            N = gap_certificate_N(R_y, float(consts.get("L_tilde_factor", 2.0)) * dual.L_psi, eps)
         y, x, trace = spdstm(dual, N, eps, beta, C_hat=float(consts.get("C_hat", 1.0)),
                              L_tilde_factor=float(consts.get("L_tilde_factor", 2.0)),
                              seed=seed, metric_every=int(consts.get("metric_every", 1)),
@@ -330,8 +341,9 @@ def execute_run(cfg: dict):
         if N == "auto":
             N = 50 + int(math.ceil(math.sqrt(dual.L_psi / dual.mu_psi)
                                    * math.log(max(dual.L_psi * R_y ** 2 / eps, 2.0))))
-        rule = sstm_sc_batch_rule(dual, N, eps, beta, float(consts.get("C", 1.0)))
-        y, trace = sstm_sc(dual, np.zeros(dual.dual_dim), N, rule, seed=seed,
+        batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta,
+                                   float(consts.get("C", 1.0)))
+        y, trace = sstm_sc(dual, np.zeros(dual.dual_dim), N, batch, seed=seed,
                            metric_every=int(consts.get("metric_every", 1)), metadata=meta)
     elif method == "restarted_rrma":
         y, trace = restarted_rrma(dual, np.zeros(dual.dual_dim), eps, beta, R_y=R_y,

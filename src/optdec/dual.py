@@ -12,6 +12,8 @@ oracle, and recover primal points from the inner maximisers:
   :func:`restarted_rrma` -- the recursive-regularization family driving
   the dual gradient norm to ``eps / R_y``, with restarts, probe batches
   and amplification over independent trajectories.
+
+Both triangle schemes run on :func:`optdec.schedules.triangle`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oracles import DualOracle, RngStreams
-from .schedules import (acsa_params, batch_size_spdstm, batch_size_sstm_sc,
-                        next_alpha_spdstm, next_alpha_strongly_convex)
+from .schedules import (acsa_params, batch_size_spdstm, next_alpha_spdstm,
+                        next_alpha_strongly_convex, triangle)
 from .trace import RunTrace
 
 __all__ = [
@@ -83,36 +85,31 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     """
     L_tilde = L_tilde_factor * dual.L_psi
     streams = RngStreams(seed)
-    n = dual.dual_dim
-    y = np.zeros(n)
-    z = np.zeros(n)
-    y_tilde = np.zeros(n)
+    y = np.zeros(dual.dual_dim)
     acc = np.zeros(dual.primal.dim)
     scale = y_star_norm_estimate if y_star_norm_estimate is not None else 1.0
-
     trace = RunTrace(dict(metadata or {}))
-    trace.record(0, 0.0, dual.counter)
-    A = 0.0
-    for k in range(N):
-        alpha, A_next = next_alpha_spdstm(A, L_tilde)
-        y_tilde = (A * y + alpha * z) / A_next
-        alpha_tilde = (k + 2) / (2.0 * L_tilde)
-        r = batch_size_spdstm(alpha_tilde, dual.sigma_psi, eps, N, beta, C_hat)
-        g, x_mean = dual.batch_grad_and_x(y_tilde, r, streams.child(k))
-        z = z - alpha * g
-        y = (A * y + alpha * z) / A_next
-        acc += alpha * x_mean
-        A = A_next
-        _guard(z, scale, trace, "spdstm")
 
+    def gradient(k, y_tilde, alpha, A_next):
+        nonlocal acc
+        r = batch_size_spdstm((k + 2) / (2.0 * L_tilde), dual.sigma_psi, eps, N, beta, C_hat)
+        g, x_mean = dual.batch_grad_and_x(y_tilde, r, streams.child(k))
+        acc += alpha * x_mean
+        return g
+
+    def after(k, y, z, A):
+        _guard(z, scale, trace, "spdstm")
         gap = feas = None
         if metric_every and (k + 1) % metric_every == 0:
             x_run = acc / A
             gap = float(dual.primal.value(x_run)) + dual.psi_value(y)
             feas = float(np.linalg.norm(dual.A @ x_run))
         trace.record(k + 1, A, dual.counter, dual_gap=gap, constraint_norm=feas)
-        if stop_gap is not None and gap is not None and gap <= stop_gap:
-            break
+        return stop_gap is not None and gap is not None and gap <= stop_gap
+
+    trace.record(0, 0.0, dual.counter)
+    y, _, A = triangle(lambda A: next_alpha_spdstm(A, L_tilde), 0.0, y, y, N,
+                       gradient, lambda z, g, y_tilde, alpha, A_next: z - alpha * g, after)
     x_out = acc / A if A > 0 else acc
     return y, x_out, trace
 
@@ -121,14 +118,8 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
 # direct acceleration for strongly convex duals
 
 
-def sstm_sc_batch_rule(dual: DualOracle, N: int, eps: float, beta: float, C: float = 1.0):
-    """Default batch rule for :func:`sstm_sc` (constant over iterations)."""
-    r = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta, C)
-    return lambda k: r
-
-
-def sstm_sc(dual: DualOracle, y0, N: int, batch_rule=None, *, seed: int = 0,
-            keep_history: bool = False, metric_every: int = 1,
+def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
+            history: list | None = None, metric_every: int = 1,
             y_star=None, stop_grad_norm: float | None = None, metadata=None):
     """Stochastic triangle scheme for a strongly convex dual.
 
@@ -136,10 +127,11 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch_rule=None, *, seed: int = 0,
 
         ``z^{k+1} = (z^0 + mu sum_l alpha_l y~^l - sum_l alpha_l g^l) / (1 + A_{k+1} mu)``
 
-    maintained incrementally by two running sums (O(dim) per step).  With
-    ``keep_history`` the per-step ``(alpha_l, y~^l, g^l)`` triples are kept
-    on ``trace.history`` so tests can cross-check the running-sum path
-    against explicit re-summation.
+    maintained incrementally by two running sums (O(dim) per step).  Every
+    gradient is a mean over ``batch`` samples (see
+    :func:`optdec.schedules.batch_size_sstm_sc`).  A ``history`` list
+    receives the per-step ``(alpha_l, y~^l, g^l)`` triples so tests can
+    cross-check the running-sum path against explicit re-summation.
 
     Returns ``(y_N, trace)``; the trace records the exact dual gradient
     norm (and ``||y - y*||^2`` as ``dual_gap`` when ``y_star`` is given).
@@ -148,27 +140,23 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch_rule=None, *, seed: int = 0,
     """
     if dual.mu_psi <= 0:
         raise ValueError("sstm_sc requires mu_psi > 0 (L-smooth primal)")
-    if batch_rule is None:
-        batch_rule = lambda k: 1
     L, mu = dual.L_psi, dual.mu_psi
     streams = RngStreams(seed)
 
-    y = np.array(y0, dtype=float)
-    z0 = y.copy()
-    z = y.copy()
-    y_tilde = y.copy()
+    y = z0 = np.array(y0, dtype=float)
     scale = float(np.linalg.norm(y)) + (np.linalg.norm(y_star) if y_star is not None else 1.0)
-
     trace = RunTrace(dict(metadata or {}))
-    history = []
-    trace.history = history
 
-    alpha = A = 1.0 / L
-    g = dual.batch_grad_and_x(y_tilde, batch_rule(0), streams.child(0))[0]
-    sum_mu_y = alpha * mu * y_tilde
-    sum_g = alpha * g
-    if keep_history:
-        history.append((alpha, y_tilde.copy(), g.copy()))
+    def gradient(k, y_tilde, alpha, A_next):
+        return dual.batch_grad_and_x(y_tilde, batch, streams.child(k + 1))[0]
+
+    def mirror(z, g, y_tilde, alpha, A_next):
+        nonlocal sum_mu_y, sum_g
+        sum_mu_y = sum_mu_y + alpha * mu * y_tilde
+        sum_g = sum_g + alpha * g
+        if history is not None:
+            history.append((alpha, y_tilde.copy(), g.copy()))
+        return (z0 + sum_mu_y - sum_g) / (1.0 + A_next * mu)
 
     def metrics(k, point):
         if not metric_every or (k % metric_every and k != N):
@@ -177,25 +165,23 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch_rule=None, *, seed: int = 0,
         dist = float(np.linalg.norm(point - y_star) ** 2) if y_star is not None else None
         return gn, dist
 
-    gn, dist = metrics(0, y)
-    trace.record(0, A, dual.counter, grad_norm=gn, dual_gap=dist)
-
-    for k in range(N):
-        alpha, A_next = next_alpha_strongly_convex(A, L, mu)
-        y_tilde = (A * y + alpha * z) / A_next
-        g = dual.batch_grad_and_x(y_tilde, batch_rule(k + 1), streams.child(k + 1))[0]
-        sum_mu_y = sum_mu_y + alpha * mu * y_tilde
-        sum_g = sum_g + alpha * g
-        z = (z0 + sum_mu_y - sum_g) / (1.0 + A_next * mu)
-        y = (A * y + alpha * z) / A_next
-        A = A_next
-        if keep_history:
-            history.append((alpha, y_tilde.copy(), g.copy()))
+    def after(k, y, z, A):
         _guard(z, scale, trace, "sstm_sc")
         gn, dist = metrics(k + 1, y)
         trace.record(k + 1, A, dual.counter, grad_norm=gn, dual_gap=dist)
-        if stop_grad_norm is not None and gn is not None and gn <= stop_grad_norm:
-            break
+        return stop_grad_norm is not None and gn is not None and gn <= stop_grad_norm
+
+    # step 0 (alpha_0 = A_0 = 1/L) only seeds the running sums with the gradient at y0
+    alpha = A = 1.0 / L
+    g = dual.batch_grad_and_x(y, batch, streams.child(0))[0]
+    sum_mu_y = alpha * mu * y
+    sum_g = alpha * g
+    if history is not None:
+        history.append((alpha, y.copy(), g.copy()))
+    gn, dist = metrics(0, y)
+    trace.record(0, A, dual.counter, grad_norm=gn, dual_gap=dist)
+    y, _, _ = triangle(lambda A: next_alpha_strongly_convex(A, L, mu), A, y, z0, N,
+                       gradient, mirror, after)
     return y, trace
 
 
@@ -413,7 +399,6 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *,
                          sigma_psi=sigma_psi, C=C, r_cap=r_cap)
 
     trace = RunTrace(dict(metadata or {}))
-    trace.restart_config = cfg
     exact_gn = float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ y)))
     trace.record(0, 0.0, dual.counter, grad_norm=exact_gn)
 

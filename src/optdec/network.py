@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import restarted_rrma, spdstm, sstm_sc, sstm_sc_batch_rule
+from .dual import restarted_rrma, spdstm, sstm_sc
 from .oracles import CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams
+from .schedules import batch_size_sstm_sc, gap_certificate_N, next_alpha_strongly_convex
 
 __all__ = [
     "Topology",
@@ -443,14 +444,16 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
 
     if method == "sstm_sc":
         N = cfg["N"] if cfg["N"] is not None else _auto_N_sstm_sc(dual, eps, R_y, cfg["max_N"])
-        rule = sstm_sc_batch_rule(dual, N, eps, beta, cfg["C"])
+        batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta,
+                                   cfg["C"])
         y0 = np.zeros(dual.dual_dim)
-        y, trace = sstm_sc(dual, y0, N, rule, seed=seed,
+        y, trace = sstm_sc(dual, y0, N, batch, seed=seed,
                            metric_every=cfg["metric_every"],
                            stop_grad_norm=cfg["stop_grad_norm"])
         x = _recover(dual, y, cfg["recovery_batch"], seed)
     elif method == "spdstm":
-        N = cfg["N"] if cfg["N"] is not None else _auto_N_spdstm(dual, eps, R_y, cfg["max_N"])
+        N = cfg["N"] if cfg["N"] is not None else \
+            gap_certificate_N(R_y, 2.0 * dual.L_psi, eps, max_N=cfg["max_N"])
         y, x, trace = spdstm(dual, N, eps, beta, C_hat=cfg["C_hat"], seed=seed,
                              metric_every=cfg["metric_every"],
                              y_star_norm_estimate=R_y, stop_gap=cfg["stop_gap"])
@@ -495,23 +498,11 @@ def _dual_norm_bound(instance: DecentralizedInstance) -> float:
 
 def _auto_N_sstm_sc(dual, eps, R_y, max_N):
     """Iterations until the geometric certificate reaches the gradient target."""
-    from .schedules import next_alpha_strongly_convex
     target = (eps / max(R_y, 1e-12)) ** 2
     A = 1.0 / dual.L_psi
     R0sq = R_y ** 2
     for k in range(1, max_N + 1):
         _, A = next_alpha_strongly_convex(A, dual.L_psi, dual.mu_psi)
         if dual.L_psi ** 2 * R0sq * dual.L_psi / A <= target:
-            return k
-    return max_N
-
-
-def _auto_N_spdstm(dual, eps, R_y, max_N):
-    """Iterations until ``3 R_y^2 / (2 A_N)`` reaches the gap target."""
-    from .schedules import next_alpha_spdstm
-    A = 0.0
-    for k in range(1, max_N + 1):
-        _, A = next_alpha_spdstm(A, 2.0 * dual.L_psi)
-        if 1.5 * R_y ** 2 / A <= eps:
             return k
     return max_N

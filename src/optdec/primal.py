@@ -5,14 +5,15 @@ steps for smooth composite objectives.
 The triangle scheme maintains three coupled sequences: an extrapolation
 point ``x~`` (convex combination of the averaged iterate and the mirror
 point), a mirror point ``z`` updated from the gradient at ``x~``, and the
-averaged iterate ``x``.  The mirror update in the strongly convex mode is
+averaged iterate ``x``; every loop here runs on
+:func:`optdec.schedules.triangle`.  The mirror update in the strongly
+convex mode is
 
     ``z_{k+1} = z_k - alpha (g - mu (x~ - z_k)) / (1 + A_{k+1} mu)``
 
-which keeps the optimum a fixed point; the historical variant with
-denominator ``1 + mu`` and no ``z_k`` pull-back is available behind
-``literal_z_step`` for comparison but does not converge on shifted
-objectives.
+because this pull-back form keeps the optimum a fixed point, while the
+variant with denominator ``1 + mu`` and no ``z_k`` pull-back has no fixed
+point at a shifted optimum.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import math
 import numpy as np
 
 from .oracles import CallCounter, FirstOrderOracle, RngStreams, StochasticGradientOracle
-from .schedules import batch_size_sstm, next_alpha_stm
+from .schedules import batch_size_sstm, next_alpha_stm, triangle
 from .trace import RunTrace
 
 __all__ = [
     "CompositeProblem",
     "PenaltyProblem",
-    "DeltaSolutionContract",
     "stm",
     "sstm",
     "build_penalty",
@@ -43,16 +43,15 @@ __all__ = [
 # deterministic / stochastic STM
 
 
-def _z_step(z, g, x_tilde, alpha, A_next, mu, mode, literal):
-    if mode == "convex" or mu == 0.0:
-        return z - alpha * g
-    if literal:
-        return z - alpha * (g - mu * x_tilde) / (1.0 + mu)
-    return z - alpha * (g - mu * (x_tilde - z)) / (1.0 + A_next * mu)
+def _pull_back(mu):
+    """Strongly convex mirror update (see the module docstring)."""
+    def mirror(z, g, x_tilde, alpha, A_next):
+        return z - alpha * (g - mu * (x_tilde - z)) / (1.0 + A_next * mu)
+    return mirror
 
 
 def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source,
-                  f_star, x_star, literal_z_step, metadata):
+                  f_star, x_star, metadata):
     if mode not in ("convex", "strongly_convex"):
         raise ValueError(f"unknown mode {mode!r}")
     mu = oracle.mu if mode == "strongly_convex" else 0.0
@@ -62,9 +61,6 @@ def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source,
         raise ValueError("oracle.L must be positive")
 
     x = np.array(x0, dtype=float)
-    z = x.copy()
-    x_avg = x.copy()
-
     meta = dict(metadata or {})
     if x_star is not None:
         meta.setdefault("R0", format(float(np.linalg.norm(x - np.asarray(x_star))), ".17g"))
@@ -73,22 +69,20 @@ def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source,
     def gap(point):
         return None if f_star is None else float(oracle.value(point)) - f_star
 
-    A = 0.0
-    trace.record(0, A, oracle.counter, f_gap=gap(x_avg))
-    for k in range(N):
-        alpha, A_next = next_alpha_stm(A, oracle.L, mu, factor=step_factor)
-        x_tilde = (A * x_avg + alpha * z) / A_next
-        g = gradient_source(k, x_tilde, alpha, A_next)
-        z = _z_step(z, g, x_tilde, alpha, A_next, mu, mode, literal_z_step)
-        x_avg = (A * x_avg + alpha * z) / A_next
-        A = A_next
+    def after(k, x_avg, z, A):
         trace.record(k + 1, A, oracle.counter, f_gap=gap(x_avg))
+
+    trace.record(0, 0.0, oracle.counter, f_gap=gap(x))
+    x_avg, _, _ = triangle(
+        lambda A: next_alpha_stm(A, oracle.L, mu, factor=step_factor), 0.0, x, x, N,
+        gradient_source,
+        _pull_back(mu) if mu != 0.0 else lambda z, g, x_tilde, alpha, A_next: z - alpha * g,
+        after)
     return x_avg, trace
 
 
 def stm(oracle: FirstOrderOracle, x0, N: int, mode: str = "convex", *,
-        step_factor: float = 2.0, f_star=None, x_star=None,
-        literal_z_step: bool = False, metadata=None):
+        step_factor: float = 2.0, f_star=None, x_star=None, metadata=None):
     """Accelerated triangle scheme on an L-smooth convex objective.
 
     Returns ``(x_N, trace)``.  With ``f_star`` given the trace records the
@@ -99,7 +93,7 @@ def stm(oracle: FirstOrderOracle, x0, N: int, mode: str = "convex", *,
     return _run_triangle(
         oracle, x0, N, mode, step_factor,
         lambda k, xt, a, An: oracle.eval_grad(xt),
-        f_star, x_star, literal_z_step, metadata)
+        f_star, x_star, metadata)
 
 
 def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
@@ -119,7 +113,7 @@ def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
         return oracle.batch(x_tilde, r, streams.child(k))
 
     return _run_triangle(oracle.base, x0, N, mode, step_factor, source,
-                         f_star, x_star, False, metadata)
+                         f_star, x_star, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +200,6 @@ def build_penalty(base: FirstOrderOracle, A, R_y: float, eps: float) -> PenaltyP
     return PenaltyProblem(base, A, R_y, eps)
 
 
-class DeltaSolutionContract:
-    """Accuracy contract for inexact proximal subproblems.
-
-    A point ``z`` fulfils the contract when its subproblem gap is at most
-    ``delta * ||z_start - z_hat||^2`` with ``z_hat`` the exact minimiser.
-    ``realized`` collects the per-step certified bounds actually achieved.
-    """
-
-    def __init__(self, delta: float):
-        self.delta = float(delta)
-        self.realized: list[float] = []
-
-
 def default_inner_delta(L: float, L_h: float, N: int) -> float:
     """Inner accuracy making the inexactness negligible over ``N`` steps."""
     return L / (64.0 * (L_h + L) * N ** 3)
@@ -257,25 +238,20 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
         return gn * gn / 2.0 <= delta * lb * lb
 
     x = z_k - alpha * lin
-    z = x.copy()
-    x_avg = x.copy()
-    A = 0.0
-    gn0 = gn = float(np.linalg.norm(grad_g(x_avg)))
-    if certified(x_avg, gn):
-        return x_avg, gn * gn / 2.0, True
-    for _ in range(budget):
-        a, A_next = next_alpha_stm(A, L_g, 1.0, factor=2.0)
-        x_tilde = (A * x_avg + a * z) / A_next
-        g = grad_g(x_tilde)
-        z = _z_step(z, g, x_tilde, a, A_next, 1.0, "strongly_convex", False)
-        x_avg = (A * x_avg + a * z) / A_next
-        A = A_next
+    gn = gn0 = float(np.linalg.norm(grad_g(x)))
+    ok = certified(x, gn)
+
+    def after(k, x_avg, z, A):
+        nonlocal gn, ok
         gn = float(np.linalg.norm(grad_g(x_avg)))
-        if certified(x_avg, gn):
-            return x_avg, gn * gn / 2.0, True
-    # budget exhausted: trust it unless the gradient norm stagnated
-    stagnated = gn > 1e-2 * gn0
-    return x_avg, gn * gn / 2.0, not stagnated
+        ok = certified(x_avg, gn)
+        return ok
+
+    if not ok:
+        x, _, _ = triangle(lambda A: next_alpha_stm(A, L_g, 1.0, factor=2.0), 0.0, x, x, budget,
+                           lambda k, x_tilde, a, A_next: grad_g(x_tilde), _pull_back(1.0), after)
+    # on budget exhaustion trust the step unless the gradient norm stagnated
+    return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0
 
 
 def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *,
@@ -290,8 +266,7 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
     the problem's exact proximal solver (``exact``).  Inner non-convergence
     within the budget is flagged in the trace and the run continues.
 
-    Returns ``(x_N, trace)``.  ``trace.contract`` holds the per-step
-    certified inner gaps.
+    Returns ``(x_N, trace)``.
     """
     if prox_mode not in ("inner_stm", "exact"):
         raise ValueError(f"unknown prox_mode {prox_mode!r}")
@@ -302,14 +277,10 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
         delta = default_inner_delta(f.L, problem.L_h, max(N, 1))
 
     x = np.array(x0, dtype=float)
-    z = x.copy()
-    x_avg = x.copy()
     meta = dict(metadata or {})
     if x_star is not None:
         meta.setdefault("R0", format(float(np.linalg.norm(x - np.asarray(x_star))), ".17g"))
     trace = RunTrace(meta)
-    contract = DeltaSolutionContract(delta)
-    trace.contract = contract
 
     def gap(point):
         return None if F_star is None else problem.F_value(point) - F_star
@@ -319,24 +290,22 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
             return float(np.linalg.norm(problem.A @ point))
         return None
 
-    A = 0.0
-    trace.record(0, A, problem.counter, f_gap=gap(x_avg), constraint_norm=feas(x_avg))
-    for k in range(N):
-        alpha, A_next = next_alpha_stm(A, f.L, 0.0, factor=2.0)
-        x_tilde = (A * x_avg + alpha * z) / A_next
-        lin = f.eval_grad(x_tilde)
+    def prox(z, lin, x_tilde, alpha, A_next):
         if prox_mode == "exact":
-            z = problem.prox_solver(z, alpha, lin)
-            contract.realized.append(0.0)
-        else:
-            budget = inner_T if inner_T is not None else default_inner_budget(alpha, problem.L_h, N)
-            z, certified_gap, ok = _inner_prox_stm(problem, z, alpha, lin, delta, budget)
-            contract.realized.append(certified_gap)
-            if not ok:
-                trace.flag(f"inner prox budget exhausted at outer step {k + 1}")
-        x_avg = (A * x_avg + alpha * z) / A_next
-        A = A_next
+            return problem.prox_solver(z, alpha, lin)
+        budget = inner_T if inner_T is not None else default_inner_budget(alpha, problem.L_h, N)
+        z, _, ok = _inner_prox_stm(problem, z, alpha, lin, delta, budget)
+        if not ok:
+            # the trace holds the start row plus one row per finished step
+            trace.flag(f"inner prox budget exhausted at outer step {len(trace.rows)}")
+        return z
+
+    def after(k, x_avg, z, A):
         trace.record(k + 1, A, problem.counter, f_gap=gap(x_avg), constraint_norm=feas(x_avg))
+
+    trace.record(0, 0.0, problem.counter, f_gap=gap(x), constraint_norm=feas(x))
+    x_avg, _, _ = triangle(lambda A: next_alpha_stm(A, f.L, 0.0, factor=2.0), 0.0, x, x,
+                           N, lambda k, x_tilde, a, A_next: f.eval_grad(x_tilde), prox, after)
     return x_avg, trace
 
 

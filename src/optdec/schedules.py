@@ -11,6 +11,9 @@ primal-dual schemes.  Roots are computed in the cancellation-free
 arrangement ``b + sqrt(b^2 + c)`` because ``A_k`` reaches 1e6+ at the
 scales exercised here.
 
+Every accelerated loop runs on :func:`triangle`; :func:`gap_certificate_N`
+plans ``N`` from the certificate ``3 R0^2 / (2 A_N) <= eps``.
+
 Batch-size rules expose their hidden proportionality constants as
 arguments defaulting to 1, so a noiseless run degenerates to batch 1.
 """
@@ -25,6 +28,8 @@ __all__ = [
     "next_alpha_stm",
     "next_alpha_strongly_convex",
     "next_alpha_spdstm",
+    "triangle",
+    "gap_certificate_N",
     "acsa_params",
     "batch_size_sstm",
     "batch_size_spdstm",
@@ -83,6 +88,43 @@ def next_alpha_spdstm(A_k: float, L_tilde: float):
         raise ValueError("A_k must be non-negative")
     alpha = _positive_root(1.0 / (4.0 * L_tilde), A_k / (2.0 * L_tilde))
     return alpha, A_k + alpha
+
+
+def triangle(step, A, x, z, N, gradient, mirror, after):
+    """Run ``N`` similar-triangles steps from ``(x, z, A)``; returns ``(x, z, A)``.
+
+    Step ``k`` takes ``alpha, A' = step(A)``, extrapolates
+    ``x~ = (A x + alpha z) / A'``, asks ``gradient(k, x~, alpha, A')`` for
+    ``g``, moves the mirror point to ``mirror(z, g, x~, alpha, A')`` and
+    averages ``x = (A x + alpha z) / A'``.  A true ``after(k, x, z, A')``
+    ends the loop early.
+    """
+    for k in range(N):
+        alpha, A_next = step(A)
+        x_tilde = (A * x + alpha * z) / A_next
+        g = gradient(k, x_tilde, alpha, A_next)
+        z = mirror(z, g, x_tilde, alpha, A_next)
+        x = (A * x + alpha * z) / A_next
+        A = A_next
+        if after(k, x, z, A):
+            break
+    return x, z, A
+
+
+def gap_certificate_N(R0: float, L: float, eps: float, factor: float = 2.0,
+                      max_N: int = 500_000) -> int:
+    """Fewest steps of :func:`next_alpha_stm` (``mu = 0``) with
+    ``3 R0^2 / (2 A_N) <= eps``, or ``max_N`` if the cap comes first.
+
+    ``next_alpha_spdstm(A, L)`` is bitwise ``next_alpha_stm(A, L, 0, 2)``,
+    so this also plans the primal-dual scheme with ``L = L~``.
+    """
+    A = 0.0
+    for k in range(1, max_N + 1):
+        _, A = next_alpha_stm(A, L, 0.0, factor=factor)
+        if 1.5 * R0 * R0 / A <= eps:
+            return k
+    return max_N
 
 
 def acsa_params(t: int, L_tilde_psi: float):

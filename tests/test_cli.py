@@ -179,7 +179,7 @@ def _single_node_file(tmp_path):
     return str(path)
 
 
-BAD_DECENTRALIZED = {
+BAD_INPUTS = {
     "mu_zero": lambda t: _bad_barycenter(t, mu=0),
     "mu_negative": lambda t: _bad_barycenter(t, mu=-1),
     "measure_off_simplex": lambda t: _bad_barycenter(
@@ -191,12 +191,22 @@ BAD_DECENTRALIZED = {
     "single_node_consensus": lambda t: {
         "method": "sstm_sc", "N": 10,
         "problem": {"kind": "consensus_quadratic", "n": 2, "topology": _single_node_file(t)}},
+    "eps_not_a_number": lambda t: quad_config(eps="abc"),
+    "seed_not_an_integer": lambda t: quad_config(seed="s"),
+    "dim_not_an_integer": lambda t: quad_config(problem={"kind": "quadratic", "dim": "x"}),
+    "dim_zero": lambda t: quad_config(problem={"kind": "quadratic", "dim": 0}),
+    "metric_every_not_an_integer": lambda t: quad_config(constants={"metric_every": "x"}),
+    "step_factor_zero": lambda t: quad_config(constants={"step_factor": 0}),
+    "N_boolean": lambda t: quad_config(N=True),
+    "inner_T_negative": lambda t: {
+        "method": "stm_ips", "problem": {"kind": "penalty", "dim": 4, "m_rows": 2},
+        "N": 5, "constants": {"inner_T": -1}},
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_DECENTRALIZED))
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_run_bad_decentralized_input_exit_2(tmp_path, capsys, case):
-    cfgp = write_config(tmp_path, BAD_DECENTRALIZED[case](tmp_path))
+    cfgp = write_config(tmp_path, BAD_INPUTS[case](tmp_path))
     assert main(["run", str(cfgp), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err

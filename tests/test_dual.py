@@ -96,8 +96,9 @@ def test_sstm_sc_mirror_point_matches_numeric_argmin():
     A = rng.standard_normal((2, 2))
     dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
     y0 = rng.standard_normal(2)
-    _, trace = sstm_sc(dual, y0, 1, keep_history=True, metric_every=0)
-    (a0, yt0, g0), (a1, yt1, g1) = trace.history
+    history = []
+    sstm_sc(dual, y0, 1, history=history, metric_every=0)
+    (a0, yt0, g0), (a1, yt1, g1) = history
 
     mu = dual.mu_psi
 
@@ -130,8 +131,8 @@ def test_sstm_sc_running_sums_match_resummation():
                             noise=NoiseSpec(0.0, 0.2, "gaussian"))
     y0 = rng.standard_normal(3)
     N = 20
-    y, trace = sstm_sc(dual, y0, N, keep_history=True, metric_every=0, seed=4)
-    hist = trace.history
+    hist = []
+    y, trace = sstm_sc(dual, y0, N, history=hist, metric_every=0, seed=4)
     mu = dual.mu_psi
     A_total = sum(a for a, _, _ in hist)
     z_resum = (y0 + mu * sum(a * yt for a, yt, _ in hist)
@@ -140,8 +141,9 @@ def test_sstm_sc_running_sums_match_resummation():
     A_prev = A_total - hist[-1][0]
     # y_N = (A_{N-1} y_{N-1} + alpha_N z_N) / A_N is what the solver did; we
     # only check the mirror point path here
-    _, trace2 = sstm_sc(dual, y0, N, keep_history=True, metric_every=0, seed=4)
-    assert np.allclose(trace2.history[-1][1], hist[-1][1])
+    hist2 = []
+    sstm_sc(dual, y0, N, history=hist2, metric_every=0, seed=4)
+    assert np.allclose(hist2[-1][1], hist[-1][1])
     # closed-form z from running sums equals resummation
     y2, tr2 = sstm_sc(dual, y0, N, metric_every=0, seed=4)
     assert np.allclose(y, y2)

@@ -68,14 +68,6 @@ def test_stm_zero_iterations_returns_start():
     assert trace.final["iter"] == 0
 
 
-def test_stm_literal_z_step_drifts_on_shifted_objective():
-    # the historical mirror update has no fixed point at a shifted optimum
-    qp = quadratic_problem(np.eye(2), np.array([1.0, 3.0]))
-    x_lit, _ = stm(qp.oracle(), qp.x_star, 40, mode="strongly_convex",
-                   literal_z_step=True)
-    assert np.linalg.norm(x_lit - qp.x_star) > 1e-3
-
-
 def test_stm_counts_gradient_calls():
     qp = scalar_quadratic()
     oracle = qp.oracle()

@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optdec.schedules import (StepState, acsa_params, batch_size_spdstm,
                               batch_size_sstm, batch_size_sstm_sc,
-                              next_alpha_spdstm, next_alpha_stm,
-                              next_alpha_strongly_convex)
+                              gap_certificate_N, next_alpha_spdstm,
+                              next_alpha_stm, next_alpha_strongly_convex,
+                              triangle)
 
 
 def test_step_state_carrier():
@@ -186,3 +189,75 @@ def test_batch_spdstm_halves_with_doubled_eps():
 
 def test_batch_sstm_sc_noiseless_is_one():
     assert batch_size_sstm_sc(4.0, 1.0, 0.0, 1e-2, 50, 0.05) == 1
+
+
+# ---------------------------------------------------------------------------
+# the similar-triangles kernel and the gap planner
+
+
+def _never_called(*args):
+    raise AssertionError("called")
+
+
+def test_triangle_zero_steps_returns_inputs():
+    x, z = object(), object()
+    assert triangle(_never_called, 0.5, x, z, 0, _never_called, _never_called,
+                    _never_called) == (x, z, 0.5)
+
+
+@pytest.mark.parametrize("stop_at", [0, 3, 9])
+def test_triangle_after_stops_loop(stop_at):
+    calls = []
+
+    def gradient(k, x_tilde, alpha, A_next):
+        calls.append(k)
+        return x_tilde
+
+    triangle(lambda A: next_alpha_stm(A, 1.0), 0.0, 1.0, 1.0, 20, gradient,
+             lambda z, g, x_tilde, alpha, A_next: z - alpha * g,
+             lambda k, x, z, A: k == stop_at)
+    assert calls == list(range(stop_at + 1))
+
+
+def test_triangle_matches_two_unrolled_steps_on_quadratic():
+    # f(x) = (L/2)(x - 3)^2 in 1-D, plain mirror step
+    L = 4.0
+
+    def grad(x):
+        return L * (x - 3.0)
+
+    A, x, z = 0.0, 0.5, 0.5
+    for _ in range(2):
+        alpha, A_next = next_alpha_stm(A, L, 0.0, factor=2.0)
+        x_tilde = (A * x + alpha * z) / A_next
+        z = z - alpha * grad(x_tilde)
+        x = (A * x + alpha * z) / A_next
+        A = A_next
+
+    seen = []
+    got = triangle(lambda A: next_alpha_stm(A, L, 0.0, factor=2.0), 0.0, 0.5, 0.5, 2,
+                   lambda k, x_tilde, alpha, A_next: grad(x_tilde),
+                   lambda z, g, x_tilde, alpha, A_next: z - alpha * g,
+                   lambda k, x, z, A: seen.append((k, x, z, A)))
+    assert got == (x, z, A)
+    assert seen[-1] == (1, x, z, A)
+
+
+def test_gap_certificate_N_is_first_certified_step():
+    R0, L, eps = 2.0, 3.0, 1e-2
+    N = gap_certificate_N(R0, L, eps)
+    A = 0.0
+    for k in range(1, N + 1):
+        _, A = next_alpha_stm(A, L, 0.0, factor=2.0)
+        assert (1.5 * R0 * R0 / A <= eps) == (k == N)
+
+
+def test_gap_certificate_N_returns_cap_when_unreached():
+    assert gap_certificate_N(1.0, 1.0, 1e-12, max_N=50) == 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=st.floats(0.0, 1e12), L=st.floats(1e-6, 1e6))
+def test_next_alpha_spdstm_is_bitwise_stm_with_factor_two(A, L):
+    # the planner serves both schemes through next_alpha_stm(A, L, 0, 2)
+    assert next_alpha_spdstm(A, L) == next_alpha_stm(A, L, 0.0, factor=2.0)
