@@ -40,6 +40,7 @@ METHODS = ("stm", "stm_ips", "sstm", "spdstm", "sstm_sc", "ac_sa", "rrma",
            "restarted_rrma")
 PROBLEM_KINDS = ("quadratic", "consensus_quadratic", "penalty", "barycenter", "custom")
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
+NOISE_KINDS = ("gaussian", "bounded", "none")
 DECENTRALIZED_KINDS = ("consensus_quadratic", "barycenter")
 SWEEP_PARAMS = ("eps", "sigma", "m", "chi-topology", "N")
 
@@ -87,15 +88,22 @@ def _reject_unknown(obj: dict, allowed: set, where: str):
 
 
 def _number(value, where, integer=False, low=-math.inf, strict=False):
-    """``value`` as a finite int or float of at least ``low`` (above it when ``strict``)."""
+    """``value`` as a finite int or float of at least ``low`` (above it when ``strict``).
+
+    An integer field takes integral values only (``3`` or ``3.0``, never ``2.5``).
+    """
     try:
         if isinstance(value, bool):
             raise TypeError
-        x = int(value) if integer else float(value)
+        x = value if integer and isinstance(value, int) else float(value)
+        if integer:
+            if x != int(x):
+                raise ValueError
+            x = int(x)
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{where} must be {kind}, got {value!r}") from None
-    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+    if not ((integer or math.isfinite(x)) and (x > low if strict else x >= low)):
         raise ConfigError(f"{where} must be finite and {'>' if strict else '>='} {low}, "
                           f"got {value!r}")
     return x
@@ -106,6 +114,9 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(cfg, _TOP_KEYS, "config")
+    for key in ("noise", "constants"):
+        if not isinstance(cfg.get(key) or {}, dict):
+            raise ConfigError(f"{key} must be a JSON object")
     out = {
         "method": cfg.get("method"),
         "problem": cfg.get("problem"),
@@ -129,6 +140,12 @@ def validate_config(cfg: dict) -> dict:
         for key, value in fields.items():
             if key in _NUMBERS and not (value is None and key in _NULLABLE):
                 _number(value, f"{where}.{key}", *_NUMBERS[key])
+    for key in ("delta", "sigma"):
+        if key in out["noise"]:
+            _number(out["noise"][key], f"noise.{key}", low=0)
+    if out["noise"].get("kind", "gaussian") not in NOISE_KINDS:
+        raise ConfigError(f"noise.kind must be one of {NOISE_KINDS}, "
+                          f"got {out['noise']['kind']!r}")
     if out["N"] != "auto" and (type(out["N"]) is not int or out["N"] < 0):
         raise ConfigError("N must be a non-negative integer or \"auto\"")
     if not (0 < out["beta"] < 1):
@@ -144,6 +161,9 @@ def validate_config(cfg: dict) -> dict:
             _reject_unknown(topo, _TOPOLOGY_INLINE_KEYS, "problem.topology")
             if topo.get("kind") not in TOPOLOGY_KINDS:
                 raise ConfigError(f"topology.kind must be one of {TOPOLOGY_KINDS}")
+            _number(topo.get("m"), "problem.topology.m", integer=True, low=1)
+            if "p" in topo:
+                _number(topo["p"], "problem.topology.p", low=0)
         elif not isinstance(topo, str):
             raise ConfigError("topology must be a file path or an inline spec")
         if kind == "barycenter":

@@ -382,17 +382,27 @@ class DistributedDualOracle(DualOracle):
     def apply_At(self, y):
         return self._comm_mult(y)
 
-    def sample_x(self, u, rng):
-        """Blockwise noisy local maximisers (independent noise per node)."""
-        self.counter.stoch_samples += 1
+    def _sample_center(self, u):
+        """``x(u)`` with the bias of every node block added."""
         x = self.x_exact(u)
+        delta = self.node_noise.delta
+        if delta > 0:
+            blocks = x.reshape(self.instance.m, self.instance.n).copy()
+            for k in range(self.instance.m):
+                blocks[k] += delta * self.bias_direction(blocks[k])
+            x = blocks.reshape(-1)
+        return x
+
+    def sample_x(self, u, rng, center=None):
+        """Blockwise noisy local maximisers (independent noise per node, drawn in node order)."""
+        self.counter.stoch_samples += 1
+        if center is None:
+            center = self._sample_center(u)
         if self.node_noise.silent:
-            return x
+            return center
         inst = self.instance
-        blocks = x.reshape(inst.m, inst.n).copy()
+        blocks = center.reshape(inst.m, inst.n).copy()
         for k in range(inst.m):
-            if self.node_noise.delta > 0:
-                blocks[k] += self.node_noise.delta * self.bias_direction(blocks[k])
             blocks[k] += self.node_noise.sample_eta(inst.n, rng)
         return blocks.reshape(-1)
 

@@ -12,15 +12,31 @@ Every solver in this package consumes one of three oracle flavours:
   convex function composed with a linear map ``A``; its gradient is
   ``A x(A^T y)`` where ``x(u)`` maximises ``<u, x> - f(x)``.
 
-Randomness is organised in explicit streams: the generator used for sample
-``l`` of iteration ``k`` of a run with seed ``s`` depends only on
-``(s, ..., k, l)``, so batches may be evaluated in any order (or in
-parallel) without changing results.  A silent oracle (``NoiseSpec.silent``)
-draws nothing, and its batches build no generator.
+Randomness is organised in explicit streams (:class:`RngStreams`).  The
+contract:
+
+* Sample ``l`` of a batch drawn from streams with seed ``s`` and path ``p``
+  (e.g. ``(k,)`` for iteration ``k``) is a pure function of ``(s, p, l)``:
+  its noise comes from the PCG64 stream ``np.random.default_rng((s, *p,
+  l))`` and from nothing else.
+* Batches are therefore order independent: their samples may be drawn in
+  any order, or in parallel, and each is the same.
+* Runs are byte-identical per ``(config, seed)``: a batch adds its samples
+  in the order ``l = 0, ..., r-1``, and each sample is the batch's exact
+  part (inner maximiser or gradient, plus bias) plus its own noise, so the
+  sum does not depend on how the exact part or the streams were computed.
+* The batch path (``RngStreams.generators``) seeds all streams of a large
+  batch in one vectorised pass and moves one reused ``Generator`` from
+  stream to stream.  No caller may keep a generator across samples.
+
+A silent oracle (``NoiseSpec.silent``) draws nothing, and its batches build
+no generator.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +97,8 @@ class RngStreams:
     the run seed, e.g. ``streams.generator(k, l)`` is the generator for
     sample ``l`` of iteration ``k``.  ``child(...)`` fixes a path prefix,
     which lets nested procedures (restarts, trajectories) own disjoint
-    stream families.
+    stream families.  ``generators(r)`` yields the streams of samples
+    ``0, ..., r-1`` of a batch at once.
     """
 
     __slots__ = ("seed", "path")
@@ -93,8 +110,150 @@ class RngStreams:
     def generator(self, *index: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, *self.path, *(int(i) for i in index)))
 
+    def generators(self, r: int):
+        """Yield, for ``l = 0, ..., r-1``, a generator in the state of ``generator(l)``.
+
+        A batch of at least ``_BATCH_MIN`` samples seeds all its streams in
+        one vectorised pass and yields one reused ``Generator``, moved to
+        each stream in turn: draw from it before advancing the iterator,
+        and keep no reference to it.  Smaller batches, or a numpy whose
+        seeding the import-time self-check does not reproduce, get a fresh
+        ``generator(l)`` per sample.
+        """
+        if r < _BATCH_MIN or not _BATCH_SEEDING:
+            for l in range(r):
+                yield self.generator(l)
+            return
+        gen = np.random.Generator(np.random.PCG64(_SEED_TEMPLATE))
+        bitgen = gen.bit_generator
+        prefix = _uint32_words((self.seed, *self.path))
+        for lo in range(0, r, _CHUNK):
+            for state in _pcg64_states(prefix, np.arange(lo, min(r, lo + _CHUNK), dtype=np.uint32)):
+                bitgen.state = state
+                yield gen
+
     def child(self, *index: int) -> "RngStreams":
         return RngStreams(self.seed, self.path + tuple(int(i) for i in index))
+
+
+# -- batched stream seeding ---------------------------------------------------
+#
+# ``np.random.default_rng(words)`` hashes the words with numpy's
+# ``SeedSequence`` (a pool of four uint32 words filled and cross-mixed by
+# ``hashmix`` and ``mix``, then ``generate_state`` of eight words) and seeds
+# PCG64 from them: ``inc = 2 i + 1`` and ``state = ((inc + s) MULT + inc)
+# mod 2^128`` for the 128-bit halves ``s`` and ``i`` of the state.  Within a
+# batch the words differ only in the last one, the sample index, so the
+# hash runs once over all indices of a chunk as uint32 arrays (which wrap
+# mod 2^32 like the C code).  ``_batch_seeding_matches_numpy`` checks the
+# result against ``default_rng`` at import.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL = 4
+# Smallest batch seeded in one pass: the pass costs about as much as
+# five ``default_rng`` calls (measured at dim 20, see CHANGES.md).
+_BATCH_MIN = 8
+_CHUNK = 4096
+_SEED_TEMPLATE = np.random.SeedSequence(0)
+
+
+def _uint32_words(values) -> list:
+    """The uint32 words ``SeedSequence`` makes of non-negative ints, least significant first."""
+    words = []
+    for v in values:
+        if v < 0:
+            raise ValueError("stream words must be non-negative")
+        words.append(v & _MASK32)
+        v >>= 32
+        while v:
+            words.append(v & _MASK32)
+            v >>= 32
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_chain(init: int, mult: int, n: int):
+    """Xor and multiplier constants of ``n`` successive ``hashmix`` calls, as (n, 1) columns."""
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(init)
+        init = (init * mult) & _MASK32
+        mults.append(init)
+    return (np.array(xors, dtype=np.uint32)[:, None], np.array(mults, dtype=np.uint32)[:, None])
+
+
+_GENERATE_CHAIN = _hash_chain(_HASH_INIT_B, _HASH_MULT_B, 2 * _POOL)
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> np.uint32(16))
+
+
+def _pcg64_states(prefix: list, index: np.ndarray) -> list:
+    """PCG64 states of ``default_rng((*prefix, l))`` for every uint32 ``l`` in ``index``.
+
+    ``prefix`` holds uint32 words (see ``_uint32_words``).  Rows of the
+    pool are the four pool words, columns the samples.
+    """
+    n = len(prefix) + 1
+    xors, mults = _hash_chain(_HASH_INIT_A, _HASH_MULT_A, _POOL * max(n, _POOL))
+    entropy = np.zeros((max(n, _POOL), index.shape[0]), dtype=np.uint32)
+    entropy[:n - 1] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[n - 1] = index
+    pool = _hashmix(entropy[:_POOL], xors[:_POOL], mults[:_POOL])
+    c = _POOL
+    for src in range(_POOL):
+        # the source row stays fixed while the three others mix with it
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xors[c:c + 3], mults[c:c + 3]))
+        c += 3
+    for src in range(_POOL, n):
+        pool = _mix(pool, _hashmix(entropy[src], xors[c:c + _POOL], mults[c:c + _POOL]))
+        c += _POOL
+    words = _hashmix(np.concatenate([pool, pool]), *_GENERATE_CHAIN).astype(np.uint64)
+    # the 128-bit step in Python ints, elementwise over object arrays
+    halves = (words[0::2] | (words[1::2] << np.uint64(32))).astype(object)
+    seeds = (halves[0] << 64) | halves[1]
+    incs = ((((halves[2] << 64) | halves[3]) << 1) | 1) & _MASK128
+    states = ((incs + seeds) * _PCG64_MULT + incs) & _MASK128
+    return [{"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+             "has_uint32": 0, "uinteger": 0} for state, inc in zip(states.tolist(), incs.tolist())]
+
+
+def _batch_seeding_matches_numpy() -> bool:
+    """Whether batched seeding reproduces ``default_rng`` on this numpy.
+
+    Compares states and a draw on streams with one- and two-word seeds,
+    paths of depth 0-3 and indices up to ``2^32 - 1``.
+    """
+    gen = np.random.Generator(np.random.PCG64(_SEED_TEMPLATE))
+    index = np.array([0, 1, 9, _MASK32], dtype=np.uint32)
+    for key in ((0,), (12345, 7), (2 ** 40 + 3, 0, 2 ** 33), (1, 2, 3, 4)):
+        try:
+            states = _pcg64_states(_uint32_words(key), index)
+            for l, state in zip(index.tolist(), states):
+                ref = np.random.default_rng((*key, l))
+                gen.bit_generator.state = state
+                if ref.bit_generator.state != state or \
+                        ref.standard_normal(3).tobytes() != gen.standard_normal(3).tobytes():
+                    return False
+        except (TypeError, ValueError, KeyError, OverflowError):
+            return False
+    return True
+
+
+_BATCH_SEEDING = _batch_seeding_matches_numpy()
 
 
 @dataclass(frozen=True)
@@ -186,24 +345,31 @@ class StochasticGradientOracle:
     def dim(self):
         return self.base.dim
 
-    def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _sample_center(self, x: np.ndarray) -> np.ndarray:
+        """``gradient(x) + delta * bias_direction(x)``: what every sample at ``x`` shares."""
+        g = np.asarray(self.base.gradient(x), dtype=float)
+        if self.noise.delta > 0:
+            g = g + self.noise.delta * self.bias_direction(x)
+        return g
+
+    def sample(self, x: np.ndarray, rng: np.random.Generator, center=None) -> np.ndarray:
+        """One sample ``center + eta``; a batch passes the ``center`` it computed at ``x``."""
         self.base._check_dim(x)
         self.counter.stoch_samples += 1
-        g = np.asarray(self.base.gradient(x), dtype=float)
+        if center is None:
+            center = self._sample_center(x)
         if self.noise.silent:
-            return g
-        out = g
-        if self.noise.delta > 0:
-            out = out + self.noise.delta * self.bias_direction(x)
-        return out + self.noise.sample_eta(self.dim, rng)
+            return center
+        return center + self.noise.sample_eta(self.dim, rng)
 
     def batch(self, x: np.ndarray, r: int, streams: RngStreams) -> np.ndarray:
         if r < 1:
             raise ValueError("batch size must be >= 1")
-        silent = self.noise.silent
+        center = self._sample_center(x)
         acc = np.zeros(self.dim)
-        for l in range(r):
-            acc += self.sample(x, None if silent else streams.generator(l))
+        # a noiseless sample draws nothing, so it needs no generator
+        for rng in itertools.repeat(None, r) if self.noise.silent else streams.generators(r):
+            acc += self.sample(x, rng, center)
         return acc / r
 
 
@@ -291,15 +457,24 @@ class DualOracle:
 
     # -- sampled access ------------------------------------------------------
 
-    def sample_x(self, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One noisy inner maximiser ``x(u) + delta * b(u) + eta``."""
-        self.counter.stoch_samples += 1
+    def _sample_center(self, u: np.ndarray) -> np.ndarray:
+        """``x(u) + delta * b(x(u))``: what every sample at ``u`` shares."""
         x = self.x_exact(u)
-        if self.noise.silent:
-            return x
         if self.noise.delta > 0:
             x = x + self.noise.delta * self.bias_direction(x)
-        return x + self.noise.sample_eta(x.shape[0], rng)
+        return x
+
+    def sample_x(self, u: np.ndarray, rng: np.random.Generator, center=None) -> np.ndarray:
+        """One noisy inner maximiser ``x(u) + delta * b(u) + eta``.
+
+        A batch passes the ``center`` it computed once at ``u``.
+        """
+        self.counter.stoch_samples += 1
+        if center is None:
+            center = self._sample_center(u)
+        if self.noise.silent:
+            return center
+        return center + self.noise.sample_eta(center.shape[0], rng)
 
     def sample_grad(self, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = self.apply_At(np.asarray(y, dtype=float))
@@ -310,15 +485,17 @@ class DualOracle:
 
         Returns ``(mean_l A xtilde_l, mean_l xtilde_l)``; the same samples
         feed both, which is what primal recovery by averaging requires.
+        The maximiser and bias are computed once; each sample adds its own
+        noise to them.
         """
         if r < 1:
             raise ValueError("batch size must be >= 1")
         u = self.apply_At(np.asarray(y, dtype=float))
-        silent = self.noise.silent
+        center = self._sample_center(u)
         acc = np.zeros(self.primal.dim)
-        for l in range(r):
-            # a noiseless sample draws nothing, so it needs no generator
-            acc += self.sample_x(u, None if silent else streams.generator(l))
+        # a noiseless sample draws nothing, so it needs no generator
+        for rng in itertools.repeat(None, r) if self.noise.silent else streams.generators(r):
+            acc += self.sample_x(u, rng, center)
         x_mean = acc / r
         return self.apply_A(x_mean), x_mean
 

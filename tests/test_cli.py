@@ -173,6 +173,10 @@ def _bad_barycenter(tmp_path, mu=0.5, measures=None, cost=None, topology=None):
             "eps": 1e-3, "N": 10, "seed": 0}
 
 
+def _noisy_sstm():
+    return {"method": "sstm", "problem": {"kind": "quadratic", "dim": 4}, "N": 3}
+
+
 def _single_node_file(tmp_path):
     path = tmp_path / "single.json"
     path.write_text(json.dumps({"m": 1, "edges": []}))
@@ -201,6 +205,16 @@ BAD_INPUTS = {
     "inner_T_negative": lambda t: {
         "method": "stm_ips", "problem": {"kind": "penalty", "dim": 4, "m_rows": 2},
         "N": 5, "constants": {"inner_T": -1}},
+    "noise_sigma_not_a_number": lambda t: {**_noisy_sstm(), "noise": {"sigma": "x"}},
+    "noise_sigma_negative": lambda t: {**_noisy_sstm(), "noise": {"sigma": -1}},
+    "noise_delta_nan": lambda t: {**_noisy_sstm(), "noise": {"delta": "nan"}},
+    "noise_kind_unknown": lambda t: {**_noisy_sstm(), "noise": {"sigma": 0.1, "kind": "cauchy"}},
+    "noise_not_an_object": lambda t: {**_noisy_sstm(), "noise": 5},
+    "dim_fractional": lambda t: quad_config(problem={"kind": "quadratic", "dim": 2.5}),
+    "seed_fractional": lambda t: quad_config(seed=1.7),
+    "ring_m_fractional": lambda t: {
+        "method": "sstm_sc", "N": 10,
+        "problem": {"kind": "consensus_quadratic", "n": 2, "topology": {"kind": "ring", "m": 4.5}}},
 }
 
 
@@ -211,6 +225,19 @@ def test_run_bad_decentralized_input_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not list(tmp_path.glob("*.trace.csv"))
+
+
+def test_run_integral_floats_are_integers(tmp_path, capsys):
+    cfgp = write_config(tmp_path, quad_config(problem={"kind": "quadratic", "dim": 6.0}, seed=1.0))
+    assert main(["run", str(cfgp), "--out", str(tmp_path / "float")]) == 0
+    cfgp = write_config(tmp_path, quad_config(problem={"kind": "quadratic", "dim": 6}, seed=1))
+    assert main(["run", str(cfgp), "--out", str(tmp_path / "int")]) == 0
+    capsys.readouterr()
+    (a,), (b,) = (list((tmp_path / d).glob("*.trace.csv")) for d in ("float", "int"))
+    # the config hash differs (6.0 is not 6 in JSON); nothing else does
+    def body(path):
+        return [line for line in path.read_text().splitlines() if "config_hash" not in line]
+    assert body(a) == body(b)
 
 
 # ---------------------------------------------------------------------------

@@ -137,14 +137,15 @@ def test_sstm_sc_running_sums_match_resummation():
     A_total = sum(a for a, _, _ in hist)
     z_resum = (y0 + mu * sum(a * yt for a, yt, _ in hist)
                - sum(a * g for a, _, g in hist)) / (1.0 + A_total * mu)
-    # recompute y_N from the resummed mirror point of the last step
+    # y_N = (A_{N-1} y_{N-1} + alpha_N z_N) / A_N, with z_N from the
+    # resummation and y_{N-1} from the same streams stopped one step early
     A_prev = A_total - hist[-1][0]
-    # y_N = (A_{N-1} y_{N-1} + alpha_N z_N) / A_N is what the solver did; we
-    # only check the mirror point path here
+    y_prev, _ = sstm_sc(dual, y0, N - 1, metric_every=0, seed=4)
+    y_from_resum = (A_prev * y_prev + hist[-1][0] * z_resum) / A_total
+    assert np.linalg.norm(y - y_from_resum) <= 1e-10 * np.linalg.norm(y)
     hist2 = []
     sstm_sc(dual, y0, N, history=hist2, metric_every=0, seed=4)
     assert np.allclose(hist2[-1][1], hist[-1][1])
-    # closed-form z from running sums equals resummation
     y2, tr2 = sstm_sc(dual, y0, N, metric_every=0, seed=4)
     assert np.allclose(y, y2)
     assert np.isfinite(z_resum).all()

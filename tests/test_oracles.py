@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import optdec.oracles as oracles_mod
 from conftest import fd_grad, rel_err
 from optdec import (FirstOrderOracle, NoiseSpec, RngStreams,
                     StochasticGradientOracle, batch_grad, dual_from_primal,
@@ -326,3 +328,120 @@ def test_noisy_dual_reproducibility():
     g1, x1 = dual.batch_grad_and_x(y, 5, RngStreams(9).child(3))
     g2, x2 = dual.batch_grad_and_x(y, 5, RngStreams(9).child(3))
     assert (g1 == g2).all() and (x1 == x2).all()
+
+
+# ---------------------------------------------------------------------------
+# sampling contract: sample l of a batch is a pure function of (seed, path, l)
+
+
+def _reference(key) -> np.random.Generator:
+    return np.random.default_rng(key)
+
+
+def _same_stream(gen, ref) -> bool:
+    # the state, then a draw that uses it
+    return (gen.bit_generator.state == ref.bit_generator.state
+            and gen.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes())
+
+
+_WORD = st.integers(0, 2 ** 40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 63), path=st.lists(_WORD, max_size=4),
+       r=st.integers(1, 3 * oracles_mod._BATCH_MIN),
+       high=st.lists(st.integers(2 ** 32 - 64, 2 ** 32 - 1), min_size=1, max_size=4))
+def test_batched_streams_match_default_rng(seed, path, r, high):
+    streams = RngStreams(seed, tuple(path))
+    for l, gen in enumerate(streams.generators(r)):
+        assert _same_stream(gen, _reference((seed, *path, l))), l
+    # indices near 2^32 - 1, which no batch reaches, through the hash itself
+    prefix = oracles_mod._uint32_words((seed, *path))
+    index = np.array(high, dtype=np.uint32)
+    gen = np.random.Generator(np.random.PCG64(0))
+    for l, state in zip(high, oracles_mod._pcg64_states(prefix, index)):
+        gen.bit_generator.state = state
+        assert _same_stream(gen, _reference((seed, *path, l))), l
+
+
+def test_batch_seeding_self_check_falls_back(monkeypatch):
+    assert oracles_mod._BATCH_SEEDING  # the installed numpy passes the check
+    calls = []
+    exact = oracles_mod._pcg64_states
+
+    def off_by_one(prefix, index):
+        calls.append(len(index))
+        states = exact(prefix, index)
+        for s in states:
+            s["state"]["state"] ^= 1
+        return states
+
+    monkeypatch.setattr(oracles_mod, "_pcg64_states", off_by_one)
+    assert not oracles_mod._batch_seeding_matches_numpy()
+    monkeypatch.setattr(oracles_mod, "_BATCH_SEEDING", False)
+    calls.clear()
+    r = 2 * oracles_mod._BATCH_MIN
+    streams = RngStreams(5).child(2)
+    for l, gen in enumerate(streams.generators(r)):
+        assert _same_stream(gen, _reference((5, 2, l)))
+    assert calls == []
+
+
+def _distributed_dual(noise):
+    from optdec.network import Topology, build_distributed_dual, lift_problem
+    rng = np.random.default_rng(3)
+    locals_ = [quadratic_problem(np.eye(2) * (1.0 + k), rng.standard_normal(2)).oracle()
+               for k in range(4)]
+    return build_distributed_dual(lift_problem(locals_, Topology.ring(4), 2), noise)
+
+
+@pytest.mark.parametrize("r", [3, 2 * oracles_mod._BATCH_MIN])
+@pytest.mark.parametrize("distributed", [False, True])
+def test_noisy_batch_solves_inner_maximiser_once(r, distributed):
+    noise = NoiseSpec(0.01, 0.3, "gaussian")
+    if distributed:
+        dual = _distributed_dual(noise)
+    else:
+        oracle, qp = make_quadratic_oracle(c=[1.0, 3.0])
+        dual = dual_from_primal(oracle, np.array([[1.0, -1.0]]), qp.conjugate_argmax, noise=noise)
+    exact = dual.x_exact
+    calls = []
+    dual.x_exact = lambda u: calls.append(1) or exact(u)
+    dual.batch_grad_and_x(np.ones(dual.dual_dim), r, RngStreams(4).child(1))
+    assert len(calls) == 1
+    assert dual.counter.stoch_samples == r
+
+
+@pytest.mark.parametrize("r", [3, 2 * oracles_mod._BATCH_MIN])
+def test_primal_noisy_batch_evaluates_gradient_once(r):
+    oracle, _ = make_quadratic_oracle(c=[1.0, -1.0])
+    gradient = oracle.gradient
+    calls = []
+    oracle.gradient = lambda x: calls.append(1) or gradient(x)
+    stoch = StochasticGradientOracle(oracle, NoiseSpec(0.02, 0.5, "bounded"))
+    x = np.array([0.3, 0.1])
+    streams = RngStreams(6).child(2)
+    batch = stoch.batch(x, r, streams)
+    assert len(calls) == 1 and oracle.counter.stoch_samples == r
+    # every sample is still the one its own stream gives
+    acc = np.zeros(2)
+    for l in range(r):
+        acc += stoch.sample(x, _reference((6, 2, l)))
+    assert (batch == acc / r).all()
+
+
+@pytest.mark.parametrize("r", [3, 2 * oracles_mod._BATCH_MIN])
+def test_network_noise_is_drawn_in_node_order(r):
+    sigma, delta = 0.3, 0.01
+    dual = _distributed_dual(NoiseSpec(delta, sigma, "gaussian"))
+    m, n = dual.instance.m, dual.instance.n
+    y = np.linspace(-1.0, 1.0, dual.dual_dim)
+    _, x_mean = dual.batch_grad_and_x(y, r, RngStreams(8).child(5))
+    # node k takes the k-th n draws of its sample's stream, after its bias e_1
+    center = dual.x_exact(dual.A @ y).reshape(m, n).copy()
+    center[:, 0] += delta
+    acc = np.zeros(m * n)
+    for l in range(r):
+        eta = _reference((8, 5, l)).standard_normal((m, n)) * (sigma / np.sqrt(n))
+        acc += (center + eta).reshape(-1)
+    assert (x_mean == acc / r).all()
