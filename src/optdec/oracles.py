@@ -155,8 +155,9 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL = 4
-# Smallest batch seeded in one pass: the pass costs about as much as
-# five ``default_rng`` calls (measured at dim 20, see CHANGES.md).
+# Smallest batch seeded in one pass.  The pass and its Generator cost about
+# 150 us, and each sample then saves about 20 us against ``default_rng``,
+# so below 8 samples it does not pay (dim 20, one core of a Xeon VM).
 _BATCH_MIN = 8
 _CHUNK = 4096
 _SEED_TEMPLATE = np.random.SeedSequence(0)
@@ -347,6 +348,7 @@ class StochasticGradientOracle:
 
     def _sample_center(self, x: np.ndarray) -> np.ndarray:
         """``gradient(x) + delta * bias_direction(x)``: what every sample at ``x`` shares."""
+        self.base._check_dim(x)
         g = np.asarray(self.base.gradient(x), dtype=float)
         if self.noise.delta > 0:
             g = g + self.noise.delta * self.bias_direction(x)
@@ -354,7 +356,6 @@ class StochasticGradientOracle:
 
     def sample(self, x: np.ndarray, rng: np.random.Generator, center=None) -> np.ndarray:
         """One sample ``center + eta``; a batch passes the ``center`` it computed at ``x``."""
-        self.base._check_dim(x)
         self.counter.stoch_samples += 1
         if center is None:
             center = self._sample_center(x)
