@@ -393,18 +393,19 @@ def execute_run(cfg: dict):
 
 def apply_sweep_value(cfg: dict, param: str, value: str) -> dict:
     out = json.loads(json.dumps(cfg))  # deep copy
+    where = f"sweep value of {param}"
     if param == "eps":
-        out["eps"] = float(value)
+        out["eps"] = _number(value, where)
     elif param == "sigma":
         out.setdefault("noise", {})
-        out["noise"]["sigma"] = float(value)
+        out["noise"]["sigma"] = _number(value, where)
     elif param == "N":
-        out["N"] = int(value)
+        out["N"] = _number(value, where, integer=True)
     elif param == "m":
         topo = out["problem"].get("topology")
         if not isinstance(topo, dict):
             raise ConfigError("m sweep needs an inline topology spec")
-        topo["m"] = int(value)
+        topo["m"] = _number(value, where, integer=True)
     elif param == "chi-topology":
         topo = out["problem"].get("topology")
         if not isinstance(topo, dict):
@@ -540,7 +541,8 @@ def cmd_sweep(args) -> int:
         values = [v for v in args.values.split(",") if v]
         if not values:
             raise ConfigError("no sweep values given")
-        base = validate_config(apply_sweep_value(raw, args.param, values[0]))
+        # every value is checked before the first run
+        base, *_ = [validate_config(apply_sweep_value(raw, args.param, v)) for v in values]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -44,9 +44,22 @@ __all__ = [
 
 
 def _pull_back(mu):
-    """Strongly convex mirror update (see the module docstring)."""
+    """Strongly convex mirror update (see the module docstring).
+
+    Bitwise ``z - alpha (g - mu (x~ - z)) / (1 + A' mu)``, evaluated in the
+    same order in place on the one temporary ``x~ - z``.  ``mu`` is held as
+    a 0-d float64 array: numpy scales a vector by one faster than by a
+    Python float, with the same bits.
+    """
+    mu_arr = np.array(mu, dtype=float)
+
     def mirror(z, g, x_tilde, alpha, A_next):
-        return z - alpha * (g - mu * (x_tilde - z)) / (1.0 + A_next * mu)
+        t = x_tilde - z
+        t *= mu_arr
+        np.subtract(g, t, t)
+        t *= alpha
+        t /= 1.0 + A_next * mu
+        return np.subtract(z, t, t)
     return mirror
 
 
@@ -178,13 +191,19 @@ class PenaltyProblem(CompositeProblem):
         self.lam_max_AtA = lam_max
 
         coeff = self.coeff
+        AtA, two_coeff = self.AtA, np.array(2.0 * coeff)
 
         def h_value(x):
             Ax = A @ x
             return coeff * float(Ax @ Ax)
 
         def h_gradient(z):
-            return 2.0 * coeff * (self.AtA @ z)
+            # bitwise 2.0 * coeff * (AtA @ z): ``.dot`` is the same product,
+            # scaled in place because it is a fresh array, by 2c held as a
+            # 0-d array for speed (see ``_pull_back``)
+            v = AtA.dot(z)
+            v *= two_coeff
+            return v
 
         def prox_solver(z_k, alpha, lin):
             # exact minimiser of 0.5||z - z_k||^2 + alpha(<lin, z> + h(z))
@@ -224,27 +243,44 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
     (no material decrease over the whole budget).
 
     Returns ``(z, certified_gap_bound, converged)``.
+
+    The arithmetic is bitwise that of the expression form
+    ``(z - z_k) + alpha lin + alpha grad_h(z)`` with ``np.linalg.norm``:
+    ``alpha lin`` is computed once per call, the sum is built in place on
+    the fresh ``z - z_k`` in the same order, and a norm is
+    ``sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes for a
+    real vector.  ``.dot`` is used for its lower call cost only, and
+    ``alpha`` scales ``grad_h`` as a 0-d array for the same reason (see
+    :func:`_pull_back`).  Each ``grad_g`` is one ``problem.grad_h`` call,
+    so ``matvec_AtA`` rises by ``2 + 2 (inner steps)``.
     """
     L_g = alpha * problem.L_h + 1.0
+    alpha_lin = alpha * lin
+    alpha_arr = np.array(alpha, dtype=float)
 
     def grad_g(z):
-        return (z - z_k) + alpha * lin + alpha * problem.grad_h(z)
+        v = z - z_k
+        v += alpha_lin
+        v += alpha_arr * problem.grad_h(z)
+        return v
 
-    gn_at_zk = float(np.linalg.norm(grad_g(z_k)))
-    lb_static = gn_at_zk / L_g
+    def certify(z):
+        """``(||grad g(z)||, whether z meets the contract)``."""
+        v = grad_g(z)
+        gn = math.sqrt(v.dot(v))
+        d = z_k - z
+        lb = max(lb_static, math.sqrt(d.dot(d)) - gn)
+        return gn, gn * gn / 2.0 <= delta * lb * lb
 
-    def certified(z, gn):
-        lb = max(lb_static, float(np.linalg.norm(z_k - z)) - gn)
-        return gn * gn / 2.0 <= delta * lb * lb
-
-    x = z_k - alpha * lin
-    gn = gn0 = float(np.linalg.norm(grad_g(x)))
-    ok = certified(x, gn)
+    v = grad_g(z_k)
+    lb_static = math.sqrt(v.dot(v)) / L_g
+    x = z_k - alpha_lin
+    gn, ok = certify(x)
+    gn0 = gn
 
     def after(k, x_avg, z, A):
         nonlocal gn, ok
-        gn = float(np.linalg.norm(grad_g(x_avg)))
-        ok = certified(x_avg, gn)
+        gn, ok = certify(x_avg)
         return ok
 
     if not ok:

@@ -98,13 +98,25 @@ def triangle(step, A, x, z, N, gradient, mirror, after):
     ``g``, moves the mirror point to ``mirror(z, g, x~, alpha, A')`` and
     averages ``x = (A x + alpha z) / A'``.  A true ``after(k, x, z, A')``
     ends the loop early.
+
+    The step is bitwise the expression form above: ``A x`` is computed once
+    per step, and each point is built as ``t = alpha z; t += A x; t /= A'``,
+    which rounds exactly like ``(A x + alpha z) / A'`` because IEEE addition
+    is commutative.  The evaluation order is fixed, and in-place updates
+    touch only arrays the step itself created, before they are handed to a
+    callback; the caller's ``x`` and ``z`` are never written.
     """
     for k in range(N):
         alpha, A_next = step(A)
-        x_tilde = (A * x + alpha * z) / A_next
+        Ax = A * x
+        x_tilde = alpha * z
+        x_tilde += Ax
+        x_tilde /= A_next
         g = gradient(k, x_tilde, alpha, A_next)
         z = mirror(z, g, x_tilde, alpha, A_next)
-        x = (A * x + alpha * z) / A_next
+        x = alpha * z
+        x += Ax
+        x /= A_next
         A = A_next
         if after(k, x, z, A):
             break

@@ -16,3 +16,18 @@ def rel_err(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b))
+
+
+def expression_form_triangle(step, A, x, z, N, gradient, mirror, after):
+    """The similar-triangles loop in expression form, the bitwise reference
+    for :func:`optdec.schedules.triangle`."""
+    for k in range(N):
+        alpha, A_next = step(A)
+        x_tilde = (A * x + alpha * z) / A_next
+        g = gradient(k, x_tilde, alpha, A_next)
+        z = mirror(z, g, x_tilde, alpha, A_next)
+        x = (A * x + alpha * z) / A_next
+        A = A_next
+        if after(k, x, z, A):
+            break
+    return x, z, A

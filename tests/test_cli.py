@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import optdec.cli as cli
 from optdec.cli import (ConfigError, apply_sweep_value, config_hash, main,
                         validate_config)
 from optdec.network import Topology, chi, laplacian
@@ -342,6 +343,29 @@ def test_sweep_invalid_param_exit_2(tmp_path):
     cfgp = write_config(tmp_path, quad_config())
     assert main(["sweep", str(cfgp), "--param", "nope",
                  "--values", "1", "--out", str(tmp_path)]) == 2
+
+
+BAD_SWEEPS = {
+    "N_fractional": ("N", "2.5"),
+    "sigma_not_a_number": ("sigma", "abc"),
+    "N_second_value_bad": ("N", "3,x"),
+    "eps_infinite": ("eps", "1e-2,inf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SWEEPS))
+def test_sweep_bad_value_exit_2_before_any_run(tmp_path, capsys, monkeypatch, name):
+    param, values = BAD_SWEEPS[name]
+    runs = []
+    monkeypatch.setattr(cli, "execute_run", lambda cfg: runs.append(cfg))
+    cfgp = write_config(tmp_path, quad_config(method="sstm", N=5))
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfgp), "--param", param, "--values", values,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert runs == []
+    assert not list(tmp_path.rglob("*.sweep.csv"))
 
 
 def test_apply_sweep_value_deep_copies():

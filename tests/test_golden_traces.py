@@ -1,10 +1,16 @@
-"""Golden traces: noisy runs must keep their exact bytes.
+"""Golden traces: noisy and deterministic runs must keep their exact bytes.
 
 Each config runs through ``optdec run`` and the sha256 digests of the trace
-CSV and the summary JSON are compared with digests recorded before the
-batched sampling path existed (numpy 2.4, x86-64).  The configs use
-built-in problem kinds only, so ``config_hash`` hashes no file paths.  Any
-change to how a sample is seeded, drawn or summed changes a digest.
+CSV and the summary JSON are compared with recorded digests (numpy 2.4,
+x86-64).  The configs use built-in problem kinds only, so ``config_hash``
+hashes no file paths.
+
+``GOLDEN`` holds noisy runs, recorded before the batched sampling path
+existed: any change to how a sample is seeded, drawn or summed changes a
+digest.  ``GOLDEN_DETERMINISTIC`` holds noiseless runs of the similar-triangles
+kernel, recorded before its in-place step: any change to the order of a
+floating-point operation in ``schedules.triangle``, the mirror updates or
+the inner prox of ``stm_ips`` changes a digest.
 """
 
 import hashlib
@@ -36,6 +42,33 @@ GOLDEN = {
 }
 
 
+GOLDEN_DETERMINISTIC = {
+    # inner_T = 3 exhausts every inner-prox budget: 12 flags in the trace
+    "stm_ips_budget_exhausted": (
+        {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+         "eps": 0.02, "N": 12, "seed": 3, "constants": {"inner_T": 3}},
+        "02df234a3f794642768d48639ed7ff573f6edb0faaee6d663816cd533a33ef7b",
+        "5bd15ba00d6a39bc9760a27add8e5c2d9a581f10c5ea1d57b1cffd1a82596b72"),
+    # default budgets: every inner prox is certified before its budget runs out
+    "stm_ips_default_budget": (
+        {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+         "eps": 0.02, "N": 12, "seed": 4},
+        "3ca6e5052972b11011cb222788baed0cd8cd349e19566aa0a3b314047808807a",
+        "9bdcba1f10d2d7b4772db0523e7b2f3f2721be3a960e5aa05d7c10042b282049"),
+    "stm_auto": (
+        {"method": "stm", "problem": {"kind": "quadratic", "dim": 5, "cond": 10.0},
+         "eps": 0.001, "N": "auto", "seed": 5},
+        "5e19526f5f6f5e8f5c0fbaedcc132a317f6427c7dd6afbbbb789d843724cee86",
+        "8f930c0865220011d237e98930138f1d123f9a44230e8a6417f84d78180812c1"),
+    "sstm_sc_ring4_noiseless": (
+        {"method": "sstm_sc", "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 4.0,
+                                          "topology": {"kind": "ring", "m": 4}},
+         "eps": 0.05, "N": 10, "seed": 7},
+        "8231d03c4fa75a97cd5532d04d91f75dccc5699783f3ad8f12ce27bf05453310",
+        "35af60740746c94b373b1502dec531c339119bc7a292106315647927111f38b7"),
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -50,5 +83,20 @@ def test_noisy_run_is_byte_identical_to_golden(tmp_path, capsys, name):
     capsys.readouterr()
     (csv,), (summary,) = list(out.glob("*.trace.csv")), list(out.glob("*.summary.json"))
     assert json.loads(summary.read_text())["stoch_samples"] > 0
+    assert _sha256(csv) == csv_digest
+    assert _sha256(summary) == summary_digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DETERMINISTIC))
+def test_deterministic_run_is_byte_identical_to_golden(tmp_path, capsys, name):
+    cfg, csv_digest, summary_digest = GOLDEN_DETERMINISTIC[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    (csv,), (summary,) = list(out.glob("*.trace.csv")), list(out.glob("*.summary.json"))
+    flags = csv.read_text().count("inner prox budget exhausted")
+    assert flags == (12 if name == "stm_ips_budget_exhausted" else 0)
     assert _sha256(csv) == csv_digest
     assert _sha256(summary) == summary_digest

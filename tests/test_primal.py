@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fd_grad, rel_err
+from conftest import expression_form_triangle, fd_grad, rel_err
 from optdec import (NoiseSpec, StochasticGradientOracle, build_penalty,
                     quadratic_problem, random_quadratic, sstm, stm, stm_ips,
                     verify_penalty_transfer)
-from optdec.primal import argmax_solver_via_stm, default_inner_delta
+from optdec.primal import (_inner_prox_stm, _pull_back, argmax_solver_via_stm,
+                           default_inner_delta)
+from optdec.schedules import next_alpha_stm
 from optdec.problems import constrained_quadratic_optimum, min_norm_dual_solution
 
 
@@ -347,3 +351,109 @@ def test_argmax_solver_via_stm_matches_closed_form():
     for _ in range(3):
         u = rng.standard_normal(3)
         assert np.linalg.norm(solver(u) - qp.conjugate_argmax(u)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# bitwise references: the expression form of the triangle loop (in
+# conftest), the strongly convex mirror update and the inner prox.  The
+# library computes the same floats with fewer numpy calls, so every float
+# must come out with the same bits.
+
+
+def _ref_pull_back(mu):
+    def mirror(z, g, x_tilde, alpha, A_next):
+        return z - alpha * (g - mu * (x_tilde - z)) / (1.0 + A_next * mu)
+    return mirror
+
+
+def _ref_inner_prox(pen, z_k, alpha, lin, delta, budget):
+    """Expression-form inner prox; returns (z, gap bound, converged, AtA products, steps)."""
+    L_g = alpha * pen.L_h + 1.0
+    products = steps = 0
+
+    def grad_g(z):
+        nonlocal products
+        products += 1
+        return (z - z_k) + alpha * lin + alpha * (2.0 * pen.coeff * (pen.AtA @ z))
+
+    lb_static = float(np.linalg.norm(grad_g(z_k))) / L_g
+
+    def certified(z, gn):
+        lb = max(lb_static, float(np.linalg.norm(z_k - z)) - gn)
+        return gn * gn / 2.0 <= delta * lb * lb
+
+    x = z_k - alpha * lin
+    gn = gn0 = float(np.linalg.norm(grad_g(x)))
+    ok = certified(x, gn)
+
+    def after(k, x_avg, z, A):
+        nonlocal gn, ok, steps
+        steps += 1
+        gn = float(np.linalg.norm(grad_g(x_avg)))
+        ok = certified(x_avg, gn)
+        return ok
+
+    if not ok:
+        x, _, _ = expression_form_triangle(
+            lambda A: next_alpha_stm(A, L_g, 1.0, factor=2.0), 0.0, x, x, budget,
+            lambda k, x_tilde, a, A_next: grad_g(x_tilde), _ref_pull_back(1.0), after)
+    return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0, products, steps
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 8), mu=st.floats(0.0, 50.0),
+       alpha=st.floats(1e-6, 1e3), A_next=st.floats(0.0, 1e6))
+def test_pull_back_is_bitwise_the_expression_form(data, dim, mu, alpha, A_next):
+    z, g, x_tilde = (np.array(data.draw(st.lists(_finite, min_size=dim, max_size=dim)))
+                     for _ in range(3))
+    z_before = z.copy()
+    got = _pull_back(mu)(z, g, x_tilde, alpha, A_next)
+    assert _bits(got) == _bits(_ref_pull_back(mu)(z, g, x_tilde, alpha, A_next))
+    assert _bits(z) == _bits(z_before)  # the caller's point is not written
+
+
+def _random_penalty(seed, dim, rows, R_y, eps):
+    rng = np.random.default_rng(seed)
+    qp = quadratic_problem(np.eye(dim), rng.standard_normal(dim))
+    return build_penalty(qp.oracle(), rng.standard_normal((rows, dim)), R_y, eps), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 8), rows=st.integers(1, 4),
+       R_y=st.floats(0.1, 3.0), eps=st.floats(0.1, 10.0), alpha=st.floats(1e-3, 2.0),
+       exhausted=st.booleans(), budget=st.integers(0, 8))
+def test_inner_prox_is_bitwise_the_expression_form(seed, dim, rows, R_y, eps, alpha,
+                                                   exhausted, budget):
+    pen, rng = _random_penalty(seed, dim, rows, R_y, eps)
+    z_k, lin = rng.standard_normal(dim), rng.standard_normal(dim)
+    # a loose delta certifies well inside 500 steps; 1e-300 never certifies
+    delta, budget = (1e-300, budget) if exhausted else (0.5, 500)
+    before = pen.counter.matvec_AtA
+    z, gap, converged = _inner_prox_stm(pen, z_k, alpha, lin, delta, budget)
+    z_ref, gap_ref, converged_ref, products, steps = _ref_inner_prox(pen, z_k, alpha, lin,
+                                                                     delta, budget)
+    assert _bits(z) == _bits(z_ref)
+    assert _bits(gap) == _bits(gap_ref)
+    assert converged == converged_ref
+    assert products == 2 + 2 * steps
+    assert pen.counter.matvec_AtA - before == 2 + 2 * steps
+    if exhausted:
+        assert steps == budget
+    else:
+        assert converged and steps < 500
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 8), rows=st.integers(1, 4),
+       R_y=st.floats(0.1, 3.0), eps=st.floats(1e-3, 10.0))
+def test_penalty_gradient_is_bitwise_the_expression_form(seed, dim, rows, R_y, eps):
+    pen, rng = _random_penalty(seed, dim, rows, R_y, eps)
+    z = rng.standard_normal(dim)
+    assert _bits(pen.h_gradient(z)) == _bits(2.0 * pen.coeff * (pen.AtA @ z))

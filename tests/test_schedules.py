@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import expression_form_triangle
 from optdec.schedules import (StepState, acsa_params, batch_size_spdstm,
                               batch_size_sstm, batch_size_sstm_sc,
                               gap_certificate_N, next_alpha_spdstm,
@@ -241,6 +243,39 @@ def test_triangle_matches_two_unrolled_steps_on_quadratic():
                    lambda k, x, z, A: seen.append((k, x, z, A)))
     assert got == (x, z, A)
     assert seen[-1] == (1, x, z, A)
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 8), A=st.floats(0.0, 1e4),
+       L=st.floats(1e-3, 1e3), mu=st.floats(0.0, 10.0), N=st.integers(0, 12))
+def test_triangle_is_bitwise_the_expression_form(data, dim, A, L, mu, N):
+    x, z, scale, shift = (np.array(data.draw(st.lists(_coord, min_size=dim, max_size=dim)))
+                          for _ in range(4))
+    x_in, z_in = x.copy(), z.copy()
+
+    def run(kernel):
+        seen = []
+
+        def gradient(k, x_tilde, alpha, A_next):
+            seen.append(x_tilde.tobytes())
+            return scale * x_tilde - shift
+
+        def mirror(z, g, x_tilde, alpha, A_next):
+            # the strongly convex pull-back in expression form
+            return z - alpha * (g - mu * (x_tilde - z)) / (1.0 + A_next * mu)
+
+        def after(k, x, z, A):
+            seen.append((x.tobytes(), z.tobytes(), A))
+
+        x_N, z_N, A_N = kernel(lambda A: next_alpha_stm(A, L, mu), A, x, z, N,
+                               gradient, mirror, after)
+        return seen, x_N.tobytes(), z_N.tobytes(), A_N
+
+    assert run(triangle) == run(expression_form_triangle)
+    assert x.tobytes() == x_in.tobytes() and z.tobytes() == z_in.tobytes()
 
 
 def test_gap_certificate_N_is_first_certified_step():
