@@ -26,18 +26,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .dual import (DivergenceError, RegularizedDual, ac_sa, restarted_rrma,
-                   rrma_ac_sa2, spdstm, sstm_sc, default_rrma_lambda)
+from .dual import (DUAL_CONSTANTS, DivergenceError, RegularizedDual, ac_sa, default_rrma_lambda,
+                   rrma_ac_sa2, run_dual)
+from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
 from .network import Topology, lift_problem, run_distributed
 from .oracles import NoiseSpec, RngStreams, dual_from_primal
 from .primal import build_penalty, sstm, stm, stm_ips
 from .problems import (load_cost_csv, load_measures_csv, min_norm_dual_solution,
                        quadratic_problem, random_quadratic, barycenter_problem)
-from .schedules import batch_size_sstm_sc, gap_certificate_N
+from .schedules import gap_certificate_N
 from .trace import RunTrace, summary_from_trace
 
 METHODS = ("stm", "stm_ips", "sstm", "spdstm", "sstm_sc", "ac_sa", "rrma",
            "restarted_rrma")
+DUAL_METHODS = ("spdstm", "sstm_sc", "restarted_rrma")
 PROBLEM_KINDS = ("quadratic", "consensus_quadratic", "penalty", "barycenter", "custom")
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
 NOISE_KINDS = ("gaussian", "bounded", "none")
@@ -152,7 +154,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"beta must be in (0, 1), got {out['beta']!r}")
 
     if kind in DECENTRALIZED_KINDS:
-        if out["method"] not in ("spdstm", "sstm_sc", "restarted_rrma"):
+        if out["method"] not in DUAL_METHODS:
             raise ConfigError(f"method {out['method']} cannot run a decentralized problem")
         if "topology" not in problem or problem["topology"] is None:
             raise ConfigError(f"problem kind {kind!r} requires a topology")
@@ -277,30 +279,21 @@ def execute_run(cfg: dict):
     consts = cfg["constants"]
     noise = _noise_spec(cfg["noise"])
     meta = {"config_hash": config_hash(cfg), "seed": seed, "version": "optdec-0.1.0"}
-    extra: dict = {}
 
     if kind in DECENTRALIZED_KINDS:
         instance = _build_decentralized(problem, seed)
-        run_cfg = {
-            "N": None if cfg["N"] == "auto" else cfg["N"],
-            "eps": eps, "beta": beta, "seed": seed,
-            "noise": None if noise.silent and noise.kind == "none" else noise,
-            "C": float(consts.get("C", 1.0)), "C_hat": float(consts.get("C_hat", 1.0)),
-            "metric_every": int(consts.get("metric_every", 1)),
-            "stop_gap": consts.get("stop_gap"),
-            "stop_grad_norm": consts.get("stop_grad_norm"),
-            "max_N": int(consts.get("max_N", 200_000)),
-            "R_y": consts.get("R_y"),
-        }
+        run_cfg = {k: v for k, v in consts.items() if k in DUAL_CONSTANTS or k == "R_y"}
+        run_cfg.update(N=cfg["N"], eps=eps, beta=beta, seed=seed,
+                       noise=None if noise.silent and noise.kind == "none" else noise)
         x_nodes, trace, _ = run_distributed(method, instance, run_cfg)
         trace.metadata.update(meta)
-        extra = {
+        return trace, {
+            **summary_from_trace(trace),
             "chi": instance.pair.chi,
             "m": instance.m,
             # sqrt(W) is the blockwise operator: no dense lift is formed
             "consensus_residual": float(np.linalg.norm(instance.pair.sqrtW @ x_nodes.reshape(-1))),
         }
-        return trace, {**summary_from_trace(trace), **extra}
 
     # single-machine problems
     if kind == "custom":
@@ -348,27 +341,10 @@ def execute_run(cfg: dict):
         return trace, summary_from_trace(trace)
 
     dual = dual_from_primal(oracle, A, qp.conjugate_argmax, noise=noise)
-    if method == "spdstm":
-        N = cfg["N"]
-        if N == "auto":
-            N = gap_certificate_N(R_y, float(consts.get("L_tilde_factor", 2.0)) * dual.L_psi, eps)
-        y, x, trace = spdstm(dual, N, eps, beta, C_hat=float(consts.get("C_hat", 1.0)),
-                             L_tilde_factor=float(consts.get("L_tilde_factor", 2.0)),
-                             seed=seed, metric_every=int(consts.get("metric_every", 1)),
-                             y_star_norm_estimate=R_y, metadata=meta)
-    elif method == "sstm_sc":
-        N = cfg["N"]
-        if N == "auto":
-            N = 50 + int(math.ceil(math.sqrt(dual.L_psi / dual.mu_psi)
-                                   * math.log(max(dual.L_psi * R_y ** 2 / eps, 2.0))))
-        batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta,
-                                   float(consts.get("C", 1.0)))
-        y, trace = sstm_sc(dual, np.zeros(dual.dual_dim), N, batch, seed=seed,
-                           metric_every=int(consts.get("metric_every", 1)), metadata=meta)
-    elif method == "restarted_rrma":
-        y, trace = restarted_rrma(dual, np.zeros(dual.dual_dim), eps, beta, R_y=R_y,
-                                  C=float(consts.get("C", 1.0)), seed=seed, metadata=meta)
-    elif method in ("ac_sa", "rrma"):
+    if method in DUAL_METHODS:
+        _, _, trace = run_dual(method, dual, cfg["N"], eps, beta, R_y, consts, seed=seed,
+                               metadata=meta)
+    else:  # ac_sa, rrma
         m_iters = int(consts.get("m_iters", 100 if cfg["N"] == "auto" else cfg["N"]))
         lam = float(consts.get("lambda", default_rrma_lambda(dual.L_psi, max(m_iters, 2))))
         streams = RngStreams(seed)
@@ -380,8 +356,6 @@ def execute_run(cfg: dict):
         trace = RunTrace(meta)
         gn = float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ y)))
         trace.record(m_iters, 0.0, dual.counter, grad_norm=gn)
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled method {method}")
     summary = summary_from_trace(trace)
     summary["R_y"] = R_y
     return trace, summary
@@ -476,6 +450,19 @@ def _load_config_file(path) -> dict:
     return raw
 
 
+# errors reported with an exit code, not a traceback (DivergenceError is a RuntimeError)
+_RUN_ERRORS = (ConfigError, RuntimeError, np.linalg.LinAlgError)
+
+
+def _report(exc) -> int:
+    """Print a run error on stderr; returns its exit code (2 config, 3 runtime)."""
+    if isinstance(exc, ConfigError):
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    print(f"runtime error: {exc}", file=sys.stderr)
+    return 3
+
+
 def cmd_run(args) -> int:
     try:
         raw = _load_config_file(args.config)
@@ -483,24 +470,16 @@ def cmd_run(args) -> int:
             raw["seed"] = args.seed
         cfg = validate_config(raw)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _report(exc)
     out = _out_dir(args.out)
     h = config_hash(cfg)
     try:
         trace, summary = execute_run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        if exc.trace is not None:
+    except _RUN_ERRORS as exc:
+        if isinstance(exc, DivergenceError) and exc.trace is not None:
             exc.trace.metadata.setdefault("config_hash", h)
             exc.trace.to_csv(out / f"{h}.trace.csv")
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+        return _report(exc)
     trace.to_csv(out / f"{h}.trace.csv")
     (out / f"{h}.summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1, default=float) + "\n")
@@ -544,17 +523,12 @@ def cmd_sweep(args) -> int:
         # every value is checked before the first run
         base, *_ = [validate_config(apply_sweep_value(raw, args.param, v)) for v in values]
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _report(exc)
     out = _out_dir(args.out)
     try:
         rows = run_sweep(raw, args.param, values)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+    except _RUN_ERRORS as exc:
+        return _report(exc)
     h = config_hash({"base": base, "param": args.param, "values": values})
     path = out / f"{h}.sweep.csv"
     path.write_text(sweep_csv_text(rows))

@@ -14,6 +14,8 @@ oracle, and recover primal points from the inner maximisers:
   and amplification over independent trajectories.
 
 Both triangle schemes run on :func:`optdec.schedules.triangle`.
+:func:`run_dual` plans and runs ``spdstm``, ``sstm_sc`` and
+``restarted_rrma`` the same way on a single machine and on a network.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oracles import DualOracle, RngStreams
-from .schedules import (acsa_params, batch_size_spdstm, next_alpha_spdstm,
+from .schedules import (acsa_params, batch_size_spdstm, batch_size_sstm_sc,
+                        gap_certificate_N, grad_certificate_N, next_alpha_spdstm,
                         next_alpha_strongly_convex, triangle)
 from .trace import RunTrace
 
@@ -39,6 +42,8 @@ __all__ = [
     "ac_sa2",
     "rrma_ac_sa2",
     "restarted_rrma",
+    "DUAL_CONSTANTS",
+    "run_dual",
     "primal_recovery",
     "duality_gap",
 ]
@@ -429,6 +434,49 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *,
         exact_gn = float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ y)))
         trace.record(k, 0.0, dual.counter, grad_norm=exact_gn)
     return y, trace
+
+
+# ---------------------------------------------------------------------------
+# one run path for the dual methods, on a single machine and on a network
+
+
+DUAL_CONSTANTS = {"C": 1.0, "C_hat": 1.0, "L_tilde_factor": 2.0, "metric_every": 1,
+                  "stop_gap": None, "stop_grad_norm": None, "max_N": 200_000}
+
+
+def run_dual(method: str, dual: DualOracle, N, eps: float, beta: float, R_y: float,
+             constants: dict | None = None, *, seed: int = 0, metadata=None):
+    """Plan and run ``spdstm``, ``sstm_sc`` or ``restarted_rrma`` from ``y = 0``.
+
+    ``N: "auto"`` is planned before the solver starts, capped at ``max_N``:
+    for ``spdstm`` by ``gap_certificate_N`` with ``L~ = L_tilde_factor L_psi``,
+    for ``sstm_sc`` by ``grad_certificate_N``.  ``constants`` overrides
+    :data:`DUAL_CONSTANTS`; other keys in it are ignored.
+    Returns ``(y, x, trace)``; ``x`` is ``spdstm``'s primal average, else None.
+    """
+    c = {**DUAL_CONSTANTS, **(constants or {})}
+    metric_every, max_N = int(c["metric_every"]), int(c["max_N"])
+    if method == "spdstm":
+        L_tilde_factor = float(c["L_tilde_factor"])
+        if N == "auto":
+            N = gap_certificate_N(R_y, L_tilde_factor * dual.L_psi, eps, max_N=max_N)
+        return spdstm(dual, N, eps, beta, C_hat=float(c["C_hat"]), L_tilde_factor=L_tilde_factor,
+                      seed=seed, metric_every=metric_every, y_star_norm_estimate=R_y,
+                      stop_gap=c["stop_gap"], metadata=metadata)
+    y0 = np.zeros(dual.dual_dim)
+    if method == "sstm_sc":
+        if N == "auto":
+            N = grad_certificate_N(R_y, dual.L_psi, dual.mu_psi, eps, max_N)
+        batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta,
+                                   float(c["C"]))
+        y, trace = sstm_sc(dual, y0, N, batch, seed=seed, metric_every=metric_every,
+                           stop_grad_norm=c["stop_grad_norm"], metadata=metadata)
+    elif method == "restarted_rrma":
+        y, trace = restarted_rrma(dual, y0, eps, beta, R_y=R_y, C=float(c["C"]), seed=seed,
+                                  metadata=metadata)
+    else:
+        raise ValueError(f"unknown dual method {method!r}")
+    return y, None, trace
 
 
 # ---------------------------------------------------------------------------

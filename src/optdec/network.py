@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import restarted_rrma, spdstm, sstm_sc
+from .dual import DUAL_CONSTANTS, primal_recovery, run_dual
+from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
 from .oracles import CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams
-from .schedules import batch_size_sstm_sc, gap_certificate_N, next_alpha_strongly_convex
 
 __all__ = [
     "Topology",
@@ -413,76 +413,41 @@ def build_distributed_dual(instance: DecentralizedInstance,
     return DistributedDualOracle(instance, noise)
 
 
-_RUN_DEFAULTS = {
-    "N": None,
-    "eps": 1e-4,
-    "beta": 0.1,
-    "seed": 0,
-    "noise": None,
-    "C": 1.0,
-    "C_hat": 1.0,
-    "metric_every": 1,
-    "recovery_batch": 1,
-    "stop_grad_norm": None,
-    "stop_gap": None,
-    "max_N": 200_000,
-    "R_y": None,
-}
+# run settings besides the constants of optdec.dual.DUAL_CONSTANTS
+_RUN_DEFAULTS = {"N": "auto", "eps": 1e-4, "beta": 0.1, "seed": 0, "noise": None, "R_y": None}
 
 
 def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
     """Run a dual solver on the lifted instance over the simulated network.
 
-    ``method`` is one of ``spdstm``, ``sstm_sc``, ``restarted_rrma``.
+    ``method`` (``spdstm``, ``sstm_sc`` or ``restarted_rrma``) runs through
+    :func:`optdec.dual.run_dual`.  ``config`` may set the keys of
+    ``_RUN_DEFAULTS`` and :data:`optdec.dual.DUAL_CONSTANTS`; ``R_y``
+    defaults to :func:`_dual_norm_bound`.  Without a primal average from
+    the solver, ``x`` is recovered from one sample at the final ``y``.
     Returns ``(x_per_node, trace, counter)`` where ``x_per_node`` has one
     row per node and ``counter`` is the instance's :class:`CallCounter`.
     Every counted communication round (``counter.comm_rounds``) is one
     ``W`` or ``sqrt(W)`` multiplication; metric evaluations are computed
     centrally by the simulator and are free.
     """
-    cfg = dict(_RUN_DEFAULTS)
-    unknown = set(config) - set(cfg)
+    unknown = set(config) - set(_RUN_DEFAULTS) - set(DUAL_CONSTANTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    cfg.update(config)
+    cfg = {**_RUN_DEFAULTS, **config}
 
     dual = build_distributed_dual(instance, cfg["noise"])
     instance.counter.reset()
-    seed = cfg["seed"]
-    eps, beta = cfg["eps"], cfg["beta"]
     R_y = cfg["R_y"] if cfg["R_y"] is not None else _dual_norm_bound(instance)
-
-    if method == "sstm_sc":
-        N = cfg["N"] if cfg["N"] is not None else _auto_N_sstm_sc(dual, eps, R_y, cfg["max_N"])
-        batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta,
-                                   cfg["C"])
-        y0 = np.zeros(dual.dual_dim)
-        y, trace = sstm_sc(dual, y0, N, batch, seed=seed,
-                           metric_every=cfg["metric_every"],
-                           stop_grad_norm=cfg["stop_grad_norm"])
-        x = _recover(dual, y, cfg["recovery_batch"], seed)
-    elif method == "spdstm":
-        N = cfg["N"] if cfg["N"] is not None else \
-            gap_certificate_N(R_y, 2.0 * dual.L_psi, eps, max_N=cfg["max_N"])
-        y, x, trace = spdstm(dual, N, eps, beta, C_hat=cfg["C_hat"], seed=seed,
-                             metric_every=cfg["metric_every"],
-                             y_star_norm_estimate=R_y, stop_gap=cfg["stop_gap"])
-    elif method == "restarted_rrma":
-        y0 = np.zeros(dual.dual_dim)
-        y, trace = restarted_rrma(dual, y0, eps, beta, R_y=R_y, C=cfg["C"], seed=seed)
-        x = _recover(dual, y, cfg["recovery_batch"], seed)
-    else:
-        raise ValueError(f"unknown distributed method {method!r}")
+    y, x, trace = run_dual(method, dual, cfg["N"], cfg["eps"], cfg["beta"], R_y, cfg,
+                           seed=cfg["seed"])
+    if x is None:
+        x = primal_recovery(dual, y, 1, RngStreams(cfg["seed"]).child(999_999))
 
     # closing row: primal recovery rounds happen after the last iteration
     final = trace.final
     trace.record(final.get("iter", 0), final.get("A_k", 0.0), instance.counter)
     return instance.blocks(x), trace, instance.counter
-
-
-def _recover(dual: DistributedDualOracle, y, r: int, seed: int):
-    from .dual import primal_recovery
-    return primal_recovery(dual, y, r, RngStreams(seed).child(999_999))
 
 
 def _dual_norm_bound(instance: DecentralizedInstance) -> float:
@@ -505,14 +470,3 @@ def _dual_norm_bound(instance: DecentralizedInstance) -> float:
     lam = instance.pair.lambda_min_plus
     return max(1e-12, float(np.linalg.norm(g)) / math.sqrt(max(lam, 1e-300)))
 
-
-def _auto_N_sstm_sc(dual, eps, R_y, max_N):
-    """Iterations until the geometric certificate reaches the gradient target."""
-    target = (eps / max(R_y, 1e-12)) ** 2
-    A = 1.0 / dual.L_psi
-    R0sq = R_y ** 2
-    for k in range(1, max_N + 1):
-        _, A = next_alpha_strongly_convex(A, dual.L_psi, dual.mu_psi)
-        if dual.L_psi ** 2 * R0sq * dual.L_psi / A <= target:
-            return k
-    return max_N

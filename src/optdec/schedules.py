@@ -11,8 +11,9 @@ primal-dual schemes.  Roots are computed in the cancellation-free
 arrangement ``b + sqrt(b^2 + c)`` because ``A_k`` reaches 1e6+ at the
 scales exercised here.
 
-Every accelerated loop runs on :func:`triangle`; :func:`gap_certificate_N`
-plans ``N`` from the certificate ``3 R0^2 / (2 A_N) <= eps``.
+Every accelerated loop runs on :func:`triangle`.  ``N: "auto"`` is planned
+by :func:`gap_certificate_N` from ``3 R0^2 / (2 A_N) <= eps``, or for
+``sstm_sc`` by :func:`grad_certificate_N` from ``L^3 R_y^2 / A_N <= (eps/R_y)^2``.
 
 Batch-size rules expose their hidden proportionality constants as
 arguments defaulting to 1, so a noiseless run degenerates to batch 1.
@@ -30,6 +31,7 @@ __all__ = [
     "next_alpha_spdstm",
     "triangle",
     "gap_certificate_N",
+    "grad_certificate_N",
     "acsa_params",
     "batch_size_sstm",
     "batch_size_spdstm",
@@ -135,6 +137,22 @@ def gap_certificate_N(R0: float, L: float, eps: float, factor: float = 2.0,
     for k in range(1, max_N + 1):
         _, A = next_alpha_stm(A, L, 0.0, factor=factor)
         if 1.5 * R0 * R0 / A <= eps:
+            return k
+    return max_N
+
+
+def grad_certificate_N(R_y: float, L: float, mu: float, eps: float, max_N: int) -> int:
+    """Fewest steps of :func:`next_alpha_strongly_convex` from ``A_0 = 1/L`` with
+    ``L^3 R_y^2 / A_N <= (eps / R_y)^2``, or ``max_N`` if the cap comes first.
+
+    ``L R_y^2 / A_N`` bounds ``||y_N - y*||^2``, so the left side bounds ``||grad psi(y_N)||^2``.
+    """
+    target = (eps / max(R_y, 1e-12)) ** 2
+    A = 1.0 / L
+    R0sq = R_y ** 2
+    for k in range(1, max_N + 1):
+        _, A = next_alpha_strongly_convex(A, L, mu)
+        if L ** 2 * R0sq * L / A <= target:
             return k
     return max_N
 

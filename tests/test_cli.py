@@ -1,12 +1,17 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import optdec.cli as cli
+import optdec.dual
 from optdec.cli import (ConfigError, apply_sweep_value, config_hash, main,
                         validate_config)
-from optdec.network import Topology, chi, laplacian
+from optdec.network import (Topology, _dual_norm_bound, build_distributed_dual, chi,
+                            laplacian)
+from optdec.schedules import grad_certificate_N
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -118,6 +123,87 @@ def test_run_dual_methods_on_penalty_problem(tmp_path):
                "constants": {"metric_every": 50, "m_iters": 60}}
         cfgp = write_config(tmp_path, cfg, name=f"{method}.json")
         assert main(["run", str(cfgp), "--out", str(tmp_path)]) == 0, method
+
+
+def run_summary(tmp_path, cfg, name="cfg.json"):
+    """Summary and trace rows of one `optdec run` of ``cfg``."""
+    out = tmp_path / name.removesuffix(".json")
+    assert main(["run", str(write_config(tmp_path, cfg, name)), "--out", str(out)]) == 0
+    summary = json.loads(next(out.glob("*.summary.json")).read_text())
+    lines = [line for line in next(out.glob("*.trace.csv")).read_text().splitlines()
+             if not line.startswith("#")]
+    header = lines[0].split(",")
+    return summary, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def penalty_config(method, **constants):
+    return {"method": method, "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+            "eps": 0.02, "N": "auto", "seed": 3, "constants": constants}
+
+
+def test_stop_gap_ends_single_machine_spdstm_early(tmp_path, capsys):
+    full, _ = run_summary(tmp_path, penalty_config("spdstm"), "full.json")
+    stopped, _ = run_summary(tmp_path, penalty_config("spdstm", stop_gap=-0.5), "stop.json")
+    assert stopped["iterations"] < full["iterations"]
+    assert stopped["final_dual_gap"] <= -0.5
+
+
+def test_stop_grad_norm_ends_single_machine_sstm_sc_early(tmp_path, capsys):
+    cfg = {**penalty_config("sstm_sc", stop_grad_norm=0.05), "N": 200}
+    summary, _ = run_summary(tmp_path, cfg)
+    assert summary["iterations"] < 200
+    assert summary["final_grad_norm"] <= 0.05
+
+
+@pytest.mark.parametrize("method", ["spdstm", "sstm_sc"])
+def test_max_N_caps_single_machine_auto_N(tmp_path, capsys, method):
+    full, _ = run_summary(tmp_path, penalty_config(method), "full.json")
+    capped, _ = run_summary(tmp_path, penalty_config(method, max_N=30), "capped.json")
+    assert full["iterations"] > 30
+    assert capped["iterations"] == 30
+
+
+def test_L_tilde_factor_changes_decentralized_spdstm(tmp_path, capsys):
+    cfg = {"method": "spdstm",
+           "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 4.0,
+                       "topology": {"kind": "ring", "m": 4}},
+           "eps": 0.05, "N": "auto", "seed": 7}
+    runs = {factor: run_summary(tmp_path, {**cfg, "constants": {"L_tilde_factor": factor}},
+                                f"factor_{factor}.json")
+            for factor in (1.0, 2.0)}
+    (tight, tight_rows), (default, default_rows) = runs[1.0], runs[2.0]
+    assert tight["iterations"] < default["iterations"]
+    # L~ = L_psi takes larger steps: A_k grows faster from the first step on
+    assert float(tight_rows[1]["A_k"]) == pytest.approx(2 * float(default_rows[1]["A_k"]))
+
+
+def test_sstm_sc_auto_N_has_one_planner(tmp_path, capsys, monkeypatch):
+    planned = []
+
+    def planner(*args):
+        planned.append(grad_certificate_N(*args))
+        return planned[-1]
+
+    monkeypatch.setattr(optdec.dual, "grad_certificate_N", planner)
+    single, _ = run_summary(tmp_path, penalty_config("sstm_sc"), "single.json")
+    ring = {"method": "sstm_sc",
+            "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 4.0,
+                        "topology": {"kind": "ring", "m": 4}},
+            "eps": 0.05, "N": "auto", "seed": 7}
+    network, _ = run_summary(tmp_path, ring, "ring.json")
+    assert planned == [single["iterations"], network["iterations"]]
+
+
+def test_readme_example_plans_57_steps(monkeypatch):
+    # the README example draws about 88M samples, so only its planner runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    cfg = validate_config(workloads.UNRUNNABLE["readme_example"]["config"])
+    instance = cli._build_decentralized(cfg["problem"], cfg["seed"])
+    dual = build_distributed_dual(instance, cli._noise_spec(cfg["noise"]))
+    N = grad_certificate_N(_dual_norm_bound(instance), dual.L_psi, dual.mu_psi, cfg["eps"],
+                           optdec.dual.DUAL_CONSTANTS["max_N"])
+    assert N == 57
 
 
 def test_run_stm_ips_penalty(tmp_path):
@@ -365,6 +451,24 @@ def test_sweep_bad_value_exit_2_before_any_run(tmp_path, capsys, monkeypatch, na
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
     assert runs == []
+    assert not list(tmp_path.rglob("*.sweep.csv"))
+
+
+def test_sweep_runtime_error_exit_3(tmp_path, capsys):
+    # p = 0 never connects: building the topology raises RuntimeError, which
+    # `run` and `sweep` both report with exit 3
+    cfg = {"method": "sstm_sc",
+           "problem": {"kind": "consensus_quadratic", "n": 2,
+                       "topology": {"kind": "erdos_renyi", "m": 4, "p": 0}},
+           "eps": 1e-2, "N": 5, "seed": 1}
+    cfgp = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfgp), "--out", str(out)]) == 3
+    capsys.readouterr()
+    assert main(["sweep", str(cfgp), "--param", "m", "--values", "4",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime error:" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.sweep.csv"))
 
 

@@ -10,7 +10,9 @@ existed: any change to how a sample is seeded, drawn or summed changes a
 digest.  ``GOLDEN_DETERMINISTIC`` holds noiseless runs of the similar-triangles
 kernel, recorded before its in-place step: any change to the order of a
 floating-point operation in ``schedules.triangle``, the mirror updates or
-the inner prox of ``stm_ips`` changes a digest.
+the inner prox of ``stm_ips`` changes a digest; its two ``spdstm`` runs
+with ``N: "auto"``, one on a single machine and one on a ring with
+``stop_gap``, pin the dual planning and run path.
 """
 
 import hashlib
@@ -66,6 +68,19 @@ GOLDEN_DETERMINISTIC = {
          "eps": 0.05, "N": 10, "seed": 7},
         "8231d03c4fa75a97cd5532d04d91f75dccc5699783f3ad8f12ce27bf05453310",
         "35af60740746c94b373b1502dec531c339119bc7a292106315647927111f38b7"),
+    # auto N from the gap certificate: 251 steps
+    "spdstm_penalty_auto": (
+        {"method": "spdstm", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+         "eps": 0.02, "N": "auto", "seed": 3},
+        "c218c06d798d666c8c798090d32e2017b7f4fea848af6dcf89c56a6eeb27d7a3",
+        "c55a3707ecb1729faa5f23d7f54e99dadc519c07687344615618d3d6fdabb67a"),
+    # auto N plans 47 steps; the measured gap reaches stop_gap after 5
+    "spdstm_ring4_auto_stop_gap": (
+        {"method": "spdstm", "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 4.0,
+                                         "topology": {"kind": "ring", "m": 4}},
+         "eps": 0.05, "N": "auto", "seed": 7, "constants": {"stop_gap": -0.3}},
+        "564abc3a1c95d7f2a40c7ec018e364bc82d8424d6b380e71bda55c8f6f44d645",
+        "086eef32672b0d9ba656860ab8678b45b6527721184f819a73ef01abdfea1982"),
 }
 
 

@@ -373,8 +373,7 @@ def test_run_distributed_sstm_sc_reaches_consensus_mean():
 def test_run_distributed_round_accounting():
     inst, _ = consensus_instance(3, 2)
     N = 17
-    x_nodes, trace, comm = run_distributed("sstm_sc", inst, {"N": N, "metric_every": 0,
-                                                             "recovery_batch": 1})
+    x_nodes, trace, comm = run_distributed("sstm_sc", inst, {"N": N, "metric_every": 0})
     # one gradient per iteration plus the defining one, 2 rounds each, plus
     # one recovery evaluation (2 rounds)
     assert comm.comm_rounds == 2 * (N + 1) + 2
