@@ -17,12 +17,7 @@ m, n = 6, 2
 centers = rng.standard_normal((m, n))
 
 def make_instance(topology):
-    locals_ = []
-    for k in range(topology.m):
-        qp = quadratic_problem(np.eye(n), centers[k % m][:n])
-        o = qp.oracle()
-        o.x_star = qp.x_star
-        locals_.append(o)
+    locals_ = [quadratic_problem(np.eye(n), centers[k % m][:n]).oracle() for k in range(topology.m)]
     return lift_problem(locals_, topology, n)
 
 print("the consensus optimum is the mean of the local centers:", centers.mean(axis=0))

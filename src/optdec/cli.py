@@ -251,9 +251,7 @@ def _build_consensus(problem, topo, seed):
             qp = quadratic_problem(np.eye(n), spread * rng.standard_normal(n))
         else:
             qp = random_quadratic(n, cond, rng, b_scale=spread)
-        o = qp.oracle()
-        o.x_star = qp.x_star
-        locals_.append(o)
+        locals_.append(qp.oracle())
     return lift_problem(locals_, topo, n)
 
 

@@ -21,7 +21,7 @@ Both triangle schemes run on :func:`optdec.schedules.triangle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,9 +238,6 @@ class RegularizedDual:
         g, _ = self.base.batch_grad_and_x(y, r, streams)
         return g + self.reg_grad(y)
 
-    def exact_grad(self, y):
-        return self.base.grad(y) + self.reg_grad(y)
-
     def value(self, y):
         v = self.base.psi_value(y) + 0.5 * self.lam * float(np.sum((y - self.anchor) ** 2))
         for w, c in self.shift_terms:
@@ -315,6 +312,10 @@ def default_rrma_lambda(L_psi: float, N_bar: int, const: float = 1.0) -> float:
     return const * L_psi * math.log(N_bar) ** 2 / N_bar ** 2
 
 
+# Largest working batch of a restart (taken when the probed gradient is zero).
+R_CAP = 10 ** 7
+
+
 @dataclass
 class RestartConfig:
     """Restart schedule: counts, probe/selection batches and inner budget."""
@@ -325,8 +326,7 @@ class RestartConfig:
     p: int
     N_bar: int
     C: float = 1.0
-    r_cap: int = 10 ** 7
-    lam: float = field(default=0.0)
+    lam: float = 0.0
 
 
 def _smallest_N_bar(L_psi, mu_psi, C, cap=10 ** 6):
@@ -339,8 +339,7 @@ def _smallest_N_bar(L_psi, mu_psi, C, cap=10 ** 6):
 
 
 def restart_config(dual: DualOracle, grad0_norm: float, eps: float, beta: float,
-                   R_y: float, sigma_psi: float | None = None, C: float = 1.0,
-                   r_cap: int = 10 ** 7) -> RestartConfig:
+                   R_y: float, sigma_psi: float | None = None, C: float = 1.0) -> RestartConfig:
     """Restart parameters from the gradient norm at the start point.
 
     ``l = max(1, log2(2 R_y^2 ||grad||^2 / eps^2))`` restarts; probe and
@@ -361,14 +360,13 @@ def restart_config(dual: DualOracle, grad0_norm: float, eps: float, beta: float,
             128.0 * sigma_psi ** 2 * (1.0 + math.sqrt(3.0 * math.log(l * p / beta))) ** 2
             * R_y ** 2 / eps ** 2))
     N_bar = _smallest_N_bar(dual.L_psi, dual.mu_psi, C)
-    cfg = RestartConfig(l=l, hat_r=hat_r, bar_r=bar_r, p=p, N_bar=N_bar, C=C, r_cap=r_cap)
-    cfg.lam = default_rrma_lambda(dual.L_psi, N_bar)
-    return cfg
+    return RestartConfig(l=l, hat_r=hat_r, bar_r=bar_r, p=p, N_bar=N_bar, C=C,
+                         lam=default_rrma_lambda(dual.L_psi, N_bar))
 
 
 def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *,
                    sigma_psi: float | None = None, R_y: float, C: float = 1.0,
-                   seed: int = 0, r_cap: int = 10 ** 7, metadata=None):
+                   seed: int = 0, metadata=None):
     """Restarted recursive regularization with probes and amplification.
 
     Each restart probes the gradient with a large batch, sizes the working
@@ -401,7 +399,7 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *,
             * R_y ** 2 / eps ** 2))
     g0, _ = dual.batch_grad_and_x(y, pre_r, streams.child(0, 0))
     cfg = restart_config(dual, float(np.linalg.norm(g0)), eps, beta, R_y,
-                         sigma_psi=sigma_psi, C=C, r_cap=r_cap)
+                         sigma_psi=sigma_psi, C=C)
 
     trace = RunTrace(dict(metadata or {}))
     exact_gn = float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ y)))
@@ -417,9 +415,9 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *,
         if sigma_psi == 0.0:
             r_k = 1
         elif probe_norm_sq == 0.0:
-            r_k = cfg.r_cap
+            r_k = R_CAP
         else:
-            r_k = min(cfg.r_cap, max(1, math.ceil(
+            r_k = min(R_CAP, max(1, math.ceil(
                 64.0 * C * sigma_psi ** 2 * math.log(cfg.N_bar) ** 6
                 / (cfg.N_bar * probe_norm_sq))))
 
@@ -450,23 +448,28 @@ def run_dual(method: str, dual: DualOracle, N, eps: float, beta: float, R_y: flo
 
     ``N: "auto"`` is planned before the solver starts, capped at ``max_N``:
     for ``spdstm`` by ``gap_certificate_N`` with ``L~ = L_tilde_factor L_psi``,
-    for ``sstm_sc`` by ``grad_certificate_N``.  ``constants`` overrides
-    :data:`DUAL_CONSTANTS`; other keys in it are ignored.
+    for ``sstm_sc`` by ``grad_certificate_N``.  A plan stopped by the cap
+    before its certificate holds adds one flag to the trace.  ``constants``
+    overrides :data:`DUAL_CONSTANTS`; other keys in it are ignored.
     Returns ``(y, x, trace)``; ``x`` is ``spdstm``'s primal average, else None.
     """
     c = {**DUAL_CONSTANTS, **(constants or {})}
     metric_every, max_N = int(c["metric_every"]), int(c["max_N"])
+    L_tilde_factor = float(c["L_tilde_factor"])
+    capped = False
+    if N == "auto" and method in ("spdstm", "sstm_sc"):
+        # planning one step past the cap tells a capped plan from one certified at the cap
+        if method == "spdstm":
+            N = gap_certificate_N(R_y, L_tilde_factor * dual.L_psi, eps, max_N=max_N + 1)
+        else:
+            N = grad_certificate_N(R_y, dual.L_psi, dual.mu_psi, eps, max_N + 1)
+        capped, N = N > max_N, min(N, max_N)
+    y0, x = np.zeros(dual.dual_dim), None
     if method == "spdstm":
-        L_tilde_factor = float(c["L_tilde_factor"])
-        if N == "auto":
-            N = gap_certificate_N(R_y, L_tilde_factor * dual.L_psi, eps, max_N=max_N)
-        return spdstm(dual, N, eps, beta, C_hat=float(c["C_hat"]), L_tilde_factor=L_tilde_factor,
-                      seed=seed, metric_every=metric_every, y_star_norm_estimate=R_y,
-                      stop_gap=c["stop_gap"], metadata=metadata)
-    y0 = np.zeros(dual.dual_dim)
-    if method == "sstm_sc":
-        if N == "auto":
-            N = grad_certificate_N(R_y, dual.L_psi, dual.mu_psi, eps, max_N)
+        y, x, trace = spdstm(dual, N, eps, beta, C_hat=float(c["C_hat"]),
+                             L_tilde_factor=L_tilde_factor, seed=seed, metric_every=metric_every,
+                             y_star_norm_estimate=R_y, stop_gap=c["stop_gap"], metadata=metadata)
+    elif method == "sstm_sc":
         batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta,
                                    float(c["C"]))
         y, trace = sstm_sc(dual, y0, N, batch, seed=seed, metric_every=metric_every,
@@ -476,7 +479,9 @@ def run_dual(method: str, dual: DualOracle, N, eps: float, beta: float, R_y: flo
                                   metadata=metadata)
     else:
         raise ValueError(f"unknown dual method {method!r}")
-    return y, None, trace
+    if capped:
+        trace.flag(f"auto N stopped at max_N {max_N} before its certificate held")
+    return y, x, trace
 
 
 # ---------------------------------------------------------------------------

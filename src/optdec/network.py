@@ -15,9 +15,11 @@ the node-mixing product ``M @ x.reshape(m, n)``, and the dense
 (tests and diagnostics).  The spectral constants of the dual come from
 the eigenvalues of ``W_bar``, since ``lambda(A^T A) = lambda(W_bar)`` for
 ``A = sqrt(W_bar) (x) I_n``.  The blockwise argmax is one batched call
-when the instance has one: quadratic local objectives are inverted once,
-as one stacked ``(m, n, n)`` array, and barycenter nodes evaluate their
-transport marginals as one stacked softmax.
+when the instance has one: quadratic local objectives, recognised by their
+declared ``quadratic`` field, are inverted once as one stacked
+``(m, n, n)`` array, and barycenter nodes evaluate their transport
+marginals as one stacked softmax.  The instance reads the local oracles'
+declared fields and never writes to them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 
 from .dual import DUAL_CONSTANTS, primal_recovery, run_dual
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
-from .oracles import CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams
+from .oracles import CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams, e_1
+from .primal import argmax_solver_via_stm
 
 __all__ = [
     "Topology",
@@ -271,10 +274,12 @@ class DecentralizedInstance:
     constants.  ``local_argmax`` maps stacked dual inputs through the
     blockwise conjugate maximisers ``x_k(m u_k)``.  ``batched_argmax``, when
     given, maps the ``(m, n)`` stack of inputs ``m u_k`` to the ``(m, n)``
-    stack of maximisers in one call; when every local exposes its quadratic
-    ``Q``/``b`` it defaults to one batched product with the stacked
-    inverses.  Otherwise ``local_argmax`` makes one ``conjugate_argmax``
-    call per node.
+    stack of maximisers in one call; when every local declares its
+    ``quadratic`` it defaults to one batched product with the stacked
+    inverses.  Otherwise ``local_argmax`` calls the per-node maximisers of
+    ``node_argmax``: each local's declared ``conjugate_argmax``, or inner
+    accelerated solves (:func:`optdec.primal.argmax_solver_via_stm`) for a
+    local that declares none.
     """
 
     def __init__(self, locals_, topology: Topology, n: int, counter=None,
@@ -305,27 +310,28 @@ class DecentralizedInstance:
         mu = min(f.mu for f in self.locals) / m
         self.stacked = FirstOrderOracle(m * n, value, gradient, L, mu, counter=self.counter)
         self.A = self.pair.sqrtW
-        if batched_argmax is None and all(hasattr(f, "Q") and hasattr(f, "b") for f in self.locals):
-            batched_argmax = _stacked_quadratic_argmax(self.locals)
+        if batched_argmax is None and all(f.quadratic is not None for f in self.locals):
+            batched_argmax = _stacked_quadratic_argmax([f.quadratic for f in self.locals])
         self.batched_argmax = batched_argmax
+        self.node_argmax = [f.conjugate_argmax or argmax_solver_via_stm(f) for f in self.locals]
 
     def local_argmax(self, u_stacked: np.ndarray) -> np.ndarray:
         U = self.m * u_stacked.reshape(self.m, self.n)
         if self.batched_argmax is not None:
             return self.batched_argmax(U).reshape(-1)
         out = np.empty_like(U)
-        for k, f in enumerate(self.locals):
-            out[k] = f.conjugate_argmax(U[k])
+        for k, argmax in enumerate(self.node_argmax):
+            out[k] = argmax(U[k])
         return out.reshape(-1)
 
     def blocks(self, x_stacked) -> np.ndarray:
         return np.asarray(x_stacked, dtype=float).reshape(self.m, self.n)
 
 
-def _stacked_quadratic_argmax(locals_):
+def _stacked_quadratic_argmax(quadratics):
     """``U -> X`` with ``X_k = Q_k^{-1} (U_k + b_k)``, inverting every ``Q_k`` once."""
-    Q_inv = np.linalg.inv(np.stack([f.Q for f in locals_]))
-    b = np.stack([f.b for f in locals_])
+    Q_inv = np.linalg.inv(np.stack([qp.Q for qp in quadratics]))
+    b = np.stack([qp.b for qp in quadratics])
     return lambda U: np.matmul(Q_inv, (U + b)[:, :, None])[:, :, 0]
 
 
@@ -333,13 +339,9 @@ def lift_problem(locals_, topology: Topology, n: int,
                  batched_argmax=None) -> DecentralizedInstance:
     """Stack per-node objectives into a consensus-constrained instance.
 
-    ``batched_argmax`` is passed to :class:`DecentralizedInstance`.
+    ``batched_argmax`` is passed to :class:`DecentralizedInstance`; the
+    local oracles are read, never written.
     """
-    missing = [k for k, f in enumerate(locals_) if not hasattr(f, "conjugate_argmax")]
-    if missing:
-        from .primal import argmax_solver_via_stm
-        for k in missing:
-            locals_[k].conjugate_argmax = argmax_solver_via_stm(locals_[k])
     return DecentralizedInstance(locals_, topology, n, batched_argmax=batched_argmax)
 
 
@@ -389,7 +391,7 @@ class DistributedDualOracle(DualOracle):
         if delta > 0:
             blocks = x.reshape(self.instance.m, self.instance.n).copy()
             for k in range(self.instance.m):
-                blocks[k] += delta * self.bias_direction(blocks[k])
+                blocks[k] += delta * e_1(blocks[k])
             x = blocks.reshape(-1)
         return x
 
@@ -454,18 +456,13 @@ def _dual_norm_bound(instance: DecentralizedInstance) -> float:
     """Bound on the minimal dual solution norm from local gradients at consensus.
 
     Uses ``||y*||^2 <= ||grad f(x*)||^2 / lambda_min_plus`` with the
-    stacked gradient evaluated at the consensus average of the local
-    minimisers (a cheap over-estimate adequate for batch sizing).
+    stacked gradient evaluated at the consensus average of the declared
+    local minimisers ``x_star``, or at the origin when no local declares
+    one (a cheap over-estimate adequate for batch sizing).
     """
-    # crude stationary point estimate: average of local argmins when known,
-    # otherwise the origin
-    n, m = instance.n, instance.m
-    centers = []
-    for f in instance.locals:
-        if hasattr(f, "x_star"):
-            centers.append(np.asarray(f.x_star, dtype=float))
-    center = np.mean(centers, axis=0) if centers else np.zeros(n)
-    x = np.tile(center, m)
+    centers = [f.x_star for f in instance.locals if f.x_star is not None]
+    center = np.mean(centers, axis=0) if centers else np.zeros(instance.n)
+    x = np.tile(center, instance.m)
     g = instance.stacked.gradient(x)
     lam = instance.pair.lambda_min_plus
     return max(1e-12, float(np.linalg.norm(g)) / math.sqrt(max(lam, 1e-300)))

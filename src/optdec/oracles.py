@@ -4,10 +4,11 @@ Every solver in this package consumes one of three oracle flavours:
 
 * :class:`FirstOrderOracle` -- exact value/gradient access to a smooth
   convex function together with its smoothness ``L`` and strong-convexity
-  ``mu`` constants.
-* :class:`StochasticGradientOracle` -- gradient samples contaminated by a
-  deterministic bias field (scaled by ``delta``) and sub-Gaussian noise
-  (scale ``sigma``).
+  ``mu`` constants, and the side data it declares: ``conjugate_argmax``,
+  ``x_star`` and ``quadratic``, each ``None`` when unknown.
+* :class:`StochasticGradientOracle` -- gradient samples contaminated by the
+  bias field ``e_1`` (scaled by ``delta``) and sub-Gaussian noise (scale
+  ``sigma``).
 * :class:`DualOracle` -- access to the Fenchel-type dual of a strongly
   convex function composed with a linear map ``A``; its gradient is
   ``A x(A^T y)`` where ``x(u)`` maximises ``<u, x> - f(x)``.
@@ -292,7 +293,8 @@ class NoiseSpec:
         return u * (self.sigma / np.linalg.norm(u))
 
 
-def _default_bias_direction(x: np.ndarray) -> np.ndarray:
+def e_1(x: np.ndarray) -> np.ndarray:
+    """The bias field: the first unit vector, shaped like ``x``."""
     e = np.zeros_like(x)
     e[0] = 1.0
     return e
@@ -305,9 +307,16 @@ class FirstOrderOracle:
     the ``eval_grad`` method) inside solvers so that calls are counted.
     Diagnostic code may call the raw attributes freely without polluting
     the counters.
+
+    The side data a problem knows in closed form is declared here and is
+    ``None`` when unknown: ``conjugate_argmax`` maps ``u`` to
+    ``argmax_x {<u, x> - f(x)}``, ``x_star`` is the minimiser and
+    ``quadratic`` the :class:`~optdec.problems.QuadraticProblem` whose
+    ``Q`` and ``b`` define ``f``.
     """
 
-    def __init__(self, dim, value, gradient, L, mu=0.0, counter=None):
+    def __init__(self, dim, value, gradient, L, mu=0.0, counter=None, *,
+                 conjugate_argmax=None, x_star=None, quadratic=None):
         if L < 0 or mu < 0:
             raise ValueError("L and mu must be non-negative")
         self.dim = int(dim)
@@ -316,6 +325,9 @@ class FirstOrderOracle:
         self.L = float(L)
         self.mu = float(mu)
         self.counter = counter if counter is not None else CallCounter()
+        self.conjugate_argmax = conjugate_argmax
+        self.x_star = x_star
+        self.quadratic = quadratic
 
     def _check_dim(self, x):
         if np.shape(x) != (self.dim,):
@@ -330,16 +342,15 @@ class FirstOrderOracle:
 class StochasticGradientOracle:
     """Gradient sampler with deterministic bias and sub-Gaussian noise.
 
-    A sample at ``x`` is ``gradient(x) + delta * bias_direction(x) + eta``
-    with ``eta`` drawn from the :class:`NoiseSpec` distribution.  The bias
-    field is a deterministic unit vector (worst-case direction ``e_1`` by
-    default) so the bias bound holds with equality and is testable.
+    A sample at ``x`` is ``gradient(x) + delta * e_1 + eta`` with ``eta``
+    drawn from the :class:`NoiseSpec` distribution.  The bias field is the
+    fixed unit vector ``e_1``, so the bias bound holds with equality and is
+    testable.
     """
 
-    def __init__(self, base: FirstOrderOracle, noise: NoiseSpec, bias_direction=None):
+    def __init__(self, base: FirstOrderOracle, noise: NoiseSpec):
         self.base = base
         self.noise = noise
-        self.bias_direction = bias_direction or _default_bias_direction
         self.counter = base.counter
 
     @property
@@ -347,11 +358,11 @@ class StochasticGradientOracle:
         return self.base.dim
 
     def _sample_center(self, x: np.ndarray) -> np.ndarray:
-        """``gradient(x) + delta * bias_direction(x)``: what every sample at ``x`` shares."""
+        """``gradient(x) + delta * e_1``: what every sample at ``x`` shares."""
         self.base._check_dim(x)
         g = np.asarray(self.base.gradient(x), dtype=float)
         if self.noise.delta > 0:
-            g = g + self.noise.delta * self.bias_direction(x)
+            g = g + self.noise.delta * e_1(x)
         return g
 
     def sample(self, x: np.ndarray, rng: np.random.Generator, center=None) -> np.ndarray:
@@ -378,7 +389,7 @@ class DualOracle:
     """Oracle for the dual ``psi(y) = max_x {<A^T y, x> - f(x)}``.
 
     The dual gradient is ``A x(A^T y)``; noisy access perturbs the inner
-    maximiser ``x`` by ``delta * bias_direction + eta`` before mapping
+    maximiser ``x`` by ``delta * e_1 + eta`` before mapping
     through ``A``, so the dual-side bias and noise scale with
     ``sqrt(lambda_max(A^T A))``.
 
@@ -387,14 +398,13 @@ class DualOracle:
     """
 
     def __init__(self, primal: FirstOrderOracle, A: np.ndarray, argmax_solver,
-                 noise: NoiseSpec | None = None, bias_direction=None, counter=None):
+                 noise: NoiseSpec | None = None, counter=None):
         if primal.mu <= 0:
             raise ValueError("dual oracle requires a strongly convex primal (mu > 0)")
         self.primal = primal
         self.A, self.lam_max_AtA, self.lam_min_plus_AtA = self._constraint_map(A)
         self.argmax_solver = argmax_solver
         self.noise = noise if noise is not None else NoiseSpec(0.0, 0.0, "none")
-        self.bias_direction = bias_direction or _default_bias_direction
         self.counter = counter if counter is not None else primal.counter
         self.L_psi = self.lam_max_AtA / primal.mu
         self.mu_psi = self.lam_min_plus_AtA / primal.L if primal.L > 0 else 0.0
@@ -432,10 +442,6 @@ class DualOracle:
         return float(np.sqrt(self.lam_max_AtA) * self.noise.sigma)
 
     @property
-    def delta_psi(self) -> float:
-        return float(np.sqrt(self.lam_max_AtA) * self.noise.delta)
-
-    @property
     def dual_dim(self) -> int:
         return self.A.shape[0]
 
@@ -459,14 +465,14 @@ class DualOracle:
     # -- sampled access ------------------------------------------------------
 
     def _sample_center(self, u: np.ndarray) -> np.ndarray:
-        """``x(u) + delta * b(x(u))``: what every sample at ``u`` shares."""
+        """``x(u) + delta * e_1``: what every sample at ``u`` shares."""
         x = self.x_exact(u)
         if self.noise.delta > 0:
-            x = x + self.noise.delta * self.bias_direction(x)
+            x = x + self.noise.delta * e_1(x)
         return x
 
     def sample_x(self, u: np.ndarray, rng: np.random.Generator, center=None) -> np.ndarray:
-        """One noisy inner maximiser ``x(u) + delta * b(u) + eta``.
+        """One noisy inner maximiser ``x(u) + delta * e_1 + eta``.
 
         A batch passes the ``center`` it computed once at ``u``.
         """
@@ -476,10 +482,6 @@ class DualOracle:
         if self.noise.silent:
             return center
         return center + self.noise.sample_eta(center.shape[0], rng)
-
-    def sample_grad(self, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        u = self.apply_At(np.asarray(y, dtype=float))
-        return self.apply_A(self.sample_x(u, rng))
 
     def batch_grad_and_x(self, y, r, streams: RngStreams):
         """Batched dual gradient together with the batched inner maximiser.
@@ -535,10 +537,10 @@ def batch_grad(oracle, x_or_y, r: int, streams: RngStreams) -> np.ndarray:
 
 
 def dual_from_primal(primal: FirstOrderOracle, A, argmax_solver,
-                     noise: NoiseSpec | None = None, **kwargs) -> DualOracle:
+                     noise: NoiseSpec | None = None) -> DualOracle:
     """Construct the dual oracle of a strongly convex primal under ``A``.
 
     Rejects ``primal.mu == 0`` (the dual gradient is Lipschitz only for a
     strongly convex primal).
     """
-    return DualOracle(primal, A, argmax_solver, noise=noise, **kwargs)
+    return DualOracle(primal, A, argmax_solver, noise=noise)

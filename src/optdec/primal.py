@@ -111,7 +111,7 @@ def stm(oracle: FirstOrderOracle, x0, N: int, mode: str = "convex", *,
 
 def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
          mode: str = "convex", *, seed: int = 0, step_factor: float = 2.0,
-         theta: float = 1.0, f_star=None, x_star=None, metadata=None):
+         f_star=None, x_star=None, metadata=None):
     """Mini-batch variant of :func:`stm`.
 
     The gradient at each extrapolation point is a batch mean whose size
@@ -122,7 +122,7 @@ def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
     mu = oracle.base.mu if mode == "strongly_convex" else 0.0
 
     def source(k, x_tilde, alpha, A_next):
-        r = batch_size_sstm(alpha, A_next, mu, oracle.noise.sigma, eps, N, beta, theta)
+        r = batch_size_sstm(alpha, A_next, mu, oracle.noise.sigma, eps, N, beta)
         return oracle.batch(x_tilde, r, streams.child(k))
 
     return _run_triangle(oracle.base, x0, N, mode, step_factor, source,
@@ -152,10 +152,6 @@ class CompositeProblem:
     @property
     def counter(self) -> CallCounter:
         return self.f.counter
-
-    @property
-    def L_F(self):
-        return self.f.L + self.L_h
 
     def F_value(self, x):
         return float(self.f.value(x)) + float(self.h_value(x))
@@ -384,14 +380,14 @@ def verify_penalty_transfer(x_N, problem: PenaltyProblem, F_star: float,
     constrained optimum: objective gap at most ``eps`` and constraint
     residual at most ``2 eps / R_y``.  The constrained optimal value is
     taken from ``f_constrained_star`` or computed by the closed-form
-    null-space solve when the base oracle carries ``Q``/``b``.
+    null-space solve when the base oracle declares its ``quadratic``.
     """
     if f_constrained_star is None:
-        base = problem.base
-        if not (hasattr(base, "Q") and hasattr(base, "b")):
+        qp = problem.base.quadratic
+        if qp is None:
             raise ValueError("need f_constrained_star for non-quadratic bases")
         from .problems import constrained_quadratic_optimum
-        _, f_constrained_star = constrained_quadratic_optimum(base.Q, base.b, problem.A)
+        _, f_constrained_star = constrained_quadratic_optimum(qp.Q, qp.b, problem.A)
     x_N = np.asarray(x_N, dtype=float)
     f_gap = float(problem.base.value(x_N)) - f_constrained_star
     constraint_norm = float(np.linalg.norm(problem.A @ x_N))

@@ -1,7 +1,9 @@
 """Closed-form and semi-closed-form test problems.
 
 Quadratics come with exact minimisers and exact convex conjugates, which
-makes them the reference instances for every solver certificate.  The
+makes them the reference instances for every solver certificate.  Their
+oracles, and those of the barycenter nodes, declare that side data as
+:class:`~optdec.oracles.FirstOrderOracle` fields.  The
 entropic optimal-transport dual is the log-sum-exp functional
 
     ``W*(lam) = mu sum_j q_j log((1/q_j) sum_i exp((lam_i - C_ij)/mu))``
@@ -43,9 +45,9 @@ __all__ = [
 class QuadraticProblem:
     """``f(x) = 0.5 x^T Q x - b^T x`` with SPD ``Q``.
 
-    Exposes the exact minimiser ``x* = Q^{-1} b``, the conjugate argmax
-    ``x(y) = Q^{-1}(y + b)`` and the conjugate value
-    ``phi(y) = 0.5 (y+b)^T Q^{-1} (y+b)``.
+    Exposes the exact minimiser ``x* = Q^{-1} b`` and the conjugate argmax
+    ``x(y) = Q^{-1}(y + b)``; :meth:`oracle` declares both, and the
+    problem itself as the oracle's ``quadratic``.
     """
 
     def __init__(self, Q, b):
@@ -74,18 +76,10 @@ class QuadraticProblem:
     def conjugate_argmax(self, y):
         return np.linalg.solve(self.Q, y + self.b)
 
-    def phi_value(self, y):
-        w = y + self.b
-        return float(0.5 * w @ np.linalg.solve(self.Q, w))
-
     def oracle(self, counter=None) -> FirstOrderOracle:
-        oracle = FirstOrderOracle(self.Q.shape[0], self.value, self.gradient,
-                                  self.L, self.mu, counter=counter)
-        oracle.Q = self.Q
-        oracle.b = self.b
-        oracle.conjugate_argmax = self.conjugate_argmax
-        oracle.conjugate_value = self.phi_value
-        return oracle
+        return FirstOrderOracle(self.Q.shape[0], self.value, self.gradient, self.L, self.mu,
+                                counter=counter, conjugate_argmax=self.conjugate_argmax,
+                                x_star=self.x_star, quadratic=self)
 
 
 def quadratic_problem(Q, b) -> QuadraticProblem:
@@ -284,13 +278,14 @@ def simplex_project(v) -> np.ndarray:
 
 def barycenter_local_oracle(q, C, mu: float, tol: float = 1e-10,
                             counter=None) -> FirstOrderOracle:
-    """Oracle for ``p -> W_mu(p, q)`` with its closed-form conjugate attached.
+    """Oracle for ``p -> W_mu(p, q)`` with its closed-form conjugate argmax.
 
     The conjugate of the smoothed transport distance in ``p`` is exactly
     the log-sum-exp dual, so ``conjugate_argmax`` (the transport marginal)
-    and ``conjugate_value`` need no inner solves; ``q``, ``C`` and ``mu`` are
-    validated here, once.  Values/gradients in ``p`` run the dual solve and
-    are meant for diagnostics only.
+    needs no inner solve, and ``x_star`` is the marginal at the zero
+    potential; ``q``, ``C`` and ``mu`` are validated here, once.
+    Values/gradients in ``p`` run the dual solve and are meant for
+    diagnostics only.
     """
     q, C = _check_entropic(q, C, mu)
     n = q.size
@@ -306,17 +301,12 @@ def barycenter_local_oracle(q, C, mu: float, tol: float = 1e-10,
     def conjugate_argmax(u):
         return _column_plan(np.asarray(u, dtype=float), C, mu)[0] @ q
 
-    def conjugate_value(u):
-        return _conjugate(_column_plan(np.asarray(u, dtype=float), C, mu)[1], q, mu)
-
     # L is unknown in closed form (the conjugate is only strictly convex);
-    # the dual pipeline needs only mu.
-    oracle = FirstOrderOracle(n, value, gradient, L=0.0, mu=mu, counter=counter)
-    oracle.conjugate_argmax = conjugate_argmax
-    oracle.conjugate_value = conjugate_value
-    # minimiser of W_mu(., q) over the simplex: the zero-potential marginal
-    oracle.x_star = oracle.conjugate_argmax(np.zeros(n))
-    return oracle
+    # the dual pipeline needs only mu.  The minimiser of W_mu(., q) over the
+    # simplex is the zero-potential marginal.
+    return FirstOrderOracle(n, value, gradient, L=0.0, mu=mu, counter=counter,
+                            conjugate_argmax=conjugate_argmax,
+                            x_star=conjugate_argmax(np.zeros(n)))
 
 
 def barycenter_problem(measures, C, mu: float, topology):

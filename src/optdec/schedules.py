@@ -15,8 +15,9 @@ Every accelerated loop runs on :func:`triangle`.  ``N: "auto"`` is planned
 by :func:`gap_certificate_N` from ``3 R0^2 / (2 A_N) <= eps``, or for
 ``sstm_sc`` by :func:`grad_certificate_N` from ``L^3 R_y^2 / A_N <= (eps/R_y)^2``.
 
-Batch-size rules expose their hidden proportionality constants as
-arguments defaulting to 1, so a noiseless run degenerates to batch 1.
+The dual batch rules expose their hidden proportionality constants
+(``C_hat``, ``C``) as arguments defaulting to 1; every rule degenerates to
+batch 1 on a noiseless oracle.
 """
 
 from __future__ import annotations
@@ -171,16 +172,13 @@ def _ceil_at_least_one(x: float) -> int:
 
 
 def batch_size_sstm(alpha_next: float, A_next: float, mu: float, sigma: float,
-                    eps: float, N: int, beta: float, theta: float = 1.0) -> int:
-    """Mini-batch size ``max(1, ceil(sigma^2 alpha ln(N/beta) / ((1+A mu) eps)))``.
-
-    ``theta`` is the hidden proportionality constant (default 1).
-    """
+                    eps: float, N: int, beta: float) -> int:
+    """Mini-batch size ``max(1, ceil(sigma^2 alpha ln(N/beta) / ((1+A mu) eps)))``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if sigma == 0.0:
         return 1
-    raw = theta * sigma ** 2 * alpha_next * math.log(N / beta) / ((1.0 + A_next * mu) * eps)
+    raw = sigma ** 2 * alpha_next * math.log(N / beta) / ((1.0 + A_next * mu) * eps)
     return _ceil_at_least_one(raw)
 
 

@@ -161,6 +161,13 @@ def test_max_N_caps_single_machine_auto_N(tmp_path, capsys, method):
     capped, _ = run_summary(tmp_path, penalty_config(method, max_N=30), "capped.json")
     assert full["iterations"] > 30
     assert capped["iterations"] == 30
+    assert full["flags"] == []
+    assert capped["flags"] == ["auto N stopped at max_N 30 before its certificate held"]
+    # a cap the certificate is met at is not a stop
+    exact, _ = run_summary(tmp_path, penalty_config(method, max_N=full["iterations"]),
+                           "exact.json")
+    assert exact["iterations"] == full["iterations"]
+    assert exact["flags"] == []
 
 
 def test_L_tilde_factor_changes_decentralized_spdstm(tmp_path, capsys):

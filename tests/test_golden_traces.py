@@ -12,11 +12,16 @@ kernel, recorded before its in-place step: any change to the order of a
 floating-point operation in ``schedules.triangle``, the mirror updates or
 the inner prox of ``stm_ips`` changes a digest; its two ``spdstm`` runs
 with ``N: "auto"``, one on a single machine and one on a ring with
-``stop_gap``, pin the dual planning and run path.
+``stop_gap``, pin the dual planning and run path.  ``GOLDEN_BARYCENTER``
+holds a decentralized ``barycenter`` run whose auto ``N`` follows from
+``R_y``, the bound centred on the minimisers of the local objectives; its
+measure and cost CSVs are written next to the config and named by relative
+paths, so ``config_hash`` does not depend on where the test runs.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -113,5 +118,39 @@ def test_deterministic_run_is_byte_identical_to_golden(tmp_path, capsys, name):
     (csv,), (summary,) = list(out.glob("*.trace.csv")), list(out.glob("*.summary.json"))
     flags = csv.read_text().count("inner prox budget exhausted")
     assert flags == (12 if name == "stm_ips_budget_exhausted" else 0)
+    assert _sha256(csv) == csv_digest
+    assert _sha256(summary) == summary_digest
+
+
+# four measures on five atoms, and the cost |x_i - x_j| on x = 0, 1/4, ..., 1
+BARYCENTER_MEASURES = ((0.1, 0.2, 0.3, 0.2, 0.2), (0.3, 0.3, 0.2, 0.1, 0.1),
+                       (0.05, 0.15, 0.2, 0.3, 0.3), (0.2, 0.2, 0.2, 0.2, 0.2))
+BARYCENTER_COST = tuple(tuple(abs(i - j) / 4 for j in range(5)) for i in range(5))
+
+GOLDEN_BARYCENTER = {
+    "spdstm_barycenter_ring4_auto": (
+        {"method": "spdstm",
+         "problem": {"kind": "barycenter", "measures": "measures.csv", "cost": "cost.csv",
+                     "mu": 0.2, "topology": {"kind": "ring", "m": 4}},
+         "eps": 0.01, "N": "auto", "seed": 2},
+        "c603cc2ef375378b2ffd6da68f72059de834eca5c333a103a8062d27839d4bfb",
+        "a4c16243c20e315dd9c88a136089c92f615afa0192913313e4d34efc7bb3569a"),
+}
+
+
+def _csv_text(rows) -> str:
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BARYCENTER))
+def test_barycenter_run_is_byte_identical_to_golden(tmp_path, capsys, monkeypatch, name):
+    cfg, csv_digest, summary_digest = GOLDEN_BARYCENTER[name]
+    monkeypatch.chdir(tmp_path)
+    Path("measures.csv").write_text(_csv_text(BARYCENTER_MEASURES))
+    Path("cost.csv").write_text(_csv_text(BARYCENTER_COST))
+    Path("cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "cfg.json", "--out", "out"]) == 0
+    capsys.readouterr()
+    (csv,), (summary,) = list(Path("out").glob("*.trace.csv")), list(Path("out").glob("*.summary.json"))
     assert _sha256(csv) == csv_digest
     assert _sha256(summary) == summary_digest

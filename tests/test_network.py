@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from optdec import (CallCounter, DualOracle, FirstOrderOracle, NoiseSpec,
                     lift_problem, quadratic_problem,
                     random_quadratic, run_distributed, spdstm, sqrt_psd,
                     sstm_sc, stm)
+from optdec.network import _dual_norm_bound
 from optdec.problems import constrained_quadratic_optimum
 
 
@@ -232,6 +234,35 @@ def per_node_argmax(locals_, u):
     m = len(locals_)
     return np.concatenate([f.conjugate_argmax(m * block)
                            for f, block in zip(locals_, u.reshape(m, -1))])
+
+
+def test_lift_problem_leaves_locals_without_a_conjugate_unchanged():
+    m, n = 3, 2
+    rng = np.random.default_rng(30)
+    qps = [random_quadratic(n, 5.0, rng) for _ in range(m)]
+    plain = [FirstOrderOracle(n, qp.value, qp.gradient, qp.L, qp.mu) for qp in qps]
+    before = [dict(vars(f)) for f in plain]
+    inst = lift_problem(plain, Topology.ring(m), n)
+    assert [vars(f) for f in plain] == before
+    assert all(f.conjugate_argmax is None for f in plain)
+    # solved node by node by inner accelerated solves, to the closed form
+    assert inst.batched_argmax is None
+    for _ in range(3):
+        u = rng.standard_normal(m * n)
+        closed = np.concatenate([qp.conjugate_argmax(m * block)
+                                 for qp, block in zip(qps, u.reshape(m, n))])
+        assert rel_err(inst.local_argmax(u), closed) <= 1e-8
+
+
+def test_dual_norm_bound_centres_on_declared_minimisers():
+    m, n = 4, 3
+    rng = np.random.default_rng(31)
+    qps = [random_quadratic(n, 10.0, rng) for _ in range(m)]
+    inst = lift_problem([qp.oracle() for qp in qps], Topology.ring(m), n)
+    center = np.mean([qp.x_star for qp in qps], axis=0)
+    g = inst.stacked.gradient(np.tile(center, m))
+    expected = float(np.linalg.norm(g)) / math.sqrt(inst.pair.lambda_min_plus)
+    assert _dual_norm_bound(inst) == expected
 
 
 def test_batched_local_argmax_matches_per_node_loop():
