@@ -26,24 +26,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .dual import (DUAL_CONSTANTS, DivergenceError, RegularizedDual, ac_sa, default_rrma_lambda,
-                   rrma_ac_sa2, run_dual)
+from .dual import DUAL_CONSTANTS, DivergenceError, run_dual
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
 from .network import Topology, lift_problem, run_distributed
-from .oracles import NoiseSpec, RngStreams, dual_from_primal
+from .oracles import NoiseSpec, RngStreams, StochasticGradientOracle, dual_from_primal
 from .primal import build_penalty, sstm, stm, stm_ips
 from .problems import (load_cost_csv, load_measures_csv, min_norm_dual_solution,
                        quadratic_problem, random_quadratic, barycenter_problem)
-from .schedules import gap_certificate_N
-from .trace import RunTrace, summary_from_trace
+from .schedules import CAP_FLAG, capped_N, gap_certificate_N
+from .trace import summary_from_trace
 
-METHODS = ("stm", "stm_ips", "sstm", "spdstm", "sstm_sc", "ac_sa", "rrma",
-           "restarted_rrma")
-DUAL_METHODS = ("spdstm", "sstm_sc", "restarted_rrma")
 PROBLEM_KINDS = ("quadratic", "consensus_quadratic", "penalty", "barycenter", "custom")
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
 NOISE_KINDS = ("gaussian", "bounded", "none")
 DECENTRALIZED_KINDS = ("consensus_quadratic", "barycenter")
+# the problem kinds each method runs on; a method that runs on ``penalty``
+# needs the constraint matrix ``A``, so on ``custom`` it needs ``A_csv``.
+# sstm_sc and restarted_rrma need mu_psi > 0, which barycenter locals (no L) lack
+_AFFINE, _CONSENSUS = ("penalty", "custom"), ("penalty", "custom", "consensus_quadratic")
+METHOD_KINDS = {"stm": ("quadratic", "custom"), "stm_ips": _AFFINE, "sstm": ("quadratic", "custom"),
+                "spdstm": _AFFINE + DECENTRALIZED_KINDS, "sstm_sc": _CONSENSUS, "ac_sa": _AFFINE,
+                "rrma": _AFFINE, "restarted_rrma": _CONSENSUS}
+METHODS = tuple(METHOD_KINDS)
 SWEEP_PARAMS = ("eps", "sigma", "m", "chi-topology", "N")
 
 
@@ -134,7 +138,12 @@ def validate_config(cfg: dict) -> dict:
     problem = out["problem"]
     if not isinstance(problem, dict) or problem.get("kind") not in PROBLEM_KINDS:
         raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
-    kind = problem["kind"]
+    kind, method = problem["kind"], out["method"]
+    if kind not in METHOD_KINDS[method]:
+        raise ConfigError(f"method {method} runs on problem kinds {METHOD_KINDS[method]}, "
+                          f"not {kind!r}")
+    if kind == "custom" and not problem.get("A_csv") and "penalty" in METHOD_KINDS[method]:
+        raise ConfigError(f"method {method} needs a constraint matrix")
     _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem ({kind})")
     _reject_unknown(out["noise"], _NOISE_KEYS, "noise")
     _reject_unknown(out["constants"], _CONSTANT_KEYS, "constants")
@@ -154,8 +163,6 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"beta must be in (0, 1), got {out['beta']!r}")
 
     if kind in DECENTRALIZED_KINDS:
-        if out["method"] not in DUAL_METHODS:
-            raise ConfigError(f"method {out['method']} cannot run a decentralized problem")
         if "topology" not in problem or problem["topology"] is None:
             raise ConfigError(f"problem kind {kind!r} requires a topology")
         topo = problem["topology"]
@@ -172,13 +179,6 @@ def validate_config(cfg: dict) -> dict:
             missing = sorted({"measures", "cost", "mu"} - set(problem))
             if missing:
                 raise ConfigError(f"problem kind 'barycenter' requires {missing}")
-    elif out["method"] in ("stm", "sstm") and kind not in ("quadratic", "custom"):
-        raise ConfigError(f"method {out['method']} expects a quadratic or custom problem")
-    elif out["method"] in ("stm_ips",) and kind not in ("penalty", "custom"):
-        raise ConfigError("stm_ips expects a penalty (or custom + A) problem")
-    elif out["method"] in ("spdstm", "sstm_sc", "ac_sa", "rrma", "restarted_rrma") \
-            and kind not in ("penalty", "custom") + DECENTRALIZED_KINDS:
-        raise ConfigError(f"method {out['method']} needs an affinely constrained problem")
     return out
 
 
@@ -302,61 +302,39 @@ def execute_run(cfg: dict):
         A = _build_constraint(problem, qp.Q.shape[0], seed) if kind == "penalty" else None
 
     oracle = qp.oracle()
+    max_N = int(consts.get("max_N", DUAL_CONSTANTS["max_N"]))
+    extra = {}
 
     if method in ("stm", "sstm"):
-        N = cfg["N"]
         step_factor = float(consts.get("step_factor", 2.0))
-        if N == "auto":
-            N = gap_certificate_N(float(np.linalg.norm(x0 - qp.x_star)), oracle.L, eps,
-                                  factor=step_factor)
+        N, capped = capped_N(cfg["N"], lambda cap: gap_certificate_N(
+            float(np.linalg.norm(x0 - qp.x_star)), oracle.L, eps, cap, step_factor), max_N)
         if method == "stm":
             x, trace = stm(oracle, x0, N, f_star=qp.f_star, x_star=qp.x_star,
                            step_factor=step_factor, metadata=meta)
         else:
-            from .oracles import StochasticGradientOracle
-            stoch = StochasticGradientOracle(oracle, noise)
-            x, trace = sstm(stoch, x0, N, eps, beta, seed=seed, step_factor=step_factor,
-                            f_star=qp.f_star, x_star=qp.x_star, metadata=meta)
-        return trace, summary_from_trace(trace)
-
-    if A is None:
-        raise ConfigError(f"method {method} needs a constraint matrix")
-
-    y_star, x_c = min_norm_dual_solution(qp.Q, qp.b, A)
-    R_y = float(consts.get("R_y") or max(np.linalg.norm(y_star), 1e-12))
-
-    if method == "stm_ips":
-        pen = build_penalty(oracle, A, R_y, eps)
-        M = qp.Q + 2.0 * pen.coeff * pen.AtA
-        x_F = np.linalg.solve(M, qp.b)
-        F_star = pen.F_value(x_F)
-        N = cfg["N"]
-        if N == "auto":
-            N = gap_certificate_N(float(np.linalg.norm(x0 - x_F)), oracle.L, eps)
-        x, trace = stm_ips(pen, x0, N, inner_T=consts.get("inner_T"),
-                           F_star=F_star, x_star=x_F, metadata=meta)
-        trace.metadata["R_y"] = format(R_y, ".17g")
-        return trace, summary_from_trace(trace)
-
-    dual = dual_from_primal(oracle, A, qp.conjugate_argmax, noise=noise)
-    if method in DUAL_METHODS:
-        _, _, trace = run_dual(method, dual, cfg["N"], eps, beta, R_y, consts, seed=seed,
-                               metadata=meta)
-    else:  # ac_sa, rrma
-        m_iters = int(consts.get("m_iters", 100 if cfg["N"] == "auto" else cfg["N"]))
-        lam = float(consts.get("lambda", default_rrma_lambda(dual.L_psi, max(m_iters, 2))))
-        streams = RngStreams(seed)
-        if method == "ac_sa":
-            obj = RegularizedDual(dual, lam, np.zeros(dual.dual_dim))
-            y = ac_sa(obj, np.zeros(dual.dual_dim), m_iters, streams=streams)
-        else:
-            y = rrma_ac_sa2(dual, np.zeros(dual.dual_dim), m_iters, lam, streams=streams)
-        trace = RunTrace(meta)
-        gn = float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ y)))
-        trace.record(m_iters, 0.0, dual.counter, grad_norm=gn)
-    summary = summary_from_trace(trace)
-    summary["R_y"] = R_y
-    return trace, summary
+            x, trace = sstm(StochasticGradientOracle(oracle, noise), x0, N, eps, beta,
+                            seed=seed, step_factor=step_factor, f_star=qp.f_star,
+                            x_star=qp.x_star, metadata=meta)
+    else:
+        y_star, _ = min_norm_dual_solution(qp.Q, qp.b, A)
+        R_y = float(consts.get("R_y") or max(np.linalg.norm(y_star), 1e-12))
+        if method == "stm_ips":
+            pen = build_penalty(oracle, A, R_y, eps)
+            x_F = np.linalg.solve(qp.Q + 2.0 * pen.coeff * pen.AtA, qp.b)
+            N, capped = capped_N(cfg["N"], lambda cap: gap_certificate_N(
+                float(np.linalg.norm(x0 - x_F)), oracle.L, eps, cap), max_N)
+            x, trace = stm_ips(pen, x0, N, inner_T=consts.get("inner_T"),
+                               F_star=pen.F_value(x_F), x_star=x_F, metadata=meta)
+            trace.metadata["R_y"] = format(R_y, ".17g")
+        else:  # run_dual plans, caps and flags the dual methods itself
+            dual = dual_from_primal(oracle, A, qp.conjugate_argmax, noise=noise)
+            capped, extra = False, {"R_y": R_y}
+            _, _, trace = run_dual(method, dual, cfg["N"], eps, beta, R_y, consts, seed=seed,
+                                   metadata=meta)
+    if capped:
+        trace.flag(CAP_FLAG.format(max_N))
+    return trace, {**summary_from_trace(trace), **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +368,7 @@ def apply_sweep_value(cfg: dict, param: str, value: str) -> dict:
     return out
 
 
+# the swept parameter and value, then summary keys
 _SWEEP_COLUMNS = ("param", "value", "iterations", "final_f_gap", "final_dual_gap",
                   "final_grad_norm", "final_constraint_norm", "grad_calls",
                   "stoch_samples", "comm_rounds", "chi")
@@ -398,21 +377,9 @@ _SWEEP_COLUMNS = ("param", "value", "iterations", "final_f_gap", "final_dual_gap
 def run_sweep(cfg: dict, param: str, values: list[str]):
     rows = []
     for value in values:
-        sub = validate_config(apply_sweep_value(cfg, param, value))
-        _, summary = execute_run(sub)
-        rows.append({
-            "param": param,
-            "value": value,
-            "iterations": summary.get("iterations"),
-            "final_f_gap": summary.get("final_f_gap"),
-            "final_dual_gap": summary.get("final_dual_gap"),
-            "final_grad_norm": summary.get("final_grad_norm"),
-            "final_constraint_norm": summary.get("final_constraint_norm"),
-            "grad_calls": summary.get("grad_calls"),
-            "stoch_samples": summary.get("stoch_samples"),
-            "comm_rounds": summary.get("comm_rounds"),
-            "chi": summary.get("chi"),
-        })
+        _, summary = execute_run(validate_config(apply_sweep_value(cfg, param, value)))
+        rows.append({"param": param, "value": value,
+                     **{key: summary.get(key) for key in _SWEEP_COLUMNS[2:]}})
     return rows
 
 

@@ -14,8 +14,8 @@ oracle, and recover primal points from the inner maximisers:
   and amplification over independent trajectories.
 
 Both triangle schemes run on :func:`optdec.schedules.triangle`.
-:func:`run_dual` plans and runs ``spdstm``, ``sstm_sc`` and
-``restarted_rrma`` the same way on a single machine and on a network.
+:func:`run_dual` plans and runs each of :data:`DUAL_METHODS` the same way
+on a single machine and on a network.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import DualOracle, RngStreams
-from .schedules import (acsa_params, batch_size_spdstm, batch_size_sstm_sc,
-                        gap_certificate_N, grad_certificate_N, next_alpha_spdstm,
+from .schedules import (CAP_FLAG, acsa_params, batch_size_spdstm, batch_size_sstm_sc,
+                        capped_N, gap_certificate_N, grad_certificate_N, next_alpha_spdstm,
                         next_alpha_strongly_convex, triangle)
 from .trace import RunTrace
 
@@ -42,6 +42,7 @@ __all__ = [
     "ac_sa2",
     "rrma_ac_sa2",
     "restarted_rrma",
+    "DUAL_METHODS",
     "DUAL_CONSTANTS",
     "run_dual",
     "primal_recovery",
@@ -60,6 +61,11 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def _exact_grad_norm(dual: DualOracle, y) -> float:
+    """``||A x(A^T y)||``, the noiseless dual gradient norm at ``y``."""
+    return float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ y)))
 
 
 def _guard(z, scale, trace, label):
@@ -166,7 +172,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
     def metrics(k, point):
         if not metric_every or (k % metric_every and k != N):
             return None, None
-        gn = float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ point)))
+        gn = _exact_grad_norm(dual, point)
         dist = float(np.linalg.norm(point - y_star) ** 2) if y_star is not None else None
         return gn, dist
 
@@ -338,35 +344,36 @@ def _smallest_N_bar(L_psi, mu_psi, C, cap=10 ** 6):
     return N
 
 
+def _probe_batch(const: float, sigma_psi: float, count: int, beta: float, R_y: float,
+                 eps: float) -> int:
+    """``max(1, ceil(const sigma^2 (1 + sqrt(3 ln(count/beta)))^2 R_y^2 / eps^2))``,
+    or 1 for a noiseless oracle."""
+    if sigma_psi == 0.0:
+        return 1
+    return max(1, math.ceil(
+        const * sigma_psi ** 2 * (1.0 + math.sqrt(3.0 * math.log(count / beta))) ** 2
+        * R_y ** 2 / eps ** 2))
+
+
 def restart_config(dual: DualOracle, grad0_norm: float, eps: float, beta: float,
-                   R_y: float, sigma_psi: float | None = None, C: float = 1.0) -> RestartConfig:
+                   R_y: float, C: float = 1.0) -> RestartConfig:
     """Restart parameters from the gradient norm at the start point.
 
     ``l = max(1, log2(2 R_y^2 ||grad||^2 / eps^2))`` restarts; probe and
     selection batches scale like ``sigma^2 R_y^2 / eps^2`` and degenerate
     to 1 when the oracle is noiseless.
     """
-    if sigma_psi is None:
-        sigma_psi = dual.sigma_psi
     l = max(1, math.ceil(math.log2(max(2.0 * R_y ** 2 * grad0_norm ** 2 / eps ** 2, 2.0))))
     p = max(1, math.ceil(math.log2(l / beta)))
-    if sigma_psi == 0.0:
-        hat_r = bar_r = 1
-    else:
-        hat_r = max(1, math.ceil(
-            4.0 * sigma_psi ** 2 * (1.0 + math.sqrt(3.0 * math.log(l / beta))) ** 2
-            * R_y ** 2 / eps ** 2))
-        bar_r = max(1, math.ceil(
-            128.0 * sigma_psi ** 2 * (1.0 + math.sqrt(3.0 * math.log(l * p / beta))) ** 2
-            * R_y ** 2 / eps ** 2))
+    hat_r = _probe_batch(4.0, dual.sigma_psi, l, beta, R_y, eps)
+    bar_r = _probe_batch(128.0, dual.sigma_psi, l * p, beta, R_y, eps)
     N_bar = _smallest_N_bar(dual.L_psi, dual.mu_psi, C)
     return RestartConfig(l=l, hat_r=hat_r, bar_r=bar_r, p=p, N_bar=N_bar, C=C,
                          lam=default_rrma_lambda(dual.L_psi, N_bar))
 
 
-def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *,
-                   sigma_psi: float | None = None, R_y: float, C: float = 1.0,
-                   seed: int = 0, metadata=None):
+def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *, R_y: float,
+                   C: float = 1.0, seed: int = 0, metadata=None):
     """Restarted recursive regularization with probes and amplification.
 
     Each restart probes the gradient with a large batch, sizes the working
@@ -385,25 +392,16 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *,
     if eps <= 0:
         raise ValueError("eps must be positive")
     streams = RngStreams(seed)
-    if sigma_psi is None:
-        sigma_psi = dual.sigma_psi
-
+    sigma_psi = dual.sigma_psi
     y = np.array(y0, dtype=float)
 
     # preliminary probe (l is not known yet, so probe with the l=1 batch)
-    if sigma_psi == 0.0:
-        pre_r = 1
-    else:
-        pre_r = max(1, math.ceil(
-            4.0 * sigma_psi ** 2 * (1.0 + math.sqrt(3.0 * math.log(1.0 / beta))) ** 2
-            * R_y ** 2 / eps ** 2))
+    pre_r = _probe_batch(4.0, sigma_psi, 1, beta, R_y, eps)
     g0, _ = dual.batch_grad_and_x(y, pre_r, streams.child(0, 0))
-    cfg = restart_config(dual, float(np.linalg.norm(g0)), eps, beta, R_y,
-                         sigma_psi=sigma_psi, C=C)
+    cfg = restart_config(dual, float(np.linalg.norm(g0)), eps, beta, R_y, C=C)
 
     trace = RunTrace(dict(metadata or {}))
-    exact_gn = float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ y)))
-    trace.record(0, 0.0, dual.counter, grad_norm=exact_gn)
+    trace.record(0, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
 
     probe = g0
     for k in range(1, cfg.l + 1):
@@ -429,8 +427,7 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *,
             candidates.append((float(np.linalg.norm(sel)), p, y_p))
         candidates.sort(key=lambda item: (item[0], item[1]))
         y = candidates[0][2]
-        exact_gn = float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ y)))
-        trace.record(k, 0.0, dual.counter, grad_norm=exact_gn)
+        trace.record(k, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
     return y, trace
 
 
@@ -438,38 +435,43 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *,
 # one run path for the dual methods, on a single machine and on a network
 
 
+DUAL_METHODS = ("spdstm", "sstm_sc", "ac_sa", "rrma", "restarted_rrma")
+
 DUAL_CONSTANTS = {"C": 1.0, "C_hat": 1.0, "L_tilde_factor": 2.0, "metric_every": 1,
-                  "stop_gap": None, "stop_grad_norm": None, "max_N": 200_000}
+                  "stop_gap": None, "stop_grad_norm": None, "max_N": 200_000,
+                  "m_iters": None, "lambda": None}
 
 
 def run_dual(method: str, dual: DualOracle, N, eps: float, beta: float, R_y: float,
              constants: dict | None = None, *, seed: int = 0, metadata=None):
-    """Plan and run ``spdstm``, ``sstm_sc`` or ``restarted_rrma`` from ``y = 0``.
+    """Plan and run one of :data:`DUAL_METHODS` from ``y = 0``.
 
-    ``N: "auto"`` is planned before the solver starts, capped at ``max_N``:
-    for ``spdstm`` by ``gap_certificate_N`` with ``L~ = L_tilde_factor L_psi``,
+    ``N: "auto"`` of ``spdstm`` and ``sstm_sc`` is planned before the solver
+    starts and capped at ``max_N`` by :func:`optdec.schedules.capped_N`: for
+    ``spdstm`` by ``gap_certificate_N`` with ``L~ = L_tilde_factor L_psi``,
     for ``sstm_sc`` by ``grad_certificate_N``.  A plan stopped by the cap
-    before its certificate holds adds one flag to the trace.  ``constants``
+    before its certificate holds adds one flag to the trace.  ``ac_sa`` and
+    ``rrma`` run ``m_iters`` steps (default ``N``, or 100 for ``"auto"``)
+    with weight ``lambda`` (default :func:`default_rrma_lambda`) and record
+    one row; ``restarted_rrma`` sizes its own work.  ``constants``
     overrides :data:`DUAL_CONSTANTS`; other keys in it are ignored.
     Returns ``(y, x, trace)``; ``x`` is ``spdstm``'s primal average, else None.
     """
+    if method not in DUAL_METHODS:
+        raise ValueError(f"unknown dual method {method!r}")
     c = {**DUAL_CONSTANTS, **(constants or {})}
     metric_every, max_N = int(c["metric_every"]), int(c["max_N"])
     L_tilde_factor = float(c["L_tilde_factor"])
-    capped = False
-    if N == "auto" and method in ("spdstm", "sstm_sc"):
-        # planning one step past the cap tells a capped plan from one certified at the cap
-        if method == "spdstm":
-            N = gap_certificate_N(R_y, L_tilde_factor * dual.L_psi, eps, max_N=max_N + 1)
-        else:
-            N = grad_certificate_N(R_y, dual.L_psi, dual.mu_psi, eps, max_N + 1)
-        capped, N = N > max_N, min(N, max_N)
-    y0, x = np.zeros(dual.dual_dim), None
+    y0, x, capped = np.zeros(dual.dual_dim), None, False
     if method == "spdstm":
+        N, capped = capped_N(N, lambda cap: gap_certificate_N(
+            R_y, L_tilde_factor * dual.L_psi, eps, cap), max_N)
         y, x, trace = spdstm(dual, N, eps, beta, C_hat=float(c["C_hat"]),
                              L_tilde_factor=L_tilde_factor, seed=seed, metric_every=metric_every,
                              y_star_norm_estimate=R_y, stop_gap=c["stop_gap"], metadata=metadata)
     elif method == "sstm_sc":
+        N, capped = capped_N(N, lambda cap: grad_certificate_N(
+            R_y, dual.L_psi, dual.mu_psi, eps, cap), max_N)
         batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta,
                                    float(c["C"]))
         y, trace = sstm_sc(dual, y0, N, batch, seed=seed, metric_every=metric_every,
@@ -477,10 +479,18 @@ def run_dual(method: str, dual: DualOracle, N, eps: float, beta: float, R_y: flo
     elif method == "restarted_rrma":
         y, trace = restarted_rrma(dual, y0, eps, beta, R_y=R_y, C=float(c["C"]), seed=seed,
                                   metadata=metadata)
-    else:
-        raise ValueError(f"unknown dual method {method!r}")
+    else:  # ac_sa, rrma
+        m_iters = int(c["m_iters"] if c["m_iters"] is not None else 100 if N == "auto" else N)
+        lam = float(c["lambda"] if c["lambda"] is not None
+                    else default_rrma_lambda(dual.L_psi, max(m_iters, 2)))
+        if method == "ac_sa":
+            y = ac_sa(RegularizedDual(dual, lam, y0), y0, m_iters, streams=RngStreams(seed))
+        else:
+            y = rrma_ac_sa2(dual, y0, m_iters, lam, streams=RngStreams(seed))
+        trace = RunTrace(dict(metadata or {}))
+        trace.record(m_iters, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
     if capped:
-        trace.flag(f"auto N stopped at max_N {max_N} before its certificate held")
+        trace.flag(CAP_FLAG.format(max_N))
     return y, x, trace
 
 

@@ -422,7 +422,7 @@ _RUN_DEFAULTS = {"N": "auto", "eps": 1e-4, "beta": 0.1, "seed": 0, "noise": None
 def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
     """Run a dual solver on the lifted instance over the simulated network.
 
-    ``method`` (``spdstm``, ``sstm_sc`` or ``restarted_rrma``) runs through
+    ``method``, one of :data:`optdec.dual.DUAL_METHODS`, runs through
     :func:`optdec.dual.run_dual`.  ``config`` may set the keys of
     ``_RUN_DEFAULTS`` and :data:`optdec.dual.DUAL_CONSTANTS`; ``R_y``
     defaults to :func:`_dual_norm_bound`.  Without a primal average from

@@ -131,9 +131,13 @@ def min_norm_dual_solution(Q, b, A):
 # entropic optimal transport
 
 
+def _on_simplex(q, tol=1e-12) -> bool:
+    return not (np.any(q < -tol) or abs(q.sum() - 1.0) > max(tol, 1e-12 * q.size))
+
+
 def _check_simplex(q, tol=1e-12):
     q = np.asarray(q, dtype=float)
-    if np.any(q < -tol) or abs(q.sum() - 1.0) > max(tol, 1e-12 * q.size):
+    if not _on_simplex(q, tol):
         raise ValueError("measure must lie in the probability simplex")
     return np.clip(q, 0.0, None)
 
@@ -291,6 +295,9 @@ def barycenter_local_oracle(q, C, mu: float, tol: float = 1e-10,
     n = q.size
 
     def value(p):
+        # W_mu(., q) is +inf off the simplex, where a noisy primal average can land
+        if not _on_simplex(np.asarray(p, dtype=float)):
+            return np.inf
         val, _ = entropic_wasserstein(p, q, C, mu, tol=max(tol, 1e-10))
         return val
 

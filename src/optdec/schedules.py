@@ -13,7 +13,9 @@ scales exercised here.
 
 Every accelerated loop runs on :func:`triangle`.  ``N: "auto"`` is planned
 by :func:`gap_certificate_N` from ``3 R0^2 / (2 A_N) <= eps``, or for
-``sstm_sc`` by :func:`grad_certificate_N` from ``L^3 R_y^2 / A_N <= (eps/R_y)^2``.
+``sstm_sc`` by :func:`grad_certificate_N` from ``L^3 R_y^2 / A_N <= (eps/R_y)^2``,
+and capped at ``max_N`` by :func:`capped_N`, which tells whether the cap
+stopped the plan before its certificate held (:data:`CAP_FLAG`).
 
 The dual batch rules expose their hidden proportionality constants
 (``C_hat``, ``C``) as arguments defaulting to 1; every rule degenerates to
@@ -33,6 +35,8 @@ __all__ = [
     "triangle",
     "gap_certificate_N",
     "grad_certificate_N",
+    "CAP_FLAG",
+    "capped_N",
     "acsa_params",
     "batch_size_sstm",
     "batch_size_spdstm",
@@ -84,13 +88,9 @@ def next_alpha_strongly_convex(A_k: float, L: float, mu: float):
 
 
 def next_alpha_spdstm(A_k: float, L_tilde: float):
-    """Next ``(alpha, A)`` from ``2 L_tilde alpha^2 = A_k + alpha``."""
-    if L_tilde <= 0:
-        raise ValueError("L_tilde must be positive")
-    if A_k < 0:
-        raise ValueError("A_k must be non-negative")
-    alpha = _positive_root(1.0 / (4.0 * L_tilde), A_k / (2.0 * L_tilde))
-    return alpha, A_k + alpha
+    """Next ``(alpha, A)`` from ``2 L_tilde alpha^2 = A_k + alpha``: the
+    similar-triangles coupling with ``mu = 0`` and ``factor=2``."""
+    return next_alpha_stm(A_k, L_tilde, 0.0, factor=2.0)
 
 
 def triangle(step, A, x, z, N, gradient, mirror, after):
@@ -126,13 +126,12 @@ def triangle(step, A, x, z, N, gradient, mirror, after):
     return x, z, A
 
 
-def gap_certificate_N(R0: float, L: float, eps: float, factor: float = 2.0,
-                      max_N: int = 500_000) -> int:
+def gap_certificate_N(R0: float, L: float, eps: float, max_N: int, factor: float = 2.0) -> int:
     """Fewest steps of :func:`next_alpha_stm` (``mu = 0``) with
     ``3 R0^2 / (2 A_N) <= eps``, or ``max_N`` if the cap comes first.
 
-    ``next_alpha_spdstm(A, L)`` is bitwise ``next_alpha_stm(A, L, 0, 2)``,
-    so this also plans the primal-dual scheme with ``L = L~``.
+    ``next_alpha_spdstm(A, L)`` is ``next_alpha_stm(A, L, 0, 2)``, so this
+    also plans the primal-dual scheme with ``L = L~``.
     """
     A = 0.0
     for k in range(1, max_N + 1):
@@ -156,6 +155,19 @@ def grad_certificate_N(R_y: float, L: float, mu: float, eps: float, max_N: int) 
         if L ** 2 * R0sq * L / A <= target:
             return k
     return max_N
+
+
+# trace flag of an auto N that the cap stopped before its certificate held
+CAP_FLAG = "auto N stopped at max_N {} before its certificate held"
+
+
+def capped_N(N, plan, max_N: int):
+    """``(N, False)`` for a fixed ``N``; for ``"auto"``, ``plan(max_N + 1)`` capped at
+    ``max_N`` and whether the cap stopped it (a plan certified at the cap was not stopped)."""
+    if N != "auto":
+        return N, False
+    planned = plan(max_N + 1)
+    return min(planned, max_N), planned > max_N
 
 
 def acsa_params(t: int, L_tilde_psi: float):

@@ -155,16 +155,22 @@ def test_stop_grad_norm_ends_single_machine_sstm_sc_early(tmp_path, capsys):
     assert summary["final_grad_norm"] <= 0.05
 
 
-@pytest.mark.parametrize("method", ["spdstm", "sstm_sc"])
+def auto_config(method, **constants):
+    if method in ("stm", "sstm"):
+        return quad_config(method=method, N="auto", constants=constants)
+    return penalty_config(method, **constants)
+
+
+@pytest.mark.parametrize("method", ["spdstm", "sstm_sc", "stm", "sstm", "stm_ips"])
 def test_max_N_caps_single_machine_auto_N(tmp_path, capsys, method):
-    full, _ = run_summary(tmp_path, penalty_config(method), "full.json")
-    capped, _ = run_summary(tmp_path, penalty_config(method, max_N=30), "capped.json")
+    full, _ = run_summary(tmp_path, auto_config(method), "full.json")
+    capped, _ = run_summary(tmp_path, auto_config(method, max_N=30), "capped.json")
     assert full["iterations"] > 30
     assert capped["iterations"] == 30
     assert full["flags"] == []
     assert capped["flags"] == ["auto N stopped at max_N 30 before its certificate held"]
     # a cap the certificate is met at is not a stop
-    exact, _ = run_summary(tmp_path, penalty_config(method, max_N=full["iterations"]),
+    exact, _ = run_summary(tmp_path, auto_config(method, max_N=full["iterations"]),
                            "exact.json")
     assert exact["iterations"] == full["iterations"]
     assert exact["flags"] == []
@@ -267,6 +273,14 @@ def _bad_barycenter(tmp_path, mu=0.5, measures=None, cost=None, topology=None):
             "eps": 1e-3, "N": 10, "seed": 0}
 
 
+def _custom_without_A(tmp_path, method):
+    np.savetxt(tmp_path / "Q.csv", np.diag([1.0, 2.0, 4.0]), delimiter=",")
+    np.savetxt(tmp_path / "b.csv", np.array([1.0, -1.0, 0.5]), delimiter=",")
+    return {"method": method, "N": 5,
+            "problem": {"kind": "custom", "Q_csv": str(tmp_path / "Q.csv"),
+                        "b_csv": str(tmp_path / "b.csv")}}
+
+
 def _noisy_sstm():
     return {"method": "sstm", "problem": {"kind": "quadratic", "dim": 4}, "N": 3}
 
@@ -306,6 +320,8 @@ BAD_INPUTS = {
     "noise_not_an_object": lambda t: {**_noisy_sstm(), "noise": 5},
     "dim_fractional": lambda t: quad_config(problem={"kind": "quadratic", "dim": 2.5}),
     "seed_fractional": lambda t: quad_config(seed=1.7),
+    "custom_without_A_spdstm": lambda t: _custom_without_A(t, "spdstm"),
+    "custom_without_A_stm_ips": lambda t: _custom_without_A(t, "stm_ips"),
     "ring_m_fractional": lambda t: {
         "method": "sstm_sc", "N": 10,
         "problem": {"kind": "consensus_quadratic", "n": 2, "topology": {"kind": "ring", "m": 4.5}}},
@@ -319,6 +335,68 @@ def test_run_bad_decentralized_input_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not list(tmp_path.glob("*.trace.csv"))
+
+
+def _matrix_problem(tmp_path, kind):
+    if kind == "custom":
+        problem = _custom_without_A(tmp_path, "stm")["problem"]
+        np.savetxt(tmp_path / "A.csv", np.array([[1.0, 1.0, 1.0]]), delimiter=",")
+        return {**problem, "A_csv": str(tmp_path / "A.csv")}
+    if kind == "barycenter":
+        return _bad_barycenter(tmp_path)["problem"]
+    return {"quadratic": {"kind": "quadratic", "dim": 3},
+            "penalty": {"kind": "penalty", "dim": 4, "m_rows": 2},
+            "consensus_quadratic": {"kind": "consensus_quadratic", "n": 2,
+                                    "topology": {"kind": "ring", "m": 3}}}[kind]
+
+
+@pytest.mark.parametrize("kind", cli.PROBLEM_KINDS)
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_method_kind_matrix(tmp_path, capsys, method, kind):
+    cfg = {"method": method, "problem": _matrix_problem(tmp_path, kind), "eps": 0.1, "N": 3,
+           "seed": 1}
+    code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if kind in cli.METHOD_KINDS[method]:
+        assert code == 0, err
+        assert len(list((tmp_path / "out").glob("*.trace.csv"))) == 1
+    else:
+        assert code == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not list(tmp_path.glob("**/*.trace.csv"))
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_custom_without_A_runs_only_unconstrained_methods(tmp_path, capsys, method):
+    cfgp = write_config(tmp_path, _custom_without_A(tmp_path, method))
+    code = main(["run", str(cfgp), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if method in ("stm", "sstm"):
+        assert code == 0, err
+    else:
+        assert code == 2 and err == f"config error: method {method} needs a constraint matrix\n"
+
+
+def test_run_dual_serves_every_dual_cli_method():
+    assert set(optdec.dual.DUAL_METHODS) == set(cli.METHODS) - {"stm", "sstm", "stm_ips"}
+
+
+def test_noisy_barycenter_with_metrics_reads_infinite_gap(tmp_path, capsys, monkeypatch):
+    # a noisy primal average leaves the simplex, where W_mu(., q) is +inf
+    from test_golden_traces import BARYCENTER_COST, BARYCENTER_MEASURES, _csv_text
+    monkeypatch.chdir(tmp_path)
+    Path("measures.csv").write_text(_csv_text(BARYCENTER_MEASURES))
+    Path("cost.csv").write_text(_csv_text(BARYCENTER_COST))
+    cfg = {"method": "spdstm",
+           "problem": {"kind": "barycenter", "measures": "measures.csv", "cost": "cost.csv",
+                       "mu": 0.2, "topology": {"kind": "ring", "m": 4}},
+           "eps": 0.01, "N": 40, "seed": 2,
+           "noise": {"kind": "gaussian", "sigma": 0.01, "delta": 0.001}}
+    summary, rows = run_summary(tmp_path, cfg)
+    assert "Traceback" not in capsys.readouterr().err
+    assert summary["iterations"] == 40
+    gaps = [row["dual_gap"] for row in rows if row["dual_gap"]]
+    assert len(gaps) == 40 and "inf" in gaps
 
 
 def test_run_integral_floats_are_integers(tmp_path, capsys):

@@ -325,8 +325,8 @@ def test_rrma_output_stays_in_subspace():
 
 def test_restart_config_count_formula():
     oracle, dual = shifted_instance()
-    cfg = restart_config(dual, grad0_norm=1.0, eps=0.5, beta=0.1, R_y=1.0,
-                         sigma_psi=0.0)
+    assert dual.sigma_psi == 0.0
+    cfg = restart_config(dual, grad0_norm=1.0, eps=0.5, beta=0.1, R_y=1.0)
     assert cfg.l == 3  # log2(2 * 1 * 1 / 0.25) = 3
     assert cfg.hat_r == 1 and cfg.bar_r == 1
 

@@ -12,11 +12,15 @@ kernel, recorded before its in-place step: any change to the order of a
 floating-point operation in ``schedules.triangle``, the mirror updates or
 the inner prox of ``stm_ips`` changes a digest; its two ``spdstm`` runs
 with ``N: "auto"``, one on a single machine and one on a ring with
-``stop_gap``, pin the dual planning and run path.  ``GOLDEN_BARYCENTER``
-holds a decentralized ``barycenter`` run whose auto ``N`` follows from
-``R_y``, the bound centred on the minimisers of the local objectives; its
-measure and cost CSVs are written next to the config and named by relative
-paths, so ``config_hash`` does not depend on where the test runs.
+``stop_gap``, pin the dual planning and run path.  The single-machine
+``ac_sa`` and ``rrma`` runs in both tables, recorded before these methods
+ran through ``dual.run_dual``, pin how their budget ``m_iters`` and
+weight ``lambda`` follow from ``N`` and the constants.
+``GOLDEN_BARYCENTER`` holds a decentralized ``barycenter`` run whose auto
+``N`` follows from ``R_y``, the bound centred on the minimisers of the
+local objectives; its measure and cost CSVs are written next to the config
+and named by relative paths, so ``config_hash`` does not depend on where
+the test runs.
 """
 
 import hashlib
@@ -46,6 +50,18 @@ GOLDEN = {
          "eps": 0.05, "N": 10, "seed": 7},
         "6439ffbb0a35ed1c07f1530d8d9f23a7c96a4c357e947c7bad214362bebb01a8",
         "34ff086840310f8c5690d64aa3b8c50f3cc8bb33116bd4fc1b76bacf3ee9a63b"),
+    "ac_sa_gaussian_delta": (
+        {"method": "ac_sa", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+         "noise": {"kind": "gaussian", "sigma": 0.3, "delta": 0.001},
+         "eps": 0.02, "N": 40, "seed": 3},
+        "871ae662bada2d5ddb6787d4239bdb7871757f953fb74a3fc7a521775dcd41b5",
+        "40f5402a4bc03150d8df0f3a1c22310a4f588fda1ead4d6f3e157c9e0cfccc17"),
+    "rrma_gaussian_delta": (
+        {"method": "rrma", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+         "noise": {"kind": "gaussian", "sigma": 0.3, "delta": 0.001},
+         "eps": 0.02, "N": 40, "seed": 3},
+        "d8364798e99da17ff37c63e6b75a397100b72672146432ce67fcbe686ec1b411",
+        "9cb090357d40ff8b2a9d854f46cd3e0ec69115f780ff03da8aa1d486ab23b7cb"),
 }
 
 
@@ -86,6 +102,18 @@ GOLDEN_DETERMINISTIC = {
          "eps": 0.05, "N": "auto", "seed": 7, "constants": {"stop_gap": -0.3}},
         "564abc3a1c95d7f2a40c7ec018e364bc82d8424d6b380e71bda55c8f6f44d645",
         "086eef32672b0d9ba656860ab8678b45b6527721184f819a73ef01abdfea1982"),
+    # auto N gives ac_sa a budget of 100 steps and the default lambda
+    "ac_sa_penalty_auto": (
+        {"method": "ac_sa", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+         "eps": 0.02, "N": "auto", "seed": 3},
+        "937516638e9f2d35e7a5e57f441440c368480dd963a4a08b010298289545e61b",
+        "05919c6070043039132018db7df43f1c4fc1f43c03fa7f4eae54604d8a83b413"),
+    # lambda and m_iters override the budget N and the default lambda
+    "rrma_penalty_lambda": (
+        {"method": "rrma", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+         "eps": 0.02, "N": 40, "seed": 3, "constants": {"lambda": 0.05, "m_iters": 30}},
+        "aa83b957340629799c0b4e4b2ffe0b45f3f444db29977acf062c5226f8c364cd",
+        "ebb17696b3b70c1642afeeb907a005c5cb64f3a99cbc4972bc9d5bebab12713b"),
 }
 
 

@@ -280,7 +280,8 @@ def test_triangle_is_bitwise_the_expression_form(data, dim, A, L, mu, N):
 
 def test_gap_certificate_N_is_first_certified_step():
     R0, L, eps = 2.0, 3.0, 1e-2
-    N = gap_certificate_N(R0, L, eps)
+    N = gap_certificate_N(R0, L, eps, max_N=10_000)
+    assert N < 10_000
     A = 0.0
     for k in range(1, N + 1):
         _, A = next_alpha_stm(A, L, 0.0, factor=2.0)
@@ -294,5 +295,9 @@ def test_gap_certificate_N_returns_cap_when_unreached():
 @settings(max_examples=300, deadline=None)
 @given(A=st.floats(0.0, 1e12), L=st.floats(1e-6, 1e6))
 def test_next_alpha_spdstm_is_bitwise_stm_with_factor_two(A, L):
-    # the planner serves both schemes through next_alpha_stm(A, L, 0, 2)
-    assert next_alpha_spdstm(A, L) == next_alpha_stm(A, L, 0.0, factor=2.0)
+    # the planner serves both schemes through next_alpha_stm(A, L, 0, 2); the
+    # reference is the closed root of 2 L alpha^2 = A + alpha
+    b, c = 1.0 / (4.0 * L), A / (2.0 * L)
+    alpha = b + math.sqrt(b * b + c)
+    assert next_alpha_spdstm(A, L) == (alpha, A + alpha)
+    assert next_alpha_stm(A, L, 0.0, factor=2.0) == (alpha, A + alpha)
