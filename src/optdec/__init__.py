@@ -3,8 +3,7 @@ and decentralized convex optimization, with oracle and communication
 accounting."""
 
 from .oracles import (CallCounter, DualOracle, FirstOrderOracle, NoiseSpec,
-                      RngStreams, StochasticGradientOracle, batch_grad,
-                      dual_from_primal, eval_grad, sample_stoch_grad)
+                      RngStreams, StochasticGradientOracle, dual_from_primal)
 from .schedules import (StepState, acsa_params, batch_size_spdstm,
                         batch_size_sstm, batch_size_sstm_sc, next_alpha_spdstm,
                         next_alpha_stm, next_alpha_strongly_convex)

@@ -26,9 +26,17 @@ contract:
   in the order ``l = 0, ..., r-1``, and each sample is the batch's exact
   part (inner maximiser or gradient, plus bias) plus its own noise, so the
   sum does not depend on how the exact part or the streams were computed.
-* The batch path (``RngStreams.generators``) seeds all streams of a large
-  batch in one vectorised pass and moves one reused ``Generator`` from
-  stream to stream.  No caller may keep a generator across samples.
+* The batch path (``RngStreams.generators``) computes the PCG64 states of
+  all streams of a large batch in one vectorised pass, as uint64 rows
+  ``(state_lo, state_hi, inc_lo, inc_hi)``, and moves one reused
+  ``Generator`` from stream to stream with one in-place 32-byte store of
+  its row into the generator's state.  No caller may keep a generator
+  across samples.
+* The store goes through ``bit_generator.ctypes.state_address`` and is used
+  only when two checks pass: the state must lie inside the bit-generator
+  object, and an import-time self-check must reproduce ``default_rng``'s
+  states and draws through such stores.  Otherwise every sample gets its
+  own ``default_rng`` stream, with the same bytes.
 
 A silent oracle (``NoiseSpec.silent``) draws nothing, and its batches build
 no generator.
@@ -36,8 +44,10 @@ no generator.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +59,6 @@ __all__ = [
     "FirstOrderOracle",
     "StochasticGradientOracle",
     "DualOracle",
-    "eval_grad",
-    "sample_stoch_grad",
-    "batch_grad",
     "dual_from_primal",
 ]
 
@@ -114,23 +121,23 @@ class RngStreams:
     def generators(self, r: int):
         """Yield, for ``l = 0, ..., r-1``, a generator in the state of ``generator(l)``.
 
-        A batch of at least ``_BATCH_MIN`` samples seeds all its streams in
-        one vectorised pass and yields one reused ``Generator``, moved to
-        each stream in turn: draw from it before advancing the iterator,
-        and keep no reference to it.  Smaller batches, or a numpy whose
-        seeding the import-time self-check does not reproduce, get a fresh
-        ``generator(l)`` per sample.
+        A batch of at least ``_BATCH_MIN`` samples computes the states of all
+        its streams in one vectorised pass and yields one reused
+        ``Generator``, whose state is overwritten in place for each stream
+        in turn: draw from it before advancing the iterator, and keep no
+        reference to it.  Smaller batches, or a numpy whose state layout or
+        seeding the checks do not reproduce, get a fresh ``generator(l)``
+        per sample.
         """
-        if r < _BATCH_MIN or not _BATCH_SEEDING:
+        gen, state = _raw_generator() if r >= _BATCH_MIN and _BATCH_SEEDING else (None, None)
+        if state is None:
             for l in range(r):
                 yield self.generator(l)
             return
-        gen = np.random.Generator(np.random.PCG64(_SEED_TEMPLATE))
-        bitgen = gen.bit_generator
         prefix = _uint32_words((self.seed, *self.path))
         for lo in range(0, r, _CHUNK):
-            for state in _pcg64_states(prefix, np.arange(lo, min(r, lo + _CHUNK), dtype=np.uint32)):
-                bitgen.state = state
+            for row in _pcg64_words(prefix, np.arange(lo, min(r, lo + _CHUNK), dtype=np.uint32)):
+                state[:] = row
                 yield gen
 
     def child(self, *index: int) -> "RngStreams":
@@ -146,22 +153,28 @@ class RngStreams:
 # mod 2^128`` for the 128-bit halves ``s`` and ``i`` of the state.  Within a
 # batch the words differ only in the last one, the sample index, so the
 # hash runs once over all indices of a chunk as uint32 arrays (which wrap
-# mod 2^32 like the C code).  ``_batch_seeding_matches_numpy`` checks the
-# result against ``default_rng`` at import.
+# mod 2^32 like the C code), and the 128-bit step runs on pairs of uint64
+# arrays (which wrap mod 2^64).  A state reaches the generator as one
+# in-place store into its ``pcg64_random_t``; ``_batch_seeding_matches_numpy``
+# checks states and draws made that way against ``default_rng`` at import.
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL = 4
 # Smallest batch seeded in one pass.  The pass and its Generator cost about
-# 150 us, and each sample then saves about 20 us against ``default_rng``,
-# so below 8 samples it does not pay (dim 20, one core of a Xeon VM).
+# 110 us, and each stream then costs about 1.4 us against about 14 us for
+# its own ``default_rng``, so below 8 samples it does not pay (dim-20
+# draws, one core of a 2-vCPU Xeon VM).
 _BATCH_MIN = 8
 _CHUNK = 4096
 _SEED_TEMPLATE = np.random.SeedSequence(0)
+_LOW32 = np.uint64(_MASK32)
+_MULT_LO = np.uint64(_PCG64_MULT & ((1 << 64) - 1))
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
 
 
 def _uint32_words(values) -> list:
@@ -202,11 +215,28 @@ def _mix(x, y):
     return out ^ (out >> np.uint32(16))
 
 
-def _pcg64_states(prefix: list, index: np.ndarray) -> list:
+def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, from 32-bit limbs."""
+    a0, a1 = a & _LOW32, a >> _U32
+    b0, b1 = b & _LOW32, b >> _U32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    carry = ((p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)) >> _U32
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + carry
+
+
+def _add128(a_lo, a_hi, b_lo, b_hi):
+    """``a + b mod 2^128`` for 128-bit values held as (low, high) uint64 arrays."""
+    lo = a_lo + b_lo
+    return lo, a_hi + b_hi + (lo < a_lo)
+
+
+def _pcg64_words(prefix: list, index: np.ndarray) -> np.ndarray:
     """PCG64 states of ``default_rng((*prefix, l))`` for every uint32 ``l`` in ``index``.
 
-    ``prefix`` holds uint32 words (see ``_uint32_words``).  Rows of the
-    pool are the four pool words, columns the samples.
+    ``prefix`` holds uint32 words (see ``_uint32_words``).  Row ``j`` of the
+    ``(len(index), 4)`` uint64 result is ``(state_lo, state_hi, inc_lo,
+    inc_hi)`` of stream ``index[j]``.  Rows of the pool are the four pool
+    words, columns the samples.
     """
     n = len(prefix) + 1
     xors, mults = _hash_chain(_HASH_INIT_A, _HASH_MULT_A, _POOL * max(n, _POOL))
@@ -224,34 +254,74 @@ def _pcg64_states(prefix: list, index: np.ndarray) -> list:
         pool = _mix(pool, _hashmix(entropy[src], xors[c:c + _POOL], mults[c:c + _POOL]))
         c += _POOL
     words = _hashmix(np.concatenate([pool, pool]), *_GENERATE_CHAIN).astype(np.uint64)
-    # the 128-bit step in Python ints, elementwise over object arrays
-    halves = (words[0::2] | (words[1::2] << np.uint64(32))).astype(object)
-    seeds = (halves[0] << 64) | halves[1]
-    incs = ((((halves[2] << 64) | halves[3]) << 1) | 1) & _MASK128
-    states = ((incs + seeds) * _PCG64_MULT + incs) & _MASK128
-    return [{"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-             "has_uint32": 0, "uinteger": 0} for state, inc in zip(states.tolist(), incs.tolist())]
+    seed_hi, seed_lo, i_hi, i_lo = words[0::2] | (words[1::2] << _U32)
+    inc_lo, inc_hi = (i_lo << _U1) | _U1, (i_hi << _U1) | (i_lo >> _U63)
+    x_lo, x_hi = _add128(inc_lo, inc_hi, seed_lo, seed_hi)
+    # x MULT mod 2^128: the low product in full, the cross products mod 2^64
+    p_hi = _mul_hi(x_lo, _MULT_LO) + x_lo * _MULT_HI + x_hi * _MULT_LO
+    state_lo, state_hi = _add128(x_lo * _MULT_LO, p_hi, inc_lo, inc_hi)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+class _PCG64Head(ctypes.Structure):
+    """The head of numpy's ``pcg64_state``, at ``bit_generator.ctypes.state_address``."""
+
+    _fields_ = [("pcg_state", ctypes.c_void_p),  # the pcg64_random_t: state, then inc
+                ("has_uint32", ctypes.c_int),
+                ("uinteger", ctypes.c_uint32)]
+
+
+def _inside(obj, address, size: int) -> bool:
+    """Whether the ``size`` bytes at ``address`` lie inside the object ``obj``."""
+    start = id(obj)
+    return address is not None and start <= address and address + size <= start + sys.getsizeof(obj)
+
+
+def _state_view(bit_generator):
+    """A writable uint64 view of a PCG64's ``(state_lo, state_hi, inc_lo, inc_hi)``.
+
+    Clears the buffered 32-bit draw.  ``None`` unless both the head at
+    ``ctypes.state_address`` and the 32 bytes it points to lie inside
+    ``bit_generator``; nothing is read or written before that is known.
+    The view is valid only while ``bit_generator`` lives.
+    """
+    address = bit_generator.ctypes.state_address
+    if not _inside(bit_generator, address, ctypes.sizeof(_PCG64Head)):
+        return None
+    head = _PCG64Head.from_address(address)
+    if not _inside(bit_generator, head.pcg_state, 32):
+        return None
+    head.has_uint32 = 0
+    head.uinteger = 0
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(head.pcg_state))
+
+
+def _raw_generator():
+    """A fresh PCG64 ``Generator`` and the view of its state (``None`` if refused)."""
+    gen = np.random.Generator(np.random.PCG64(_SEED_TEMPLATE))
+    return gen, _state_view(gen.bit_generator)
 
 
 def _batch_seeding_matches_numpy() -> bool:
-    """Whether batched seeding reproduces ``default_rng`` on this numpy.
+    """Whether batched seeding with in-place stores reproduces ``default_rng`` on this numpy.
 
     Compares states and a draw on streams with one- and two-word seeds,
     paths of depth 0-3 and indices up to ``2^32 - 1``.
     """
-    gen = np.random.Generator(np.random.PCG64(_SEED_TEMPLATE))
-    index = np.array([0, 1, 9, _MASK32], dtype=np.uint32)
-    for key in ((0,), (12345, 7), (2 ** 40 + 3, 0, 2 ** 33), (1, 2, 3, 4)):
-        try:
-            states = _pcg64_states(_uint32_words(key), index)
-            for l, state in zip(index.tolist(), states):
+    try:
+        gen, state = _raw_generator()
+        if state is None:
+            return False
+        index = np.array([0, 1, 9, _MASK32], dtype=np.uint32)
+        for key in ((0,), (12345, 7), (2 ** 40 + 3, 0, 2 ** 33), (1, 2, 3, 4)):
+            for l, row in zip(index.tolist(), _pcg64_words(_uint32_words(key), index)):
                 ref = np.random.default_rng((*key, l))
-                gen.bit_generator.state = state
-                if ref.bit_generator.state != state or \
+                state[:] = row
+                if ref.bit_generator.state != gen.bit_generator.state or \
                         ref.standard_normal(3).tobytes() != gen.standard_normal(3).tobytes():
                     return False
-        except (TypeError, ValueError, KeyError, OverflowError):
-            return False
+    except (AttributeError, TypeError, ValueError, KeyError, OverflowError):
+        return False
     return True
 
 
@@ -286,11 +356,19 @@ class NoiseSpec:
     def sample_eta(self, dim: int, rng: np.random.Generator) -> np.ndarray:
         if self.sigma == 0.0 or self.kind == "none":
             return np.zeros(dim)
+        eta = rng.standard_normal(dim)
         if self.kind == "gaussian":
-            return rng.standard_normal(dim) * (self.sigma / np.sqrt(dim))
-        # bounded: uniform on the sphere of radius sigma
-        u = rng.standard_normal(dim)
-        return u * (self.sigma / np.linalg.norm(u))
+            eta *= _gaussian_scale(self.sigma, dim)
+        else:
+            # bounded: uniform on the sphere of radius sigma
+            eta *= self.sigma / np.linalg.norm(eta)
+        return eta
+
+
+@functools.lru_cache(maxsize=64)
+def _gaussian_scale(sigma: float, dim: int):
+    """``sigma / sqrt(dim)``, the standard deviation of each coordinate of a Gaussian ``eta``."""
+    return sigma / np.sqrt(dim)
 
 
 def e_1(x: np.ndarray) -> np.ndarray:
@@ -303,8 +381,8 @@ def e_1(x: np.ndarray) -> np.ndarray:
 class FirstOrderOracle:
     """Exact first-order oracle for an L-smooth, mu-strongly convex function.
 
-    ``value`` and ``gradient`` are raw callables; use :func:`eval_grad` (or
-    the ``eval_grad`` method) inside solvers so that calls are counted.
+    ``value`` and ``gradient`` are raw callables; use the ``eval_grad``
+    method inside solvers so that calls are counted.
     Diagnostic code may call the raw attributes freely without polluting
     the counters.
 
@@ -372,7 +450,9 @@ class StochasticGradientOracle:
             center = self._sample_center(x)
         if self.noise.silent:
             return center
-        return center + self.noise.sample_eta(self.dim, rng)
+        eta = self.noise.sample_eta(self.dim, rng)
+        eta += center
+        return eta
 
     def batch(self, x: np.ndarray, r: int, streams: RngStreams) -> np.ndarray:
         if r < 1:
@@ -481,7 +561,9 @@ class DualOracle:
             center = self._sample_center(u)
         if self.noise.silent:
             return center
-        return center + self.noise.sample_eta(center.shape[0], rng)
+        eta = self.noise.sample_eta(center.shape[0], rng)
+        eta += center
+        return eta
 
     def batch_grad_and_x(self, y, r, streams: RngStreams):
         """Batched dual gradient together with the batched inner maximiser.
@@ -501,39 +583,6 @@ class DualOracle:
             acc += self.sample_x(u, rng, center)
         x_mean = acc / r
         return self.apply_A(x_mean), x_mean
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def eval_grad(oracle: FirstOrderOracle, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of ``oracle`` at ``x``; increments ``grad_calls``."""
-    return oracle.eval_grad(x)
-
-
-def sample_stoch_grad(oracle: StochasticGradientOracle, x, rng_stream) -> np.ndarray:
-    """One stochastic gradient sample drawn from ``rng_stream``.
-
-    ``rng_stream`` must be the generator derived from (run seed, iteration,
-    sample index); the same stream always reproduces the same sample.
-    """
-    return oracle.sample(x, rng_stream)
-
-
-def batch_grad(oracle, x_or_y, r: int, streams: RngStreams) -> np.ndarray:
-    """Mean of ``r`` independent samples; one sub-stream per sample.
-
-    Works for both the primal :class:`StochasticGradientOracle` (returns a
-    batched gradient of ``f``) and the :class:`DualOracle` (returns a
-    batched dual gradient ``A xtilde``).
-    """
-    if r < 1:
-        raise ValueError("batch size must be >= 1")
-    if isinstance(oracle, DualOracle):
-        g, _ = oracle.batch_grad_and_x(x_or_y, r, streams)
-        return g
-    return oracle.batch(x_or_y, r, streams)
 
 
 def dual_from_primal(primal: FirstOrderOracle, A, argmax_solver,

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import optdec.oracles as oracles
 from optdec.cli import main
 
 GOLDEN = {
@@ -121,8 +122,7 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_noisy_run_is_byte_identical_to_golden(tmp_path, capsys, name):
+def _check_noisy_golden(tmp_path, capsys, name):
     cfg, csv_digest, summary_digest = GOLDEN[name]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -133,6 +133,22 @@ def test_noisy_run_is_byte_identical_to_golden(tmp_path, capsys, name):
     assert json.loads(summary.read_text())["stoch_samples"] > 0
     assert _sha256(csv) == csv_digest
     assert _sha256(summary) == summary_digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_noisy_run_is_byte_identical_to_golden(tmp_path, capsys, name):
+    _check_noisy_golden(tmp_path, capsys, name)
+
+
+def test_noisy_golden_without_batch_seeding(tmp_path, capsys, monkeypatch):
+    # one default_rng per sample, the fallback path, gives the same bytes
+    monkeypatch.setattr(oracles, "_BATCH_SEEDING", False)
+    widths = []
+    generators = oracles.RngStreams.generators
+    monkeypatch.setattr(oracles.RngStreams, "generators",
+                        lambda self, r: widths.append(r) or generators(self, r))
+    _check_noisy_golden(tmp_path, capsys, "spdstm_gaussian_delta")
+    assert max(widths) >= oracles._BATCH_MIN  # batches the batch path would have taken
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DETERMINISTIC))

@@ -1,3 +1,10 @@
+import ctypes
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 import optdec.oracles as oracles_mod
 from conftest import fd_grad, rel_err
 from optdec import (FirstOrderOracle, NoiseSpec, RngStreams,
-                    StochasticGradientOracle, batch_grad, dual_from_primal,
-                    eval_grad, quadratic_problem, sample_stoch_grad)
+                    StochasticGradientOracle, dual_from_primal, quadratic_problem)
 from optdec.problems import entropic_ot_dual_grad, entropic_ot_dual_value
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_quadratic_oracle(c=None, dim=2):
@@ -22,19 +30,19 @@ def make_quadratic_oracle(c=None, dim=2):
 
 def test_eval_grad_identity():
     oracle, _ = make_quadratic_oracle(dim=2)
-    assert np.allclose(eval_grad(oracle, np.array([1.0, 2.0])), [1.0, 2.0])
+    assert np.allclose(oracle.eval_grad(np.array([1.0, 2.0])), [1.0, 2.0])
     assert oracle.counter.grad_calls == 1
 
 
 def test_eval_grad_shifted():
     oracle, _ = make_quadratic_oracle(c=[1.0, 3.0])
-    assert np.allclose(eval_grad(oracle, np.zeros(2)), [-1.0, -3.0])
+    assert np.allclose(oracle.eval_grad(np.zeros(2)), [-1.0, -3.0])
 
 
 def test_eval_grad_dimension_mismatch():
     oracle, _ = make_quadratic_oracle(dim=2)
     with pytest.raises(ValueError):
-        eval_grad(oracle, np.zeros(3))
+        oracle.eval_grad(np.zeros(3))
 
 
 def test_entropic_dual_gradient_matches_finite_differences():
@@ -78,7 +86,7 @@ def test_noiseless_sample_is_bitwise_exact():
     oracle, _ = make_quadratic_oracle(c=[0.3, -0.2])
     stoch = StochasticGradientOracle(oracle, NoiseSpec(0.0, 0.0, "gaussian"))
     x = np.array([0.7, -1.1])
-    g = sample_stoch_grad(stoch, x, RngStreams(0).generator(0, 0))
+    g = stoch.sample(x, RngStreams(0).generator(0, 0))
     exact = oracle.gradient(x)
     assert (g == exact).all()
 
@@ -86,7 +94,7 @@ def test_noiseless_sample_is_bitwise_exact():
 def test_pure_bias_sample():
     oracle, _ = make_quadratic_oracle(dim=2)
     stoch = StochasticGradientOracle(oracle, NoiseSpec(delta=0.1, sigma=0.0))
-    g = sample_stoch_grad(stoch, np.array([1.0, 0.0]), RngStreams(0).generator(0, 0))
+    g = stoch.sample(np.array([1.0, 0.0]), RngStreams(0).generator(0, 0))
     assert np.allclose(g, [1.1, 0.0])
 
 
@@ -138,7 +146,7 @@ def test_batch_size_one_equals_single_sample():
     stoch = StochasticGradientOracle(oracle, NoiseSpec(0.0, 1.0, "gaussian"))
     x = np.array([0.5, 0.5])
     streams = RngStreams(3).child(4)
-    g_batch = batch_grad(stoch, x, 1, streams)
+    g_batch = stoch.batch(x, 1, streams)
     g_single = stoch.sample(x, streams.generator(0))
     assert np.allclose(g_batch, g_single)
 
@@ -147,8 +155,7 @@ def test_batch_noiseless_any_size_exact():
     oracle, _ = make_quadratic_oracle(c=[1.0, -1.0])
     stoch = StochasticGradientOracle(oracle, NoiseSpec(0.0, 0.0))
     x = np.array([0.1, 0.2])
-    assert np.allclose(batch_grad(stoch, x, 7, RngStreams(0).child(0)),
-                       oracle.gradient(x))
+    assert np.allclose(stoch.batch(x, 7, RngStreams(0).child(0)), oracle.gradient(x))
 
 
 class _NoGenerators(RngStreams):
@@ -172,7 +179,7 @@ def test_batch_rejects_zero():
     oracle, _ = make_quadratic_oracle(dim=2)
     stoch = StochasticGradientOracle(oracle, NoiseSpec(0.0, 1.0))
     with pytest.raises(ValueError):
-        batch_grad(stoch, np.zeros(2), 0, RngStreams(0))
+        stoch.batch(np.zeros(2), 0, RngStreams(0))
 
 
 def test_batch_variance_reduction():
@@ -358,25 +365,24 @@ def test_batched_streams_match_default_rng(seed, path, r, high):
     # indices near 2^32 - 1, which no batch reaches, through the hash itself
     prefix = oracles_mod._uint32_words((seed, *path))
     index = np.array(high, dtype=np.uint32)
-    gen = np.random.Generator(np.random.PCG64(0))
-    for l, state in zip(high, oracles_mod._pcg64_states(prefix, index)):
-        gen.bit_generator.state = state
+    gen, state = oracles_mod._raw_generator()
+    for l, row in zip(high, oracles_mod._pcg64_words(prefix, index)):
+        state[:] = row
         assert _same_stream(gen, _reference((seed, *path, l))), l
 
 
 def test_batch_seeding_self_check_falls_back(monkeypatch):
     assert oracles_mod._BATCH_SEEDING  # the installed numpy passes the check
     calls = []
-    exact = oracles_mod._pcg64_states
+    exact = oracles_mod._pcg64_words
 
     def off_by_one(prefix, index):
         calls.append(len(index))
-        states = exact(prefix, index)
-        for s in states:
-            s["state"]["state"] ^= 1
-        return states
+        words = exact(prefix, index)
+        words[:, 0] ^= np.uint64(1)  # the low word of every state
+        return words
 
-    monkeypatch.setattr(oracles_mod, "_pcg64_states", off_by_one)
+    monkeypatch.setattr(oracles_mod, "_pcg64_words", off_by_one)
     assert not oracles_mod._batch_seeding_matches_numpy()
     monkeypatch.setattr(oracles_mod, "_BATCH_SEEDING", False)
     calls.clear()
@@ -385,6 +391,42 @@ def test_batch_seeding_self_check_falls_back(monkeypatch):
     for l, gen in enumerate(streams.generators(r)):
         assert _same_stream(gen, _reference((5, 2, l)))
     assert calls == []
+
+
+class _HeadOnly(oracles_mod._PCG64Head):
+    """A PCG64 head held inline in its own object, pointing wherever it is told."""
+
+    @property
+    def ctypes(self):
+        return types.SimpleNamespace(state_address=ctypes.addressof(self))
+
+
+def test_state_view_refuses_memory_outside_the_bit_generator(monkeypatch):
+    outside = np.zeros(4, dtype=np.uint64)
+    # a state address outside the object
+    stray = types.SimpleNamespace(ctypes=types.SimpleNamespace(state_address=outside.ctypes.data))
+    assert oracles_mod._state_view(stray) is None
+    # a head inside the object whose state pointer leads outside it
+    head = _HeadOnly(pcg_state=outside.ctypes.data, has_uint32=1, uinteger=7)
+    assert oracles_mod._inside(head, ctypes.addressof(head), ctypes.sizeof(head))
+    assert oracles_mod._state_view(head) is None
+    assert (head.has_uint32, head.uinteger) == (1, 7) and not outside.any()  # nothing written
+    # a refused view fails the self-check, and batches fall back to default_rng
+    monkeypatch.setattr(oracles_mod, "_state_view", lambda bit_generator: None)
+    assert not oracles_mod._batch_seeding_matches_numpy()
+    streams = RngStreams(5).child(2)
+    for l, gen in enumerate(streams.generators(2 * oracles_mod._BATCH_MIN)):
+        assert _same_stream(gen, _reference((5, 2, l)))
+
+
+def test_import_is_warning_free():
+    # numpy warns on uint64 scalar overflow, so this keeps the 128-bit
+    # arithmetic on arrays and the state access free of warnings
+    code = "import optdec.oracles as o; assert o._BATCH_SEEDING"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _distributed_dual(noise):
@@ -445,3 +487,52 @@ def test_network_noise_is_drawn_in_node_order(r):
         eta = _reference((8, 5, l)).standard_normal((m, n)) * (sigma / np.sqrt(n))
         acc += (center + eta).reshape(-1)
     assert (x_mean == acc / r).all()
+
+
+_SHARED = np.array([0.25, -0.5])  # the exact part, which the center is (no bias) or is built from
+
+
+def _watch_centers(obj, seen):
+    """Record every center ``obj`` computes, with a copy of its bytes at that time."""
+    sample_center = obj._sample_center
+
+    def watched(v):
+        center = sample_center(v)
+        seen.append((center, center.tobytes()))
+        return center
+
+    obj._sample_center = watched
+
+
+def _noisy_batch(case, noise, seen):
+    if case == "distributed":
+        dual = _distributed_dual(noise)
+        shared = np.tile(_SHARED, dual.instance.m)
+        dual.x_exact = lambda u: shared
+        _watch_centers(dual, seen)
+        return lambda r, streams: dual.batch_grad_and_x(np.ones(dual.dual_dim), r, streams)
+    oracle, qp = make_quadratic_oracle(dim=2)
+    if case == "dual":
+        dual = dual_from_primal(oracle, np.array([[1.0, -1.0]]), qp.conjugate_argmax, noise=noise)
+        dual.x_exact = lambda u: _SHARED
+        _watch_centers(dual, seen)
+        return lambda r, streams: dual.batch_grad_and_x(np.ones(1), r, streams)
+    oracle.gradient = lambda x: _SHARED
+    stoch = StochasticGradientOracle(oracle, noise)
+    _watch_centers(stoch, seen)
+    return lambda r, streams: (stoch.batch(np.zeros(2), r, streams),)
+
+
+@pytest.mark.parametrize("r", [3, 2 * oracles_mod._BATCH_MIN])
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+@pytest.mark.parametrize("case, kind", [("dual", "gaussian"), ("primal", "gaussian"),
+                                        ("primal", "bounded"), ("distributed", "gaussian")])
+def test_noisy_batch_never_writes_into_its_center(r, delta, case, kind):
+    seen = []
+    before = _SHARED.tobytes()
+    batch = _noisy_batch(case, NoiseSpec(delta, 0.3, kind), seen)
+    first = batch(r, RngStreams(12).child(4))
+    second = batch(r, RngStreams(12).child(4))
+    assert len(seen) == 2 and all(center.tobytes() == at_return for center, at_return in seen)
+    assert _SHARED.tobytes() == before
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
