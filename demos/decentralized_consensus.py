@@ -9,7 +9,7 @@ many rounds a fixed accuracy costs.
 
 import numpy as np
 
-from optdec import (Topology, chi, laplacian, lift_problem, quadratic_problem,
+from optdec import (QuadraticProblem, Topology, chi, laplacian, lift_problem,
                     run_distributed)
 
 rng = np.random.default_rng(1)
@@ -17,7 +17,7 @@ m, n = 6, 2
 centers = rng.standard_normal((m, n))
 
 def make_instance(topology):
-    locals_ = [quadratic_problem(np.eye(n), centers[k % m][:n]).oracle() for k in range(topology.m)]
+    locals_ = [QuadraticProblem(np.eye(n), centers[k % m][:n]).oracle() for k in range(topology.m)]
     return lift_problem(locals_, topology, n)
 
 print("the consensus optimum is the mean of the local centers:", centers.mean(axis=0))

@@ -9,13 +9,13 @@ steps, each an inner accelerated solve of a small strongly convex model.
 
 import numpy as np
 
-from optdec import build_penalty, quadratic_problem, stm_ips, verify_penalty_transfer
+from optdec import QuadraticProblem, build_penalty, stm_ips, verify_penalty_transfer
 from optdec.problems import constrained_quadratic_optimum, min_norm_dual_solution
 from optdec.schedules import next_alpha_stm
 
 # f(x) = 0.5 ||x - (1, 3)||^2 constrained to x1 = x2; the constrained
 # optimum is (2, 2) with value 1 (up to the fixed constant)
-problem = quadratic_problem(np.eye(2), np.array([1.0, 3.0]))
+problem = QuadraticProblem(np.eye(2), np.array([1.0, 3.0]))
 A = np.array([[1.0, -1.0]])
 
 x_c, f_c = constrained_quadratic_optimum(problem.Q, problem.b, A)

@@ -31,8 +31,8 @@ from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound h
 from .network import Topology, lift_problem, run_distributed
 from .oracles import NoiseSpec, RngStreams, StochasticGradientOracle, dual_from_primal
 from .primal import build_penalty, sstm, stm, stm_ips
-from .problems import (load_cost_csv, load_measures_csv, min_norm_dual_solution,
-                       quadratic_problem, random_quadratic, barycenter_problem)
+from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
+                       load_measures_csv, min_norm_dual_solution, random_quadratic)
 from .schedules import CAP_FLAG, capped_N, gap_certificate_N
 from .trace import summary_from_trace
 
@@ -121,8 +121,8 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("config must be a JSON object")
     _reject_unknown(cfg, _TOP_KEYS, "config")
     for key in ("noise", "constants"):
-        if not isinstance(cfg.get(key) or {}, dict):
-            raise ConfigError(f"{key} must be a JSON object")
+        if not isinstance(cfg.get(key, {}), (dict, type(None))):
+            raise ConfigError(f"{key} must be a JSON object or null")
     out = {
         "method": cfg.get("method"),
         "problem": cfg.get("problem"),
@@ -212,7 +212,7 @@ def _build_quadratic(problem, seed):
 def _build_custom(problem):
     Q = np.atleast_2d(np.loadtxt(problem["Q_csv"], delimiter=","))
     b = np.atleast_1d(np.loadtxt(problem["b_csv"], delimiter=","))
-    qp = quadratic_problem(Q, b)
+    qp = QuadraticProblem(Q, b)
     A = None
     if problem.get("A_csv"):
         A = np.atleast_2d(np.loadtxt(problem["A_csv"], delimiter=","))
@@ -248,7 +248,7 @@ def _build_consensus(problem, topo, seed):
     locals_ = []
     for k in range(topo.m):
         if cond == 1.0:
-            qp = quadratic_problem(np.eye(n), spread * rng.standard_normal(n))
+            qp = QuadraticProblem(np.eye(n), spread * rng.standard_normal(n))
         else:
             qp = random_quadratic(n, cond, rng, b_scale=spread)
         locals_.append(qp.oracle())

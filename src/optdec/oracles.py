@@ -19,34 +19,28 @@ contract:
 * Sample ``l`` of a batch drawn from streams with seed ``s`` and path ``p``
   (e.g. ``(k,)`` for iteration ``k``) is a pure function of ``(s, p, l)``:
   its noise comes from the PCG64 stream ``np.random.default_rng((s, *p,
-  l))`` and from nothing else.
-* Batches are therefore order independent: their samples may be drawn in
-  any order, or in parallel, and each is the same.
-* Runs are byte-identical per ``(config, seed)``: a batch adds its samples
-  in the order ``l = 0, ..., r-1``, and each sample is the batch's exact
-  part (inner maximiser or gradient, plus bias) plus its own noise, so the
-  sum does not depend on how the exact part or the streams were computed.
-* The batch path (``RngStreams.generators``) computes the PCG64 states of
-  all streams of a large batch in one vectorised pass, as uint64 rows
-  ``(state_lo, state_hi, inc_lo, inc_hi)``, and moves one reused
-  ``Generator`` from stream to stream with one in-place 32-byte store of
-  its row into the generator's state.  No caller may keep a generator
-  across samples.
-* The store goes through ``bit_generator.ctypes.state_address`` and is used
-  only when two checks pass: the state must lie inside the bit-generator
-  object, and an import-time self-check must reproduce ``default_rng``'s
-  states and draws through such stores.  Otherwise every sample gets its
-  own ``default_rng`` stream, with the same bytes.
+  l))`` and from nothing else, so samples may be drawn in any order.
+* A network sample draws the noise blocks of its nodes in node order from
+  its one stream, in one draw for all of them.
+* A batch mean adds its samples in the order ``l = 0, ..., r-1``: it is
+  ``(0 + sample_0 + ... + sample_{r-1}) / r``, where each sample is the
+  batch's shared centre (inner maximiser or gradient, plus bias) plus its
+  own noise.
+* So traces are byte-identical per ``(config, seed)``, however the centre,
+  the streams and the sum of a batch are computed.
 
-A silent oracle (``NoiseSpec.silent``) draws nothing, and its batches build
-no generator.
+A batch draws each sample's raw noise into one row of a buffer, from one
+generator moved from stream to stream by an in-place state store (see
+``RngStreams.generators``), then scales, centres and sums the rows once
+(``NoiseSpec.sum_samples``).  A silent oracle (``NoiseSpec.silent``) draws
+nothing, and its batches build no generator.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -151,17 +145,19 @@ class RngStreams:
 # ``hashmix`` and ``mix``, then ``generate_state`` of eight words) and seeds
 # PCG64 from them: ``inc = 2 i + 1`` and ``state = ((inc + s) MULT + inc)
 # mod 2^128`` for the 128-bit halves ``s`` and ``i`` of the state.  Within a
-# batch the words differ only in the last one, the sample index, so the
-# hash runs once over all indices of a chunk as uint32 arrays (which wrap
-# mod 2^32 like the C code), and the 128-bit step runs on pairs of uint64
-# arrays (which wrap mod 2^64).  A state reaches the generator as one
-# in-place store into its ``pcg64_random_t``; ``_batch_seeding_matches_numpy``
-# checks states and draws made that way against ``default_rng`` at import.
+# batch the words differ only in the last one, the sample index.  So the
+# hash runs on Python ints (masked to 32 bits) while its words do not depend
+# on the index, and on uint32 arrays over all indices of a chunk from then
+# on (they wrap mod 2^32 like the C code); the 128-bit step runs on pairs of
+# uint64 arrays (which wrap mod 2^64).  A state reaches the generator as
+# one in-place store into its ``pcg64_random_t``;
+# ``_batch_seeding_matches_numpy`` checks states and draws made that way
+# against ``default_rng`` at import.
 
 _MASK32 = 0xFFFFFFFF
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL = 4
 # Smallest batch seeded in one pass.  The pass and its Generator cost about
@@ -193,26 +189,32 @@ def _uint32_words(values) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _hash_chain(init: int, mult: int, n: int):
-    """Xor and multiplier constants of ``n`` successive ``hashmix`` calls, as (n, 1) columns."""
+    """Xor and multiplier constants of ``n`` successive ``hashmix`` calls, as ints and (n, 1) columns."""
     xors, mults = [], []
     for _ in range(n):
         xors.append(init)
         init = (init * mult) & _MASK32
         mults.append(init)
-    return (np.array(xors, dtype=np.uint32)[:, None], np.array(mults, dtype=np.uint32)[:, None])
+    return (tuple(xors), tuple(mults),
+            np.array(xors, dtype=np.uint32)[:, None], np.array(mults, dtype=np.uint32)[:, None])
 
 
-_GENERATE_CHAIN = _hash_chain(_HASH_INIT_B, _HASH_MULT_B, 2 * _POOL)
+_GENERATE_CHAIN = _hash_chain(_HASH_INIT_B, _HASH_MULT_B, 2 * _POOL)[2:]
+
+
+def _wrap32(value):
+    """``value mod 2^32`` for a Python int; uint32 arrays wrap by themselves."""
+    return value & _MASK32 if isinstance(value, int) else value
 
 
 def _hashmix(value, xor, mult):
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
+    value = _wrap32((value ^ xor) * mult)
+    return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    out = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return out ^ (out >> np.uint32(16))
+    out = _wrap32(_wrap32(x * _MIX_MULT_L) - _wrap32(y * _MIX_MULT_R))
+    return out ^ (out >> 16)
 
 
 def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
@@ -235,25 +237,36 @@ def _pcg64_words(prefix: list, index: np.ndarray) -> np.ndarray:
 
     ``prefix`` holds uint32 words (see ``_uint32_words``).  Row ``j`` of the
     ``(len(index), 4)`` uint64 result is ``(state_lo, state_hi, inc_lo,
-    inc_hi)`` of stream ``index[j]``.  Rows of the pool are the four pool
-    words, columns the samples.
+    inc_hi)`` of stream ``index[j]``.
     """
     n = len(prefix) + 1
-    xors, mults = _hash_chain(_HASH_INIT_A, _HASH_MULT_A, _POOL * max(n, _POOL))
-    entropy = np.zeros((max(n, _POOL), index.shape[0]), dtype=np.uint32)
-    entropy[:n - 1] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[n - 1] = index
-    pool = _hashmix(entropy[:_POOL], xors[:_POOL], mults[:_POOL])
+    xors, mults, xor_col, mult_col = _hash_chain(_HASH_INIT_A, _HASH_MULT_A, _POOL * max(n, _POOL))
+    words = [*prefix, index, *[0] * (_POOL - n)]
+    # numpy's mix_entropy: step ``src`` mixes word ``src`` into pool words
+    # ``targets``, one hash constant per target.  Each pool word mixes into
+    # the three others, then each further word into all four
+    steps = [[d for d in range(_POOL) if d != src] for src in range(_POOL)]
+    steps += [list(range(_POOL))] * (n - _POOL)
+    pool = [_hashmix(w, xors[i], mults[i]) for i, w in enumerate(words[:_POOL])]
     c = _POOL
-    for src in range(_POOL):
-        # the source row stays fixed while the three others mix with it
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xors[c:c + 3], mults[c:c + 3]))
-        c += 3
-    for src in range(_POOL, n):
-        pool = _mix(pool, _hashmix(entropy[src], xors[c:c + _POOL], mults[c:c + _POOL]))
-        c += _POOL
-    words = _hashmix(np.concatenate([pool, pool]), *_GENERATE_CHAIN).astype(np.uint64)
+    # steps before the index word's own are Python ints, except the mixes
+    # into the index's pool word (when it has one)
+    for src, targets in enumerate(steps[:n - 1]):
+        value = pool[src] if src < _POOL else words[src]
+        for d in targets:
+            pool[d] = _mix(pool[d], _hashmix(value, xors[c], mults[c]))
+            c += 1
+    # the rest depends on the index: rows of the pool are the four pool
+    # words, columns the samples
+    rows = np.empty((_POOL, index.shape[0]), dtype=np.uint32)
+    for d, value in enumerate(pool):
+        rows[d] = value
+    for src, targets in enumerate(steps[n - 1:], start=n - 1):
+        value = rows[src] if src < _POOL else words[src]
+        t = len(targets)
+        rows[targets] = _mix(rows[targets], _hashmix(value, xor_col[c:c + t], mult_col[c:c + t]))
+        c += t
+    words = _hashmix(np.concatenate([rows, rows]), *_GENERATE_CHAIN).astype(np.uint64)
     seed_hi, seed_lo, i_hi, i_lo = words[0::2] | (words[1::2] << _U32)
     inc_lo, inc_hi = (i_lo << _U1) | _U1, (i_hi << _U1) | (i_lo >> _U63)
     x_lo, x_hi = _add128(inc_lo, inc_hi, seed_lo, seed_hi)
@@ -337,6 +350,8 @@ class NoiseSpec:
     selects the zero-mean distribution: ``gaussian`` draws from
     N(0, (sigma^2/dim) I) so that E||eta||^2 = sigma^2, ``bounded`` draws
     uniformly from the radius-``sigma`` sphere, ``none`` disables noise.
+    A sample may hold several independent draws of ``block`` coordinates
+    each (one per node on the network), drawn one after the other.
     """
 
     delta: float = 0.0
@@ -353,22 +368,65 @@ class NoiseSpec:
     def silent(self) -> bool:
         return self.delta == 0.0 and self.sigma == 0.0
 
-    def sample_eta(self, dim: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, row: np.ndarray, block: int) -> None:
+        """Put one sample's raw noise into ``row``, drawn from ``rng``.
+
+        Gaussian noise stays standard normal until :meth:`scale`; bounded
+        noise puts each ``block`` on its sphere here; no noise is zeros.
+        """
         if self.sigma == 0.0 or self.kind == "none":
-            return np.zeros(dim)
-        eta = rng.standard_normal(dim)
-        if self.kind == "gaussian":
-            eta *= _gaussian_scale(self.sigma, dim)
-        else:
-            # bounded: uniform on the sphere of radius sigma
-            eta *= self.sigma / np.linalg.norm(eta)
+            row.fill(0.0)
+            return
+        rng.standard_normal(out=row)
+        if self.kind == "bounded":
+            for eta in row.reshape(-1, block):
+                eta *= self.sigma / np.linalg.norm(eta)
+
+    def scale(self, rows: np.ndarray, block: int) -> None:
+        """Scale raw Gaussian noise to N(0, (sigma^2/block) I), in place."""
+        if self.kind == "gaussian" and self.sigma > 0.0:
+            rows *= self.sigma / math.sqrt(block)
+
+    def sample_eta(self, dim: int, rng: np.random.Generator) -> np.ndarray:
+        """One noise vector of length ``dim``: a batch row before its centre is added."""
+        eta = np.empty(dim)
+        self.draw(rng, eta, dim)
+        self.scale(eta, dim)
         return eta
 
+    def sum_samples(self, center: np.ndarray, block: int, rngs, r: int, draw=None) -> np.ndarray:
+        """``sum_l (center + eta_l)`` over the ``r`` samples of a batch.
 
-@functools.lru_cache(maxsize=64)
-def _gaussian_scale(sigma: float, dim: int):
-    """``sigma / sqrt(dim)``, the standard deviation of each coordinate of a Gaussian ``eta``."""
-    return sigma / np.sqrt(dim)
+        ``rngs`` yields the generators of samples ``0, ..., r-1``, and
+        ``draw(rng, row)`` puts sample ``l``'s raw noise into its row of the
+        batch buffer (by default :meth:`draw`).  The buffer is scaled and
+        centred once, then summed as a running sum behind the carried total,
+        which adds the samples in the order ``l = 0, ..., r-1`` with the
+        bits of ``acc = 0; acc += center + eta_l``.  (``np.add.reduce`` sums
+        pairwise.)  At most ``_CHUNK`` rows and 2 MiB are held at a time.
+        Without noise each sample is ``draw(None, None)``, which must return
+        ``center``: it takes no generator and no row.
+        """
+        draw = draw or (lambda rng, row: self.draw(rng, row, block))
+        d = center.shape[0]
+        if self.silent:
+            acc = np.zeros(d)
+            for _ in range(r):
+                acc += draw(None, None)
+            return acc
+        rngs = iter(rngs)
+        buf = np.empty((1 + max(1, min(r, _CHUNK, (1 << 18) // d)), d))
+        buf[0] = 0.0  # the running sum
+        for lo in range(0, r, len(buf) - 1):
+            rows = buf[1:1 + r - lo]
+            for row, rng in zip(rows, rngs):
+                draw(rng, row)
+            self.scale(rows, block)
+            rows += center
+            chunk = buf[:1 + len(rows)]
+            np.add.accumulate(chunk, axis=0, out=chunk)
+            buf[0] = chunk[-1]
+        return buf[0]
 
 
 def e_1(x: np.ndarray) -> np.ndarray:
@@ -443,26 +501,28 @@ class StochasticGradientOracle:
             g = g + self.noise.delta * e_1(x)
         return g
 
-    def sample(self, x: np.ndarray, rng: np.random.Generator, center=None) -> np.ndarray:
-        """One sample ``center + eta``; a batch passes the ``center`` it computed at ``x``."""
+    def sample(self, x: np.ndarray, rng: np.random.Generator, center=None, row=None) -> np.ndarray:
+        """One sample ``center + eta``; alone, a batch of one.
+
+        A batch passes the ``center`` it computed at ``x`` and the sample's
+        ``row`` of its buffer, into which the call draws the raw noise.
+        """
         self.counter.stoch_samples += 1
+        if row is not None:
+            self.noise.draw(rng, row, self.dim)
+            return row
         if center is None:
             center = self._sample_center(x)
         if self.noise.silent:
             return center
-        eta = self.noise.sample_eta(self.dim, rng)
-        eta += center
-        return eta
+        return self.noise.sum_samples(center, self.dim, (rng,), 1)
 
     def batch(self, x: np.ndarray, r: int, streams: RngStreams) -> np.ndarray:
         if r < 1:
             raise ValueError("batch size must be >= 1")
         center = self._sample_center(x)
-        acc = np.zeros(self.dim)
-        # a noiseless sample draws nothing, so it needs no generator
-        for rng in itertools.repeat(None, r) if self.noise.silent else streams.generators(r):
-            acc += self.sample(x, rng, center)
-        return acc / r
+        return self.noise.sum_samples(center, self.dim, streams.generators(r), r,
+                                      lambda rng, row: self.sample(x, rng, center, row)) / r
 
 
 class DualOracle:
@@ -485,6 +545,8 @@ class DualOracle:
         self.A, self.lam_max_AtA, self.lam_min_plus_AtA = self._constraint_map(A)
         self.argmax_solver = argmax_solver
         self.noise = noise if noise is not None else NoiseSpec(0.0, 0.0, "none")
+        # what a sample draws: ``noise`` in blocks of ``noise_block`` coordinates
+        self.sample_noise, self.noise_block = self.noise, primal.dim
         self.counter = counter if counter is not None else primal.counter
         self.L_psi = self.lam_max_AtA / primal.mu
         self.mu_psi = self.lam_min_plus_AtA / primal.L if primal.L > 0 else 0.0
@@ -545,25 +607,32 @@ class DualOracle:
     # -- sampled access ------------------------------------------------------
 
     def _sample_center(self, u: np.ndarray) -> np.ndarray:
-        """``x(u) + delta * e_1``: what every sample at ``u`` shares."""
+        """``x(u)`` plus ``delta * e_1`` on every noise block: what every sample at ``u`` shares."""
         x = self.x_exact(u)
-        if self.noise.delta > 0:
-            x = x + self.noise.delta * e_1(x)
+        delta, block = self.sample_noise.delta, self.noise_block
+        if delta > 0:
+            x = (x.reshape(-1, block) + delta * e_1(np.zeros(block))).reshape(-1)
         return x
 
-    def sample_x(self, u: np.ndarray, rng: np.random.Generator, center=None) -> np.ndarray:
-        """One noisy inner maximiser ``x(u) + delta * e_1 + eta``.
+    def sample_x(self, u: np.ndarray, rng: np.random.Generator, center=None, row=None) -> np.ndarray:
+        """One noisy inner maximiser ``x(u) + delta * e_1 + eta``; alone, a batch of one.
 
-        A batch passes the ``center`` it computed once at ``u``.
+        A batch passes the ``center`` it computed once at ``u`` and the
+        sample's ``row`` of its buffer: the call counts the sample and draws
+        its raw noise into ``row``, and the batch scales, centres and sums
+        all rows at once.  A batch still makes one call per sample because
+        perfbench's traced check matches ``sample_x`` calls against
+        ``stoch_samples``.
         """
         self.counter.stoch_samples += 1
+        if row is not None:
+            self.sample_noise.draw(rng, row, self.noise_block)
+            return row
         if center is None:
             center = self._sample_center(u)
         if self.noise.silent:
             return center
-        eta = self.noise.sample_eta(center.shape[0], rng)
-        eta += center
-        return eta
+        return self.sample_noise.sum_samples(center, self.noise_block, (rng,), 1)
 
     def batch_grad_and_x(self, y, r, streams: RngStreams):
         """Batched dual gradient together with the batched inner maximiser.
@@ -577,11 +646,8 @@ class DualOracle:
             raise ValueError("batch size must be >= 1")
         u = self.apply_At(np.asarray(y, dtype=float))
         center = self._sample_center(u)
-        acc = np.zeros(self.primal.dim)
-        # a noiseless sample draws nothing, so it needs no generator
-        for rng in itertools.repeat(None, r) if self.noise.silent else streams.generators(r):
-            acc += self.sample_x(u, rng, center)
-        x_mean = acc / r
+        x_mean = self.sample_noise.sum_samples(center, self.noise_block, streams.generators(r), r,
+                                               lambda rng, row: self.sample_x(u, rng, center, row)) / r
         return self.apply_A(x_mean), x_mean
 
 

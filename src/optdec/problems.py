@@ -21,7 +21,6 @@ from .oracles import FirstOrderOracle
 
 __all__ = [
     "QuadraticProblem",
-    "quadratic_problem",
     "random_quadratic",
     "constrained_quadratic_optimum",
     "min_norm_dual_solution",
@@ -80,11 +79,6 @@ class QuadraticProblem:
         return FirstOrderOracle(self.Q.shape[0], self.value, self.gradient, self.L, self.mu,
                                 counter=counter, conjugate_argmax=self.conjugate_argmax,
                                 x_star=self.x_star, quadratic=self)
-
-
-def quadratic_problem(Q, b) -> QuadraticProblem:
-    """Validated quadratic instance with its closed-form dual pieces."""
-    return QuadraticProblem(Q, b)
 
 
 def random_quadratic(dim: int, cond: float, rng: np.random.Generator,

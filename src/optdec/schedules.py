@@ -25,10 +25,8 @@ batch 1 on a noiseless oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "StepState",
     "next_alpha_stm",
     "next_alpha_strongly_convex",
     "next_alpha_spdstm",
@@ -42,15 +40,6 @@ __all__ = [
     "batch_size_spdstm",
     "batch_size_sstm_sc",
 ]
-
-
-@dataclass(frozen=True)
-class StepState:
-    """One point of the step sequence: index, step and its running sum."""
-
-    k: int
-    alpha_k: float
-    A_k: float
 
 
 def _positive_root(b: float, c: float) -> float:

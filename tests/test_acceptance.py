@@ -16,7 +16,7 @@ from optdec import (FirstOrderOracle, NoiseSpec, Topology, build_penalty,
                     dual_from_primal, entropic_ot_dual_grad,
                     entropic_ot_dual_value, entropic_wasserstein,
                     lift_problem, projected_gradient_barycenter,
-                    quadratic_problem, random_quadratic, restarted_rrma,
+                    QuadraticProblem, random_quadratic, restarted_rrma,
                     run_distributed, spdstm, stm, stm_ips,
                     barycenter_problem)
 from optdec.primal import _inner_prox_stm, default_inner_budget, default_inner_delta
@@ -108,7 +108,7 @@ def test_criterion_3_penalty_transfer():
 
 def test_criterion_4_inner_accuracy_contract():
     """Realized inner gap <= delta ||z^k - z_hat||^2 at every outer step."""
-    qp = quadratic_problem(np.eye(2), np.array([1.0, 3.0]))
+    qp = QuadraticProblem(np.eye(2), np.array([1.0, 3.0]))
     A = np.array([[1.0, -1.0]])
     y_star, _ = min_norm_dual_solution(qp.Q, qp.b, A)
     pen = build_penalty(qp.oracle(), A, float(np.linalg.norm(y_star)), 5e-2)
@@ -259,7 +259,7 @@ def test_criterion_9_decentralized_equivalence():
         cs = rng.standard_normal((m, 2))
         locals_ = []
         for k in range(m):
-            qp = quadratic_problem(np.eye(2), cs[k])
+            qp = QuadraticProblem(np.eye(2), cs[k])
             o = qp.oracle()
             o.x_star = qp.x_star
             locals_.append(o)
@@ -282,7 +282,7 @@ def test_criterion_9_decentralized_equivalence():
         cs = np.random.default_rng(300).standard_normal((8, 2))
         locals_ = []
         for k in range(8):
-            qp = quadratic_problem(np.eye(2), cs[k])
+            qp = QuadraticProblem(np.eye(2), cs[k])
             o = qp.oracle()
             o.x_star = qp.x_star
             locals_.append(o)

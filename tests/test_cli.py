@@ -318,6 +318,11 @@ BAD_INPUTS = {
     "noise_delta_nan": lambda t: {**_noisy_sstm(), "noise": {"delta": "nan"}},
     "noise_kind_unknown": lambda t: {**_noisy_sstm(), "noise": {"sigma": 0.1, "kind": "cauchy"}},
     "noise_not_an_object": lambda t: {**_noisy_sstm(), "noise": 5},
+    "noise_empty_list": lambda t: {**_noisy_sstm(), "noise": []},
+    "noise_zero": lambda t: {**_noisy_sstm(), "noise": 0},
+    "noise_false": lambda t: {**_noisy_sstm(), "noise": False},
+    "constants_false": lambda t: quad_config(constants=False),
+    "constants_empty_string": lambda t: quad_config(constants=""),
     "dim_fractional": lambda t: quad_config(problem={"kind": "quadratic", "dim": 2.5}),
     "seed_fractional": lambda t: quad_config(seed=1.7),
     "custom_without_A_spdstm": lambda t: _custom_without_A(t, "spdstm"),
@@ -335,6 +340,12 @@ def test_run_bad_decentralized_input_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not list(tmp_path.glob("*.trace.csv"))
+
+
+@pytest.mark.parametrize("key", ["noise", "constants"])
+def test_null_noise_and_constants_run(tmp_path, key):
+    cfgp = write_config(tmp_path, {**_noisy_sstm(), key: None})
+    assert main(["run", str(cfgp), "--out", str(tmp_path)]) == 0
 
 
 def _matrix_problem(tmp_path, kind):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import fd_grad, rel_err
 from optdec import (CallCounter, DualOracle, FirstOrderOracle, NoiseSpec,
                     RngStreams, Topology, barycenter_problem,
-                    build_distributed_dual, chi, consensus_check,
+                    build_distributed_dual, chi,
                     laplacian, laplacian_pair, lift_laplacian,
-                    lift_problem, quadratic_problem,
+                    lift_problem, QuadraticProblem,
                     random_quadratic, run_distributed, spdstm, sqrt_psd,
                     sstm_sc, stm)
 from optdec.network import _dual_norm_bound
@@ -22,7 +22,7 @@ def consensus_instance(m, n, topo=None, seed=0, counter=None):
     cs = rng.standard_normal((m, n))
     locals_ = []
     for k in range(m):
-        qp = quadratic_problem(np.eye(n), cs[k])
+        qp = QuadraticProblem(np.eye(n), cs[k])
         o = qp.oracle()
         o.x_star = qp.x_star
         locals_.append(o)
@@ -156,34 +156,6 @@ def test_kron_operators_match_dense_lift(m, n, p, seed):
                             inst.local_argmax, noise=dual.noise, counter=CallCounter())
     for name in ("L_psi", "mu_psi", "sigma_psi"):
         assert getattr(dual, name) == pytest.approx(getattr(dense_dual, name), rel=1e-12, abs=0)
-
-
-# ---------------------------------------------------------------------------
-# consensus checks
-
-
-def test_consensus_check_identical_blocks():
-    W = lift_laplacian(laplacian(Topology.complete(3)), 2)
-    x = np.tile([1.0, -2.0], 3)
-    assert consensus_check(x, W, 1e-12)
-
-
-def test_consensus_check_distinct_blocks():
-    W = lift_laplacian(laplacian(Topology.complete(2)), 2)
-    x = np.array([0.0, 0.0, 1.0, 1.0])
-    assert not consensus_check(x, W, 1e-6)
-
-
-def test_consensus_check_sqrt_agrees():
-    rng = np.random.default_rng(6)
-    pair = laplacian_pair(Topology.ring(5), 2)
-    for _ in range(100):
-        x = rng.standard_normal(10)
-        a = consensus_check(x, pair.W, 1e-8)
-        b = consensus_check(x, pair.sqrtW, 1e-8)
-        # the zero sets coincide: agreement up to tolerance scaling
-        if np.linalg.norm(pair.W @ x) < 1e-10 or np.linalg.norm(pair.W @ x) > 1e-6:
-            assert a == b
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import optdec.oracles as oracles_mod
 from conftest import fd_grad, rel_err
-from optdec import (FirstOrderOracle, NoiseSpec, RngStreams,
-                    StochasticGradientOracle, dual_from_primal, quadratic_problem)
+from optdec import (FirstOrderOracle, NoiseSpec, QuadraticProblem, RngStreams,
+                    StochasticGradientOracle, dual_from_primal)
 from optdec.problems import entropic_ot_dual_grad, entropic_ot_dual_value
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def make_quadratic_oracle(c=None, dim=2):
     c = np.zeros(dim) if c is None else np.asarray(c, dtype=float)
-    qp = quadratic_problem(np.eye(len(c)), c)
+    qp = QuadraticProblem(np.eye(len(c)), c)
     return qp.oracle(), qp
 
 
@@ -60,7 +60,7 @@ def test_gradient_matches_fd_on_random_quadratics():
     for _ in range(5):
         M = rng.standard_normal((3, 3))
         Q = M @ M.T + np.eye(3)
-        qp = quadratic_problem(Q, rng.standard_normal(3))
+        qp = QuadraticProblem(Q, rng.standard_normal(3))
         x = rng.standard_normal(3)
         assert rel_err(qp.gradient(x), fd_grad(qp.value, x)) <= 1e-6
 
@@ -69,7 +69,7 @@ def test_strong_convexity_and_smoothness_inequalities():
     rng = np.random.default_rng(2)
     M = rng.standard_normal((4, 4))
     Q = M @ M.T + 0.5 * np.eye(4)
-    qp = quadratic_problem(Q, rng.standard_normal(4))
+    qp = QuadraticProblem(Q, rng.standard_normal(4))
     for _ in range(20):
         x, y = rng.standard_normal(4), rng.standard_normal(4)
         lower = qp.value(x) + qp.gradient(x) @ (y - x) + 0.5 * qp.mu * np.sum((y - x) ** 2)
@@ -268,7 +268,7 @@ def test_dual_rejects_zero_map():
 def test_demyanov_danskin_on_random_duals():
     rng = np.random.default_rng(21)
     M = rng.standard_normal((3, 3))
-    qp = quadratic_problem(M @ M.T + np.eye(3), rng.standard_normal(3))
+    qp = QuadraticProblem(M @ M.T + np.eye(3), rng.standard_normal(3))
     A = rng.standard_normal((2, 3))
     dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
     for _ in range(20):
@@ -280,7 +280,7 @@ def test_demyanov_danskin_on_random_duals():
 
 def test_dual_gradient_in_column_space():
     rng = np.random.default_rng(22)
-    qp = quadratic_problem(np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3))
+    qp = QuadraticProblem(np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3))
     # rank-1 A with a 2-dimensional dual space: Ker(A^T) is nontrivial
     u = rng.standard_normal((2, 1))
     v = rng.standard_normal((1, 3))
@@ -299,7 +299,7 @@ def test_dual_constants_formulas():
     rng = np.random.default_rng(23)
     M = rng.standard_normal((3, 3))
     Q = M @ M.T + np.eye(3)
-    qp = quadratic_problem(Q, np.zeros(3))
+    qp = QuadraticProblem(Q, np.zeros(3))
     A = rng.standard_normal((2, 3))
     dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
     evals = np.linalg.eigvalsh(A.T @ A)
@@ -432,7 +432,7 @@ def test_import_is_warning_free():
 def _distributed_dual(noise):
     from optdec.network import Topology, build_distributed_dual, lift_problem
     rng = np.random.default_rng(3)
-    locals_ = [quadratic_problem(np.eye(2) * (1.0 + k), rng.standard_normal(2)).oracle()
+    locals_ = [QuadraticProblem(np.eye(2) * (1.0 + k), rng.standard_normal(2)).oracle()
                for k in range(4)]
     return build_distributed_dual(lift_problem(locals_, Topology.ring(4), 2), noise)
 
@@ -536,3 +536,103 @@ def test_noisy_batch_never_writes_into_its_center(r, delta, case, kind):
     assert len(seen) == 2 and all(center.tobytes() == at_return for center, at_return in seen)
     assert _SHARED.tobytes() == before
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+# ---------------------------------------------------------------------------
+# the batch buffer: the bits of per-sample draws added one by one
+
+
+def _expected_sample(center, noise, block, rng):
+    """``center + eta`` from the noise model itself: one draw per block, in block order."""
+    out = np.empty_like(center)
+    for k in range(0, center.shape[0], block):
+        eta = rng.standard_normal(block)
+        if noise.kind == "gaussian":
+            eta *= noise.sigma / np.sqrt(block)
+        else:
+            eta *= noise.sigma / np.linalg.norm(eta)
+        out[k:k + block] = center[k:k + block] + eta
+    return out
+
+
+def _in_order_mean(samples, r):
+    acc = np.zeros_like(samples[0])
+    for sample in samples:
+        acc += sample
+    return acc / r
+
+
+def _sampling_case(case, noise, dim, exact):
+    """An oracle whose exact part is ``exact``, with its batch, lone sample, counted call and block.
+
+    ``case`` is ``dual``, ``distributed`` (``len(exact) // dim`` nodes of
+    ``dim`` coordinates) or ``primal``.
+    """
+    if case == "distributed":
+        from optdec.network import Topology, build_distributed_dual, lift_problem
+        m = exact.shape[0] // dim
+        locals_ = [QuadraticProblem(np.eye(dim), np.zeros(dim)).oracle() for _ in range(m)]
+        oracle = build_distributed_dual(lift_problem(locals_, Topology.ring(m), dim), noise)
+    if case == "dual":
+        primal, qp = make_quadratic_oracle(dim=dim)
+        oracle = dual_from_primal(primal, np.ones((1, dim)), qp.conjugate_argmax, noise=noise)
+    if case == "primal":
+        primal, _ = make_quadratic_oracle(dim=dim)
+        primal.gradient = lambda x: exact
+        oracle = StochasticGradientOracle(primal, noise)
+        return (lambda r, streams: oracle.batch(np.zeros(dim), r, streams),
+                lambda rng: oracle.sample(np.zeros(dim), rng), oracle, "sample", dim)
+    oracle.x_exact = lambda u: exact
+    y = np.ones(oracle.dual_dim)
+    return (lambda r, streams: oracle.batch_grad_and_x(y, r, streams)[1],
+            lambda rng: oracle.sample_x(oracle.A.T @ y, rng), oracle, "sample_x", dim)
+
+
+def _count_calls(oracle, name):
+    calls = []
+    method = getattr(oracle, name)
+    setattr(oracle, name, lambda *args: calls.append(1) or method(*args))
+    return calls
+
+
+def _check_batch_bits(case, kind, delta, sigma, dim, r, seed, path, exact):
+    noise = NoiseSpec(delta, sigma, kind)
+    batch, lone, oracle, name, block = _sampling_case(case, noise, dim, exact)
+    bias = np.zeros(block)
+    bias[0] = delta
+    center = (exact.reshape(-1, block) + bias).reshape(-1) if delta > 0 else exact
+    expected = [_expected_sample(center, noise, block, _reference((seed, *path, l)))
+                for l in range(r)]
+    calls = _count_calls(oracle, name)
+    before = oracle.counter.stoch_samples
+    got = batch(r, RngStreams(seed, tuple(path)))
+    assert len(calls) == r and oracle.counter.stoch_samples - before == r
+    assert got.tobytes() == _in_order_mean(expected, r).tobytes()
+    # a lone sample is a batch of one
+    alone = lone(_reference((seed, *path, 0)))
+    assert alone.tobytes() == _in_order_mean(expected[:1], 1).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(["dual", "distributed", "primal"]), kind=st.sampled_from(["gaussian", "bounded"]),
+       delta=st.sampled_from([0.0, 0.03]), sigma=st.floats(1e-3, 1e3),
+       dim=st.sampled_from([1, 2, 5]), r=st.sampled_from([1, 7, 8, 9, 100]),
+       seed=st.integers(0, 2 ** 40), path=st.lists(st.integers(0, 2 ** 33), max_size=3),
+       data=st.data())
+def test_noisy_batch_has_the_bits_of_its_samples_added_in_order(case, kind, delta, sigma, dim,
+                                                                  r, seed, path, data):
+    size = dim * (3 if case == "distributed" else 1)
+    exact = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    _check_batch_bits(case, kind, delta, sigma, dim, r, seed, path, exact)
+
+
+@pytest.mark.parametrize("case, dim, r", [
+    ("dual", 1, oracles_mod._CHUNK + 3),   # past a seeding chunk and a buffer
+    ("primal", 1, oracles_mod._CHUNK + 3),
+    ("distributed", 50, 1400),             # 200 coordinates: past a buffer of 1310 rows
+])
+@pytest.mark.parametrize("kind", ["gaussian", "bounded"])
+def test_noisy_batch_carries_its_sum_across_buffers(case, dim, r, kind):
+    size = dim * (4 if case == "distributed" else 1)
+    exact = 5.0 * np.random.default_rng(2).standard_normal(size)
+    _check_batch_bits(case, kind, 0.01, 0.7, dim, r, 17, (3,), exact)

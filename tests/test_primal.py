@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expression_form_triangle, fd_grad, rel_err
-from optdec import (NoiseSpec, StochasticGradientOracle, build_penalty,
-                    quadratic_problem, random_quadratic, sstm, stm, stm_ips,
+from optdec import (NoiseSpec, QuadraticProblem, StochasticGradientOracle,
+                    build_penalty, random_quadratic, sstm, stm, stm_ips,
                     verify_penalty_transfer)
 from optdec.primal import (_inner_prox_stm, _pull_back, argmax_solver_via_stm,
                            default_inner_delta)
@@ -14,7 +14,7 @@ from optdec.problems import constrained_quadratic_optimum, min_norm_dual_solutio
 
 
 def scalar_quadratic():
-    return quadratic_problem(np.eye(1), np.zeros(1))
+    return QuadraticProblem(np.eye(1), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +32,13 @@ def test_stm_single_step_hand_values():
 
 
 def test_stm_fixed_point_at_optimum():
-    qp = quadratic_problem(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
+    qp = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
     x, _ = stm(qp.oracle(), qp.x_star, 25)
     assert np.allclose(x, qp.x_star, atol=1e-14)
 
 
 def test_stm_strongly_convex_fixed_point():
-    qp = quadratic_problem(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
+    qp = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
     x, _ = stm(qp.oracle(), qp.x_star, 25, mode="strongly_convex")
     assert np.allclose(x, qp.x_star, atol=1e-12)
 
@@ -80,7 +80,7 @@ def test_stm_counts_gradient_calls():
 
 
 def test_sstm_noiseless_matches_stm():
-    qp = quadratic_problem(np.diag([1.0, 3.0]), np.array([0.5, -1.0]))
+    qp = QuadraticProblem(np.diag([1.0, 3.0]), np.array([0.5, -1.0]))
     o1, o2 = qp.oracle(), qp.oracle()
     x_det, _ = stm(o1, np.zeros(2), 30)
     stoch = StochasticGradientOracle(o2, NoiseSpec(0.0, 0.0))
@@ -115,14 +115,14 @@ def test_sstm_converges_under_noise():
 
 
 def test_build_penalty_constants():
-    qp = quadratic_problem(np.eye(2), np.array([1.0, 3.0]))
+    qp = QuadraticProblem(np.eye(2), np.array([1.0, 3.0]))
     pen = build_penalty(qp.oracle(), np.array([[1.0, -1.0]]), R_y=1.0, eps=0.1)
     assert pen.coeff == pytest.approx(10.0)
     assert pen.L_h == pytest.approx(40.0)  # 2 * 10 * lambda_max(A^T A) = 2*10*2
 
 
 def test_penalty_vanishes_on_feasible_points():
-    qp = quadratic_problem(np.eye(2), np.array([1.0, 3.0]))
+    qp = QuadraticProblem(np.eye(2), np.array([1.0, 3.0]))
     pen = build_penalty(qp.oracle(), np.array([[1.0, -1.0]]), 1.0, 0.1)
     x = np.array([0.7, 0.7])
     assert pen.h_value(x) <= 1e-12
@@ -168,7 +168,7 @@ def test_penalty_counts_matvecs():
 
 
 def test_stm_ips_zero_composite_matches_stm():
-    qp = quadratic_problem(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
+    qp = QuadraticProblem(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
     from optdec.primal import CompositeProblem
     o1, o2 = qp.oracle(), qp.oracle()
     comp = CompositeProblem(o1, lambda x: 0.0, lambda z: np.zeros(2), L_h=0.0,
@@ -179,7 +179,7 @@ def test_stm_ips_zero_composite_matches_stm():
 
 
 def penalty_instance(eps=1e-2):
-    qp = quadratic_problem(np.eye(2), np.array([1.0, 3.0]))
+    qp = QuadraticProblem(np.eye(2), np.array([1.0, 3.0]))
     A = np.array([[1.0, -1.0]])
     y_star, _ = min_norm_dual_solution(qp.Q, qp.b, A)
     R_y = float(np.linalg.norm(y_star))
@@ -331,7 +331,7 @@ def test_iteration_scaling_on_halved_eps():
 
 def test_trace_A_column_reproduces_schedule():
     from optdec.schedules import next_alpha_stm
-    qp = quadratic_problem(np.diag([1.0, 3.0]), np.array([0.4, -0.7]))
+    qp = QuadraticProblem(np.diag([1.0, 3.0]), np.array([0.4, -0.7]))
     _, trace = stm(qp.oracle(), np.zeros(2), 25)
     A, expected = 0.0, [0.0]
     for _ in range(25):
@@ -421,7 +421,7 @@ def test_pull_back_is_bitwise_the_expression_form(data, dim, mu, alpha, A_next):
 
 def _random_penalty(seed, dim, rows, R_y, eps):
     rng = np.random.default_rng(seed)
-    qp = quadratic_problem(np.eye(dim), rng.standard_normal(dim))
+    qp = QuadraticProblem(np.eye(dim), rng.standard_normal(dim))
     return build_penalty(qp.oracle(), rng.standard_normal((rows, dim)), R_y, eps), rng
 
 

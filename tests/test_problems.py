@@ -7,7 +7,7 @@ from conftest import fd_grad, rel_err
 from optdec import (Topology, barycenter_problem, entropic_ot_dual_grad,
                     entropic_ot_dual_value, entropic_ot_stoch_grad,
                     entropic_wasserstein, projected_gradient_barycenter,
-                    quadratic_problem, random_quadratic, run_distributed,
+                    QuadraticProblem, random_quadratic, run_distributed,
                     simplex_project)
 from optdec.problems import (constrained_quadratic_optimum, load_cost_csv,
                              load_measures_csv)
@@ -18,13 +18,13 @@ from optdec.problems import (constrained_quadratic_optimum, load_cost_csv,
 
 
 def test_quadratic_identity():
-    qp = quadratic_problem(np.eye(2), np.zeros(2))
+    qp = QuadraticProblem(np.eye(2), np.zeros(2))
     assert np.allclose(qp.x_star, 0.0)
     assert np.allclose(qp.conjugate_argmax(np.array([0.3, -0.4])), [0.3, -0.4])
 
 
 def test_quadratic_diagonal_solve():
-    qp = quadratic_problem(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
+    qp = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
     assert np.allclose(qp.x_star, [1.0, 1.0])
     assert qp.L == pytest.approx(4.0)
     assert qp.mu == pytest.approx(1.0)
@@ -53,9 +53,9 @@ def test_quadratic_minimum_over_perturbations():
 
 def test_quadratic_rejects_non_spd():
     with pytest.raises(ValueError):
-        quadratic_problem(np.diag([1.0, -1.0]), np.zeros(2))
+        QuadraticProblem(np.diag([1.0, -1.0]), np.zeros(2))
     with pytest.raises(ValueError):
-        quadratic_problem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
+        QuadraticProblem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
 
 
 def test_constrained_optimum_is_feasible_and_optimal():

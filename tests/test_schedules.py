@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expression_form_triangle
-from optdec.schedules import (StepState, acsa_params, batch_size_spdstm,
+from optdec.schedules import (acsa_params, batch_size_spdstm,
                               batch_size_sstm, batch_size_sstm_sc,
                               gap_certificate_N, next_alpha_spdstm,
                               next_alpha_stm, next_alpha_strongly_convex,
@@ -14,13 +14,14 @@ from optdec.schedules import (StepState, acsa_params, batch_size_spdstm,
 
 
 def test_step_state_carrier():
-    states = [StepState(0, 0.0, 0.0)]
+    # (k, alpha_k, A_k) per step
+    states = [(0, 0.0, 0.0)]
     A = 0.0
     for k in range(5):
         alpha, A = next_alpha_stm(A, 2.0, 0.0)
-        states.append(StepState(k + 1, alpha, A))
-    for prev, cur in zip(states, states[1:]):
-        assert cur.A_k == pytest.approx(prev.A_k + cur.alpha_k)
+        states.append((k + 1, alpha, A))
+    for (_, _, A_prev), (_, alpha, A_cur) in zip(states, states[1:]):
+        assert A_cur == pytest.approx(A_prev + alpha)
 
 
 # ---------------------------------------------------------------------------
