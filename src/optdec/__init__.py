@@ -19,9 +19,8 @@ from .network import (DecentralizedInstance, KronOperator, LaplacianPair,
                       run_distributed, sqrt_psd)
 from .problems import (QuadraticProblem, barycenter_problem,
                        constrained_quadratic_optimum, entropic_ot_dual_grad,
-                       entropic_ot_dual_value, entropic_ot_stoch_grad,
-                       entropic_wasserstein, min_norm_dual_solution,
-                       projected_gradient_barycenter, random_quadratic,
-                       simplex_project)
+                       entropic_ot_dual_value, entropic_wasserstein,
+                       min_norm_dual_solution, projected_gradient_barycenter,
+                       random_quadratic, random_quadratics, simplex_project)
 
 __version__ = "0.1.0"

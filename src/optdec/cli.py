@@ -32,7 +32,8 @@ from .network import Topology, lift_problem, run_distributed
 from .oracles import NoiseSpec, RngStreams, StochasticGradientOracle, dual_from_primal
 from .primal import build_penalty, sstm, stm, stm_ips
 from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
-                       load_measures_csv, min_norm_dual_solution, random_quadratic)
+                       load_measures_csv, min_norm_dual_solution, random_quadratic,
+                       random_quadratics)
 from .schedules import CAP_FLAG, capped_N, gap_certificate_N
 from .trace import summary_from_trace
 
@@ -210,12 +211,19 @@ def _build_quadratic(problem, seed):
 
 
 def _build_custom(problem):
-    Q = np.atleast_2d(np.loadtxt(problem["Q_csv"], delimiter=","))
-    b = np.atleast_1d(np.loadtxt(problem["b_csv"], delimiter=","))
-    qp = QuadraticProblem(Q, b)
-    A = None
-    if problem.get("A_csv"):
-        A = np.atleast_2d(np.loadtxt(problem["A_csv"], delimiter=","))
+    """Quadratic and optional constraint matrix from CSV files; bad inputs raise ConfigError."""
+    try:
+        Q = np.atleast_2d(np.loadtxt(problem["Q_csv"], delimiter=","))
+        b = np.atleast_1d(np.loadtxt(problem["b_csv"], delimiter=","))
+        qp = QuadraticProblem(Q, b)
+        A = None
+        if problem.get("A_csv"):
+            A = np.loadtxt(problem["A_csv"], delimiter=",", ndmin=2)
+            if A.shape[1] != b.size:
+                raise ValueError(f"A must have one column per coordinate ({b.size}), "
+                                 f"got shape {A.shape}")
+    except (ValueError, KeyError, OSError) as exc:
+        raise ConfigError(f"invalid custom problem: {exc}") from exc
     return qp, A
 
 
@@ -245,14 +253,13 @@ def _build_consensus(problem, topo, seed):
     cond = float(problem.get("cond", 1.0))
     spread = float(problem.get("spread", 1.0))
     rng = RngStreams(seed).generator(3)
-    locals_ = []
-    for k in range(topo.m):
-        if cond == 1.0:
-            qp = QuadraticProblem(np.eye(n), spread * rng.standard_normal(n))
-        else:
-            qp = random_quadratic(n, cond, rng, b_scale=spread)
-        locals_.append(qp.oracle())
-    return lift_problem(locals_, topo, n)
+    if cond == 1.0:
+        # identity locals: node k draws only its b_k, and the nodes draw in order
+        qps = QuadraticProblem.stack(np.broadcast_to(np.eye(n), (topo.m, n, n)),
+                                     spread * rng.standard_normal((topo.m, n)))
+    else:
+        qps = random_quadratics(topo.m, n, cond, rng, b_scale=spread)
+    return lift_problem([qp.oracle() for qp in qps], topo, n)
 
 
 def _noise_spec(noise_cfg) -> NoiseSpec:

@@ -1,8 +1,14 @@
 """Closed-form and semi-closed-form test problems.
 
 Quadratics come with exact minimisers and exact convex conjugates, which
-makes them the reference instances for every solver certificate.  Their
-oracles, and those of the barycenter nodes, declare that side data as
+makes them the reference instances for every solver certificate.  They
+have one construction path: :meth:`QuadraticProblem.stack` checks and
+decomposes the ``(m, n, n)`` stack of a network's node quadratics in one
+``eigvalsh`` and one ``solve``, :func:`random_quadratics` draws the nodes
+in order and orthogonalises them in one ``qr``, and a single
+``QuadraticProblem(Q, b)`` or :func:`random_quadratic` is a stack of one,
+bit for bit what a per-node build gives.  The quadratics' oracles, and
+those of the barycenter nodes, declare that side data as
 :class:`~optdec.oracles.FirstOrderOracle` fields.  The
 entropic optimal-transport dual is the log-sum-exp functional
 
@@ -22,11 +28,11 @@ from .oracles import FirstOrderOracle
 __all__ = [
     "QuadraticProblem",
     "random_quadratic",
+    "random_quadratics",
     "constrained_quadratic_optimum",
     "min_norm_dual_solution",
     "entropic_ot_dual_value",
     "entropic_ot_dual_grad",
-    "entropic_ot_stoch_grad",
     "entropic_wasserstein",
     "simplex_project",
     "barycenter_local_oracle",
@@ -46,25 +52,39 @@ class QuadraticProblem:
 
     Exposes the exact minimiser ``x* = Q^{-1} b`` and the conjugate argmax
     ``x(y) = Q^{-1}(y + b)``; :meth:`oracle` declares both, and the
-    problem itself as the oracle's ``quadratic``.
+    problem itself as the oracle's ``quadratic``.  ``QuadraticProblem(Q, b)``
+    is :meth:`stack` of one: the same checks and decompositions.
     """
 
     def __init__(self, Q, b):
         Q = np.asarray(Q, dtype=float)
         b = np.asarray(b, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or b.shape != (Q.shape[0],):
-            raise ValueError("Q must be square and b conforming")
-        if not np.allclose(Q, Q.T, atol=1e-12 * max(1.0, np.abs(Q).max())):
-            raise ValueError("Q must be symmetric")
-        evals = np.linalg.eigvalsh(Q)
-        if evals[0] <= 0:
-            raise ValueError("Q must be positive definite")
+        evals, x_star = _decompose(Q[None], b[None], "")
+        self._assign(Q, b, evals[0], x_star[0])
+
+    @classmethod
+    def stack(cls, Q, b) -> list:
+        """One problem per node of the ``(m, n, n)`` stack ``Q`` and ``(m, n)`` stack ``b``.
+
+        Decomposes the whole stack in one ``eigvalsh`` and one ``solve``;
+        each problem's arrays are views into the stacks.  A bad node ``k``
+        raises the message of :class:`QuadraticProblem` naming node ``k``.
+        """
+        Q = np.asarray(Q, dtype=float)
+        b = np.asarray(b, dtype=float)
+        evals, x_star = _decompose(Q, b, " of node {}")
+        problems = [cls.__new__(cls) for _ in range(len(Q))]
+        for k, qp in enumerate(problems):
+            qp._assign(Q[k], b[k], evals[k], x_star[k])
+        return problems
+
+    def _assign(self, Q, b, evals, x_star):
         self.Q = Q
         self.b = b
         self.L = float(evals[-1])
         self.mu = float(evals[0])
-        self.x_star = np.linalg.solve(Q, b)
-        self.f_star = float(0.5 * self.x_star @ Q @ self.x_star - b @ self.x_star)
+        self.x_star = x_star
+        self.f_star = float(0.5 * x_star @ Q @ x_star - b @ x_star)
 
     def value(self, x):
         return float(0.5 * x @ self.Q @ x - self.b @ x)
@@ -81,16 +101,55 @@ class QuadraticProblem:
                                 x_star=self.x_star, quadratic=self)
 
 
+def _decompose(Q, b, node):
+    """Eigenvalues and minimisers of a checked ``(m, n, n)`` SPD stack.
+
+    ``node`` is formatted with the index of the first bad node into its
+    error message ("" leaves the index out).
+    """
+    if Q.ndim != 3 or Q.shape[1] != Q.shape[2] or b.shape != Q.shape[:2]:
+        raise ValueError("Q must be square and b conforming")
+    # an exactly symmetric stack passes every node's tolerance check; the
+    # check itself runs node by node, so it makes no (m, n, n) float temporary
+    if not np.array_equal(Q, Q.mT):
+        for k, Q_k in enumerate(Q):
+            if not np.allclose(Q_k, Q_k.T, atol=1e-12 * max(1.0, np.abs(Q_k).max())):
+                raise ValueError(f"Q{node.format(k)} must be symmetric")
+    evals = np.linalg.eigvalsh(Q)
+    bad = np.flatnonzero(evals[:, 0] <= 0)
+    if bad.size:
+        raise ValueError(f"Q{node.format(bad[0])} must be positive definite")
+    return evals, np.linalg.solve(Q, b[..., None])[..., 0]
+
+
+def random_quadratics(m: int, dim: int, cond: float, rng: np.random.Generator,
+                      b_scale: float = 1.0) -> list:
+    """``m`` random SPD quadratics with prescribed condition number, built as one stack.
+
+    Node ``k`` draws its ``M_k`` and then its ``b_k``, in node order; the
+    stack is orthogonalised by one ``qr`` and decomposed by
+    :meth:`QuadraticProblem.stack`.
+    """
+    M = np.empty((m, dim, dim))
+    b = np.empty((m, dim))
+    for M_k, b_k in zip(M, b):
+        rng.standard_normal(out=M_k)
+        rng.standard_normal(out=b_k)
+    b *= b_scale
+    # each (m, dim, dim) array is dropped once used: at most three are alive
+    U = np.linalg.qr(M).Q
+    del M
+    Q = (U * np.logspace(0.0, np.log10(cond), dim)) @ U.mT
+    del U
+    Q = Q + Q.mT
+    Q /= 2.0
+    return QuadraticProblem.stack(Q, b)
+
+
 def random_quadratic(dim: int, cond: float, rng: np.random.Generator,
                      b_scale: float = 1.0) -> QuadraticProblem:
-    """Random SPD quadratic with prescribed condition number."""
-    M = rng.standard_normal((dim, dim))
-    U, _ = np.linalg.qr(M)
-    evals = np.logspace(0.0, np.log10(cond), dim)
-    Q = (U * evals) @ U.T
-    Q = (Q + Q.T) / 2.0
-    b = b_scale * rng.standard_normal(dim)
-    return QuadraticProblem(Q, b)
+    """Random SPD quadratic with prescribed condition number: a stack of one."""
+    return random_quadratics(1, dim, cond, rng, b_scale)[0]
 
 
 def constrained_quadratic_optimum(Q, b, A):
@@ -188,17 +247,6 @@ def entropic_ot_dual_grad(lam, q, C, mu: float) -> np.ndarray:
     """
     q, C = _check_entropic(q, C, mu)
     return _column_plan(np.asarray(lam, dtype=float), C, mu)[0] @ q
-
-
-def entropic_ot_stoch_grad(lam, q, C, mu: float, rng: np.random.Generator) -> np.ndarray:
-    """Unbiased single-column estimate: draw ``j ~ q``, return that column's softmax."""
-    q, C = _check_entropic(q, C, mu)
-    lam = np.asarray(lam, dtype=float)
-    j = rng.choice(q.size, p=q / q.sum())
-    E = (lam - C[:, j]) / mu
-    E -= E.max()
-    w = np.exp(E)
-    return w / w.sum()
 
 
 def entropic_wasserstein(p, q, C, mu: float, tol: float = 1e-8,

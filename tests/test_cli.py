@@ -281,6 +281,20 @@ def _custom_without_A(tmp_path, method):
                         "b_csv": str(tmp_path / "b.csv")}}
 
 
+def _bad_custom(tmp_path, method="stm", **files):
+    """The problem of ``_custom_without_A`` with the ``Q``, ``b`` or ``A`` CSVs given.
+
+    A file given as ``None`` is named but never written.
+    """
+    cfg = _custom_without_A(tmp_path, method)
+    for name, value in files.items():
+        path = tmp_path / f"{name}.csv"
+        if value is not None:
+            np.savetxt(path, value, delimiter=",")
+        cfg["problem"][f"{name}_csv"] = str(path)
+    return cfg
+
+
 def _noisy_sstm():
     return {"method": "sstm", "problem": {"kind": "quadratic", "dim": 4}, "N": 3}
 
@@ -327,6 +341,11 @@ BAD_INPUTS = {
     "seed_fractional": lambda t: quad_config(seed=1.7),
     "custom_without_A_spdstm": lambda t: _custom_without_A(t, "spdstm"),
     "custom_without_A_stm_ips": lambda t: _custom_without_A(t, "stm_ips"),
+    "custom_Q_not_symmetric": lambda t: _bad_custom(t, Q=np.triu(np.ones((3, 3)))),
+    "custom_Q_indefinite": lambda t: _bad_custom(t, Q=np.diag([1.0, -1.0, 2.0])),
+    "custom_b_wrong_length": lambda t: _bad_custom(t, b=np.array([1.0, 2.0])),
+    "custom_A_csv_missing": lambda t: _bad_custom(t, "spdstm", A=None),
+    "custom_A_wrong_width": lambda t: _bad_custom(t, "spdstm", A=np.ones((2, 4))),
     "ring_m_fractional": lambda t: {
         "method": "sstm_sc", "N": 10,
         "problem": {"kind": "consensus_quadratic", "n": 2, "topology": {"kind": "ring", "m": 4.5}}},

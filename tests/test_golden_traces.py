@@ -15,7 +15,10 @@ with ``N: "auto"``, one on a single machine and one on a ring with
 ``stop_gap``, pin the dual planning and run path.  The single-machine
 ``ac_sa`` and ``rrma`` runs in both tables, recorded before these methods
 ran through ``dual.run_dual``, pin how their budget ``m_iters`` and
-weight ``lambda`` follow from ``N`` and the constants.
+weight ``lambda`` follow from ``N`` and the constants.  The
+``consensus_quadratic`` runs on a ring of 12 nodes with ``n`` 8 and at
+``cond`` 1, recorded before the node quadratics were built as one stack,
+pin how each node's ``Q`` and ``b`` are drawn and decomposed.
 ``GOLDEN_BARYCENTER`` holds a decentralized ``barycenter`` run whose auto
 ``N`` follows from ``R_y``, the bound centred on the minimisers of the
 local objectives; its measure and cost CSVs are written next to the config
@@ -63,6 +66,13 @@ GOLDEN = {
          "eps": 0.02, "N": 40, "seed": 3},
         "d8364798e99da17ff37c63e6b75a397100b72672146432ce67fcbe686ec1b411",
         "9cb090357d40ff8b2a9d854f46cd3e0ec69115f780ff03da8aa1d486ab23b7cb"),
+    "spdstm_ring12_gaussian": (
+        {"method": "spdstm", "problem": {"kind": "consensus_quadratic", "n": 8, "cond": 10.0,
+                                         "topology": {"kind": "ring", "m": 12}},
+         "noise": {"kind": "gaussian", "sigma": 0.1, "delta": 0.001},
+         "eps": 0.05, "N": 12, "seed": 11},
+        "944becfb23a28a3d8c9c5bf6806f1c1088e59fc0c0b0f792832e01a5018a1b40",
+        "e4be4c00bc96a79fb59aac221569f6a66e64f4696c08c71f3a933d2644e852f0"),
 }
 
 
@@ -90,6 +100,19 @@ GOLDEN_DETERMINISTIC = {
          "eps": 0.05, "N": 10, "seed": 7},
         "8231d03c4fa75a97cd5532d04d91f75dccc5699783f3ad8f12ce27bf05453310",
         "35af60740746c94b373b1502dec531c339119bc7a292106315647927111f38b7"),
+    # cond 1: every node's Q is the identity
+    "sstm_sc_ring4_identity": (
+        {"method": "sstm_sc", "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 1.0,
+                                          "topology": {"kind": "ring", "m": 4}},
+         "eps": 0.05, "N": 10, "seed": 7},
+        "f2f64cb7042089163baa843f3ec2ea402160a333ac8adba64b969f3412a00057",
+        "87d5e0f4caf17c5f4a4153d397c7c3578e8a4be873e26b6d275b4f1d3859340e"),
+    "sstm_sc_ring12_noiseless": (
+        {"method": "sstm_sc", "problem": {"kind": "consensus_quadratic", "n": 8, "cond": 10.0,
+                                          "topology": {"kind": "ring", "m": 12}},
+         "eps": 0.05, "N": 20, "seed": 11},
+        "d76ea72143f81925ee5e7826a513aaafe9e893838187e4b99bc842aded20237d",
+        "465b35e6cfdb9afe9b1f8634a34ff16a2ff6a1202bc2239fd6d21e7d80e9617b"),
     # auto N from the gap certificate: 251 steps
     "spdstm_penalty_auto": (
         {"method": "spdstm", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},

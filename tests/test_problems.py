@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 import optdec.problems
 from conftest import fd_grad, rel_err
 from optdec import (Topology, barycenter_problem, entropic_ot_dual_grad,
-                    entropic_ot_dual_value, entropic_ot_stoch_grad,
-                    entropic_wasserstein, projected_gradient_barycenter,
-                    QuadraticProblem, random_quadratic, run_distributed,
+                    entropic_ot_dual_value, entropic_wasserstein,
+                    projected_gradient_barycenter, QuadraticProblem,
+                    random_quadratic, random_quadratics, run_distributed,
                     simplex_project)
 from optdec.problems import (constrained_quadratic_optimum, load_cost_csv,
                              load_measures_csv)
@@ -56,6 +56,68 @@ def test_quadratic_rejects_non_spd():
         QuadraticProblem(np.diag([1.0, -1.0]), np.zeros(2))
     with pytest.raises(ValueError):
         QuadraticProblem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
+    for Q, b in ((np.eye(2), np.zeros(3)), (np.ones(2), np.zeros(2)),
+                 (np.ones((1, 2, 2)), np.zeros((1, 2)))):
+        with pytest.raises(ValueError, match="square and b conforming"):
+            QuadraticProblem(Q, b)
+
+
+def _per_matrix_quadratic(dim, cond, rng, b_scale):
+    """Reference: one node drawn and decomposed with 2-d calls only."""
+    U, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    Q = (U * np.logspace(0.0, np.log10(cond), dim)) @ U.T
+    Q = (Q + Q.T) / 2.0
+    b = b_scale * rng.standard_normal(dim)
+    evals = np.linalg.eigvalsh(Q)
+    x_star = np.linalg.solve(Q, b)
+    return Q, b, evals[-1], evals[0], x_star, float(0.5 * x_star @ Q @ x_star - b @ x_star)
+
+
+def _fields(qp):
+    return qp.Q, qp.b, qp.L, qp.mu, qp.x_star, qp.f_star
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 10), cond=st.sampled_from([1.0, 4.0, 100.0]),
+       seed=st.integers(0, 2**63), b_scale=st.sampled_from([1.0, 0.3]))
+def test_stacked_quadratics_equal_per_node_builds(m, n, cond, seed, b_scale):
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    reference = [_per_matrix_quadratic(n, cond, rngs[0], b_scale) for _ in range(m)]
+    loop = [_fields(random_quadratic(n, cond, rngs[1], b_scale)) for _ in range(m)]
+    stacked = random_quadratics(m, n, cond, rngs[2], b_scale)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+    Q, b = np.stack([qp.Q for qp in stacked]), np.stack([qp.b for qp in stacked])
+    restacked = QuadraticProblem.stack(Q, b)
+    for k in range(m):
+        single = _fields(QuadraticProblem(Q[k], b[k]))
+        for ref, *built in zip(reference[k], loop[k], _fields(stacked[k]),
+                               _fields(restacked[k]), single):
+            for value in built:
+                assert np.array_equal(value, ref)
+                assert np.asarray(value).dtype == np.asarray(ref).dtype
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(2, 10), seed=st.integers(0, 2**63),
+       data=st.data())
+def test_stack_names_the_bad_node(m, n, seed, data):
+    Q = np.stack([qp.Q for qp in random_quadratics(m, n, 4.0, np.random.default_rng(seed))])
+    k = data.draw(st.integers(0, m - 1))
+    near = Q.copy()  # not exactly symmetric, but inside the tolerance
+    near[k, 0, -1] *= 1.0 + 1e-9
+    b = np.ones((m, n))
+    assert np.array_equal(QuadraticProblem.stack(near, b)[k].x_star,
+                          QuadraticProblem(near[k], b[k]).x_star)
+    bad = Q.copy()
+    bad[k, 0, -1] += 1.0
+    with pytest.raises(ValueError, match=f"^Q of node {k} must be symmetric$"):
+        QuadraticProblem.stack(bad, np.zeros((m, n)))
+    bad = Q.copy()
+    bad[k] *= -1.0
+    with pytest.raises(ValueError, match=f"^Q of node {k} must be positive definite$"):
+        QuadraticProblem.stack(bad, np.zeros((m, n)))
+    with pytest.raises(ValueError, match="^Q must be positive definite$"):
+        QuadraticProblem(bad[k], np.zeros(n))
 
 
 def test_constrained_optimum_is_feasible_and_optimal():
@@ -144,40 +206,6 @@ def test_stabilized_at_small_mu():
     v = entropic_ot_dual_value(lam, q, C, 1e-2)
     g = entropic_ot_dual_grad(lam, q, C, 1e-2)
     assert np.isfinite(v) and np.isfinite(g).all()
-
-
-# ---------------------------------------------------------------------------
-# stochastic component gradient
-
-
-def test_stoch_grad_point_mass():
-    q = np.array([1.0, 0.0])
-    C = np.array([[0.0, 1.0], [1.0, 0.0]])
-    lam = np.array([0.2, -0.1])
-    rng = np.random.default_rng(8)
-    g = entropic_ot_stoch_grad(lam, q, C, 0.5, rng)
-    assert np.allclose(g, entropic_ot_dual_grad(lam, q, C, 0.5))
-
-
-def test_stoch_grad_zero_cost_uniform():
-    rng = np.random.default_rng(9)
-    q = np.array([0.4, 0.6])
-    g = entropic_ot_stoch_grad(np.zeros(2), q, np.zeros((2, 2)), 1.0, rng)
-    assert np.allclose(g, [0.5, 0.5])
-
-
-def test_stoch_grad_unbiased():
-    rng = np.random.default_rng(10)
-    q = rng.dirichlet(np.ones(3))
-    C = rng.random((3, 3))
-    lam = rng.standard_normal(3)
-    mu = 0.3
-    n = 20_000
-    draws = np.array([entropic_ot_stoch_grad(lam, q, C, mu, rng) for _ in range(n)])
-    mean = draws.mean(axis=0)
-    stderr = draws.std(axis=0) / np.sqrt(n)
-    full = entropic_ot_dual_grad(lam, q, C, mu)
-    assert np.all(np.abs(mean - full) <= 3.0 * stderr + 1e-12)
 
 
 # ---------------------------------------------------------------------------
