@@ -9,8 +9,8 @@ many rounds a fixed accuracy costs.
 
 import numpy as np
 
-from optdec import (QuadraticProblem, Topology, chi, laplacian, lift_problem,
-                    run_distributed)
+from optdec import (DecentralizedInstance, QuadraticProblem, Topology, chi,
+                    laplacian, run_distributed)
 
 rng = np.random.default_rng(1)
 m, n = 6, 2
@@ -18,7 +18,7 @@ centers = rng.standard_normal((m, n))
 
 def make_instance(topology):
     locals_ = [QuadraticProblem(np.eye(n), centers[k % m][:n]).oracle() for k in range(topology.m)]
-    return lift_problem(locals_, topology, n)
+    return DecentralizedInstance(locals_, topology, n)
 
 print("the consensus optimum is the mean of the local centers:", centers.mean(axis=0))
 

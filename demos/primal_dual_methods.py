@@ -8,7 +8,7 @@ x1 = x2, whose dual is the scalar parabola psi(y) = y^2 - 2y (+ const).
 
 import numpy as np
 
-from optdec import (FirstOrderOracle, NoiseSpec, RngStreams, dual_from_primal,
+from optdec import (DualOracle, FirstOrderOracle, NoiseSpec, RngStreams,
                     duality_gap, primal_recovery, restarted_rrma, spdstm,
                     sstm_sc)
 
@@ -16,7 +16,7 @@ c = np.array([1.0, 3.0])
 oracle = FirstOrderOracle(2, lambda x: 0.5 * float(np.sum((x - c) ** 2)),
                           lambda x: x - c, L=1.0, mu=1.0)
 A = np.array([[1.0, -1.0]])
-dual = dual_from_primal(oracle, A, lambda u: u + c)
+dual = DualOracle(oracle, A, lambda u: u + c)
 print(f"dual constants: L_psi = {dual.L_psi}, mu_psi = {dual.mu_psi}")
 
 # --- primal-dual averaging: certifies f(x~) + psi(y) ---------------------
@@ -43,7 +43,7 @@ print(f"  final point {y3}, recovered x = {x3}")
 print(f"  gap/feasibility at the end: {duality_gap(oracle, dual, x3, y3)}")
 
 # --- the same primal-dual run with a noisy oracle -------------------------
-noisy = dual_from_primal(oracle, A, lambda u: u + c,
+noisy = DualOracle(oracle, A, lambda u: u + c,
                          noise=NoiseSpec(delta=0.0, sigma=0.1, kind="gaussian"))
 y4, x4, trace4 = spdstm(noisy, 200, eps=5e-3, beta=0.05, seed=7, metric_every=100)
 print("\nnoisy oracle (sigma = 0.1), batches grown by the theory rule:")

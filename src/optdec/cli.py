@@ -28,8 +28,8 @@ import numpy as np
 
 from .dual import DUAL_CONSTANTS, DivergenceError, run_dual
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
-from .network import Topology, lift_problem, run_distributed
-from .oracles import NoiseSpec, RngStreams, StochasticGradientOracle, dual_from_primal
+from .network import DecentralizedInstance, Topology, run_distributed
+from .oracles import DualOracle, NoiseSpec, RngStreams, StochasticGradientOracle
 from .primal import build_penalty, sstm, stm, stm_ips
 from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
                        load_measures_csv, min_norm_dual_solution, random_quadratic,
@@ -259,7 +259,7 @@ def _build_consensus(problem, topo, seed):
                                      spread * rng.standard_normal((topo.m, n)))
     else:
         qps = random_quadratics(topo.m, n, cond, rng, b_scale=spread)
-    return lift_problem([qp.oracle() for qp in qps], topo, n)
+    return DecentralizedInstance([qp.oracle() for qp in qps], topo, n)
 
 
 def _noise_spec(noise_cfg) -> NoiseSpec:
@@ -288,8 +288,7 @@ def execute_run(cfg: dict):
     if kind in DECENTRALIZED_KINDS:
         instance = _build_decentralized(problem, seed)
         run_cfg = {k: v for k, v in consts.items() if k in DUAL_CONSTANTS or k == "R_y"}
-        run_cfg.update(N=cfg["N"], eps=eps, beta=beta, seed=seed,
-                       noise=None if noise.silent and noise.kind == "none" else noise)
+        run_cfg.update(N=cfg["N"], eps=eps, beta=beta, seed=seed, noise=noise)
         x_nodes, trace, _ = run_distributed(method, instance, run_cfg)
         trace.metadata.update(meta)
         return trace, {
@@ -335,7 +334,7 @@ def execute_run(cfg: dict):
                                F_star=pen.F_value(x_F), x_star=x_F, metadata=meta)
             trace.metadata["R_y"] = format(R_y, ".17g")
         else:  # run_dual plans, caps and flags the dual methods itself
-            dual = dual_from_primal(oracle, A, qp.conjugate_argmax, noise=noise)
+            dual = DualOracle(oracle, A, qp.conjugate_argmax, noise=noise)
             capped, extra = False, {"R_y": R_y}
             _, _, trace = run_dual(method, dual, cfg["N"], eps, beta, R_y, consts, seed=seed,
                                    metadata=meta)

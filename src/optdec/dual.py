@@ -223,16 +223,12 @@ class RegularizedDual:
         self.shift_terms.append((weight, np.array(center, dtype=float)))
 
     @property
-    def reg_modulus(self) -> float:
+    def strong_convexity(self) -> float:
         return self.lam + 2.0 * sum(w for w, _ in self.shift_terms)
 
     @property
-    def strong_convexity(self) -> float:
-        return self.reg_modulus
-
-    @property
     def smoothness(self) -> float:
-        return self.base.L_psi + self.reg_modulus
+        return self.base.L_psi + self.strong_convexity
 
     def reg_grad(self, y):
         g = self.lam * (y - self.anchor)

@@ -45,8 +45,7 @@ __all__ = [
     "sqrt_psd",
     "chi",
     "laplacian_pair",
-    "lift_problem",
-    "build_distributed_dual",
+    "DistributedDualOracle",
     "run_distributed",
 ]
 
@@ -288,16 +287,17 @@ class DecentralizedInstance:
         self.m = topology.m
         self.pair = laplacian_pair(topology, n)
         self.counter = counter if counter is not None else CallCounter()
-        m = self.m
+        # the closures hold the node list, not ``self``: no reference cycle
+        m, nodes = self.m, self.locals
 
         def value(x):
             blocks = x.reshape(m, n)
-            return sum(f.value(blocks[k]) for k, f in enumerate(self.locals)) / m
+            return sum(f.value(blocks[k]) for k, f in enumerate(nodes)) / m
 
         def gradient(x):
             blocks = x.reshape(m, n)
             return np.concatenate(
-                [np.asarray(f.gradient(blocks[k]), dtype=float) for k, f in enumerate(self.locals)]) / m
+                [np.asarray(f.gradient(blocks[k]), dtype=float) for k, f in enumerate(nodes)]) / m
 
         L = max(f.L for f in self.locals) / m
         mu = min(f.mu for f in self.locals) / m
@@ -328,37 +328,23 @@ def _stacked_quadratic_argmax(quadratics):
     return lambda U: np.matmul(Q_inv, (U + b)[:, :, None])[:, :, 0]
 
 
-def lift_problem(locals_, topology: Topology, n: int,
-                 batched_argmax=None) -> DecentralizedInstance:
-    """Stack per-node objectives into a consensus-constrained instance.
-
-    ``batched_argmax`` is passed to :class:`DecentralizedInstance`; the
-    local oracles are read, never written.
-    """
-    return DecentralizedInstance(locals_, topology, n, batched_argmax=batched_argmax)
-
-
 class DistributedDualOracle(DualOracle):
     """Dual oracle of a lifted instance with communication accounting.
 
     One gradient evaluation is ``sqrt(W) x(sqrt(W) y)`` with blockwise
     local argmax solves in between: exactly two counted multiplications.
-    Noise is applied per node block (scale ``sigma`` per node), so the
-    stacked noise level is ``sqrt(m) sigma`` and the dual one picks up an
+    ``noise`` is the per-node spec: each node block gets its own bias
+    ``delta * e_1`` and noise of scale ``sigma``, so the stacked noise level
+    is ``sqrt(m) sigma``, and ``sigma_psi`` carries that ``sqrt(m)`` and an
     extra ``sqrt(lambda_max(W))``.  A sample draws its ``m`` node blocks in
     node order from its one stream, as one draw of ``m n`` coordinates.
     """
 
     def __init__(self, instance: DecentralizedInstance, noise: NoiseSpec | None = None):
         self.instance = instance
-        node_noise = noise if noise is not None else NoiseSpec(0.0, 0.0, "none")
-        # per-node levels stack to sqrt(m) times the node level (norm-wise)
-        root_m = math.sqrt(instance.m)
         super().__init__(instance.stacked, instance.pair.sqrtW, instance.local_argmax,
-                         noise=NoiseSpec(root_m * node_noise.delta, root_m * node_noise.sigma,
-                                         node_noise.kind),
-                         counter=instance.counter)
-        self.sample_noise, self.noise_block = node_noise, instance.n
+                         noise=noise, counter=instance.counter)
+        self.noise_block = instance.n
 
     def _constraint_map(self, A):
         """``sqrt(W)`` stays an operator; ``lambda(A^T A) = lambda(W_bar)``."""
@@ -379,12 +365,6 @@ class DistributedDualOracle(DualOracle):
 
     # its own entry, so that perfbench traces network samples as network.sample_x
     sample_x = DualOracle.sample_x
-
-
-def build_distributed_dual(instance: DecentralizedInstance,
-                           noise: NoiseSpec | None = None) -> DistributedDualOracle:
-    """Dual oracle whose gradient costs two counted ``sqrt(W)`` rounds."""
-    return DistributedDualOracle(instance, noise)
 
 
 # run settings besides the constants of optdec.dual.DUAL_CONSTANTS
@@ -410,7 +390,7 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg = {**_RUN_DEFAULTS, **config}
 
-    dual = build_distributed_dual(instance, cfg["noise"])
+    dual = DistributedDualOracle(instance, cfg["noise"])
     instance.counter.reset()
     R_y = cfg["R_y"] if cfg["R_y"] is not None else _dual_norm_bound(instance)
     y, x, trace = run_dual(method, dual, cfg["N"], cfg["eps"], cfg["beta"], R_y, cfg,

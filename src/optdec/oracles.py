@@ -13,6 +13,13 @@ Every solver in this package consumes one of three oracle flavours:
   convex function composed with a linear map ``A``; its gradient is
   ``A x(A^T y)`` where ``x(u)`` maximises ``<u, x> - f(x)``.
 
+The noisy oracles (these two, and the network's ``DistributedDualOracle``)
+share one sampler, ``_NoisySampler``: each supplies only its exact map (the
+checked gradient, or ``x_exact``), its ``NoiseSpec`` and its noise block;
+a sample is the exact part, plus ``delta * e_1`` on every noise block, plus
+noise drawn block by block.  ``NoiseSpec`` is the per-block spec, so a
+dual's ``sigma_psi`` carries the ``sqrt`` of its number of blocks.
+
 Randomness is organised in explicit streams (:class:`RngStreams`).  The
 contract:
 
@@ -53,7 +60,6 @@ __all__ = [
     "FirstOrderOracle",
     "StochasticGradientOracle",
     "DualOracle",
-    "dual_from_primal",
 ]
 
 # Eigenvalues below RANK_TOL * lambda_max are treated as exact zeros when
@@ -359,8 +365,8 @@ class NoiseSpec:
     kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.delta < 0 or self.sigma < 0:
-            raise ValueError("noise levels must be non-negative")
+        if not (0.0 <= self.delta < math.inf and 0.0 <= self.sigma < math.inf):
+            raise ValueError("noise levels must be finite and non-negative")
         if self.kind not in ("gaussian", "bounded", "none"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
@@ -475,7 +481,55 @@ class FirstOrderOracle:
         return np.asarray(self.gradient(x), dtype=float)
 
 
-class StochasticGradientOracle:
+class _NoisySampler:
+    """The one sampling path of the noisy oracles: exact part, plus bias, plus noise.
+
+    A sample at ``at`` is ``_exact(at)`` plus ``delta * e_1`` on every
+    ``noise_block`` coordinates, plus ``eta`` drawn from ``noise``.  A
+    subclass supplies ``_exact``, ``noise``, ``noise_block`` and ``counter``,
+    and binds :meth:`_sample` as its public per-sample method.
+    """
+
+    def _sample_center(self, at: np.ndarray) -> np.ndarray:
+        """The exact part plus ``delta * e_1`` on every noise block: what every sample at ``at`` shares."""
+        x = self._exact(at)
+        delta, block = self.noise.delta, self.noise_block
+        if delta > 0:
+            x = (x.reshape(-1, block) + delta * e_1(np.zeros(block))).reshape(-1)
+        return x
+
+    def _sample(self, at: np.ndarray, rng: np.random.Generator, center=None, row=None) -> np.ndarray:
+        """One sample ``center + eta``; alone, a batch of one.
+
+        A batch passes the ``center`` it computed once at ``at`` and the
+        sample's ``row`` of its buffer: the call counts the sample and draws
+        its raw noise into ``row``, and the batch scales, centres and sums
+        all rows at once.  A batch still makes one call per sample because
+        perfbench's traced check matches ``sample_x`` calls against
+        ``stoch_samples``.
+        """
+        self.counter.stoch_samples += 1
+        if row is not None:
+            self.noise.draw(rng, row, self.noise_block)
+            return row
+        if center is None:
+            center = self._sample_center(at)
+        if self.noise.silent:
+            return center
+        return self.noise.sum_samples(center, self.noise_block, (rng,), 1)
+
+    def _batch_mean(self, at: np.ndarray, r: int, streams: RngStreams, sample) -> np.ndarray:
+        """Mean of the ``r`` samples at ``at``, each one ``sample(at, rng, center, row)``.
+
+        The centre is computed once; the caller passes its per-sample method
+        as looked up on ``self``, so that patches of it see every sample.
+        """
+        center = self._sample_center(at)
+        return self.noise.sum_samples(center, self.noise_block, streams.generators(r), r,
+                                      lambda rng, row: sample(at, rng, center, row)) / r
+
+
+class StochasticGradientOracle(_NoisySampler):
     """Gradient sampler with deterministic bias and sub-Gaussian noise.
 
     A sample at ``x`` is ``gradient(x) + delta * e_1 + eta`` with ``eta``
@@ -487,51 +541,32 @@ class StochasticGradientOracle:
     def __init__(self, base: FirstOrderOracle, noise: NoiseSpec):
         self.base = base
         self.noise = noise
+        self.noise_block = base.dim
         self.counter = base.counter
 
     @property
     def dim(self):
         return self.base.dim
 
-    def _sample_center(self, x: np.ndarray) -> np.ndarray:
-        """``gradient(x) + delta * e_1``: what every sample at ``x`` shares."""
+    def _exact(self, x: np.ndarray) -> np.ndarray:
         self.base._check_dim(x)
-        g = np.asarray(self.base.gradient(x), dtype=float)
-        if self.noise.delta > 0:
-            g = g + self.noise.delta * e_1(x)
-        return g
+        return np.asarray(self.base.gradient(x), dtype=float)
 
-    def sample(self, x: np.ndarray, rng: np.random.Generator, center=None, row=None) -> np.ndarray:
-        """One sample ``center + eta``; alone, a batch of one.
-
-        A batch passes the ``center`` it computed at ``x`` and the sample's
-        ``row`` of its buffer, into which the call draws the raw noise.
-        """
-        self.counter.stoch_samples += 1
-        if row is not None:
-            self.noise.draw(rng, row, self.dim)
-            return row
-        if center is None:
-            center = self._sample_center(x)
-        if self.noise.silent:
-            return center
-        return self.noise.sum_samples(center, self.dim, (rng,), 1)
+    sample = _NoisySampler._sample
 
     def batch(self, x: np.ndarray, r: int, streams: RngStreams) -> np.ndarray:
         if r < 1:
             raise ValueError("batch size must be >= 1")
-        center = self._sample_center(x)
-        return self.noise.sum_samples(center, self.dim, streams.generators(r), r,
-                                      lambda rng, row: self.sample(x, rng, center, row)) / r
+        return self._batch_mean(x, r, streams, self.sample)
 
 
-class DualOracle:
+class DualOracle(_NoisySampler):
     """Oracle for the dual ``psi(y) = max_x {<A^T y, x> - f(x)}``.
 
     The dual gradient is ``A x(A^T y)``; noisy access perturbs the inner
-    maximiser ``x`` by ``delta * e_1 + eta`` before mapping
-    through ``A``, so the dual-side bias and noise scale with
-    ``sqrt(lambda_max(A^T A))``.
+    maximiser ``x`` by ``delta * e_1 + eta`` on every ``noise_block``
+    coordinates (all of ``x`` here) before mapping through ``A``, so the
+    dual-side bias and noise scale with ``sqrt(lambda_max(A^T A))``.
 
     ``apply_A`` / ``apply_At`` are overridable hooks: the decentralized
     layer replaces them with communication-counting multiplications.
@@ -545,8 +580,7 @@ class DualOracle:
         self.A, self.lam_max_AtA, self.lam_min_plus_AtA = self._constraint_map(A)
         self.argmax_solver = argmax_solver
         self.noise = noise if noise is not None else NoiseSpec(0.0, 0.0, "none")
-        # what a sample draws: ``noise`` in blocks of ``noise_block`` coordinates
-        self.sample_noise, self.noise_block = self.noise, primal.dim
+        self.noise_block = primal.dim
         self.counter = counter if counter is not None else primal.counter
         self.L_psi = self.lam_max_AtA / primal.mu
         self.mu_psi = self.lam_min_plus_AtA / primal.L if primal.L > 0 else 0.0
@@ -581,7 +615,9 @@ class DualOracle:
 
     @property
     def sigma_psi(self) -> float:
-        return float(np.sqrt(self.lam_max_AtA) * self.noise.sigma)
+        """``sqrt(lambda_max(A^T A))`` times the level of all noise blocks stacked."""
+        blocks = self.primal.dim // self.noise_block
+        return float(np.sqrt(self.lam_max_AtA) * (math.sqrt(blocks) * self.noise.sigma))
 
     @property
     def dual_dim(self) -> int:
@@ -606,33 +642,10 @@ class DualOracle:
 
     # -- sampled access ------------------------------------------------------
 
-    def _sample_center(self, u: np.ndarray) -> np.ndarray:
-        """``x(u)`` plus ``delta * e_1`` on every noise block: what every sample at ``u`` shares."""
-        x = self.x_exact(u)
-        delta, block = self.sample_noise.delta, self.noise_block
-        if delta > 0:
-            x = (x.reshape(-1, block) + delta * e_1(np.zeros(block))).reshape(-1)
-        return x
+    def _exact(self, u: np.ndarray) -> np.ndarray:
+        return self.x_exact(u)  # looked up on ``self``, so patches of ``x_exact`` apply
 
-    def sample_x(self, u: np.ndarray, rng: np.random.Generator, center=None, row=None) -> np.ndarray:
-        """One noisy inner maximiser ``x(u) + delta * e_1 + eta``; alone, a batch of one.
-
-        A batch passes the ``center`` it computed once at ``u`` and the
-        sample's ``row`` of its buffer: the call counts the sample and draws
-        its raw noise into ``row``, and the batch scales, centres and sums
-        all rows at once.  A batch still makes one call per sample because
-        perfbench's traced check matches ``sample_x`` calls against
-        ``stoch_samples``.
-        """
-        self.counter.stoch_samples += 1
-        if row is not None:
-            self.sample_noise.draw(rng, row, self.noise_block)
-            return row
-        if center is None:
-            center = self._sample_center(u)
-        if self.noise.silent:
-            return center
-        return self.sample_noise.sum_samples(center, self.noise_block, (rng,), 1)
+    sample_x = _NoisySampler._sample
 
     def batch_grad_and_x(self, y, r, streams: RngStreams):
         """Batched dual gradient together with the batched inner maximiser.
@@ -645,17 +658,5 @@ class DualOracle:
         if r < 1:
             raise ValueError("batch size must be >= 1")
         u = self.apply_At(np.asarray(y, dtype=float))
-        center = self._sample_center(u)
-        x_mean = self.sample_noise.sum_samples(center, self.noise_block, streams.generators(r), r,
-                                               lambda rng, row: self.sample_x(u, rng, center, row)) / r
+        x_mean = self._batch_mean(u, r, streams, self.sample_x)
         return self.apply_A(x_mean), x_mean
-
-
-def dual_from_primal(primal: FirstOrderOracle, A, argmax_solver,
-                     noise: NoiseSpec | None = None) -> DualOracle:
-    """Construct the dual oracle of a strongly convex primal under ``A``.
-
-    Rejects ``primal.mu == 0`` (the dual gradient is Lipschitz only for a
-    strongly convex primal).
-    """
-    return DualOracle(primal, A, argmax_solver, noise=noise)

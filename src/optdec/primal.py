@@ -186,6 +186,7 @@ class PenaltyProblem(CompositeProblem):
         lam_max = float(np.linalg.eigvalsh((self.AtA + self.AtA.T) / 2.0)[-1])
         self.lam_max_AtA = lam_max
 
+        # the closures hold ``AtA``, not ``self``: no reference cycle
         coeff = self.coeff
         AtA, two_coeff = self.AtA, np.array(2.0 * coeff)
 
@@ -203,7 +204,7 @@ class PenaltyProblem(CompositeProblem):
 
         def prox_solver(z_k, alpha, lin):
             # exact minimiser of 0.5||z - z_k||^2 + alpha(<lin, z> + h(z))
-            M = np.eye(base.dim) + (2.0 * alpha * coeff) * self.AtA
+            M = np.eye(base.dim) + (2.0 * alpha * coeff) * AtA
             return np.linalg.solve(M, z_k - alpha * lin)
 
         super().__init__(base, h_value, h_gradient, 2.0 * coeff * lam_max,

@@ -367,7 +367,7 @@ def barycenter_problem(measures, C, mu: float, topology):
     lifted dual and recovering the primal per node yields the empirical
     barycenter.
     """
-    from .network import lift_problem
+    from .network import DecentralizedInstance
 
     measures = np.atleast_2d(np.asarray(measures, dtype=float))
     n = measures.shape[1]
@@ -381,7 +381,7 @@ def barycenter_problem(measures, C, mu: float, topology):
         # X_k = S(U_k) q^k for all nodes: equal to the per-node conjugate_argmax
         return np.matmul(_column_plan(U, C, mu)[0], Q)[:, :, 0]
 
-    return lift_problem(locals_, topology, n, batched_argmax=batched_argmax)
+    return DecentralizedInstance(locals_, topology, n, batched_argmax=batched_argmax)
 
 
 def projected_gradient_barycenter(measures, C, mu: float, iters: int = 2000,

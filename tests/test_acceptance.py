@@ -12,10 +12,10 @@ import time
 import numpy as np
 
 from conftest import fd_grad
-from optdec import (FirstOrderOracle, NoiseSpec, Topology, build_penalty,
-                    dual_from_primal, entropic_ot_dual_grad,
+from optdec import (DecentralizedInstance, DualOracle, FirstOrderOracle,
+                    NoiseSpec, Topology, build_penalty, entropic_ot_dual_grad,
                     entropic_ot_dual_value, entropic_wasserstein,
-                    lift_problem, projected_gradient_barycenter,
+                    projected_gradient_barycenter,
                     QuadraticProblem, random_quadratic, restarted_rrma,
                     run_distributed, spdstm, stm, stm_ips,
                     barycenter_problem)
@@ -150,7 +150,7 @@ def shifted_pair(noise=None):
     c = np.array([1.0, 3.0])
     oracle = FirstOrderOracle(2, lambda x: 0.5 * float(np.sum((x - c) ** 2)),
                               lambda x: x - c, L=1.0, mu=1.0)
-    dual = dual_from_primal(oracle, np.array([[1.0, -1.0]]), lambda u: u + c,
+    dual = DualOracle(oracle, np.array([[1.0, -1.0]]), lambda u: u + c,
                             noise=noise)
     return oracle, dual
 
@@ -199,7 +199,7 @@ def test_criterion_7_restart_contraction():
     for run in range(100):
         qp = random_quadratic(4, 10.0, rng)
         A = rng.standard_normal((2, 4))
-        dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+        dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
         y_star, _ = min_norm_dual_solution(qp.Q, qp.b, A)
         R_y = max(float(np.linalg.norm(y_star)), 1e-9)
         _, trace = restarted_rrma(dual, np.zeros(2), eps, 0.1, R_y=R_y)
@@ -218,7 +218,7 @@ def test_criterion_8_subspace_invariant():
     rng = np.random.default_rng(17)
     qp = random_quadratic(3, 8.0, rng)
     A = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))  # rank 2
-    dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
     U, s, _ = np.linalg.svd(A)
     kernel = U[:, 2:]
     y0 = rng.standard_normal(4)
@@ -263,7 +263,7 @@ def test_criterion_9_decentralized_equivalence():
             o = qp.oracle()
             o.x_star = qp.x_star
             locals_.append(o)
-        inst = lift_problem(locals_, topo, 2)
+        inst = DecentralizedInstance(locals_, topo, 2)
         x_nodes, trace, comm = run_distributed(
             "sstm_sc", inst, {"eps": 1e-5, "stop_grad_norm": 1e-6, "max_N": 50000})
         Qs = np.eye(2 * m) / m
@@ -286,7 +286,7 @@ def test_criterion_9_decentralized_equivalence():
             o = qp.oracle()
             o.x_star = qp.x_star
             locals_.append(o)
-        inst = lift_problem(locals_, topo, 2)
+        inst = DecentralizedInstance(locals_, topo, 2)
         _, trace, _ = run_distributed(
             "sstm_sc", inst, {"eps": 1e-4, "stop_grad_norm": 1e-5, "max_N": 50000})
         iters[name] = trace.final["iter"]

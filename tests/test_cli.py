@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 from pathlib import Path
@@ -9,7 +10,7 @@ import optdec.cli as cli
 import optdec.dual
 from optdec.cli import (ConfigError, apply_sweep_value, config_hash, main,
                         validate_config)
-from optdec.network import (Topology, _dual_norm_bound, build_distributed_dual, chi,
+from optdec.network import (DistributedDualOracle, Topology, _dual_norm_bound, chi,
                             laplacian)
 from optdec.schedules import grad_certificate_N
 
@@ -213,7 +214,7 @@ def test_readme_example_plans_57_steps(monkeypatch):
     workloads = importlib.import_module("perfbench.workloads")
     cfg = validate_config(workloads.UNRUNNABLE["readme_example"]["config"])
     instance = cli._build_decentralized(cfg["problem"], cfg["seed"])
-    dual = build_distributed_dual(instance, cli._noise_spec(cfg["noise"]))
+    dual = DistributedDualOracle(instance, cli._noise_spec(cfg["noise"]))
     N = grad_certificate_N(_dual_norm_bound(instance), dual.L_psi, dual.mu_psi, cfg["eps"],
                            optdec.dual.DUAL_CONSTANTS["max_N"])
     assert N == 57
@@ -247,6 +248,41 @@ def test_run_barycenter_from_files(tmp_path):
            "constants": {"metric_every": 0}}
     cfgp = write_config(tmp_path, cfg)
     assert main(["run", str(cfgp), "--out", str(tmp_path)]) == 0
+
+
+def test_finished_runs_are_freed_without_the_cyclic_gc(tmp_path, capsys):
+    # no run leaves its problem or instance in a reference cycle, so
+    # reference counting alone frees them once the run returns
+    from optdec import CompositeProblem, DecentralizedInstance
+
+    def alive():
+        return [o for o in gc.get_objects()
+                if isinstance(o, (CompositeProblem, DecentralizedInstance))]
+
+    np.savetxt(tmp_path / "measures.csv", np.array([[0.3, 0.7], [0.6, 0.4]]), delimiter=",")
+    np.savetxt(tmp_path / "cost.csv", np.array([[0.0, 1.0], [1.0, 0.0]]), delimiter=",")
+    configs = [
+        {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 4, "cond": 5.0, "m_rows": 2},
+         "eps": 1e-2, "seed": 4},
+        {"method": "sstm_sc", "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 4.0,
+                                          "topology": {"kind": "ring", "m": 4}},
+         "eps": 0.05, "N": 20, "seed": 7},
+        {"method": "spdstm", "problem": {"kind": "barycenter", "measures": str(tmp_path / "measures.csv"),
+                                         "cost": str(tmp_path / "cost.csv"), "mu": 0.5,
+                                         "topology": {"kind": "path", "m": 2}},
+         "eps": 1e-3, "N": 20, "seed": 0},
+    ]
+    gc.collect()
+    before = alive()
+    gc.disable()
+    try:
+        for i, cfg in enumerate(configs):
+            assert main(["run", str(write_config(tmp_path, cfg, f"cfg{i}.json")),
+                         "--out", str(tmp_path)]) == 0
+            left = [o for o in alive() if not any(o is b for b in before)]
+            assert left == [], f"{cfg['method']} on {cfg['problem']['kind']} left {left}"
+    finally:
+        gc.enable()
 
 
 def test_run_divergent_exit_3(tmp_path, monkeypatch):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from optdec import (DivergenceError, FirstOrderOracle, NoiseSpec, RngStreams,
-                    RegularizedDual, ac_sa, ac_sa2, dual_from_primal,
-                    duality_gap, primal_recovery, random_quadratic,
-                    restarted_rrma, rrma_ac_sa2, spdstm, sstm_sc)
+from optdec import (DivergenceError, DualOracle, FirstOrderOracle, NoiseSpec,
+                    RegularizedDual, RngStreams, ac_sa, ac_sa2, duality_gap,
+                    primal_recovery, random_quadratic, restarted_rrma,
+                    rrma_ac_sa2, spdstm, sstm_sc)
 from optdec.dual import default_rrma_lambda, restart_config
 from optdec.problems import min_norm_dual_solution
 from optdec.schedules import next_alpha_spdstm
@@ -24,7 +24,7 @@ def shifted_instance(c=(1.0, 3.0), noise=None):
         2, lambda x: 0.5 * float(np.sum((x - c) ** 2)),
         lambda x: x - c, L=1.0, mu=1.0)
     A = np.array([[1.0, -1.0]])
-    dual = dual_from_primal(oracle, A, lambda u: u + c, noise=noise)
+    dual = DualOracle(oracle, A, lambda u: u + c, noise=noise)
     return oracle, dual
 
 
@@ -94,7 +94,7 @@ def test_sstm_sc_mirror_point_matches_numeric_argmin():
     rng = np.random.default_rng(31)
     qp = random_quadratic(2, 6.0, rng)
     A = rng.standard_normal((2, 2))
-    dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
     y0 = rng.standard_normal(2)
     history = []
     sstm_sc(dual, y0, 1, history=history, metric_every=0)
@@ -127,7 +127,7 @@ def test_sstm_sc_running_sums_match_resummation():
     rng = np.random.default_rng(32)
     qp = random_quadratic(3, 4.0, rng)
     A = rng.standard_normal((3, 3))
-    dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax,
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax,
                             noise=NoiseSpec(0.0, 0.2, "gaussian"))
     y0 = rng.standard_normal(3)
     N = 20
@@ -171,7 +171,7 @@ def test_sstm_sc_stationary_at_optimum():
 
 def test_sstm_sc_requires_smooth_primal():
     oracle = FirstOrderOracle(2, lambda x: 0.0, lambda x: np.zeros(2), L=0.0, mu=1.0)
-    dual = dual_from_primal(oracle, np.array([[1.0, -1.0]]), lambda u: u)
+    dual = DualOracle(oracle, np.array([[1.0, -1.0]]), lambda u: u)
     with pytest.raises(ValueError):
         sstm_sc(dual, np.zeros(1), 10)
 
@@ -181,7 +181,7 @@ def test_sstm_sc_kernel_subspace_invariance():
     rng = np.random.default_rng(33)
     qp = random_quadratic(3, 5.0, rng)
     A = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))  # rank 2
-    dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
     U, s, _ = np.linalg.svd(A)
     kernel = U[:, 2:]  # basis of Ker(A^T)
     y0 = rng.standard_normal(4)
@@ -293,7 +293,7 @@ def test_regularized_dual_gradient_matches_value():
     rng = np.random.default_rng(36)
     qp = random_quadratic(2, 4.0, rng)
     A = rng.standard_normal((2, 2))
-    dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
     obj = RegularizedDual(dual, 0.3, rng.standard_normal(2))
     obj.add_shift(rng.standard_normal(2))
     obj.add_shift(rng.standard_normal(2))
@@ -310,7 +310,7 @@ def test_rrma_output_stays_in_subspace():
     rng = np.random.default_rng(37)
     qp = random_quadratic(3, 5.0, rng)
     A = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))  # rank 2
-    dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
     U, _, _ = np.linalg.svd(A)
     kernel = U[:, 2:]
     y0 = rng.standard_normal(4)
@@ -357,7 +357,7 @@ def test_small_gradient_implies_primal_quality():
     for _ in range(10):
         qp = random_quadratic(4, 8.0, rng)
         A = rng.standard_normal((2, 4))
-        dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+        dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
         y_star, x_c = min_norm_dual_solution(qp.Q, qp.b, A)
         R_y = max(np.linalg.norm(y_star), 1e-9)
         f_c = qp.value(x_c)

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fd_grad, rel_err
 from optdec import (CallCounter, DualOracle, FirstOrderOracle, NoiseSpec,
-                    RngStreams, Topology, barycenter_problem,
-                    build_distributed_dual, chi,
-                    laplacian, laplacian_pair, lift_laplacian,
-                    lift_problem, QuadraticProblem,
+                    DecentralizedInstance, DistributedDualOracle,
+                    RngStreams, Topology, barycenter_problem, chi,
+                    laplacian, laplacian_pair, lift_laplacian, QuadraticProblem,
                     random_quadratic, run_distributed, spdstm, sqrt_psd,
                     sstm_sc, stm)
 from optdec.network import _dual_norm_bound
@@ -27,7 +26,7 @@ def consensus_instance(m, n, topo=None, seed=0, counter=None):
         o.x_star = qp.x_star
         locals_.append(o)
     topo = topo or Topology.ring(m)
-    return lift_problem(locals_, topo, n), cs
+    return DecentralizedInstance(locals_, topo, n), cs
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +150,10 @@ def test_kron_operators_match_dense_lift(m, n, p, seed):
         pair.W @ np.zeros(m * n + 1)
 
     # the spectral constants from W_bar equal those of the dense lift
-    dual = build_distributed_dual(inst, NoiseSpec(0.0, 0.3))
+    dual = DistributedDualOracle(inst, NoiseSpec(0.0, 0.3))
     dense_dual = DualOracle(inst.stacked, np.kron(sqrt_psd(pair.W_bar), np.eye(n)),
-                            inst.local_argmax, noise=dual.noise, counter=CallCounter())
+                            inst.local_argmax, noise=NoiseSpec(0.0, math.sqrt(m) * 0.3),
+                            counter=CallCounter())
     for name in ("L_psi", "mu_psi", "sigma_psi"):
         assert getattr(dual, name) == pytest.approx(getattr(dense_dual, name), rel=1e-12, abs=0)
 
@@ -191,7 +191,7 @@ def test_lift_problem_consensus_point_in_kernel():
 def test_single_node_rejected_for_dual():
     inst, cs = consensus_instance(1, 2, topo=Topology(1, ()))
     with pytest.raises(ValueError):
-        build_distributed_dual(inst)
+        DistributedDualOracle(inst)
     # the degenerate instance is still solvable directly
     x, _ = stm(inst.locals[0], np.zeros(2), 60)
     assert np.allclose(x, cs[0], atol=1e-6)
@@ -214,7 +214,7 @@ def test_lift_problem_leaves_locals_without_a_conjugate_unchanged():
     qps = [random_quadratic(n, 5.0, rng) for _ in range(m)]
     plain = [FirstOrderOracle(n, qp.value, qp.gradient, qp.L, qp.mu) for qp in qps]
     before = [dict(vars(f)) for f in plain]
-    inst = lift_problem(plain, Topology.ring(m), n)
+    inst = DecentralizedInstance(plain, Topology.ring(m), n)
     assert [vars(f) for f in plain] == before
     assert all(f.conjugate_argmax is None for f in plain)
     # solved node by node by inner accelerated solves, to the closed form
@@ -230,7 +230,7 @@ def test_dual_norm_bound_centres_on_declared_minimisers():
     m, n = 4, 3
     rng = np.random.default_rng(31)
     qps = [random_quadratic(n, 10.0, rng) for _ in range(m)]
-    inst = lift_problem([qp.oracle() for qp in qps], Topology.ring(m), n)
+    inst = DecentralizedInstance([qp.oracle() for qp in qps], Topology.ring(m), n)
     center = np.mean([qp.x_star for qp in qps], axis=0)
     g = inst.stacked.gradient(np.tile(center, m))
     expected = float(np.linalg.norm(g)) / math.sqrt(inst.pair.lambda_min_plus)
@@ -239,12 +239,12 @@ def test_dual_norm_bound_centres_on_declared_minimisers():
 
 def test_batched_local_argmax_matches_per_node_loop():
     m, n = 7, 4
-    stacked = lift_problem(quadratic_locals(m, n, seed=16, cond=50.0), Topology.ring(m), n)
+    stacked = DecentralizedInstance(quadratic_locals(m, n, seed=16, cond=50.0), Topology.ring(m), n)
     # the same locals without Q/b: the per-node conjugate_argmax path
     plain = [FirstOrderOracle(n, f.value, f.gradient, f.L, f.mu) for f in stacked.locals]
     for g, f in zip(plain, stacked.locals):
         g.conjugate_argmax = f.conjugate_argmax
-    looped = lift_problem(plain, Topology.ring(m), n)
+    looped = DecentralizedInstance(plain, Topology.ring(m), n)
     rng = np.random.default_rng(17)
     for _ in range(20):
         u = 3.0 * rng.standard_normal(m * n)
@@ -267,8 +267,8 @@ def test_lifted_solvers_match_dense_reference(method):
     # the same solver on a plain DualOracle over the dense lift sqrt(W_bar) (x) I
     # with per-node argmax solves
     m, n, N = 6, 3, 40
-    inst = lift_problem(quadratic_locals(m, n, seed=18), Topology.path(m), n)
-    lifted = build_distributed_dual(inst)
+    inst = DecentralizedInstance(quadratic_locals(m, n, seed=18), Topology.path(m), n)
+    lifted = DistributedDualOracle(inst)
     dense = DualOracle(inst.stacked, np.kron(sqrt_psd(inst.pair.W_bar), np.eye(n)),
                        lambda u: per_node_argmax(inst.locals, u), counter=CallCounter())
     traces = []
@@ -296,8 +296,8 @@ def test_building_pair_and_dual_allocates_no_lift():
     locals_ = quadratic_locals(m, n, seed=19)
     tracemalloc.start()
     try:
-        inst = lift_problem(locals_, Topology.ring(m), n)
-        dual = build_distributed_dual(inst)
+        inst = DecentralizedInstance(locals_, Topology.ring(m), n)
+        dual = DistributedDualOracle(inst)
         dual.grad(np.zeros(m * n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -312,7 +312,7 @@ def test_building_pair_and_dual_allocates_no_lift():
 
 def test_distributed_dual_two_rounds_per_gradient():
     inst, _ = consensus_instance(3, 2)
-    dual = build_distributed_dual(inst)
+    dual = DistributedDualOracle(inst)
     before = inst.counter.comm_rounds
     dual.grad(np.zeros(6))
     assert inst.counter.comm_rounds - before == 2
@@ -322,7 +322,7 @@ def test_distributed_dual_two_rounds_per_gradient():
 def test_distributed_dual_consensus_at_optimum():
     # minimiser of the lifted dual maps to a consensus primal point
     inst, cs = consensus_instance(2, 2, topo=Topology.complete(2), seed=9)
-    dual = build_distributed_dual(inst)
+    dual = DistributedDualOracle(inst)
     # closed-form solve of the dual: grad Psi(y) = sqrtW x(sqrtW y) = 0
     from optdec import sstm_sc
     y, _ = sstm_sc(dual, np.zeros(4), 80, metric_every=0)
@@ -333,12 +333,22 @@ def test_distributed_dual_consensus_at_optimum():
 
 def test_distributed_dual_constant_on_kernel_cosets():
     inst, _ = consensus_instance(3, 2)
-    dual = build_distributed_dual(inst)
+    dual = DistributedDualOracle(inst)
     y = np.random.default_rng(10).standard_normal(6)
     shift = np.tile([1.0, -0.5], 3)  # consensus direction spans Ker(sqrtW)
     g1 = dual.A @ dual.x_exact(dual.A.T @ y)
     g2 = dual.A @ dual.x_exact(dual.A.T @ (y + shift))
     assert np.allclose(g1, g2, atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [3, 4, 12])
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.3, 0.7, 2.5])
+def test_distributed_sigma_psi_stacks_the_node_level(m, sigma):
+    # the node spec goes in as it is; sigma_psi carries sqrt(m), bit for bit
+    inst, _ = consensus_instance(m, 2)
+    dual = DistributedDualOracle(inst, NoiseSpec(0.0, sigma, "gaussian"))
+    assert dual.noise.sigma == sigma
+    assert dual.sigma_psi == float(np.sqrt(inst.pair.lambda_max) * (math.sqrt(m) * sigma))
 
 
 def test_distributed_noise_transfer_scaling():
@@ -347,7 +357,7 @@ def test_distributed_noise_transfer_scaling():
     m, n = 6, 2
     inst, _ = consensus_instance(m, n, topo=Topology.complete(m))
     sigma_node = 0.7
-    dual = build_distributed_dual(inst, NoiseSpec(0.0, sigma_node, "gaussian"))
+    dual = DistributedDualOracle(inst, NoiseSpec(0.0, sigma_node, "gaussian"))
     streams = RngStreams(11)
     y = np.zeros(m * n)
     u = dual.A.T @ y

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import optdec.oracles as oracles_mod
 from conftest import fd_grad, rel_err
-from optdec import (FirstOrderOracle, NoiseSpec, QuadraticProblem, RngStreams,
-                    StochasticGradientOracle, dual_from_primal)
+from optdec import (DualOracle, FirstOrderOracle, NoiseSpec, QuadraticProblem,
+                    RngStreams, StochasticGradientOracle)
 from optdec.problems import entropic_ot_dual_grad, entropic_ot_dual_value
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -123,6 +123,14 @@ def test_subgaussian_moment_bounds(kind):
         assert moment <= 2.0 * spec.sigma * np.sqrt(p)
 
 
+@pytest.mark.parametrize("delta, sigma", [(float("nan"), 0.0), (0.0, float("nan")),
+                                          (float("inf"), 0.0), (0.0, float("inf")),
+                                          (-0.1, 0.0), (0.0, -1.0)])
+def test_noise_spec_rejects_non_finite_and_negative_levels(delta, sigma):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        NoiseSpec(delta, sigma)
+
+
 def test_bias_bound_estimated_over_samples():
     oracle, _ = make_quadratic_oracle(dim=2)
     delta, sigma = 0.25, 0.5
@@ -168,7 +176,7 @@ def test_silent_batches_build_no_generator():
     stoch = StochasticGradientOracle(oracle, NoiseSpec(0.0, 0.0))
     x = np.array([0.1, 0.2])
     assert np.allclose(stoch.batch(x, 7, _NoGenerators(0)), oracle.gradient(x), rtol=0, atol=1e-15)
-    dual = dual_from_primal(oracle, np.eye(2), qp.conjugate_argmax, NoiseSpec(0.0, 0.0))
+    dual = DualOracle(oracle, np.eye(2), qp.conjugate_argmax, NoiseSpec(0.0, 0.0))
     _, x_mean = dual.batch_grad_and_x(np.zeros(2), 5, _NoGenerators(0))
     assert np.allclose(x_mean, qp.conjugate_argmax(np.zeros(2)), rtol=0, atol=1e-15)
     # every sample is still counted
@@ -227,7 +235,7 @@ def test_dual_from_primal_identity_quadratic():
     # f = 0.5||x||^2 under A = [[1, -1]]: psi(y) = y^2, grad = 2y
     oracle, qp = make_quadratic_oracle(dim=2)
     A = np.array([[1.0, -1.0]])
-    dual = dual_from_primal(oracle, A, qp.conjugate_argmax)
+    dual = DualOracle(oracle, A, qp.conjugate_argmax)
     y = np.array([0.7])
     assert abs(dual.psi_value(y) - 0.7 ** 2) <= 1e-12
     assert np.allclose(dual.grad(y), [1.4])
@@ -237,7 +245,7 @@ def test_dual_from_primal_identity_quadratic():
 def test_dual_from_primal_shifted_quadratic():
     oracle, qp = make_quadratic_oracle(c=[1.0, 3.0])
     A = np.array([[1.0, -1.0]])
-    dual = dual_from_primal(oracle, A, qp.conjugate_argmax)
+    dual = DualOracle(oracle, A, qp.conjugate_argmax)
     # psi(y) = y^2 - 2y up to the constant f-offset convention
     y = np.array([1.0])
     x_rec = dual.x_exact(dual.A.T @ y)
@@ -249,20 +257,20 @@ def test_dual_from_primal_shifted_quadratic():
 def test_dual_gradient_zero_at_centered_origin():
     oracle, qp = make_quadratic_oracle(dim=3)
     A = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-    dual = dual_from_primal(oracle, A, qp.conjugate_argmax)
+    dual = DualOracle(oracle, A, qp.conjugate_argmax)
     assert np.allclose(dual.grad(np.zeros(2)), 0.0)
 
 
 def test_dual_requires_strong_convexity():
     flat = FirstOrderOracle(2, lambda x: 0.0, lambda x: np.zeros(2), L=1.0, mu=0.0)
     with pytest.raises(ValueError):
-        dual_from_primal(flat, np.array([[1.0, -1.0]]), lambda u: u)
+        DualOracle(flat, np.array([[1.0, -1.0]]), lambda u: u)
 
 
 def test_dual_rejects_zero_map():
     oracle, qp = make_quadratic_oracle(dim=2)
     with pytest.raises(ValueError):
-        dual_from_primal(oracle, np.zeros((1, 2)), qp.conjugate_argmax)
+        DualOracle(oracle, np.zeros((1, 2)), qp.conjugate_argmax)
 
 
 def test_demyanov_danskin_on_random_duals():
@@ -270,7 +278,7 @@ def test_demyanov_danskin_on_random_duals():
     M = rng.standard_normal((3, 3))
     qp = QuadraticProblem(M @ M.T + np.eye(3), rng.standard_normal(3))
     A = rng.standard_normal((2, 3))
-    dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
     for _ in range(20):
         y = rng.standard_normal(2)
         g = dual.A @ dual.x_exact(dual.A.T @ y)
@@ -285,7 +293,7 @@ def test_dual_gradient_in_column_space():
     u = rng.standard_normal((2, 1))
     v = rng.standard_normal((1, 3))
     A = u @ v
-    dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
     # orthonormal basis of Ker(A^T)
     U, s, _ = np.linalg.svd(A)
     kernel = U[:, 1:]
@@ -301,11 +309,21 @@ def test_dual_constants_formulas():
     Q = M @ M.T + np.eye(3)
     qp = QuadraticProblem(Q, np.zeros(3))
     A = rng.standard_normal((2, 3))
-    dual = dual_from_primal(qp.oracle(), A, qp.conjugate_argmax)
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
     evals = np.linalg.eigvalsh(A.T @ A)
     assert dual.L_psi == pytest.approx(evals[-1] / qp.mu)
     positive = evals[evals > 1e-10 * evals[-1]]
     assert dual.mu_psi == pytest.approx(positive[0] / qp.L)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.3, 1.7, 1e-5])
+def test_sigma_psi_has_the_bits_of_sqrt_lambda_max_times_sigma(sigma):
+    rng = np.random.default_rng(25)
+    M = rng.standard_normal((3, 3))
+    qp = QuadraticProblem(M @ M.T + np.eye(3), np.zeros(3))
+    dual = DualOracle(qp.oracle(), rng.standard_normal((2, 3)), qp.conjugate_argmax,
+                      noise=NoiseSpec(0.0, sigma))
+    assert dual.sigma_psi == float(np.sqrt(dual.lam_max_AtA) * sigma)
 
 
 def test_min_norm_dual_certificate():
@@ -330,7 +348,7 @@ def test_noisy_dual_reproducibility():
     oracle, qp = make_quadratic_oracle(c=[1.0, 3.0])
     A = np.array([[1.0, -1.0]])
     noise = NoiseSpec(0.05, 0.3, "gaussian")
-    dual = dual_from_primal(oracle, A, qp.conjugate_argmax, noise=noise)
+    dual = DualOracle(oracle, A, qp.conjugate_argmax, noise=noise)
     y = np.array([0.4])
     g1, x1 = dual.batch_grad_and_x(y, 5, RngStreams(9).child(3))
     g2, x2 = dual.batch_grad_and_x(y, 5, RngStreams(9).child(3))
@@ -430,11 +448,11 @@ def test_import_is_warning_free():
 
 
 def _distributed_dual(noise):
-    from optdec.network import Topology, build_distributed_dual, lift_problem
+    from optdec.network import DecentralizedInstance, DistributedDualOracle, Topology
     rng = np.random.default_rng(3)
     locals_ = [QuadraticProblem(np.eye(2) * (1.0 + k), rng.standard_normal(2)).oracle()
                for k in range(4)]
-    return build_distributed_dual(lift_problem(locals_, Topology.ring(4), 2), noise)
+    return DistributedDualOracle(DecentralizedInstance(locals_, Topology.ring(4), 2), noise)
 
 
 @pytest.mark.parametrize("r", [3, 2 * oracles_mod._BATCH_MIN])
@@ -445,7 +463,7 @@ def test_noisy_batch_solves_inner_maximiser_once(r, distributed):
         dual = _distributed_dual(noise)
     else:
         oracle, qp = make_quadratic_oracle(c=[1.0, 3.0])
-        dual = dual_from_primal(oracle, np.array([[1.0, -1.0]]), qp.conjugate_argmax, noise=noise)
+        dual = DualOracle(oracle, np.array([[1.0, -1.0]]), qp.conjugate_argmax, noise=noise)
     exact = dual.x_exact
     calls = []
     dual.x_exact = lambda u: calls.append(1) or exact(u)
@@ -513,7 +531,7 @@ def _noisy_batch(case, noise, seen):
         return lambda r, streams: dual.batch_grad_and_x(np.ones(dual.dual_dim), r, streams)
     oracle, qp = make_quadratic_oracle(dim=2)
     if case == "dual":
-        dual = dual_from_primal(oracle, np.array([[1.0, -1.0]]), qp.conjugate_argmax, noise=noise)
+        dual = DualOracle(oracle, np.array([[1.0, -1.0]]), qp.conjugate_argmax, noise=noise)
         dual.x_exact = lambda u: _SHARED
         _watch_centers(dual, seen)
         return lambda r, streams: dual.batch_grad_and_x(np.ones(1), r, streams)
@@ -569,13 +587,13 @@ def _sampling_case(case, noise, dim, exact):
     ``dim`` coordinates) or ``primal``.
     """
     if case == "distributed":
-        from optdec.network import Topology, build_distributed_dual, lift_problem
+        from optdec.network import DecentralizedInstance, DistributedDualOracle, Topology
         m = exact.shape[0] // dim
         locals_ = [QuadraticProblem(np.eye(dim), np.zeros(dim)).oracle() for _ in range(m)]
-        oracle = build_distributed_dual(lift_problem(locals_, Topology.ring(m), dim), noise)
+        oracle = DistributedDualOracle(DecentralizedInstance(locals_, Topology.ring(m), dim), noise)
     if case == "dual":
         primal, qp = make_quadratic_oracle(dim=dim)
-        oracle = dual_from_primal(primal, np.ones((1, dim)), qp.conjugate_argmax, noise=noise)
+        oracle = DualOracle(primal, np.ones((1, dim)), qp.conjugate_argmax, noise=noise)
     if case == "primal":
         primal, _ = make_quadratic_oracle(dim=dim)
         primal.gradient = lambda x: exact
