@@ -26,7 +26,10 @@ contract:
 * Sample ``l`` of a batch drawn from streams with seed ``s`` and path ``p``
   (e.g. ``(k,)`` for iteration ``k``) is a pure function of ``(s, p, l)``:
   its noise comes from the PCG64 stream ``np.random.default_rng((s, *p,
-  l))`` and from nothing else, so samples may be drawn in any order.
+  l))`` and from nothing else, so samples may be drawn in any order.  On a
+  scheduled stream (``RngStreams.scheduled``) sample ``l`` of step ``k`` is
+  still ``default_rng((s, *p, k, l))``, whichever pass seeds it and in
+  whatever order the steps draw.
 * A network sample draws the noise blocks of its nodes in node order from
   its one stream, in one draw for all of them.
 * A batch mean adds its samples in the order ``l = 0, ..., r-1``: it is
@@ -39,8 +42,13 @@ contract:
 A batch draws each sample's raw noise into one row of a buffer, from one
 generator moved from stream to stream by an in-place state store (see
 ``RngStreams.generators``), then scales, centres and sums the rows once
-(``NoiseSpec.sum_samples``).  A silent oracle (``NoiseSpec.silent``) draws
-nothing, and its batches build no generator.
+(``NoiseSpec.sum_samples``).  The streams' states are computed in
+vectorised passes: a batch of an unscheduled stream is its own pass, with
+its own generator; a solver whose batch sizes are known before its loop
+(``spdstm``, ``sstm_sc``, ``ac_sa``) declares them, and its steps' batches
+then share passes of about a thousand rows and one generator per run.  A
+silent oracle (``NoiseSpec.silent``) draws nothing, and its batches seed
+nothing and build no generator.
 """
 
 from __future__ import annotations
@@ -106,14 +114,18 @@ class RngStreams:
     sample ``l`` of iteration ``k``.  ``child(...)`` fixes a path prefix,
     which lets nested procedures (restarts, trajectories) own disjoint
     stream families.  ``generators(r)`` yields the streams of samples
-    ``0, ..., r-1`` of a batch at once.
+    ``0, ..., r-1`` of a batch at once.  A solver that knows the batch size
+    of every step before its loop starts declares it with ``scheduled``, so
+    that the batches of its steps ``child(k)`` share their seeding.
     """
 
-    __slots__ = ("seed", "path")
+    __slots__ = ("seed", "path", "_passes", "_step")
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
+        self._passes = None  # the _Passes of a scheduled stream and of its steps
+        self._step = None  # k on the step child(k) of a scheduled stream
 
     def generator(self, *index: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, *self.path, *(int(i) for i in index)))
@@ -121,27 +133,135 @@ class RngStreams:
     def generators(self, r: int):
         """Yield, for ``l = 0, ..., r-1``, a generator in the state of ``generator(l)``.
 
-        A batch of at least ``_BATCH_MIN`` samples computes the states of all
-        its streams in one vectorised pass and yields one reused
-        ``Generator``, whose state is overwritten in place for each stream
-        in turn: draw from it before advancing the iterator, and keep no
-        reference to it.  Smaller batches, or a numpy whose state layout or
-        seeding the checks do not reproduce, get a fresh ``generator(l)``
-        per sample.
+        The states are computed in vectorised passes (``_Passes``) and
+        yielded through one reused ``Generator``, whose state is overwritten
+        in place for each stream in turn: draw from it before advancing
+        this or any other iterator of the same scheduled stream, and keep
+        no reference to it.  A pass holds up to ``_PASS`` rows.  A batch of
+        an unscheduled stream is seeded in passes of its own, with a fresh
+        ``Generator``; the batches of a scheduled stream's steps share
+        passes and one ``Generator``.  A pass of fewer than
+        ``_BATCH_MIN`` rows, or a numpy whose state layout or seeding the
+        checks do not reproduce, gets a fresh ``generator(l)`` per sample.
+        On the step ``child(k)`` of a scheduled stream, ``r`` must be the
+        declared ``size_of(k)``; the first ``next`` raises ``ValueError``
+        otherwise, before anything is drawn.
         """
-        gen, state = _raw_generator() if r >= _BATCH_MIN and _BATCH_SEEDING else (None, None)
-        if state is None:
-            for l in range(r):
-                yield self.generator(l)
-            return
-        prefix = _uint32_words((self.seed, *self.path))
-        for lo in range(0, r, _CHUNK):
-            for row in _pcg64_words(prefix, np.arange(lo, min(r, lo + _CHUNK), dtype=np.uint32)):
+        passes, k = self._passes, self._step
+        if k is None:
+            passes, k = _Passes((self.seed, *self.path), lambda _: r, 1, stepped=False), 0
+        for lo, hi, rows in passes.segments(k, r):
+            gen, state = passes.generator() if rows is not None else (None, None)
+            if state is None:
+                for l in range(lo, hi):
+                    yield self.generator(l)
+                continue
+            for row in rows:
                 state[:] = row
                 yield gen
 
     def child(self, *index: int) -> "RngStreams":
-        return RngStreams(self.seed, self.path + tuple(int(i) for i in index))
+        # built without ``__init__``, whose conversions the parent's seed and
+        # path have had: solvers make one child per step
+        child = RngStreams.__new__(RngStreams)
+        child.seed, child.path = self.seed, self.path + tuple(map(int, index))
+        child._passes = child._step = None
+        passes = self._passes
+        if passes is not None and self._step is None and len(index) == 1 \
+                and 0 <= child.path[-1] < passes.stop:
+            child._passes, child._step = passes, child.path[-1]
+        return child
+
+    def scheduled(self, size_of, stop: int) -> "RngStreams":
+        """This stream, with the batch of each step ``child(k)``, ``k < stop``, declared.
+
+        Step ``k`` draws ``size_of(k)`` samples, and its sample ``l`` is
+        still ``generator(k, l)``, but the steps' batches are seeded in
+        shared passes: a pass starts at the first row a batch needs and runs
+        on through the batches of the steps after it, until it holds
+        ``_PASS`` rows or reaches ``stop``, so it may span batches and split
+        them.  ``size_of`` must be a pure function of ``k``; it is called
+        for steps ahead of the one being drawn.  Passes are computed when a
+        batch first draws, and only the latest is kept, so a run that draws
+        nothing seeds nothing.  Other children (``k >= stop``, or more than
+        one index) are plain streams.
+        """
+        if not 0 <= stop <= 1 << 32:
+            raise ValueError("a schedule's steps must be uint32 words")
+        streams = RngStreams(self.seed, self.path)
+        streams._passes = _Passes((self.seed, *self.path), size_of, stop)
+        return streams
+
+
+class _Passes:
+    """PCG64 states of the rows of consecutive batches, computed a pass at a time.
+
+    Row ``l`` of the batch of step ``k < stop`` is the stream ``(*key, k,
+    l)``, or ``(*key, l)`` for a lone batch (``stepped`` false, one step
+    ``k = 0``); the batch of step ``k`` has ``size_of(k)`` rows.  A pass
+    starts at a row ``(k, l)`` and takes the rows after it, on into the
+    next steps' batches, until it holds ``_PASS`` rows or reaches step
+    ``stop``.  Only the latest pass is kept, in ``rows``: for each step it
+    touches, ``(first, end, size, states)`` for the rows ``first, ...,
+    end-1`` of that step's batch of ``size``, with their states, or ``None``
+    when each row is to be seeded on its own.
+    """
+
+    __slots__ = ("key", "size_of", "stop", "stepped", "rows", "gen", "state")
+
+    def __init__(self, key: tuple, size_of, stop: int, stepped: bool = True):
+        self.key, self.size_of, self.stop, self.stepped = key, size_of, stop, stepped
+        self.rows = {}
+        self.gen = self.state = None
+
+    def generator(self):
+        """The one ``Generator`` of these passes and its state view, made on first use."""
+        if self.gen is None:
+            self.gen, self.state = _raw_generator()
+        return self.gen, self.state
+
+    def segments(self, k: int, r: int):
+        """Yield ``(lo, hi, states)`` over the rows ``0, ..., r-1`` of step ``k``, in order.
+
+        ``states`` are the states of rows ``lo, ..., hi-1``, or ``None`` when
+        they are to be seeded one by one.  Raises ``ValueError`` if ``r`` is
+        not the size of step ``k``'s batch.
+        """
+        size = self.rows[k][2] if k in self.rows else self.size_of(k)
+        if r != size:
+            raise ValueError(f"step {k} is scheduled to draw {size} samples, not {r}")
+        l = 0
+        while l < r:
+            first, end, _, states = self.rows.get(k, (0, 0, size, None))
+            if not first <= l < end:
+                self._seed(k, l)
+                first, end, _, states = self.rows[k]
+            yield l, end, None if states is None else states[l - first:]
+            l = end
+
+    def _seed(self, k: int, l: int) -> None:
+        """Make the pass that starts at row ``l`` of step ``k`` the current one."""
+        layout, n = [], 0
+        while n < _PASS and k < self.stop:
+            size = self.size_of(k)
+            count = min(size - l, _PASS - n)
+            layout.append((k, l, size, count))
+            n += count
+            k, l = k + 1, 0
+        states = None
+        if _BATCH_SEEDING and n >= _BATCH_MIN:
+            steps, firsts, _, counts = (np.array(column, dtype=np.int64) for column in zip(*layout))
+            starts = np.cumsum(counts) - counts
+            index = (np.arange(n) - np.repeat(starts - firsts, counts)).astype(np.uint32)
+            words = _uint32_words(self.key)
+            if self.stepped:
+                words.append(np.repeat(steps, counts).astype(np.uint32))
+            states = _pcg64_words(words, index)
+        self.rows, start = {}, 0
+        for k, l, size, count in layout:
+            rows = None if states is None else states[start:start + count]
+            self.rows[k] = (l, l + count, size, rows)
+            start += count
 
 
 # -- batched stream seeding ---------------------------------------------------
@@ -151,10 +271,11 @@ class RngStreams:
 # ``hashmix`` and ``mix``, then ``generate_state`` of eight words) and seeds
 # PCG64 from them: ``inc = 2 i + 1`` and ``state = ((inc + s) MULT + inc)
 # mod 2^128`` for the 128-bit halves ``s`` and ``i`` of the state.  Within a
-# batch the words differ only in the last one, the sample index.  So the
-# hash runs on Python ints (masked to 32 bits) while its words do not depend
-# on the index, and on uint32 arrays over all indices of a chunk from then
-# on (they wrap mod 2^32 like the C code); the 128-bit step runs on pairs of
+# pass the words differ only in the last one, the sample index, or on a
+# schedule in the last two, the step and the index.  So the hash runs on
+# Python ints (masked to 32 bits) while its words are shared, and on uint32
+# arrays over all rows of the pass from then on (they wrap mod 2^32 like
+# the C code); the 128-bit step runs on pairs of
 # uint64 arrays (which wrap mod 2^64).  A state reaches the generator as
 # one in-place store into its ``pcg64_random_t``;
 # ``_batch_seeding_matches_numpy`` checks states and draws made that way
@@ -166,11 +287,17 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL = 4
-# Smallest batch seeded in one pass.  The pass and its Generator cost about
-# 110 us, and each stream then costs about 1.4 us against about 14 us for
-# its own ``default_rng``, so below 8 samples it does not pay (dim-20
-# draws, one core of a 2-vCPU Xeon VM).
+# Smallest pass seeded in one go, and the most rows a pass holds.  A pass
+# costs about 150 us up to a few hundred rows and about 0.1 us a row
+# beyond, a fresh Generator about 17 us, and each stream then costs about
+# 1.5 us against about 17 us for its own ``default_rng``; so a pass of fewer
+# than 8 rows does not pay (dim-20 draws, one core of a 2-vCPU Xeon VM).
+# Passes of 1024 rows spread the fixed cost to about 0.15 us a row; on a
+# 27,092-sample ``spdstm`` run they left the peak RSS unchanged, where
+# 4096-row passes raised it by 0.6 MB for no speed.
 _BATCH_MIN = 8
+_PASS = 1024
+# Most rows of a batch buffer (see ``NoiseSpec.sum_samples``).
 _CHUNK = 4096
 _SEED_TEMPLATE = np.random.SeedSequence(0)
 _LOW32 = np.uint64(_MASK32)
@@ -241,7 +368,9 @@ def _add128(a_lo, a_hi, b_lo, b_hi):
 def _pcg64_words(prefix: list, index: np.ndarray) -> np.ndarray:
     """PCG64 states of ``default_rng((*prefix, l))`` for every uint32 ``l`` in ``index``.
 
-    ``prefix`` holds uint32 words (see ``_uint32_words``).  Row ``j`` of the
+    ``prefix`` holds uint32 words (see ``_uint32_words``); a word may also be
+    a uint32 array like ``index``, which gives row ``j`` its own word there
+    (the step column of a schedule's pass).  Row ``j`` of the
     ``(len(index), 4)`` uint64 result is ``(state_lo, state_hi, inc_lo,
     inc_hi)`` of stream ``index[j]``.
     """
@@ -256,7 +385,7 @@ def _pcg64_words(prefix: list, index: np.ndarray) -> np.ndarray:
     pool = [_hashmix(w, xors[i], mults[i]) for i, w in enumerate(words[:_POOL])]
     c = _POOL
     # steps before the index word's own are Python ints, except the mixes
-    # into the index's pool word (when it has one)
+    # into the index's pool word (when it has one) and those of a step column
     for src, targets in enumerate(steps[:n - 1]):
         value = pool[src] if src < _POOL else words[src]
         for d in targets:
@@ -325,20 +454,24 @@ def _batch_seeding_matches_numpy() -> bool:
     """Whether batched seeding with in-place stores reproduces ``default_rng`` on this numpy.
 
     Compares states and a draw on streams with one- and two-word seeds,
-    paths of depth 0-3 and indices up to ``2^32 - 1``.
+    paths of depth 0-3, indices up to ``2^32 - 1``, and the same with a
+    step word per row before the index, as the passes of a schedule have.
     """
     try:
         gen, state = _raw_generator()
         if state is None:
             return False
         index = np.array([0, 1, 9, _MASK32], dtype=np.uint32)
+        steps = np.array([3, 0, _MASK32, 3], dtype=np.uint32)
         for key in ((0,), (12345, 7), (2 ** 40 + 3, 0, 2 ** 33), (1, 2, 3, 4)):
-            for l, row in zip(index.tolist(), _pcg64_words(_uint32_words(key), index)):
-                ref = np.random.default_rng((*key, l))
-                state[:] = row
-                if ref.bit_generator.state != gen.bit_generator.state or \
-                        ref.standard_normal(3).tobytes() != gen.standard_normal(3).tobytes():
-                    return False
+            prefix = _uint32_words(key)
+            for words, step in ((prefix, ()), ([*prefix, steps], steps.tolist())):
+                for j, row in enumerate(_pcg64_words(words, index)):
+                    ref = np.random.default_rng((*key, *step[j:j + 1], int(index[j])))
+                    state[:] = row
+                    if ref.bit_generator.state != gen.bit_generator.state or \
+                            ref.standard_normal(3).tobytes() != gen.standard_normal(3).tobytes():
+                        return False
     except (AttributeError, TypeError, ValueError, KeyError, OverflowError):
         return False
     return True

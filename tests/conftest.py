@@ -31,3 +31,14 @@ def expression_form_triangle(step, A, x, z, N, gradient, mirror, after):
         if after(k, x, z, A):
             break
     return x, z, A
+
+
+def count_seeding(monkeypatch) -> dict:
+    """Count the calls of the batch-seeding hash and of the reused generator's constructor."""
+    import optdec.oracles as oracles
+    counts = {"_pcg64_words": 0, "_raw_generator": 0}
+    for name in counts:
+        exact = getattr(oracles, name)
+        monkeypatch.setattr(oracles, name, lambda *args, exact=exact, name=name:
+                            counts.__setitem__(name, counts[name] + 1) or exact(*args))
+    return counts

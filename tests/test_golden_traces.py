@@ -33,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import optdec.oracles as oracles
+from conftest import count_seeding
 from optdec.cli import main
 
 GOLDEN = {
@@ -221,3 +222,36 @@ def test_barycenter_run_is_byte_identical_to_golden(tmp_path, capsys, monkeypatc
     (csv,), (summary,) = list(Path("out").glob("*.trace.csv")), list(Path("out").glob("*.summary.json"))
     assert _sha256(csv) == csv_digest
     assert _sha256(summary) == summary_digest
+
+
+def _run_summary(cfg) -> dict:
+    Path("cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "cfg.json", "--out", "out"]) == 0
+    (summary,) = list(Path("out").glob("*.summary.json"))
+    return json.loads(summary.read_text())
+
+
+def test_noisy_spdstm_seeds_a_pass_per_pass_width_of_samples(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    counts = count_seeding(monkeypatch)
+    cfg = dict(GOLDEN["spdstm_gaussian_delta"][0], N=60)
+    samples = _run_summary(cfg)["stoch_samples"]
+    capsys.readouterr()
+    assert samples > 2 * oracles._PASS  # several passes
+    assert counts["_pcg64_words"] <= -(-samples // oracles._PASS) + 1
+    assert counts["_raw_generator"] == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    GOLDEN_BARYCENTER["spdstm_barycenter_ring4_auto"][0],
+    GOLDEN_DETERMINISTIC["sstm_sc_ring12_noiseless"][0],
+    GOLDEN_DETERMINISTIC["ac_sa_penalty_auto"][0],
+], ids=["spdstm_barycenter", "sstm_sc_consensus", "ac_sa"])
+def test_noiseless_runs_seed_nothing(tmp_path, capsys, monkeypatch, cfg):
+    monkeypatch.chdir(tmp_path)
+    Path("measures.csv").write_text(_csv_text(BARYCENTER_MEASURES))
+    Path("cost.csv").write_text(_csv_text(BARYCENTER_COST))
+    counts = count_seeding(monkeypatch)
+    assert _run_summary(cfg)["iterations"] > 0
+    capsys.readouterr()
+    assert counts == {"_pcg64_words": 0, "_raw_generator": 0}

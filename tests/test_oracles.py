@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optdec.oracles as oracles_mod
-from conftest import fd_grad, rel_err
+from conftest import count_seeding, fd_grad, rel_err
 from optdec import (DualOracle, FirstOrderOracle, NoiseSpec, QuadraticProblem,
                     RngStreams, StochasticGradientOracle)
 from optdec.problems import entropic_ot_dual_grad, entropic_ot_dual_value
@@ -409,6 +409,62 @@ def test_batch_seeding_self_check_falls_back(monkeypatch):
     for l, gen in enumerate(streams.generators(r)):
         assert _same_stream(gen, _reference((5, 2, l)))
     assert calls == []
+
+
+# batches of 1, below _BATCH_MIN, and wider than a pass: passes then both
+# span batches and split them
+_BATCH = st.one_of(st.just(1), st.integers(2, oracles_mod._BATCH_MIN - 1),
+                   st.integers(oracles_mod._BATCH_MIN, 40),
+                   st.integers(oracles_mod._PASS + 1, oracles_mod._PASS + 300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 63), path=st.lists(_WORD, max_size=3),
+       sizes=st.lists(_BATCH, min_size=1, max_size=6).filter(
+           lambda sizes: sum(sizes) <= 2 * oracles_mod._PASS + 400),
+       seeding=st.booleans(), data=st.data())
+def test_scheduled_streams_match_default_rng(seed, path, sizes, seeding, data):
+    # in order, then out of order and repeated
+    order = list(range(len(sizes))) + data.draw(
+        st.lists(st.integers(0, len(sizes) - 1), max_size=2 * len(sizes)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles_mod, "_BATCH_SEEDING", seeding)
+        streams = RngStreams(seed, tuple(path)).scheduled(sizes.__getitem__, len(sizes))
+        for k in order:
+            held = []
+            for l, gen in enumerate(streams.child(k).generators(sizes[k])):
+                assert _same_stream(gen, _reference((seed, *path, k, l))), (k, l)
+                if not seeding:
+                    held.append(gen)
+            # without batch seeding, every sample gets its own default_rng
+            assert len({id(gen) for gen in held}) == len(held)
+
+
+def test_scheduled_step_refuses_a_batch_of_another_size(monkeypatch):
+    counts = count_seeding(monkeypatch)
+    streams = RngStreams(4).scheduled(lambda k: 10 * (k + 1), 5)
+    for r in (19, 21, 1):
+        with pytest.raises(ValueError, match="step 1 is scheduled to draw 20 samples"):
+            next(iter(streams.child(1).generators(r)))
+    assert counts["_pcg64_words"] == 0  # nothing was seeded for the wrong batch
+    # the declared size draws; steps past the schedule and deeper paths are not scheduled
+    assert len(list(streams.child(1).generators(20))) == 20
+    assert len(list(streams.child(5).generators(3))) == 3
+    assert len(list(streams.child(1, 0).generators(3))) == 3
+    with pytest.raises(ValueError, match="uint32"):
+        RngStreams(4).scheduled(lambda k: 1, 2 ** 32 + 1)
+
+
+def test_scheduled_passes_share_one_generator_and_seed_nothing_until_drawn(monkeypatch):
+    counts = count_seeding(monkeypatch)
+    sizes = [300, 1, 5, 900, 2000, 40]
+    streams = RngStreams(9, (2,)).scheduled(sizes.__getitem__, len(sizes))
+    steps = [streams.child(k) for k in range(len(sizes))]
+    assert counts == {"_pcg64_words": 0, "_raw_generator": 0}
+    gens = {id(gen) for k, step in enumerate(steps) for gen in step.generators(sizes[k])}
+    assert len(gens) == 1 and counts["_raw_generator"] == 1
+    # passes of _PASS rows back to back over all 3246 rows
+    assert counts["_pcg64_words"] == -(-sum(sizes) // oracles_mod._PASS)
 
 
 class _HeadOnly(oracles_mod._PCG64Head):
