@@ -29,7 +29,7 @@ import numpy as np
 from .dual import DUAL_CONSTANTS, DivergenceError, run_dual
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
 from .network import DecentralizedInstance, Topology, run_distributed
-from .oracles import DualOracle, NoiseSpec, RngStreams, StochasticGradientOracle
+from .oracles import DualOracle, NoiseSpec, StochasticGradientOracle
 from .primal import build_penalty, sstm, stm, stm_ips
 from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
                        load_measures_csv, min_norm_dual_solution, random_quadratic,
@@ -203,10 +203,10 @@ def _resolve_topology(spec, seed) -> Topology:
 
 
 def _build_quadratic(problem, seed):
-    rng = RngStreams(seed).generator(0)
+    rng = np.random.default_rng((seed, 0))
     qp = random_quadratic(int(problem.get("dim", 10)), float(problem.get("cond", 10.0)),
                           rng, b_scale=float(problem.get("b_scale", 1.0)))
-    x0 = RngStreams(seed).generator(1).standard_normal(qp.Q.shape[0])
+    x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
     return qp, x0
 
 
@@ -229,7 +229,7 @@ def _build_custom(problem):
 
 def _build_constraint(problem, dim, seed):
     m_rows = int(problem.get("m_rows", max(1, dim // 2)))
-    rng = RngStreams(seed).generator(2)
+    rng = np.random.default_rng((seed, 2))
     return rng.standard_normal((m_rows, dim))
 
 
@@ -252,7 +252,7 @@ def _build_consensus(problem, topo, seed):
     n = int(problem.get("n", 2))
     cond = float(problem.get("cond", 1.0))
     spread = float(problem.get("spread", 1.0))
-    rng = RngStreams(seed).generator(3)
+    rng = np.random.default_rng((seed, 3))
     if cond == 1.0:
         # identity locals: node k draws only its b_k, and the nodes draw in order
         qps = QuadraticProblem.stack(np.broadcast_to(np.eye(n), (topo.m, n, n)),
@@ -302,7 +302,7 @@ def execute_run(cfg: dict):
     # single-machine problems
     if kind == "custom":
         qp, A = _build_custom(problem)
-        x0 = RngStreams(seed).generator(1).standard_normal(qp.Q.shape[0])
+        x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
     else:
         qp, x0 = _build_quadratic(problem, seed)
         A = _build_constraint(problem, qp.Q.shape[0], seed) if kind == "penalty" else None

@@ -99,7 +99,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     def batch(k):
         return batch_size_spdstm((k + 2) / (2.0 * L_tilde), dual.sigma_psi, eps, N, beta, C_hat)
 
-    streams = RngStreams(seed).scheduled(batch, N)
+    streams = RngStreams(seed)
     y = np.zeros(dual.dual_dim)
     acc = np.zeros(dual.primal.dim)
     scale = y_star_norm_estimate if y_star_norm_estimate is not None else 1.0
@@ -155,7 +155,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
     if dual.mu_psi <= 0:
         raise ValueError("sstm_sc requires mu_psi > 0 (L-smooth primal)")
     L, mu = dual.L_psi, dual.mu_psi
-    streams = RngStreams(seed).scheduled(lambda k: batch, N + 1)
+    streams = RngStreams(seed)
 
     y = z0 = np.array(y0, dtype=float)
     scale = float(np.linalg.norm(y)) + (np.linalg.norm(y_star) if y_star is not None else 1.0)
@@ -260,7 +260,6 @@ def ac_sa(objective: RegularizedDual, z0, m: int, lam: float | None = None, *,
     """
     if streams is None:
         streams = RngStreams(0)
-    streams = streams.scheduled(lambda t: batch_size, m + 1)
     if lam is None:
         lam = objective.strong_convexity
     L = objective.smoothness

@@ -337,7 +337,7 @@ class DistributedDualOracle(DualOracle):
     ``delta * e_1`` and noise of scale ``sigma``, so the stacked noise level
     is ``sqrt(m) sigma``, and ``sigma_psi`` carries that ``sqrt(m)`` and an
     extra ``sqrt(lambda_max(W))``.  A sample draws its ``m`` node blocks in
-    node order from its one stream, as one draw of ``m n`` coordinates.
+    node order, as one row of ``m n`` coordinates of its batch's stream.
     """
 
     def __init__(self, instance: DecentralizedInstance, noise: NoiseSpec | None = None):

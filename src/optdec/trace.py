@@ -127,20 +127,31 @@ class RunTrace:
         return trace
 
 
+_METRICS = ("f_gap", "dual_gap", "grad_norm", "constraint_norm")
+
+
+def _last(trace: RunTrace, column: str):
+    """Value of ``column`` in the last row that carries it, else ``None``."""
+    for row in reversed(trace.rows):
+        if row[column] is not None:
+            return row[column]
+    return None
+
+
 def summary_from_trace(trace: RunTrace) -> dict:
     """Recompute the run summary from a trace alone (no hidden state).
 
-    The certificate bound ``3 R0^2 / (2 A_N)`` is recomputed when the trace
-    metadata carries ``R0``.
+    Each ``final_*`` metric is read from the last row that carries it: a
+    run records metrics every ``metric_every`` steps, and the network runner
+    appends a closing row with counters only.  The certificate bound
+    ``3 R0^2 / (2 A_N)`` is recomputed when the trace metadata carries
+    ``R0``.
     """
     final = trace.final
     summary = {
         "iterations": final.get("iter"),
         "A_N": final.get("A_k"),
-        "final_f_gap": final.get("f_gap"),
-        "final_dual_gap": final.get("dual_gap"),
-        "final_grad_norm": final.get("grad_norm"),
-        "final_constraint_norm": final.get("constraint_norm"),
+        **{f"final_{name}": _last(trace, name) for name in _METRICS},
         "grad_calls": final.get("grad_calls"),
         "stoch_samples": final.get("stoch_samples"),
         "matvec_AtA": final.get("matvec_AtA"),

@@ -34,11 +34,14 @@ def expression_form_triangle(step, A, x, z, N, gradient, mirror, after):
 
 
 def count_seeding(monkeypatch) -> dict:
-    """Count the calls of the batch-seeding hash and of the reused generator's constructor."""
-    import optdec.oracles as oracles
-    counts = {"_pcg64_words": 0, "_raw_generator": 0}
-    for name in counts:
-        exact = getattr(oracles, name)
-        monkeypatch.setattr(oracles, name, lambda *args, exact=exact, name=name:
-                            counts.__setitem__(name, counts[name] + 1) or exact(*args))
+    """Count the streams built by ``RngStreams.generator``, the one stream constructor."""
+    from optdec.oracles import RngStreams
+    counts = {"streams": 0}
+    generator = RngStreams.generator
+
+    def counted(self, *index):
+        counts["streams"] += 1
+        return generator(self, *index)
+
+    monkeypatch.setattr(RngStreams, "generator", counted)
     return counts

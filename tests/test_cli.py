@@ -156,6 +156,18 @@ def test_stop_grad_norm_ends_single_machine_sstm_sc_early(tmp_path, capsys):
     assert summary["final_grad_norm"] <= 0.05
 
 
+def test_decentralized_summary_reads_each_metric_from_its_last_row(tmp_path, capsys):
+    # metrics every 10 steps, then the network runner's closing row of counters only
+    cfg = {"method": "spdstm", "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 5.0,
+                                           "topology": {"kind": "ring", "m": 6}},
+           "eps": 1e-2, "N": 60, "seed": 1, "constants": {"metric_every": 10}}
+    summary, rows = run_summary(tmp_path, cfg)
+    assert rows[-1]["dual_gap"] == rows[-1]["constraint_norm"] == ""
+    assert summary["final_dual_gap"] == float(rows[-2]["dual_gap"]) == pytest.approx(-0.0164, abs=1e-4)
+    assert summary["final_constraint_norm"] == float(rows[-2]["constraint_norm"])
+    assert summary["final_grad_norm"] is None  # spdstm records no gradient norm
+
+
 def auto_config(method, **constants):
     if method in ("stm", "sstm"):
         return quad_config(method=method, N="auto", constants=constants)

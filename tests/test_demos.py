@@ -17,9 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 DEMOS = {
     "accelerated_quadratics": "352cbb8ccb7cdc92c6f44c84d657df529d5dec3d79d7cf515e26e9b49bf7b9db",
-    "decentralized_consensus": "6ce3e921581edd34a74ad838dfb38945c25905f80edf03934e737f6ce3b74297",
+    "decentralized_consensus": "03975bc93433c919b5474b8b2e5ce962364b7d81d7c0342fa7b63afb0e741727",
     "penalty_constrained": "e2f9dca46b9ca0158b5e3c3a0814b4844fddc901210b8eacf3e3d969e005728f",
-    "primal_dual_methods": "de0478f7a0038abe481856671cb2be6ce4806840012b217b009eb4d105ed0515",
+    "primal_dual_methods": "42d9f6617f34c3847558358676770d277618db019d81f1423c2eca31e8173fbb",
     "wasserstein_barycenter": "906dc133952a759661af6bc3db1d99d1b39a7e5d464294c8a0c1dac33a0bcc18",
 }
 

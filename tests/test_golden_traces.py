@@ -5,9 +5,10 @@ CSV and the summary JSON are compared with recorded digests (numpy 2.4,
 x86-64).  The configs use built-in problem kinds only, so ``config_hash``
 hashes no file paths.
 
-``GOLDEN`` holds noisy runs, recorded before the batched sampling path
-existed: any change to how a sample is seeded, drawn or summed changes a
-digest.  ``GOLDEN_DETERMINISTIC`` holds noiseless runs of the similar-triangles
+``GOLDEN`` holds noisy runs, recorded when each batch first drew all its
+rows from its one stream ``SeedSequence(seed, spawn_key=path)``: any change
+to how a batch is seeded, drawn or summed changes a digest.
+``GOLDEN_DETERMINISTIC`` holds noiseless runs of the similar-triangles
 kernel, recorded before its in-place step: any change to the order of a
 floating-point operation in ``schedules.triangle``, the mirror updates or
 the inner prox of ``stm_ips`` changes a digest; its two ``spdstm`` runs
@@ -24,12 +25,17 @@ pin how each node's ``Q`` and ``b`` are drawn and decomposed.
 local objectives; its measure and cost CSVs are written next to the config
 and named by relative paths, so ``config_hash`` does not depend on where
 the test runs.
+
+The summaries of decentralized runs, in every table, were recorded when
+the summary first read each ``final_*`` metric from the last row that
+carries it; the noiseless ones kept their older trace CSVs.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import optdec.oracles as oracles
@@ -41,39 +47,39 @@ GOLDEN = {
         {"method": "spdstm", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "noise": {"kind": "gaussian", "sigma": 0.3, "delta": 0.001},
          "eps": 0.02, "N": 12, "seed": 3},
-        "9e5ce9934a972f325bf679b376faf4e013c445e847fc238bfb012e5e369afce2",
-        "db7130617811fbf2703b7487eba7d8d6e89dbb3074689d8d2bae4180078da4cd"),
+        "c52c41db97fd97a1fe65767bf462c4ff59166930ca53badb7434d064cd3725ea",
+        "fcf9f8d1284ce7adee2d7d225d374fef753577527f45e25c9a7c46966fc7c735"),
     "sstm_bounded": (
         {"method": "sstm", "problem": {"kind": "quadratic", "dim": 5, "cond": 10.0},
          "noise": {"kind": "bounded", "sigma": 0.2}, "eps": 0.001, "N": 15, "seed": 5},
-        "bae35ab5a8002da4839bfaa9bcb6ccc48b12c144a3bf9fcab4d336d21a0c4d7c",
-        "a9d474f8e2fd14b8f32e0c56a9f37a5b2147be19f0c74a85b05d84a2bcfe54a0"),
+        "a62c053fa70c9753beb8f721a080b59f3fd58a982b9fe58b4e7b776113beb2f6",
+        "efb6e78793a12b58fad2d37141418beed12b5a10fff687a4606b5d41bdb90312"),
     "sstm_sc_ring4": (
         {"method": "sstm_sc", "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 4.0,
                                           "topology": {"kind": "ring", "m": 4}},
          "noise": {"kind": "gaussian", "sigma": 0.1, "delta": 0.001},
          "eps": 0.05, "N": 10, "seed": 7},
-        "6439ffbb0a35ed1c07f1530d8d9f23a7c96a4c357e947c7bad214362bebb01a8",
-        "34ff086840310f8c5690d64aa3b8c50f3cc8bb33116bd4fc1b76bacf3ee9a63b"),
+        "86b9daa67d1c686a392b4572364e1a5585e6c9b87ae4dbfaaed25bb8b69e7c0b",
+        "69e182f5c8e482393c26033aaf7649724189875368c721d2059b4eac92663762"),
     "ac_sa_gaussian_delta": (
         {"method": "ac_sa", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "noise": {"kind": "gaussian", "sigma": 0.3, "delta": 0.001},
          "eps": 0.02, "N": 40, "seed": 3},
-        "871ae662bada2d5ddb6787d4239bdb7871757f953fb74a3fc7a521775dcd41b5",
-        "40f5402a4bc03150d8df0f3a1c22310a4f588fda1ead4d6f3e157c9e0cfccc17"),
+        "2fa3963635eccd468387e8d8dd8eae25c7c9e372cb073193d761572e7156b95a",
+        "c6ad184b172d72bd65b401bc73a839d2df5e35f0dad15f2803f53418c22a9ef1"),
     "rrma_gaussian_delta": (
         {"method": "rrma", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "noise": {"kind": "gaussian", "sigma": 0.3, "delta": 0.001},
          "eps": 0.02, "N": 40, "seed": 3},
-        "d8364798e99da17ff37c63e6b75a397100b72672146432ce67fcbe686ec1b411",
-        "9cb090357d40ff8b2a9d854f46cd3e0ec69115f780ff03da8aa1d486ab23b7cb"),
+        "95b9cf8ff34f8245582a9829c94555a2b464f8731ac0dc011882f3e30e17b1bc",
+        "2a1b7d9f17ba852e463c914ad7c1308f3e2a5b93fd009915f3215a34d71fd132"),
     "spdstm_ring12_gaussian": (
         {"method": "spdstm", "problem": {"kind": "consensus_quadratic", "n": 8, "cond": 10.0,
                                          "topology": {"kind": "ring", "m": 12}},
          "noise": {"kind": "gaussian", "sigma": 0.1, "delta": 0.001},
          "eps": 0.05, "N": 12, "seed": 11},
-        "944becfb23a28a3d8c9c5bf6806f1c1088e59fc0c0b0f792832e01a5018a1b40",
-        "e4be4c00bc96a79fb59aac221569f6a66e64f4696c08c71f3a933d2644e852f0"),
+        "b3d769e79ffa42c6b2ce04e1b7d5ed7ec9b206e70fe21bc81938bce8369278a9",
+        "9d89b7828ff04ae0f5221b1b7c1ef2cdbc98df9fa1a5492dbe5def08e0b0cdb4"),
 }
 
 
@@ -100,20 +106,20 @@ GOLDEN_DETERMINISTIC = {
                                           "topology": {"kind": "ring", "m": 4}},
          "eps": 0.05, "N": 10, "seed": 7},
         "8231d03c4fa75a97cd5532d04d91f75dccc5699783f3ad8f12ce27bf05453310",
-        "35af60740746c94b373b1502dec531c339119bc7a292106315647927111f38b7"),
+        "dd4981605f24e6198049c2dea666791599095fe748135ad6b805c66e07612919"),
     # cond 1: every node's Q is the identity
     "sstm_sc_ring4_identity": (
         {"method": "sstm_sc", "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 1.0,
                                           "topology": {"kind": "ring", "m": 4}},
          "eps": 0.05, "N": 10, "seed": 7},
         "f2f64cb7042089163baa843f3ec2ea402160a333ac8adba64b969f3412a00057",
-        "87d5e0f4caf17c5f4a4153d397c7c3578e8a4be873e26b6d275b4f1d3859340e"),
+        "2c63c4df3ba4faf309c81c251159041cccec158743b1196d1bc970ab48db5328"),
     "sstm_sc_ring12_noiseless": (
         {"method": "sstm_sc", "problem": {"kind": "consensus_quadratic", "n": 8, "cond": 10.0,
                                           "topology": {"kind": "ring", "m": 12}},
          "eps": 0.05, "N": 20, "seed": 11},
         "d76ea72143f81925ee5e7826a513aaafe9e893838187e4b99bc842aded20237d",
-        "465b35e6cfdb9afe9b1f8634a34ff16a2ff6a1202bc2239fd6d21e7d80e9617b"),
+        "de36d6b74f4d505f30577c411709b7a401b38b6302b0647e24637dadbbc6d9e0"),
     # auto N from the gap certificate: 251 steps
     "spdstm_penalty_auto": (
         {"method": "spdstm", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
@@ -126,7 +132,7 @@ GOLDEN_DETERMINISTIC = {
                                          "topology": {"kind": "ring", "m": 4}},
          "eps": 0.05, "N": "auto", "seed": 7, "constants": {"stop_gap": -0.3}},
         "564abc3a1c95d7f2a40c7ec018e364bc82d8424d6b380e71bda55c8f6f44d645",
-        "086eef32672b0d9ba656860ab8678b45b6527721184f819a73ef01abdfea1982"),
+        "c43ed9ae47fda7fa3c9ec226e59cb678851d1dca3afb09f9f4e1f2c2b5318560"),
     # auto N gives ac_sa a budget of 100 steps and the default lambda
     "ac_sa_penalty_auto": (
         {"method": "ac_sa", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
@@ -164,17 +170,6 @@ def test_noisy_run_is_byte_identical_to_golden(tmp_path, capsys, name):
     _check_noisy_golden(tmp_path, capsys, name)
 
 
-def test_noisy_golden_without_batch_seeding(tmp_path, capsys, monkeypatch):
-    # one default_rng per sample, the fallback path, gives the same bytes
-    monkeypatch.setattr(oracles, "_BATCH_SEEDING", False)
-    widths = []
-    generators = oracles.RngStreams.generators
-    monkeypatch.setattr(oracles.RngStreams, "generators",
-                        lambda self, r: widths.append(r) or generators(self, r))
-    _check_noisy_golden(tmp_path, capsys, "spdstm_gaussian_delta")
-    assert max(widths) >= oracles._BATCH_MIN  # batches the batch path would have taken
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_DETERMINISTIC))
 def test_deterministic_run_is_byte_identical_to_golden(tmp_path, capsys, name):
     cfg, csv_digest, summary_digest = GOLDEN_DETERMINISTIC[name]
@@ -202,7 +197,7 @@ GOLDEN_BARYCENTER = {
                      "mu": 0.2, "topology": {"kind": "ring", "m": 4}},
          "eps": 0.01, "N": "auto", "seed": 2},
         "c603cc2ef375378b2ffd6da68f72059de834eca5c333a103a8062d27839d4bfb",
-        "a4c16243c20e315dd9c88a136089c92f615afa0192913313e4d34efc7bb3569a"),
+        "f0eb1e467b57f73c91304bcf3ac6cc8ec68e5344372159369af0c8ebab7b0aa9"),
 }
 
 
@@ -231,15 +226,14 @@ def _run_summary(cfg) -> dict:
     return json.loads(summary.read_text())
 
 
-def test_noisy_spdstm_seeds_a_pass_per_pass_width_of_samples(tmp_path, capsys, monkeypatch):
+def test_noisy_spdstm_builds_one_stream_per_batch(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     counts = count_seeding(monkeypatch)
     cfg = dict(GOLDEN["spdstm_gaussian_delta"][0], N=60)
     samples = _run_summary(cfg)["stoch_samples"]
     capsys.readouterr()
-    assert samples > 2 * oracles._PASS  # several passes
-    assert counts["_pcg64_words"] <= -(-samples // oracles._PASS) + 1
-    assert counts["_raw_generator"] == 1
+    assert samples > 2000  # batches of many rows
+    assert counts["streams"] == 60  # one batch per step
 
 
 @pytest.mark.parametrize("cfg", [
@@ -254,4 +248,44 @@ def test_noiseless_runs_seed_nothing(tmp_path, capsys, monkeypatch, cfg):
     counts = count_seeding(monkeypatch)
     assert _run_summary(cfg)["iterations"] > 0
     capsys.readouterr()
-    assert counts == {"_pcg64_words": 0, "_raw_generator": 0}
+    assert counts == {"streams": 0}
+
+
+# One noisy run of each batched dual method.  Between them they build every
+# build stream (``(seed, i)`` for i = 0, ..., 3) and the topology stream
+# ``(seed, 7)``, next to their batches' streams.
+SEEDED_RUNS = {
+    "spdstm": GOLDEN["spdstm_gaussian_delta"][0],
+    "sstm_sc": {"method": "sstm_sc",
+                "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 4.0,
+                            "topology": {"kind": "erdos_renyi", "m": 5, "p": 0.6}},
+                "noise": {"kind": "gaussian", "sigma": 0.1}, "eps": 0.05, "N": 10, "seed": 7},
+    "ac_sa": GOLDEN["ac_sa_gaussian_delta"][0],
+    # two restarts: probes, trajectories and selection batches
+    "restarted_rrma": {"method": "restarted_rrma",
+                       "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+                       "noise": {"kind": "gaussian", "sigma": 0.02}, "eps": 0.5, "seed": 3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_RUNS))
+def test_every_stream_of_a_noisy_run_is_distinct(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    states, paths = [], []
+    default_rng, generator = np.random.default_rng, oracles.RngStreams.generator
+
+    def recorded_rng(seed):
+        key = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        states.append(key.generate_state(4).tobytes())
+        return default_rng(key)
+
+    def recorded_generator(self, *index):
+        paths.append(self.path + index)
+        return generator(self, *index)
+
+    monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+    monkeypatch.setattr(oracles.RngStreams, "generator", recorded_generator)
+    assert _run_summary(SEEDED_RUNS[name])["stoch_samples"] > 0
+    capsys.readouterr()
+    assert paths and () not in paths  # no batch draws from the seed's own stream
+    assert len(set(states)) == len(states)

@@ -1,8 +1,6 @@
-import ctypes
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optdec.oracles as oracles_mod
-from conftest import count_seeding, fd_grad, rel_err
+from conftest import fd_grad, rel_err
 from optdec import (DualOracle, FirstOrderOracle, NoiseSpec, QuadraticProblem,
                     RngStreams, StochasticGradientOracle)
 from optdec.problems import entropic_ot_dual_grad, entropic_ot_dual_value
@@ -155,7 +153,7 @@ def test_batch_size_one_equals_single_sample():
     x = np.array([0.5, 0.5])
     streams = RngStreams(3).child(4)
     g_batch = stoch.batch(x, 1, streams)
-    g_single = stoch.sample(x, streams.generator(0))
+    g_single = stoch.sample(x, streams.generator())
     assert np.allclose(g_batch, g_single)
 
 
@@ -205,19 +203,17 @@ def test_batch_variance_reduction():
 
 
 def test_batch_schedule_independence():
-    # each sample's stream index fixes its randomness: evaluating the
-    # samples in any order gives the identical batch mean
+    # a batch depends on its seed, path and size only: drawing the steps'
+    # batches in any order, or again, gives the identical bits
     oracle, _ = make_quadratic_oracle(dim=3)
     stoch = StochasticGradientOracle(oracle, NoiseSpec(0.05, 0.8, "gaussian"))
     x = np.array([0.3, -0.2, 1.0])
     streams = RngStreams(21).child(5)
-    r = 16
-    forward = stoch.batch(x, r, streams)
-    order = np.random.default_rng(0).permutation(r)
-    shuffled = np.zeros(3)
-    for l in order:
-        shuffled += stoch.sample(x, streams.generator(int(l)))
-    assert np.allclose(forward, shuffled / r, rtol=0, atol=1e-15)
+    sizes = [1, 16, 3, 40, 7]
+    forward = [stoch.batch(x, r, streams.child(k)).tobytes() for k, r in enumerate(sizes)]
+    order = np.random.default_rng(0).permutation(len(sizes)).tolist() + [2, 0]
+    for k in order:
+        assert stoch.batch(x, sizes[k], streams.child(k)).tobytes() == forward[k], k
 
 
 def test_batch_counts_samples():
@@ -356,11 +352,12 @@ def test_noisy_dual_reproducibility():
 
 
 # ---------------------------------------------------------------------------
-# sampling contract: sample l of a batch is a pure function of (seed, path, l)
+# sampling contract: the batch at path p draws its rows from the one stream
+# SeedSequence(seed, spawn_key=p)
 
 
-def _reference(key) -> np.random.Generator:
-    return np.random.default_rng(key)
+def _reference(seed, path=()) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
 def _same_stream(gen, ref) -> bool:
@@ -369,134 +366,25 @@ def _same_stream(gen, ref) -> bool:
             and gen.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes())
 
 
-_WORD = st.integers(0, 2 ** 40)
+_WORD = st.integers(0, 2 ** 32 - 1)
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 63), path=st.lists(_WORD, max_size=4),
-       r=st.integers(1, 3 * oracles_mod._BATCH_MIN),
-       high=st.lists(st.integers(2 ** 32 - 64, 2 ** 32 - 1), min_size=1, max_size=4))
-def test_batched_streams_match_default_rng(seed, path, r, high):
-    streams = RngStreams(seed, tuple(path))
-    for l, gen in enumerate(streams.generators(r)):
-        assert _same_stream(gen, _reference((seed, *path, l))), l
-    # indices near 2^32 - 1, which no batch reaches, through the hash itself
-    prefix = oracles_mod._uint32_words((seed, *path))
-    index = np.array(high, dtype=np.uint32)
-    gen, state = oracles_mod._raw_generator()
-    for l, row in zip(high, oracles_mod._pcg64_words(prefix, index)):
-        state[:] = row
-        assert _same_stream(gen, _reference((seed, *path, l))), l
-
-
-def test_batch_seeding_self_check_falls_back(monkeypatch):
-    assert oracles_mod._BATCH_SEEDING  # the installed numpy passes the check
-    calls = []
-    exact = oracles_mod._pcg64_words
-
-    def off_by_one(prefix, index):
-        calls.append(len(index))
-        words = exact(prefix, index)
-        words[:, 0] ^= np.uint64(1)  # the low word of every state
-        return words
-
-    monkeypatch.setattr(oracles_mod, "_pcg64_words", off_by_one)
-    assert not oracles_mod._batch_seeding_matches_numpy()
-    monkeypatch.setattr(oracles_mod, "_BATCH_SEEDING", False)
-    calls.clear()
-    r = 2 * oracles_mod._BATCH_MIN
-    streams = RngStreams(5).child(2)
-    for l, gen in enumerate(streams.generators(r)):
-        assert _same_stream(gen, _reference((5, 2, l)))
-    assert calls == []
-
-
-# batches of 1, below _BATCH_MIN, and wider than a pass: passes then both
-# span batches and split them
-_BATCH = st.one_of(st.just(1), st.integers(2, oracles_mod._BATCH_MIN - 1),
-                   st.integers(oracles_mod._BATCH_MIN, 40),
-                   st.integers(oracles_mod._PASS + 1, oracles_mod._PASS + 300))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 63), path=st.lists(_WORD, max_size=3),
-       sizes=st.lists(_BATCH, min_size=1, max_size=6).filter(
-           lambda sizes: sum(sizes) <= 2 * oracles_mod._PASS + 400),
-       seeding=st.booleans(), data=st.data())
-def test_scheduled_streams_match_default_rng(seed, path, sizes, seeding, data):
-    # in order, then out of order and repeated
-    order = list(range(len(sizes))) + data.draw(
-        st.lists(st.integers(0, len(sizes) - 1), max_size=2 * len(sizes)))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracles_mod, "_BATCH_SEEDING", seeding)
-        streams = RngStreams(seed, tuple(path)).scheduled(sizes.__getitem__, len(sizes))
-        for k in order:
-            held = []
-            for l, gen in enumerate(streams.child(k).generators(sizes[k])):
-                assert _same_stream(gen, _reference((seed, *path, k, l))), (k, l)
-                if not seeding:
-                    held.append(gen)
-            # without batch seeding, every sample gets its own default_rng
-            assert len({id(gen) for gen in held}) == len(held)
-
-
-def test_scheduled_step_refuses_a_batch_of_another_size(monkeypatch):
-    counts = count_seeding(monkeypatch)
-    streams = RngStreams(4).scheduled(lambda k: 10 * (k + 1), 5)
-    for r in (19, 21, 1):
-        with pytest.raises(ValueError, match="step 1 is scheduled to draw 20 samples"):
-            next(iter(streams.child(1).generators(r)))
-    assert counts["_pcg64_words"] == 0  # nothing was seeded for the wrong batch
-    # the declared size draws; steps past the schedule and deeper paths are not scheduled
-    assert len(list(streams.child(1).generators(20))) == 20
-    assert len(list(streams.child(5).generators(3))) == 3
-    assert len(list(streams.child(1, 0).generators(3))) == 3
-    with pytest.raises(ValueError, match="uint32"):
-        RngStreams(4).scheduled(lambda k: 1, 2 ** 32 + 1)
-
-
-def test_scheduled_passes_share_one_generator_and_seed_nothing_until_drawn(monkeypatch):
-    counts = count_seeding(monkeypatch)
-    sizes = [300, 1, 5, 900, 2000, 40]
-    streams = RngStreams(9, (2,)).scheduled(sizes.__getitem__, len(sizes))
-    steps = [streams.child(k) for k in range(len(sizes))]
-    assert counts == {"_pcg64_words": 0, "_raw_generator": 0}
-    gens = {id(gen) for k, step in enumerate(steps) for gen in step.generators(sizes[k])}
-    assert len(gens) == 1 and counts["_raw_generator"] == 1
-    # passes of _PASS rows back to back over all 3246 rows
-    assert counts["_pcg64_words"] == -(-sum(sizes) // oracles_mod._PASS)
-
-
-class _HeadOnly(oracles_mod._PCG64Head):
-    """A PCG64 head held inline in its own object, pointing wherever it is told."""
-
-    @property
-    def ctypes(self):
-        return types.SimpleNamespace(state_address=ctypes.addressof(self))
-
-
-def test_state_view_refuses_memory_outside_the_bit_generator(monkeypatch):
-    outside = np.zeros(4, dtype=np.uint64)
-    # a state address outside the object
-    stray = types.SimpleNamespace(ctypes=types.SimpleNamespace(state_address=outside.ctypes.data))
-    assert oracles_mod._state_view(stray) is None
-    # a head inside the object whose state pointer leads outside it
-    head = _HeadOnly(pcg_state=outside.ctypes.data, has_uint32=1, uinteger=7)
-    assert oracles_mod._inside(head, ctypes.addressof(head), ctypes.sizeof(head))
-    assert oracles_mod._state_view(head) is None
-    assert (head.has_uint32, head.uinteger) == (1, 7) and not outside.any()  # nothing written
-    # a refused view fails the self-check, and batches fall back to default_rng
-    monkeypatch.setattr(oracles_mod, "_state_view", lambda bit_generator: None)
-    assert not oracles_mod._batch_seeding_matches_numpy()
-    streams = RngStreams(5).child(2)
-    for l, gen in enumerate(streams.generators(2 * oracles_mod._BATCH_MIN)):
-        assert _same_stream(gen, _reference((5, 2, l)))
+@given(seed=st.integers(0, 2 ** 63), path=st.lists(_WORD, max_size=4), split=st.integers(0, 4))
+def test_batched_streams_match_default_rng(seed, path, split):
+    ref = lambda: _reference(seed, path)
+    assert _same_stream(RngStreams(seed, tuple(path)).generator(), ref())
+    # a child and an index extend the path alike
+    head, tail = tuple(path[:split]), path[split:]
+    assert _same_stream(RngStreams(seed, head).child(*tail).generator(), ref())
+    assert _same_stream(RngStreams(seed, head).generator(*tail), ref())
+    # a trailing zero word gives another stream
+    longer = RngStreams(seed, tuple(path)).child(0).generator()
+    assert longer.bit_generator.state != ref().bit_generator.state
 
 
 def test_import_is_warning_free():
-    # numpy warns on uint64 scalar overflow, so this keeps the 128-bit
-    # arithmetic on arrays and the state access free of warnings
-    code = "import optdec.oracles as o; assert o._BATCH_SEEDING"
+    code = "import optdec"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -511,7 +399,7 @@ def _distributed_dual(noise):
     return DistributedDualOracle(DecentralizedInstance(locals_, Topology.ring(4), 2), noise)
 
 
-@pytest.mark.parametrize("r", [3, 2 * oracles_mod._BATCH_MIN])
+@pytest.mark.parametrize("r", [3, 16])
 @pytest.mark.parametrize("distributed", [False, True])
 def test_noisy_batch_solves_inner_maximiser_once(r, distributed):
     noise = NoiseSpec(0.01, 0.3, "gaussian")
@@ -528,7 +416,7 @@ def test_noisy_batch_solves_inner_maximiser_once(r, distributed):
     assert dual.counter.stoch_samples == r
 
 
-@pytest.mark.parametrize("r", [3, 2 * oracles_mod._BATCH_MIN])
+@pytest.mark.parametrize("r", [3, 16])
 def test_primal_noisy_batch_evaluates_gradient_once(r):
     oracle, _ = make_quadratic_oracle(c=[1.0, -1.0])
     gradient = oracle.gradient
@@ -539,26 +427,26 @@ def test_primal_noisy_batch_evaluates_gradient_once(r):
     streams = RngStreams(6).child(2)
     batch = stoch.batch(x, r, streams)
     assert len(calls) == 1 and oracle.counter.stoch_samples == r
-    # every sample is still the one its own stream gives
-    acc = np.zeros(2)
+    # sample l is still row l of the batch's stream
+    rng, acc = _reference(6, (2,)), np.zeros(2)
     for l in range(r):
-        acc += stoch.sample(x, _reference((6, 2, l)))
+        acc += stoch.sample(x, rng)
     assert (batch == acc / r).all()
 
 
-@pytest.mark.parametrize("r", [3, 2 * oracles_mod._BATCH_MIN])
+@pytest.mark.parametrize("r", [3, 16])
 def test_network_noise_is_drawn_in_node_order(r):
     sigma, delta = 0.3, 0.01
     dual = _distributed_dual(NoiseSpec(delta, sigma, "gaussian"))
     m, n = dual.instance.m, dual.instance.n
     y = np.linspace(-1.0, 1.0, dual.dual_dim)
     _, x_mean = dual.batch_grad_and_x(y, r, RngStreams(8).child(5))
-    # node k takes the k-th n draws of its sample's stream, after its bias e_1
+    # node k takes the k-th n draws of its sample's row, after its bias e_1
     center = dual.x_exact(dual.A @ y).reshape(m, n).copy()
     center[:, 0] += delta
     acc = np.zeros(m * n)
-    for l in range(r):
-        eta = _reference((8, 5, l)).standard_normal((m, n)) * (sigma / np.sqrt(n))
+    etas = _reference(8, (5,)).standard_normal((r, m, n)) * (sigma / np.sqrt(n))
+    for eta in etas:
         acc += (center + eta).reshape(-1)
     assert (x_mean == acc / r).all()
 
@@ -597,7 +485,7 @@ def _noisy_batch(case, noise, seen):
     return lambda r, streams: (stoch.batch(np.zeros(2), r, streams),)
 
 
-@pytest.mark.parametrize("r", [3, 2 * oracles_mod._BATCH_MIN])
+@pytest.mark.parametrize("r", [3, 16])
 @pytest.mark.parametrize("delta", [0.0, 0.01])
 @pytest.mark.parametrize("case, kind", [("dual", "gaussian"), ("primal", "gaussian"),
                                         ("primal", "bounded"), ("distributed", "gaussian")])
@@ -613,7 +501,7 @@ def test_noisy_batch_never_writes_into_its_center(r, delta, case, kind):
 
 
 # ---------------------------------------------------------------------------
-# the batch buffer: the bits of per-sample draws added one by one
+# the batch buffer: rows drawn in order from the batch's stream, added one by one
 
 
 def _expected_sample(center, noise, block, rng):
@@ -675,15 +563,15 @@ def _check_batch_bits(case, kind, delta, sigma, dim, r, seed, path, exact):
     bias = np.zeros(block)
     bias[0] = delta
     center = (exact.reshape(-1, block) + bias).reshape(-1) if delta > 0 else exact
-    expected = [_expected_sample(center, noise, block, _reference((seed, *path, l)))
-                for l in range(r)]
+    rng = _reference(seed, path)
+    expected = [_expected_sample(center, noise, block, rng) for _ in range(r)]
     calls = _count_calls(oracle, name)
     before = oracle.counter.stoch_samples
     got = batch(r, RngStreams(seed, tuple(path)))
     assert len(calls) == r and oracle.counter.stoch_samples - before == r
     assert got.tobytes() == _in_order_mean(expected, r).tobytes()
     # a lone sample is a batch of one
-    alone = lone(_reference((seed, *path, 0)))
+    alone = lone(_reference(seed, path))
     assert alone.tobytes() == _in_order_mean(expected[:1], 1).tobytes()
 
 
@@ -691,7 +579,7 @@ def _check_batch_bits(case, kind, delta, sigma, dim, r, seed, path, exact):
 @given(case=st.sampled_from(["dual", "distributed", "primal"]), kind=st.sampled_from(["gaussian", "bounded"]),
        delta=st.sampled_from([0.0, 0.03]), sigma=st.floats(1e-3, 1e3),
        dim=st.sampled_from([1, 2, 5]), r=st.sampled_from([1, 7, 8, 9, 100]),
-       seed=st.integers(0, 2 ** 40), path=st.lists(st.integers(0, 2 ** 33), max_size=3),
+       seed=st.integers(0, 2 ** 40), path=st.lists(_WORD, max_size=3),
        data=st.data())
 def test_noisy_batch_has_the_bits_of_its_samples_added_in_order(case, kind, delta, sigma, dim,
                                                                   r, seed, path, data):
@@ -701,7 +589,7 @@ def test_noisy_batch_has_the_bits_of_its_samples_added_in_order(case, kind, delt
 
 
 @pytest.mark.parametrize("case, dim, r", [
-    ("dual", 1, oracles_mod._CHUNK + 3),   # past a seeding chunk and a buffer
+    ("dual", 1, oracles_mod._CHUNK + 3),   # past a buffer
     ("primal", 1, oracles_mod._CHUNK + 3),
     ("distributed", 50, 1400),             # 200 coordinates: past a buffer of 1310 rows
 ])
@@ -710,3 +598,23 @@ def test_noisy_batch_carries_its_sum_across_buffers(case, dim, r, kind):
     size = dim * (4 if case == "distributed" else 1)
     exact = 5.0 * np.random.default_rng(2).standard_normal(size)
     _check_batch_bits(case, kind, 0.01, 0.7, dim, r, 17, (3,), exact)
+
+
+@pytest.mark.parametrize("case", ["dual", "distributed", "primal"])
+@pytest.mark.parametrize("kind", ["gaussian", "bounded"])
+def test_batch_rows_are_prefix_stable_in_r(case, kind):
+    # row l of a batch does not depend on the batch size
+    exact = np.linspace(-1.0, 1.0, 6 if case == "distributed" else 2)
+    rows = {}
+    for r in (5, 12):
+        batch, _, oracle, name, _ = _sampling_case(case, NoiseSpec(0.01, 0.4, kind), 2, exact)
+        method, drawn = getattr(oracle, name), rows.setdefault(r, [])
+
+        def record(*args, method=method, drawn=drawn):
+            row = method(*args)
+            drawn.append(row.tobytes())
+            return row
+
+        setattr(oracle, name, record)
+        batch(r, RngStreams(4, (9,)))
+    assert len(rows[12]) == 12 and rows[12][:5] == rows[5]
