@@ -22,10 +22,12 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .dual import DUAL_CONSTANTS, DivergenceError, run_dual
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
 from .network import DecentralizedInstance, Topology, run_distributed
@@ -39,7 +41,7 @@ from .trace import summary_from_trace
 
 PROBLEM_KINDS = ("quadratic", "consensus_quadratic", "penalty", "barycenter", "custom")
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
-NOISE_KINDS = ("gaussian", "bounded", "none")
+NOISE_KINDS = ("gaussian", "bounded")
 DECENTRALIZED_KINDS = ("consensus_quadratic", "barycenter")
 # the problem kinds each method runs on; a method that runs on ``penalty``
 # needs the constraint matrix ``A``, so on ``custom`` it needs ``A_csv``.
@@ -188,6 +190,11 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def run_identity(cfg: dict) -> dict:
+    """The metadata that names the run of a validated config, stamped on its every trace."""
+    return {"config_hash": config_hash(cfg), "seed": cfg["seed"], "version": f"optdec-{__version__}"}
+
+
 # ---------------------------------------------------------------------------
 # problem construction
 
@@ -202,6 +209,15 @@ def _resolve_topology(spec, seed) -> Topology:
     return getattr(Topology, kind)(m)
 
 
+@contextmanager
+def _bad_input_is_config_error(problem):
+    """Report a problem that cannot be built (bad files, shapes or sizes) as a ConfigError."""
+    try:
+        yield
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        raise ConfigError(f"invalid {problem['kind']} problem: {exc}") from exc
+
+
 def _build_quadratic(problem, seed):
     rng = np.random.default_rng((seed, 0))
     qp = random_quadratic(int(problem.get("dim", 10)), float(problem.get("cond", 10.0)),
@@ -211,19 +227,16 @@ def _build_quadratic(problem, seed):
 
 
 def _build_custom(problem):
-    """Quadratic and optional constraint matrix from CSV files; bad inputs raise ConfigError."""
-    try:
-        Q = np.atleast_2d(np.loadtxt(problem["Q_csv"], delimiter=","))
-        b = np.atleast_1d(np.loadtxt(problem["b_csv"], delimiter=","))
-        qp = QuadraticProblem(Q, b)
-        A = None
-        if problem.get("A_csv"):
-            A = np.loadtxt(problem["A_csv"], delimiter=",", ndmin=2)
-            if A.shape[1] != b.size:
-                raise ValueError(f"A must have one column per coordinate ({b.size}), "
-                                 f"got shape {A.shape}")
-    except (ValueError, KeyError, OSError) as exc:
-        raise ConfigError(f"invalid custom problem: {exc}") from exc
+    """Quadratic and optional constraint matrix from CSV files."""
+    Q = np.atleast_2d(np.loadtxt(problem["Q_csv"], delimiter=","))
+    b = np.atleast_1d(np.loadtxt(problem["b_csv"], delimiter=","))
+    qp = QuadraticProblem(Q, b)
+    A = None
+    if problem.get("A_csv"):
+        A = np.loadtxt(problem["A_csv"], delimiter=",", ndmin=2)
+        if A.shape[1] != b.size:
+            raise ValueError(f"A must have one column per coordinate ({b.size}), "
+                             f"got shape {A.shape}")
     return qp, A
 
 
@@ -234,18 +247,15 @@ def _build_constraint(problem, dim, seed):
 
 
 def _build_decentralized(problem, seed):
-    """Lifted instance of a decentralized problem; bad inputs raise ConfigError."""
-    try:
-        topo = _resolve_topology(problem["topology"], seed)
-        if topo.m < 2:
-            raise ConfigError("a single node has no consensus constraint; need m >= 2")
-        if problem["kind"] == "consensus_quadratic":
-            return _build_consensus(problem, topo, seed)
-        measures = load_measures_csv(problem["measures"])
-        cost = load_cost_csv(problem["cost"])
-        return barycenter_problem(measures, cost, float(problem["mu"]), topo)
-    except (ValueError, KeyError, OSError) as exc:
-        raise ConfigError(f"invalid {problem['kind']} problem: {exc}") from exc
+    """Lifted instance of a decentralized problem."""
+    topo = _resolve_topology(problem["topology"], seed)
+    if topo.m < 2:
+        raise ValueError("a single node has no consensus constraint; need m >= 2")
+    if problem["kind"] == "consensus_quadratic":
+        return _build_consensus(problem, topo, seed)
+    measures = load_measures_csv(problem["measures"])
+    cost = load_cost_csv(problem["cost"])
+    return barycenter_problem(measures, cost, float(problem["mu"]), topo)
 
 
 def _build_consensus(problem, topo, seed):
@@ -263,11 +273,9 @@ def _build_consensus(problem, topo, seed):
 
 
 def _noise_spec(noise_cfg) -> NoiseSpec:
-    if not noise_cfg:
-        return NoiseSpec(0.0, 0.0, "none")
-    return NoiseSpec(float(noise_cfg.get("delta", 0.0)),
-                     float(noise_cfg.get("sigma", 0.0)),
-                     noise_cfg.get("kind", "gaussian"))
+    """The spec of a validated ``noise`` object; missing fields take the defaults of ``NoiseSpec()``."""
+    return NoiseSpec(**{key: float(value) if key != "kind" else value
+                        for key, value in (noise_cfg or {}).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +283,14 @@ def _noise_spec(noise_cfg) -> NoiseSpec:
 
 
 def execute_run(cfg: dict):
-    """Run a validated config; returns (trace, summary)."""
+    """Run a validated config; returns (trace, summary), both stamped with :func:`run_identity`."""
+    trace, extra = _solve(cfg)
+    trace.metadata.update(run_identity(cfg))
+    return trace, {**summary_from_trace(trace), **extra}
+
+
+def _solve(cfg: dict):
+    """Build and solve a validated config; returns (trace, summary fields the trace lacks)."""
     method = cfg["method"]
     problem = cfg["problem"]
     kind = problem["kind"]
@@ -283,16 +298,14 @@ def execute_run(cfg: dict):
     eps, beta = cfg["eps"], cfg["beta"]
     consts = cfg["constants"]
     noise = _noise_spec(cfg["noise"])
-    meta = {"config_hash": config_hash(cfg), "seed": seed, "version": "optdec-0.1.0"}
 
     if kind in DECENTRALIZED_KINDS:
-        instance = _build_decentralized(problem, seed)
+        with _bad_input_is_config_error(problem):
+            instance = _build_decentralized(problem, seed)
         run_cfg = {k: v for k, v in consts.items() if k in DUAL_CONSTANTS or k == "R_y"}
         run_cfg.update(N=cfg["N"], eps=eps, beta=beta, seed=seed, noise=noise)
         x_nodes, trace, _ = run_distributed(method, instance, run_cfg)
-        trace.metadata.update(meta)
         return trace, {
-            **summary_from_trace(trace),
             "chi": instance.pair.chi,
             "m": instance.m,
             # sqrt(W) is the blockwise operator: no dense lift is formed
@@ -300,12 +313,13 @@ def execute_run(cfg: dict):
         }
 
     # single-machine problems
-    if kind == "custom":
-        qp, A = _build_custom(problem)
-        x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
-    else:
-        qp, x0 = _build_quadratic(problem, seed)
-        A = _build_constraint(problem, qp.Q.shape[0], seed) if kind == "penalty" else None
+    with _bad_input_is_config_error(problem):
+        if kind == "custom":
+            qp, A = _build_custom(problem)
+            x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
+        else:
+            qp, x0 = _build_quadratic(problem, seed)
+            A = _build_constraint(problem, qp.Q.shape[0], seed) if kind == "penalty" else None
 
     oracle = qp.oracle()
     max_N = int(consts.get("max_N", DUAL_CONSTANTS["max_N"]))
@@ -317,11 +331,11 @@ def execute_run(cfg: dict):
             float(np.linalg.norm(x0 - qp.x_star)), oracle.L, eps, cap, step_factor), max_N)
         if method == "stm":
             x, trace = stm(oracle, x0, N, f_star=qp.f_star, x_star=qp.x_star,
-                           step_factor=step_factor, metadata=meta)
+                           step_factor=step_factor)
         else:
             x, trace = sstm(StochasticGradientOracle(oracle, noise), x0, N, eps, beta,
                             seed=seed, step_factor=step_factor, f_star=qp.f_star,
-                            x_star=qp.x_star, metadata=meta)
+                            x_star=qp.x_star)
     else:
         y_star, _ = min_norm_dual_solution(qp.Q, qp.b, A)
         R_y = float(consts.get("R_y") or max(np.linalg.norm(y_star), 1e-12))
@@ -331,16 +345,15 @@ def execute_run(cfg: dict):
             N, capped = capped_N(cfg["N"], lambda cap: gap_certificate_N(
                 float(np.linalg.norm(x0 - x_F)), oracle.L, eps, cap), max_N)
             x, trace = stm_ips(pen, x0, N, inner_T=consts.get("inner_T"),
-                               F_star=pen.F_value(x_F), x_star=x_F, metadata=meta)
+                               F_star=pen.F_value(x_F), x_star=x_F)
             trace.metadata["R_y"] = format(R_y, ".17g")
         else:  # run_dual plans, caps and flags the dual methods itself
             dual = DualOracle(oracle, A, qp.conjugate_argmax, noise=noise)
             capped, extra = False, {"R_y": R_y}
-            _, _, trace = run_dual(method, dual, cfg["N"], eps, beta, R_y, consts, seed=seed,
-                                   metadata=meta)
+            _, _, trace = run_dual(method, dual, cfg["N"], eps, beta, R_y, consts, seed=seed)
     if capped:
         trace.flag(CAP_FLAG.format(max_N))
-    return trace, {**summary_from_trace(trace), **extra}
+    return trace, extra
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +366,23 @@ def apply_sweep_value(cfg: dict, param: str, value: str) -> dict:
     if param == "eps":
         out["eps"] = _number(value, where)
     elif param == "sigma":
-        out.setdefault("noise", {})
-        out["noise"]["sigma"] = _number(value, where)
+        noise = {} if out.get("noise") is None else out["noise"]
+        if not isinstance(noise, dict):
+            raise ConfigError("noise must be a JSON object or null")
+        out["noise"] = {**noise, "sigma": _number(value, where)}
     elif param == "N":
         out["N"] = _number(value, where, integer=True)
-    elif param == "m":
-        topo = out["problem"].get("topology")
+    elif param in ("m", "chi-topology"):
+        problem = out.get("problem")
+        topo = problem.get("topology") if isinstance(problem, dict) else None
         if not isinstance(topo, dict):
-            raise ConfigError("m sweep needs an inline topology spec")
-        topo["m"] = _number(value, where, integer=True)
-    elif param == "chi-topology":
-        topo = out["problem"].get("topology")
-        if not isinstance(topo, dict):
-            raise ConfigError("chi-topology sweep needs an inline topology spec")
-        if value not in TOPOLOGY_KINDS:
+            raise ConfigError(f"{param} sweep needs an inline topology spec")
+        if param == "m":
+            topo["m"] = _number(value, where, integer=True)
+        elif value not in TOPOLOGY_KINDS:
             raise ConfigError(f"unknown topology kind {value!r}")
-        topo["kind"] = value
+        else:
+            topo["kind"] = value
     else:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
     return out
@@ -416,13 +430,15 @@ def _out_dir(arg) -> Path:
 def _load_config_file(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a missing file, bad JSON or bytes that are not UTF-8
         raise ConfigError(f"cannot read config: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     return raw
 
 
-# errors reported with an exit code, not a traceback (DivergenceError is a RuntimeError)
-_RUN_ERRORS = (ConfigError, RuntimeError, np.linalg.LinAlgError)
+# errors reported with an exit code, not a traceback (divergence, singular systems, overflow)
+_RUN_ERRORS = (ConfigError, RuntimeError, np.linalg.LinAlgError, ArithmeticError)
 
 
 def _report(exc) -> int:
@@ -448,7 +464,7 @@ def cmd_run(args) -> int:
         trace, summary = execute_run(cfg)
     except _RUN_ERRORS as exc:
         if isinstance(exc, DivergenceError) and exc.trace is not None:
-            exc.trace.metadata.setdefault("config_hash", h)
+            exc.trace.metadata.update(run_identity(cfg))
             exc.trace.to_csv(out / f"{h}.trace.csv")
         return _report(exc)
     trace.to_csv(out / f"{h}.trace.csv")

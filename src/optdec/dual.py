@@ -15,7 +15,8 @@ oracle, and recover primal points from the inner maximisers:
 
 Both triangle schemes run on :func:`optdec.schedules.triangle`.
 :func:`run_dual` plans and runs each of :data:`DUAL_METHODS` the same way
-on a single machine and on a network.
+on a single machine and on a network.  Their traces carry no metadata:
+``optdec run`` stamps the run's identity on them.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _guard(z, scale, trace, label):
 def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
            C_hat: float = 1.0, L_tilde_factor: float = 2.0, seed: int = 0,
            metric_every: int = 1, y_star_norm_estimate: float | None = None,
-           stop_gap: float | None = None, metadata=None):
+           stop_gap: float | None = None):
     """Stochastic primal-dual triangle scheme from ``y^0 = 0``.
 
     Runs ``N`` iterations with batched biased dual gradients, batch sizes
@@ -103,7 +104,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     y = np.zeros(dual.dual_dim)
     acc = np.zeros(dual.primal.dim)
     scale = y_star_norm_estimate if y_star_norm_estimate is not None else 1.0
-    trace = RunTrace(dict(metadata or {}))
+    trace = RunTrace()
 
     def gradient(k, y_tilde, alpha, A_next):
         nonlocal acc
@@ -134,7 +135,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
 
 def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
             history: list | None = None, metric_every: int = 1,
-            y_star=None, stop_grad_norm: float | None = None, metadata=None):
+            y_star=None, stop_grad_norm: float | None = None):
     """Stochastic triangle scheme for a strongly convex dual.
 
     The mirror point has the closed form
@@ -159,7 +160,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
 
     y = z0 = np.array(y0, dtype=float)
     scale = float(np.linalg.norm(y)) + (np.linalg.norm(y_star) if y_star is not None else 1.0)
-    trace = RunTrace(dict(metadata or {}))
+    trace = RunTrace()
 
     def gradient(k, y_tilde, alpha, A_next):
         return dual.batch_grad_and_x(y_tilde, batch, streams.child(k + 1))[0]
@@ -258,8 +259,7 @@ def ac_sa(objective: RegularizedDual, z0, m: int, lam: float | None = None, *,
     the step pair is ``alpha_t = 2/(t+1)``, ``gamma_t = 4 L / (t (t+1))``.
     Returns the aggregated iterate after ``m`` steps (``z0`` for ``m = 0``).
     """
-    if streams is None:
-        streams = RngStreams(0)
+    streams = streams or RngStreams(0)
     if lam is None:
         lam = objective.strong_convexity
     L = objective.smoothness
@@ -282,8 +282,7 @@ def ac_sa2(objective: RegularizedDual, z0, m: int, *, batch_size: int = 1,
            streams: RngStreams | None = None):
     """Two chained halves of :func:`ac_sa` (odd budgets give the extra step
     to the second half)."""
-    if streams is None:
-        streams = RngStreams(0)
+    streams = streams or RngStreams(0)
     m1 = m // 2
     m2 = m - m1
     y1 = ac_sa(objective, z0, m1, batch_size=batch_size, streams=streams.child(0))
@@ -298,8 +297,7 @@ def rrma_ac_sa2(dual: DualOracle, y0, m: int, lam: float, *, batch_size: int = 1
     each of the ``T = floor(log2(L~/lam))`` rounds; each round runs
     ``max(1, m // T)`` iterations.  Returns the last round's output.
     """
-    if streams is None:
-        streams = RngStreams(0)
+    streams = streams or RngStreams(0)
     objective = RegularizedDual(dual, lam, y0)
     L_tilde = objective.smoothness
     T = max(1, int(math.floor(math.log2(L_tilde / lam))))
@@ -330,7 +328,6 @@ class RestartConfig:
     bar_r: int
     p: int
     N_bar: int
-    C: float = 1.0
     lam: float = 0.0
 
 
@@ -367,12 +364,12 @@ def restart_config(dual: DualOracle, grad0_norm: float, eps: float, beta: float,
     hat_r = _probe_batch(4.0, dual.sigma_psi, l, beta, R_y, eps)
     bar_r = _probe_batch(128.0, dual.sigma_psi, l * p, beta, R_y, eps)
     N_bar = _smallest_N_bar(dual.L_psi, dual.mu_psi, C)
-    return RestartConfig(l=l, hat_r=hat_r, bar_r=bar_r, p=p, N_bar=N_bar, C=C,
+    return RestartConfig(l=l, hat_r=hat_r, bar_r=bar_r, p=p, N_bar=N_bar,
                          lam=default_rrma_lambda(dual.L_psi, N_bar))
 
 
 def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *, R_y: float,
-                   C: float = 1.0, seed: int = 0, metadata=None):
+                   C: float = 1.0, seed: int = 0):
     """Restarted recursive regularization with probes and amplification.
 
     Each restart probes the gradient with a large batch, sizes the working
@@ -399,7 +396,7 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *, R_y: float,
     g0, _ = dual.batch_grad_and_x(y, pre_r, streams.child(0, 0))
     cfg = restart_config(dual, float(np.linalg.norm(g0)), eps, beta, R_y, C=C)
 
-    trace = RunTrace(dict(metadata or {}))
+    trace = RunTrace()
     trace.record(0, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
 
     probe = g0
@@ -442,7 +439,7 @@ DUAL_CONSTANTS = {"C": 1.0, "C_hat": 1.0, "L_tilde_factor": 2.0, "metric_every":
 
 
 def run_dual(method: str, dual: DualOracle, N, eps: float, beta: float, R_y: float,
-             constants: dict | None = None, *, seed: int = 0, metadata=None):
+             constants: dict | None = None, *, seed: int = 0):
     """Plan and run one of :data:`DUAL_METHODS` from ``y = 0``.
 
     ``N: "auto"`` of ``spdstm`` and ``sstm_sc`` is planned before the solver
@@ -467,17 +464,16 @@ def run_dual(method: str, dual: DualOracle, N, eps: float, beta: float, R_y: flo
             R_y, L_tilde_factor * dual.L_psi, eps, cap), max_N)
         y, x, trace = spdstm(dual, N, eps, beta, C_hat=float(c["C_hat"]),
                              L_tilde_factor=L_tilde_factor, seed=seed, metric_every=metric_every,
-                             y_star_norm_estimate=R_y, stop_gap=c["stop_gap"], metadata=metadata)
+                             y_star_norm_estimate=R_y, stop_gap=c["stop_gap"])
     elif method == "sstm_sc":
         N, capped = capped_N(N, lambda cap: grad_certificate_N(
             R_y, dual.L_psi, dual.mu_psi, eps, cap), max_N)
         batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta,
                                    float(c["C"]))
         y, trace = sstm_sc(dual, y0, N, batch, seed=seed, metric_every=metric_every,
-                           stop_grad_norm=c["stop_grad_norm"], metadata=metadata)
+                           stop_grad_norm=c["stop_grad_norm"])
     elif method == "restarted_rrma":
-        y, trace = restarted_rrma(dual, y0, eps, beta, R_y=R_y, C=float(c["C"]), seed=seed,
-                                  metadata=metadata)
+        y, trace = restarted_rrma(dual, y0, eps, beta, R_y=R_y, C=float(c["C"]), seed=seed)
     else:  # ac_sa, rrma
         m_iters = int(c["m_iters"] if c["m_iters"] is not None else 100 if N == "auto" else N)
         lam = float(c["lambda"] if c["lambda"] is not None
@@ -486,7 +482,7 @@ def run_dual(method: str, dual: DualOracle, N, eps: float, beta: float, R_y: flo
             y = ac_sa(RegularizedDual(dual, lam, y0), y0, m_iters, streams=RngStreams(seed))
         else:
             y = rrma_ac_sa2(dual, y0, m_iters, lam, streams=RngStreams(seed))
-        trace = RunTrace(dict(metadata or {}))
+        trace = RunTrace()
         trace.record(m_iters, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
     if capped:
         trace.flag(CAP_FLAG.format(max_N))

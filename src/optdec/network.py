@@ -32,7 +32,7 @@ import numpy as np
 
 from .dual import DUAL_CONSTANTS, primal_recovery, run_dual
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
-from .oracles import CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams
+from .oracles import RANK_TOL, CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams
 from .primal import argmax_solver_via_stm
 
 __all__ = [
@@ -170,17 +170,17 @@ def lift_laplacian(W_bar: np.ndarray, n: int) -> np.ndarray:
 def sqrt_psd(W: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
     """Symmetric PSD square root by dense eigendecomposition.
 
-    Eigenvalues below ``1e-10 * lambda_max`` are zeroed (they define the
-    kernel); a negative eigenvalue beyond that tolerance is rejected.
+    Eigenvalues below ``RANK_TOL * lambda_max`` are zeroed (they define
+    the kernel); a negative eigenvalue beyond that tolerance is rejected.
     """
     W = np.asarray(W, dtype=float)
     if np.max(np.abs(W - W.T)) > sym_tol * max(1.0, np.max(np.abs(W))):
         raise ValueError("matrix is not symmetric")
     evals, U = np.linalg.eigh((W + W.T) / 2.0)
     lam_max = float(evals[-1])
-    if evals[0] < -1e-10 * max(1.0, lam_max):
+    if evals[0] < -RANK_TOL * max(1.0, lam_max):
         raise ValueError("matrix is not positive semidefinite")
-    d = np.where(evals < 1e-10 * lam_max, 0.0, evals)
+    d = np.where(evals < RANK_TOL * lam_max, 0.0, evals)
     S = (U * np.sqrt(d)) @ U.T
     return (S + S.T) / 2.0  # exactly symmetric, so a lift of it is its own transpose
 
@@ -189,7 +189,7 @@ def chi(M: np.ndarray) -> float:
     """Condition number ``lambda_max / lambda_min_plus`` of a PSD matrix."""
     evals = np.linalg.eigvalsh(np.asarray(M, dtype=float))
     lam_max = float(evals[-1])
-    positive = evals[evals > 1e-10 * lam_max]
+    positive = evals[evals > RANK_TOL * lam_max]
     return lam_max / float(positive[0])
 
 
@@ -246,7 +246,7 @@ def laplacian_pair(topology: Topology, n: int) -> LaplacianPair:
     W_bar = laplacian(topology)
     evals = np.linalg.eigvalsh(W_bar)
     lam_max = float(evals[-1])
-    positive = evals[evals > 1e-10 * max(lam_max, 1e-300)]
+    positive = evals[evals > RANK_TOL * max(lam_max, 1e-300)]
     lam_min_plus = float(positive[0]) if positive.size else 0.0
     return LaplacianPair(
         W_bar=W_bar, W=KronOperator(W_bar, n), sqrtW=KronOperator(sqrt_psd(W_bar), n),

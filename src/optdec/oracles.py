@@ -46,8 +46,9 @@ contract:
 * So traces are byte-identical per ``(config, seed)``.
 
 A batch draws its rows into one buffer, then scales, centres and sums them
-once (``NoiseSpec.sum_samples``).  A silent oracle (``NoiseSpec.silent``)
-draws nothing, and its batches build no generator.
+once (``NoiseSpec.sum_samples``).  ``sigma = 0`` is the one way to say "no
+noise": a silent oracle (``NoiseSpec.silent``), bias or not, draws nothing,
+and its batches build no generator.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 # Eigenvalues below RANK_TOL * lambda_max are treated as exact zeros when
-# deciding the rank / kernel of A^T A.
+# deciding a rank or kernel (of A^T A here, of Laplacians in optdec.network).
 RANK_TOL = 1e-10
 
 
@@ -97,9 +98,6 @@ class CallCounter:
             "matvec_AtA": self.matvec_AtA,
             "comm_rounds": self.comm_rounds,
         }
-
-    def __repr__(self):
-        return f"CallCounter({self.snapshot()})"
 
 
 class RngStreams:
@@ -136,12 +134,13 @@ class NoiseSpec:
     """Bias level and sub-Gaussian scale of a stochastic oracle.
 
     ``delta`` bounds the norm of the systematic error of the sample mean;
-    ``sigma`` is the sub-Gaussian scale of the zero-mean part.  ``kind``
-    selects the zero-mean distribution: ``gaussian`` draws from
+    ``sigma`` is the sub-Gaussian scale of the zero-mean part, and
+    ``sigma = 0`` means no zero-mean part (:attr:`silent`).  ``kind``
+    selects its distribution: ``gaussian`` draws from
     N(0, (sigma^2/dim) I) so that E||eta||^2 = sigma^2, ``bounded`` draws
-    uniformly from the radius-``sigma`` sphere, ``none`` disables noise.
-    A sample may hold several independent draws of ``block`` coordinates
-    each (one per node on the network), drawn one after the other.
+    uniformly from the radius-``sigma`` sphere.  A sample may hold several
+    independent draws of ``block`` coordinates each (one per node on the
+    network), drawn one after the other.
     """
 
     delta: float = 0.0
@@ -151,22 +150,20 @@ class NoiseSpec:
     def __post_init__(self):
         if not (0.0 <= self.delta < math.inf and 0.0 <= self.sigma < math.inf):
             raise ValueError("noise levels must be finite and non-negative")
-        if self.kind not in ("gaussian", "bounded", "none"):
+        if self.kind not in ("gaussian", "bounded"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
     @property
     def silent(self) -> bool:
-        return self.delta == 0.0 and self.sigma == 0.0
+        """No zero-mean part: every sample is its batch's shared centre."""
+        return self.sigma == 0.0
 
     def draw(self, rng: np.random.Generator, row: np.ndarray, block: int) -> None:
         """Put one sample's raw noise into ``row``, drawn from ``rng``.
 
         Gaussian noise stays standard normal until :meth:`scale`; bounded
-        noise puts each ``block`` on its sphere here; no noise is zeros.
+        noise puts each ``block`` on its sphere here.
         """
-        if self.sigma == 0.0 or self.kind == "none":
-            row.fill(0.0)
-            return
         rng.standard_normal(out=row)
         if self.kind == "bounded":
             for eta in row.reshape(-1, block):
@@ -174,7 +171,7 @@ class NoiseSpec:
 
     def scale(self, rows: np.ndarray, block: int) -> None:
         """Scale raw Gaussian noise to N(0, (sigma^2/block) I), in place."""
-        if self.kind == "gaussian" and self.sigma > 0.0:
+        if self.kind == "gaussian":
             rows *= self.sigma / math.sqrt(block)
 
     def sample_eta(self, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,9 +191,8 @@ class NoiseSpec:
         behind the carried total, which adds the samples in the order
         ``l = 0, ..., r-1`` with the bits of ``acc = 0; acc += center +
         eta_l``.  (``np.add.reduce`` sums pairwise.)  At most ``_CHUNK`` rows
-        and 2 MiB are held at a time.  Without noise each sample is
-        ``draw(None, None)``, which must return ``center``: it takes no
-        generator and no row.
+        and 2 MiB are held at a time.  A silent spec draws nothing: each
+        sample is ``draw(None, None)``, which must return ``center``.
         """
         draw = draw or (lambda rng, row: self.draw(rng, row, block))
         d = center.shape[0]
@@ -331,10 +327,6 @@ class StochasticGradientOracle(_NoisySampler):
         self.noise_block = base.dim
         self.counter = base.counter
 
-    @property
-    def dim(self):
-        return self.base.dim
-
     def _exact(self, x: np.ndarray) -> np.ndarray:
         self.base._check_dim(x)
         return np.asarray(self.base.gradient(x), dtype=float)
@@ -366,7 +358,7 @@ class DualOracle(_NoisySampler):
         self.primal = primal
         self.A, self.lam_max_AtA, self.lam_min_plus_AtA = self._constraint_map(A)
         self.argmax_solver = argmax_solver
-        self.noise = noise if noise is not None else NoiseSpec(0.0, 0.0, "none")
+        self.noise = noise or NoiseSpec()
         self.noise_block = primal.dim
         self.counter = counter if counter is not None else primal.counter
         self.L_psi = self.lam_max_AtA / primal.mu

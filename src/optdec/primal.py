@@ -63,8 +63,12 @@ def _pull_back(mu):
     return mirror
 
 
-def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source,
-                  f_star, x_star, metadata):
+def _R0(x0, x_star) -> dict:
+    """A solver's only trace metadata: ``R0 = ||x0 - x*||`` when ``x_star`` is known."""
+    return {} if x_star is None else {"R0": format(float(np.linalg.norm(x0 - x_star)), ".17g")}
+
+
+def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source, f_star, x_star):
     if mode not in ("convex", "strongly_convex"):
         raise ValueError(f"unknown mode {mode!r}")
     mu = oracle.mu if mode == "strongly_convex" else 0.0
@@ -74,10 +78,7 @@ def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source,
         raise ValueError("oracle.L must be positive")
 
     x = np.array(x0, dtype=float)
-    meta = dict(metadata or {})
-    if x_star is not None:
-        meta.setdefault("R0", format(float(np.linalg.norm(x - np.asarray(x_star))), ".17g"))
-    trace = RunTrace(meta)
+    trace = RunTrace(_R0(x, x_star))
 
     def gap(point):
         return None if f_star is None else float(oracle.value(point)) - f_star
@@ -95,7 +96,7 @@ def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source,
 
 
 def stm(oracle: FirstOrderOracle, x0, N: int, mode: str = "convex", *,
-        step_factor: float = 2.0, f_star=None, x_star=None, metadata=None):
+        step_factor: float = 2.0, f_star=None, x_star=None):
     """Accelerated triangle scheme on an L-smooth convex objective.
 
     Returns ``(x_N, trace)``.  With ``f_star`` given the trace records the
@@ -106,12 +107,12 @@ def stm(oracle: FirstOrderOracle, x0, N: int, mode: str = "convex", *,
     return _run_triangle(
         oracle, x0, N, mode, step_factor,
         lambda k, xt, a, An: oracle.eval_grad(xt),
-        f_star, x_star, metadata)
+        f_star, x_star)
 
 
 def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
          mode: str = "convex", *, seed: int = 0, step_factor: float = 2.0,
-         f_star=None, x_star=None, metadata=None):
+         f_star=None, x_star=None):
     """Mini-batch variant of :func:`stm`.
 
     The gradient at each extrapolation point is a batch mean whose size
@@ -125,8 +126,7 @@ def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
         r = batch_size_sstm(alpha, A_next, mu, oracle.noise.sigma, eps, N, beta)
         return oracle.batch(x_tilde, r, streams.child(k))
 
-    return _run_triangle(oracle.base, x0, N, mode, step_factor, source,
-                         f_star, x_star, metadata)
+    return _run_triangle(oracle.base, x0, N, mode, step_factor, source, f_star, x_star)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +144,6 @@ class CompositeProblem:
         self.L_h = float(L_h)
         self.prox_solver = prox_solver
         self.count_matvec = count_matvec
-
-    @property
-    def dim(self):
-        return self.f.dim
 
     @property
     def counter(self) -> CallCounter:
@@ -289,7 +285,7 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
 
 def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *,
             delta: float | None = None, prox_mode: str = "inner_stm",
-            F_star=None, x_star=None, metadata=None):
+            F_star=None, x_star=None):
     """Triangle scheme with inexact proximal steps on ``F = f + h``.
 
     Each outer step minimises
@@ -297,7 +293,8 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
     to relative accuracy ``delta`` (default ``L / (64 (L_h + L) N^3)``),
     either by an inner strongly convex triangle run (``inner_stm``) or by
     the problem's exact proximal solver (``exact``).  Inner non-convergence
-    within the budget is flagged in the trace and the run continues.
+    within the budget is flagged in the trace and the run continues.  With
+    ``x_star`` given the metadata carries ``R0``, as in :func:`stm`.
 
     Returns ``(x_N, trace)``.
     """
@@ -310,10 +307,7 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
         delta = default_inner_delta(f.L, problem.L_h, max(N, 1))
 
     x = np.array(x0, dtype=float)
-    meta = dict(metadata or {})
-    if x_star is not None:
-        meta.setdefault("R0", format(float(np.linalg.norm(x - np.asarray(x_star))), ".17g"))
-    trace = RunTrace(meta)
+    trace = RunTrace(_R0(x, x_star))
 
     def gap(point):
         return None if F_star is None else problem.F_value(point) - F_star

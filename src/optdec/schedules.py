@@ -200,11 +200,12 @@ def batch_size_sstm_sc(L_psi: float, mu_psi: float, sigma_psi: float, eps: float
                        N: int, beta: float, C: float = 1.0) -> int:
     """Batch rule for the strongly convex dual scheme.
 
-    ``max(1, ceil((mu/L)^{3/2} N^2 sigma^2 ln(N/beta) / (C eps)))``.
+    ``max(1, ceil((mu/L)^{3/2} N^2 sigma^2 ln(N/beta) / (C eps)))``, which is 1
+    at ``N = 0`` (where the ``N^2`` factor is 0 and the logarithm undefined).
     """
     if eps <= 0 or C <= 0:
         raise ValueError("eps and C must be positive")
-    if sigma_psi == 0.0:
+    if sigma_psi == 0.0 or N == 0:
         return 1
     raw = (mu_psi / L_psi) ** 1.5 * N ** 2 * sigma_psi ** 2 * math.log(N / beta) / (C * eps)
     return _ceil_at_least_one(raw)

@@ -13,6 +13,7 @@ from optdec.cli import (ConfigError, apply_sweep_value, config_hash, main,
 from optdec.network import (DistributedDualOracle, Topology, _dual_norm_bound, chi,
                             laplacian)
 from optdec.schedules import grad_certificate_N
+from optdec.trace import RunTrace
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -309,6 +310,34 @@ def test_run_divergent_exit_3(tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.trace.csv"))  # partial trace persisted
 
 
+IDENTITY_RUNS = {
+    "single_machine": {"method": "spdstm",
+                       "problem": {"kind": "penalty", "dim": 4, "cond": 5.0, "m_rows": 2},
+                       "eps": 1e-3, "N": 5, "seed": 3},
+    "network": {"method": "sstm_sc",
+                "problem": {"kind": "consensus_quadratic", "n": 2, "cond": 4.0,
+                            "topology": {"kind": "ring", "m": 4}},
+                "eps": 0.05, "N": 5, "seed": 4},
+}
+
+
+@pytest.mark.parametrize("diverged", [False, True], ids=["finished", "diverged"])
+@pytest.mark.parametrize("name", sorted(IDENTITY_RUNS))
+def test_every_trace_names_its_run(tmp_path, capsys, monkeypatch, name, diverged):
+    cfg = IDENTITY_RUNS[name]
+    if diverged:
+        monkeypatch.setattr(optdec.dual, "DIVERGENCE_FACTOR", 1e-12)
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == (
+        3 if diverged else 0)
+    capsys.readouterr()
+    (csv,) = tmp_path.glob("*.trace.csv")
+    h = config_hash(validate_config(cfg))
+    assert csv.name == f"{h}.trace.csv"
+    meta = RunTrace.from_csv(csv).metadata
+    assert {key: meta.get(key) for key in ("config_hash", "seed", "version")} == {
+        "config_hash": h, "seed": str(cfg["seed"]), "version": f"optdec-{optdec.__version__}"}
+
+
 def _bad_barycenter(tmp_path, mu=0.5, measures=None, cost=None, topology=None):
     measures = np.array([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]]) if measures is None else measures
     cost = np.array([[0.0, 1.0], [1.0, 0.0]]) if cost is None else cost
@@ -379,6 +408,8 @@ BAD_INPUTS = {
     "noise_sigma_negative": lambda t: {**_noisy_sstm(), "noise": {"sigma": -1}},
     "noise_delta_nan": lambda t: {**_noisy_sstm(), "noise": {"delta": "nan"}},
     "noise_kind_unknown": lambda t: {**_noisy_sstm(), "noise": {"sigma": 0.1, "kind": "cauchy"}},
+    # "no noise" is sigma 0 or no noise key; there is no kind for it
+    "noise_kind_none": lambda t: {**_noisy_sstm(), "noise": {"sigma": 0.3, "kind": "none"}},
     "noise_not_an_object": lambda t: {**_noisy_sstm(), "noise": 5},
     "noise_empty_list": lambda t: {**_noisy_sstm(), "noise": []},
     "noise_zero": lambda t: {**_noisy_sstm(), "noise": 0},
@@ -386,6 +417,8 @@ BAD_INPUTS = {
     "constants_false": lambda t: quad_config(constants=False),
     "constants_empty_string": lambda t: quad_config(constants=""),
     "dim_fractional": lambda t: quad_config(problem={"kind": "quadratic", "dim": 2.5}),
+    # numpy refuses a 4e9 x 4e9 array before it allocates anything
+    "dim_too_big": lambda t: quad_config(problem={"kind": "quadratic", "dim": 4e9}),
     "seed_fractional": lambda t: quad_config(seed=1.7),
     "custom_without_A_spdstm": lambda t: _custom_without_A(t, "spdstm"),
     "custom_without_A_stm_ips": lambda t: _custom_without_A(t, "stm_ips"),
@@ -407,6 +440,36 @@ def test_run_bad_decentralized_input_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not list(tmp_path.glob("*.trace.csv"))
+
+
+_RING4 = {"kind": "consensus_quadratic", "topology": {"kind": "ring", "m": 4}}
+
+# configs that once ended in a traceback, with the exit code each has now
+EXIT_CODES = {
+    # at N = 0 the sstm_sc batch rule gives 1: the run records its step-0 row
+    "sstm_sc_N0_noisy_penalty": (
+        {"method": "sstm_sc", "problem": {"kind": "penalty"}, "N": 0, "noise": {"sigma": 0.1}}, 0),
+    "sstm_sc_N0_noisy_ring4": (
+        {"method": "sstm_sc", "problem": _RING4, "N": 0, "noise": {"sigma": 0.1}}, 0),
+    # sigma ** 2 overflows in the batch rules
+    "sstm_sigma_overflow": ({**_noisy_sstm(), "N": 2, "noise": {"sigma": 1e200}}, 3),
+    "spdstm_sigma_overflow": (
+        {"method": "spdstm", "problem": {"kind": "penalty"}, "N": 2, "noise": {"sigma": 1e200}}, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_former_crashes_exit_with_a_code(tmp_path, capsys, case):
+    cfg, expected = EXIT_CODES[case]
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if expected == 3:
+        assert err.startswith("runtime error:")
+    else:
+        (csv,) = tmp_path.glob("*.trace.csv")
+        # the step-0 row, and on a network the closing row after primal recovery
+        assert {row["iter"] for row in RunTrace.from_csv(csv).rows} == {0}
 
 
 @pytest.mark.parametrize("key", ["noise", "constants"])
@@ -633,6 +696,35 @@ def test_sweep_runtime_error_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "runtime error:" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.sweep.csv"))
+
+
+# config files that once ended in a traceback: (arguments after the path, file bytes)
+BAD_CONFIG_FILES = {
+    "run_not_utf8": (["run"], b"\xff\xfe{}"),
+    "run_seed_over_a_list": (["run", "--seed", "1"], b"[1]"),
+    "sweep_a_list": (["sweep", "--param", "eps", "--values", "0.1"], b"[1]"),
+    "sweep_m_problem_not_an_object": (["sweep", "--param", "m", "--values", "3"],
+                                      json.dumps(quad_config(problem="x")).encode()),
+    "sweep_sigma_noise_not_an_object": (["sweep", "--param", "sigma", "--values", "0.1"],
+                                        json.dumps(quad_config(noise=5)).encode()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
+def test_unusable_config_file_exit_2(tmp_path, capsys, case):
+    args, content = BAD_CONFIG_FILES[case]
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main([args[0], str(path), *args[1:], "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_sweep_sigma_over_null_noise(tmp_path, capsys):
+    cfgp = write_config(tmp_path, {**_noisy_sstm(), "noise": None})
+    assert main(["sweep", str(cfgp), "--param", "sigma", "--values", "0,0.1",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
 
 
 def test_apply_sweep_value_deep_copies():

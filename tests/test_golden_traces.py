@@ -7,7 +7,10 @@ hashes no file paths.
 
 ``GOLDEN`` holds noisy runs, recorded when each batch first drew all its
 rows from its one stream ``SeedSequence(seed, spawn_key=path)``: any change
-to how a batch is seeded, drawn or summed changes a digest.
+to how a batch is seeded, drawn or summed changes a digest.  Its bias-only
+run (``delta`` 0.01, ``sigma`` 0) was recorded while such an oracle still
+drew zero rows; since ``sigma = 0`` became the one spelling of "no noise"
+it draws none, with the same bytes.
 ``GOLDEN_DETERMINISTIC`` holds noiseless runs of the similar-triangles
 kernel, recorded before its in-place step: any change to the order of a
 floating-point operation in ``schedules.triangle``, the mirror updates or
@@ -73,6 +76,12 @@ GOLDEN = {
          "eps": 0.02, "N": 40, "seed": 3},
         "95b9cf8ff34f8245582a9829c94555a2b464f8731ac0dc011882f3e30e17b1bc",
         "2a1b7d9f17ba852e463c914ad7c1308f3e2a5b93fd009915f3215a34d71fd132"),
+    # bias only (sigma 0): each sample is its batch's centre, drawn from no stream
+    "spdstm_penalty_bias_only": (
+        {"method": "spdstm", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+         "noise": {"delta": 0.01}, "eps": 0.02, "N": 30, "seed": 3},
+        "08bc917153de66fb4ab4223955c260575cf6bf0ded69cfa03c860048087cc93e",
+        "483e89980aa44bbc303e248c8b6ebb94a1858436d83ef84cb79aba4edb2cfca1"),
     "spdstm_ring12_gaussian": (
         {"method": "spdstm", "problem": {"kind": "consensus_quadratic", "n": 8, "cond": 10.0,
                                          "topology": {"kind": "ring", "m": 12}},
@@ -240,7 +249,8 @@ def test_noisy_spdstm_builds_one_stream_per_batch(tmp_path, capsys, monkeypatch)
     GOLDEN_BARYCENTER["spdstm_barycenter_ring4_auto"][0],
     GOLDEN_DETERMINISTIC["sstm_sc_ring12_noiseless"][0],
     GOLDEN_DETERMINISTIC["ac_sa_penalty_auto"][0],
-], ids=["spdstm_barycenter", "sstm_sc_consensus", "ac_sa"])
+    GOLDEN["spdstm_penalty_bias_only"][0],
+], ids=["spdstm_barycenter", "sstm_sc_consensus", "ac_sa", "spdstm_bias_only"])
 def test_noiseless_runs_seed_nothing(tmp_path, capsys, monkeypatch, cfg):
     monkeypatch.chdir(tmp_path)
     Path("measures.csv").write_text(_csv_text(BARYCENTER_MEASURES))
