@@ -88,6 +88,8 @@ _NUMBERS = {
     "stop_gap": (False, -math.inf, False), "stop_grad_norm": (False, -math.inf, False),
 }
 _NULLABLE = {"inner_T", "R_y", "stop_gap", "stop_grad_norm"}
+# file paths of ``problem``; a missing or null ``A_csv`` means no constraint
+_PATHS = {"Q_csv", "b_csv", "A_csv", "measures", "cost"}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str):
@@ -154,6 +156,10 @@ def validate_config(cfg: dict) -> dict:
         for key, value in fields.items():
             if key in _NUMBERS and not (value is None and key in _NULLABLE):
                 _number(value, f"{where}.{key}", *_NUMBERS[key])
+    for key in _PATHS & set(problem):
+        # numpy would read a list as the lines of a file
+        if not (isinstance(problem[key], str) or key == "A_csv" and problem[key] is None):
+            raise ConfigError(f"problem.{key} must be a file path, got {problem[key]!r}")
     for key in ("delta", "sigma"):
         if key in out["noise"]:
             _number(out["noise"][key], f"noise.{key}", low=0)
@@ -423,7 +429,10 @@ def sweep_csv_text(rows) -> str:
 
 def _out_dir(arg) -> Path:
     out = Path(arg or os.environ.get("OPTDEC_OUT") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a path through a file, or no permission
+        raise ConfigError(f"cannot use output directory: {exc}") from exc
     return out
 
 
@@ -456,9 +465,9 @@ def cmd_run(args) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = validate_config(raw)
+        out = _out_dir(args.out)
     except ConfigError as exc:
         return _report(exc)
-    out = _out_dir(args.out)
     h = config_hash(cfg)
     try:
         trace, summary = execute_run(cfg)
@@ -486,13 +495,13 @@ def cmd_gen_topology(args) -> int:
             topo = Topology.erdos_renyi(args.m, args.p, np.random.default_rng(args.seed))
         else:
             topo = getattr(Topology, args.kind)(args.m)
+        out = _out_dir(args.out)
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = _out_dir(args.out)
     path = out / f"topology_{args.kind}_{args.m}.json"
     path.write_text(topo.to_json() + "\n")
     print(path)
@@ -509,9 +518,9 @@ def cmd_sweep(args) -> int:
             raise ConfigError("no sweep values given")
         # every value is checked before the first run
         base, *_ = [validate_config(apply_sweep_value(raw, args.param, v)) for v in values]
+        out = _out_dir(args.out)
     except ConfigError as exc:
         return _report(exc)
-    out = _out_dir(args.out)
     try:
         rows = run_sweep(raw, args.param, values)
     except _RUN_ERRORS as exc:

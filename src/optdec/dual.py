@@ -28,8 +28,7 @@ import numpy as np
 
 from .oracles import DualOracle, RngStreams
 from .schedules import (CAP_FLAG, acsa_params, batch_size_spdstm, batch_size_sstm_sc,
-                        capped_N, gap_certificate_N, grad_certificate_N, next_alpha_spdstm,
-                        next_alpha_strongly_convex, triangle)
+                        capped_N, gap_certificate_N, grad_certificate_N, stm_step, triangle)
 from .trace import RunTrace
 
 __all__ = [
@@ -123,7 +122,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
         return stop_gap is not None and gap is not None and gap <= stop_gap
 
     trace.record(0, 0.0, dual.counter)
-    y, _, A = triangle(lambda A: next_alpha_spdstm(A, L_tilde), 0.0, y, y, N,
+    y, _, A = triangle(stm_step(L_tilde, 0.0, 2.0), 0.0, y, y, N,
                        gradient, lambda z, g, y_tilde, alpha, A_next: z - alpha * g, after)
     x_out = acc / A if A > 0 else acc
     return y, x_out, trace
@@ -195,8 +194,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
         history.append((alpha, y.copy(), g.copy()))
     gn, dist = metrics(0, y)
     trace.record(0, A, dual.counter, grad_norm=gn, dual_gap=dist)
-    y, _, _ = triangle(lambda A: next_alpha_strongly_convex(A, L, mu), A, y, z0, N,
-                       gradient, mirror, after)
+    y, _, _ = triangle(stm_step(L, mu), A, y, z0, N, gradient, mirror, after)
     return y, trace
 
 

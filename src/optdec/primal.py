@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .oracles import CallCounter, FirstOrderOracle, RngStreams, StochasticGradientOracle
-from .schedules import batch_size_sstm, next_alpha_stm, triangle
+from .schedules import batch_size_sstm, stm_step, triangle
 from .trace import RunTrace
 
 __all__ = [
@@ -47,17 +47,19 @@ def _pull_back(mu):
     """Strongly convex mirror update (see the module docstring).
 
     Bitwise ``z - alpha (g - mu (x~ - z)) / (1 + A' mu)``, evaluated in the
-    same order in place on the one temporary ``x~ - z``.  ``mu`` is held as
-    a 0-d float64 array: numpy scales a vector by one faster than by a
-    Python float, with the same bits.
+    same order in place on the one temporary ``x~ - z``.  ``mu`` and
+    ``alpha`` scale it as 0-d float64 arrays: numpy scales a vector by one
+    faster than by a Python float, with the same bits.  At ``mu = 1`` the
+    scaling by ``mu`` is skipped, since ``t * 1.0 == t`` exactly.
     """
-    mu_arr = np.array(mu, dtype=float)
+    mu_arr = None if mu == 1.0 else np.array(mu, dtype=float)
 
     def mirror(z, g, x_tilde, alpha, A_next):
         t = x_tilde - z
-        t *= mu_arr
+        if mu_arr is not None:
+            t *= mu_arr
         np.subtract(g, t, t)
-        t *= alpha
+        t *= np.array(alpha)
         t /= 1.0 + A_next * mu
         return np.subtract(z, t, t)
     return mirror
@@ -88,8 +90,7 @@ def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source, f_star, x_s
 
     trace.record(0, 0.0, oracle.counter, f_gap=gap(x))
     x_avg, _, _ = triangle(
-        lambda A: next_alpha_stm(A, oracle.L, mu, factor=step_factor), 0.0, x, x, N,
-        gradient_source,
+        stm_step(oracle.L, mu, step_factor), 0.0, x, x, N, gradient_source,
         _pull_back(mu) if mu != 0.0 else lambda z, g, x_tilde, alpha, A_next: z - alpha * g,
         after)
     return x_avg, trace
@@ -154,7 +155,7 @@ class CompositeProblem:
 
     def grad_h(self, z):
         if self.count_matvec:
-            self.counter.matvec_AtA += 1
+            self.f.counter.matvec_AtA += 1
         return self.h_gradient(z)
 
 
@@ -244,28 +245,35 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
     ``sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes for a
     real vector.  ``.dot`` is used for its lower call cost only, and
     ``alpha`` scales ``grad_h`` as a 0-d array for the same reason (see
-    :func:`_pull_back`).  Each ``grad_g`` is one ``problem.grad_h`` call,
-    so ``matvec_AtA`` rises by ``2 + 2 (inner steps)``.
+    :func:`_pull_back`); the array ``grad_h`` returns is not written.
+    ``||z_k - z||`` is taken from the ``z - z_k`` that ``grad g(z)`` is
+    built on, since ``(a - b)^2 == (b - a)^2`` exactly.  Each ``grad g`` is
+    one ``problem.grad_h`` call, so ``matvec_AtA`` rises by
+    ``2 + 2 (inner steps)``.
     """
     L_g = alpha * problem.L_h + 1.0
     alpha_lin = alpha * lin
     alpha_arr = np.array(alpha, dtype=float)
+    grad_h = problem.grad_h
 
-    def grad_g(z):
+    def grad_g(k, z, *_):
+        """``grad g(z)``, with the signature of a :func:`triangle` gradient."""
         v = z - z_k
         v += alpha_lin
-        v += alpha_arr * problem.grad_h(z)
+        v += alpha_arr * grad_h(z)
         return v
 
     def certify(z):
         """``(||grad g(z)||, whether z meets the contract)``."""
-        v = grad_g(z)
+        v = z - z_k
+        dist = math.sqrt(v.dot(v))
+        v += alpha_lin
+        v += alpha_arr * grad_h(z)
         gn = math.sqrt(v.dot(v))
-        d = z_k - z
-        lb = max(lb_static, math.sqrt(d.dot(d)) - gn)
+        lb = max(lb_static, dist - gn)
         return gn, gn * gn / 2.0 <= delta * lb * lb
 
-    v = grad_g(z_k)
+    v = grad_g(None, z_k)
     lb_static = math.sqrt(v.dot(v)) / L_g
     x = z_k - alpha_lin
     gn, ok = certify(x)
@@ -277,8 +285,8 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
         return ok
 
     if not ok:
-        x, _, _ = triangle(lambda A: next_alpha_stm(A, L_g, 1.0, factor=2.0), 0.0, x, x, budget,
-                           lambda k, x_tilde, a, A_next: grad_g(x_tilde), _pull_back(1.0), after)
+        x, _, _ = triangle(stm_step(L_g, 1.0, 2.0), 0.0, x, x, budget, grad_g,
+                           _pull_back(1.0), after)
     # on budget exhaustion trust the step unless the gradient norm stagnated
     return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0
 
@@ -331,8 +339,8 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
         trace.record(k + 1, A, problem.counter, f_gap=gap(x_avg), constraint_norm=feas(x_avg))
 
     trace.record(0, 0.0, problem.counter, f_gap=gap(x), constraint_norm=feas(x))
-    x_avg, _, _ = triangle(lambda A: next_alpha_stm(A, f.L, 0.0, factor=2.0), 0.0, x, x,
-                           N, lambda k, x_tilde, a, A_next: f.eval_grad(x_tilde), prox, after)
+    x_avg, _, _ = triangle(stm_step(f.L, 0.0, 2.0), 0.0, x, x, N,
+                           lambda k, x_tilde, a, A_next: f.eval_grad(x_tilde), prox, after)
     return x_avg, trace
 
 

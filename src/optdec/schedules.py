@@ -11,11 +11,19 @@ primal-dual schemes.  Roots are computed in the cancellation-free
 arrangement ``b + sqrt(b^2 + c)`` because ``A_k`` reaches 1e6+ at the
 scales exercised here.
 
-Every accelerated loop runs on :func:`triangle`.  ``N: "auto"`` is planned
-by :func:`gap_certificate_N` from ``3 R0^2 / (2 A_N) <= eps``, or for
-``sstm_sc`` by :func:`grad_certificate_N` from ``L^3 R_y^2 / A_N <= (eps/R_y)^2``,
-and capped at ``max_N`` by :func:`capped_N`, which tells whether the cap
-stopped the plan before its certificate held (:data:`CAP_FLAG`).
+Every accelerated loop runs on :func:`triangle`, driven by a stepper
+``step = stm_step(L, mu, factor)`` that checks ``L`` and ``mu`` and scales
+``L`` once; ``step(A)`` is bitwise ``next_alpha_stm(A, L, mu, factor)``, which
+evaluates the same expression.  The ``next_alpha_*`` functions serve the
+planners and single steps.  Inside :func:`triangle` the step sizes scale
+vectors as 0-d float64 arrays, the same bits as the expression form with
+Python floats, and every callback gets Python floats.
+
+``N: "auto"`` is planned by :func:`gap_certificate_N` from
+``3 R0^2 / (2 A_N) <= eps``, or for ``sstm_sc`` by :func:`grad_certificate_N`
+from ``L^3 R_y^2 / A_N <= (eps/R_y)^2``, and capped at ``max_N`` by
+:func:`capped_N`, which tells whether the cap stopped the plan before its
+certificate held (:data:`CAP_FLAG`).
 
 The dual batch rules expose their hidden proportionality constants
 (``C_hat``, ``C``) as arguments defaulting to 1; every rule degenerates to
@@ -24,12 +32,16 @@ batch 1 on a noiseless oracle.
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 __all__ = [
     "next_alpha_stm",
     "next_alpha_strongly_convex",
     "next_alpha_spdstm",
+    "stm_step",
     "triangle",
     "gap_certificate_N",
     "grad_certificate_N",
@@ -42,27 +54,50 @@ __all__ = [
 ]
 
 
-def _positive_root(b: float, c: float) -> float:
-    """Largest root of ``x^2 - 2 b x - c = 0`` with ``b, c >= 0``."""
-    return b + math.sqrt(b * b + c)
+def _coupling(L, mu, factor):
+    """Checked ``(mu, factor L, 2 factor L)`` of the coupling, as floats."""
+    if L <= 0:
+        raise ValueError("L must be positive")
+    if mu < 0:
+        raise ValueError("mu must be non-negative")
+    cL = float(factor * L)
+    return float(mu), cL, 2.0 * cL
+
+
+def _next_alpha(mu, cL, two_cL, A):
+    """The root: ``alpha = b + sqrt(b^2 + c)`` with ``b = (1 + A mu) / (2 cL)``
+    and ``c = A (1 + A mu) / cL``; returns ``(alpha, A + alpha)``."""
+    w = 1.0 + A * mu
+    b = w / two_cL
+    alpha = b + math.sqrt(b * b + A * w / cL)
+    return alpha, A + alpha
+
+
+def stm_step(L: float, mu: float = 0.0, factor: float = 1.0):
+    """The similar-triangles stepper ``step(A) -> (alpha, A + alpha)``.
+
+    ``step(A)`` solves ``(A + alpha)(1 + A mu) = factor * L * alpha^2`` for
+    the positive ``alpha``.  ``L`` and ``mu`` are checked once and
+    ``factor L`` and ``2 factor L`` computed once; each step evaluates the
+    root expression :func:`next_alpha_stm` evaluates, so it has the same
+    bits.  ``A`` must be non-negative, as it is along a run from
+    ``A_0 >= 0``; it is not checked per step.
+    """
+    return functools.partial(_next_alpha, *_coupling(L, mu, factor))
 
 
 def next_alpha_stm(A_k: float, L: float, mu: float = 0.0, factor: float = 1.0):
     """Next ``(alpha, A)`` for the similar-triangles coupling.
 
     Solves ``(A_k + alpha)(1 + A_k mu) = factor * L * alpha^2`` for the
-    positive ``alpha``.  ``factor=1`` matches the direct scheme (so that
-    ``alpha_1 = 1/L`` from ``A_0 = 0`` with ``mu = 0``), ``factor=2`` the
-    inexact-prox normalization.
+    positive ``alpha``: one checked step of :func:`stm_step`.  ``factor=1``
+    matches the direct scheme (so that ``alpha_1 = 1/L`` from ``A_0 = 0``
+    with ``mu = 0``), ``factor=2`` the inexact-prox normalization.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if mu < 0 or A_k < 0:
-        raise ValueError("mu and A_k must be non-negative")
-    cL = factor * L
-    w = 1.0 + A_k * mu
-    alpha = _positive_root(w / (2.0 * cL), A_k * w / cL)
-    return alpha, A_k + alpha
+    mu, cL, two_cL = _coupling(L, mu, factor)
+    if A_k < 0:
+        raise ValueError("A_k must be non-negative")
+    return _next_alpha(mu, cL, two_cL, A_k)
 
 
 def next_alpha_strongly_convex(A_k: float, L: float, mu: float):
@@ -85,11 +120,11 @@ def next_alpha_spdstm(A_k: float, L_tilde: float):
 def triangle(step, A, x, z, N, gradient, mirror, after):
     """Run ``N`` similar-triangles steps from ``(x, z, A)``; returns ``(x, z, A)``.
 
-    Step ``k`` takes ``alpha, A' = step(A)``, extrapolates
-    ``x~ = (A x + alpha z) / A'``, asks ``gradient(k, x~, alpha, A')`` for
-    ``g``, moves the mirror point to ``mirror(z, g, x~, alpha, A')`` and
-    averages ``x = (A x + alpha z) / A'``.  A true ``after(k, x, z, A')``
-    ends the loop early.
+    Step ``k`` takes ``alpha, A' = step(A)`` (a :func:`stm_step`),
+    extrapolates ``x~ = (A x + alpha z) / A'``, asks
+    ``gradient(k, x~, alpha, A')`` for ``g``, moves the mirror point to
+    ``mirror(z, g, x~, alpha, A')`` and averages ``x = (A x + alpha z) / A'``.
+    A true ``after(k, x, z, A')`` ends the loop early.
 
     The step is bitwise the expression form above: ``A x`` is computed once
     per step, and each point is built as ``t = alpha z; t += A x; t /= A'``,
@@ -97,19 +132,28 @@ def triangle(step, A, x, z, N, gradient, mirror, after):
     is commutative.  The evaluation order is fixed, and in-place updates
     touch only arrays the step itself created, before they are handed to a
     callback; the caller's ``x`` and ``z`` are never written.
+
+    Scalars: the vector updates scale by ``alpha``, ``A'`` and ``A`` held as
+    0-d float64 arrays (``A'`` is reused as the next step's ``A``), which
+    numpy dispatches faster than Python floats, with the same IEEE
+    operations and bits.  Every callback, ``step`` included, gets Python
+    floats, and so does the caller: ``A`` is returned as a float.
     """
+    A = float(A)
+    A_arr = np.array(A)
     for k in range(N):
         alpha, A_next = step(A)
-        Ax = A * x
-        x_tilde = alpha * z
+        alpha_arr, A_next_arr = np.array(alpha), np.array(A_next)
+        Ax = A_arr * x
+        x_tilde = alpha_arr * z
         x_tilde += Ax
-        x_tilde /= A_next
+        x_tilde /= A_next_arr
         g = gradient(k, x_tilde, alpha, A_next)
         z = mirror(z, g, x_tilde, alpha, A_next)
-        x = alpha * z
+        x = alpha_arr * z
         x += Ax
-        x /= A_next
-        A = A_next
+        x /= A_next_arr
+        A, A_arr = A_next, A_next_arr
         if after(k, x, z, A):
             break
     return x, z, A

@@ -427,6 +427,13 @@ BAD_INPUTS = {
     "custom_b_wrong_length": lambda t: _bad_custom(t, b=np.array([1.0, 2.0])),
     "custom_A_csv_missing": lambda t: _bad_custom(t, "spdstm", A=None),
     "custom_A_wrong_width": lambda t: _bad_custom(t, "spdstm", A=np.ones((2, 4))),
+    # numpy reads a list as the lines of a file: a list of numbers raised TypeError
+    "custom_Q_csv_a_list": lambda t: {"method": "stm", "N": 2, "problem": {
+        "kind": "custom", "Q_csv": [[1.0]], "b_csv": str(t / "b.csv")}},
+    "barycenter_measures_a_list": lambda t: {
+        "method": "spdstm", "N": 2,
+        "problem": {"kind": "barycenter", "measures": [[0.5, 0.5]], "cost": str(t / "cost.csv"),
+                    "mu": 1.0, "topology": {"kind": "ring", "m": 3}}},
     "ring_m_fractional": lambda t: {
         "method": "sstm_sc", "N": 10,
         "problem": {"kind": "consensus_quadratic", "n": 2, "topology": {"kind": "ring", "m": 4.5}}},
@@ -718,6 +725,18 @@ def test_unusable_config_file_exit_2(tmp_path, capsys, case):
     assert main([args[0], str(path), *args[1:], "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "{cfg}"], ["sweep", "{cfg}", "--param", "eps", "--values", "0.1,0.2"],
+    ["gen-topology", "--kind", "ring", "--m", "4"]])
+def test_unusable_out_dir_exit_2(tmp_path, capsys, command):
+    # an output directory under a regular file cannot be made
+    cfgp = write_config(tmp_path, quad_config())
+    argv = [arg.format(cfg=cfgp) for arg in command]
+    assert main([*argv, "--out", str(cfgp / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot use output directory") and "Traceback" not in err
 
 
 def test_sweep_sigma_over_null_noise(tmp_path, capsys):

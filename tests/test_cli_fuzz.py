@@ -1,14 +1,22 @@
-"""Derandomized fuzz test of ``optdec run``: every config ends in exit 0, 2 or 3.
+"""Derandomized fuzz tests of ``optdec run`` and ``optdec sweep``: every call
+ends in exit 0, 2 or 3, without a traceback.
 
 Configs are drawn over every method and problem kind from small sets of
 valid values, then up to two of their fields are corrupted: a value is
-replaced by one of the wrong types, negatives, zeros or ``"nan"`` of
-``BAD_VALUES``, a key is deleted, or an unknown key is added.  No input may
+replaced by one of the wrong types, negatives, zeros, ``"nan"`` or the
+nested list (which numpy reads as the lines of a file where a path is due)
+of ``BAD_VALUES``, a key is deleted, or an unknown key is added.  No input may
 imply much work, since refusing that is a run budget's job and not this
 test's: ``dim`` is at most 8, ``n`` at most 4, a topology has at most 6
 nodes, ``N`` is at most 6, ``N: "auto"`` comes with ``max_N`` at most 20,
 ``eps`` stays in the config, and ``restarted_rrma``, whose noisy work
 follows its draws, runs without noise.
+
+A sweep takes such a config, a ``--param`` (mostly a sweepable one) and
+one to three ``--values``, mostly valid for the parameter, else drawn from
+the corrupted entries of ``BAD_SWEEP_VALUES`` or empty; a sweep of the
+network parameters ``m`` and ``chi-topology`` draws a network config.  Its
+``--out`` is now and then a path through a file, which cannot be made.
 """
 
 import contextlib
@@ -22,9 +30,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optdec.cli import METHOD_KINDS, METHODS, PROBLEM_KINDS, TOPOLOGY_KINDS, main
+from optdec.cli import (DECENTRALIZED_KINDS, METHOD_KINDS, METHODS, PROBLEM_KINDS, SWEEP_PARAMS,
+                        TOPOLOGY_KINDS, main)
 
-BAD_VALUES = ("x", [], {}, True, None, -1, 0, "nan")
+BAD_VALUES = ("x", [], {}, True, None, -1, 0, "nan", [[1.0]])
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +92,16 @@ def _corrupt(draw, cfg):
 
 
 @st.composite
-def configs(draw, files):
-    method = draw(st.sampled_from(METHODS))
-    # mostly a kind the method runs on, so that most runs get past validation
-    kind = draw(st.sampled_from(METHOD_KINDS[method] * 3 + PROBLEM_KINDS))
+def configs(draw, files, decentralized=False):
+    """A run config; with ``decentralized`` one on a network, with an inline topology."""
+    if decentralized:
+        method = draw(st.sampled_from([m for m in METHODS
+                                       if set(DECENTRALIZED_KINDS) & set(METHOD_KINDS[m])]))
+        kind = draw(st.sampled_from([k for k in DECENTRALIZED_KINDS if k in METHOD_KINDS[method]]))
+    else:
+        method = draw(st.sampled_from(METHODS))
+        # mostly a kind the method runs on, so that most runs get past validation
+        kind = draw(st.sampled_from(METHOD_KINDS[method] * 3 + PROBLEM_KINDS))
     cfg = {"method": method, "problem": draw(_problem(kind, files)),
            "eps": draw(st.sampled_from([0.1, 0.5])), "N": draw(st.sampled_from([*range(7), "auto"])),
            "seed": draw(st.integers(0, 3))}
@@ -104,15 +119,57 @@ def configs(draw, files):
     return cfg
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_run_exits_0_2_or_3_without_a_traceback(files, data):
-    cfg = data.draw(configs(files), label="config")
+def _assert_clean_exit(cfg, command, *args, out="out"):
+    """Run ``optdec <command> cfg.json <args> --out <out>`` in a fresh directory;
+    it must exit 0, 2 or 3 without a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+            code = main([command, str(path), *args, "--out", str(Path(tmp) / out)])
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_run_exits_0_2_or_3_without_a_traceback(files, data):
+    _assert_clean_exit(data.draw(configs(files), label="config"), "run")
+
+
+# ---------------------------------------------------------------------------
+# optdec sweep
+
+# valid values per sweep parameter, each small enough to keep a run cheap
+SWEEP_VALUES = {"eps": ["0.1", "0.5", "0.3"], "sigma": ["0", "0.1", "0.05"],
+                "N": [str(n) for n in range(7)], "m": ["2", "3", "6"],
+                "chi-topology": list(TOPOLOGY_KINDS)}
+# corrupted entries: none of them may imply much work
+BAD_SWEEP_VALUES = ("x", "nan", "inf", "-inf", "1e400", "-1", "0", "2.5", "true", "null",
+                    "Ring", "0.1.2", "[]", "{}", "1/2")
+
+
+@st.composite
+def sweeps(draw, files):
+    """``(config, param, values, out)`` of an ``optdec sweep`` call."""
+    param = draw(st.sampled_from(SWEEP_PARAMS * 4 + ("Sigma", "")))
+    # the network parameters need a network config to get past validation
+    cfg = draw(configs(files, decentralized=param in ("m", "chi-topology")))
+    valid, size = SWEEP_VALUES.get(param, ["0.1"]), 3
+    if cfg.get("method") == "restarted_rrma":
+        # its noisy work follows its draws, and a noiseless run can take a second
+        valid, size = (["0"] if param == "sigma" else valid), 1
+    # mostly valid entries; an empty one is dropped, so "" alone is an empty list
+    entry = st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(BAD_SWEEP_VALUES + ("",)))
+    values = ",".join(draw(st.lists(entry, min_size=1, max_size=size)))
+    # now and then an output directory under the config file, which cannot be made
+    return cfg, param, values, draw(st.sampled_from(["out"] * 3 + ["cfg.json/out"]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_sweep_exits_0_2_or_3_without_a_traceback(files, data):
+    cfg, param, values, out = data.draw(sweeps(files), label="sweep")
+    # ``--values=...`` passes an entry that starts with "-" as a value, not an option
+    _assert_clean_exit(cfg, "sweep", f"--param={param}", f"--values={values}", out=out)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import expression_form_triangle, fd_grad, rel_err
@@ -407,9 +407,25 @@ def _bits(a):
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
+class _Draws:
+    """Stands in for ``st.data()`` in an ``@example``: its draws return the given lists in turn."""
+
+    def __init__(self, *lists):
+        self.lists, self.i = lists, -1
+
+    def draw(self, strategy):
+        self.i += 1
+        return self.lists[self.i % len(self.lists)]
+
+
+_POINTS = _Draws([0.75, -3.0, 2.5], [1.25, 4.0, -0.5], [-7.0, 0.125, 3.0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 8), mu=st.floats(0.0, 50.0),
        alpha=st.floats(1e-6, 1e3), A_next=st.floats(0.0, 1e6))
+@example(data=_POINTS, dim=3, mu=1.0, alpha=0.3, A_next=12.0)  # the inner prox's mu
+@example(data=_POINTS, dim=3, mu=0.0, alpha=0.3, A_next=12.0)
 def test_pull_back_is_bitwise_the_expression_form(data, dim, mu, alpha, A_next):
     z, g, x_tilde = (np.array(data.draw(st.lists(_finite, min_size=dim, max_size=dim)))
                      for _ in range(3))

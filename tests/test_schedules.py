@@ -10,7 +10,7 @@ from optdec.schedules import (acsa_params, batch_size_spdstm,
                               batch_size_sstm, batch_size_sstm_sc,
                               gap_certificate_N, next_alpha_spdstm,
                               next_alpha_stm, next_alpha_strongly_convex,
-                              triangle)
+                              stm_step, triangle)
 
 
 def test_step_state_carrier():
@@ -279,6 +279,34 @@ def test_triangle_is_bitwise_the_expression_form(data, dim, A, L, mu, N):
     assert x.tobytes() == x_in.tobytes() and z.tobytes() == z_in.tobytes()
 
 
+def test_triangle_hands_python_floats_to_every_callback():
+    # the 0-d arrays the kernel scales by stay inside it: batch rules, trace
+    # rows and CSV formatting get Python floats, even from a numpy start A
+    seen = []
+    stepper = stm_step(3.0, 0.5, 2.0)
+
+    def step(A):
+        seen.append(("step", A))
+        return stepper(A)
+
+    def gradient(k, x_tilde, alpha, A_next):
+        seen.extend((("gradient", alpha), ("gradient", A_next)))
+        return 2.0 * x_tilde - 1.0
+
+    def mirror(z, g, x_tilde, alpha, A_next):
+        seen.extend((("mirror", alpha), ("mirror", A_next)))
+        return z - alpha * g
+
+    def after(k, x, z, A):
+        seen.append(("after", A))
+
+    x0 = np.array([1.0, -2.0, 0.5])
+    _, _, A = triangle(step, np.float64(0.25), x0, x0, 4, gradient, mirror, after)
+    seen.append(("return", A))
+    assert len(seen) == 4 * 6 + 1
+    assert [(who, type(v)) for who, v in seen] == [(who, float) for who, _ in seen]
+
+
 def test_gap_certificate_N_is_first_certified_step():
     R0, L, eps = 2.0, 3.0, 1e-2
     N = gap_certificate_N(R0, L, eps, max_N=10_000)
@@ -302,3 +330,28 @@ def test_next_alpha_spdstm_is_bitwise_stm_with_factor_two(A, L):
     alpha = b + math.sqrt(b * b + c)
     assert next_alpha_spdstm(A, L) == (alpha, A + alpha)
     assert next_alpha_stm(A, L, 0.0, factor=2.0) == (alpha, A + alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=st.floats(0.0, 1e12), L=st.floats(1e-6, 1e6), mu=st.floats(0.0, 50.0),
+       factor=st.sampled_from([1.0, 2.0]))
+def test_stm_step_is_bitwise_next_alpha_stm(A, L, mu, factor):
+    # the reference is the root written out, in the order of its arithmetic
+    cL = factor * L
+    w = 1.0 + A * mu
+    b, c = w / (2.0 * cL), A * w / cL
+    alpha = b + math.sqrt(b * b + c)
+    step = stm_step(L, mu, factor)
+    assert step(A) == next_alpha_stm(A, L, mu, factor) == (alpha, A + alpha)
+    # and along a run: the stepper fed its own A, step after step
+    A_step = A_ref = A
+    for _ in range(5):
+        got, want = step(A_step), next_alpha_stm(A_ref, L, mu, factor)
+        assert got == want and all(type(v) is float for v in got)
+        A_step, A_ref = got[1], want[1]
+
+
+@pytest.mark.parametrize("L, mu", [(0.0, 0.0), (-1.0, 0.0), (1.0, -0.5)])
+def test_stm_step_checks_L_and_mu_once(L, mu):
+    with pytest.raises(ValueError):
+        stm_step(L, mu)
