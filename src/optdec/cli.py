@@ -115,8 +115,8 @@ def _number(value, where, integer=False, low=-math.inf, strict=False):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{where} must be {kind}, got {value!r}") from None
     if not ((integer or math.isfinite(x)) and (x > low if strict else x >= low)):
-        raise ConfigError(f"{where} must be finite and {'>' if strict else '>='} {low}, "
-                          f"got {value!r}")
+        bound = f" and {'>' if strict else '>='} {low}" if low > -math.inf else ""
+        raise ConfigError(f"{where} must be finite{bound}, got {value!r}")
     return x
 
 
@@ -561,6 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse takes a token that starts with "-" (a value list such as
+    # "-1,0.5") for an option, so "--values V" goes in as "--values=V"
+    argv, tokens = [], iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        argv.append(f"--values={next(tokens, '')}" if token == "--values" else token)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -45,10 +45,11 @@ contract:
   own noise.
 * So traces are byte-identical per ``(config, seed)``.
 
-A batch draws its rows into one buffer, then scales, centres and sums them
-once (``NoiseSpec.sum_samples``).  ``sigma = 0`` is the one way to say "no
-noise": a silent oracle (``NoiseSpec.silent``), bias or not, draws nothing,
-and its batches build no generator.
+A batch fills each chunk of its buffer in one ``standard_normal`` call,
+then scales, centres and sums the chunk once (``NoiseSpec.sum_samples``).
+``sigma = 0`` is the one way to say "no noise": a silent oracle
+(``NoiseSpec.silent``), bias or not, draws nothing, and its batches build
+no generator.
 """
 
 from __future__ import annotations
@@ -158,15 +159,17 @@ class NoiseSpec:
         """No zero-mean part: every sample is its batch's shared centre."""
         return self.sigma == 0.0
 
-    def draw(self, rng: np.random.Generator, row: np.ndarray, block: int) -> None:
-        """Put one sample's raw noise into ``row``, drawn from ``rng``.
+    def draw(self, rng: np.random.Generator, rows: np.ndarray, block: int) -> None:
+        """Put the raw noise of a block of samples into ``rows``, in one ``rng`` call.
 
+        ``rows`` holds one sample per row (or is one sample).  numpy fills
+        them in order, so each row gets the bits it would get drawn alone.
         Gaussian noise stays standard normal until :meth:`scale`; bounded
-        noise puts each ``block`` on its sphere here.
+        noise puts each ``block`` on its sphere here, one block at a time.
         """
-        rng.standard_normal(out=row)
+        rng.standard_normal(out=rows)
         if self.kind == "bounded":
-            for eta in row.reshape(-1, block):
+            for eta in rows.reshape(-1, block):
                 eta *= self.sigma / np.linalg.norm(eta)
 
     def scale(self, rows: np.ndarray, block: int) -> None:
@@ -181,32 +184,35 @@ class NoiseSpec:
         self.scale(eta, dim)
         return eta
 
-    def sum_samples(self, center: np.ndarray, block: int, rng, r: int, draw=None) -> np.ndarray:
+    def sum_samples(self, center: np.ndarray, block: int, rng, r: int, sample=None) -> np.ndarray:
         """``sum_l (center + eta_l)`` over the ``r`` samples of a batch.
 
-        ``rng`` is the batch's one generator, and ``draw(rng, row)`` puts
-        sample ``l``'s raw noise into its row of the batch buffer (by
-        default :meth:`draw`), the rows in the order ``l = 0, ..., r-1``.
-        The buffer is scaled and centred once, then summed as a running sum
-        behind the carried total, which adds the samples in the order
-        ``l = 0, ..., r-1`` with the bits of ``acc = 0; acc += center +
-        eta_l``.  (``np.add.reduce`` sums pairwise.)  At most ``_CHUNK`` rows
-        and 2 MiB are held at a time.  A silent spec draws nothing: each
-        sample is ``draw(None, None)``, which must return ``center``.
+        ``rng`` is the batch's one generator.  Each chunk of the batch
+        buffer is filled by one :meth:`draw`, so sample ``l`` is row ``l``
+        of ``rng.standard_normal((r, d))``; then ``sample(row)`` is called
+        on each row in the order ``l = 0, ..., r-1`` (it may count the
+        sample, but must not write the row).  The chunk is scaled and centred once, then summed as a
+        running sum behind the carried total, which adds the samples in
+        the order ``l = 0, ..., r-1`` with the bits of ``acc = 0; acc +=
+        center + eta_l``.  (``np.add.reduce`` sums pairwise.)  At most
+        ``_CHUNK`` rows and 2 MiB are held at a time.  A silent spec draws
+        nothing: each sample is ``sample(None)``, which must return
+        ``center``.
         """
-        draw = draw or (lambda rng, row: self.draw(rng, row, block))
         d = center.shape[0]
         if self.silent:
             acc = np.zeros(d)
             for _ in range(r):
-                acc += draw(None, None)
+                acc += sample(None)
             return acc
         buf = np.empty((1 + max(1, min(r, _CHUNK, (1 << 18) // d)), d))
         buf[0] = 0.0  # the running sum
         for lo in range(0, r, len(buf) - 1):
             rows = buf[1:1 + r - lo]
-            for row in rows:
-                draw(rng, row)
+            self.draw(rng, rows, block)
+            if sample is not None:
+                for row in rows:
+                    sample(row)
             self.scale(rows, block)
             rows += center
             chunk = buf[:1 + len(rows)]
@@ -282,15 +288,14 @@ class _NoisySampler:
         """One sample ``center + eta``; alone, a batch of one.
 
         A batch passes the ``center`` it computed once at ``at`` and the
-        sample's ``row`` of its buffer: the call counts the sample and draws
-        its raw noise into ``row`` from the batch's generator ``rng``, and
+        sample's ``row`` of its buffer, already filled with the sample's
+        raw noise: the call only counts the sample and returns ``row``, and
         the batch scales, centres and sums all rows at once.  A batch still
         makes one call per sample because perfbench's traced check matches
         ``sample_x`` calls against ``stoch_samples``.
         """
         self.counter.stoch_samples += 1
         if row is not None:
-            self.noise.draw(rng, row, self.noise_block)
             return row
         if center is None:
             center = self._sample_center(at)
@@ -299,17 +304,19 @@ class _NoisySampler:
         return self.noise.sum_samples(center, self.noise_block, rng, 1)
 
     def _batch_mean(self, at: np.ndarray, r: int, streams: RngStreams, sample) -> np.ndarray:
-        """Mean of the ``r`` samples at ``at``, each one ``sample(at, rng, center, row)``.
+        """Mean of the ``r`` samples at ``at``, each one counted by ``sample(at, rng, center, row)``.
 
-        The centre is computed once, and every row is drawn from the one
-        generator of ``streams`` (none for a silent oracle).  The caller
-        passes its per-sample method as looked up on ``self``, so that
-        patches of it see every sample.
+        The centre is computed once, and the rows are drawn from the one
+        generator of ``streams`` (none for a silent oracle), one
+        ``standard_normal`` call per buffer chunk (see
+        :meth:`NoiseSpec.sum_samples`).  The caller passes its per-sample
+        method as looked up on ``self``, so that patches of it see every
+        sample.
         """
         center = self._sample_center(at)
         rng = None if self.noise.silent else streams.generator()
         return self.noise.sum_samples(center, self.noise_block, rng, r,
-                                      lambda rng, row: sample(at, rng, center, row)) / r
+                                      lambda row: sample(at, rng, center, row)) / r
 
 
 class StochasticGradientOracle(_NoisySampler):

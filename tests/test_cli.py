@@ -669,6 +669,9 @@ BAD_SWEEPS = {
     "sigma_not_a_number": ("sigma", "abc"),
     "N_second_value_bad": ("N", "3,x"),
     "eps_infinite": ("eps", "1e-2,inf"),
+    # a value list that starts with "-" is not taken for an option
+    "eps_negative_first": ("eps", "-1,0.5"),
+    "eps_minus_inf": ("eps", "-inf"),
 }
 
 
@@ -685,6 +688,19 @@ def test_sweep_bad_value_exit_2_before_any_run(tmp_path, capsys, monkeypatch, na
     assert "config error:" in err and "Traceback" not in err
     assert runs == []
     assert not list(tmp_path.rglob("*.sweep.csv"))
+
+
+@pytest.mark.parametrize("values, message", [
+    ("-1,0.5", "eps must be finite and > 0, got -1.0"),
+    ("-inf", "sweep value of eps must be finite, got '-inf'"),
+])
+def test_sweep_values_with_a_leading_minus_read_as_with_equals(tmp_path, capsys, values, message):
+    cfgp = write_config(tmp_path, quad_config(method="sstm", N=5))
+    errors = []
+    for args in (["--values", values], [f"--values={values}"]):
+        assert main(["sweep", str(cfgp), "--param", "eps", *args, "--out", str(tmp_path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"config error: {message}\n"] * 2
 
 
 def test_sweep_runtime_error_exit_3(tmp_path, capsys):

@@ -618,3 +618,39 @@ def test_batch_rows_are_prefix_stable_in_r(case, kind):
         setattr(oracle, name, record)
         batch(r, RngStreams(4, (9,)))
     assert len(rows[12]) == 12 and rows[12][:5] == rows[5]
+
+
+class _CountingGenerator:
+    """A generator that records the rows each ``standard_normal`` call fills."""
+
+    def __init__(self, rng, filled):
+        self.rng, self.filled = rng, filled
+
+    def standard_normal(self, *args, out=None):
+        self.filled.append(len(out))
+        return self.rng.standard_normal(*args, out=out)
+
+
+@pytest.mark.parametrize("case, dim, r", [
+    *[(case, 2, r) for case in ("dual", "distributed", "primal")
+      for r in (1, 7, oracles_mod._CHUNK, oracles_mod._CHUNK + 3)],
+    ("distributed", 50, 1400),             # 200 coordinates: buffers of 1310 rows
+])
+@pytest.mark.parametrize("kind", ["gaussian", "bounded"])
+def test_noisy_batch_fills_each_buffer_in_one_generator_call(monkeypatch, case, dim, r, kind):
+    exact = np.linspace(-1.0, 1.0, dim * (4 if case == "distributed" else 1))
+    d = exact.shape[0]
+    filled, generator = [], RngStreams.generator
+    monkeypatch.setattr(RngStreams, "generator",
+                        lambda self, *index: _CountingGenerator(generator(self, *index), filled))
+    batch, _, oracle, name, _ = _sampling_case(case, NoiseSpec(0.01, 0.4, kind), dim, exact)
+    rows, method = [], getattr(oracle, name)
+    setattr(oracle, name, lambda *args: rows.append(method(*args).copy()))
+    batch(r, RngStreams(23, (6, 1)))
+    chunk = min(oracles_mod._CHUNK, (1 << 18) // d)
+    assert filled == [min(chunk, r - lo) for lo in range(0, r, chunk)]
+    assert len(rows) == r
+    if kind == "gaussian":
+        # the README's contract: sample l is row l of the stream's standard_normal((r, d))
+        raw = _reference(23, (6, 1)).standard_normal((r, d))
+        assert np.array(rows).tobytes() == raw.tobytes()
