@@ -224,12 +224,16 @@ def _bad_input_is_config_error(problem):
         raise ConfigError(f"invalid {problem['kind']} problem: {exc}") from exc
 
 
-def _build_quadratic(problem, seed):
-    rng = np.random.default_rng((seed, 0))
+def _build_random(problem, seed):
+    """Random quadratic, and for ``penalty`` a random constraint matrix (else None)."""
     qp = random_quadratic(int(problem.get("dim", 10)), float(problem.get("cond", 10.0)),
-                          rng, b_scale=float(problem.get("b_scale", 1.0)))
-    x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
-    return qp, x0
+                          np.random.default_rng((seed, 0)),
+                          b_scale=float(problem.get("b_scale", 1.0)))
+    if problem["kind"] != "penalty":
+        return qp, None
+    dim = qp.Q.shape[0]
+    m_rows = int(problem.get("m_rows", max(1, dim // 2)))
+    return qp, np.random.default_rng((seed, 2)).standard_normal((m_rows, dim))
 
 
 def _build_custom(problem):
@@ -244,12 +248,6 @@ def _build_custom(problem):
             raise ValueError(f"A must have one column per coordinate ({b.size}), "
                              f"got shape {A.shape}")
     return qp, A
-
-
-def _build_constraint(problem, dim, seed):
-    m_rows = int(problem.get("m_rows", max(1, dim // 2)))
-    rng = np.random.default_rng((seed, 2))
-    return rng.standard_normal((m_rows, dim))
 
 
 def _build_decentralized(problem, seed):
@@ -320,12 +318,8 @@ def _solve(cfg: dict):
 
     # single-machine problems
     with _bad_input_is_config_error(problem):
-        if kind == "custom":
-            qp, A = _build_custom(problem)
-            x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
-        else:
-            qp, x0 = _build_quadratic(problem, seed)
-            A = _build_constraint(problem, qp.Q.shape[0], seed) if kind == "penalty" else None
+        qp, A = _build_custom(problem) if kind == "custom" else _build_random(problem, seed)
+    x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
 
     oracle = qp.oracle()
     max_N = int(consts.get("max_N", DUAL_CONSTANTS["max_N"]))
@@ -400,10 +394,11 @@ _SWEEP_COLUMNS = ("param", "value", "iterations", "final_f_gap", "final_dual_gap
                   "stoch_samples", "comm_rounds", "chi")
 
 
-def run_sweep(cfg: dict, param: str, values: list[str]):
+def run_sweep(param: str, values: list[str], configs: list[dict]):
+    """Run the validated ``configs``, one per swept value; one row of final metrics each."""
     rows = []
-    for value in values:
-        _, summary = execute_run(validate_config(apply_sweep_value(cfg, param, value)))
+    for value, cfg in zip(values, configs):
+        _, summary = execute_run(cfg)
         rows.append({"param": param, "value": value,
                      **{key: summary.get(key) for key in _SWEEP_COLUMNS[2:]}})
     return rows
@@ -517,15 +512,15 @@ def cmd_sweep(args) -> int:
         if not values:
             raise ConfigError("no sweep values given")
         # every value is checked before the first run
-        base, *_ = [validate_config(apply_sweep_value(raw, args.param, v)) for v in values]
+        configs = [validate_config(apply_sweep_value(raw, args.param, v)) for v in values]
         out = _out_dir(args.out)
     except ConfigError as exc:
         return _report(exc)
     try:
-        rows = run_sweep(raw, args.param, values)
+        rows = run_sweep(args.param, values, configs)
     except _RUN_ERRORS as exc:
         return _report(exc)
-    h = config_hash({"base": base, "param": args.param, "values": values})
+    h = config_hash({"base": configs[0], "param": args.param, "values": values})
     path = out / f"{h}.sweep.csv"
     path.write_text(sweep_csv_text(rows))
     print(path)

@@ -91,8 +91,10 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     ``L~ = factor * L_psi``: 2 absorbs stochastic error (the default), 1 is
     the tighter schedule adequate for noiseless oracles.  The trace records
     the duality gap ``f(x~) + psi(y)`` and ``||A x~||`` every
-    ``metric_every`` iterations; with ``stop_gap`` the run ends early once
-    the measured gap reaches it.
+    ``metric_every`` iterations (:func:`duality_gap`).  With ``stop_gap``
+    the run ends early once a measured gap reaches it and ``||A x~|| R_y <= eps``
+    holds, ``R_y`` being ``y_star_norm_estimate`` (else 1): the gap of an
+    infeasible ``x~`` is negative, so the gap alone does not imply the target.
     """
     L_tilde = L_tilde_factor * dual.L_psi
 
@@ -102,7 +104,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     streams = RngStreams(seed)
     y = np.zeros(dual.dual_dim)
     acc = np.zeros(dual.primal.dim)
-    scale = y_star_norm_estimate if y_star_norm_estimate is not None else 1.0
+    R_y = y_star_norm_estimate if y_star_norm_estimate is not None else 1.0
     trace = RunTrace()
 
     def gradient(k, y_tilde, alpha, A_next):
@@ -112,14 +114,14 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
         return g
 
     def after(k, y, z, A):
-        _guard(z, scale, trace, "spdstm")
+        _guard(z, R_y, trace, "spdstm")
         gap = feas = None
         if metric_every and (k + 1) % metric_every == 0:
-            x_run = acc / A
-            gap = float(dual.primal.value(x_run)) + dual.psi_value(y)
-            feas = float(np.linalg.norm(dual.A @ x_run))
+            metrics = duality_gap(dual.primal, dual, acc / A, y)
+            gap, feas = metrics["gap"], metrics["constraint_norm"]
         trace.record(k + 1, A, dual.counter, dual_gap=gap, constraint_norm=feas)
-        return stop_gap is not None and gap is not None and gap <= stop_gap
+        return (stop_gap is not None and gap is not None and gap <= stop_gap
+                and feas * R_y <= eps)
 
     trace.record(0, 0.0, dual.counter)
     y, _, A = triangle(stm_step(L_tilde, 0.0, 2.0), 0.0, y, y, N,
@@ -249,17 +251,16 @@ class RegularizedDual:
         return v
 
 
-def ac_sa(objective: RegularizedDual, z0, m: int, lam: float | None = None, *,
-          batch_size: int = 1, streams: RngStreams | None = None):
+def ac_sa(objective: RegularizedDual, z0, m: int, *, batch_size: int = 1,
+          streams: RngStreams | None = None):
     """Accelerated stochastic approximation on a strongly convex objective.
 
-    ``lam`` defaults to the objective's current strong-convexity modulus;
-    the step pair is ``alpha_t = 2/(t+1)``, ``gamma_t = 4 L / (t (t+1))``.
+    ``lam`` is the objective's strong-convexity modulus at the call; the step
+    pair is ``alpha_t = 2/(t+1)``, ``gamma_t = 4 L / (t (t+1))``.
     Returns the aggregated iterate after ``m`` steps (``z0`` for ``m = 0``).
     """
     streams = streams or RngStreams(0)
-    if lam is None:
-        lam = objective.strong_convexity
+    lam = objective.strong_convexity
     L = objective.smoothness
     y_ag = np.array(z0, dtype=float)
     z = y_ag.copy()
@@ -308,9 +309,9 @@ def rrma_ac_sa2(dual: DualOracle, y0, m: int, lam: float, *, batch_size: int = 1
     return y_hat
 
 
-def default_rrma_lambda(L_psi: float, N_bar: int, const: float = 1.0) -> float:
-    """Regularization weight ``const * L ln^2(N) / N^2`` used by the restarts."""
-    return const * L_psi * math.log(N_bar) ** 2 / N_bar ** 2
+def default_rrma_lambda(L_psi: float, N_bar: int) -> float:
+    """Regularization weight ``L ln^2(N) / N^2`` used by the restarts."""
+    return L_psi * math.log(N_bar) ** 2 / N_bar ** 2
 
 
 # Largest working batch of a restart (taken when the probed gradient is zero).

@@ -32,7 +32,8 @@ import numpy as np
 
 from .dual import DUAL_CONSTANTS, primal_recovery, run_dual
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
-from .oracles import RANK_TOL, CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams
+from .oracles import (RANK_TOL, CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams,
+                      spectrum)
 from .primal import argmax_solver_via_stm
 
 __all__ = [
@@ -121,18 +122,17 @@ class Topology:
         return Topology.normalized(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
 
     @staticmethod
-    def erdos_renyi(m: int, p: float, rng: np.random.Generator,
-                    max_attempts: int = 10_000) -> "Topology":
-        """Random graph resampled until connected; fails after ``max_attempts``."""
+    def erdos_renyi(m: int, p: float, rng: np.random.Generator) -> "Topology":
+        """Random graph resampled until connected; fails after 10,000 samples."""
         if m < 2 or not (0.0 <= p <= 1.0):
             raise ValueError("need m >= 2 and p in [0, 1]")
-        for _ in range(max_attempts):
+        for _ in range(10_000):
             mask = rng.random((m, m)) < p
             edges = [(i, j) for i in range(m) for j in range(i + 1, m) if mask[i, j]]
             topo = Topology.normalized(m, edges)
             if topo.connected:
                 return topo
-        raise RuntimeError(f"no connected sample in {max_attempts} attempts (p={p})")
+        raise RuntimeError(f"no connected sample in 10000 attempts (p={p})")
 
     # -- file format (1-indexed nodes) ----------------------------------------
 
@@ -167,30 +167,32 @@ def lift_laplacian(W_bar: np.ndarray, n: int) -> np.ndarray:
     return np.kron(np.asarray(W_bar, dtype=float), np.eye(n))
 
 
-def sqrt_psd(W: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
+def sqrt_psd(W: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root by dense eigendecomposition.
 
-    Eigenvalues below ``RANK_TOL * lambda_max`` are zeroed (they define
-    the kernel); a negative eigenvalue beyond that tolerance is rejected.
+    Eigenvalues at or below ``RANK_TOL * lambda_max`` are zeroed, as in
+    :func:`spectrum`; a negative one beyond that, or an asymmetry above
+    ``1e-10`` of the largest entry (or of 1), is rejected.
     """
     W = np.asarray(W, dtype=float)
-    if np.max(np.abs(W - W.T)) > sym_tol * max(1.0, np.max(np.abs(W))):
+    if np.max(np.abs(W - W.T)) > 1e-10 * max(1.0, np.max(np.abs(W))):
         raise ValueError("matrix is not symmetric")
     evals, U = np.linalg.eigh((W + W.T) / 2.0)
     lam_max = float(evals[-1])
     if evals[0] < -RANK_TOL * max(1.0, lam_max):
         raise ValueError("matrix is not positive semidefinite")
-    d = np.where(evals < RANK_TOL * lam_max, 0.0, evals)
+    d = np.where(evals > RANK_TOL * lam_max, evals, 0.0)
     S = (U * np.sqrt(d)) @ U.T
     return (S + S.T) / 2.0  # exactly symmetric, so a lift of it is its own transpose
 
 
 def chi(M: np.ndarray) -> float:
-    """Condition number ``lambda_max / lambda_min_plus`` of a PSD matrix."""
-    evals = np.linalg.eigvalsh(np.asarray(M, dtype=float))
-    lam_max = float(evals[-1])
-    positive = evals[evals > RANK_TOL * lam_max]
-    return lam_max / float(positive[0])
+    """Condition number ``lambda_max / lambda_min_plus`` of a PSD matrix (:func:`spectrum`)."""
+    return _condition(*spectrum(M))
+
+
+def _condition(lam_max: float, lam_min_plus: float) -> float:
+    return lam_max / lam_min_plus if lam_min_plus > 0 else math.inf
 
 
 class KronOperator:
@@ -244,14 +246,11 @@ class LaplacianPair:
 
 def laplacian_pair(topology: Topology, n: int) -> LaplacianPair:
     W_bar = laplacian(topology)
-    evals = np.linalg.eigvalsh(W_bar)
-    lam_max = float(evals[-1])
-    positive = evals[evals > RANK_TOL * max(lam_max, 1e-300)]
-    lam_min_plus = float(positive[0]) if positive.size else 0.0
+    lam_max, lam_min_plus = spectrum(W_bar)
     return LaplacianPair(
         W_bar=W_bar, W=KronOperator(W_bar, n), sqrtW=KronOperator(sqrt_psd(W_bar), n),
         lambda_max=lam_max, lambda_min_plus=lam_min_plus,
-        chi=lam_max / lam_min_plus if lam_min_plus > 0 else math.inf)
+        chi=_condition(lam_max, lam_min_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,7 @@ class DecentralizedInstance:
     local that declares none.
     """
 
-    def __init__(self, locals_, topology: Topology, n: int, counter=None,
-                 batched_argmax=None):
+    def __init__(self, locals_, topology: Topology, n: int, batched_argmax=None):
         if any(f.dim != n for f in locals_):
             raise ValueError("all local oracles must share dimension n")
         if len(locals_) != topology.m:
@@ -286,7 +284,7 @@ class DecentralizedInstance:
         self.n = int(n)
         self.m = topology.m
         self.pair = laplacian_pair(topology, n)
-        self.counter = counter if counter is not None else CallCounter()
+        self.counter = CallCounter()
         # the closures hold the node list, not ``self``: no reference cycle
         m, nodes = self.m, self.locals
 
@@ -399,8 +397,7 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
         x = primal_recovery(dual, y, 1, RngStreams(cfg["seed"]).child(999_999))
 
     # closing row: primal recovery rounds happen after the last iteration
-    final = trace.final
-    trace.record(final.get("iter", 0), final.get("A_k", 0.0), instance.counter)
+    trace.record(trace.final["iter"], trace.final["A_k"], instance.counter)
     return instance.blocks(x), trace, instance.counter
 
 
@@ -416,6 +413,5 @@ def _dual_norm_bound(instance: DecentralizedInstance) -> float:
     center = np.mean(centers, axis=0) if centers else np.zeros(instance.n)
     x = np.tile(center, instance.m)
     g = instance.stacked.gradient(x)
-    lam = instance.pair.lambda_min_plus
-    return max(1e-12, float(np.linalg.norm(g)) / math.sqrt(max(lam, 1e-300)))
+    return max(1e-12, float(np.linalg.norm(g)) / math.sqrt(instance.pair.lambda_min_plus))
 

@@ -66,11 +66,35 @@ __all__ = [
     "FirstOrderOracle",
     "StochasticGradientOracle",
     "DualOracle",
+    "spectrum",
 ]
 
-# Eigenvalues below RANK_TOL * lambda_max are treated as exact zeros when
-# deciding a rank or kernel (of A^T A here, of Laplacians in optdec.network).
+# The rank rule of ``spectrum``: an eigenvalue at or below RANK_TOL * lambda_max
+# is a zero, and so is a singular value at or below sqrt(RANK_TOL) * sigma_max.
 RANK_TOL = 1e-10
+
+
+def spectrum(M) -> tuple[float, float]:
+    """``(lambda_max, lambda_min_plus)`` of a PSD matrix: the one place a rank is decided.
+
+    ``lambda_min_plus`` is the least eigenvalue above ``RANK_TOL * lambda_max``
+    (0.0 if none).  Symmetrising ``M`` first leaves a symmetric ``M`` as it is.
+    """
+    M = np.asarray(M, dtype=float)
+    evals = np.linalg.eigvalsh((M + M.T) / 2.0)
+    lam_max = float(evals[-1])
+    positive = evals[evals > RANK_TOL * lam_max]
+    return lam_max, float(positive[0]) if positive.size else 0.0
+
+
+def constraint_gram(A, dim: int):
+    """Checked dense ``(m_rows x dim)`` matrix ``A``, not all zero, and ``A^T A``."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != dim:
+        raise ValueError("A must be a (m_rows x dim) matrix")
+    if not np.any(A):
+        raise ValueError("A must not be identically zero")
+    return A, A.T @ A
 
 
 class CallCounter:
@@ -372,22 +396,9 @@ class DualOracle(_NoisySampler):
         self.mu_psi = self.lam_min_plus_AtA / primal.L if primal.L > 0 else 0.0
 
     def _constraint_map(self, A):
-        """Checked ``A`` with ``lambda_max`` and ``lambda_min_plus`` of ``A^T A``.
-
-        ``A`` becomes a dense matrix; eigenvalues below
-        ``RANK_TOL * lambda_max`` count as zeros.  Subclasses that know the
-        spectrum of a structured ``A`` override this.
-        """
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[1] != self.primal.dim:
-            raise ValueError("A must be a (m_rows x dim) matrix")
-        if not np.any(A):
-            raise ValueError("A must not be identically zero")
-        AtA = A.T @ A
-        evals = np.linalg.eigvalsh((AtA + AtA.T) / 2.0)
-        lam_max = float(evals[-1])
-        positive = evals[evals > RANK_TOL * lam_max]
-        return A, lam_max, float(positive[0])
+        """Checked dense ``A`` and the :func:`spectrum` of ``A^T A`` (a structured ``A`` overrides)."""
+        A, AtA = constraint_gram(A, self.primal.dim)
+        return (A, *spectrum(AtA))
 
     # -- linear maps (hooks for the communication simulator) ---------------
 

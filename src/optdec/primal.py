@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .oracles import CallCounter, FirstOrderOracle, RngStreams, StochasticGradientOracle
+from .oracles import (CallCounter, FirstOrderOracle, RngStreams, StochasticGradientOracle,
+                      constraint_gram, spectrum)
 from .schedules import batch_size_sstm, stm_step, triangle
 from .trace import RunTrace
 
@@ -171,21 +172,19 @@ class PenaltyProblem(CompositeProblem):
     def __init__(self, base: FirstOrderOracle, A, R_y: float, eps: float):
         if eps <= 0 or R_y <= 0:
             raise ValueError("eps and R_y must be positive")
-        A = np.asarray(A, dtype=float)
-        if not np.any(A):
-            raise ValueError("A must not be identically zero")
+        A, AtA = constraint_gram(A, base.dim)
         self.base = base
         self.A = A
         self.R_y = float(R_y)
         self.eps = float(eps)
-        self.AtA = A.T @ A
+        self.AtA = AtA
         self.coeff = R_y ** 2 / eps
-        lam_max = float(np.linalg.eigvalsh((self.AtA + self.AtA.T) / 2.0)[-1])
+        lam_max = spectrum(AtA)[0]
         self.lam_max_AtA = lam_max
 
         # the closures hold ``AtA``, not ``self``: no reference cycle
         coeff = self.coeff
-        AtA, two_coeff = self.AtA, np.array(2.0 * coeff)
+        two_coeff = np.array(2.0 * coeff)
 
         def h_value(x):
             Ax = A @ x
@@ -292,13 +291,12 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
 
 
 def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *,
-            delta: float | None = None, prox_mode: str = "inner_stm",
-            F_star=None, x_star=None):
+            prox_mode: str = "inner_stm", F_star=None, x_star=None):
     """Triangle scheme with inexact proximal steps on ``F = f + h``.
 
     Each outer step minimises
     ``g_{k+1}(z) = 0.5||z^k - z||^2 + alpha_{k+1}(f(x~) + <grad f(x~), z - x~> + h(z))``
-    to relative accuracy ``delta`` (default ``L / (64 (L_h + L) N^3)``),
+    to relative accuracy ``delta = L / (64 (L_h + L) N^3)``,
     either by an inner strongly convex triangle run (``inner_stm``) or by
     the problem's exact proximal solver (``exact``).  Inner non-convergence
     within the budget is flagged in the trace and the run continues.  With
@@ -311,8 +309,7 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
     if prox_mode == "exact" and problem.prox_solver is None:
         raise ValueError("problem has no exact proximal solver")
     f = problem.f
-    if delta is None:
-        delta = default_inner_delta(f.L, problem.L_h, max(N, 1))
+    delta = default_inner_delta(f.L, problem.L_h, max(N, 1))
 
     x = np.array(x0, dtype=float)
     trace = RunTrace(_R0(x, x_star))
@@ -344,13 +341,12 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
     return x_avg, trace
 
 
-def argmax_solver_via_stm(oracle: FirstOrderOracle, tol: float = 1e-10,
-                          max_rounds: int = 200):
+def argmax_solver_via_stm(oracle: FirstOrderOracle, tol: float = 1e-10):
     """Build ``u -> argmax_x {<u, x> - f(x)}`` by inner accelerated solves.
 
     Fallback for primals without a closed-form conjugate: minimises
-    ``f(x) - <u, x>`` (strongly convex) in rounds of triangle steps until
-    the gradient norm reaches ``tol``.  Closed forms should be preferred
+    ``f(x) - <u, x>`` (strongly convex) in at most 200 rounds of triangle
+    steps, until the gradient norm reaches ``tol``.  Closed forms should be preferred
     whenever available.
     """
     if oracle.mu <= 0:
@@ -365,7 +361,7 @@ def argmax_solver_via_stm(oracle: FirstOrderOracle, tol: float = 1e-10,
             oracle.L, oracle.mu)
         x = np.zeros(oracle.dim)
         chunk = max(8, int(np.ceil(np.sqrt(oracle.L / oracle.mu))) * 4)
-        for _ in range(max_rounds):
+        for _ in range(200):
             if np.linalg.norm(shifted.gradient(x)) <= tol:
                 break
             x, _ = stm(shifted, x, chunk, mode="strongly_convex")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracles import FirstOrderOracle
+from .oracles import RANK_TOL, FirstOrderOracle
 
 __all__ = [
     "QuadraticProblem",
@@ -95,9 +95,9 @@ class QuadraticProblem:
     def conjugate_argmax(self, y):
         return np.linalg.solve(self.Q, y + self.b)
 
-    def oracle(self, counter=None) -> FirstOrderOracle:
+    def oracle(self) -> FirstOrderOracle:
         return FirstOrderOracle(self.Q.shape[0], self.value, self.gradient, self.L, self.mu,
-                                counter=counter, conjugate_argmax=self.conjugate_argmax,
+                                conjugate_argmax=self.conjugate_argmax,
                                 x_star=self.x_star, quadratic=self)
 
 
@@ -157,12 +157,13 @@ def constrained_quadratic_optimum(Q, b, A):
 
     Brute-force null-space solve: parametrise ``x = Z t`` with ``Z`` an
     orthonormal basis of ``Ker A`` and solve the reduced normal equations.
+    The rank is that of :func:`optdec.oracles.spectrum` on ``A^T A``.
     """
     Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float)
     A = np.asarray(A, dtype=float)
     _, s, Vt = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
+    rank = int(np.sum(s * s > RANK_TOL * s[0] ** 2)) if s.size else 0
     Z = Vt[rank:].T
     if Z.shape[1] == 0:
         x = np.zeros(Q.shape[0])
@@ -173,10 +174,13 @@ def constrained_quadratic_optimum(Q, b, A):
 
 
 def min_norm_dual_solution(Q, b, A):
-    """Smallest-norm ``y*`` with ``A^T y* = grad f(x*)`` at the constrained optimum."""
+    """Smallest-norm ``y*`` with ``A^T y* = grad f(x*)`` at the constrained optimum.
+
+    ``rcond = sqrt(RANK_TOL)`` gives ``lstsq`` the rank of :func:`optdec.oracles.spectrum`.
+    """
     x_c, _ = constrained_quadratic_optimum(Q, b, A)
     grad = np.asarray(Q, dtype=float) @ x_c - np.asarray(b, dtype=float)
-    y_star, *_ = np.linalg.lstsq(np.asarray(A, dtype=float).T, grad, rcond=None)
+    y_star, *_ = np.linalg.lstsq(np.asarray(A, dtype=float).T, grad, rcond=RANK_TOL ** 0.5)
     return y_star, x_c
 
 
@@ -322,16 +326,15 @@ def simplex_project(v) -> np.ndarray:
 # barycenter instances
 
 
-def barycenter_local_oracle(q, C, mu: float, tol: float = 1e-10,
-                            counter=None) -> FirstOrderOracle:
+def barycenter_local_oracle(q, C, mu: float) -> FirstOrderOracle:
     """Oracle for ``p -> W_mu(p, q)`` with its closed-form conjugate argmax.
 
     The conjugate of the smoothed transport distance in ``p`` is exactly
     the log-sum-exp dual, so ``conjugate_argmax`` (the transport marginal)
     needs no inner solve, and ``x_star`` is the marginal at the zero
     potential; ``q``, ``C`` and ``mu`` are validated here, once.
-    Values/gradients in ``p`` run the dual solve and are meant for
-    diagnostics only.
+    Values/gradients in ``p`` run the dual solve to ``tol = 1e-10`` and
+    are meant for diagnostics only.
     """
     q, C = _check_entropic(q, C, mu)
     n = q.size
@@ -340,11 +343,11 @@ def barycenter_local_oracle(q, C, mu: float, tol: float = 1e-10,
         # W_mu(., q) is +inf off the simplex, where a noisy primal average can land
         if not _on_simplex(np.asarray(p, dtype=float)):
             return np.inf
-        val, _ = entropic_wasserstein(p, q, C, mu, tol=max(tol, 1e-10))
+        val, _ = entropic_wasserstein(p, q, C, mu, tol=1e-10)
         return val
 
     def gradient(p):
-        _, lam = entropic_wasserstein(p, q, C, mu, tol=max(tol, 1e-10))
+        _, lam = entropic_wasserstein(p, q, C, mu, tol=1e-10)
         return lam
 
     def conjugate_argmax(u):
@@ -353,7 +356,7 @@ def barycenter_local_oracle(q, C, mu: float, tol: float = 1e-10,
     # L is unknown in closed form (the conjugate is only strictly convex);
     # the dual pipeline needs only mu.  The minimiser of W_mu(., q) over the
     # simplex is the zero-potential marginal.
-    return FirstOrderOracle(n, value, gradient, L=0.0, mu=mu, counter=counter,
+    return FirstOrderOracle(n, value, gradient, L=0.0, mu=mu,
                             conjugate_argmax=conjugate_argmax,
                             x_star=conjugate_argmax(np.zeros(n)))
 

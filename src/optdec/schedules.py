@@ -166,12 +166,8 @@ def gap_certificate_N(R0: float, L: float, eps: float, max_N: int, factor: float
     ``next_alpha_spdstm(A, L)`` is ``next_alpha_stm(A, L, 0, 2)``, so this
     also plans the primal-dual scheme with ``L = L~``.
     """
-    A = 0.0
-    for k in range(1, max_N + 1):
-        _, A = next_alpha_stm(A, L, 0.0, factor=factor)
-        if 1.5 * R0 * R0 / A <= eps:
-            return k
-    return max_N
+    return _fewest_steps(lambda A: next_alpha_stm(A, L, 0.0, factor=factor), 0.0,
+                         lambda A: 1.5 * R0 * R0 / A <= eps, max_N)
 
 
 def grad_certificate_N(R_y: float, L: float, mu: float, eps: float, max_N: int) -> int:
@@ -181,11 +177,16 @@ def grad_certificate_N(R_y: float, L: float, mu: float, eps: float, max_N: int) 
     ``L R_y^2 / A_N`` bounds ``||y_N - y*||^2``, so the left side bounds ``||grad psi(y_N)||^2``.
     """
     target = (eps / max(R_y, 1e-12)) ** 2
-    A = 1.0 / L
     R0sq = R_y ** 2
+    return _fewest_steps(lambda A: next_alpha_strongly_convex(A, L, mu), 1.0 / L,
+                         lambda A: L ** 2 * R0sq * L / A <= target, max_N)
+
+
+def _fewest_steps(step, A, certified, max_N: int) -> int:
+    """Fewest steps ``_, A = step(A)`` from ``A`` until ``certified(A)``, else ``max_N``."""
     for k in range(1, max_N + 1):
-        _, A = next_alpha_strongly_convex(A, L, mu)
-        if L ** 2 * R0sq * L / A <= target:
+        _, A = step(A)
+        if certified(A):
             return k
     return max_N
 

@@ -49,22 +49,18 @@ class RunTrace:
         self.rows: list[dict] = []
         self.flags: list[str] = []
 
-    def record(self, it, A_k, counter=None, f_gap=None, dual_gap=None,
+    def record(self, it, A_k, counter, f_gap=None, dual_gap=None,
                grad_norm=None, constraint_norm=None):
-        snap = counter.snapshot() if counter is not None else {}
-        row = {
+        """Append a row with the metrics given and the four counters of ``counter``."""
+        self.rows.append({
             "iter": int(it),
             "A_k": float(A_k),
             "f_gap": f_gap,
             "dual_gap": dual_gap,
             "grad_norm": grad_norm,
             "constraint_norm": constraint_norm,
-            "grad_calls": snap.get("grad_calls", 0),
-            "stoch_samples": snap.get("stoch_samples", 0),
-            "matvec_AtA": snap.get("matvec_AtA", 0),
-            "comm_rounds": snap.get("comm_rounds", 0),
-        }
-        self.rows.append(row)
+            **counter.snapshot(),
+        })
 
     def flag(self, message: str):
         self.flags.append(str(message))

@@ -23,7 +23,7 @@ from optdec.primal import _inner_prox_stm, default_inner_budget, default_inner_d
 from optdec.problems import constrained_quadratic_optimum, min_norm_dual_solution
 from optdec.schedules import (next_alpha_spdstm, next_alpha_stm,
                               next_alpha_strongly_convex)
-from optdec.cli import run_sweep
+from optdec.cli import apply_sweep_value, run_sweep, validate_config
 
 
 def report(number, ok, detail):
@@ -364,7 +364,9 @@ def test_criterion_11_scaling_laws():
     """sqrt(1/eps) iteration law and sqrt(chi) communication law."""
     base = {"method": "stm", "problem": {"kind": "quadratic", "dim": 6, "cond": 20.0},
             "eps": 1e-1, "seed": 1, "N": "auto"}
-    rows = run_sweep(base, "eps", ["1e-1", "1e-2", "1e-3"])
+    values = ["1e-1", "1e-2", "1e-3"]
+    rows = run_sweep("eps", values, [validate_config(apply_sweep_value(base, "eps", v))
+                                     for v in values])
     Ns = [row["iterations"] for row in rows]
     eps_ratios = [b / a for a, b in zip(Ns, Ns[1:])]
     eps_ok = all(2.0 <= r <= 4.5 for r in eps_ratios)
@@ -374,7 +376,9 @@ def test_criterion_11_scaling_laws():
                         "topology": {"kind": "star", "m": 4}},
             "eps": 1e-4, "seed": 3,
             "constants": {"stop_grad_norm": 1e-5, "metric_every": 1}}
-    rows = run_sweep(star, "m", ["4", "8", "16"])
+    values = ["4", "8", "16"]
+    rows = run_sweep("m", values, [validate_config(apply_sweep_value(star, "m", v))
+                                   for v in values])
     normalized = [row["comm_rounds"] / math.sqrt(row["chi"]) for row in rows]
     chi_ok = max(normalized) / min(normalized) <= 1.5
     report(11, eps_ok and chi_ok,

@@ -144,10 +144,17 @@ def penalty_config(method, **constants):
 
 
 def test_stop_gap_ends_single_machine_spdstm_early(tmp_path, capsys):
+    # the measured gap is negative while x~ is infeasible, so a stop also
+    # needs the feasibility target ||A x~|| R_y <= eps: here it first holds at 206
+    eps = 0.02
     full, _ = run_summary(tmp_path, penalty_config("spdstm"), "full.json")
-    stopped, _ = run_summary(tmp_path, penalty_config("spdstm", stop_gap=-0.5), "stop.json")
-    assert stopped["iterations"] < full["iterations"]
-    assert stopped["final_dual_gap"] <= -0.5
+    stopped, rows = run_summary(tmp_path, penalty_config("spdstm", stop_gap=eps), "stop.json")
+    assert 1 < stopped["iterations"] < full["iterations"]
+    assert stopped["final_dual_gap"] <= eps
+    assert stopped["final_constraint_norm"] * stopped["R_y"] <= eps
+    before = rows[-2]
+    assert (float(before["dual_gap"]) > eps
+            or float(before["constraint_norm"]) * stopped["R_y"] > eps)
 
 
 def test_stop_grad_norm_ends_single_machine_sstm_sc_early(tmp_path, capsys):
@@ -188,6 +195,32 @@ def test_max_N_caps_single_machine_auto_N(tmp_path, capsys, method):
                            "exact.json")
     assert exact["iterations"] == full["iterations"]
     assert exact["flags"] == []
+
+
+def _custom_with_A(tmp_path, name, A):
+    """``spdstm`` on ``Q = diag(1, 2, 3, 4)``, ``b = 1`` under the constraint rows ``A``."""
+    for stem, array in (("Q", np.diag([1.0, 2.0, 3.0, 4.0])), ("b", np.ones(4)), (name, A)):
+        np.savetxt(tmp_path / f"{stem}.csv", array, delimiter=",")
+    return {"method": "spdstm", "eps": 0.01, "N": "auto", "seed": 1,
+            "problem": {"kind": "custom", "Q_csv": str(tmp_path / "Q.csv"),
+                        "b_csv": str(tmp_path / "b.csv"), "A_csv": str(tmp_path / f"{name}.csv")},
+            "constants": {"max_N": 2000}}
+
+
+def test_near_duplicate_rows_have_the_rank_of_repeated_rows(tmp_path, capsys):
+    # one rank rule: R_y, L_psi and mu_psi all see rank 1, so the second row
+    # adds nothing; a rank-2 R_y of about 4e8 would run auto N into max_N
+    r, v = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, -1.0, 1.0, -1.0])
+    repeated, _ = run_summary(tmp_path, _custom_with_A(tmp_path, "A_rep", np.stack([r, r])),
+                              "repeated.json")
+    near_rows = np.stack([r, r + 1e-9 * v])
+    near, _ = run_summary(tmp_path, _custom_with_A(tmp_path, "A_near", near_rows), "near.json")
+    # the optimum under r x = 0 has grad f = -lam r with lam = (r Q^-1 b) / (r Q^-1 r) = 0.4,
+    # and the least-norm y with A^T y = -lam r is -(lam/2, lam/2)
+    assert repeated["R_y"] == pytest.approx(0.2 * 2 ** 0.5, rel=1e-12)
+    assert near["R_y"] == pytest.approx(repeated["R_y"], rel=1e-6)
+    assert near["iterations"] == repeated["iterations"] < 2000
+    assert near["flags"] == repeated["flags"] == []
 
 
 def test_L_tilde_factor_changes_decentralized_spdstm(tmp_path, capsys):

@@ -340,6 +340,36 @@ def test_min_norm_dual_certificate():
         assert np.allclose(A.T @ y_star, grad, atol=1e-8)
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-14, 1e-9, 1e-7, 1e-4, 1e-1])
+def test_one_rank_rule_for_the_dual_the_optimum_and_lstsq(monkeypatch, t):
+    # A = [r; r + t v] with r orthogonal to v and |r| = |v|: sigma_2^2 / sigma_1^2 is
+    # about t^2 / 4, against the cut RANK_TOL = 1e-10, so rank 2 from t = 1e-4 on
+    from optdec.problems import min_norm_dual_solution
+    r, v = np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0, -1.0])
+    A = np.stack([r, r + t * v])
+    qp = QuadraticProblem(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
+    dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
+    AtA = A.T @ A
+    dual_rank = int(np.sum(np.linalg.eigvalsh((AtA + AtA.T) / 2.0) >= dual.lam_min_plus_AtA))
+    # the kernel dimension is the size of the reduced system the optimum solves
+    reduced, lstsq_ranks = [], []
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+
+    def spy_solve(a, b):
+        reduced.append(len(a))
+        return solve(a, b)
+
+    def spy_lstsq(*args, **kwargs):
+        out = lstsq(*args, **kwargs)
+        lstsq_ranks.append(int(out[2]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+    min_norm_dual_solution(qp.Q, qp.b, A)
+    assert (dual_rank, 4 - reduced[0], lstsq_ranks[0]) == ((2,) * 3 if t >= 1e-4 else (1,) * 3)
+
+
 def test_noisy_dual_reproducibility():
     oracle, qp = make_quadratic_oracle(c=[1.0, 3.0])
     A = np.array([[1.0, -1.0]])
