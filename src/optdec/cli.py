@@ -28,29 +28,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dual import DUAL_CONSTANTS, DivergenceError, run_dual
+from .dual import DivergenceError
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
+from .methods import DECENTRALIZED_KINDS, METHODS, Machine, method_constants, run_method
 from .network import DecentralizedInstance, Topology, run_distributed
-from .oracles import DualOracle, NoiseSpec, StochasticGradientOracle
-from .primal import build_penalty, sstm, stm, stm_ips
+from .oracles import NoiseSpec
 from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
-                       load_measures_csv, min_norm_dual_solution, random_quadratic,
-                       random_quadratics)
-from .schedules import CAP_FLAG, capped_N, gap_certificate_N
+                       load_measures_csv, random_quadratic, random_quadratics)
 from .trace import summary_from_trace
 
 PROBLEM_KINDS = ("quadratic", "consensus_quadratic", "penalty", "barycenter", "custom")
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
 NOISE_KINDS = ("gaussian", "bounded")
-DECENTRALIZED_KINDS = ("consensus_quadratic", "barycenter")
-# the problem kinds each method runs on; a method that runs on ``penalty``
-# needs the constraint matrix ``A``, so on ``custom`` it needs ``A_csv``.
-# sstm_sc and restarted_rrma need mu_psi > 0, which barycenter locals (no L) lack
-_AFFINE, _CONSENSUS = ("penalty", "custom"), ("penalty", "custom", "consensus_quadratic")
-METHOD_KINDS = {"stm": ("quadratic", "custom"), "stm_ips": _AFFINE, "sstm": ("quadratic", "custom"),
-                "spdstm": _AFFINE + DECENTRALIZED_KINDS, "sstm_sc": _CONSENSUS, "ac_sa": _AFFINE,
-                "rrma": _AFFINE, "restarted_rrma": _CONSENSUS}
-METHODS = tuple(METHOD_KINDS)
 SWEEP_PARAMS = ("eps", "sigma", "m", "chi-topology", "N")
 
 
@@ -64,9 +53,6 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"method", "problem", "noise", "eps", "beta", "N", "seed", "constants"}
 _NOISE_KEYS = {"delta", "sigma", "kind"}
-_CONSTANT_KEYS = {"C", "C_hat", "step_factor", "L_tilde_factor", "lambda",
-                  "inner_T", "m_iters", "R_y", "stop_gap", "stop_grad_norm",
-                  "metric_every", "max_N"}
 _PROBLEM_KEYS = {
     "quadratic": {"kind", "dim", "cond", "b_scale"},
     "penalty": {"kind", "dim", "cond", "m_rows", "b_scale"},
@@ -138,20 +124,21 @@ def validate_config(cfg: dict) -> dict:
         "seed": _number(cfg.get("seed", 0), "seed", integer=True, low=0),
         "constants": dict(cfg.get("constants") or {}),
     }
-    if out["method"] not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {out['method']!r}")
+    try:
+        method_constants(out["method"], out["constants"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     problem = out["problem"]
     if not isinstance(problem, dict) or problem.get("kind") not in PROBLEM_KINDS:
         raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
     kind, method = problem["kind"], out["method"]
-    if kind not in METHOD_KINDS[method]:
-        raise ConfigError(f"method {method} runs on problem kinds {METHOD_KINDS[method]}, "
-                          f"not {kind!r}")
-    if kind == "custom" and not problem.get("A_csv") and "penalty" in METHOD_KINDS[method]:
+    kinds = METHODS[method].kinds
+    if kind not in kinds:
+        raise ConfigError(f"method {method} runs on problem kinds {kinds}, not {kind!r}")
+    if kind == "custom" and not problem.get("A_csv") and "penalty" in kinds:
         raise ConfigError(f"method {method} needs a constraint matrix")
     _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem ({kind})")
     _reject_unknown(out["noise"], _NOISE_KEYS, "noise")
-    _reject_unknown(out["constants"], _CONSTANT_KEYS, "constants")
     for where, fields in (("problem", problem), ("constants", out["constants"])):
         for key, value in fields.items():
             if key in _NUMBERS and not (value is None and key in _NULLABLE):
@@ -288,72 +275,28 @@ def _noise_spec(noise_cfg) -> NoiseSpec:
 
 def execute_run(cfg: dict):
     """Run a validated config; returns (trace, summary), both stamped with :func:`run_identity`."""
-    trace, extra = _solve(cfg)
-    trace.metadata.update(run_identity(cfg))
-    return trace, {**summary_from_trace(trace), **extra}
-
-
-def _solve(cfg: dict):
-    """Build and solve a validated config; returns (trace, summary fields the trace lacks)."""
-    method = cfg["method"]
-    problem = cfg["problem"]
-    kind = problem["kind"]
-    seed = cfg["seed"]
-    eps, beta = cfg["eps"], cfg["beta"]
-    consts = cfg["constants"]
+    problem, seed, consts = cfg["problem"], cfg["seed"], cfg["constants"]
     noise = _noise_spec(cfg["noise"])
-
-    if kind in DECENTRALIZED_KINDS:
+    if problem["kind"] in DECENTRALIZED_KINDS:
         with _bad_input_is_config_error(problem):
             instance = _build_decentralized(problem, seed)
-        run_cfg = {k: v for k, v in consts.items() if k in DUAL_CONSTANTS or k == "R_y"}
-        run_cfg.update(N=cfg["N"], eps=eps, beta=beta, seed=seed, noise=noise)
-        x_nodes, trace, _ = run_distributed(method, instance, run_cfg)
-        return trace, {
-            "chi": instance.pair.chi,
-            "m": instance.m,
-            # sqrt(W) is the blockwise operator: no dense lift is formed
-            "consensus_residual": float(np.linalg.norm(instance.pair.sqrtW @ x_nodes.reshape(-1))),
-        }
-
-    # single-machine problems
-    with _bad_input_is_config_error(problem):
-        qp, A = _build_custom(problem) if kind == "custom" else _build_random(problem, seed)
-    x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
-
-    oracle = qp.oracle()
-    max_N = int(consts.get("max_N", DUAL_CONSTANTS["max_N"]))
-    extra = {}
-
-    if method in ("stm", "sstm"):
-        step_factor = float(consts.get("step_factor", 2.0))
-        N, capped = capped_N(cfg["N"], lambda cap: gap_certificate_N(
-            float(np.linalg.norm(x0 - qp.x_star)), oracle.L, eps, cap, step_factor), max_N)
-        if method == "stm":
-            x, trace = stm(oracle, x0, N, f_star=qp.f_star, x_star=qp.x_star,
-                           step_factor=step_factor)
-        else:
-            x, trace = sstm(StochasticGradientOracle(oracle, noise), x0, N, eps, beta,
-                            seed=seed, step_factor=step_factor, f_star=qp.f_star,
-                            x_star=qp.x_star)
+        x_nodes, trace, _ = run_distributed(cfg["method"], instance, {
+            **consts, "N": cfg["N"], "eps": cfg["eps"], "beta": cfg["beta"], "seed": seed,
+            "noise": noise})
+        # sqrt(W) is the blockwise operator: no dense lift is formed
+        residual = float(np.linalg.norm(instance.pair.sqrtW @ x_nodes.reshape(-1)))
+        extra = {"chi": instance.pair.chi, "m": instance.m, "consensus_residual": residual}
     else:
-        y_star, _ = min_norm_dual_solution(qp.Q, qp.b, A)
-        R_y = float(consts.get("R_y") or max(np.linalg.norm(y_star), 1e-12))
-        if method == "stm_ips":
-            pen = build_penalty(oracle, A, R_y, eps)
-            x_F = np.linalg.solve(qp.Q + 2.0 * pen.coeff * pen.AtA, qp.b)
-            N, capped = capped_N(cfg["N"], lambda cap: gap_certificate_N(
-                float(np.linalg.norm(x0 - x_F)), oracle.L, eps, cap), max_N)
-            x, trace = stm_ips(pen, x0, N, inner_T=consts.get("inner_T"),
-                               F_star=pen.F_value(x_F), x_star=x_F)
-            trace.metadata["R_y"] = format(R_y, ".17g")
-        else:  # run_dual plans, caps and flags the dual methods itself
-            dual = DualOracle(oracle, A, qp.conjugate_argmax, noise=noise)
-            capped, extra = False, {"R_y": R_y}
-            _, _, trace = run_dual(method, dual, cfg["N"], eps, beta, R_y, consts, seed=seed)
-    if capped:
-        trace.flag(CAP_FLAG.format(max_N))
-    return trace, extra
+        with _bad_input_is_config_error(problem):
+            qp, A = _build_custom(problem) if problem["kind"] == "custom" else _build_random(
+                problem, seed)
+        x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
+        machine = Machine(qp, A, x0, noise, consts.get("R_y"))
+        trace, _, _ = run_method(cfg["method"], machine, cfg["N"], cfg["eps"], cfg["beta"],
+                                 consts, seed=seed)
+        extra = machine.summary
+    trace.metadata.update(run_identity(cfg))
+    return trace, {**summary_from_trace(trace), **extra}
 
 
 # ---------------------------------------------------------------------------

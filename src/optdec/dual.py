@@ -14,9 +14,9 @@ oracle, and recover primal points from the inner maximisers:
   and amplification over independent trajectories.
 
 Both triangle schemes run on :func:`optdec.schedules.triangle`.
-:func:`run_dual` plans and runs each of :data:`DUAL_METHODS` the same way
-on a single machine and on a network.  Their traces carry no metadata:
-``optdec run`` stamps the run's identity on them.
+:mod:`optdec.methods` plans and runs the dual methods the same way on a
+single machine and on a network.  Their traces carry no metadata: ``optdec run``
+stamps the run's identity on them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import DualOracle, RngStreams
-from .schedules import (CAP_FLAG, acsa_params, batch_size_spdstm, batch_size_sstm_sc,
-                        capped_N, gap_certificate_N, grad_certificate_N, stm_step, triangle)
+from .schedules import acsa_params, batch_size_spdstm, stm_step, triangle
 from .trace import RunTrace
 
 __all__ = [
@@ -42,9 +41,6 @@ __all__ = [
     "ac_sa2",
     "rrma_ac_sa2",
     "restarted_rrma",
-    "DUAL_METHODS",
-    "DUAL_CONSTANTS",
-    "run_dual",
     "primal_recovery",
     "duality_gap",
 ]
@@ -69,7 +65,7 @@ def _exact_grad_norm(dual: DualOracle, y) -> float:
 
 
 def _guard(z, scale, trace, label):
-    if np.linalg.norm(z) > DIVERGENCE_FACTOR * (1.0 + scale):
+    if not np.linalg.norm(z) <= DIVERGENCE_FACTOR * (1.0 + scale):  # a NaN norm trips it too
         trace.flag(f"{label}: divergence guard tripped")
         raise DivergenceError(f"{label}: iterate norm exceeded divergence guard", trace)
 
@@ -424,68 +420,6 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *, R_y: float,
         y = candidates[0][2]
         trace.record(k, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
     return y, trace
-
-
-# ---------------------------------------------------------------------------
-# one run path for the dual methods, on a single machine and on a network
-
-
-DUAL_METHODS = ("spdstm", "sstm_sc", "ac_sa", "rrma", "restarted_rrma")
-
-DUAL_CONSTANTS = {"C": 1.0, "C_hat": 1.0, "L_tilde_factor": 2.0, "metric_every": 1,
-                  "stop_gap": None, "stop_grad_norm": None, "max_N": 200_000,
-                  "m_iters": None, "lambda": None}
-
-
-def run_dual(method: str, dual: DualOracle, N, eps: float, beta: float, R_y: float,
-             constants: dict | None = None, *, seed: int = 0):
-    """Plan and run one of :data:`DUAL_METHODS` from ``y = 0``.
-
-    ``N: "auto"`` of ``spdstm`` and ``sstm_sc`` is planned before the solver
-    starts and capped at ``max_N`` by :func:`optdec.schedules.capped_N`: for
-    ``spdstm`` by ``gap_certificate_N`` with ``L~ = L_tilde_factor L_psi``,
-    for ``sstm_sc`` by ``grad_certificate_N``.  A plan stopped by the cap
-    before its certificate holds adds one flag to the trace.  ``ac_sa`` and
-    ``rrma`` run ``m_iters`` steps (default ``N``, or 100 for ``"auto"``)
-    with weight ``lambda`` (default :func:`default_rrma_lambda`) and record
-    one row; ``restarted_rrma`` sizes its own work.  ``constants``
-    overrides :data:`DUAL_CONSTANTS`; other keys in it are ignored.
-    Returns ``(y, x, trace)``; ``x`` is ``spdstm``'s primal average, else None.
-    """
-    if method not in DUAL_METHODS:
-        raise ValueError(f"unknown dual method {method!r}")
-    c = {**DUAL_CONSTANTS, **(constants or {})}
-    metric_every, max_N = int(c["metric_every"]), int(c["max_N"])
-    L_tilde_factor = float(c["L_tilde_factor"])
-    y0, x, capped = np.zeros(dual.dual_dim), None, False
-    if method == "spdstm":
-        N, capped = capped_N(N, lambda cap: gap_certificate_N(
-            R_y, L_tilde_factor * dual.L_psi, eps, cap), max_N)
-        y, x, trace = spdstm(dual, N, eps, beta, C_hat=float(c["C_hat"]),
-                             L_tilde_factor=L_tilde_factor, seed=seed, metric_every=metric_every,
-                             y_star_norm_estimate=R_y, stop_gap=c["stop_gap"])
-    elif method == "sstm_sc":
-        N, capped = capped_N(N, lambda cap: grad_certificate_N(
-            R_y, dual.L_psi, dual.mu_psi, eps, cap), max_N)
-        batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta,
-                                   float(c["C"]))
-        y, trace = sstm_sc(dual, y0, N, batch, seed=seed, metric_every=metric_every,
-                           stop_grad_norm=c["stop_grad_norm"])
-    elif method == "restarted_rrma":
-        y, trace = restarted_rrma(dual, y0, eps, beta, R_y=R_y, C=float(c["C"]), seed=seed)
-    else:  # ac_sa, rrma
-        m_iters = int(c["m_iters"] if c["m_iters"] is not None else 100 if N == "auto" else N)
-        lam = float(c["lambda"] if c["lambda"] is not None
-                    else default_rrma_lambda(dual.L_psi, max(m_iters, 2)))
-        if method == "ac_sa":
-            y = ac_sa(RegularizedDual(dual, lam, y0), y0, m_iters, streams=RngStreams(seed))
-        else:
-            y = rrma_ac_sa2(dual, y0, m_iters, lam, streams=RngStreams(seed))
-        trace = RunTrace()
-        trace.record(m_iters, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
-    if capped:
-        trace.flag(CAP_FLAG.format(max_N))
-    return y, x, trace
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,167 @@
+"""The method table: the problem kinds, constants and solve of every method.
+
+:func:`run_method` is the one way a method runs: it checks the constants
+against the method's record, calls its ``solve`` and flags an auto ``N``
+that ``max_N`` stopped before its certificate held (:data:`CAP_FLAG`).  A
+solve returns ``(trace, y, x, capped)``: the dual point, the primal point
+(or ``spdstm``'s primal average) and whether the cap stopped the plan.  Its
+problem gives the dual oracle ``dual`` and ``R_y`` (the given constant, else
+a bound on the minimal dual solution's norm): a :class:`Machine`, or what
+:func:`optdec.network.run_distributed` builds.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from .dual import (RegularizedDual, _exact_grad_norm, ac_sa, default_rrma_lambda, restarted_rrma,
+                   rrma_ac_sa2, spdstm, sstm_sc)
+from .oracles import DualOracle, RngStreams, StochasticGradientOracle
+from .primal import build_penalty, sstm, stm, stm_ips
+from .problems import min_norm_dual_solution
+from .schedules import (CAP_FLAG, batch_size_sstm_sc, capped_N, gap_certificate_N,
+                        grad_certificate_N)
+from .trace import RunTrace
+
+CONSTANTS = {"C": 1.0, "C_hat": 1.0, "step_factor": 2.0, "L_tilde_factor": 2.0, "lambda": None,
+             "inner_T": None, "m_iters": None, "R_y": None, "stop_gap": None,
+             "stop_grad_norm": None, "metric_every": 1, "max_N": 200_000}
+DECENTRALIZED_KINDS = ("consensus_quadratic", "barycenter")
+
+
+class Method(NamedTuple):
+    kinds: tuple  # the problem kinds it runs on
+    constants: frozenset  # the names of the constants it reads
+    solve: Callable  # (problem, N, eps, beta, constants, seed) -> (trace, y, x, capped)
+
+
+class Machine:
+    """One machine's quadratic ``qp``, constraint rows ``A`` (or None), start ``x0``
+    and noise; its dual oracle is built on first use, and ``summary`` then names ``R_y``."""
+
+    def __init__(self, qp, A, x0, noise, R_y=None):
+        self.qp, self.A, self.x0, self.noise, self.given_R_y = qp, A, x0, noise, R_y
+        self.oracle, self.summary = qp.oracle(), {}
+
+    @cached_property
+    def R_y(self) -> float:
+        if self.given_R_y is not None:
+            return float(self.given_R_y)
+        y_star, _ = min_norm_dual_solution(self.qp.Q, self.qp.b, self.A)
+        return max(float(np.linalg.norm(y_star)), 1e-12)
+
+    @cached_property
+    def dual(self) -> DualOracle:
+        self.summary["R_y"] = self.R_y
+        return DualOracle(self.oracle, self.A, self.qp.conjugate_argmax, noise=self.noise)
+
+
+def _stm(p, N, eps, beta, c, seed, stochastic=False):
+    oracle, qp, step_factor = p.oracle, p.qp, float(c["step_factor"])
+    N, capped = capped_N(N, lambda cap: gap_certificate_N(
+        float(np.linalg.norm(p.x0 - qp.x_star)), oracle.L, eps, cap, step_factor), int(c["max_N"]))
+    if stochastic:
+        x, trace = sstm(StochasticGradientOracle(oracle, p.noise), p.x0, N, eps, beta, seed=seed,
+                        step_factor=step_factor, f_star=qp.f_star, x_star=qp.x_star)
+    else:
+        x, trace = stm(oracle, p.x0, N, f_star=qp.f_star, x_star=qp.x_star,
+                       step_factor=step_factor)
+    return trace, None, x, capped
+
+
+def _stm_ips(p, N, eps, beta, c, seed):
+    pen = build_penalty(p.oracle, p.A, p.R_y, eps)
+    x_F = np.linalg.solve(p.qp.Q + 2.0 * pen.coeff * pen.AtA, p.qp.b)
+    N, capped = capped_N(N, lambda cap: gap_certificate_N(
+        float(np.linalg.norm(p.x0 - x_F)), p.oracle.L, eps, cap), int(c["max_N"]))
+    x, trace = stm_ips(pen, p.x0, N, inner_T=c["inner_T"], F_star=pen.F_value(x_F), x_star=x_F)
+    trace.metadata["R_y"] = format(p.R_y, ".17g")
+    return trace, None, x, capped
+
+
+def _spdstm(p, N, eps, beta, c, seed):
+    dual, R_y, factor = p.dual, p.R_y, float(c["L_tilde_factor"])
+    N, capped = capped_N(N, lambda cap: gap_certificate_N(
+        R_y, factor * dual.L_psi, eps, cap), int(c["max_N"]))
+    y, x, trace = spdstm(dual, N, eps, beta, C_hat=float(c["C_hat"]), L_tilde_factor=factor,
+                         seed=seed, metric_every=int(c["metric_every"]),
+                         y_star_norm_estimate=R_y, stop_gap=c["stop_gap"])
+    return trace, y, x, capped
+
+
+def _sstm_sc(p, N, eps, beta, c, seed):
+    dual = p.dual
+    N, capped = capped_N(N, lambda cap: grad_certificate_N(
+        p.R_y, dual.L_psi, dual.mu_psi, eps, cap), int(c["max_N"]))
+    batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta, float(c["C"]))
+    y, trace = sstm_sc(dual, np.zeros(dual.dual_dim), N, batch, seed=seed,
+                       metric_every=int(c["metric_every"]), stop_grad_norm=c["stop_grad_norm"])
+    return trace, y, None, capped
+
+
+def _restarted_rrma(p, N, eps, beta, c, seed):
+    y, trace = restarted_rrma(p.dual, np.zeros(p.dual.dual_dim), eps, beta, R_y=p.R_y,
+                              C=float(c["C"]), seed=seed)
+    return trace, y, None, False
+
+
+def _ac_sa(p, N, eps, beta, c, seed, recursive=False):
+    # m_iters steps (default N, or 100 for "auto") at weight lambda, and one trace row
+    dual, y0 = p.dual, np.zeros(p.dual.dual_dim)
+    m_iters = int(c["m_iters"] if c["m_iters"] is not None else 100 if N == "auto" else N)
+    lam = float(c["lambda"] if c["lambda"] is not None
+                else default_rrma_lambda(dual.L_psi, max(m_iters, 2)))
+    if recursive:
+        y = rrma_ac_sa2(dual, y0, m_iters, lam, streams=RngStreams(seed))
+    else:
+        y = ac_sa(RegularizedDual(dual, lam, y0), y0, m_iters, streams=RngStreams(seed))
+    trace = RunTrace()
+    trace.record(m_iters, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
+    return trace, y, None, False
+
+
+# sstm_sc and restarted_rrma need mu_psi > 0, which barycenter locals (no L) lack;
+# a method that runs on "penalty" needs a constraint matrix, so on "custom" it needs A_csv
+_PLAIN, _AFFINE = ("quadratic", "custom"), ("penalty", "custom")
+_CONSENSUS = _AFFINE + ("consensus_quadratic",)
+_STM, _ACSA = frozenset({"step_factor", "max_N"}), frozenset({"m_iters", "lambda"})
+METHODS = {
+    "stm": Method(_PLAIN, _STM, _stm),
+    "stm_ips": Method(_AFFINE, frozenset({"inner_T", "R_y", "max_N"}), _stm_ips),
+    "sstm": Method(_PLAIN, _STM, partial(_stm, stochastic=True)),
+    "spdstm": Method(_AFFINE + DECENTRALIZED_KINDS, frozenset(
+        {"C_hat", "L_tilde_factor", "metric_every", "stop_gap", "R_y", "max_N"}), _spdstm),
+    "sstm_sc": Method(_CONSENSUS, frozenset(
+        {"C", "metric_every", "stop_grad_norm", "R_y", "max_N"}), _sstm_sc),
+    "ac_sa": Method(_AFFINE, _ACSA, _ac_sa),
+    "rrma": Method(_AFFINE, _ACSA, partial(_ac_sa, recursive=True)),
+    "restarted_rrma": Method(_CONSENSUS, frozenset({"C", "R_y"}), _restarted_rrma),
+}
+
+
+def method_constants(method: str, constants: dict) -> dict:
+    """``constants`` over the defaults of what ``method`` reads; ValueError for an unknown
+    method, a constant outside its record, and a stop rule ``metric_every: 0`` never measures."""
+    if not isinstance(method, str) or method not in METHODS:
+        raise ValueError(f"method must be one of {tuple(METHODS)}, got {method!r}")
+    reads = METHODS[method].constants
+    if set(constants) - reads:
+        raise ValueError(f"method {method} does not read the constants "
+                         f"{sorted(set(constants) - reads)}; it reads {sorted(reads)}")
+    c = {key: constants.get(key, CONSTANTS[key]) for key in reads}
+    for rule in ("stop_gap", "stop_grad_norm"):
+        if c.get(rule) is not None and c["metric_every"] == 0:
+            raise ValueError(f"{rule} is never measured with metric_every 0")
+    return c
+
+
+def run_method(method: str, problem, N, eps: float, beta: float, constants: dict, seed: int = 0):
+    """Run ``method`` on ``problem`` (see the module docstring); returns ``(trace, y, x)``."""
+    c = method_constants(method, constants)
+    trace, y, x, capped = METHODS[method].solve(problem, N, eps, beta, c, seed)
+    if capped:
+        trace.flag(CAP_FLAG.format(int(c["max_N"])))
+    return trace, y, x

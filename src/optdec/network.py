@@ -27,11 +27,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .dual import DUAL_CONSTANTS, primal_recovery, run_dual
+from .dual import primal_recovery
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
+from .methods import DECENTRALIZED_KINDS, METHODS, run_method
 from .oracles import (RANK_TOL, CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams,
                       spectrum)
 from .primal import argmax_solver_via_stm
@@ -365,16 +367,16 @@ class DistributedDualOracle(DualOracle):
     sample_x = DualOracle.sample_x
 
 
-# run settings besides the constants of optdec.dual.DUAL_CONSTANTS
-_RUN_DEFAULTS = {"N": "auto", "eps": 1e-4, "beta": 0.1, "seed": 0, "noise": None, "R_y": None}
+# the run settings of run_distributed; its other keys are the method's constants
+_RUN_SETTINGS = {"N": "auto", "eps": 1e-4, "beta": 0.1, "seed": 0, "noise": None}
 
 
 def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
-    """Run a dual solver on the lifted instance over the simulated network.
+    """Run a method on the lifted instance over the simulated network.
 
-    ``method``, one of :data:`optdec.dual.DUAL_METHODS`, runs through
-    :func:`optdec.dual.run_dual`.  ``config`` may set the keys of
-    ``_RUN_DEFAULTS`` and :data:`optdec.dual.DUAL_CONSTANTS`; ``R_y``
+    ``method``'s record in :data:`optdec.methods.METHODS` must name a
+    network kind.  ``config`` may set the keys of ``_RUN_SETTINGS`` and the
+    constants of the record (another key raises ValueError); ``R_y``
     defaults to :func:`_dual_norm_bound`.  Without a primal average from
     the solver, ``x`` is recovered from one sample at the final ``y``.
     Returns ``(x_per_node, trace, counter)`` where ``x_per_node`` has one
@@ -383,18 +385,19 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
     ``W`` or ``sqrt(W)`` multiplication; metric evaluations are computed
     centrally by the simulator and are free.
     """
-    unknown = set(config) - set(_RUN_DEFAULTS) - set(DUAL_CONSTANTS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    cfg = {**_RUN_DEFAULTS, **config}
+    if method not in METHODS or not set(DECENTRALIZED_KINDS) & set(METHODS[method].kinds):
+        raise ValueError(f"method {method!r} does not run on a network")
+    run = {key: config.get(key, value) for key, value in _RUN_SETTINGS.items()}
+    constants = {key: value for key, value in config.items() if key not in _RUN_SETTINGS}
 
-    dual = DistributedDualOracle(instance, cfg["noise"])
+    dual = DistributedDualOracle(instance, run["noise"])
     instance.counter.reset()
-    R_y = cfg["R_y"] if cfg["R_y"] is not None else _dual_norm_bound(instance)
-    y, x, trace = run_dual(method, dual, cfg["N"], cfg["eps"], cfg["beta"], R_y, cfg,
-                           seed=cfg["seed"])
+    R_y = constants.get("R_y")
+    problem = SimpleNamespace(dual=dual, R_y=_dual_norm_bound(instance) if R_y is None else R_y)
+    trace, y, x = run_method(method, problem, run["N"], run["eps"], run["beta"], constants,
+                             seed=run["seed"])
     if x is None:
-        x = primal_recovery(dual, y, 1, RngStreams(cfg["seed"]).child(999_999))
+        x = primal_recovery(dual, y, 1, RngStreams(run["seed"]).child(999_999))
 
     # closing row: primal recovery rounds happen after the last iteration
     trace.record(trace.final["iter"], trace.final["A_k"], instance.counter)

@@ -8,10 +8,12 @@ import pytest
 
 import optdec.cli as cli
 import optdec.dual
+import optdec.methods
 from optdec.cli import (ConfigError, apply_sweep_value, config_hash, main,
                         validate_config)
+from optdec.methods import CONSTANTS
 from optdec.network import (DistributedDualOracle, Topology, _dual_norm_bound, chi,
-                            laplacian)
+                            laplacian, run_distributed)
 from optdec.schedules import grad_certificate_N
 from optdec.trace import RunTrace
 
@@ -119,10 +121,12 @@ def test_run_decentralized_consensus(tmp_path):
 
 def test_run_dual_methods_on_penalty_problem(tmp_path):
     for method in ("spdstm", "sstm_sc", "restarted_rrma", "ac_sa", "rrma"):
+        # each method gets the constants of its own record
+        constants = {key: value for key, value in {"metric_every": 50, "m_iters": 60}.items()
+                     if key in cli.METHODS[method].constants}
         cfg = {"method": method,
                "problem": {"kind": "penalty", "dim": 4, "cond": 5.0, "m_rows": 2},
-               "eps": 1e-3, "N": 200, "seed": 3,
-               "constants": {"metric_every": 50, "m_iters": 60}}
+               "eps": 1e-3, "N": 200, "seed": 3, "constants": constants}
         cfgp = write_config(tmp_path, cfg, name=f"{method}.json")
         assert main(["run", str(cfgp), "--out", str(tmp_path)]) == 0, method
 
@@ -244,7 +248,7 @@ def test_sstm_sc_auto_N_has_one_planner(tmp_path, capsys, monkeypatch):
         planned.append(grad_certificate_N(*args))
         return planned[-1]
 
-    monkeypatch.setattr(optdec.dual, "grad_certificate_N", planner)
+    monkeypatch.setattr(optdec.methods, "grad_certificate_N", planner)
     single, _ = run_summary(tmp_path, penalty_config("sstm_sc"), "single.json")
     ring = {"method": "sstm_sc",
             "problem": {"kind": "consensus_quadratic", "n": 3, "cond": 4.0,
@@ -262,7 +266,7 @@ def test_readme_example_plans_57_steps(monkeypatch):
     instance = cli._build_decentralized(cfg["problem"], cfg["seed"])
     dual = DistributedDualOracle(instance, cli._noise_spec(cfg["noise"]))
     N = grad_certificate_N(_dual_norm_bound(instance), dual.L_psi, dual.mu_psi, cfg["eps"],
-                           optdec.dual.DUAL_CONSTANTS["max_N"])
+                           optdec.methods.CONSTANTS["max_N"])
     assert N == 57
 
 
@@ -341,6 +345,30 @@ def test_run_divergent_exit_3(tmp_path, monkeypatch):
     cfgp = write_config(tmp_path, cfg)
     assert main(["run", str(cfgp), "--out", str(tmp_path)]) == 3
     assert list(tmp_path.glob("*.trace.csv"))  # partial trace persisted
+
+
+def test_nan_iterate_trips_the_divergence_guard(tmp_path, capsys):
+    # A_k reaches 2.9e154 at iteration 2040; the next step size overflows to inf,
+    # and inf / inf turns the iterate NaN, whose norm the guard must not let pass
+    cfg = {"method": "sstm_sc", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+           "eps": 0.01, "seed": 3, "N": 3200, "constants": {"metric_every": 400}}
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: sstm_sc: iterate norm exceeded divergence guard\n")
+    (csv,) = tmp_path.glob("*.trace.csv")
+    trace = RunTrace.from_csv(csv)
+    assert trace.flags == ["sstm_sc: divergence guard tripped"]
+    assert trace.final["iter"] == 2040 and np.isfinite(trace.final["A_k"])
+
+
+@pytest.mark.parametrize("method, rule", [("spdstm", "stop_gap"), ("sstm_sc", "stop_grad_norm")])
+def test_a_stop_rule_never_measured_exits_2(tmp_path, capsys, method, rule):
+    cfg = penalty_config(method, **{rule: 0.02, "metric_every": 0})
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {rule} is never measured with metric_every 0\n")
+    assert not list(tmp_path.glob("*.trace.csv"))
 
 
 IDENTITY_RUNS = {
@@ -538,7 +566,7 @@ def test_method_kind_matrix(tmp_path, capsys, method, kind):
            "seed": 1}
     code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    if kind in cli.METHOD_KINDS[method]:
+    if kind in cli.METHODS[method].kinds:
         assert code == 0, err
         assert len(list((tmp_path / "out").glob("*.trace.csv"))) == 1
     else:
@@ -558,8 +586,52 @@ def test_custom_without_A_runs_only_unconstrained_methods(tmp_path, capsys, meth
         assert code == 2 and err == f"config error: method {method} needs a constraint matrix\n"
 
 
-def test_run_dual_serves_every_dual_cli_method():
-    assert set(optdec.dual.DUAL_METHODS) == set(cli.METHODS) - {"stm", "sstm", "stm_ips"}
+def test_run_distributed_serves_every_network_method(tmp_path):
+    # every record names known kinds and constants, and the network runs
+    # exactly the methods whose record names a network kind
+    for name, method in cli.METHODS.items():
+        assert set(method.kinds) <= set(cli.PROBLEM_KINDS)
+        assert method.constants <= set(CONSTANTS)
+        instance = cli._build_decentralized(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
+        if set(method.kinds) & set(cli.DECENTRALIZED_KINDS):
+            _, trace, counter = run_distributed(name, instance, {"N": 2, "eps": 0.1})
+            assert trace.final["comm_rounds"] == counter.comm_rounds > 0
+        else:
+            with pytest.raises(ValueError, match=f"method '{name}' does not run on a network"):
+                run_distributed(name, instance, {"N": 2, "eps": 0.1})
+
+
+# a valid value of every constant, so that only the method it is set on can be wrong
+_CONSTANT_VALUES = {**{key: value for key, value in CONSTANTS.items() if value is not None},
+                    "lambda": 0.05, "inner_T": 3, "m_iters": 5, "R_y": 1.0, "stop_gap": 0.1,
+                    "stop_grad_norm": 0.1}
+
+
+def _record_config(tmp_path, method, key):
+    """``method`` on the first problem kind it runs on, with the one constant ``key``."""
+    return {"method": method, "problem": _matrix_problem(tmp_path, cli.METHODS[method].kinds[0]),
+            "eps": 0.1, "N": 3, "seed": 1, "constants": {key: _CONSTANT_VALUES[key]}}
+
+
+@pytest.mark.parametrize("method, key", [(method, key) for method, record in cli.METHODS.items()
+                                         for key in sorted(set(CONSTANTS) - record.constants)])
+def test_a_constant_the_method_does_not_read_exits_2(tmp_path, capsys, method, key):
+    cfg = _record_config(tmp_path, method, key)
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 2
+    assert f"method {method} does not read the constants ['{key}']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.trace.csv"))
+    instance = cli._build_decentralized(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
+    on_network = set(cli.METHODS[method].kinds) & set(cli.DECENTRALIZED_KINDS)
+    with pytest.raises(ValueError, match=rf"does not read the constants \['{key}'\]" if on_network
+                       else "does not run on a network"):
+        run_distributed(method, instance, {"N": 2, key: _CONSTANT_VALUES[key]})
+
+
+@pytest.mark.parametrize("method, key", [(method, key) for method, record in cli.METHODS.items()
+                                         for key in sorted(record.constants)])
+def test_every_constant_in_the_record_is_accepted(tmp_path, method, key):
+    assert validate_config(_record_config(tmp_path, method, key))["constants"] == {
+        key: _CONSTANT_VALUES[key]}
 
 
 def test_noisy_barycenter_with_metrics_reads_infinite_gap(tmp_path, capsys, monkeypatch):

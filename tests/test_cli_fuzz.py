@@ -5,12 +5,14 @@ Configs are drawn over every method and problem kind from small sets of
 valid values, then up to two of their fields are corrupted: a value is
 replaced by one of the wrong types, negatives, zeros, ``"nan"`` or the
 nested list (which numpy reads as the lines of a file where a path is due)
-of ``BAD_VALUES``, a key is deleted, or an unknown key is added.  No input may
-imply much work, since refusing that is a run budget's job and not this
-test's: ``dim`` is at most 8, ``n`` at most 4, a topology has at most 6
-nodes, ``N`` is at most 6, ``N: "auto"`` comes with ``max_N`` at most 20,
-``eps`` stays in the config, and ``restarted_rrma``, whose noisy work
-follows its draws, runs without noise.
+of ``BAD_VALUES``, a key is deleted, an unknown key is added, or a constant
+from another method's record is moved in.  The constants are drawn from the
+method's record, and a config that sets one outside it must exit 2.  No
+input may imply much work, since refusing that is a run budget's job and
+not this test's: ``dim`` is at most 8, ``n`` at most 4, a topology has at
+most 6 nodes, ``N`` is at most 6, ``N: "auto"`` comes with ``max_N`` at
+most 20 where the method reads it, ``eps`` stays in the config, and
+``restarted_rrma``, whose noisy work follows its draws, runs without noise.
 
 A sweep takes such a config, a ``--param`` (mostly a sweepable one) and
 one to three ``--values``, mostly valid for the parameter, else drawn from
@@ -30,8 +32,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optdec.cli import (DECENTRALIZED_KINDS, METHOD_KINDS, METHODS, PROBLEM_KINDS, SWEEP_PARAMS,
-                        TOPOLOGY_KINDS, main)
+from optdec.cli import (DECENTRALIZED_KINDS, METHODS, PROBLEM_KINDS, SWEEP_PARAMS, TOPOLOGY_KINDS,
+                        main)
 
 BAD_VALUES = ("x", [], {}, True, None, -1, 0, "nan", [[1.0]])
 
@@ -67,13 +69,25 @@ def _problem(kind, files):
     return st.fixed_dictionaries({"kind": st.just(kind), **fields[0]}, optional=fields[1])
 
 
-_CONSTANTS = st.fixed_dictionaries({}, optional={
+_CONSTANTS = {
     "C": st.just(1.0), "C_hat": st.just(1.0), "step_factor": st.just(2.0),
     "L_tilde_factor": st.sampled_from([1.0, 2.0]), "lambda": st.just(0.05),
     "inner_T": st.sampled_from([None, 3]), "m_iters": st.just(5),
     "R_y": st.sampled_from([None, 1.0]), "stop_gap": st.sampled_from([None, -0.3]),
     "stop_grad_norm": st.sampled_from([None, 0.1]), "metric_every": st.integers(0, 2),
-    "max_N": st.integers(1, 20)})
+    "max_N": st.integers(1, 20)}
+
+
+def _constants(method):
+    return st.fixed_dictionaries({}, optional={key: value for key, value in _CONSTANTS.items()
+                                               if key in METHODS[method].constants})
+
+
+def _misplaced(cfg):
+    """Whether ``cfg`` sets a constant that its method does not read."""
+    method, constants = cfg.get("method"), cfg.get("constants")
+    return (isinstance(method, str) and method in METHODS and isinstance(constants, dict)
+            and not set(constants) <= METHODS[method].constants)
 
 
 def _corrupt(draw, cfg):
@@ -82,8 +96,16 @@ def _corrupt(draw, cfg):
     if isinstance(cfg.get("problem"), dict):
         objects += [v for v in cfg["problem"].values() if isinstance(v, dict)]
     target = draw(st.sampled_from(objects))
-    action = draw(st.sampled_from(["replace", "delete", "add"]))
-    if action == "add" or not target:
+    action = draw(st.sampled_from(["replace", "delete", "add", "misplace"]))
+    if action == "misplace":
+        # a valid value of a constant from another method's record
+        method = cfg.get("method")
+        reads = METHODS[method].constants if isinstance(method, str) and method in METHODS else ()
+        key = draw(st.sampled_from(sorted(set(_CONSTANTS) - reads)))
+        if not isinstance(cfg.get("constants"), dict):
+            cfg["constants"] = {}
+        cfg["constants"][key] = draw(_CONSTANTS[key])
+    elif action == "add" or not target:
         target[draw(st.sampled_from(["extra", "Sigma"]))] = 1
     elif action == "delete":
         del target[draw(st.sampled_from(sorted(target)))]
@@ -96,39 +118,41 @@ def configs(draw, files, decentralized=False):
     """A run config; with ``decentralized`` one on a network, with an inline topology."""
     if decentralized:
         method = draw(st.sampled_from([m for m in METHODS
-                                       if set(DECENTRALIZED_KINDS) & set(METHOD_KINDS[m])]))
-        kind = draw(st.sampled_from([k for k in DECENTRALIZED_KINDS if k in METHOD_KINDS[method]]))
+                                       if set(DECENTRALIZED_KINDS) & set(METHODS[m].kinds)]))
+        kind = draw(st.sampled_from([k for k in DECENTRALIZED_KINDS if k in METHODS[method].kinds]))
     else:
-        method = draw(st.sampled_from(METHODS))
+        method = draw(st.sampled_from(tuple(METHODS)))
         # mostly a kind the method runs on, so that most runs get past validation
-        kind = draw(st.sampled_from(METHOD_KINDS[method] * 3 + PROBLEM_KINDS))
+        kind = draw(st.sampled_from(METHODS[method].kinds * 3 + PROBLEM_KINDS))
     cfg = {"method": method, "problem": draw(_problem(kind, files)),
            "eps": draw(st.sampled_from([0.1, 0.5])), "N": draw(st.sampled_from([*range(7), "auto"])),
            "seed": draw(st.integers(0, 3))}
     if method != "restarted_rrma" and draw(st.sampled_from([True, True, False])):
         cfg["noise"] = draw(st.fixed_dictionaries({"sigma": st.sampled_from([0.0, 0.1])}, optional={
             "delta": st.sampled_from([0.0, 0.01]), "kind": st.sampled_from(["gaussian", "bounded"])}))
-    for key, value in (("constants", _CONSTANTS), ("beta", st.sampled_from([0.1, 0.5]))):
+    for key, value in (("constants", _constants(method)), ("beta", st.sampled_from([0.1, 0.5]))):
         if draw(st.booleans()):
             cfg[key] = draw(value)
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         _corrupt(draw, cfg)
     consts = cfg.get("constants")
     max_N = consts.get("max_N") if isinstance(consts, dict) else None
-    assume("eps" in cfg and (cfg.get("N", "auto") != "auto" or type(max_N) is int))
+    # an auto N is capped by max_N when the method reads it
+    assume("eps" in cfg and (cfg.get("N", "auto") != "auto" or type(max_N) is int
+                             or "max_N" not in METHODS[method].constants))
     return cfg
 
 
 def _assert_clean_exit(cfg, command, *args, out="out"):
     """Run ``optdec <command> cfg.json <args> --out <out>`` in a fresh directory;
-    it must exit 0, 2 or 3 without a traceback."""
+    it must exit 0, 2 or 3 without a traceback, and 2 for a misplaced constant."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, str(path), *args, "--out", str(Path(tmp) / out)])
-    assert code in (0, 2, 3), err.getvalue()
+    assert code in ((2,) if _misplaced(cfg) else (0, 2, 3)), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 
