@@ -30,16 +30,16 @@ import numpy as np
 from . import __version__
 from .dual import DivergenceError
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
-from .methods import DECENTRALIZED_KINDS, METHODS, Machine, method_constants, run_method
+from .methods import (DECENTRALIZED_KINDS, METHODS, Machine, method_constants, run_method,
+                      run_settings)
 from .network import DecentralizedInstance, Topology, run_distributed
-from .oracles import NoiseSpec
+from .oracles import NoiseSpec, number
 from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
                        load_measures_csv, random_quadratic, random_quadratics)
 from .trace import summary_from_trace
 
 PROBLEM_KINDS = ("quadratic", "consensus_quadratic", "penalty", "barycenter", "custom")
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
-NOISE_KINDS = ("gaussian", "bounded")
 SWEEP_PARAMS = ("eps", "sigma", "m", "chi-topology", "N")
 
 
@@ -47,12 +47,27 @@ class ConfigError(ValueError):
     pass
 
 
+_BAD_INPUT = (ValueError, KeyError, OSError, MemoryError)  # a problem's bad files, shapes, sizes
+
+
+@contextmanager
+def _config_errors(prefix="", errors=ValueError):
+    """Report ``errors`` (the library refuses an input with ValueError) as a ConfigError of
+    ``prefix`` and their message; a LinAlgError, a ValueError too, is a runtime error."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except errors as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # config schema
 
 
 _TOP_KEYS = {"method", "problem", "noise", "eps", "beta", "N", "seed", "constants"}
-_NOISE_KEYS = {"delta", "sigma", "kind"}
+_NOISE_KEYS = set(NoiseSpec.__dataclass_fields__)
 _PROBLEM_KEYS = {
     "quadratic": {"kind", "dim", "cond", "b_scale"},
     "penalty": {"kind", "dim", "cond", "m_rows", "b_scale"},
@@ -61,19 +76,13 @@ _PROBLEM_KEYS = {
     "custom": {"kind", "Q_csv", "b_csv", "A_csv"},
 }
 _TOPOLOGY_INLINE_KEYS = {"kind", "m", "p"}
-# numeric keys of ``problem`` and ``constants``: (integer, lowest value,
-# lowest value excluded); keys in _NULLABLE may be null for the default
+# numeric keys of ``problem``: (integer, lowest value, lowest value excluded);
+# the constants' domains are in ``optdec.methods.CONSTANTS``
 _NUMBERS = {
     "dim": (True, 1, False), "m_rows": (True, 1, False), "n": (True, 1, False),
-    "inner_T": (True, 0, False), "m_iters": (True, 0, False),
-    "metric_every": (True, 0, False), "max_N": (True, 1, False),
-    "cond": (False, 0, True), "mu": (False, 0, True), "C": (False, 0, True),
-    "C_hat": (False, 0, True), "step_factor": (False, 0, True),
-    "L_tilde_factor": (False, 0, True), "lambda": (False, 0, True), "R_y": (False, 0, True),
+    "cond": (False, 0, True), "mu": (False, 0, True),
     "b_scale": (False, -math.inf, False), "spread": (False, -math.inf, False),
-    "stop_gap": (False, -math.inf, False), "stop_grad_norm": (False, -math.inf, False),
 }
-_NULLABLE = {"inner_T", "R_y", "stop_gap", "stop_grad_norm"}
 # file paths of ``problem``; a missing or null ``A_csv`` means no constraint
 _PATHS = {"Q_csv", "b_csv", "A_csv", "measures", "cost"}
 
@@ -84,50 +93,24 @@ def _reject_unknown(obj: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _number(value, where, integer=False, low=-math.inf, strict=False):
-    """``value`` as a finite int or float of at least ``low`` (above it when ``strict``).
-
-    An integer field takes integral values only (``3`` or ``3.0``, never ``2.5``).
-    """
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        x = value if integer and isinstance(value, int) else float(value)
-        if integer:
-            if x != int(x):
-                raise ValueError
-            x = int(x)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{where} must be {kind}, got {value!r}") from None
-    if not ((integer or math.isfinite(x)) and (x > low if strict else x >= low)):
-        bound = f" and {'>' if strict else '>='} {low}" if low > -math.inf else ""
-        raise ConfigError(f"{where} must be finite{bound}, got {value!r}")
-    return x
-
-
+@_config_errors()
 def validate_config(cfg: dict) -> dict:
-    """Schema-check a run config and fill defaults; raises ConfigError."""
+    """Schema-check a run config and fill defaults; raises ConfigError.  The run settings,
+    constants and noise are checked by their owners: run_settings, method_constants, NoiseSpec."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(cfg, _TOP_KEYS, "config")
     for key in ("noise", "constants"):
         if not isinstance(cfg.get(key, {}), (dict, type(None))):
             raise ConfigError(f"{key} must be a JSON object or null")
-    out = {
-        "method": cfg.get("method"),
-        "problem": cfg.get("problem"),
-        "noise": dict(cfg.get("noise") or {}),
-        "eps": _number(cfg.get("eps", 1e-3), "eps", low=0, strict=True),
-        "beta": _number(cfg.get("beta", 0.1), "beta"),
-        "N": cfg.get("N", "auto"),
-        "seed": _number(cfg.get("seed", 0), "seed", integer=True, low=0),
-        "constants": dict(cfg.get("constants") or {}),
-    }
-    try:
-        method_constants(out["method"], out["constants"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    out = {"method": cfg.get("method"), "problem": cfg.get("problem"),
+           "noise": dict(cfg.get("noise") or {}), "N": cfg.get("N", "auto"),
+           "constants": dict(cfg.get("constants") or {})}
+    _, out["eps"], out["beta"], out["seed"] = run_settings(
+        out["N"], cfg.get("eps", 1e-3), cfg.get("beta", 0.1), cfg.get("seed", 0))
+    method_constants(out["method"], out["constants"])
+    _reject_unknown(out["noise"], _NOISE_KEYS, "noise")
+    NoiseSpec(**out["noise"])
     problem = out["problem"]
     if not isinstance(problem, dict) or problem.get("kind") not in PROBLEM_KINDS:
         raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
@@ -138,37 +121,20 @@ def validate_config(cfg: dict) -> dict:
     if kind == "custom" and not problem.get("A_csv") and "penalty" in kinds:
         raise ConfigError(f"method {method} needs a constraint matrix")
     _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem ({kind})")
-    _reject_unknown(out["noise"], _NOISE_KEYS, "noise")
-    for where, fields in (("problem", problem), ("constants", out["constants"])):
-        for key, value in fields.items():
-            if key in _NUMBERS and not (value is None and key in _NULLABLE):
-                _number(value, f"{where}.{key}", *_NUMBERS[key])
+    for key, value in problem.items():
+        if key in _NUMBERS:
+            number(value, f"problem.{key}", *_NUMBERS[key])
     for key in _PATHS & set(problem):
         # numpy would read a list as the lines of a file
         if not (isinstance(problem[key], str) or key == "A_csv" and problem[key] is None):
             raise ConfigError(f"problem.{key} must be a file path, got {problem[key]!r}")
-    for key in ("delta", "sigma"):
-        if key in out["noise"]:
-            _number(out["noise"][key], f"noise.{key}", low=0)
-    if out["noise"].get("kind", "gaussian") not in NOISE_KINDS:
-        raise ConfigError(f"noise.kind must be one of {NOISE_KINDS}, "
-                          f"got {out['noise']['kind']!r}")
-    if out["N"] != "auto" and (type(out["N"]) is not int or out["N"] < 0):
-        raise ConfigError("N must be a non-negative integer or \"auto\"")
-    if not (0 < out["beta"] < 1):
-        raise ConfigError(f"beta must be in (0, 1), got {out['beta']!r}")
 
     if kind in DECENTRALIZED_KINDS:
         if "topology" not in problem or problem["topology"] is None:
             raise ConfigError(f"problem kind {kind!r} requires a topology")
         topo = problem["topology"]
-        if isinstance(topo, dict):
+        if isinstance(topo, dict):  # its fields are checked where it is built (_topology)
             _reject_unknown(topo, _TOPOLOGY_INLINE_KEYS, "problem.topology")
-            if topo.get("kind") not in TOPOLOGY_KINDS:
-                raise ConfigError(f"topology.kind must be one of {TOPOLOGY_KINDS}")
-            _number(topo.get("m"), "problem.topology.m", integer=True, low=1)
-            if "p" in topo:
-                _number(topo["p"], "problem.topology.p", low=0)
         elif not isinstance(topo, str):
             raise ConfigError("topology must be a file path or an inline spec")
         if kind == "barycenter":
@@ -192,23 +158,21 @@ def run_identity(cfg: dict) -> dict:
 # problem construction
 
 
-def _resolve_topology(spec, seed) -> Topology:
+def _topology(spec, rng) -> Topology:
+    """The topology of ``run`` and ``gen-topology``, on at least two nodes: in the file at
+    the path ``spec``, or of the inline ``spec`` (``rng`` draws an ``erdos_renyi`` one)."""
     if isinstance(spec, str):
-        return Topology.from_json(Path(spec).read_text())
-    kind, m = spec["kind"], int(spec["m"])
-    if kind == "erdos_renyi":
-        return Topology.erdos_renyi(m, float(spec.get("p", 0.5)),
-                                    np.random.default_rng((seed, 7)))
-    return getattr(Topology, kind)(m)
-
-
-@contextmanager
-def _bad_input_is_config_error(problem):
-    """Report a problem that cannot be built (bad files, shapes or sizes) as a ConfigError."""
-    try:
-        yield
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
-        raise ConfigError(f"invalid {problem['kind']} problem: {exc}") from exc
+        topo = Topology.from_json(Path(spec).read_text())
+    elif (kind := spec.get("kind")) not in TOPOLOGY_KINDS:
+        raise ConfigError(f"topology.kind must be one of {TOPOLOGY_KINDS}")
+    else:
+        m = number(spec.get("m"), "topology.m", integer=True, low=1)
+        p = number(spec.get("p", 0.5), "topology.p", low=0)
+        args = (m, p, rng) if kind == "erdos_renyi" else (m,)
+        topo = getattr(Topology, kind)(*args)
+    if topo.m < 2:
+        raise ConfigError("a single node has no consensus constraint; need m >= 2")
+    return topo
 
 
 def _build_random(problem, seed):
@@ -239,9 +203,7 @@ def _build_custom(problem):
 
 def _build_decentralized(problem, seed):
     """Lifted instance of a decentralized problem."""
-    topo = _resolve_topology(problem["topology"], seed)
-    if topo.m < 2:
-        raise ValueError("a single node has no consensus constraint; need m >= 2")
+    topo = _topology(problem["topology"], np.random.default_rng((seed, 7)))
     if problem["kind"] == "consensus_quadratic":
         return _build_consensus(problem, topo, seed)
     measures = load_measures_csv(problem["measures"])
@@ -265,8 +227,7 @@ def _build_consensus(problem, topo, seed):
 
 def _noise_spec(noise_cfg) -> NoiseSpec:
     """The spec of a validated ``noise`` object; missing fields take the defaults of ``NoiseSpec()``."""
-    return NoiseSpec(**{key: float(value) if key != "kind" else value
-                        for key, value in (noise_cfg or {}).items()})
+    return NoiseSpec(**(noise_cfg or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +239,7 @@ def execute_run(cfg: dict):
     problem, seed, consts = cfg["problem"], cfg["seed"], cfg["constants"]
     noise = _noise_spec(cfg["noise"])
     if problem["kind"] in DECENTRALIZED_KINDS:
-        with _bad_input_is_config_error(problem):
+        with _config_errors(f"invalid {problem['kind']} problem: ", _BAD_INPUT):
             instance = _build_decentralized(problem, seed)
         x_nodes, trace, _ = run_distributed(cfg["method"], instance, {
             **consts, "N": cfg["N"], "eps": cfg["eps"], "beta": cfg["beta"], "seed": seed,
@@ -287,7 +248,7 @@ def execute_run(cfg: dict):
         residual = float(np.linalg.norm(instance.pair.sqrtW @ x_nodes.reshape(-1)))
         extra = {"chi": instance.pair.chi, "m": instance.m, "consensus_residual": residual}
     else:
-        with _bad_input_is_config_error(problem):
+        with _config_errors(f"invalid {problem['kind']} problem: ", _BAD_INPUT):
             qp, A = _build_custom(problem) if problem["kind"] == "custom" else _build_random(
                 problem, seed)
         x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
@@ -303,25 +264,26 @@ def execute_run(cfg: dict):
 # sweep
 
 
+@_config_errors()
 def apply_sweep_value(cfg: dict, param: str, value: str) -> dict:
     out = json.loads(json.dumps(cfg))  # deep copy
     where = f"sweep value of {param}"
     if param == "eps":
-        out["eps"] = _number(value, where)
+        out["eps"] = number(value, where, text=True)
     elif param == "sigma":
         noise = {} if out.get("noise") is None else out["noise"]
         if not isinstance(noise, dict):
             raise ConfigError("noise must be a JSON object or null")
-        out["noise"] = {**noise, "sigma": _number(value, where)}
+        out["noise"] = {**noise, "sigma": number(value, where, text=True)}
     elif param == "N":
-        out["N"] = _number(value, where, integer=True)
+        out["N"] = number(value, where, integer=True, text=True)
     elif param in ("m", "chi-topology"):
         problem = out.get("problem")
         topo = problem.get("topology") if isinstance(problem, dict) else None
         if not isinstance(topo, dict):
             raise ConfigError(f"{param} sweep needs an inline topology spec")
         if param == "m":
-            topo["m"] = _number(value, where, integer=True)
+            topo["m"] = number(value, where, integer=True, low=1, text=True)
         elif value not in TOPOLOGY_KINDS:
             raise ConfigError(f"unknown topology kind {value!r}")
         else:
@@ -422,24 +384,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_topology(args) -> int:
-    if args.kind not in TOPOLOGY_KINDS:
-        print(f"config error: unknown kind {args.kind!r}", file=sys.stderr)
-        return 2
-    if args.m < 2:
-        print("config error: need m >= 2", file=sys.stderr)
-        return 2
     try:
-        if args.kind == "erdos_renyi":
-            topo = Topology.erdos_renyi(args.m, args.p, np.random.default_rng(args.seed))
-        else:
-            topo = getattr(Topology, args.kind)(args.m)
+        with _config_errors():
+            topo = _topology({"kind": args.kind, "m": args.m, "p": args.p},
+                             np.random.default_rng(args.seed))
         out = _out_dir(args.out)
-    except RuntimeError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # a ConfigError too
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except _RUN_ERRORS as exc:
+        return _report(exc)
     path = out / f"topology_{args.kind}_{args.m}.json"
     path.write_text(topo.to_json() + "\n")
     print(path)
@@ -449,8 +400,6 @@ def cmd_gen_topology(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         raw = _load_config_file(args.config)
-        if args.param not in SWEEP_PARAMS:
-            raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
         values = [v for v in args.values.split(",") if v]
         if not values:
             raise ConfigError("no sweep values given")

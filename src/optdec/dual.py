@@ -326,11 +326,11 @@ class RestartConfig:
     lam: float = 0.0
 
 
-def _smallest_N_bar(L_psi, mu_psi, C, cap=10 ** 6):
+def _smallest_N_bar(L_psi, mu_psi, C):
     N = 2
     while C * L_psi ** 2 * math.log(N) ** 4 / (mu_psi ** 2 * N ** 4) > 1.0 / 32.0:
         N += 1
-        if N > cap:
+        if N > 10 ** 6:
             raise RuntimeError("no admissible inner budget below cap")
     return N
 

@@ -1,10 +1,12 @@
 """The method table: the problem kinds, constants and solve of every method.
 
-:func:`run_method` is the one way a method runs: it checks the constants
-against the method's record, calls its ``solve`` and flags an auto ``N``
-that ``max_N`` stopped before its certificate held (:data:`CAP_FLAG`).  A
-solve returns ``(trace, y, x, capped)``: the dual point, the primal point
-(or ``spdstm``'s primal average) and whether the cap stopped the plan.  Its
+:func:`run_method` is the one way a method runs: it checks the run settings
+(:func:`run_settings`) and the constants against the method's record and
+their domains in :data:`CONSTANTS` (:func:`method_constants`), calls its
+``solve`` with the checked values and flags an auto ``N`` that ``max_N``
+stopped before its certificate held (:data:`CAP_FLAG`).  A solve returns
+``(trace, y, x, capped)``: the dual point, the primal point (or
+``spdstm``'s primal average) and whether the cap stopped the plan.  Its
 problem gives the dual oracle ``dual`` and ``R_y`` (the given constant, else
 a bound on the minimal dual solution's norm): a :class:`Machine`, or what
 :func:`optdec.network.run_distributed` builds.
@@ -19,17 +21,32 @@ import numpy as np
 
 from .dual import (RegularizedDual, _exact_grad_norm, ac_sa, default_rrma_lambda, restarted_rrma,
                    rrma_ac_sa2, spdstm, sstm_sc)
-from .oracles import DualOracle, RngStreams, StochasticGradientOracle
+from .oracles import DualOracle, RngStreams, StochasticGradientOracle, number
 from .primal import build_penalty, sstm, stm, stm_ips
 from .problems import min_norm_dual_solution
 from .schedules import (CAP_FLAG, batch_size_sstm_sc, capped_N, gap_certificate_N,
                         grad_certificate_N)
 from .trace import RunTrace
 
-CONSTANTS = {"C": 1.0, "C_hat": 1.0, "step_factor": 2.0, "L_tilde_factor": 2.0, "lambda": None,
-             "inner_T": None, "m_iters": None, "R_y": None, "stop_gap": None,
-             "stop_grad_norm": None, "metric_every": 1, "max_N": 200_000}
 DECENTRALIZED_KINDS = ("consensus_quadratic", "barycenter")
+
+
+class Constant(NamedTuple):  # a constant's default and domain
+    default: object  # None: the method's own choice, which null asks for too
+    integer: bool  # else a real
+    low: float  # the least value, excluded when ``strict``
+    strict: bool
+
+
+_POSITIVE, _ANY = (False, 0, True), (False, float("-inf"), False)
+CONSTANTS = {
+    "C": Constant(1.0, *_POSITIVE), "C_hat": Constant(1.0, *_POSITIVE),
+    "step_factor": Constant(2.0, *_POSITIVE), "L_tilde_factor": Constant(2.0, *_POSITIVE),
+    "lambda": Constant(None, *_POSITIVE), "R_y": Constant(None, *_POSITIVE),
+    "inner_T": Constant(None, True, 0, False), "m_iters": Constant(None, True, 0, False),
+    "stop_gap": Constant(None, *_ANY), "stop_grad_norm": Constant(None, *_ANY),
+    "metric_every": Constant(1, True, 0, False), "max_N": Constant(200_000, True, 1, False),
+}
 
 
 class Method(NamedTuple):
@@ -60,9 +77,9 @@ class Machine:
 
 
 def _stm(p, N, eps, beta, c, seed, stochastic=False):
-    oracle, qp, step_factor = p.oracle, p.qp, float(c["step_factor"])
+    oracle, qp, step_factor = p.oracle, p.qp, c["step_factor"]
     N, capped = capped_N(N, lambda cap: gap_certificate_N(
-        float(np.linalg.norm(p.x0 - qp.x_star)), oracle.L, eps, cap, step_factor), int(c["max_N"]))
+        float(np.linalg.norm(p.x0 - qp.x_star)), oracle.L, eps, cap, step_factor), c["max_N"])
     if stochastic:
         x, trace = sstm(StochasticGradientOracle(oracle, p.noise), p.x0, N, eps, beta, seed=seed,
                         step_factor=step_factor, f_star=qp.f_star, x_star=qp.x_star)
@@ -76,18 +93,18 @@ def _stm_ips(p, N, eps, beta, c, seed):
     pen = build_penalty(p.oracle, p.A, p.R_y, eps)
     x_F = np.linalg.solve(p.qp.Q + 2.0 * pen.coeff * pen.AtA, p.qp.b)
     N, capped = capped_N(N, lambda cap: gap_certificate_N(
-        float(np.linalg.norm(p.x0 - x_F)), p.oracle.L, eps, cap), int(c["max_N"]))
+        float(np.linalg.norm(p.x0 - x_F)), p.oracle.L, eps, cap), c["max_N"])
     x, trace = stm_ips(pen, p.x0, N, inner_T=c["inner_T"], F_star=pen.F_value(x_F), x_star=x_F)
     trace.metadata["R_y"] = format(p.R_y, ".17g")
     return trace, None, x, capped
 
 
 def _spdstm(p, N, eps, beta, c, seed):
-    dual, R_y, factor = p.dual, p.R_y, float(c["L_tilde_factor"])
+    dual, R_y, factor = p.dual, p.R_y, c["L_tilde_factor"]
     N, capped = capped_N(N, lambda cap: gap_certificate_N(
-        R_y, factor * dual.L_psi, eps, cap), int(c["max_N"]))
-    y, x, trace = spdstm(dual, N, eps, beta, C_hat=float(c["C_hat"]), L_tilde_factor=factor,
-                         seed=seed, metric_every=int(c["metric_every"]),
+        R_y, factor * dual.L_psi, eps, cap), c["max_N"])
+    y, x, trace = spdstm(dual, N, eps, beta, C_hat=c["C_hat"], L_tilde_factor=factor,
+                         seed=seed, metric_every=c["metric_every"],
                          y_star_norm_estimate=R_y, stop_gap=c["stop_gap"])
     return trace, y, x, capped
 
@@ -95,25 +112,24 @@ def _spdstm(p, N, eps, beta, c, seed):
 def _sstm_sc(p, N, eps, beta, c, seed):
     dual = p.dual
     N, capped = capped_N(N, lambda cap: grad_certificate_N(
-        p.R_y, dual.L_psi, dual.mu_psi, eps, cap), int(c["max_N"]))
-    batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta, float(c["C"]))
+        p.R_y, dual.L_psi, dual.mu_psi, eps, cap), c["max_N"])
+    batch = batch_size_sstm_sc(dual.L_psi, dual.mu_psi, dual.sigma_psi, eps, N, beta, c["C"])
     y, trace = sstm_sc(dual, np.zeros(dual.dual_dim), N, batch, seed=seed,
-                       metric_every=int(c["metric_every"]), stop_grad_norm=c["stop_grad_norm"])
+                       metric_every=c["metric_every"], stop_grad_norm=c["stop_grad_norm"])
     return trace, y, None, capped
 
 
 def _restarted_rrma(p, N, eps, beta, c, seed):
     y, trace = restarted_rrma(p.dual, np.zeros(p.dual.dual_dim), eps, beta, R_y=p.R_y,
-                              C=float(c["C"]), seed=seed)
+                              C=c["C"], seed=seed)
     return trace, y, None, False
 
 
 def _ac_sa(p, N, eps, beta, c, seed, recursive=False):
     # m_iters steps (default N, or 100 for "auto") at weight lambda, and one trace row
     dual, y0 = p.dual, np.zeros(p.dual.dual_dim)
-    m_iters = int(c["m_iters"] if c["m_iters"] is not None else 100 if N == "auto" else N)
-    lam = float(c["lambda"] if c["lambda"] is not None
-                else default_rrma_lambda(dual.L_psi, max(m_iters, 2)))
+    m_iters = c["m_iters"] if c["m_iters"] is not None else 100 if N == "auto" else N
+    lam = c["lambda"] or default_rrma_lambda(dual.L_psi, max(m_iters, 2))  # lambda > 0
     if recursive:
         y = rrma_ac_sa2(dual, y0, m_iters, lam, streams=RngStreams(seed))
     else:
@@ -142,26 +158,41 @@ METHODS = {
 }
 
 
+def run_settings(N, eps, beta, seed) -> tuple:
+    """``(N, eps, beta, seed)`` checked: ``N`` a non-negative integer or "auto",
+    ``eps > 0``, ``0 < beta < 1`` and ``seed`` a non-negative integer; ValueError otherwise."""
+    N = N if isinstance(N, str) and N == "auto" else number(N, "N", integer=True, low=0)
+    eps, beta = number(eps, "eps", low=0, strict=True), number(beta, "beta")
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0, 1), got {beta!r}")
+    return N, eps, beta, number(seed, "seed", integer=True, low=0)
+
+
 def method_constants(method: str, constants: dict) -> dict:
-    """``constants`` over the defaults of what ``method`` reads; ValueError for an unknown
-    method, a constant outside its record, and a stop rule ``metric_every: 0`` never measures."""
+    """``constants`` over the defaults of what ``method`` reads, each checked against its
+    domain in :data:`CONSTANTS`; ValueError for an unknown method, a constant outside its
+    record or its domain, and a stop rule ``metric_every: 0`` never measures."""
     if not isinstance(method, str) or method not in METHODS:
         raise ValueError(f"method must be one of {tuple(METHODS)}, got {method!r}")
     reads = METHODS[method].constants
     if set(constants) - reads:
         raise ValueError(f"method {method} does not read the constants "
                          f"{sorted(set(constants) - reads)}; it reads {sorted(reads)}")
-    c = {key: constants.get(key, CONSTANTS[key]) for key in reads}
+    c = {key: constants.get(key, CONSTANTS[key].default) for key in sorted(reads)}
+    for key, value in c.items():
+        if value is not None or CONSTANTS[key].default is not None:  # else null: the default
+            c[key] = number(value, f"constants.{key}", *CONSTANTS[key][1:])
     for rule in ("stop_gap", "stop_grad_norm"):
         if c.get(rule) is not None and c["metric_every"] == 0:
             raise ValueError(f"{rule} is never measured with metric_every 0")
     return c
 
 
-def run_method(method: str, problem, N, eps: float, beta: float, constants: dict, seed: int = 0):
+def run_method(method: str, problem, N, eps, beta, constants: dict, seed=0):
     """Run ``method`` on ``problem`` (see the module docstring); returns ``(trace, y, x)``."""
+    N, eps, beta, seed = run_settings(N, eps, beta, seed)
     c = method_constants(method, constants)
     trace, y, x, capped = METHODS[method].solve(problem, N, eps, beta, c, seed)
     if capped:
-        trace.flag(CAP_FLAG.format(int(c["max_N"])))
+        trace.flag(CAP_FLAG.format(c["max_N"]))
     return trace, y, x

@@ -376,9 +376,9 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
 
     ``method``'s record in :data:`optdec.methods.METHODS` must name a
     network kind.  ``config`` may set the keys of ``_RUN_SETTINGS`` and the
-    constants of the record (another key raises ValueError); ``R_y``
-    defaults to :func:`_dual_norm_bound`.  Without a primal average from
-    the solver, ``x`` is recovered from one sample at the final ``y``.
+    constants of the record, which ``run_method`` checks as ``optdec run``
+    does (ValueError).  ``R_y`` defaults to :func:`_dual_norm_bound`.  Without
+    a primal average, ``x`` is recovered from one sample at the final ``y``.
     Returns ``(x_per_node, trace, counter)`` where ``x_per_node`` has one
     row per node and ``counter`` is the instance's :class:`CallCounter`.
     Every counted communication round (``counter.comm_rounds``) is one
@@ -397,7 +397,8 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
     trace, y, x = run_method(method, problem, run["N"], run["eps"], run["beta"], constants,
                              seed=run["seed"])
     if x is None:
-        x = primal_recovery(dual, y, 1, RngStreams(run["seed"]).child(999_999))
+        # run_method has checked that the seed is integral
+        x = primal_recovery(dual, y, 1, RngStreams(int(run["seed"])).child(999_999))
 
     # closing row: primal recovery rounds happen after the last iteration
     trace.record(trace.final["iter"], trace.final["A_k"], instance.counter)

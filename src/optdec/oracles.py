@@ -87,6 +87,26 @@ def spectrum(M) -> tuple[float, float]:
     return lam_max, float(positive[0]) if positive.size else 0.0
 
 
+def number(value, where: str, integer=False, low=-math.inf, strict=False, text=False):
+    """``value`` as a finite int or float of at least ``low`` (above it when ``strict``), or a
+    ValueError naming ``where``: the one numeric check.  An integer is integral (``3.0``, not
+    ``2.5``); a boolean is no number, nor is a string unless ``text`` (a command-line value)."""
+    try:
+        if isinstance(value, bool) or isinstance(value, str) and not text:
+            raise TypeError
+        x = value if integer and isinstance(value, int) else float(value)
+        if integer and x != int(x):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{where} must be {kind}, got {value!r}") from None
+    x = int(x) if integer else x
+    if not ((integer or math.isfinite(x)) and (x > low if strict else x >= low)):
+        bound = f" and {'>' if strict else '>='} {low}" if low > -math.inf else ""
+        raise ValueError(f"{where} must be finite{bound}, got {value!r}")
+    return x
+
+
 def constraint_gram(A, dim: int):
     """Checked dense ``(m_rows x dim)`` matrix ``A``, not all zero, and ``A^T A``."""
     A = np.asarray(A, dtype=float)
@@ -150,6 +170,7 @@ class RngStreams:
         return RngStreams(self.seed, self.path + index)
 
 
+NOISE_KINDS = ("gaussian", "bounded")
 # Most rows of a batch buffer (see ``NoiseSpec.sum_samples``).
 _CHUNK = 4096
 
@@ -165,7 +186,7 @@ class NoiseSpec:
     N(0, (sigma^2/dim) I) so that E||eta||^2 = sigma^2, ``bounded`` draws
     uniformly from the radius-``sigma`` sphere.  A sample may hold several
     independent draws of ``block`` coordinates each (one per node on the
-    network), drawn one after the other.
+    network), drawn one after the other.  The spec is the one check of its fields.
     """
 
     delta: float = 0.0
@@ -173,10 +194,10 @@ class NoiseSpec:
     kind: str = "gaussian"
 
     def __post_init__(self):
-        if not (0.0 <= self.delta < math.inf and 0.0 <= self.sigma < math.inf):
-            raise ValueError("noise levels must be finite and non-negative")
-        if self.kind not in ("gaussian", "bounded"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+        for key in ("delta", "sigma"):
+            object.__setattr__(self, key, number(getattr(self, key), f"noise.{key}", low=0))
+        if self.kind not in NOISE_KINDS:
+            raise ValueError(f"noise.kind must be one of {NOISE_KINDS}, got {self.kind!r}")
 
     @property
     def silent(self) -> bool:

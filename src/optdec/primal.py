@@ -24,6 +24,7 @@ import numpy as np
 
 from .oracles import (CallCounter, FirstOrderOracle, RngStreams, StochasticGradientOracle,
                       constraint_gram, spectrum)
+from .problems import constrained_quadratic_optimum
 from .schedules import batch_size_sstm, stm_step, triangle
 from .trace import RunTrace
 
@@ -136,16 +137,15 @@ def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
 
 
 class CompositeProblem:
-    """Smooth composite objective ``F = f + h`` with both parts L-smooth."""
+    """Smooth composite ``F = f + h``, both L-smooth; each ``grad_h`` is one ``matvec_AtA``."""
 
     def __init__(self, f: FirstOrderOracle, h_value, h_gradient, L_h: float,
-                 prox_solver=None, count_matvec: bool = False):
+                 prox_solver=None):
         self.f = f
         self.h_value = h_value
         self.h_gradient = h_gradient
         self.L_h = float(L_h)
         self.prox_solver = prox_solver
-        self.count_matvec = count_matvec
 
     @property
     def counter(self) -> CallCounter:
@@ -155,8 +155,7 @@ class CompositeProblem:
         return float(self.f.value(x)) + float(self.h_value(x))
 
     def grad_h(self, z):
-        if self.count_matvec:
-            self.f.counter.matvec_AtA += 1
+        self.f.counter.matvec_AtA += 1
         return self.h_gradient(z)
 
 
@@ -204,7 +203,7 @@ class PenaltyProblem(CompositeProblem):
             return np.linalg.solve(M, z_k - alpha * lin)
 
         super().__init__(base, h_value, h_gradient, 2.0 * coeff * lam_max,
-                         prox_solver=prox_solver, count_matvec=True)
+                         prox_solver=prox_solver)
 
 
 def build_penalty(base: FirstOrderOracle, A, R_y: float, eps: float) -> PenaltyProblem:
@@ -370,23 +369,20 @@ def argmax_solver_via_stm(oracle: FirstOrderOracle, tol: float = 1e-10):
     return solve
 
 
-def verify_penalty_transfer(x_N, problem: PenaltyProblem, F_star: float,
-                            f_constrained_star: float | None = None) -> dict:
+def verify_penalty_transfer(x_N, problem: PenaltyProblem, F_star: float) -> dict:
     """Check the penalty-to-constrained transfer at ``x_N``.
 
     Given the premise ``F(x_N) - F_star <= eps`` (established by the
     caller, re-checked here), asserts the two conclusions against the true
     constrained optimum: objective gap at most ``eps`` and constraint
     residual at most ``2 eps / R_y``.  The constrained optimal value is
-    taken from ``f_constrained_star`` or computed by the closed-form
-    null-space solve when the base oracle declares its ``quadratic``.
+    computed by the closed-form null-space solve, so the base oracle must
+    declare its ``quadratic``.
     """
-    if f_constrained_star is None:
-        qp = problem.base.quadratic
-        if qp is None:
-            raise ValueError("need f_constrained_star for non-quadratic bases")
-        from .problems import constrained_quadratic_optimum
-        _, f_constrained_star = constrained_quadratic_optimum(qp.Q, qp.b, problem.A)
+    qp = problem.base.quadratic
+    if qp is None:
+        raise ValueError("the constrained optimum needs a quadratic base")
+    _, f_constrained_star = constrained_quadratic_optimum(qp.Q, qp.b, problem.A)
     x_N = np.asarray(x_N, dtype=float)
     f_gap = float(problem.base.value(x_N)) - f_constrained_star
     constraint_norm = float(np.linalg.norm(problem.A @ x_N))

@@ -388,11 +388,12 @@ def barycenter_problem(measures, C, mu: float, topology):
 
 
 def projected_gradient_barycenter(measures, C, mu: float, iters: int = 2000,
-                                  tol: float = 1e-10, inner_tol: float = 1e-10):
+                                  inner_tol: float = 1e-10):
     """Centralized verification baseline: projected gradient on the barycenter objective.
 
     Minimises ``(1/m) sum_i W_mu(p, q^i)`` over the simplex with Armijo
     backtracking; each gradient is the mean of the optimal dual potentials.
+    It stops after ``iters`` steps or a step that moves ``p`` by at most 1e-10.
     """
     measures = np.atleast_2d(np.asarray(measures, dtype=float))
     m, n = measures.shape
@@ -419,7 +420,7 @@ def projected_gradient_barycenter(measures, C, mu: float, iters: int = 2000,
         move = float(np.linalg.norm(cand - p))
         p, fp = cand, fc
         step = min(step * 2.0, 1e6)
-        if move <= tol:
+        if move <= 1e-10:
             break
     return p
 

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ import optdec.dual
 import optdec.methods
 from optdec.cli import (ConfigError, apply_sweep_value, config_hash, main,
                         validate_config)
-from optdec.methods import CONSTANTS
+from optdec.methods import CONSTANTS, Machine, run_method
 from optdec.network import (DistributedDualOracle, Topology, _dual_norm_bound, chi,
                             laplacian, run_distributed)
+from optdec.oracles import NoiseSpec
 from optdec.schedules import grad_certificate_N
 from optdec.trace import RunTrace
 
@@ -266,7 +268,7 @@ def test_readme_example_plans_57_steps(monkeypatch):
     instance = cli._build_decentralized(cfg["problem"], cfg["seed"])
     dual = DistributedDualOracle(instance, cli._noise_spec(cfg["noise"]))
     N = grad_certificate_N(_dual_norm_bound(instance), dual.L_psi, dual.mu_psi, cfg["eps"],
-                           optdec.methods.CONSTANTS["max_N"])
+                           optdec.methods.CONSTANTS["max_N"].default)
     assert N == 57
 
 
@@ -602,36 +604,128 @@ def test_run_distributed_serves_every_network_method(tmp_path):
 
 
 # a valid value of every constant, so that only the method it is set on can be wrong
-_CONSTANT_VALUES = {**{key: value for key, value in CONSTANTS.items() if value is not None},
+_CONSTANT_VALUES = {**{key: c.default for key, c in CONSTANTS.items() if c.default is not None},
                     "lambda": 0.05, "inner_T": 3, "m_iters": 5, "R_y": 1.0, "stop_gap": 0.1,
                     "stop_grad_norm": 0.1}
 
 
-def _record_config(tmp_path, method, key):
-    """``method`` on the first problem kind it runs on, with the one constant ``key``."""
+def _record_config(tmp_path, method, key, *value):
+    """``method`` on the first problem kind it runs on, with the one constant ``key``
+    (at ``value`` if given, else at its valid value)."""
     return {"method": method, "problem": _matrix_problem(tmp_path, cli.METHODS[method].kinds[0]),
-            "eps": 0.1, "N": 3, "seed": 1, "constants": {key: _CONSTANT_VALUES[key]}}
+            "eps": 0.1, "N": 3, "seed": 1, "constants": {key: (*value, _CONSTANT_VALUES[key])[0]}}
+
+
+def _on_network(method):
+    return bool(set(cli.METHODS[method].kinds) & set(cli.DECENTRALIZED_KINDS))
+
+
+def assert_refused_alike(tmp_path, capsys, cfg):
+    """``optdec run`` exits 2 on ``cfg``, and the library raises ValueError (not a subclass)
+    with the message the CLI prints: ``run_method`` on a single machine, and
+    ``run_distributed`` when the method runs on a network.  Returns the message."""
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.trace.csv"))
+    message = err[len("config error: "):-1]
+    method, constants = cfg["method"], cfg.get("constants", {})
+    settings = {key: cfg[key] for key in ("N", "eps", "beta", "seed") if key in cfg}
+    qp, A = cli._build_random({"kind": "penalty", "dim": 4, "m_rows": 2}, 0)
+    calls = [lambda: run_method(method, Machine(qp, A, np.zeros(4), NoiseSpec()),
+                                settings.get("N", "auto"), settings.get("eps", 1e-3),
+                                settings.get("beta", 0.1), constants, settings.get("seed", 0))]
+    if _on_network(method):
+        instance = cli._build_decentralized(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
+        calls.append(lambda: run_distributed(method, instance, {**constants, **settings}))
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert refused.type is ValueError and str(refused.value) == message
+    return message
 
 
 @pytest.mark.parametrize("method, key", [(method, key) for method, record in cli.METHODS.items()
                                          for key in sorted(set(CONSTANTS) - record.constants)])
 def test_a_constant_the_method_does_not_read_exits_2(tmp_path, capsys, method, key):
-    cfg = _record_config(tmp_path, method, key)
-    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 2
-    assert f"method {method} does not read the constants ['{key}']" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.trace.csv"))
-    instance = cli._build_decentralized(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
-    on_network = set(cli.METHODS[method].kinds) & set(cli.DECENTRALIZED_KINDS)
-    with pytest.raises(ValueError, match=rf"does not read the constants \['{key}'\]" if on_network
-                       else "does not run on a network"):
-        run_distributed(method, instance, {"N": 2, key: _CONSTANT_VALUES[key]})
+    message = assert_refused_alike(tmp_path, capsys, _record_config(tmp_path, method, key))
+    assert message.startswith(f"method {method} does not read the constants ['{key}']")
+    if not _on_network(method):
+        instance = cli._build_decentralized(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
+        with pytest.raises(ValueError, match="does not run on a network"):
+            run_distributed(method, instance, {"N": 2, key: _CONSTANT_VALUES[key]})
+
+
+def _out_of_domain(key):
+    """Values of the constant ``key`` outside its domain in ``optdec.methods.CONSTANTS``."""
+    constant = CONSTANTS[key]
+    values = ["1", True, [], {}, math.inf]
+    if constant.default is not None:
+        values.append(None)
+    if constant.integer:
+        values.append(2.5)
+    if constant.low > -math.inf:
+        values.append(constant.low if constant.strict else constant.low - 1)
+    return values
 
 
 @pytest.mark.parametrize("method, key", [(method, key) for method, record in cli.METHODS.items()
                                          for key in sorted(record.constants)])
-def test_every_constant_in_the_record_is_accepted(tmp_path, method, key):
+def test_every_constant_in_the_record_is_accepted(tmp_path, capsys, method, key):
+    # ... inside its domain, and null (the method's own choice) when its default is None
     assert validate_config(_record_config(tmp_path, method, key))["constants"] == {
         key: _CONSTANT_VALUES[key]}
+    if CONSTANTS[key].default is None:  # null runs as if the key were not set
+        bodies = []
+        for name, constants in (("null", {key: None}), ("unset", {})):
+            cfg = write_config(tmp_path, {**_record_config(tmp_path, method, key),
+                                          "constants": constants})
+            assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+            (csv,) = (tmp_path / name).glob("*.trace.csv")
+            bodies.append([line for line in csv.read_text().splitlines()
+                           if "config_hash" not in line])
+        assert bodies[0] == bodies[1]
+    # every value outside it is refused alike by optdec run and the library
+    for value in _out_of_domain(key):
+        message = assert_refused_alike(tmp_path, capsys, _record_config(tmp_path, method, key,
+                                                                         value))
+        assert message.startswith(f"constants.{key} must be ") and message.endswith(f"{value!r}")
+
+
+_RING4_CONFIG = {"problem": {**_RING4, "n": 2}, "eps": 0.1, "N": 4}
+# runs the library did or crashed on while optdec run refused them (but for the string),
+# before each input had one check: (method, run settings, constants, refusal)
+LIBRARY_RAN = {
+    # ran 0 steps and flagged the cap
+    "max_N_zero": ("sstm_sc", {"N": "auto"}, {"max_N": 0},
+                   "constants.max_N must be finite and >= 1, got 0"),
+    "max_N_fractional": ("sstm_sc", {"N": "auto"}, {"max_N": 2.7},  # ran 2 steps
+                         "constants.max_N must be an integer, got 2.7"),
+    "metric_every_fractional": ("sstm_sc", {}, {"metric_every": 2.5},  # measured every 2nd
+                                "constants.metric_every must be an integer, got 2.5"),
+    "metric_every_true": ("sstm_sc", {}, {"metric_every": True},  # counted as 1
+                          "constants.metric_every must be an integer, got True"),
+    "C_a_string": ("sstm_sc", {}, {"C": "1"},  # optdec run ran it too
+                   "constants.C must be a number, got '1'"),
+    "N_negative": ("sstm_sc", {"N": -3}, {}, "N must be finite and >= 0, got -3"),  # 0 steps
+    "N_fractional": ("sstm_sc", {"N": 2.5}, {}, "N must be an integer, got 2.5"),  # TypeError
+    "beta_above_1": ("sstm_sc", {"beta": 5.0}, {}, "beta must be in (0, 1), got 5.0"),
+    "R_y_negative": ("sstm_sc", {"N": "auto"}, {"R_y": -2.0},  # planned 1 step
+                     "constants.R_y must be finite and > 0, got -2.0"),
+    "stop_gap_a_string": ("spdstm", {}, {"stop_gap": "x"},  # TypeError mid-run
+                          "constants.stop_gap must be a number, got 'x'"),
+    "R_y_zero": ("restarted_rrma", {}, {"R_y": 0.0},  # ZeroDivisionError
+                 "constants.R_y must be finite and > 0, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_RAN))
+def test_the_library_refuses_what_optdec_run_refuses(tmp_path, capsys, monkeypatch, case):
+    method, settings, constants, refusal = LIBRARY_RAN[case]
+    for name, record in cli.METHODS.items():  # a refusal comes before any solve
+        monkeypatch.setitem(cli.METHODS, name, record._replace(solve=None))
+    assert assert_refused_alike(tmp_path, capsys, {
+        **_RING4_CONFIG, "method": method, **settings, "constants": constants}) == refusal
 
 
 def test_noisy_barycenter_with_metrics_reads_infinite_gap(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,12 @@ most 6 nodes, ``N`` is at most 6, ``N: "auto"`` comes with ``max_N`` at
 most 20 where the method reads it, ``eps`` stays in the config, and
 ``restarted_rrma``, whose noisy work follows its draws, runs without noise.
 
+The library path is fuzzed too: ``run_distributed`` on a 4-node ring, with
+run settings and constants drawn from the same valid sets and
+``BAD_VALUES``, must return, raise ValueError with the message ``optdec
+run`` prints exactly when ``validate_config`` refuses the same config, or
+raise one of the run errors ``optdec run`` reports with exit 3.
+
 A sweep takes such a config, a ``--param`` (mostly a sweepable one) and
 one to three ``--values``, mostly valid for the parameter, else drawn from
 the corrupted entries of ``BAD_SWEEP_VALUES`` or empty; a sweep of the
@@ -32,8 +38,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optdec.cli import (DECENTRALIZED_KINDS, METHODS, PROBLEM_KINDS, SWEEP_PARAMS, TOPOLOGY_KINDS,
-                        main)
+from optdec.cli import (_RUN_ERRORS, DECENTRALIZED_KINDS, METHODS, PROBLEM_KINDS, SWEEP_PARAMS,
+                        TOPOLOGY_KINDS, ConfigError, _build_decentralized, main, validate_config)
+from optdec.network import run_distributed
 
 BAD_VALUES = ("x", [], {}, True, None, -1, 0, "nan", [[1.0]])
 
@@ -160,6 +167,58 @@ def _assert_clean_exit(cfg, command, *args, out="out"):
 @given(data=st.data())
 def test_run_exits_0_2_or_3_without_a_traceback(files, data):
     _assert_clean_exit(data.draw(configs(files), label="config"), "run")
+
+
+# ---------------------------------------------------------------------------
+# run_distributed
+
+_RING4 = {"kind": "consensus_quadratic", "n": 2, "topology": {"kind": "ring", "m": 4}}
+_SETTINGS = {"N": st.sampled_from([*range(7), "auto"]), "eps": st.sampled_from([0.1, 0.5]),
+             "beta": st.sampled_from([0.1, 0.5]), "seed": st.integers(0, 3)}
+
+
+@st.composite
+def library_runs(draw):
+    """``(method, settings, constants)`` from the valid sets; then up to two values are
+    replaced from ``BAD_VALUES``, or a constant from another method's record is moved in."""
+    method = draw(st.sampled_from([m for m, record in METHODS.items()
+                                   if "consensus_quadratic" in record.kinds]))
+    reads = METHODS[method].constants
+    run, constants = {"eps": draw(_SETTINGS["eps"])}, {}
+    for key in draw(st.lists(st.sampled_from(["N", "beta", "seed", *sorted(reads)]), unique=True)):
+        target, values = (run, _SETTINGS) if key in _SETTINGS else (constants, _CONSTANTS)
+        target[key] = draw(values[key])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        target = draw(st.sampled_from([run, constants, "misplace"]))
+        if target == "misplace":
+            key = draw(st.sampled_from(sorted(set(_CONSTANTS) - reads)))
+            constants[key] = draw(_CONSTANTS[key])
+        elif target:
+            target[draw(st.sampled_from(sorted(target)))] = draw(st.sampled_from(BAD_VALUES))
+    # an auto N is capped by max_N when the method reads it
+    assume(run.get("N", "auto") != "auto" or type(constants.get("max_N")) is int
+           or "max_N" not in reads)
+    return method, run, constants
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(run=library_runs())
+def test_run_distributed_refuses_exactly_what_optdec_run_refuses(run):
+    method, run_settings, constants = run
+    try:
+        validate_config({"method": method, "problem": _RING4, **run_settings,
+                         "constants": constants})
+        refusal = None
+    except ConfigError as exc:
+        refusal = str(exc)
+    try:
+        run_distributed(method, _build_decentralized(_RING4, 0), {**run_settings, **constants})
+    except _RUN_ERRORS:  # a LinAlgError too: a run error, never a refusal
+        assert refusal is None
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(exc) == refusal
+    else:
+        assert refusal is None
 
 
 # ---------------------------------------------------------------------------
