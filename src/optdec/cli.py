@@ -252,7 +252,7 @@ def execute_run(cfg: dict):
             qp, A = _build_custom(problem) if problem["kind"] == "custom" else _build_random(
                 problem, seed)
         x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
-        machine = Machine(qp, A, x0, noise, consts.get("R_y"))
+        machine = Machine(qp, A, x0, noise)
         trace, _, _ = run_method(cfg["method"], machine, cfg["N"], cfg["eps"], cfg["beta"],
                                  consts, seed=seed)
         extra = machine.summary

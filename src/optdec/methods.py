@@ -7,8 +7,9 @@ their domains in :data:`CONSTANTS` (:func:`method_constants`), calls its
 stopped before its certificate held (:data:`CAP_FLAG`).  A solve returns
 ``(trace, y, x, capped)``: the dual point, the primal point (or
 ``spdstm``'s primal average) and whether the cap stopped the plan.  Its
-problem gives the dual oracle ``dual`` and ``R_y`` (the given constant, else
-a bound on the minimal dual solution's norm): a :class:`Machine`, or what
+problem gives the dual oracle ``dual`` and ``R_y``, a bound on the minimal
+dual solution's norm that a given constant ``R_y`` replaces (``run_method``
+sets it on the problem): a :class:`Machine`, or what
 :func:`optdec.network.run_distributed` builds.
 """
 
@@ -56,17 +57,16 @@ class Method(NamedTuple):
 
 
 class Machine:
-    """One machine's quadratic ``qp``, constraint rows ``A`` (or None), start ``x0``
-    and noise; its dual oracle is built on first use, and ``summary`` then names ``R_y``."""
+    """One run's quadratic ``qp``, constraint rows ``A`` (or None), start ``x0`` and
+    noise; its dual oracle is built on first use, and ``summary`` then names ``R_y``:
+    the min-norm bound, or the constant ``R_y`` that ``run_method`` was given."""
 
-    def __init__(self, qp, A, x0, noise, R_y=None):
-        self.qp, self.A, self.x0, self.noise, self.given_R_y = qp, A, x0, noise, R_y
+    def __init__(self, qp, A, x0, noise):
+        self.qp, self.A, self.x0, self.noise = qp, A, x0, noise
         self.oracle, self.summary = qp.oracle(), {}
 
     @cached_property
     def R_y(self) -> float:
-        if self.given_R_y is not None:
-            return float(self.given_R_y)
         y_star, _ = min_norm_dual_solution(self.qp.Q, self.qp.b, self.A)
         return max(float(np.linalg.norm(y_star)), 1e-12)
 
@@ -192,6 +192,8 @@ def run_method(method: str, problem, N, eps, beta, constants: dict, seed=0):
     """Run ``method`` on ``problem`` (see the module docstring); returns ``(trace, y, x)``."""
     N, eps, beta, seed = run_settings(N, eps, beta, seed)
     c = method_constants(method, constants)
+    if c.get("R_y") is not None:  # the given bound replaces the problem's own
+        problem.R_y = c["R_y"]
     trace, y, x, capped = METHODS[method].solve(problem, N, eps, beta, c, seed)
     if capped:
         trace.flag(CAP_FLAG.format(c["max_N"]))

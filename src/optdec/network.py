@@ -18,8 +18,10 @@ the eigenvalues of ``W_bar``, since ``lambda(A^T A) = lambda(W_bar)`` for
 when the instance has one: quadratic local objectives, recognised by their
 declared ``quadratic`` field, are inverted once as one stacked
 ``(m, n, n)`` array, and barycenter nodes evaluate their transport
-marginals as one stacked softmax.  The instance reads the local oracles'
-declared fields and never writes to them.
+marginals from one cached Gibbs kernel in two ``(m, n) x (n, n)``
+products (:func:`optdec.problems.barycenter_problem`; costs wider than
+``KERNEL_RANGE * mu`` keep the log-domain plan).  The instance reads the
+local oracles' declared fields and never writes to them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import cached_property
 
 import numpy as np
 
@@ -392,9 +394,7 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
 
     dual = DistributedDualOracle(instance, run["noise"])
     instance.counter.reset()
-    R_y = constants.get("R_y")
-    problem = SimpleNamespace(dual=dual, R_y=_dual_norm_bound(instance) if R_y is None else R_y)
-    trace, y, x = run_method(method, problem, run["N"], run["eps"], run["beta"], constants,
+    trace, y, x = run_method(method, _Lifted(dual), run["N"], run["eps"], run["beta"], constants,
                              seed=run["seed"])
     if x is None:
         # run_method has checked that the seed is integral
@@ -403,6 +403,17 @@ def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
     # closing row: primal recovery rounds happen after the last iteration
     trace.record(trace.final["iter"], trace.final["A_k"], instance.counter)
     return instance.blocks(x), trace, instance.counter
+
+
+class _Lifted:
+    """The problem ``run_method`` solves on a network: its dual oracle and ``R_y``."""
+
+    def __init__(self, dual: DistributedDualOracle):
+        self.dual = dual
+
+    @cached_property
+    def R_y(self) -> float:
+        return _dual_norm_bound(self.dual.instance)
 
 
 def _dual_norm_bound(instance: DecentralizedInstance) -> float:

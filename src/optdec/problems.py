@@ -16,7 +16,11 @@ entropic optimal-transport dual is the log-sum-exp functional
 
 whose gradient is a transport marginal (non-negative, sums to one); the
 smoothed transport distance is recovered by maximising
-``<lam, p> - W*(lam)`` over the zero-sum subspace.
+``<lam, p> - W*(lam)`` over the zero-sum subspace.  Barycenter nodes take
+their marginals in the kernel form ``x(lam) = w * G (q / G^T w)`` with
+``w = exp(lam/mu)`` and the Gibbs kernel ``G = exp(-C/mu)``, built once
+per instance, whenever no column of ``C`` spans more than
+``KERNEL_RANGE * mu``; wider costs keep the log-domain plan.
 """
 
 from __future__ import annotations
@@ -189,24 +193,27 @@ def min_norm_dual_solution(Q, b, A):
 
 
 def _on_simplex(q, tol=1e-12) -> bool:
-    return not (np.any(q < -tol) or abs(q.sum() - 1.0) > max(tol, 1e-12 * q.size))
+    return bool(np.isfinite(q).all()) and not (
+        np.any(q < -tol) or abs(q.sum() - 1.0) > max(tol, 1e-12 * q.size))
 
 
 def _check_simplex(q, tol=1e-12):
     q = np.asarray(q, dtype=float)
     if not _on_simplex(q, tol):
-        raise ValueError("measure must lie in the probability simplex")
+        raise ValueError("measure must be finite and lie in the probability simplex")
     return np.clip(q, 0.0, None)
 
 
 def _check_entropic(q, C, mu):
-    """Validated ``(q, C)`` for the entropic functions; ``mu`` must be positive."""
+    """Validated ``(q, C)`` for the entropic functions; ``mu`` must be positive, ``C`` finite."""
     if not mu > 0:
         raise ValueError("mu must be positive")
     q = _check_simplex(q)
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[1] != q.size:
         raise ValueError(f"cost must have one column per atom of q ({q.size}), got shape {C.shape}")
+    if not np.isfinite(C).all():
+        raise ValueError("cost must be finite")
     return q, C
 
 
@@ -304,7 +311,7 @@ def entropic_wasserstein(p, q, C, mu: float, tol: float = 1e-8,
         lam = lam + mu * (log_p - _log_marginal(lam, lse, q, C, mu))
         lam -= lam.mean()
         S, P, lse, g, res, value = evaluate(lam)
-    if res > tol:
+    if not res <= tol:  # a NaN residual has not converged either
         raise RuntimeError(
             f"entropic dual solve did not reach tol={tol:g} in {max_iter} steps "
             f"(residual {res:.3e})")
@@ -326,18 +333,54 @@ def simplex_project(v) -> np.ndarray:
 # barycenter instances
 
 
+# The widest column cost range, in units of ``mu``, at which marginals come from
+# the Gibbs kernel: each column sum of the kernel then stays above exp(-500),
+# well clear of the exp(-745) where doubles underflow.
+KERNEL_RANGE = 500.0
+
+
+def _transport_marginal(C, mu):
+    """``(U, Q) -> X`` with ``X_k = S(U_k) q^k``, the transport marginal of each potential.
+
+    ``U`` and ``Q`` are both ``(n,)`` or both ``(m, n)``.  When no column of
+    the finite ``C`` spans more than ``KERNEL_RANGE * mu``, the Gibbs kernel
+    ``G = exp(-(C - min_i C)/mu)`` is built here, once, with each column's
+    largest entry 1.  A call shifts ``w = exp(U/mu)`` so that each row's
+    largest entry is 1 and takes two products, ``D = w G`` and
+    ``X = w * ((Q/D) G^T)``; the shifts make every ``D_j`` at least
+    ``exp(-KERNEL_RANGE)``.  Wider costs take the log-domain plan of
+    :func:`_column_plan`.
+    """
+    low = C.min(axis=0)
+    if np.max(C.max(axis=0) - low) > KERNEL_RANGE * mu:
+        return lambda U, Q: np.matmul(_column_plan(U, C, mu)[0], Q[..., None])[..., 0]
+    G = np.exp((low - C) / mu)
+
+    def marginal(U, Q):
+        a = U / mu
+        w = np.exp(a - a.max(axis=-1, keepdims=True))
+        return w * ((Q / (w @ G)) @ G.T)
+
+    return marginal
+
+
 def barycenter_local_oracle(q, C, mu: float) -> FirstOrderOracle:
     """Oracle for ``p -> W_mu(p, q)`` with its closed-form conjugate argmax.
 
     The conjugate of the smoothed transport distance in ``p`` is exactly
-    the log-sum-exp dual, so ``conjugate_argmax`` (the transport marginal)
-    needs no inner solve, and ``x_star`` is the marginal at the zero
-    potential; ``q``, ``C`` and ``mu`` are validated here, once.
-    Values/gradients in ``p`` run the dual solve to ``tol = 1e-10`` and
-    are meant for diagnostics only.
+    the log-sum-exp dual, so ``conjugate_argmax`` (the transport marginal
+    of :func:`_transport_marginal`) needs no inner solve, and ``x_star`` is
+    the marginal at the zero potential; ``q``, ``C`` and ``mu`` are
+    validated here, once.  Values/gradients in ``p`` run the dual solve to
+    ``tol = 1e-10`` and are meant for diagnostics only.
     """
     q, C = _check_entropic(q, C, mu)
-    n = q.size
+    return _local_oracle(q, C, mu, _transport_marginal(C, mu))
+
+
+def _local_oracle(q, C, mu, marginal):
+    """The oracle of :func:`barycenter_local_oracle` on checked inputs and a built ``marginal``."""
+    n = C.shape[0]  # p has one atom per row of the cost, q one per column
 
     def value(p):
         # W_mu(., q) is +inf off the simplex, where a noisy primal average can land
@@ -351,7 +394,7 @@ def barycenter_local_oracle(q, C, mu: float) -> FirstOrderOracle:
         return lam
 
     def conjugate_argmax(u):
-        return _column_plan(np.asarray(u, dtype=float), C, mu)[0] @ q
+        return marginal(np.asarray(u, dtype=float), q)
 
     # L is unknown in closed form (the conjugate is only strictly convex);
     # the dual pipeline needs only mu.  The minimiser of W_mu(., q) over the
@@ -365,10 +408,11 @@ def barycenter_problem(measures, C, mu: float, topology):
     """Decentralized instance of the empirical smoothed-barycenter problem.
 
     One node per measure; node ``i`` owns ``p -> W_mu(p, q^i)`` and its
-    closed-form conjugate oracle, and the instance evaluates all the nodes'
-    marginals as one stacked softmax and one batched product.  Solving the
-    lifted dual and recovering the primal per node yields the empirical
-    barycenter.
+    closed-form conjugate oracle.  The nodes share one
+    :func:`_transport_marginal`, so the Gibbs kernel is built once per
+    instance, and the instance evaluates all the nodes' marginals in one
+    call of it.  Solving the lifted dual and recovering the primal per node
+    yields the empirical barycenter.
     """
     from .network import DecentralizedInstance
 
@@ -377,14 +421,12 @@ def barycenter_problem(measures, C, mu: float, topology):
     C = np.asarray(C, dtype=float)
     if C.shape != (n, n):
         raise ValueError(f"cost must be {n}x{n} for {n} atoms, got shape {C.shape}")
-    locals_ = [barycenter_local_oracle(q, C, mu) for q in measures]
-    Q = np.clip(measures, 0.0, None)[:, :, None]
-
-    def batched_argmax(U):
-        # X_k = S(U_k) q^k for all nodes: equal to the per-node conjugate_argmax
-        return np.matmul(_column_plan(U, C, mu)[0], Q)[:, :, 0]
-
-    return DecentralizedInstance(locals_, topology, n, batched_argmax=batched_argmax)
+    for q in measures:
+        _check_entropic(q, C, mu)
+    Q = np.clip(measures, 0.0, None)
+    marginal = _transport_marginal(C, mu)
+    locals_ = [_local_oracle(q, C, mu, marginal) for q in Q]
+    return DecentralizedInstance(locals_, topology, n, batched_argmax=lambda U: marginal(U, Q))
 
 
 def projected_gradient_barycenter(measures, C, mu: float, iters: int = 2000,
@@ -438,8 +480,8 @@ def load_measures_csv(path) -> np.ndarray:
 
 
 def load_cost_csv(path) -> np.ndarray:
-    """Cost file: a non-negative ``n x n`` matrix."""
+    """Cost file: a finite, non-negative ``n x n`` matrix."""
     C = np.atleast_2d(np.loadtxt(path, delimiter=","))
-    if C.shape[0] != C.shape[1] or np.any(C < 0):
-        raise ValueError("cost matrix must be square and non-negative")
+    if C.shape[0] != C.shape[1] or not np.isfinite(C).all() or np.any(C < 0):
+        raise ValueError("cost matrix must be square, finite and non-negative")
     return C

@@ -451,6 +451,11 @@ BAD_INPUTS = {
     "measure_off_simplex": lambda t: _bad_barycenter(
         t, measures=np.array([[0.3, 0.7], [0.6, 0.6], [0.5, 0.5]])),
     "cost_not_n_by_n": lambda t: _bad_barycenter(t, cost=np.ones((3, 3)) - np.eye(3)),
+    # NaN passes every comparison test and inf made the run diverge: exit 3 after minutes
+    "measure_nan": lambda t: _bad_barycenter(
+        t, measures=np.array([[0.3, 0.7], [np.nan, 0.5], [0.5, 0.5]])),
+    "cost_nan": lambda t: _bad_barycenter(t, cost=np.array([[0.0, np.nan], [1.0, 0.0]])),
+    "cost_inf": lambda t: _bad_barycenter(t, cost=np.array([[0.0, np.inf], [1.0, 0.0]])),
     "ring_m_differs_from_measures": lambda t: _bad_barycenter(t, topology={"kind": "ring", "m": 4}),
     "single_node_barycenter": lambda t: _bad_barycenter(
         t, measures=np.array([[0.3, 0.7]]), topology=_single_node_file(t)),
@@ -726,6 +731,27 @@ def test_the_library_refuses_what_optdec_run_refuses(tmp_path, capsys, monkeypat
         monkeypatch.setitem(cli.METHODS, name, record._replace(solve=None))
     assert assert_refused_alike(tmp_path, capsys, {
         **_RING4_CONFIG, "method": method, **settings, "constants": constants}) == refusal
+
+
+@pytest.mark.parametrize("method", sorted(name for name, record in cli.METHODS.items()
+                                          if "R_y" in record.constants))
+def test_a_machine_runs_on_the_R_y_constant(method):
+    # the constant reaches a Machine's solve through run_method alone
+    qp, A = cli._build_random({"kind": "penalty", "dim": 4, "m_rows": 2}, 0)
+    runs = {}
+    for R_y in (None, 50.0):
+        machine = Machine(qp, A, np.zeros(4), NoiseSpec())
+        trace, _, _ = run_method(method, machine, "auto", 0.1, 0.1,
+                                 {} if R_y is None else {"R_y": R_y})
+        runs[R_y] = machine, trace
+    (bound, unset), (machine, trace) = runs[None], runs[50.0]
+    assert machine.R_y == 50.0 and bound.R_y < 5.0  # the min-norm bound
+    if method == "stm_ips":  # the penalty's R_y, in the trace; no dual oracle is built
+        assert trace.metadata["R_y"] == "50" and unset.metadata["R_y"] == format(bound.R_y, ".17g")
+        assert machine.summary == {}
+    else:
+        assert machine.summary == {"R_y": 50.0} and bound.summary == {"R_y": bound.R_y}
+    assert trace.rows != unset.rows
 
 
 def test_noisy_barycenter_with_metrics_reads_infinite_gap(tmp_path, capsys, monkeypatch):

@@ -29,7 +29,12 @@ pin how each node's ``Q`` and ``b`` are drawn and decomposed.
 ``N`` follows from ``R_y``, the bound centred on the minimisers of the
 local objectives; its measure and cost CSVs are written next to the config
 and named by relative paths, so ``config_hash`` does not depend on where
-the test runs.
+the test runs.  It was re-recorded when the node marginals came to be
+computed from a cached Gibbs kernel instead of the log-domain plan: its
+steps and counters stayed, and its metrics moved by rounding
+(``dual_gap`` by 1.1e-16), as
+``test_barycenter_golden_moves_only_by_rounding_off_the_log_domain`` checks
+against the digests the log-domain path still writes.
 
 The summaries of decentralized runs, in every table, were recorded when
 the summary first read each ``final_*`` metric from the last row that
@@ -44,6 +49,7 @@ import numpy as np
 import pytest
 
 import optdec.oracles as oracles
+import optdec.problems
 from conftest import count_seeding
 from optdec.cli import main
 
@@ -208,6 +214,12 @@ GOLDEN_BARYCENTER = {
          "problem": {"kind": "barycenter", "measures": "measures.csv", "cost": "cost.csv",
                      "mu": 0.2, "topology": {"kind": "ring", "m": 4}},
          "eps": 0.01, "N": "auto", "seed": 2},
+        "39dae6def80d3ffc232151768ebe9568e45a03d95ff5b3c2ff57ca262885a5f3",
+        "23f2433e36b8e5553ab85319506ce787b1aff5ef9610ce577c0e3e857b856901"),
+}
+# the digests of that run when every marginal takes the log-domain plan
+LOG_DOMAIN_BARYCENTER = {
+    "spdstm_barycenter_ring4_auto": (
         "c603cc2ef375378b2ffd6da68f72059de834eca5c333a103a8062d27839d4bfb",
         "f0eb1e467b57f73c91304bcf3ac6cc8ec68e5344372159369af0c8ebab7b0aa9"),
 }
@@ -217,18 +229,50 @@ def _csv_text(rows) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
+def _barycenter_run(cfg, out):
+    """Run ``cfg`` on the golden measures and cost; the trace CSV and summary paths."""
+    Path("measures.csv").write_text(_csv_text(BARYCENTER_MEASURES))
+    Path("cost.csv").write_text(_csv_text(BARYCENTER_COST))
+    Path("cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "cfg.json", "--out", out]) == 0
+    (csv,), (summary,) = list(Path(out).glob("*.trace.csv")), list(Path(out).glob("*.summary.json"))
+    return csv, summary
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_BARYCENTER))
 def test_barycenter_run_is_byte_identical_to_golden(tmp_path, capsys, monkeypatch, name):
     cfg, csv_digest, summary_digest = GOLDEN_BARYCENTER[name]
     monkeypatch.chdir(tmp_path)
-    Path("measures.csv").write_text(_csv_text(BARYCENTER_MEASURES))
-    Path("cost.csv").write_text(_csv_text(BARYCENTER_COST))
-    Path("cfg.json").write_text(json.dumps(cfg))
-    assert main(["run", "cfg.json", "--out", "out"]) == 0
+    csv, summary = _barycenter_run(cfg, "out")
     capsys.readouterr()
-    (csv,), (summary,) = list(Path("out").glob("*.trace.csv")), list(Path("out").glob("*.summary.json"))
     assert _sha256(csv) == csv_digest
     assert _sha256(summary) == summary_digest
+
+
+def _trace_rows(csv) -> list:
+    return [line.split(",") for line in csv.read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BARYCENTER))
+def test_barycenter_golden_moves_only_by_rounding_off_the_log_domain(tmp_path, capsys, monkeypatch,
+                                                                     name):
+    # a range limit of 0 sends every marginal down the log-domain path, which
+    # still writes the digests recorded before the Gibbs kernel
+    monkeypatch.chdir(tmp_path)
+    kernel, _ = _barycenter_run(GOLDEN_BARYCENTER[name][0], "kernel")
+    monkeypatch.setattr(optdec.problems, "KERNEL_RANGE", 0.0)
+    log_domain, summary = _barycenter_run(GOLDEN_BARYCENTER[name][0], "log_domain")
+    capsys.readouterr()
+    assert (_sha256(log_domain), _sha256(summary)) == LOG_DOMAIN_BARYCENTER[name]
+    (header, *rows), (header_log, *rows_log) = _trace_rows(kernel), _trace_rows(log_domain)
+    assert header == header_log and len(rows) == len(rows_log)
+    metrics = {"f_gap", "dual_gap", "grad_norm", "constraint_norm"}
+    for row, row_log in zip(rows, rows_log):
+        for key, value, value_log in zip(header, row, row_log):
+            if key in metrics and value != value_log:
+                assert abs(float(value) - float(value_log)) <= 1e-12 * abs(float(value_log))
+            else:  # iter, A_k and every counter, digit for digit
+                assert value == value_log
 
 
 def _run_summary(cfg) -> dict:

@@ -391,6 +391,98 @@ def test_barycenter_local_oracles_are_strongly_convex():
         assert oracle.value(p1) >= lower - 1e-8
 
 
+def _log_domain_marginal(U, Q, C, mu):
+    return np.matmul(optdec.problems._column_plan(U, C, mu)[0], Q[..., None])[..., 0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(1, 4), log_mu=st.floats(np.log(1e-3), np.log(2.0)),
+       spread=st.floats(0.0, 1.0), log_scale=st.floats(np.log(1e-3), np.log(1e3)),
+       zero_mass=st.floats(0.0, 0.6), shifted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_kernel_marginals_match_the_log_domain(n, m, log_mu, spread, log_scale, zero_mass,
+                                               shifted, seed):
+    rng = np.random.default_rng(seed)
+    mu = float(np.exp(log_mu))
+    # costs on the grid 2^-6 Z, each column spanning at most KERNEL_RANGE mu; a
+    # column shift, negative or not, is exact on the grid and leaves every
+    # marginal unchanged, so the reference takes the unshifted cost
+    top = int(spread * optdec.problems.KERNEL_RANGE * mu * 64)
+    base = rng.integers(0, top + 1, size=(n, n)) / 64.0
+    C = base + (rng.integers(-2**16, 2**16, size=n) / 64.0 if shifted else 0.0)
+    U = float(np.exp(log_scale)) * mu * rng.standard_normal((m, n))
+    Q = rng.dirichlet(np.ones(n), size=m) * (rng.random((m, n)) >= zero_mass)
+    Q[Q.sum(axis=1) == 0, 0] = 1.0
+    Q /= Q.sum(axis=1, keepdims=True)
+    X = optdec.problems._transport_marginal(C, mu)(U, Q)
+    # c = 8: over 30,000 random draws of up to 30 atoms the worst error was 2.7 of this unit
+    unit = np.finfo(float).eps * (1.0 + np.abs(U).max() / mu + np.ptp(C, axis=0).max() / mu)
+    assert np.abs(X - _log_domain_marginal(U, Q, base, mu)).max() <= 8.0 * unit
+    # one node at a time, as a local oracle's conjugate_argmax asks
+    for U_k, Q_k, X_k in zip(U, Q, X):
+        assert np.abs(optdec.problems._transport_marginal(C, mu)(U_k, Q_k) - X_k).max() <= 8.0 * unit
+
+
+def test_costs_wider_than_the_kernel_range_take_the_log_domain(monkeypatch):
+    # mu 1e-4 on [0, 1]: a column spans 10^4 mu, past KERNEL_RANGE = 500
+    calls = []
+    plan = optdec.problems._column_plan
+
+    def counted(*args):
+        calls.append(1)
+        return plan(*args)
+
+    monkeypatch.setattr(optdec.problems, "_column_plan", counted)
+    C, mu = grid_cost(30), 1e-4
+    rng = np.random.default_rng(23)
+    Q = rng.dirichlet(np.full(30, 2.0), size=8)
+    marginal = optdec.problems._transport_marginal(C, mu)
+    for scale in (0.0, 1e-3, 1.0):
+        X = marginal(scale * rng.standard_normal((8, 30)), Q)
+        assert np.isfinite(X).all() and X.min() >= 0.0
+        assert np.abs(X.sum(axis=1) - 1.0).max() <= 1e-12
+    assert len(calls) == 3
+
+
+def test_local_oracle_lives_on_the_cost_rows():
+    # p on three atoms, q on two: the oracle's dimension is the number of rows
+    from optdec.problems import barycenter_local_oracle
+    q, C = np.array([0.4, 0.6]), np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.25]])
+    oracle = barycenter_local_oracle(q, C, 0.3)
+    assert oracle.dim == 3 and abs(oracle.x_star.sum() - 1.0) <= 1e-15
+    u = np.array([0.2, -0.1, 0.05])
+    assert np.abs(oracle.conjugate_argmax(u) - entropic_ot_dual_grad(u, q, C, 0.3)).max() <= 1e-15
+
+
+def test_barycenter_instance_builds_its_kernel_once(monkeypatch):
+    built = []
+    build = optdec.problems._transport_marginal
+
+    def counted(*args):
+        built.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(optdec.problems, "_transport_marginal", counted)
+    measures = np.random.default_rng(24).dirichlet(np.ones(6), size=5)
+    inst = barycenter_problem(measures, grid_cost(6), 0.1, Topology.ring(5))
+    run_distributed("spdstm", inst, {"eps": 1e-3, "N": 20})
+    assert len(built) == 1
+
+
+def test_barycenter_local_argmax_allocates_no_plan_stack():
+    import tracemalloc
+    m, n = 100, 50
+    measures = np.random.default_rng(25).dirichlet(np.ones(n), size=m)
+    inst = barycenter_problem(measures, grid_cost(n), 0.05, Topology.ring(m))
+    u = np.random.default_rng(26).standard_normal(m * n)
+    tracemalloc.start()
+    try:
+        inst.local_argmax(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * n * n / 4  # one (m, n, n) plan stack: 2 MB
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -418,3 +510,31 @@ def test_cost_csv_rejects_negative(tmp_path):
     np.savetxt(bad, np.array([[0.0, -1.0], [1.0, 0.0]]), delimiter=",")
     with pytest.raises(ValueError):
         load_cost_csv(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_transport_inputs_must_be_finite(tmp_path, value):
+    bad = tmp_path / "bad.csv"
+    np.savetxt(bad, np.array([[0.0, value], [1.0, 0.0]]), delimiter=",")
+    with pytest.raises(ValueError, match="finite"):
+        load_cost_csv(bad)
+    np.savetxt(bad, np.array([[value, 0.5]]), delimiter=",")
+    with pytest.raises(ValueError, match="finite"):
+        load_measures_csv(bad)
+    measures, C = np.array([[0.3, 0.7], [0.6, 0.4]]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        barycenter_problem(measures, np.array([[0.0, value], [1.0, 0.0]]), 0.5, Topology.path(2))
+    with pytest.raises(ValueError, match="finite"):
+        barycenter_problem(np.array([[value, 0.5], [0.6, 0.4]]), C, 0.5, Topology.path(2))
+    with pytest.raises(ValueError, match="finite"):
+        entropic_wasserstein(measures[0], measures[1], np.array([[0.0, value], [1.0, 0.0]]), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        entropic_wasserstein(np.array([value, 0.5]), measures[1], C, 0.5)
+
+
+def test_wasserstein_refuses_a_nan_residual(monkeypatch):
+    # res > tol is False for NaN: the solve must not return it as converged
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: np.nan)
+    with pytest.raises(RuntimeError, match="did not reach"):
+        entropic_wasserstein(np.array([0.3, 0.7]), np.array([0.6, 0.4]),
+                             np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5, max_iter=3)
