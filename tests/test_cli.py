@@ -282,6 +282,22 @@ def test_run_stm_ips_penalty(tmp_path):
     assert summary["final_f_gap"] <= 1e-2 * (1 + 1e-9)
 
 
+# A^T A products of stm_ips at N 30 with default inner budgets, by seed.
+# Recorded from the expression-form inner prox; a digest re-record must not move them.
+STM_IPS_MATVEC_AtA = {1: 6114, 2: 10150, 3: 16012, 4: 8082, 5: 4890, 6: 15566, 7: 5368,
+                      8: 29748}
+
+
+@pytest.mark.parametrize("seed", sorted(STM_IPS_MATVEC_AtA))
+def test_stm_ips_counts_its_recorded_products(tmp_path, capsys, seed):
+    cfg = {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+           "eps": 0.02, "N": 30, "seed": seed}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (csv,) = tmp_path.glob("*.trace.csv")
+    assert RunTrace.from_csv(csv).final["matvec_AtA"] == STM_IPS_MATVEC_AtA[seed]
+
+
 def test_run_barycenter_from_files(tmp_path):
     measures = np.array([[0.3, 0.7], [0.6, 0.4]])
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
