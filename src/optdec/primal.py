@@ -51,15 +51,13 @@ def _pull_back(mu):
     Bitwise ``z - alpha (g - mu (x~ - z)) / (1 + A' mu)``, evaluated in the
     same order in place on the one temporary ``x~ - z``.  ``mu`` and
     ``alpha`` scale it as 0-d float64 arrays: numpy scales a vector by one
-    faster than by a Python float, with the same bits.  At ``mu = 1`` the
-    scaling by ``mu`` is skipped, since ``t * 1.0 == t`` exactly.
+    faster than by a Python float, with the same bits.
     """
-    mu_arr = None if mu == 1.0 else np.array(mu, dtype=float)
+    mu_arr = np.array(mu, dtype=float)
 
     def mirror(z, g, x_tilde, alpha, A_next):
         t = x_tilde - z
-        if mu_arr is not None:
-            t *= mu_arr
+        t *= mu_arr
         np.subtract(g, t, t)
         t *= np.array(alpha)
         t /= 1.0 + A_next * mu
@@ -165,7 +163,10 @@ class PenaltyProblem(CompositeProblem):
     ``h(x) = (R_y^2 / eps) ||A x||^2`` with ``R_y`` a bound on the norm of
     the minimal dual solution.  Driving ``F = f + h`` to accuracy ``eps``
     transfers to ``f``-gap at most ``eps`` and ``||A x|| <= 2 eps / R_y``.
-    Every ``grad_h`` evaluation is one ``A^T A`` product and is counted.
+    ``grad h(z) = H z`` with the penalty matrix ``H = 2 (R_y^2 / eps) A^T A``,
+    scaled once here, so each ``grad_h`` is the one product ``H.dot(z)``
+    and is counted as one ``A^T A`` product.  A coefficient or ``L_h`` that
+    is not finite raises ``ArithmeticError`` before any step.
     """
 
     def __init__(self, base: FirstOrderOracle, A, R_y: float, eps: float):
@@ -177,33 +178,30 @@ class PenaltyProblem(CompositeProblem):
         self.R_y = float(R_y)
         self.eps = float(eps)
         self.AtA = AtA
-        self.coeff = R_y ** 2 / eps
+        try:
+            self.coeff = R_y ** 2 / eps
+        except OverflowError:  # a Python float's ``**`` raises where numpy gives inf
+            self.coeff = math.inf
         lam_max = spectrum(AtA)[0]
         self.lam_max_AtA = lam_max
-
-        # the closures hold ``AtA``, not ``self``: no reference cycle
         coeff = self.coeff
-        two_coeff = np.array(2.0 * coeff)
+        L_h = 2.0 * coeff * float(lam_max)
+        if not (math.isfinite(coeff) and math.isfinite(L_h)):
+            raise ArithmeticError(f"penalty coefficient R_y^2/eps = {coeff:g} (R_y {R_y:g}, "
+                                  f"eps {eps:g}) gives L_h = {L_h:g}, which is not finite")
+        H = 2.0 * coeff * AtA
 
+        # the closures and ``H.dot`` hold arrays, not ``self``: no reference cycle
         def h_value(x):
             Ax = A @ x
             return coeff * float(Ax @ Ax)
-
-        def h_gradient(z):
-            # bitwise 2.0 * coeff * (AtA @ z): ``.dot`` is the same product,
-            # scaled in place because it is a fresh array, by 2c held as a
-            # 0-d array for speed (see ``_pull_back``)
-            v = AtA.dot(z)
-            v *= two_coeff
-            return v
 
         def prox_solver(z_k, alpha, lin):
             # exact minimiser of 0.5||z - z_k||^2 + alpha(<lin, z> + h(z))
             M = np.eye(base.dim) + (2.0 * alpha * coeff) * AtA
             return np.linalg.solve(M, z_k - alpha * lin)
 
-        super().__init__(base, h_value, h_gradient, 2.0 * coeff * lam_max,
-                         prox_solver=prox_solver)
+        super().__init__(base, h_value, H.dot, L_h, prox_solver=prox_solver)
 
 
 def build_penalty(base: FirstOrderOracle, A, R_y: float, eps: float) -> PenaltyProblem:
@@ -226,7 +224,7 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
     """Approximately minimise ``g(z) = 0.5||z - z_k||^2 + alpha(<lin,z> + h(z))``.
 
     Runs the strongly convex triangle scheme (g is 1-strongly convex and
-    ``(alpha L_h + 1)``-smooth) from the warm start ``z_k - alpha lin``,
+    ``(alpha L_h + 1)``-smooth) from the warm start ``c0 = z_k - alpha lin``,
     stopping early once the gradient norm certifies the delta-solution
     contract: ``gap <= 0.5 ||grad g||^2`` together with the lower bounds
     ``||z_k - z_hat|| >= ||grad g(z_k)|| / L_g`` and
@@ -236,45 +234,43 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
 
     Returns ``(z, certified_gap_bound, converged)``.
 
-    The arithmetic is bitwise that of the expression form
-    ``(z - z_k) + alpha lin + alpha grad_h(z)`` with ``np.linalg.norm``:
-    ``alpha lin`` is computed once per call, the sum is built in place on
-    the fresh ``z - z_k`` in the same order, and a norm is
-    ``sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes for a
-    real vector.  ``.dot`` is used for its lower call cost only, and
-    ``alpha`` scales ``grad_h`` as a 0-d array for the same reason (see
-    :func:`_pull_back`); the array ``grad_h`` returns is not written.
-    ``||z_k - z||`` is taken from the ``z - z_k`` that ``grad g(z)`` is
-    built on, since ``(a - b)^2 == (b - a)^2`` exactly.  Each ``grad g`` is
-    one ``problem.grad_h`` call, so ``matvec_AtA`` rises by
-    ``2 + 2 (inner steps)``.
+    Split form: ``grad g(z) = (z - c0) + alpha grad_h(z)``.  With ``mu = 1``
+    the pull-back ``z - a (grad g(x~) - (x~ - z)) / (1 + A')`` is
+    ``z - s ((z - c0) + alpha grad_h(x~))`` with ``s = a / (1 + A')``: ``x~``
+    cancels, so the triangle's gradient is ``grad_h(x~)`` alone, and only
+    the certificate builds a full ``grad g``.  ``alpha`` and ``s`` scale
+    vectors as 0-d arrays (see :func:`_pull_back`), and a norm is
+    ``sqrt(v.dot(v))``.  Each step makes two ``problem.grad_h`` calls (at
+    ``x~`` and at the average), and the start two more (at ``z_k`` and
+    ``c0``), so ``matvec_AtA`` rises by ``2 + 2 (inner steps)``.
     """
     L_g = alpha * problem.L_h + 1.0
-    alpha_lin = alpha * lin
+    c0 = z_k - alpha * lin
     alpha_arr = np.array(alpha, dtype=float)
     grad_h = problem.grad_h
 
-    def grad_g(k, z, *_):
-        """``grad g(z)``, with the signature of a :func:`triangle` gradient."""
-        v = z - z_k
-        v += alpha_lin
+    def grad_g(z):
+        v = z - c0
         v += alpha_arr * grad_h(z)
         return v
 
     def certify(z):
         """``(||grad g(z)||, whether z meets the contract)``."""
-        v = z - z_k
-        dist = math.sqrt(v.dot(v))
-        v += alpha_lin
-        v += alpha_arr * grad_h(z)
+        v = grad_g(z)
         gn = math.sqrt(v.dot(v))
-        lb = max(lb_static, dist - gn)
+        v = z - z_k
+        lb = max(lb_static, math.sqrt(v.dot(v)) - gn)
         return gn, gn * gn / 2.0 <= delta * lb * lb
 
-    v = grad_g(None, z_k)
+    def mirror(z, g, x_tilde, a, A_next):
+        t = z - c0
+        t += alpha_arr * g
+        t *= np.array(a / (1.0 + A_next))
+        return np.subtract(z, t, t)
+
+    v = grad_g(z_k)
     lb_static = math.sqrt(v.dot(v)) / L_g
-    x = z_k - alpha_lin
-    gn, ok = certify(x)
+    gn, ok = certify(c0)
     gn0 = gn
 
     def after(k, x_avg, z, A):
@@ -282,9 +278,10 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
         gn, ok = certify(x_avg)
         return ok
 
+    x = c0
     if not ok:
-        x, _, _ = triangle(stm_step(L_g, 1.0, 2.0), 0.0, x, x, budget, grad_g,
-                           _pull_back(1.0), after)
+        x, _, _ = triangle(stm_step(L_g, 1.0, 2.0), 0.0, c0, c0, budget,
+                           lambda k, x_tilde, a, A_next: grad_h(x_tilde), mirror, after)
     # on budget exhaustion trust the step unless the gradient norm stagnated
     return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0
 

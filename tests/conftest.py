@@ -33,6 +33,53 @@ def expression_form_triangle(step, A, x, z, N, gradient, mirror, after):
     return x, z, A
 
 
+def expression_form_pull_back(mu):
+    """The strongly convex mirror update in expression form, the bitwise
+    reference for :func:`optdec.primal._pull_back`."""
+    def mirror(z, g, x_tilde, alpha, A_next):
+        return z - alpha * (g - mu * (x_tilde - z)) / (1.0 + A_next * mu)
+    return mirror
+
+
+def expression_form_inner_prox(pen, z_k, alpha, lin, delta, budget):
+    """The inner prox of ``stm_ips`` in expression form, ``grad g(z)`` built as
+    ``(z - z_k) + alpha lin + alpha (2 coeff (AtA z))`` and pulled back through
+    ``x~``: the rounding reference for :func:`optdec.primal._inner_prox_stm`
+    and the form the ``stm_ips`` goldens were first recorded with.  Returns
+    (z, gap bound, converged, AtA products, steps)."""
+    from optdec.schedules import next_alpha_stm
+    L_g = alpha * pen.L_h + 1.0
+    products = steps = 0
+
+    def grad_g(z):
+        nonlocal products
+        products += 1
+        return (z - z_k) + alpha * lin + alpha * (2.0 * pen.coeff * (pen.AtA @ z))
+
+    lb_static = float(np.linalg.norm(grad_g(z_k))) / L_g
+
+    def certified(z, gn):
+        lb = max(lb_static, float(np.linalg.norm(z_k - z)) - gn)
+        return gn * gn / 2.0 <= delta * lb * lb
+
+    x = z_k - alpha * lin
+    gn = gn0 = float(np.linalg.norm(grad_g(x)))
+    ok = certified(x, gn)
+
+    def after(k, x_avg, z, A):
+        nonlocal gn, ok, steps
+        steps += 1
+        gn = float(np.linalg.norm(grad_g(x_avg)))
+        ok = certified(x_avg, gn)
+        return ok
+
+    if not ok:
+        x, _, _ = expression_form_triangle(
+            lambda A: next_alpha_stm(A, L_g, 1.0, factor=2.0), 0.0, x, x, budget,
+            lambda k, x_tilde, a, A_next: grad_g(x_tilde), expression_form_pull_back(1.0), after)
+    return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0, products, steps
+
+
 def count_seeding(monkeypatch) -> dict:
     """Count the streams built by ``RngStreams.generator``, the one stream constructor."""
     from optdec.oracles import RngStreams

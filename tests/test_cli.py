@@ -298,6 +298,18 @@ def test_stm_ips_counts_its_recorded_products(tmp_path, capsys, seed):
     assert RunTrace.from_csv(csv).final["matvec_AtA"] == STM_IPS_MATVEC_AtA[seed]
 
 
+@pytest.mark.parametrize("R_y", [1e150, 1e300])
+def test_a_penalty_that_is_not_finite_exits_3(tmp_path, capsys, R_y):
+    # R_y^2/eps is inf: at 1e150 the run once exited 0 with every metric nan,
+    # at 1e300 R_y ** 2 overflowed and printed only the errno text
+    cfg = {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 4, "m_rows": 2, "cond": 5.0},
+           "eps": 1e-10, "N": 3, "seed": 1, "constants": {"R_y": R_y, "inner_T": 5}}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: penalty coefficient R_y^2/eps = inf (R_y ")
+    assert "Traceback" not in err and not list(tmp_path.glob("*.trace.csv"))
+
+
 def test_run_barycenter_from_files(tmp_path):
     measures = np.array([[0.3, 0.7], [0.6, 0.4]])
     C = np.array([[0.0, 1.0], [1.0, 0.0]])

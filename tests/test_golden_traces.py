@@ -18,7 +18,15 @@ the inner prox of ``stm_ips`` changes a digest; its two ``spdstm`` runs
 with ``N: "auto"``, one on a single machine and one on a ring with
 ``stop_gap``, pin the dual planning and run path.  The ``stop_gap`` run
 was re-recorded when a stop came to need the feasibility target
-``||A x~|| R_y <= eps`` besides the gap.  The single-machine
+``||A x~|| R_y <= eps`` besides the gap.  The two ``stm_ips`` runs were
+re-recorded when the inner prox took its split form, ``grad g(z) = (z - c0)
++ alpha grad_h(z)`` with ``grad_h`` the one product of the prescaled
+penalty matrix ``2 coeff A^T A``, whose mirror update no longer goes
+through ``x~``: that rounds differently.  Their steps and counters stayed
+(``matvec_AtA`` 96 and 1976) and their metrics moved by at most 1.1e-13
+relative, as
+``test_stm_ips_golden_moves_only_by_rounding_off_the_expression_form``
+checks against the digests the expression form still writes.  The single-machine
 ``ac_sa`` and ``rrma`` runs in both tables, recorded before these methods
 ran through ``dual.run_dual``, pin how their budget ``m_iters`` and
 weight ``lambda`` follow from ``N`` and the constants.  The
@@ -49,8 +57,9 @@ import numpy as np
 import pytest
 
 import optdec.oracles as oracles
+import optdec.primal
 import optdec.problems
-from conftest import count_seeding
+from conftest import count_seeding, expression_form_inner_prox
 from optdec.cli import main
 
 GOLDEN = {
@@ -105,14 +114,14 @@ GOLDEN_DETERMINISTIC = {
     "stm_ips_budget_exhausted": (
         {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "eps": 0.02, "N": 12, "seed": 3, "constants": {"inner_T": 3}},
-        "02df234a3f794642768d48639ed7ff573f6edb0faaee6d663816cd533a33ef7b",
-        "5bd15ba00d6a39bc9760a27add8e5c2d9a581f10c5ea1d57b1cffd1a82596b72"),
+        "7ade303ee844f84b71ed30b7b69fd908c7b57ce29f2171584067ecc26facac0b",
+        "db900965379f47a64b77056b10ad0d1ffca9caa9801d890b280a93938905f24c"),
     # default budgets: every inner prox is certified before its budget runs out
     "stm_ips_default_budget": (
         {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "eps": 0.02, "N": 12, "seed": 4},
-        "3ca6e5052972b11011cb222788baed0cd8cd349e19566aa0a3b314047808807a",
-        "9bdcba1f10d2d7b4772db0523e7b2f3f2721be3a960e5aa05d7c10042b282049"),
+        "012a25ddb197069bd37afb41ab221f1c5bf584daaefe7f21f614d1ee44037b96",
+        "7824956b5a1f44b871530e8951a463cfccc86b0113bf5a8536e96d729d4a8e10"),
     "stm_auto": (
         {"method": "stm", "problem": {"kind": "quadratic", "dim": 5, "cond": 10.0},
          "eps": 0.001, "N": "auto", "seed": 5},
@@ -163,6 +172,16 @@ GOLDEN_DETERMINISTIC = {
          "eps": 0.02, "N": 40, "seed": 3, "constants": {"lambda": 0.05, "m_iters": 30}},
         "aa83b957340629799c0b4e4b2ffe0b45f3f444db29977acf062c5226f8c364cd",
         "ebb17696b3b70c1642afeeb907a005c5cb64f3a99cbc4972bc9d5bebab12713b"),
+}
+
+# the digests of the two stm_ips runs when the inner prox runs in expression form
+EXPRESSION_FORM_STM_IPS = {
+    "stm_ips_budget_exhausted": (
+        "02df234a3f794642768d48639ed7ff573f6edb0faaee6d663816cd533a33ef7b",
+        "5bd15ba00d6a39bc9760a27add8e5c2d9a581f10c5ea1d57b1cffd1a82596b72"),
+    "stm_ips_default_budget": (
+        "3ca6e5052972b11011cb222788baed0cd8cd349e19566aa0a3b314047808807a",
+        "9bdcba1f10d2d7b4772db0523e7b2f3f2721be3a960e5aa05d7c10042b282049"),
 }
 
 
@@ -229,14 +248,19 @@ def _csv_text(rows) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
-def _barycenter_run(cfg, out):
-    """Run ``cfg`` on the golden measures and cost; the trace CSV and summary paths."""
-    Path("measures.csv").write_text(_csv_text(BARYCENTER_MEASURES))
-    Path("cost.csv").write_text(_csv_text(BARYCENTER_COST))
+def _golden_run(cfg, out):
+    """Run ``cfg`` in the working directory; the trace CSV and summary paths."""
     Path("cfg.json").write_text(json.dumps(cfg))
     assert main(["run", "cfg.json", "--out", out]) == 0
     (csv,), (summary,) = list(Path(out).glob("*.trace.csv")), list(Path(out).glob("*.summary.json"))
     return csv, summary
+
+
+def _barycenter_run(cfg, out):
+    """Run ``cfg`` on the golden measures and cost; the trace CSV and summary paths."""
+    Path("measures.csv").write_text(_csv_text(BARYCENTER_MEASURES))
+    Path("cost.csv").write_text(_csv_text(BARYCENTER_COST))
+    return _golden_run(cfg, out)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BARYCENTER))
@@ -253,6 +277,19 @@ def _trace_rows(csv) -> list:
     return [line.split(",") for line in csv.read_text().splitlines() if not line.startswith("#")]
 
 
+def _assert_moved_only_by_rounding(csv, csv_before, rel):
+    """Equal ``iter``, ``A_k`` and counters, digit for digit, and metrics within ``rel``."""
+    (header, *rows), (header_before, *rows_before) = _trace_rows(csv), _trace_rows(csv_before)
+    assert header == header_before and len(rows) == len(rows_before)
+    metrics = {"f_gap", "dual_gap", "grad_norm", "constraint_norm"}
+    for row, row_before in zip(rows, rows_before):
+        for key, value, value_before in zip(header, row, row_before):
+            if key in metrics and value != value_before:
+                assert abs(float(value) - float(value_before)) <= rel * abs(float(value_before))
+            else:
+                assert value == value_before
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_BARYCENTER))
 def test_barycenter_golden_moves_only_by_rounding_off_the_log_domain(tmp_path, capsys, monkeypatch,
                                                                      name):
@@ -264,15 +301,27 @@ def test_barycenter_golden_moves_only_by_rounding_off_the_log_domain(tmp_path, c
     log_domain, summary = _barycenter_run(GOLDEN_BARYCENTER[name][0], "log_domain")
     capsys.readouterr()
     assert (_sha256(log_domain), _sha256(summary)) == LOG_DOMAIN_BARYCENTER[name]
-    (header, *rows), (header_log, *rows_log) = _trace_rows(kernel), _trace_rows(log_domain)
-    assert header == header_log and len(rows) == len(rows_log)
-    metrics = {"f_gap", "dual_gap", "grad_norm", "constraint_norm"}
-    for row, row_log in zip(rows, rows_log):
-        for key, value, value_log in zip(header, row, row_log):
-            if key in metrics and value != value_log:
-                assert abs(float(value) - float(value_log)) <= 1e-12 * abs(float(value_log))
-            else:  # iter, A_k and every counter, digit for digit
-                assert value == value_log
+    _assert_moved_only_by_rounding(kernel, log_domain, 1e-12)
+
+
+def _expression_form_inner_prox(problem, z_k, alpha, lin, delta, budget):
+    z, gap, converged, products, _ = expression_form_inner_prox(problem, z_k, alpha, lin, delta,
+                                                                budget)
+    problem.counter.matvec_AtA += products  # the reference counts its products itself
+    return z, gap, converged
+
+
+@pytest.mark.parametrize("name", sorted(EXPRESSION_FORM_STM_IPS))
+def test_stm_ips_golden_moves_only_by_rounding_off_the_expression_form(tmp_path, capsys,
+                                                                       monkeypatch, name):
+    # the expression-form inner prox still writes the digests recorded before the split form
+    monkeypatch.chdir(tmp_path)
+    split, _ = _golden_run(GOLDEN_DETERMINISTIC[name][0], "split")
+    monkeypatch.setattr(optdec.primal, "_inner_prox_stm", _expression_form_inner_prox)
+    expression, summary = _golden_run(GOLDEN_DETERMINISTIC[name][0], "expression")
+    capsys.readouterr()
+    assert (_sha256(expression), _sha256(summary)) == EXPRESSION_FORM_STM_IPS[name]
+    _assert_moved_only_by_rounding(split, expression, 1e-10)
 
 
 def _run_summary(cfg) -> dict:
