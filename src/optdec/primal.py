@@ -186,7 +186,7 @@ class PenaltyProblem(CompositeProblem):
         self.lam_max_AtA = lam_max
         coeff = self.coeff
         L_h = 2.0 * coeff * float(lam_max)
-        if not (math.isfinite(coeff) and math.isfinite(L_h)):
+        if not math.isfinite(L_h):  # so is a coefficient that is not finite: lam_max > 0
             raise ArithmeticError(f"penalty coefficient R_y^2/eps = {coeff:g} (R_y {R_y:g}, "
                                   f"eps {eps:g}) gives L_h = {L_h:g}, which is not finite")
         H = 2.0 * coeff * AtA
