@@ -59,13 +59,18 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+def _norm(v) -> float:
+    """``||v||`` of a contiguous float64 vector: ``np.linalg.norm``'s ``sqrt(v.dot(v))``, bit for bit."""
+    return math.sqrt(v.dot(v))
+
+
 def _exact_grad_norm(dual: DualOracle, y) -> float:
     """``||A x(A^T y)||``, the noiseless dual gradient norm at ``y``."""
-    return float(np.linalg.norm(dual.A @ dual.x_exact(dual.A.T @ y)))
+    return _norm(dual.A @ dual.x_exact(dual.A.T @ y))
 
 
 def _guard(z, scale, trace, label):
-    if not np.linalg.norm(z) <= DIVERGENCE_FACTOR * (1.0 + scale):  # a NaN norm trips it too
+    if not _norm(z) <= DIVERGENCE_FACTOR * (1.0 + scale):  # a NaN norm trips it too
         trace.flag(f"{label}: divergence guard tripped")
         raise DivergenceError(f"{label}: iterate norm exceeded divergence guard", trace)
 
@@ -93,9 +98,10 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     infeasible ``x~`` is negative, so the gap alone does not imply the target.
     """
     L_tilde = L_tilde_factor * dual.L_psi
+    sigma_psi = dual.sigma_psi
 
     def batch(k):
-        return batch_size_spdstm((k + 2) / (2.0 * L_tilde), dual.sigma_psi, eps, N, beta, C_hat)
+        return batch_size_spdstm((k + 2) / (2.0 * L_tilde), sigma_psi, eps, N, beta, C_hat)
 
     streams = RngStreams(seed)
     y = np.zeros(dual.dual_dim)
@@ -139,7 +145,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
 
         ``z^{k+1} = (z^0 + mu sum_l alpha_l y~^l - sum_l alpha_l g^l) / (1 + A_{k+1} mu)``
 
-    maintained incrementally by two running sums (O(dim) per step).  Every
+    maintained incrementally by two running sums, updated in place (O(dim) per step).  Every
     gradient is a mean over ``batch`` samples (see
     :func:`optdec.schedules.batch_size_sstm_sc`).  A ``history`` list
     receives the per-step ``(alpha_l, y~^l, g^l)`` triples so tests can
@@ -164,8 +170,8 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
 
     def mirror(z, g, y_tilde, alpha, A_next):
         nonlocal sum_mu_y, sum_g
-        sum_mu_y = sum_mu_y + alpha * mu * y_tilde
-        sum_g = sum_g + alpha * g
+        sum_mu_y += alpha * mu * y_tilde
+        sum_g += alpha * g
         if history is not None:
             history.append((alpha, y_tilde.copy(), g.copy()))
         return (z0 + sum_mu_y - sum_g) / (1.0 + A_next * mu)
@@ -440,4 +446,4 @@ def duality_gap(primal, dual: DualOracle, x, y) -> dict:
     """
     x = np.asarray(x, dtype=float)
     gap = float(primal.value(x)) + dual.psi_value(np.asarray(y, dtype=float))
-    return {"gap": gap, "constraint_norm": float(np.linalg.norm(dual.A @ x))}
+    return {"gap": gap, "constraint_norm": _norm(dual.A @ x)}

@@ -266,7 +266,8 @@ class DecentralizedInstance:
 
     The stacked objective is ``f(x) = (1/m) sum_k f_k(x_k)``; it inherits
     ``L/m`` smoothness and ``mu/m`` strong convexity from the worst local
-    constants.  ``local_argmax`` maps stacked dual inputs through the
+    constants, and declares the conjugate ``f*(u) = (1/m) sum_k f_k*(m u_k)``
+    when every local declares its ``conjugate_value``.  ``local_argmax`` maps stacked dual inputs through the
     blockwise conjugate maximisers ``x_k(m u_k)``.  ``batched_argmax``, when
     given, maps the ``(m, n)`` stack of inputs ``m u_k`` to the ``(m, n)``
     stack of maximisers in one call; when every local declares its
@@ -301,9 +302,17 @@ class DecentralizedInstance:
             return np.concatenate(
                 [np.asarray(f.gradient(blocks[k]), dtype=float) for k, f in enumerate(nodes)]) / m
 
+        values = [f.conjugate_value for f in nodes]
+
+        def conjugate_value(u):
+            U = m * u.reshape(m, n)
+            return sum(f_star(U[k]) for k, f_star in enumerate(values)) / m
+
         L = max(f.L for f in self.locals) / m
         mu = min(f.mu for f in self.locals) / m
-        self.stacked = FirstOrderOracle(m * n, value, gradient, L, mu, counter=self.counter)
+        self.stacked = FirstOrderOracle(
+            m * n, value, gradient, L, mu, counter=self.counter,
+            conjugate_value=conjugate_value if None not in values else None)
         self.A = self.pair.sqrtW
         if batched_argmax is None and all(f.quadratic is not None for f in self.locals):
             batched_argmax = _stacked_quadratic_argmax([f.quadratic for f in self.locals])

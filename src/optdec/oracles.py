@@ -5,7 +5,7 @@ Every solver in this package consumes one of three oracle flavours:
 * :class:`FirstOrderOracle` -- exact value/gradient access to a smooth
   convex function together with its smoothness ``L`` and strong-convexity
   ``mu`` constants, and the side data it declares: ``conjugate_argmax``,
-  ``x_star`` and ``quadratic``, each ``None`` when unknown.
+  ``conjugate_value``, ``x_star`` and ``quadratic``, each ``None`` when unknown.
 * :class:`StochasticGradientOracle` -- gradient samples contaminated by the
   bias field ``e_1`` (scaled by ``delta``) and sub-Gaussian noise (scale
   ``sigma``).
@@ -39,17 +39,18 @@ contract:
   sample ``l`` cannot be drawn without rows ``0, ..., l-1``.
 * A network sample draws the noise blocks of its nodes in node order, in
   one row.
-* A batch mean adds its samples in the order ``l = 0, ..., r-1``: it is
-  ``(0 + sample_0 + ... + sample_{r-1}) / r``, where each sample is the
-  batch's shared centre (inner maximiser or gradient, plus bias) plus its
-  own noise.
+* A noisy batch mean adds its samples in the order ``l = 0, ..., r-1``:
+  it is ``(0 + sample_0 + ... + sample_{r-1}) / r``, where each sample is
+  the batch's shared centre (inner maximiser or gradient, plus bias) plus
+  its own noise.
 * So traces are byte-identical per ``(config, seed)``.
 
-A batch fills each chunk of its buffer in one ``standard_normal`` call,
-then scales, centres and sums the chunk once (``NoiseSpec.sum_samples``).
-``sigma = 0`` is the one way to say "no noise": a silent oracle
-(``NoiseSpec.silent``), bias or not, draws nothing, and its batches build
-no generator.
+A noisy batch fills each chunk of its buffer in one ``standard_normal``
+call, then scales, centres and sums the chunk once
+(``NoiseSpec.sum_samples``).  ``sigma = 0`` is the one way to say "no
+noise": a silent oracle (``NoiseSpec.silent``), bias or not, draws
+nothing.  A silent batch of ``r`` counts ``r`` samples and is its centre,
+exactly; it builds no generator.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class RngStreams:
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
-        self.path = tuple(int(p) for p in path)
+        self.path = tuple(map(int, path))
 
     def generator(self, *index: int) -> np.random.Generator:
         """The stream at path ``(*path, *index)``."""
@@ -230,7 +231,7 @@ class NoiseSpec:
         return eta
 
     def sum_samples(self, center: np.ndarray, block: int, rng, r: int, sample=None) -> np.ndarray:
-        """``sum_l (center + eta_l)`` over the ``r`` samples of a batch.
+        """``sum_l (center + eta_l)`` over the ``r`` samples of a noisy batch.
 
         ``rng`` is the batch's one generator.  Each chunk of the batch
         buffer is filled by one :meth:`draw`, so sample ``l`` is row ``l``
@@ -240,16 +241,11 @@ class NoiseSpec:
         running sum behind the carried total, which adds the samples in
         the order ``l = 0, ..., r-1`` with the bits of ``acc = 0; acc +=
         center + eta_l``.  (``np.add.reduce`` sums pairwise.)  At most
-        ``_CHUNK`` rows and 2 MiB are held at a time.  A silent spec draws
-        nothing: each sample is ``sample(None)``, which must return
-        ``center``.
+        ``_CHUNK`` rows and 2 MiB are held at a time.  A silent batch of
+        ``r`` never comes here: it counts ``r`` samples and is its centre,
+        exactly, with no generator (``_NoisySampler._batch_mean``).
         """
         d = center.shape[0]
-        if self.silent:
-            acc = np.zeros(d)
-            for _ in range(r):
-                acc += sample(None)
-            return acc
         buf = np.empty((1 + max(1, min(r, _CHUNK, (1 << 18) // d)), d))
         buf[0] = 0.0  # the running sum
         for lo in range(0, r, len(buf) - 1):
@@ -283,13 +279,14 @@ class FirstOrderOracle:
 
     The side data a problem knows in closed form is declared here and is
     ``None`` when unknown: ``conjugate_argmax`` maps ``u`` to
-    ``argmax_x {<u, x> - f(x)}``, ``x_star`` is the minimiser and
+    ``argmax_x {<u, x> - f(x)}``, ``conjugate_value`` maps it to the
+    value ``f*(u)`` of that maximum, ``x_star`` is the minimiser and
     ``quadratic`` the :class:`~optdec.problems.QuadraticProblem` whose
     ``Q`` and ``b`` define ``f``.
     """
 
     def __init__(self, dim, value, gradient, L, mu=0.0, counter=None, *,
-                 conjugate_argmax=None, x_star=None, quadratic=None):
+                 conjugate_argmax=None, conjugate_value=None, x_star=None, quadratic=None):
         if L < 0 or mu < 0:
             raise ValueError("L and mu must be non-negative")
         self.dim = int(dim)
@@ -299,6 +296,7 @@ class FirstOrderOracle:
         self.mu = float(mu)
         self.counter = counter if counter is not None else CallCounter()
         self.conjugate_argmax = conjugate_argmax
+        self.conjugate_value = conjugate_value
         self.x_star = x_star
         self.quadratic = quadratic
 
@@ -335,8 +333,9 @@ class _NoisySampler:
         A batch passes the ``center`` it computed once at ``at`` and the
         sample's ``row`` of its buffer, already filled with the sample's
         raw noise: the call only counts the sample and returns ``row``, and
-        the batch scales, centres and sums all rows at once.  A batch still
-        makes one call per sample because perfbench's traced check matches
+        the batch scales, centres and sums all rows at once.  A silent batch
+        passes no row and gets its ``center`` back.  A batch still makes one
+        call per sample because perfbench's traced check matches
         ``sample_x`` calls against ``stoch_samples``.
         """
         self.counter.stoch_samples += 1
@@ -351,15 +350,20 @@ class _NoisySampler:
     def _batch_mean(self, at: np.ndarray, r: int, streams: RngStreams, sample) -> np.ndarray:
         """Mean of the ``r`` samples at ``at``, each one counted by ``sample(at, rng, center, row)``.
 
-        The centre is computed once, and the rows are drawn from the one
-        generator of ``streams`` (none for a silent oracle), one
-        ``standard_normal`` call per buffer chunk (see
-        :meth:`NoiseSpec.sum_samples`).  The caller passes its per-sample
-        method as looked up on ``self``, so that patches of it see every
-        sample.
+        The centre is computed once.  A silent batch is its centre, exactly:
+        it makes ``r`` count-only calls ``sample(at, None, center, None)``
+        and builds no generator.  A noisy batch draws its rows from the one
+        generator of ``streams``, one ``standard_normal`` call per buffer
+        chunk (see :meth:`NoiseSpec.sum_samples`).  The caller passes its
+        per-sample method as looked up on ``self``, so that patches of it
+        see every sample.
         """
         center = self._sample_center(at)
-        rng = None if self.noise.silent else streams.generator()
+        if self.noise.silent:
+            for _ in range(r):
+                sample(at, None, center, None)
+            return center
+        rng = streams.generator()
         return self.noise.sum_samples(center, self.noise_block, rng, r,
                                       lambda row: sample(at, rng, center, row)) / r
 
@@ -447,8 +451,11 @@ class DualOracle(_NoisySampler):
         return np.asarray(self.argmax_solver(u), dtype=float)
 
     def psi_value(self, y: np.ndarray) -> float:
+        """``f*(A^T y)``: the primal's declared ``conjugate_value``, else ``<u, x(u)> - f(x(u))``."""
         # diagnostic path: raw multiplications, nothing is counted
         u = self.A.T @ np.asarray(y, dtype=float)
+        if self.primal.conjugate_value is not None:
+            return float(self.primal.conjugate_value(u))
         x = self.x_exact(u)
         return float(u @ x - self.primal.value(x))
 

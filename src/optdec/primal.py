@@ -178,8 +178,8 @@ class PenaltyProblem(CompositeProblem):
         self.R_y = float(R_y)
         self.eps = float(eps)
         self.AtA = AtA
-        try:
-            self.coeff = R_y ** 2 / eps
+        try:  # on Python floats, whatever type R_y and eps come in: numpy would warn
+            self.coeff = self.R_y ** 2 / self.eps
         except OverflowError:  # a Python float's ``**`` raises where numpy gives inf
             self.coeff = math.inf
         lam_max = spectrum(AtA)[0]

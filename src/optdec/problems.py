@@ -365,11 +365,13 @@ def _transport_marginal(C, mu):
 
 
 def barycenter_local_oracle(q, C, mu: float) -> FirstOrderOracle:
-    """Oracle for ``p -> W_mu(p, q)`` with its closed-form conjugate argmax.
+    """Oracle for ``p -> W_mu(p, q)`` with its closed-form conjugate.
 
     The conjugate of the smoothed transport distance in ``p`` is exactly
-    the log-sum-exp dual, so ``conjugate_argmax`` (the transport marginal
-    of :func:`_transport_marginal`) needs no inner solve, and ``x_star`` is
+    the log-sum-exp dual ``W*``, so ``conjugate_value`` (``W*``, as
+    :func:`entropic_ot_dual_value` computes it) and ``conjugate_argmax``
+    (the transport marginal of :func:`_transport_marginal`) need no inner
+    solve, and ``x_star`` is
     the marginal at the zero potential; ``q``, ``C`` and ``mu`` are
     validated here, once.  Values/gradients in ``p`` run the dual solve to
     ``tol = 1e-10`` and are meant for diagnostics only.
@@ -396,19 +398,22 @@ def _local_oracle(q, C, mu, marginal):
     def conjugate_argmax(u):
         return marginal(np.asarray(u, dtype=float), q)
 
+    def conjugate_value(u):
+        return _conjugate(_column_plan(np.asarray(u, dtype=float), C, mu)[1], q, mu)
+
     # L is unknown in closed form (the conjugate is only strictly convex);
     # the dual pipeline needs only mu.  The minimiser of W_mu(., q) over the
     # simplex is the zero-potential marginal.
     return FirstOrderOracle(n, value, gradient, L=0.0, mu=mu,
-                            conjugate_argmax=conjugate_argmax,
+                            conjugate_argmax=conjugate_argmax, conjugate_value=conjugate_value,
                             x_star=conjugate_argmax(np.zeros(n)))
 
 
 def barycenter_problem(measures, C, mu: float, topology):
     """Decentralized instance of the empirical smoothed-barycenter problem.
 
-    One node per measure; node ``i`` owns ``p -> W_mu(p, q^i)`` and its
-    closed-form conjugate oracle.  The nodes share one
+    One node per measure; node ``i`` owns ``p -> W_mu(p, q^i)`` and declares
+    its closed-form conjugate ``W*`` and conjugate argmax.  The nodes share one
     :func:`_transport_marginal`, so the Gibbs kernel is built once per
     instance, and the instance evaluates all the nodes' marginals in one
     call of it.  Solving the lifted dual and recovering the primal per node

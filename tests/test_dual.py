@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from optdec import (DivergenceError, DualOracle, FirstOrderOracle, NoiseSpec,
                     RegularizedDual, RngStreams, ac_sa, ac_sa2, duality_gap,
                     primal_recovery, random_quadratic, restarted_rrma,
                     rrma_ac_sa2, spdstm, sstm_sc)
-from optdec.dual import default_rrma_lambda, restart_config
+from optdec.dual import _norm, default_rrma_lambda, restart_config
 from optdec.problems import min_norm_dual_solution
 from optdec.schedules import next_alpha_spdstm
 
@@ -84,6 +87,20 @@ def test_spdstm_divergence_guard():
     dual.argmax_solver = lambda u: 1e8 * u + np.array([10.0, 0.0])
     with pytest.raises(DivergenceError):
         spdstm(dual, 200, 1e-3, 0.1, metric_every=0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 2000),
+                elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_guard_and_metric_norm_is_bitwise_np_linalg_norm(v):
+    # the divergence guard and the metrics take ||v|| as sqrt(v.dot(v)), as numpy
+    # does: the same bits, and the same warning when the dot product overflows
+    results = []
+    for norm in (_norm, np.linalg.norm):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results.append((np.array(norm(v)).tobytes(), [str(w.message) for w in caught]))
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------

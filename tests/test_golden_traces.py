@@ -42,7 +42,13 @@ computed from a cached Gibbs kernel instead of the log-domain plan: its
 steps and counters stayed, and its metrics moved by rounding
 (``dual_gap`` by 1.1e-16), as
 ``test_barycenter_golden_moves_only_by_rounding_off_the_log_domain`` checks
-against the digests the log-domain path still writes.
+against the digests the log-domain path still writes.  Both its tables were
+re-recorded again when a barycenter node came to declare its conjugate
+``W*`` in closed form, so that ``psi`` is the declared value instead of
+``<u, x(u)> - f(x(u))`` with ``f`` from a dual ascent to 1e-10: the final
+``dual_gap`` moved by 1.1e-16 on the kernel path, and steps and counters
+stayed, as ``test_barycenter_golden_moves_only_by_rounding_off_the_ascent_psi``
+checks against the digests both paths still write without the declared value.
 
 The summaries of decentralized runs, in every table, were recorded when
 the summary first read each ``final_*`` metric from the last row that
@@ -56,6 +62,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import optdec.network
 import optdec.oracles as oracles
 import optdec.primal
 import optdec.problems
@@ -233,12 +240,21 @@ GOLDEN_BARYCENTER = {
          "problem": {"kind": "barycenter", "measures": "measures.csv", "cost": "cost.csv",
                      "mu": 0.2, "topology": {"kind": "ring", "m": 4}},
          "eps": 0.01, "N": "auto", "seed": 2},
-        "39dae6def80d3ffc232151768ebe9568e45a03d95ff5b3c2ff57ca262885a5f3",
-        "23f2433e36b8e5553ab85319506ce787b1aff5ef9610ce577c0e3e857b856901"),
+        "37554ed0dfb579e57d8c5158db988c46d6e3cda6f3c6abbeeeb8870a1d7f3602",
+        "e328c3fa42396b1bb8b3c52b8383bcb605cb63ccf38f4d71a0c9867164f9ad68"),
 }
 # the digests of that run when every marginal takes the log-domain plan
 LOG_DOMAIN_BARYCENTER = {
     "spdstm_barycenter_ring4_auto": (
+        "bf5a01159bff154a46370f7bbc5f84dbc9ecbe353e5b5bb2ea62e876e190c325",
+        "b8253e99532d699c076fdbb6ad3461dc28a29c11b6e3ed42159a25dbcdc3c0e7"),
+}
+# the digests both paths wrote while psi came from <u, x(u)> - f(x(u)), f by dual ascent
+ASCENT_PSI_BARYCENTER = {
+    ("spdstm_barycenter_ring4_auto", "kernel"): (
+        "39dae6def80d3ffc232151768ebe9568e45a03d95ff5b3c2ff57ca262885a5f3",
+        "23f2433e36b8e5553ab85319506ce787b1aff5ef9610ce577c0e3e857b856901"),
+    ("spdstm_barycenter_ring4_auto", "log_domain"): (
         "c603cc2ef375378b2ffd6da68f72059de834eca5c333a103a8062d27839d4bfb",
         "f0eb1e467b57f73c91304bcf3ac6cc8ec68e5344372159369af0c8ebab7b0aa9"),
 }
@@ -302,6 +318,28 @@ def test_barycenter_golden_moves_only_by_rounding_off_the_log_domain(tmp_path, c
     capsys.readouterr()
     assert (_sha256(log_domain), _sha256(summary)) == LOG_DOMAIN_BARYCENTER[name]
     _assert_moved_only_by_rounding(kernel, log_domain, 1e-12)
+
+
+@pytest.mark.parametrize("name, path", sorted(ASCENT_PSI_BARYCENTER))
+def test_barycenter_golden_moves_only_by_rounding_off_the_ascent_psi(tmp_path, capsys,
+                                                                     monkeypatch, name, path):
+    # a stacked oracle that declares no conjugate value takes psi from the
+    # ascents, which still writes the digests recorded before W* was declared
+    monkeypatch.chdir(tmp_path)
+    if path == "log_domain":
+        monkeypatch.setattr(optdec.problems, "KERNEL_RANGE", 0.0)
+    declared, _ = _barycenter_run(GOLDEN_BARYCENTER[name][0], "declared")
+    build = optdec.network.DecentralizedInstance.__init__
+
+    def undeclared(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        self.stacked.conjugate_value = None
+
+    monkeypatch.setattr(optdec.network.DecentralizedInstance, "__init__", undeclared)
+    ascent, summary = _barycenter_run(GOLDEN_BARYCENTER[name][0], "ascent")
+    capsys.readouterr()
+    assert (_sha256(ascent), _sha256(summary)) == ASCENT_PSI_BARYCENTER[name, path]
+    _assert_moved_only_by_rounding(declared, ascent, 1e-12)
 
 
 def _expression_form_inner_prox(problem, z_k, alpha, lin, delta, budget):

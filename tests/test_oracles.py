@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import optdec.oracles as oracles_mod
 from conftest import fd_grad, rel_err
 from optdec import (DualOracle, FirstOrderOracle, NoiseSpec, QuadraticProblem,
-                    RngStreams, StochasticGradientOracle)
+                    RngStreams, StochasticGradientOracle, random_quadratic)
 from optdec.problems import entropic_ot_dual_grad, entropic_ot_dual_value
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -222,6 +222,55 @@ def test_batch_counts_samples():
     stoch = StochasticGradientOracle(oracle, NoiseSpec(0.0, 1.0))
     stoch.batch(np.zeros(2), 9, RngStreams(0).child(0))
     assert oracle.counter.stoch_samples == 9
+
+
+def _silent_case(case, noise, rng):
+    """A silent oracle, its batch ``r -> (mean, mapped mean or None)``, its exact part at
+    the batch's point, its noise block, and the class and name of its per-sample method."""
+    qp = random_quadratic(3, 10.0, rng)
+    if case == "primal":
+        stoch, x = StochasticGradientOracle(qp.oracle(), noise), rng.standard_normal(3)
+        return (stoch, lambda r: (stoch.batch(x, r, RngStreams(5).child(1)), None),
+                qp.gradient(x), 3, StochasticGradientOracle, "sample")
+    if case == "dual":
+        dual = DualOracle(qp.oracle(), rng.standard_normal((2, 3)), qp.conjugate_argmax, noise)
+    else:
+        dual = _distributed_dual(noise)
+    y = rng.standard_normal(dual.dual_dim)
+    return (dual, lambda r: dual.batch_grad_and_x(y, r, RngStreams(5).child(1))[::-1],
+            dual.x_exact(dual.A.T @ y), dual.noise_block, type(dual), "sample_x")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=st.sampled_from(["primal", "dual", "distributed"]), r=st.integers(1, 64),
+       delta=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_silent_batch_is_its_centre_and_counts_every_sample(case, r, delta, seed):
+    oracle, batch, exact, block, cls, name = _silent_case(case, NoiseSpec(delta, 0.0),
+                                                          np.random.default_rng(seed))
+    bias = np.zeros(block)
+    bias[0] = delta
+    center = (exact.reshape(-1, block) + bias).reshape(-1) if delta > 0 else exact
+    calls, method = [], getattr(cls, name)
+
+    def counted(self, *args):  # patched on the class, as perfbench's tracer patches it
+        calls.append(args)
+        return method(self, *args)
+
+    def no_generator(self, *index):
+        raise AssertionError("a silent batch built a generator")
+
+    before = oracle.counter.stoch_samples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, name, counted)
+        mp.setattr(RngStreams, "generator", no_generator)
+        mean, mapped = batch(r)
+    assert mean.tobytes() == center.tobytes()
+    if mapped is not None:
+        assert mapped.tobytes() == (oracle.A @ center).tobytes()
+    assert oracle.counter.stoch_samples - before == r and len(calls) == r
+    # every call only counts: no generator, the batch's centre, no buffer row
+    assert all(rng is None and c is mean and row is None for _, rng, c, row in calls)
+
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,15 @@ def test_penalty_refuses_a_coefficient_or_L_h_that_is_not_finite(R_y, eps, coeff
         build_penalty(scalar_quadratic().oracle(), np.array([[10.0]]), R_y, eps)
 
 
+@pytest.mark.parametrize("R_y", [np.float64(1e200), np.float64(1e160)])
+@pytest.mark.parametrize("eps", [1.0, np.float64(1.0)])
+def test_penalty_refuses_a_numpy_coefficient_without_a_warning(R_y, eps):
+    # the suite turns warnings into errors: an overflow warning would fail this
+    # before the ArithmeticError
+    with pytest.raises(ArithmeticError, match=r"R_y\^2/eps = inf .* L_h = inf"):
+        build_penalty(scalar_quadratic().oracle(), np.array([[10.0]]), R_y, eps)
+
+
 def test_penalty_Lh_spectral_formula():
     rng = np.random.default_rng(9)
     qp = random_quadratic(5, 3.0, rng)

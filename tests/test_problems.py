@@ -484,6 +484,71 @@ def test_barycenter_local_argmax_allocates_no_plan_stack():
 
 
 # ---------------------------------------------------------------------------
+# the declared conjugate W*
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n=st.integers(1, 12), log_mu=st.floats(np.log(1e-2), np.log(2.0)),
+       scale=st.floats(0.0, 50.0), zero_mass=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
+def test_barycenter_conjugate_value_is_the_fenchel_value(n, log_mu, scale, zero_mass, seed):
+    from optdec.problems import barycenter_local_oracle
+    rng = np.random.default_rng(seed)
+    mu = float(np.exp(log_mu))
+    q = rng.dirichlet(np.ones(n)) * (rng.random(n) >= zero_mass)
+    q[0] += q.sum() == 0
+    q /= q.sum()
+    u = scale * mu * rng.uniform(-1.0, 1.0, n)
+    C = rng.random((n, n))
+    oracle = barycenter_local_oracle(q, C, mu)
+    declared = oracle.conjugate_value(u)
+    assert declared == entropic_ot_dual_value(u, q, C, mu)
+    if mu < 0.05:
+        return  # where the reference ascent below can stall on potentials of 50 mu
+    # at the maximiser x = x(u), u attains f(x) = max_lam D(lam), D(lam) = <lam, x> - W*(lam):
+    # the tol-1e-10 ascent's (value, lam) has D(lam) <= D(u) <= D(lam) + <g, u - lam> by
+    # concavity, g = x - grad W*(lam) its last residual; that slack is about 1e-10 ||u - lam||
+    x = oracle.conjugate_argmax(u)
+    value, lam = entropic_wasserstein(x, q, C, mu, tol=1e-10)
+    slack = (x - entropic_ot_dual_grad(lam, q, C, mu)) @ (u - lam)
+    rounding = 1e-12 * (1.0 + np.abs(u).max())
+    assert -rounding <= (u @ x - declared) - value <= 1e-10 + slack + rounding
+
+
+def test_barycenter_instance_declares_the_stacked_conjugate():
+    from optdec.network import DistributedDualOracle
+    rng = np.random.default_rng(27)
+    measures = rng.dirichlet(np.ones(6), size=5)
+    dual = DistributedDualOracle(barycenter_problem(measures, grid_cost(6), 0.1, Topology.ring(5)))
+    for scale in (0.0, 0.1, 1.0, 5.0):
+        y = scale * rng.standard_normal(dual.dual_dim)
+        # the per-node form psi = <u, x(u)> - f(x(u)), f by the nodes' dual ascents
+        u = dual.A.T @ y
+        x = dual.x_exact(u)
+        assert abs(dual.psi_value(y) - (u @ x - dual.primal.value(x))) <= 1e-10
+
+
+@pytest.mark.parametrize("metric_every, ascents", [(0, 8), (50, 16)])
+def test_barycenter_run_ascends_only_for_R_y_and_the_primal_value(monkeypatch, metric_every,
+                                                                   ascents):
+    # the barycenter_ot shape: 8 nodes, one final metric; R_y takes one ascent
+    # per node in set-up, f(x~) one per node in the metric, and psi none
+    calls = []
+    ascent = optdec.problems.entropic_wasserstein
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ascent(*args, **kwargs)
+
+    monkeypatch.setattr(optdec.problems, "entropic_wasserstein", counted)
+    measures = np.random.default_rng(21).dirichlet(np.full(30, 2.0), size=8)
+    inst = barycenter_problem(measures, grid_cost(30), 0.05, Topology.ring(8))
+    _, trace, _ = run_distributed("spdstm", inst, {"eps": 5e-3, "N": 50,
+                                                   "metric_every": metric_every})
+    assert len(calls) == ascents
+    assert sum(row["dual_gap"] is not None for row in trace.rows) == (metric_every > 0)
+
+
+# ---------------------------------------------------------------------------
 # file formats
 
 
