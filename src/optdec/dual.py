@@ -60,7 +60,7 @@ class DivergenceError(RuntimeError):
 
 
 def _norm(v) -> float:
-    """``||v||`` of a contiguous float64 vector: ``np.linalg.norm``'s ``sqrt(v.dot(v))``, bit for bit."""
+    """``sqrt(v.dot(v))``: bitwise ``np.linalg.norm`` of a contiguous float64 vector."""
     return math.sqrt(v.dot(v))
 
 

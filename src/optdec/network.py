@@ -267,8 +267,9 @@ class DecentralizedInstance:
     The stacked objective is ``f(x) = (1/m) sum_k f_k(x_k)``; it inherits
     ``L/m`` smoothness and ``mu/m`` strong convexity from the worst local
     constants, and declares the conjugate ``f*(u) = (1/m) sum_k f_k*(m u_k)``
-    when every local declares its ``conjugate_value``.  ``local_argmax`` maps stacked dual inputs through the
-    blockwise conjugate maximisers ``x_k(m u_k)``.  ``batched_argmax``, when
+    when every local declares its ``conjugate_value``.  ``local_argmax``
+    maps stacked dual inputs through the blockwise conjugate maximisers
+    ``x_k(m u_k)``.  ``batched_argmax``, when
     given, maps the ``(m, n)`` stack of inputs ``m u_k`` to the ``(m, n)``
     stack of maximisers in one call; when every local declares its
     ``quadratic`` it defaults to one batched product with the stacked

@@ -451,7 +451,7 @@ class DualOracle(_NoisySampler):
         return np.asarray(self.argmax_solver(u), dtype=float)
 
     def psi_value(self, y: np.ndarray) -> float:
-        """``f*(A^T y)``: the primal's declared ``conjugate_value``, else ``<u, x(u)> - f(x(u))``."""
+        """``f*(A^T y)``: the declared ``conjugate_value``, else ``<u, x(u)> - f(x(u))``."""
         # diagnostic path: raw multiplications, nothing is counted
         u = self.A.T @ np.asarray(y, dtype=float)
         if self.primal.conjugate_value is not None:
