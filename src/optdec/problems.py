@@ -372,8 +372,8 @@ def barycenter_local_oracle(q, C, mu: float) -> FirstOrderOracle:
     :func:`entropic_ot_dual_value` computes it) and ``conjugate_argmax``
     (the transport marginal of :func:`_transport_marginal`) need no inner
     solve, and ``x_star`` is the marginal at the zero potential; ``q``,
-    ``C`` and ``mu`` are validated here, once.  Values/gradients in ``p`` run the dual solve to
-    ``tol = 1e-10`` and are meant for diagnostics only.
+    ``C`` and ``mu`` are validated here, once.  Values/gradients in ``p``
+    run the dual solve to ``tol = 1e-10`` and are meant for diagnostics only.
     """
     q, C = _check_entropic(q, C, mu)
     return _local_oracle(q, C, mu, _transport_marginal(C, mu))
