@@ -502,16 +502,18 @@ def test_barycenter_conjugate_value_is_the_fenchel_value(n, log_mu, scale, zero_
     oracle = barycenter_local_oracle(q, C, mu)
     declared = oracle.conjugate_value(u)
     assert declared == entropic_ot_dual_value(u, q, C, mu)
-    if mu < 0.05:
-        return  # where the reference ascent below can stall on potentials of 50 mu
-    # at the maximiser x = x(u), u attains f(x) = max_lam D(lam), D(lam) = <lam, x> - W*(lam):
-    # the tol-1e-10 ascent's (value, lam) has D(lam) <= D(u) <= D(lam) + <g, u - lam> by
-    # concavity, g = x - grad W*(lam) its last residual; that slack is about 1e-10 ||u - lam||
+    if mu < 0.1:
+        return  # where the reference ascent below can stall on potentials of 30-50 mu
+    # at the maximiser x = x(u), u attains f(x) = max_lam D(lam), D(lam) = <lam, x> - W*(lam),
+    # and f is the tol-1e-10 ascent's value D(lam).  Concavity of D at lam and at u bounds the
+    # difference by the ascent's last residual and by the marginal's rounding, each applied to
+    # u - lam: about 1e-10 ||u - lam|| when the ascent resolves every atom of x
     x = oracle.conjugate_argmax(u)
     value, lam = entropic_wasserstein(x, q, C, mu, tol=1e-10)
-    slack = (x - entropic_ot_dual_grad(lam, q, C, mu)) @ (u - lam)
-    rounding = 1e-12 * (1.0 + np.abs(u).max())
-    assert -rounding <= (u @ x - declared) - value <= 1e-10 + slack + rounding
+    above = (x - entropic_ot_dual_grad(lam, q, C, mu)) @ (u - lam)
+    below = (x - entropic_ot_dual_grad(u, q, C, mu)) @ (lam - u)
+    rounding = 1e-11 * (1.0 + np.abs(u).max())
+    assert -below - rounding <= (u @ x - declared) - value <= above + rounding
 
 
 def test_barycenter_instance_declares_the_stacked_conjugate():
