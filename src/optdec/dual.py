@@ -209,48 +209,46 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
 class RegularizedDual:
     """Dual objective plus an anchor term and doubling proximity shifts.
 
-    ``psi_k(y) = psi(y) + (lam/2)||y - anchor||^2
-    + lam sum_l 2^{l-1} ||y - center_l||^2``.
-    The gradient adds ``lam (y - anchor) + lam sum_l 2^l (y - center_l)``
-    to the base dual gradient; strong convexity and smoothness grow by
-    ``lam (2^{k+1} - 1)`` after ``k`` shifts.
+    ``psi_k(y) = psi(y) + (lam/2)||y - anchor||^2 + lam sum_l 2^{l-1} ||y - center_l||^2``.
+    The regulariser is a sum of quadratics, so it is held as one: its
+    modulus ``strong_convexity = s = lam (2^{k+1} - 1)`` after ``k`` shifts,
+    the linear term ``t = lam anchor + lam sum_l 2^l center_l`` and the
+    constant of ``value``.  ``add_shift`` updates them in O(dim), and the
+    gradient adds ``reg_grad(y) = s y - t`` to the base dual gradient.
     """
 
     def __init__(self, base: DualOracle, lam: float, anchor):
-        if lam <= 0:
+        if not lam > 0:  # a NaN lam is refused too
             raise ValueError("lam must be positive")
         self.base = base
         self.lam = float(lam)
-        self.anchor = np.array(anchor, dtype=float)
-        self.shift_terms: list[tuple[float, np.ndarray]] = []
+        anchor = np.asarray(anchor, dtype=float)
+        self.strong_convexity = self.lam
+        self.t = self.lam * anchor
+        self._const = 0.5 * self.lam * float(anchor @ anchor)
+        self._weight = self.lam  # the next shift's weight lam 2^k
 
     def add_shift(self, center):
-        weight = self.lam * 2.0 ** len(self.shift_terms)
-        self.shift_terms.append((weight, np.array(center, dtype=float)))
-
-    @property
-    def strong_convexity(self) -> float:
-        return self.lam + 2.0 * sum(w for w, _ in self.shift_terms)
+        center = np.asarray(center, dtype=float)
+        w, self._weight = self._weight, 2.0 * self._weight
+        self.strong_convexity += 2.0 * w
+        self.t = self.t + 2.0 * w * center
+        self._const += w * float(center @ center)
 
     @property
     def smoothness(self) -> float:
         return self.base.L_psi + self.strong_convexity
 
     def reg_grad(self, y):
-        g = self.lam * (y - self.anchor)
-        for w, c in self.shift_terms:
-            g = g + 2.0 * w * (y - c)
-        return g
+        return self.strong_convexity * y - self.t
 
     def batch_grad(self, y, r: int, streams: RngStreams):
         g, _ = self.base.batch_grad_and_x(y, r, streams)
         return g + self.reg_grad(y)
 
     def value(self, y):
-        v = self.base.psi_value(y) + 0.5 * self.lam * float(np.sum((y - self.anchor) ** 2))
-        for w, c in self.shift_terms:
-            v += w * float(np.sum((y - c) ** 2))
-        return v
+        return (self.base.psi_value(y) + float(y @ (0.5 * self.strong_convexity * y - self.t))
+                + self._const)
 
 
 def ac_sa(objective: RegularizedDual, z0, m: int, *, batch_size: int = 1,

@@ -16,9 +16,9 @@ the node-mixing product ``M @ x.reshape(m, n)``, and the dense
 the eigenvalues of ``W_bar``, since ``lambda(A^T A) = lambda(W_bar)`` for
 ``A = sqrt(W_bar) (x) I_n``.  The blockwise argmax is one batched call
 when the instance has one: quadratic local objectives, recognised by their
-declared ``quadratic`` field, are inverted once as one stacked
-``(m, n, n)`` array, and barycenter nodes evaluate their transport
-marginals from one cached Gibbs kernel in two ``(m, n) x (n, n)``
+declared ``quadratic`` field, take one product with the stack of the
+problems' own inverses ``Q_inv``, and barycenter nodes evaluate their
+transport marginals from one cached Gibbs kernel in two ``(m, n) x (n, n)``
 products (:func:`optdec.problems.barycenter_problem`; costs wider than
 ``KERNEL_RANGE * mu`` keep the log-domain plan).  The instance reads the
 local oracles' declared fields and never writes to them.
@@ -269,12 +269,11 @@ class DecentralizedInstance:
     constants, and declares the conjugate ``f*(u) = (1/m) sum_k f_k*(m u_k)``
     when every local declares its ``conjugate_value``.  ``local_argmax``
     maps stacked dual inputs through the blockwise conjugate maximisers
-    ``x_k(m u_k)``.  ``batched_argmax``, when
-    given, maps the ``(m, n)`` stack of inputs ``m u_k`` to the ``(m, n)``
-    stack of maximisers in one call; when every local declares its
-    ``quadratic`` it defaults to one batched product with the stacked
-    inverses.  Otherwise ``local_argmax`` calls the per-node maximisers of
-    ``node_argmax``: each local's declared ``conjugate_argmax``, or inner
+    ``x_k(m u_k)``.  ``batched_argmax``, when given, maps the ``(m, n)``
+    stack of inputs ``m u_k`` to the ``(m, n)`` stack of maximisers in one
+    call; when every local declares its ``quadratic`` it defaults to one
+    batched product with the stack of the problems' own ``Q_inv``.
+    Otherwise ``local_argmax`` calls the per-node maximisers of ``node_argmax``: each local's declared ``conjugate_argmax``, or inner
     accelerated solves (:func:`optdec.primal.argmax_solver_via_stm`) for a
     local that declares none.
     """
@@ -334,8 +333,8 @@ class DecentralizedInstance:
 
 
 def _stacked_quadratic_argmax(quadratics):
-    """``U -> X`` with ``X_k = Q_k^{-1} (U_k + b_k)``, inverting every ``Q_k`` once."""
-    Q_inv = np.linalg.inv(np.stack([qp.Q for qp in quadratics]))
+    """``U -> X`` with ``X_k = Q_inv_k (U_k + b_k)``, the problems' own inverses stacked."""
+    Q_inv = np.stack([qp.Q_inv for qp in quadratics])
     b = np.stack([qp.b for qp in quadratics])
     return lambda U: np.matmul(Q_inv, (U + b)[:, :, None])[:, :, 0]
 

@@ -4,13 +4,15 @@ Quadratics come with exact minimisers and exact convex conjugates, which
 makes them the reference instances for every solver certificate.  They
 have one construction path: :meth:`QuadraticProblem.stack` checks and
 decomposes the ``(m, n, n)`` stack of a network's node quadratics in one
-``eigvalsh`` and one ``solve``, :func:`random_quadratics` draws the nodes
-in order and orthogonalises them in one ``qr``, and a single
+``eigvalsh``, one ``solve`` and one ``inv``, :func:`random_quadratics` draws
+the nodes in order and orthogonalises them in one ``qr``, and a single
 ``QuadraticProblem(Q, b)`` or :func:`random_quadratic` is a stack of one,
-bit for bit what a per-node build gives.  The quadratics' oracles, and
-those of the barycenter nodes, declare that side data as
-:class:`~optdec.oracles.FirstOrderOracle` fields.  The
-entropic optimal-transport dual is the log-sum-exp functional
+bit for bit what a per-node build gives.  Each problem keeps its inverse
+``Q_inv``, the one every conjugate argmax of it multiplies by, on a single
+machine or a network.  The quadratics' oracles, and those of the
+barycenter nodes, declare that side data as
+:class:`~optdec.oracles.FirstOrderOracle` fields.  The entropic
+optimal-transport dual is the log-sum-exp functional
 
     ``W*(lam) = mu sum_j q_j log((1/q_j) sum_i exp((lam_i - C_ij)/mu))``
 
@@ -55,36 +57,37 @@ class QuadraticProblem:
     """``f(x) = 0.5 x^T Q x - b^T x`` with SPD ``Q``.
 
     Exposes the exact minimiser ``x* = Q^{-1} b`` and the conjugate argmax
-    ``x(y) = Q^{-1}(y + b)``; :meth:`oracle` declares both, and the
-    problem itself as the oracle's ``quadratic``.  ``QuadraticProblem(Q, b)``
-    is :meth:`stack` of one: the same checks and decompositions.
+    ``x(y) = Q_inv (y + b)``; :meth:`oracle` declares both, and the problem
+    itself as the oracle's ``quadratic``.  ``QuadraticProblem(Q, b)`` is
+    :meth:`stack` of one: one ``eigvalsh``, one ``solve`` and one ``inv``.
     """
 
     def __init__(self, Q, b):
         Q = np.asarray(Q, dtype=float)
         b = np.asarray(b, dtype=float)
-        evals, x_star = _decompose(Q[None], b[None], "")
-        self._assign(Q, b, evals[0], x_star[0])
+        evals, x_star, Q_inv = _decompose(Q[None], b[None], "")
+        self._assign(Q, b, evals[0], x_star[0], Q_inv[0])
 
     @classmethod
     def stack(cls, Q, b) -> list:
         """One problem per node of the ``(m, n, n)`` stack ``Q`` and ``(m, n)`` stack ``b``.
 
-        Decomposes the whole stack in one ``eigvalsh`` and one ``solve``;
-        each problem's arrays are views into the stacks.  A bad node ``k``
-        raises the message of :class:`QuadraticProblem` naming node ``k``.
+        Decomposes the whole stack in one ``eigvalsh``, one ``solve`` and one
+        ``inv``; each problem's arrays are views into the stacks.  A bad node
+        ``k`` raises the message of :class:`QuadraticProblem` naming node ``k``.
         """
         Q = np.asarray(Q, dtype=float)
         b = np.asarray(b, dtype=float)
-        evals, x_star = _decompose(Q, b, " of node {}")
+        evals, x_star, Q_inv = _decompose(Q, b, " of node {}")
         problems = [cls.__new__(cls) for _ in range(len(Q))]
         for k, qp in enumerate(problems):
-            qp._assign(Q[k], b[k], evals[k], x_star[k])
+            qp._assign(Q[k], b[k], evals[k], x_star[k], Q_inv[k])
         return problems
 
-    def _assign(self, Q, b, evals, x_star):
+    def _assign(self, Q, b, evals, x_star, Q_inv):
         self.Q = Q
         self.b = b
+        self.Q_inv = Q_inv
         self.L = float(evals[-1])
         self.mu = float(evals[0])
         self.x_star = x_star
@@ -97,7 +100,7 @@ class QuadraticProblem:
         return self.Q @ x - self.b
 
     def conjugate_argmax(self, y):
-        return np.linalg.solve(self.Q, y + self.b)
+        return self.Q_inv @ (y + self.b)
 
     def oracle(self) -> FirstOrderOracle:
         return FirstOrderOracle(self.Q.shape[0], self.value, self.gradient, self.L, self.mu,
@@ -106,7 +109,7 @@ class QuadraticProblem:
 
 
 def _decompose(Q, b, node):
-    """Eigenvalues and minimisers of a checked ``(m, n, n)`` SPD stack.
+    """Eigenvalues, minimisers and inverses of a checked ``(m, n, n)`` SPD stack.
 
     ``node`` is formatted with the index of the first bad node into its
     error message ("" leaves the index out).
@@ -123,7 +126,7 @@ def _decompose(Q, b, node):
     bad = np.flatnonzero(evals[:, 0] <= 0)
     if bad.size:
         raise ValueError(f"Q{node.format(bad[0])} must be positive definite")
-    return evals, np.linalg.solve(Q, b[..., None])[..., 0]
+    return evals, np.linalg.solve(Q, b[..., None])[..., 0], np.linalg.inv(Q)
 
 
 def random_quadratics(m: int, dim: int, cond: float, rng: np.random.Generator,

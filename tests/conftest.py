@@ -80,6 +80,55 @@ def expression_form_inner_prox(pen, z_k, alpha, lin, delta, budget):
     return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0, products, steps
 
 
+class ShiftByShiftRegularizedDual:
+    """The restart regulariser as an explicit list of shifts, looped over on
+    every call: the rounding reference for the one-quadratic
+    :class:`optdec.dual.RegularizedDual` and the form the ``ac_sa``, ``rrma``
+    goldens were first recorded with."""
+
+    def __init__(self, base, lam, anchor):
+        if not lam > 0:
+            raise ValueError("lam must be positive")
+        self.base = base
+        self.lam = float(lam)
+        self.anchor = np.array(anchor, dtype=float)
+        self.shift_terms = []
+
+    def add_shift(self, center):
+        weight = self.lam * 2.0 ** len(self.shift_terms)
+        self.shift_terms.append((weight, np.array(center, dtype=float)))
+
+    @property
+    def strong_convexity(self):
+        return self.lam + 2.0 * sum(w for w, _ in self.shift_terms)
+
+    @property
+    def smoothness(self):
+        return self.base.L_psi + self.strong_convexity
+
+    def reg_grad(self, y):
+        g = self.lam * (y - self.anchor)
+        for w, c in self.shift_terms:
+            g = g + 2.0 * w * (y - c)
+        return g
+
+    def batch_grad(self, y, r, streams):
+        g, _ = self.base.batch_grad_and_x(y, r, streams)
+        return g + self.reg_grad(y)
+
+    def value(self, y):
+        v = self.base.psi_value(y) + 0.5 * self.lam * float(np.sum((y - self.anchor) ** 2))
+        for w, c in self.shift_terms:
+            v += w * float(np.sum((y - c) ** 2))
+        return v
+
+
+def solve_argmax(quadratic, y):
+    """``Q^{-1}(y + b)`` by one ``np.linalg.solve`` per call: the rounding
+    reference for the cached-inverse ``QuadraticProblem.conjugate_argmax``."""
+    return np.linalg.solve(quadratic.Q, y + quadratic.b)
+
+
 def count_seeding(monkeypatch) -> dict:
     """Count the streams built by ``RngStreams.generator``, the one stream constructor."""
     from optdec.oracles import RngStreams

@@ -323,6 +323,39 @@ def test_regularized_dual_gradient_matches_value():
     assert obj.smoothness == pytest.approx(dual.L_psi + 0.3 * 7.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, float("nan")])
+def test_regularized_dual_refuses_a_lam_that_is_not_positive(lam):
+    _, dual = shifted_instance()
+    with pytest.raises(ValueError, match="lam must be positive"):
+        RegularizedDual(dual, lam, np.zeros(1))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(shifts=st.integers(0, 20), lam=st.floats(1e-6, 1.0), dim=st.integers(1, 4),
+       spread=st.floats(1e-3, 1e3), offset=st.floats(1e-12, 1e6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_regularizer_is_its_shift_by_shift_sum_within_rounding(shifts, lam, dim, spread, offset,
+                                                               seed):
+    # the one quadratic (s, t) against the explicit list of shifts, at a y
+    # near (offset 1e-12) to far (offset 1e6) from one of the centres
+    from conftest import ShiftByShiftRegularizedDual
+    rng = np.random.default_rng(seed)
+    qp = random_quadratic(dim, 4.0, rng)
+    dual = DualOracle(qp.oracle(), np.eye(dim), qp.conjugate_argmax)
+    centers = spread * rng.standard_normal((shifts + 1, dim))
+    obj = RegularizedDual(dual, lam, centers[0])
+    ref = ShiftByShiftRegularizedDual(dual, lam, centers[0])
+    for c in centers[1:]:
+        obj.add_shift(c)
+        ref.add_shift(c)
+    y = centers[rng.integers(shifts + 1)] + offset * rng.standard_normal(dim)
+    s = obj.strong_convexity
+    scale = s * (np.linalg.norm(y) + np.linalg.norm(centers, axis=1).max())
+    assert abs(s - lam * (2.0 ** (shifts + 1) - 1.0)) <= 1e-15 * s
+    assert np.linalg.norm(obj.reg_grad(y) - ref.reg_grad(y)) <= 1e-14 * scale
+    assert abs(obj.value(y) - ref.value(y)) <= 1e-13 * (scale ** 2 / s + abs(dual.psi_value(y)))
+
+
 def test_rrma_output_stays_in_subspace():
     rng = np.random.default_rng(37)
     qp = random_quadratic(3, 5.0, rng)

@@ -28,8 +28,15 @@ relative, as
 ``test_stm_ips_golden_moves_only_by_rounding_off_the_expression_form``
 checks against the digests the expression form still writes.  The single-machine
 ``ac_sa`` and ``rrma`` runs in both tables, recorded before these methods
-ran through ``dual.run_dual``, pin how their budget ``m_iters`` and
-weight ``lambda`` follow from ``N`` and the constants.  The
+ran through the one run path ``methods.run_method``, pin how their budget
+``m_iters`` and weight ``lambda`` follow from ``N`` and the constants.
+Six runs on a single machine's quadratic were re-recorded when its conjugate
+argmax became a product with the inverse cached at build time, instead of
+one ``solve`` per call, and the restart regulariser became one quadratic
+``s y - t``, instead of a loop over its list of shifts: both round
+differently.  Their steps and counters stayed, and their metrics moved by
+rounding, as ``test_golden_moves_only_by_rounding_off_the_solve_and_shift_list``
+checks against the digests the old forms still write.  The
 ``consensus_quadratic`` runs on a ring of 12 nodes with ``n`` 8 and at
 ``cond`` 1, recorded before the node quadratics were built as one stack,
 pin how each node's ``Q`` and ``b`` are drawn and decomposed.
@@ -62,11 +69,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import optdec.dual
+import optdec.methods
 import optdec.network
 import optdec.oracles as oracles
 import optdec.primal
 import optdec.problems
-from conftest import count_seeding, expression_form_inner_prox
+from conftest import (ShiftByShiftRegularizedDual, count_seeding, expression_form_inner_prox,
+                      solve_argmax)
 from optdec.cli import main
 
 GOLDEN = {
@@ -74,8 +84,8 @@ GOLDEN = {
         {"method": "spdstm", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "noise": {"kind": "gaussian", "sigma": 0.3, "delta": 0.001},
          "eps": 0.02, "N": 12, "seed": 3},
-        "c52c41db97fd97a1fe65767bf462c4ff59166930ca53badb7434d064cd3725ea",
-        "fcf9f8d1284ce7adee2d7d225d374fef753577527f45e25c9a7c46966fc7c735"),
+        "4b60822551bc8f8fb027585d8be7ded9b01b3e0a659cdfaa1440a29f4b6fbaf9",
+        "ddd9849c8e9687025eeefcd4064b87c58a2bdc3fffee21750fcda1fddf14a9cb"),
     "sstm_bounded": (
         {"method": "sstm", "problem": {"kind": "quadratic", "dim": 5, "cond": 10.0},
          "noise": {"kind": "bounded", "sigma": 0.2}, "eps": 0.001, "N": 15, "seed": 5},
@@ -92,8 +102,8 @@ GOLDEN = {
         {"method": "ac_sa", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "noise": {"kind": "gaussian", "sigma": 0.3, "delta": 0.001},
          "eps": 0.02, "N": 40, "seed": 3},
-        "2fa3963635eccd468387e8d8dd8eae25c7c9e372cb073193d761572e7156b95a",
-        "c6ad184b172d72bd65b401bc73a839d2df5e35f0dad15f2803f53418c22a9ef1"),
+        "36f344c78e2c7eb5187f63673460ce57a797b41fa0730681395a8fea3b785878",
+        "72da388d41bf373311e60d6f41af8b8241bee3c463e73e56b89bd279043b998a"),
     "rrma_gaussian_delta": (
         {"method": "rrma", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "noise": {"kind": "gaussian", "sigma": 0.3, "delta": 0.001},
@@ -104,8 +114,8 @@ GOLDEN = {
     "spdstm_penalty_bias_only": (
         {"method": "spdstm", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "noise": {"delta": 0.01}, "eps": 0.02, "N": 30, "seed": 3},
-        "08bc917153de66fb4ab4223955c260575cf6bf0ded69cfa03c860048087cc93e",
-        "483e89980aa44bbc303e248c8b6ebb94a1858436d83ef84cb79aba4edb2cfca1"),
+        "2d41cd1e420eb88b2087533c6e52f8126c3e55e481c3e4aae8f5774f47ea657a",
+        "5c1474de8aed786bbdceaee9f32391036b4e6a15e8fe211bb11261bc4579b14d"),
     "spdstm_ring12_gaussian": (
         {"method": "spdstm", "problem": {"kind": "consensus_quadratic", "n": 8, "cond": 10.0,
                                          "topology": {"kind": "ring", "m": 12}},
@@ -157,8 +167,8 @@ GOLDEN_DETERMINISTIC = {
     "spdstm_penalty_auto": (
         {"method": "spdstm", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "eps": 0.02, "N": "auto", "seed": 3},
-        "c218c06d798d666c8c798090d32e2017b7f4fea848af6dcf89c56a6eeb27d7a3",
-        "c55a3707ecb1729faa5f23d7f54e99dadc519c07687344615618d3d6fdabb67a"),
+        "327ee1bf138308704bf07fc0510cd685d30d16b428209bf7f9d3a47f7d1c65a4",
+        "ca17507e002d0a4ee2345b75508ea11a78617c0ce3a47e3d1994c54c5c287008"),
     # auto N plans 47 steps; the measured gap is at most stop_gap only at steps
     # 5-10, where ||A x~|| R_y is 0.53-0.96 > eps, and a stop needs both: all 47 run
     "spdstm_ring4_auto_stop_gap": (
@@ -171,14 +181,14 @@ GOLDEN_DETERMINISTIC = {
     "ac_sa_penalty_auto": (
         {"method": "ac_sa", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "eps": 0.02, "N": "auto", "seed": 3},
-        "937516638e9f2d35e7a5e57f441440c368480dd963a4a08b010298289545e61b",
-        "05919c6070043039132018db7df43f1c4fc1f43c03fa7f4eae54604d8a83b413"),
+        "4ca88bcac8e7af5090dcbf259be49b21237b19a4fce419f2afc6d93a1b6bfdc7",
+        "2be033c5d0ae704f3395f5300935d62a7b0de53feb68b3586c4662ce5decdb01"),
     # lambda and m_iters override the budget N and the default lambda
     "rrma_penalty_lambda": (
         {"method": "rrma", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "eps": 0.02, "N": 40, "seed": 3, "constants": {"lambda": 0.05, "m_iters": 30}},
-        "aa83b957340629799c0b4e4b2ffe0b45f3f444db29977acf062c5226f8c364cd",
-        "ebb17696b3b70c1642afeeb907a005c5cb64f3a99cbc4972bc9d5bebab12713b"),
+        "190b5ae9e34973ff76a3d67e7173dd3920de03f466e020bfb3f5af2d906cb5f1",
+        "de0ac389973d9bba2ba31c9cba970ad4fbfc80b9f79c45d502de989fd271b764"),
 }
 
 # the digests of the two stm_ips runs when the inner prox runs in expression form
@@ -189,6 +199,28 @@ EXPRESSION_FORM_STM_IPS = {
     "stm_ips_default_budget": (
         "3ca6e5052972b11011cb222788baed0cd8cd349e19566aa0a3b314047808807a",
         "9bdcba1f10d2d7b4772db0523e7b2f3f2721be3a960e5aa05d7c10042b282049"),
+}
+
+# the digests of the moved runs with a per-call ``solve`` argmax and the shift-by-shift regulariser
+SOLVE_AND_SHIFT_LIST = {
+    "ac_sa_gaussian_delta": (
+        "2fa3963635eccd468387e8d8dd8eae25c7c9e372cb073193d761572e7156b95a",
+        "c6ad184b172d72bd65b401bc73a839d2df5e35f0dad15f2803f53418c22a9ef1"),
+    "ac_sa_penalty_auto": (
+        "937516638e9f2d35e7a5e57f441440c368480dd963a4a08b010298289545e61b",
+        "05919c6070043039132018db7df43f1c4fc1f43c03fa7f4eae54604d8a83b413"),
+    "rrma_penalty_lambda": (
+        "aa83b957340629799c0b4e4b2ffe0b45f3f444db29977acf062c5226f8c364cd",
+        "ebb17696b3b70c1642afeeb907a005c5cb64f3a99cbc4972bc9d5bebab12713b"),
+    "spdstm_gaussian_delta": (
+        "c52c41db97fd97a1fe65767bf462c4ff59166930ca53badb7434d064cd3725ea",
+        "fcf9f8d1284ce7adee2d7d225d374fef753577527f45e25c9a7c46966fc7c735"),
+    "spdstm_penalty_auto": (
+        "c218c06d798d666c8c798090d32e2017b7f4fea848af6dcf89c56a6eeb27d7a3",
+        "c55a3707ecb1729faa5f23d7f54e99dadc519c07687344615618d3d6fdabb67a"),
+    "spdstm_penalty_bias_only": (
+        "08bc917153de66fb4ab4223955c260575cf6bf0ded69cfa03c860048087cc93e",
+        "483e89980aa44bbc303e248c8b6ebb94a1858436d83ef84cb79aba4edb2cfca1"),
 }
 
 
@@ -360,6 +392,23 @@ def test_stm_ips_golden_moves_only_by_rounding_off_the_expression_form(tmp_path,
     capsys.readouterr()
     assert (_sha256(expression), _sha256(summary)) == EXPRESSION_FORM_STM_IPS[name]
     _assert_moved_only_by_rounding(split, expression, 1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_AND_SHIFT_LIST))
+def test_golden_moves_only_by_rounding_off_the_solve_and_shift_list(tmp_path, capsys, monkeypatch,
+                                                                    name):
+    # a per-call solve and the shift-by-shift regulariser still write the
+    # digests recorded before the cached inverse and the one-quadratic regulariser
+    monkeypatch.chdir(tmp_path)
+    cfg = {**GOLDEN, **GOLDEN_DETERMINISTIC}[name][0]
+    cached, _ = _golden_run(cfg, "cached")
+    monkeypatch.setattr(optdec.problems.QuadraticProblem, "conjugate_argmax", solve_argmax)
+    monkeypatch.setattr(optdec.dual, "RegularizedDual", ShiftByShiftRegularizedDual)
+    monkeypatch.setattr(optdec.methods, "RegularizedDual", ShiftByShiftRegularizedDual)
+    solved, summary = _golden_run(cfg, "solved")
+    capsys.readouterr()
+    assert (_sha256(solved), _sha256(summary)) == SOLVE_AND_SHIFT_LIST[name]
+    _assert_moved_only_by_rounding(cached, solved, 1e-12)
 
 
 def _run_summary(cfg) -> dict:
