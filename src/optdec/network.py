@@ -333,8 +333,13 @@ class DecentralizedInstance:
 
 
 def _stacked_quadratic_argmax(quadratics):
-    """``U -> X`` with ``X_k = Q_inv_k (U_k + b_k)``, the problems' own inverses stacked."""
-    Q_inv = np.stack([qp.Q_inv for qp in quadratics])
+    """``U -> X`` with ``X_k = Q_inv_k (U_k + b_k)``, the problems' own inverses stacked, or
+    uncopied where they are the consecutive slices of one array, as ``QuadraticProblem.stack``'s."""
+    Q_inv = quadratics[0].Q_inv.base
+    if not (isinstance(Q_inv, np.ndarray) and len(Q_inv) == len(quadratics) and all(
+            qp.Q_inv.__array_interface__ == Q_inv[k].__array_interface__
+            for k, qp in enumerate(quadratics))):
+        Q_inv = np.stack([qp.Q_inv for qp in quadratics])
     b = np.stack([qp.b for qp in quadratics])
     return lambda U: np.matmul(Q_inv, (U + b)[:, :, None])[:, :, 0]
 

@@ -6,8 +6,8 @@ The triangle scheme maintains three coupled sequences: an extrapolation
 point ``x~`` (convex combination of the averaged iterate and the mirror
 point), a mirror point ``z`` updated from the gradient at ``x~``, and the
 averaged iterate ``x``; every loop here runs on
-:func:`optdec.schedules.triangle`.  The mirror update in the strongly
-convex mode is
+:func:`optdec.schedules.triangle` except the inner prox of :func:`stm_ips`,
+a table of the same steps over stacked rows.  The strongly convex update is
 
     ``z_{k+1} = z_k - alpha (g - mu (x~ - z_k)) / (1 + A_{k+1} mu)``
 
@@ -18,6 +18,7 @@ point at a shifted optimum.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -234,56 +235,66 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
 
     Returns ``(z, certified_gap_bound, converged)``.
 
-    Split form: ``grad g(z) = (z - c0) + alpha grad_h(z)``.  With ``mu = 1``
-    the pull-back ``z - a (grad g(x~) - (x~ - z)) / (1 + A')`` is
-    ``z - s ((z - c0) + alpha grad_h(x~))`` with ``s = a / (1 + A')``: ``x~``
-    cancels, so the triangle's gradient is ``grad_h(x~)`` alone, and only
-    the certificate builds a full ``grad g``.  ``alpha`` and ``s`` scale
-    vectors as 0-d arrays (see :func:`_pull_back`), and a norm is
-    ``sqrt(v.dot(v))``.  Each step makes two ``problem.grad_h`` calls (at
-    ``x~`` and at the average), and the start two more (at ``z_k`` and
-    ``c0``), so ``matvec_AtA`` rises by ``2 + 2 (inner steps)``.
+    Table form: with ``grad g(z) = (z - c0) + alpha grad_h(z)`` and ``mu = 1``
+    the mirror update is ``z' = (1 - s) z + s c0 - s alpha grad_h(x~)``,
+    ``s = a / (1 + A')``, so each step is linear in the rows
+    ``[x, z, c0, z_k, grad_h(x~), grad_h(x)]`` of a ``(6, n)`` buffer: a table
+    row gives ``x~ = p x + q z`` (``p = A / A'``, ``q = a / A'``) and a
+    ``(2, 6)`` block writes ``x' = p x + q z'`` and ``z'`` into the other
+    buffer.  A fixed ``(2, 6)`` block gives ``[grad g(x), x - z_k]``, and its
+    Gram matrix the certificate's two norms.  Two ``problem.grad_h`` calls per
+    step (at ``x~`` and ``x'``) and two at the start (at ``z_k`` and ``c0``):
+    ``matvec_AtA`` rises by ``2 + 2 (inner steps)``.  A gradient norm that is
+    not finite ends the loop.
     """
     L_g = alpha * problem.L_h + 1.0
-    c0 = z_k - alpha * lin
-    alpha_arr = np.array(alpha, dtype=float)
     grad_h = problem.grad_h
-
-    def grad_g(z):
-        v = z - c0
-        v += alpha_arr * grad_h(z)
-        return v
-
-    def certify(z):
-        """``(||grad g(z)||, whether z meets the contract)``."""
-        v = grad_g(z)
-        gn = math.sqrt(v.dot(v))
-        v = z - z_k
-        lb = max(lb_static, math.sqrt(v.dot(v)) - gn)
-        return gn, gn * gn / 2.0 <= delta * lb * lb
-
-    def mirror(z, g, x_tilde, a, A_next):
-        t = z - c0
-        t += alpha_arr * g
-        t *= np.array(a / (1.0 + A_next))
-        return np.subtract(z, t, t)
-
-    v = grad_g(z_k)
-    lb_static = math.sqrt(v.dot(v)) / L_g
-    gn, ok = certify(c0)
-    gn0 = gn
-
-    def after(k, x_avg, z, A):
-        nonlocal gn, ok
-        gn, ok = certify(x_avg)
-        return ok
-
-    x = c0
-    if not ok:
-        x, _, _ = triangle(stm_step(L_g, 1.0, 2.0), 0.0, c0, c0, budget,
-                           lambda k, x_tilde, a, A_next: grad_h(x_tilde), mirror, after)
+    c0 = z_k - alpha * lin
+    lb_static = float(np.linalg.norm((z_k - c0) + alpha * grad_h(z_k))) / L_g
+    buf = np.stack([c0, c0, c0, z_k, *np.zeros((2, len(c0)))])
+    # each buffer with its views: all rows, x, grad_h(x~), grad_h(x) and [x; z]
+    cur, nxt = ((b, b[0], b[4], b[5], b[:2]) for b in (buf, buf.copy()))
+    certificate = np.array([[1.0, 0.0, -1.0, 0.0, 0.0, alpha], [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]])
+    steps = _prox_step_table(stm_step(L_g, 1.0, 2.0), alpha, budget)
+    for k in itertools.count():
+        buf, x, gh_tilde, gh_x, _ = cur
+        gh_x[...] = grad_h(x)
+        W = certificate.dot(buf)
+        (gg, _), (_, dd) = W.dot(W.T).tolist()
+        gn = math.sqrt(gg)
+        lb = max(lb_static, math.sqrt(dd) - gn)
+        ok = gn * gn / 2.0 <= delta * lb * lb
+        if k == 0:
+            gn0 = gn
+        if ok or k >= budget or not math.isfinite(gn):
+            break
+        x_tilde_row, rows = next(steps)
+        gh_tilde[...] = grad_h(x_tilde_row.dot(buf))
+        np.dot(rows, buf, out=nxt[4])  # x' and z' into the other buffer
+        cur, nxt = nxt, cur
     # on budget exhaustion trust the step unless the gradient norm stagnated
-    return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0
+    return x.copy(), gn * gn / 2.0, ok or not gn > 1e-2 * gn0
+
+
+def _prox_step_table(step, alpha, budget):
+    """Per step of :func:`_inner_prox_stm`, the ``x~`` row and the ``(2, 6)`` ``[x'; z']`` rows
+    over its buffer, built in blocks as the loop reaches them: 64, then as many again as built."""
+    A, k = 0.0, 0
+    while k < budget:
+        m = min(budget - k, max(k, 64))
+        a, A_all = [], [A]
+        for _ in range(m):
+            a_k, A = step(A)
+            a.append(a_k)
+            A_all.append(A)
+        a, A_all = np.array(a), np.array(A_all)
+        p, q, s = A_all[:-1] / A_all[1:], a / A_all[1:], a / (1.0 + A_all[1:])
+        r, o = 1.0 - s, np.zeros(m)
+        table = np.stack([p, q, o, o, o, o,
+                          p, q * r, q * s, o, -alpha * (q * s), o,
+                          o, r, s, o, -alpha * s, o], axis=1).reshape(m, 3, 6)
+        yield from zip(table[:, 0], table[:, 1:])
+        k += m
 
 
 def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *,
@@ -322,9 +333,12 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
         if prox_mode == "exact":
             return problem.prox_solver(z, alpha, lin)
         budget = inner_T if inner_T is not None else default_inner_budget(alpha, problem.L_h, N)
-        z, _, ok = _inner_prox_stm(problem, z, alpha, lin, delta, budget)
+        z, gap_bound, ok = _inner_prox_stm(problem, z, alpha, lin, delta, budget)
+        # the trace holds the start row plus one row per finished step
+        if not math.isfinite(gap_bound):
+            raise ArithmeticError(f"inner prox gap bound ||grad g||^2/2 = {gap_bound:g} is not "
+                                  f"finite at outer step {len(trace.rows)}")
         if not ok:
-            # the trace holds the start row plus one row per finished step
             trace.flag(f"inner prox budget exhausted at outer step {len(trace.rows)}")
         return z
 

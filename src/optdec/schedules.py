@@ -11,7 +11,8 @@ primal-dual schemes.  Roots are computed in the cancellation-free
 arrangement ``b + sqrt(b^2 + c)`` because ``A_k`` reaches 1e6+ at the
 scales exercised here.
 
-Every accelerated loop runs on :func:`triangle`, driven by a stepper
+Every accelerated loop runs on :func:`triangle` (the inner prox of
+``stm_ips`` runs the same steps as a coefficient table), driven by a stepper
 ``step = stm_step(L, mu, factor)`` that checks ``L`` and ``mu`` and scales
 ``L`` once; ``step(A)`` is bitwise ``next_alpha_stm(A, L, mu, factor)``, which
 evaluates the same expression.  The ``next_alpha_*`` functions serve the

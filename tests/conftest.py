@@ -80,6 +80,53 @@ def expression_form_inner_prox(pen, z_k, alpha, lin, delta, budget):
     return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0, products, steps
 
 
+def split_form_inner_prox(pen, z_k, alpha, lin, delta, budget):
+    """The inner prox of ``stm_ips`` in split form, ``grad g(z) = (z - c0) +
+    alpha grad_h(z)`` with ``grad_h`` the product of the prescaled penalty
+    matrix, whose mirror update no longer goes through ``x~``: the rounding
+    reference for :func:`optdec.primal._inner_prox_stm` and the form the
+    ``stm_ips`` goldens were recorded with before the table form.  Returns
+    (z, gap bound, converged, AtA products, steps)."""
+    from optdec.schedules import next_alpha_stm
+    L_g = alpha * pen.L_h + 1.0
+    c0 = z_k - alpha * lin
+    H = 2.0 * pen.coeff * pen.AtA
+    products = steps = 0
+
+    def grad_h(z):
+        nonlocal products
+        products += 1
+        return H @ z
+
+    def grad_g(z):
+        return (z - c0) + alpha * grad_h(z)
+
+    lb_static = float(np.linalg.norm(grad_g(z_k))) / L_g
+
+    def certified(z, gn):
+        lb = max(lb_static, float(np.linalg.norm(z - z_k)) - gn)
+        return gn * gn / 2.0 <= delta * lb * lb
+
+    gn = gn0 = float(np.linalg.norm(grad_g(c0)))
+    ok = certified(c0, gn)
+
+    def after(k, x_avg, z, A):
+        nonlocal gn, ok, steps
+        steps += 1
+        gn = float(np.linalg.norm(grad_g(x_avg)))
+        ok = certified(x_avg, gn)
+        return ok
+
+    x = c0
+    if not ok:
+        x, _, _ = expression_form_triangle(
+            lambda A: next_alpha_stm(A, L_g, 1.0, factor=2.0), 0.0, c0, c0, budget,
+            lambda k, x_tilde, a, A_next: grad_h(x_tilde),
+            lambda z, g, x_tilde, a, A_next: z - a / (1.0 + A_next) * ((z - c0) + alpha * g),
+            after)
+    return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0, products, steps
+
+
 class ShiftByShiftRegularizedDual:
     """The restart regulariser as an explicit list of shifts, looped over on
     every call: the rounding reference for the one-quadratic

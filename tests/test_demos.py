@@ -7,7 +7,10 @@ run it, with ``src`` on the path.
 ``penalty_constrained`` was re-recorded when the inner prox of ``stm_ips``
 took its split form.  Its inner proxes certify at the rounding floor (its
 F-gap reads 1.8e-15 before and 3.6e-15 after), so when each inner run
-stops follows rounding: its product count went 197,598 -> 179,108.
+stops follows rounding: its product count went 197,598 -> 179,108.  It was
+re-recorded again when the inner prox became one table of step
+coefficients over stacked rows, which rounds differently again: its F-gap
+reads 2.7e-15, and its product count went 179,108 -> 175,222.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = {
     "accelerated_quadratics": "352cbb8ccb7cdc92c6f44c84d657df529d5dec3d79d7cf515e26e9b49bf7b9db",
     "decentralized_consensus": "03975bc93433c919b5474b8b2e5ce962364b7d81d7c0342fa7b63afb0e741727",
-    "penalty_constrained": "56f50abf1a26984ba03259ea84aad3364f8b3d2fe9224e69aceb1f4830d1cee9",
+    "penalty_constrained": "b45e90ee02d71e20493fd842fa2cb8eace6748f800cb864bb6b5056a0027eddd",
     "primal_dual_methods": "42d9f6617f34c3847558358676770d277618db019d81f1423c2eca31e8173fbb",
     "wasserstein_barycenter": "906dc133952a759661af6bc3db1d99d1b39a7e5d464294c8a0c1dac33a0bcc18",
 }

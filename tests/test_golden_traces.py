@@ -26,7 +26,13 @@ through ``x~``: that rounds differently.  Their steps and counters stayed
 (``matvec_AtA`` 96 and 1976) and their metrics moved by at most 1.1e-13
 relative, as
 ``test_stm_ips_golden_moves_only_by_rounding_off_the_expression_form``
-checks against the digests the expression form still writes.  The single-machine
+checks against the digests the expression form still writes.  They were
+re-recorded again when the inner prox became one table of step
+coefficients over a stacked ``(6, n)`` buffer of rows, whose products
+round differently again: steps, counters and the 12 flags stayed, and the
+metrics moved by at most 1.1e-13 relative, as
+``test_stm_ips_golden_moves_only_by_rounding_off_the_split_form`` checks
+against the digests the split form still writes.  The single-machine
 ``ac_sa`` and ``rrma`` runs in both tables, recorded before these methods
 ran through the one run path ``methods.run_method``, pin how their budget
 ``m_iters`` and weight ``lambda`` follow from ``N`` and the constants.
@@ -76,7 +82,7 @@ import optdec.oracles as oracles
 import optdec.primal
 import optdec.problems
 from conftest import (ShiftByShiftRegularizedDual, count_seeding, expression_form_inner_prox,
-                      solve_argmax)
+                      solve_argmax, split_form_inner_prox)
 from optdec.cli import main
 
 GOLDEN = {
@@ -131,14 +137,14 @@ GOLDEN_DETERMINISTIC = {
     "stm_ips_budget_exhausted": (
         {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "eps": 0.02, "N": 12, "seed": 3, "constants": {"inner_T": 3}},
-        "7ade303ee844f84b71ed30b7b69fd908c7b57ce29f2171584067ecc26facac0b",
-        "db900965379f47a64b77056b10ad0d1ffca9caa9801d890b280a93938905f24c"),
+        "6ef07c1d0bf07c0cc70e08ef53a7a22143015b8b792266e5e66e5272aa60cc8d",
+        "83de0b2c5ac19a79fba652703c95fbd80aad6be7cbd5461357638b1f556176ab"),
     # default budgets: every inner prox is certified before its budget runs out
     "stm_ips_default_budget": (
         {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
          "eps": 0.02, "N": 12, "seed": 4},
-        "012a25ddb197069bd37afb41ab221f1c5bf584daaefe7f21f614d1ee44037b96",
-        "7824956b5a1f44b871530e8951a463cfccc86b0113bf5a8536e96d729d4a8e10"),
+        "3c6c95fd9e80f28d49669c9bb81c5229e7725939bb8440f2d1ec6af65770c52e",
+        "2ebccb47af5d4cde2fb92b7e2095ce3497e93b8111d3f82d679c0d20abf6c634"),
     "stm_auto": (
         {"method": "stm", "problem": {"kind": "quadratic", "dim": 5, "cond": 10.0},
          "eps": 0.001, "N": "auto", "seed": 5},
@@ -199,6 +205,16 @@ EXPRESSION_FORM_STM_IPS = {
     "stm_ips_default_budget": (
         "3ca6e5052972b11011cb222788baed0cd8cd349e19566aa0a3b314047808807a",
         "9bdcba1f10d2d7b4772db0523e7b2f3f2721be3a960e5aa05d7c10042b282049"),
+}
+
+# the digests of the two stm_ips runs when the inner prox runs in split form
+SPLIT_FORM_STM_IPS = {
+    "stm_ips_budget_exhausted": (
+        "7ade303ee844f84b71ed30b7b69fd908c7b57ce29f2171584067ecc26facac0b",
+        "db900965379f47a64b77056b10ad0d1ffca9caa9801d890b280a93938905f24c"),
+    "stm_ips_default_budget": (
+        "012a25ddb197069bd37afb41ab221f1c5bf584daaefe7f21f614d1ee44037b96",
+        "7824956b5a1f44b871530e8951a463cfccc86b0113bf5a8536e96d729d4a8e10"),
 }
 
 # the digests of the moved runs with a per-call ``solve`` argmax and the shift-by-shift regulariser
@@ -374,11 +390,21 @@ def test_barycenter_golden_moves_only_by_rounding_off_the_ascent_psi(tmp_path, c
     _assert_moved_only_by_rounding(declared, ascent, 1e-12)
 
 
-def _expression_form_inner_prox(problem, z_k, alpha, lin, delta, budget):
-    z, gap, converged, products, _ = expression_form_inner_prox(problem, z_k, alpha, lin, delta,
-                                                                budget)
-    problem.counter.matvec_AtA += products  # the reference counts its products itself
-    return z, gap, converged
+def _counting(reference):
+    """``reference`` as a drop-in ``_inner_prox_stm``; it counts its products itself."""
+    def inner_prox(problem, z_k, alpha, lin, delta, budget):
+        z, gap, converged, products, _ = reference(problem, z_k, alpha, lin, delta, budget)
+        problem.counter.matvec_AtA += products
+        return z, gap, converged
+    return inner_prox
+
+
+def _assert_stm_ips_moved_only_by_rounding(monkeypatch, name, reference, digests):
+    table, _ = _golden_run(GOLDEN_DETERMINISTIC[name][0], "table")
+    monkeypatch.setattr(optdec.primal, "_inner_prox_stm", _counting(reference))
+    before, summary = _golden_run(GOLDEN_DETERMINISTIC[name][0], "reference")
+    assert (_sha256(before), _sha256(summary)) == digests
+    _assert_moved_only_by_rounding(table, before, 1e-10)
 
 
 @pytest.mark.parametrize("name", sorted(EXPRESSION_FORM_STM_IPS))
@@ -386,12 +412,19 @@ def test_stm_ips_golden_moves_only_by_rounding_off_the_expression_form(tmp_path,
                                                                        monkeypatch, name):
     # the expression-form inner prox still writes the digests recorded before the split form
     monkeypatch.chdir(tmp_path)
-    split, _ = _golden_run(GOLDEN_DETERMINISTIC[name][0], "split")
-    monkeypatch.setattr(optdec.primal, "_inner_prox_stm", _expression_form_inner_prox)
-    expression, summary = _golden_run(GOLDEN_DETERMINISTIC[name][0], "expression")
+    _assert_stm_ips_moved_only_by_rounding(monkeypatch, name, expression_form_inner_prox,
+                                           EXPRESSION_FORM_STM_IPS[name])
     capsys.readouterr()
-    assert (_sha256(expression), _sha256(summary)) == EXPRESSION_FORM_STM_IPS[name]
-    _assert_moved_only_by_rounding(split, expression, 1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_FORM_STM_IPS))
+def test_stm_ips_golden_moves_only_by_rounding_off_the_split_form(tmp_path, capsys, monkeypatch,
+                                                                  name):
+    # the split-form inner prox still writes the digests recorded before the table form
+    monkeypatch.chdir(tmp_path)
+    _assert_stm_ips_moved_only_by_rounding(monkeypatch, name, split_form_inner_prox,
+                                           SPLIT_FORM_STM_IPS[name])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_AND_SHIFT_LIST))

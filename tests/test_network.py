@@ -12,8 +12,8 @@ from optdec import (CallCounter, DualOracle, FirstOrderOracle, NoiseSpec,
                     laplacian, laplacian_pair, lift_laplacian, QuadraticProblem,
                     random_quadratic, run_distributed, spdstm, sqrt_psd,
                     sstm_sc, stm)
-from optdec.network import _dual_norm_bound
-from optdec.problems import constrained_quadratic_optimum
+from optdec.network import _dual_norm_bound, _stacked_quadratic_argmax
+from optdec.problems import constrained_quadratic_optimum, random_quadratics
 
 
 def consensus_instance(m, n, topo=None, seed=0, counter=None):
@@ -260,6 +260,22 @@ def test_batched_local_argmax_matches_per_node_loop():
         for _ in range(20):
             u = 3.0 * rng.standard_normal(m * n)
             assert np.abs(bary.local_argmax(u) - per_node_argmax(bary.locals, u)).max() <= 1e-15
+
+
+def test_stacked_argmax_uses_the_stack_inverse_uncopied():
+    m, n = 6, 4
+    rng = np.random.default_rng(40)
+    qps = random_quadratics(m, n, 10.0, rng)
+    U = 3.0 * rng.standard_normal((m, n))
+    for nodes, shared in ((qps, True), (qps[::-1], False), (qps[:-1], False)):
+        argmax = _stacked_quadratic_argmax(nodes)
+        Q_inv, = (c.cell_contents for c in argmax.__closure__ if c.cell_contents.ndim == 3)
+        assert (Q_inv is qps[0].Q_inv.base) == shared
+        assert all(np.shares_memory(Q_inv, qp.Q_inv) == shared for qp in nodes)
+        stacked = np.stack([qp.Q_inv for qp in nodes])  # the copy the argmax used to make
+        b = np.stack([qp.b for qp in nodes])
+        V = U[:len(nodes)]
+        assert np.matmul(stacked, (V + b)[:, :, None])[:, :, 0].tobytes() == argmax(V).tobytes()
 
 
 @pytest.mark.parametrize("method", ["sstm_sc", "spdstm"])
