@@ -12,6 +12,9 @@ pairs produce byte-identical files.  ``sweep`` re-runs a base config over
 one swept parameter and writes an aggregated CSV of final metrics.  The
 output directory is ``--out``, else ``$OPTDEC_OUT``, else the current
 directory.  Exit codes: 0 ok, 2 config error, 3 runtime error/divergence.
+
+:data:`PROBLEMS` holds each problem kind's fields, defaults and domains and
+its build; :func:`problem_fields` is the one check of a ``problem`` object.
 """
 
 from __future__ import annotations
@@ -24,21 +27,21 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .dual import DivergenceError
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
-from .methods import (DECENTRALIZED_KINDS, METHODS, Machine, method_constants, run_method,
-                      run_settings)
+from .methods import (DECENTRALIZED_KINDS, METHODS, Constant, Machine, method_constants,
+                      run_method, run_settings)
 from .network import DecentralizedInstance, Topology, run_distributed
 from .oracles import NoiseSpec, number
 from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
                        load_measures_csv, random_quadratic, random_quadratics)
 from .trace import summary_from_trace
 
-PROBLEM_KINDS = ("quadratic", "consensus_quadratic", "penalty", "barycenter", "custom")
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
 SWEEP_PARAMS = ("eps", "sigma", "m", "chi-topology", "N")
 
@@ -68,23 +71,6 @@ def _config_errors(prefix="", errors=ValueError):
 
 _TOP_KEYS = {"method", "problem", "noise", "eps", "beta", "N", "seed", "constants"}
 _NOISE_KEYS = set(NoiseSpec.__dataclass_fields__)
-_PROBLEM_KEYS = {
-    "quadratic": {"kind", "dim", "cond", "b_scale"},
-    "penalty": {"kind", "dim", "cond", "m_rows", "b_scale"},
-    "consensus_quadratic": {"kind", "n", "cond", "topology", "spread"},
-    "barycenter": {"kind", "measures", "cost", "mu", "topology"},
-    "custom": {"kind", "Q_csv", "b_csv", "A_csv"},
-}
-_TOPOLOGY_INLINE_KEYS = {"kind", "m", "p"}
-# numeric keys of ``problem``: (integer, lowest value, lowest value excluded);
-# the constants' domains are in ``optdec.methods.CONSTANTS``
-_NUMBERS = {
-    "dim": (True, 1, False), "m_rows": (True, 1, False), "n": (True, 1, False),
-    "cond": (False, 0, True), "mu": (False, 0, True),
-    "b_scale": (False, -math.inf, False), "spread": (False, -math.inf, False),
-}
-# file paths of ``problem``; a missing or null ``A_csv`` means no constraint
-_PATHS = {"Q_csv", "b_csv", "A_csv", "measures", "cost"}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str):
@@ -95,8 +81,10 @@ def _reject_unknown(obj: dict, allowed: set, where: str):
 
 @_config_errors()
 def validate_config(cfg: dict) -> dict:
-    """Schema-check a run config and fill defaults; raises ConfigError.  The run settings,
-    constants and noise are checked by their owners: run_settings, method_constants, NoiseSpec."""
+    """Schema-check a run config and fill in its run settings' defaults; raises ConfigError.
+    Each part is checked by its owner: run_settings, method_constants, NoiseSpec and
+    :func:`problem_fields`.  ``problem`` is kept as given: its defaults, filled in by
+    :func:`build_problem`, do not enter the config hash."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(cfg, _TOP_KEYS, "config")
@@ -111,36 +99,13 @@ def validate_config(cfg: dict) -> dict:
     method_constants(out["method"], out["constants"])
     _reject_unknown(out["noise"], _NOISE_KEYS, "noise")
     NoiseSpec(**out["noise"])
-    problem = out["problem"]
-    if not isinstance(problem, dict) or problem.get("kind") not in PROBLEM_KINDS:
-        raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
+    problem = problem_fields(out["problem"])
     kind, method = problem["kind"], out["method"]
     kinds = METHODS[method].kinds
     if kind not in kinds:
         raise ConfigError(f"method {method} runs on problem kinds {kinds}, not {kind!r}")
-    if kind == "custom" and not problem.get("A_csv") and "penalty" in kinds:
+    if kind == "custom" and not problem["A_csv"] and "penalty" in kinds:
         raise ConfigError(f"method {method} needs a constraint matrix")
-    _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem ({kind})")
-    for key, value in problem.items():
-        if key in _NUMBERS:
-            number(value, f"problem.{key}", *_NUMBERS[key])
-    for key in _PATHS & set(problem):
-        # numpy would read a list as the lines of a file
-        if not (isinstance(problem[key], str) or key == "A_csv" and problem[key] is None):
-            raise ConfigError(f"problem.{key} must be a file path, got {problem[key]!r}")
-
-    if kind in DECENTRALIZED_KINDS:
-        if "topology" not in problem or problem["topology"] is None:
-            raise ConfigError(f"problem kind {kind!r} requires a topology")
-        topo = problem["topology"]
-        if isinstance(topo, dict):  # its fields are checked where it is built (_topology)
-            _reject_unknown(topo, _TOPOLOGY_INLINE_KEYS, "problem.topology")
-        elif not isinstance(topo, str):
-            raise ConfigError("topology must be a file path or an inline spec")
-        if kind == "barycenter":
-            missing = sorted({"measures", "cost", "mu"} - set(problem))
-            if missing:
-                raise ConfigError(f"problem kind 'barycenter' requires {missing}")
     return out
 
 
@@ -155,79 +120,125 @@ def run_identity(cfg: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# problem construction
+# problem table
+
+
+class Problem(NamedTuple):
+    fields: dict  # key -> a Constant (default ...: must be given), FILE, FILE_OR_NULL, TOPOLOGY
+    build: Callable  # (fields, seed) -> (qp, A or None), or the instance of a network kind
+
+
+# the other fields: a file path (null in FILE_OR_NULL: no file) and the topology, which is
+# the path of a gen-topology file or an inline topology with the fields of INLINE_TOPOLOGY
+FILE, FILE_OR_NULL, TOPOLOGY = "file path", "file path or null", "file path or inline topology"
+INLINE_TOPOLOGY = {"m": Constant(..., True, 2, False), "p": Constant(0.5, False, 0, False)}
+_TOPOLOGIES = dict.fromkeys(TOPOLOGY_KINDS, INLINE_TOPOLOGY)
+
+
+def _fields(obj, records: dict, where: str) -> dict:
+    """``obj``, of a kind in ``records``, with each field of its record checked, or filled in
+    with its default where not given; ValueError names the field.  Reads no file."""
+    if not isinstance(obj, dict) or obj.get("kind") not in tuple(records):
+        raise ConfigError(f"{where}.kind must be one of {tuple(records)}")
+    kind, out = obj["kind"], {"kind": obj["kind"]}
+    _reject_unknown(obj, {"kind", *records[kind]}, f"{where} ({kind})")
+    for key, field in records[kind].items():
+        # a Constant's default, else none for FILE_OR_NULL and ``...`` (must be given) for the rest
+        default = getattr(field, "default", None if field is FILE_OR_NULL else ...)
+        name, value = f"{where}.{key}", obj.get(key, default)
+        if value is ...:
+            raise ConfigError(f"{where} kind {kind!r} requires {name}")
+        if isinstance(field, Constant):
+            out[key] = field.check(value, name)
+        elif field is TOPOLOGY and isinstance(value, dict):
+            out[key] = _fields(value, _TOPOLOGIES, "topology")
+        elif isinstance(value, str) or field is FILE_OR_NULL and value is None:
+            out[key] = value  # not a list, which numpy would read as the lines of a file
+        else:
+            raise ConfigError(f"{name} must be a {field}, got {value!r}")
+    return out
+
+
+def problem_fields(problem) -> dict:
+    """``problem`` checked against its record in :data:`PROBLEMS`, defaults filled in."""
+    return _fields(problem, {kind: record.fields for kind, record in PROBLEMS.items()}, "problem")
+
+
+def build_problem(problem: dict, seed: int):
+    """A validated ``problem`` built: ``(qp, A or None)``, or a network kind's instance."""
+    fields = problem_fields(problem)
+    return PROBLEMS[fields["kind"]].build(fields, seed)
 
 
 def _topology(spec, rng) -> Topology:
-    """The topology of ``run`` and ``gen-topology``, on at least two nodes: in the file at
-    the path ``spec``, or of the inline ``spec`` (``rng`` draws an ``erdos_renyi`` one)."""
+    """The topology of ``run`` and ``gen-topology``, on at least two nodes: in the file at the
+    path ``spec``, or of the checked inline ``spec`` (``rng`` draws an ``erdos_renyi`` one)."""
     if isinstance(spec, str):
         topo = Topology.from_json(Path(spec).read_text())
-    elif (kind := spec.get("kind")) not in TOPOLOGY_KINDS:
-        raise ConfigError(f"topology.kind must be one of {TOPOLOGY_KINDS}")
     else:
-        m = number(spec.get("m"), "topology.m", integer=True, low=1)
-        p = number(spec.get("p", 0.5), "topology.p", low=0)
-        args = (m, p, rng) if kind == "erdos_renyi" else (m,)
-        topo = getattr(Topology, kind)(*args)
+        args = (spec["m"], spec["p"], rng) if spec["kind"] == "erdos_renyi" else (spec["m"],)
+        topo = getattr(Topology, spec["kind"])(*args)
     if topo.m < 2:
         raise ConfigError("a single node has no consensus constraint; need m >= 2")
     return topo
 
 
-def _build_random(problem, seed):
+def _random(f, seed):
     """Random quadratic, and for ``penalty`` a random constraint matrix (else None)."""
-    qp = random_quadratic(int(problem.get("dim", 10)), float(problem.get("cond", 10.0)),
-                          np.random.default_rng((seed, 0)),
-                          b_scale=float(problem.get("b_scale", 1.0)))
-    if problem["kind"] != "penalty":
+    qp = random_quadratic(f["dim"], f["cond"], np.random.default_rng((seed, 0)),
+                          b_scale=f["b_scale"])
+    if f["kind"] != "penalty":
         return qp, None
-    dim = qp.Q.shape[0]
-    m_rows = int(problem.get("m_rows", max(1, dim // 2)))
-    return qp, np.random.default_rng((seed, 2)).standard_normal((m_rows, dim))
+    m_rows = f["m_rows"] or max(1, f["dim"] // 2)
+    return qp, np.random.default_rng((seed, 2)).standard_normal((m_rows, f["dim"]))
 
 
-def _build_custom(problem):
+def _custom(f, seed):
     """Quadratic and optional constraint matrix from CSV files."""
-    Q = np.atleast_2d(np.loadtxt(problem["Q_csv"], delimiter=","))
-    b = np.atleast_1d(np.loadtxt(problem["b_csv"], delimiter=","))
+    Q = np.atleast_2d(np.loadtxt(f["Q_csv"], delimiter=","))
+    b = np.atleast_1d(np.loadtxt(f["b_csv"], delimiter=","))
     qp = QuadraticProblem(Q, b)
     A = None
-    if problem.get("A_csv"):
-        A = np.loadtxt(problem["A_csv"], delimiter=",", ndmin=2)
+    if f["A_csv"]:
+        A = np.loadtxt(f["A_csv"], delimiter=",", ndmin=2)
         if A.shape[1] != b.size:
             raise ValueError(f"A must have one column per coordinate ({b.size}), "
                              f"got shape {A.shape}")
     return qp, A
 
 
-def _build_decentralized(problem, seed):
-    """Lifted instance of a decentralized problem."""
-    topo = _topology(problem["topology"], np.random.default_rng((seed, 7)))
-    if problem["kind"] == "consensus_quadratic":
-        return _build_consensus(problem, topo, seed)
-    measures = load_measures_csv(problem["measures"])
-    cost = load_cost_csv(problem["cost"])
-    return barycenter_problem(measures, cost, float(problem["mu"]), topo)
-
-
-def _build_consensus(problem, topo, seed):
-    n = int(problem.get("n", 2))
-    cond = float(problem.get("cond", 1.0))
-    spread = float(problem.get("spread", 1.0))
-    rng = np.random.default_rng((seed, 3))
-    if cond == 1.0:
+def _consensus(f, seed):
+    topo = _topology(f["topology"], np.random.default_rng((seed, 7)))
+    n, rng = f["n"], np.random.default_rng((seed, 3))
+    if f["cond"] == 1.0:
         # identity locals: node k draws only its b_k, and the nodes draw in order
         qps = QuadraticProblem.stack(np.broadcast_to(np.eye(n), (topo.m, n, n)),
-                                     spread * rng.standard_normal((topo.m, n)))
+                                     f["spread"] * rng.standard_normal((topo.m, n)))
     else:
-        qps = random_quadratics(topo.m, n, cond, rng, b_scale=spread)
+        qps = random_quadratics(topo.m, n, f["cond"], rng, b_scale=f["spread"])
     return DecentralizedInstance([qp.oracle() for qp in qps], topo, n)
 
 
-def _noise_spec(noise_cfg) -> NoiseSpec:
-    """The spec of a validated ``noise`` object; missing fields take the defaults of ``NoiseSpec()``."""
-    return NoiseSpec(**(noise_cfg or {}))
+def _barycenter(f, seed):
+    topo = _topology(f["topology"], np.random.default_rng((seed, 7)))
+    return barycenter_problem(load_measures_csv(f["measures"]), load_cost_csv(f["cost"]),
+                              f["mu"], topo)
+
+
+_SIZE, _COND, _ANY = (True, 1, False), (False, 1, False), (False, -math.inf, False)
+_QUADRATIC = {"dim": Constant(10, *_SIZE), "cond": Constant(10.0, *_COND)}
+PROBLEMS = {
+    "quadratic": Problem({**_QUADRATIC, "b_scale": Constant(1.0, *_ANY)}, _random),
+    "consensus_quadratic": Problem({"n": Constant(2, *_SIZE), "cond": Constant(1.0, *_COND),
+                                    "topology": TOPOLOGY, "spread": Constant(1.0, *_ANY)},
+                                   _consensus),
+    "penalty": Problem({**_QUADRATIC, "m_rows": Constant(None, *_SIZE),  # null: max(1, dim // 2)
+                        "b_scale": Constant(1.0, *_ANY)}, _random),
+    "barycenter": Problem({"measures": FILE, "cost": FILE, "mu": Constant(..., False, 0, True),
+                           "topology": TOPOLOGY}, _barycenter),
+    "custom": Problem({"Q_csv": FILE, "b_csv": FILE, "A_csv": FILE_OR_NULL}, _custom),
+}
+PROBLEM_KINDS = tuple(PROBLEMS)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +248,18 @@ def _noise_spec(noise_cfg) -> NoiseSpec:
 def execute_run(cfg: dict):
     """Run a validated config; returns (trace, summary), both stamped with :func:`run_identity`."""
     problem, seed, consts = cfg["problem"], cfg["seed"], cfg["constants"]
-    noise = _noise_spec(cfg["noise"])
-    if problem["kind"] in DECENTRALIZED_KINDS:
-        with _config_errors(f"invalid {problem['kind']} problem: ", _BAD_INPUT):
-            instance = _build_decentralized(problem, seed)
-        x_nodes, trace, _ = run_distributed(cfg["method"], instance, {
+    noise = NoiseSpec(**cfg["noise"])
+    with _config_errors(f"invalid {problem['kind']} problem: ", _BAD_INPUT):
+        built = build_problem(problem, seed)
+    if problem["kind"] in DECENTRALIZED_KINDS:  # built is the lifted instance
+        x_nodes, trace, _ = run_distributed(cfg["method"], built, {
             **consts, "N": cfg["N"], "eps": cfg["eps"], "beta": cfg["beta"], "seed": seed,
             "noise": noise})
         # sqrt(W) is the blockwise operator: no dense lift is formed
-        residual = float(np.linalg.norm(instance.pair.sqrtW @ x_nodes.reshape(-1)))
-        extra = {"chi": instance.pair.chi, "m": instance.m, "consensus_residual": residual}
+        residual = float(np.linalg.norm(built.pair.sqrtW @ x_nodes.reshape(-1)))
+        extra = {"chi": built.pair.chi, "m": built.m, "consensus_residual": residual}
     else:
-        with _config_errors(f"invalid {problem['kind']} problem: ", _BAD_INPUT):
-            qp, A = _build_custom(problem) if problem["kind"] == "custom" else _build_random(
-                problem, seed)
+        qp, A = built
         x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
         machine = Machine(qp, A, x0, noise)
         trace, _, _ = run_method(cfg["method"], machine, cfg["N"], cfg["eps"], cfg["beta"],
@@ -283,10 +292,8 @@ def apply_sweep_value(cfg: dict, param: str, value: str) -> dict:
         if not isinstance(topo, dict):
             raise ConfigError(f"{param} sweep needs an inline topology spec")
         if param == "m":
-            topo["m"] = number(value, where, integer=True, low=1, text=True)
-        elif value not in TOPOLOGY_KINDS:
-            raise ConfigError(f"unknown topology kind {value!r}")
-        else:
+            topo["m"] = number(value, where, *INLINE_TOPOLOGY["m"][1:], text=True)
+        else:  # validate_config refuses a kind outside the table
             topo["kind"] = value
     else:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
@@ -386,8 +393,8 @@ def cmd_run(args) -> int:
 def cmd_gen_topology(args) -> int:
     try:
         with _config_errors():
-            topo = _topology({"kind": args.kind, "m": args.m, "p": args.p},
-                             np.random.default_rng(args.seed))
+            spec = _fields({"kind": args.kind, "m": args.m, "p": args.p}, _TOPOLOGIES, "topology")
+            topo = _topology(spec, np.random.default_rng(args.seed))
         out = _out_dir(args.out)
     except _RUN_ERRORS as exc:
         return _report(exc)

@@ -137,8 +137,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
 
 
 def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
-            history: list | None = None, metric_every: int = 1,
-            y_star=None, stop_grad_norm: float | None = None):
+            metric_every: int = 1, y_star=None, stop_grad_norm: float | None = None):
     """Stochastic triangle scheme for a strongly convex dual.
 
     The mirror point has the closed form
@@ -147,9 +146,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
 
     maintained incrementally by two running sums, updated in place (O(dim) per step).  Every
     gradient is a mean over ``batch`` samples (see
-    :func:`optdec.schedules.batch_size_sstm_sc`).  A ``history`` list
-    receives the per-step ``(alpha_l, y~^l, g^l)`` triples so tests can
-    cross-check the running-sum path against explicit re-summation.
+    :func:`optdec.schedules.batch_size_sstm_sc`).
 
     Returns ``(y_N, trace)``; the trace records the exact dual gradient
     norm (and ``||y - y*||^2`` as ``dual_gap`` when ``y_star`` is given).
@@ -172,8 +169,6 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
         nonlocal sum_mu_y, sum_g
         sum_mu_y += alpha * mu * y_tilde
         sum_g += alpha * g
-        if history is not None:
-            history.append((alpha, y_tilde.copy(), g.copy()))
         return (z0 + sum_mu_y - sum_g) / (1.0 + A_next * mu)
 
     def metrics(k, point):
@@ -194,8 +189,6 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
     g = dual.batch_grad_and_x(y, batch, streams.child(0))[0]
     sum_mu_y = alpha * mu * y
     sum_g = alpha * g
-    if history is not None:
-        history.append((alpha, y.copy(), g.copy()))
     gn, dist = metrics(0, y)
     trace.record(0, A, dual.counter, grad_norm=gn, dual_gap=dist)
     y, _, _ = triangle(stm_step(L, mu), A, y, z0, N, gradient, mirror, after)

@@ -38,6 +38,10 @@ class Constant(NamedTuple):  # a constant's default and domain
     low: float  # the least value, excluded when ``strict``
     strict: bool
 
+    def check(self, value, where: str):
+        """``value`` in the domain, or ValueError naming ``where``; null only for a None default."""
+        return None if value is None and self.default is None else number(value, where, *self[1:])
+
 
 _POSITIVE, _ANY = (False, 0, True), (False, float("-inf"), False)
 CONSTANTS = {
@@ -178,10 +182,8 @@ def method_constants(method: str, constants: dict) -> dict:
     if set(constants) - reads:
         raise ValueError(f"method {method} does not read the constants "
                          f"{sorted(set(constants) - reads)}; it reads {sorted(reads)}")
-    c = {key: constants.get(key, CONSTANTS[key].default) for key in sorted(reads)}
-    for key, value in c.items():
-        if value is not None or CONSTANTS[key].default is not None:  # else null: the default
-            c[key] = number(value, f"constants.{key}", *CONSTANTS[key][1:])
+    c = {key: CONSTANTS[key].check(constants.get(key, CONSTANTS[key].default), f"constants.{key}")
+         for key in sorted(reads)}
     for rule in ("stop_gap", "stop_grad_norm"):
         if c.get(rule) is not None and c["metric_every"] == 0:
             raise ValueError(f"{rule} is never measured with metric_every 0")

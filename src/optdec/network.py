@@ -313,7 +313,6 @@ class DecentralizedInstance:
         self.stacked = FirstOrderOracle(
             m * n, value, gradient, L, mu, counter=self.counter,
             conjugate_value=conjugate_value if None not in values else None)
-        self.A = self.pair.sqrtW
         if batched_argmax is None and all(f.quadratic is not None for f in self.locals):
             batched_argmax = _stacked_quadratic_argmax([f.quadratic for f in self.locals])
         self.batched_argmax = batched_argmax

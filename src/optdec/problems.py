@@ -135,8 +135,11 @@ def random_quadratics(m: int, dim: int, cond: float, rng: np.random.Generator,
 
     Node ``k`` draws its ``M_k`` and then its ``b_k``, in node order; the
     stack is orthogonalised by one ``qr`` and decomposed by
-    :meth:`QuadraticProblem.stack`.
+    :meth:`QuadraticProblem.stack`.  A ``cond`` below 1 (or NaN) raises
+    ValueError: its spectrum would have ``L/mu = 1/cond``.
     """
+    if not cond >= 1:
+        raise ValueError(f"cond must be at least 1, got {cond!r}")
     M = np.empty((m, dim, dim))
     b = np.empty((m, dim))
     for M_k, b_k in zip(M, b):

@@ -42,8 +42,6 @@ def _fmt(col, value):
 class RunTrace:
     """Rows of (iteration, step sum, gaps, norms, counters) plus metadata."""
 
-    columns = _COLUMNS
-
     def __init__(self, metadata: dict | None = None):
         self.metadata = dict(metadata or {})
         self.rows: list[dict] = []
@@ -94,6 +92,7 @@ class RunTrace:
 
     @classmethod
     def from_csv(cls, path) -> "RunTrace":
+        """The trace in the file ``to_csv`` wrote; ValueError for a wrong header or row."""
         trace = cls()
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -107,19 +106,14 @@ class RunTrace:
                     trace.metadata[key] = value
             elif line:
                 body.append(line)
-        header = body[0].split(",")
-        assert tuple(header) == _COLUMNS, "unexpected trace header"
+        if not body or tuple(body[0].split(",")) != _COLUMNS:
+            raise ValueError(f"{path}: a trace starts with the header {','.join(_COLUMNS)}")
         for line in body[1:]:
             parts = line.split(",")
-            row = {}
-            for col, part in zip(_COLUMNS, parts):
-                if part == "":
-                    row[col] = None
-                elif col in _INT_COLUMNS:
-                    row[col] = int(part)
-                else:
-                    row[col] = float(part)
-            trace.rows.append(row)
+            if len(parts) != len(_COLUMNS):
+                raise ValueError(f"{path}: a trace row has {len(_COLUMNS)} fields, got {line!r}")
+            trace.rows.append({col: None if part == "" else int(part) if col in _INT_COLUMNS
+                               else float(part) for col, part in zip(_COLUMNS, parts)})
         return trace
 
 

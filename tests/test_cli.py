@@ -265,8 +265,8 @@ def test_readme_example_plans_57_steps(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     workloads = importlib.import_module("perfbench.workloads")
     cfg = validate_config(workloads.UNRUNNABLE["readme_example"]["config"])
-    instance = cli._build_decentralized(cfg["problem"], cfg["seed"])
-    dual = DistributedDualOracle(instance, cli._noise_spec(cfg["noise"]))
+    instance = cli.build_problem(cfg["problem"], cfg["seed"])
+    dual = DistributedDualOracle(instance, NoiseSpec(**cfg["noise"]))
     N = grad_certificate_N(_dual_norm_bound(instance), dual.L_psi, dual.mu_psi, cfg["eps"],
                            optdec.methods.CONSTANTS["max_N"].default)
     assert N == 57
@@ -627,7 +627,7 @@ def test_run_distributed_serves_every_network_method(tmp_path):
     for name, method in cli.METHODS.items():
         assert set(method.kinds) <= set(cli.PROBLEM_KINDS)
         assert method.constants <= set(CONSTANTS)
-        instance = cli._build_decentralized(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
+        instance = cli.build_problem(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
         if set(method.kinds) & set(cli.DECENTRALIZED_KINDS):
             _, trace, counter = run_distributed(name, instance, {"N": 2, "eps": 0.1})
             assert trace.final["comm_rounds"] == counter.comm_rounds > 0
@@ -664,12 +664,12 @@ def assert_refused_alike(tmp_path, capsys, cfg):
     message = err[len("config error: "):-1]
     method, constants = cfg["method"], cfg.get("constants", {})
     settings = {key: cfg[key] for key in ("N", "eps", "beta", "seed") if key in cfg}
-    qp, A = cli._build_random({"kind": "penalty", "dim": 4, "m_rows": 2}, 0)
+    qp, A = cli.build_problem({"kind": "penalty", "dim": 4, "m_rows": 2}, 0)
     calls = [lambda: run_method(method, Machine(qp, A, np.zeros(4), NoiseSpec()),
                                 settings.get("N", "auto"), settings.get("eps", 1e-3),
                                 settings.get("beta", 0.1), constants, settings.get("seed", 0))]
     if _on_network(method):
-        instance = cli._build_decentralized(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
+        instance = cli.build_problem(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
         calls.append(lambda: run_distributed(method, instance, {**constants, **settings}))
     for call in calls:
         with pytest.raises(ValueError) as refused:
@@ -684,7 +684,7 @@ def test_a_constant_the_method_does_not_read_exits_2(tmp_path, capsys, method, k
     message = assert_refused_alike(tmp_path, capsys, _record_config(tmp_path, method, key))
     assert message.startswith(f"method {method} does not read the constants ['{key}']")
     if not _on_network(method):
-        instance = cli._build_decentralized(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
+        instance = cli.build_problem(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
         with pytest.raises(ValueError, match="does not run on a network"):
             run_distributed(method, instance, {"N": 2, key: _CONSTANT_VALUES[key]})
 
@@ -765,7 +765,7 @@ def test_the_library_refuses_what_optdec_run_refuses(tmp_path, capsys, monkeypat
                                           if "R_y" in record.constants))
 def test_a_machine_runs_on_the_R_y_constant(method):
     # the constant reaches a Machine's solve through run_method alone
-    qp, A = cli._build_random({"kind": "penalty", "dim": 4, "m_rows": 2}, 0)
+    qp, A = cli.build_problem({"kind": "penalty", "dim": 4, "m_rows": 2}, 0)
     runs = {}
     for R_y in (None, 50.0):
         machine = Machine(qp, A, np.zeros(4), NoiseSpec())

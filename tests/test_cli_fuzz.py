@@ -39,7 +39,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optdec.cli import (_RUN_ERRORS, DECENTRALIZED_KINDS, METHODS, PROBLEM_KINDS, SWEEP_PARAMS,
-                        TOPOLOGY_KINDS, ConfigError, _build_decentralized, main, validate_config)
+                        TOPOLOGY_KINDS, ConfigError, build_problem, main, validate_config)
 from optdec.network import run_distributed
 
 BAD_VALUES = ("x", [], {}, True, None, -1, 0, "nan", [[1.0]])
@@ -212,7 +212,7 @@ def test_run_distributed_refuses_exactly_what_optdec_run_refuses(run):
     except ConfigError as exc:
         refusal = str(exc)
     try:
-        run_distributed(method, _build_decentralized(_RING4, 0), {**run_settings, **constants})
+        run_distributed(method, build_problem(_RING4, 0), {**run_settings, **constants})
     except _RUN_ERRORS:  # a LinAlgError too: a run error, never a refusal
         assert refusal is None
     except ValueError as exc:

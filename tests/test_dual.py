@@ -12,7 +12,7 @@ from optdec import (DivergenceError, DualOracle, FirstOrderOracle, NoiseSpec,
                     rrma_ac_sa2, spdstm, sstm_sc)
 from optdec.dual import _norm, default_rrma_lambda, restart_config
 from optdec.problems import min_norm_dual_solution
-from optdec.schedules import next_alpha_spdstm
+from optdec.schedules import next_alpha_spdstm, stm_step
 
 
 def shifted_instance(c=(1.0, 3.0), noise=None):
@@ -107,15 +107,39 @@ def test_guard_and_metric_norm_is_bitwise_np_linalg_norm(v):
 # strongly convex dual scheme
 
 
+def _record_gradients(dual):
+    """The ``(y~, g)`` of every later ``dual.batch_grad_and_x`` call, recorded by a wrapper."""
+    calls, batch_grad_and_x = [], dual.batch_grad_and_x
+
+    def record(y, r, streams):
+        g, x = batch_grad_and_x(y, r, streams)
+        calls.append((np.array(y, dtype=float), g.copy()))
+        return g, x
+
+    dual.batch_grad_and_x = record
+    return calls
+
+
+def _sstm_sc_history(dual, calls):
+    """``(alpha_l, y~^l, g^l)`` of an sstm_sc run: ``alpha_0 = 1/L``, then the
+    ``stm_step(L, mu)`` chain from ``A_0 = 1/L``, beside the recorded gradients."""
+    step, A = stm_step(dual.L_psi, dual.mu_psi), 1.0 / dual.L_psi
+    alphas = [A]
+    while len(alphas) < len(calls):
+        alpha, A = step(A)
+        alphas.append(alpha)
+    return [(alpha, yt, g) for alpha, (yt, g) in zip(alphas, calls)]
+
+
 def test_sstm_sc_mirror_point_matches_numeric_argmin():
     rng = np.random.default_rng(31)
     qp = random_quadratic(2, 6.0, rng)
     A = rng.standard_normal((2, 2))
     dual = DualOracle(qp.oracle(), A, qp.conjugate_argmax)
     y0 = rng.standard_normal(2)
-    history = []
-    sstm_sc(dual, y0, 1, history=history, metric_every=0)
-    (a0, yt0, g0), (a1, yt1, g1) = history
+    calls = _record_gradients(dual)
+    sstm_sc(dual, y0, 1, metric_every=0)
+    (a0, yt0, g0), (a1, yt1, g1) = _sstm_sc_history(dual, calls)
 
     mu = dual.mu_psi
 
@@ -148,8 +172,9 @@ def test_sstm_sc_running_sums_match_resummation():
                             noise=NoiseSpec(0.0, 0.2, "gaussian"))
     y0 = rng.standard_normal(3)
     N = 20
-    hist = []
-    y, trace = sstm_sc(dual, y0, N, history=hist, metric_every=0, seed=4)
+    calls = _record_gradients(dual)
+    y, trace = sstm_sc(dual, y0, N, metric_every=0, seed=4)
+    hist = _sstm_sc_history(dual, calls)
     mu = dual.mu_psi
     A_total = sum(a for a, _, _ in hist)
     z_resum = (y0 + mu * sum(a * yt for a, yt, _ in hist)
@@ -160,8 +185,9 @@ def test_sstm_sc_running_sums_match_resummation():
     y_prev, _ = sstm_sc(dual, y0, N - 1, metric_every=0, seed=4)
     y_from_resum = (A_prev * y_prev + hist[-1][0] * z_resum) / A_total
     assert np.linalg.norm(y - y_from_resum) <= 1e-10 * np.linalg.norm(y)
-    hist2 = []
-    sstm_sc(dual, y0, N, history=hist2, metric_every=0, seed=4)
+    calls.clear()
+    sstm_sc(dual, y0, N, metric_every=0, seed=4)
+    hist2 = _sstm_sc_history(dual, calls)
     assert np.allclose(hist2[-1][1], hist[-1][1])
     y2, tr2 = sstm_sc(dual, y0, N, metric_every=0, seed=4)
     assert np.allclose(y, y2)

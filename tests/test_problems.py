@@ -17,6 +17,18 @@ from optdec.problems import (constrained_quadratic_optimum, load_cost_csv,
 # quadratics
 
 
+@pytest.mark.parametrize("cond", [0.5, 1 - 1e-12, 0.0, -2.0, float("nan")])
+def test_random_quadratics_refuse_a_cond_below_1(cond):
+    # cond 0.5 once built a problem with L/mu = 2
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="cond must be at least 1"):
+        random_quadratic(4, cond, rng)
+    with pytest.raises(ValueError, match="cond must be at least 1"):
+        random_quadratics(3, 2, cond, rng)
+    qp = random_quadratic(4, 1.0, rng)  # the least cond builds
+    assert qp.L == pytest.approx(qp.mu)
+
+
 def test_quadratic_identity():
     qp = QuadraticProblem(np.eye(2), np.zeros(2))
     assert np.allclose(qp.x_star, 0.0)

@@ -1,4 +1,7 @@
+import re
+
 import numpy as np
+import pytest
 
 from optdec import CallCounter, RunTrace, summary_from_trace
 
@@ -31,6 +34,28 @@ def test_csv_round_trip(tmp_path):
     assert back.metadata["config_hash"] == "abc123"
     assert back.flags == ["example diagnostic"]
     assert back.rows == trace.rows
+
+
+def _broken(tmp_path, line, replace):
+    """The round-trip trace file with its ``line``-th line (from the end) edited."""
+    path = tmp_path / "trace.csv"
+    lines = make_trace().to_csv_text().splitlines()
+    lines[line] = replace(lines[line])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("line, replace, message", [
+    (-4, lambda header: header.replace("A_k", "A"), "a trace starts with the header iter,A_k,"),
+    (-4, lambda header: "", "a trace starts with the header"),
+    (-2, lambda row: row.rsplit(",", 3)[0], "a trace row has 10 fields, got '1,"),
+    (-1, lambda row: row + ",7", "a trace row has 10 fields, got '2,"),
+], ids=["renamed_column", "no_header", "short_row", "long_row"])
+def test_a_malformed_trace_file_raises_value_error(tmp_path, line, replace, message):
+    # a wrong header was caught by an assert alone, which python -O strips,
+    # and a short row read as a short dict that column() met with a KeyError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunTrace.from_csv(_broken(tmp_path, line, replace))
 
 
 def test_csv_formatting_stability(tmp_path):
