@@ -34,9 +34,9 @@ import numpy as np
 from . import __version__
 from .dual import DivergenceError
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
-from .methods import (DECENTRALIZED_KINDS, METHODS, Constant, Machine, method_constants,
-                      run_method, run_settings)
-from .network import DecentralizedInstance, Topology, run_distributed
+from .methods import (DECENTRALIZED_KINDS, METHODS, RUN_SETTINGS, Constant, Machine,
+                      method_constants, run_method, run_settings)
+from .network import DecentralizedInstance, Network, Topology
 from .oracles import NoiseSpec, number
 from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
                        load_measures_csv, random_quadratic, random_quadratics)
@@ -92,10 +92,10 @@ def validate_config(cfg: dict) -> dict:
         if not isinstance(cfg.get(key, {}), (dict, type(None))):
             raise ConfigError(f"{key} must be a JSON object or null")
     out = {"method": cfg.get("method"), "problem": cfg.get("problem"),
-           "noise": dict(cfg.get("noise") or {}), "N": cfg.get("N", "auto"),
-           "constants": dict(cfg.get("constants") or {})}
+           "noise": dict(cfg.get("noise") or {}), "constants": dict(cfg.get("constants") or {}),
+           **{key: cfg.get(key, value) for key, value in RUN_SETTINGS.items()}}
     _, out["eps"], out["beta"], out["seed"] = run_settings(
-        out["N"], cfg.get("eps", 1e-3), cfg.get("beta", 0.1), cfg.get("seed", 0))
+        **{key: out[key] for key in RUN_SETTINGS})
     method_constants(out["method"], out["constants"])
     _reject_unknown(out["noise"], _NOISE_KEYS, "noise")
     NoiseSpec(**out["noise"])
@@ -104,7 +104,7 @@ def validate_config(cfg: dict) -> dict:
     kinds = METHODS[method].kinds
     if kind not in kinds:
         raise ConfigError(f"method {method} runs on problem kinds {kinds}, not {kind!r}")
-    if kind == "custom" and not problem["A_csv"] and "penalty" in kinds:
+    if kind == "custom" and problem["A_csv"] is None and "penalty" in kinds:
         raise ConfigError(f"method {method} needs a constraint matrix")
     return out
 
@@ -128,11 +128,11 @@ class Problem(NamedTuple):
     build: Callable  # (fields, seed) -> (qp, A or None), or the instance of a network kind
 
 
-# the other fields: a file path (null in FILE_OR_NULL: no file) and the topology, which is
-# the path of a gen-topology file or an inline topology with the fields of INLINE_TOPOLOGY
+# the other fields: a file path (null in FILE_OR_NULL: no file) and the topology, a gen-topology
+# file's path or an inline topology of its kind's fields (m: at least what its constructor takes)
 FILE, FILE_OR_NULL, TOPOLOGY = "file path", "file path or null", "file path or inline topology"
-INLINE_TOPOLOGY = {"m": Constant(..., True, 2, False), "p": Constant(0.5, False, 0, False)}
-_TOPOLOGIES = dict.fromkeys(TOPOLOGY_KINDS, INLINE_TOPOLOGY)
+TOPOLOGIES = {kind: {"m": Constant(..., True, 3 if kind == "ring" else 2, False),
+                     "p": Constant(0.5, False, 0, False)} for kind in TOPOLOGY_KINDS}
 
 
 def _fields(obj, records: dict, where: str) -> dict:
@@ -151,9 +151,9 @@ def _fields(obj, records: dict, where: str) -> dict:
         if isinstance(field, Constant):
             out[key] = field.check(value, name)
         elif field is TOPOLOGY and isinstance(value, dict):
-            out[key] = _fields(value, _TOPOLOGIES, "topology")
-        elif isinstance(value, str) or field is FILE_OR_NULL and value is None:
-            out[key] = value  # not a list, which numpy would read as the lines of a file
+            out[key] = _fields(value, TOPOLOGIES, "topology")
+        elif value and isinstance(value, str) or field is FILE_OR_NULL and value is None:
+            out[key] = value  # a non-empty path, not a list (numpy reads one as a file's lines)
         else:
             raise ConfigError(f"{name} must be a {field}, got {value!r}")
     return out
@@ -199,7 +199,7 @@ def _custom(f, seed):
     b = np.atleast_1d(np.loadtxt(f["b_csv"], delimiter=","))
     qp = QuadraticProblem(Q, b)
     A = None
-    if f["A_csv"]:
+    if f["A_csv"] is not None:
         A = np.loadtxt(f["A_csv"], delimiter=",", ndmin=2)
         if A.shape[1] != b.size:
             raise ValueError(f"A must have one column per coordinate ({b.size}), "
@@ -247,26 +247,18 @@ PROBLEM_KINDS = tuple(PROBLEMS)
 
 def execute_run(cfg: dict):
     """Run a validated config; returns (trace, summary), both stamped with :func:`run_identity`."""
-    problem, seed, consts = cfg["problem"], cfg["seed"], cfg["constants"]
-    noise = NoiseSpec(**cfg["noise"])
+    problem, seed, noise = cfg["problem"], cfg["seed"], NoiseSpec(**cfg["noise"])
     with _config_errors(f"invalid {problem['kind']} problem: ", _BAD_INPUT):
         built = build_problem(problem, seed)
     if problem["kind"] in DECENTRALIZED_KINDS:  # built is the lifted instance
-        x_nodes, trace, _ = run_distributed(cfg["method"], built, {
-            **consts, "N": cfg["N"], "eps": cfg["eps"], "beta": cfg["beta"], "seed": seed,
-            "noise": noise})
-        # sqrt(W) is the blockwise operator: no dense lift is formed
-        residual = float(np.linalg.norm(built.pair.sqrtW @ x_nodes.reshape(-1)))
-        extra = {"chi": built.pair.chi, "m": built.m, "consensus_residual": residual}
-    else:
-        qp, A = built
-        x0 = np.random.default_rng((seed, 1)).standard_normal(qp.Q.shape[0])
-        machine = Machine(qp, A, x0, noise)
-        trace, _, _ = run_method(cfg["method"], machine, cfg["N"], cfg["eps"], cfg["beta"],
-                                 consts, seed=seed)
-        extra = machine.summary
+        run = Network(built, noise)
+    else:  # built is (qp, A), and the start x0 draws from (seed, 1)
+        x0 = np.random.default_rng((seed, 1)).standard_normal(built[0].Q.shape[0])
+        run = Machine(*built, x0, noise)
+    trace, _, _ = run_method(cfg["method"], run, cfg["N"], cfg["eps"], cfg["beta"],
+                             cfg["constants"], seed)
     trace.metadata.update(run_identity(cfg))
-    return trace, {**summary_from_trace(trace), **extra}
+    return trace, {**summary_from_trace(trace), **run.summary}
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +283,8 @@ def apply_sweep_value(cfg: dict, param: str, value: str) -> dict:
         topo = problem.get("topology") if isinstance(problem, dict) else None
         if not isinstance(topo, dict):
             raise ConfigError(f"{param} sweep needs an inline topology spec")
-        if param == "m":
-            topo["m"] = number(value, where, *INLINE_TOPOLOGY["m"][1:], text=True)
+        if param == "m":  # validate_config checks it against its topology kind's record
+            topo["m"] = number(value, where, integer=True, text=True)
         else:  # validate_config refuses a kind outside the table
             topo["kind"] = value
     else:
@@ -393,7 +385,7 @@ def cmd_run(args) -> int:
 def cmd_gen_topology(args) -> int:
     try:
         with _config_errors():
-            spec = _fields({"kind": args.kind, "m": args.m, "p": args.p}, _TOPOLOGIES, "topology")
+            spec = _fields({"kind": args.kind, "m": args.m, "p": args.p}, TOPOLOGIES, "topology")
             topo = _topology(spec, np.random.default_rng(args.seed))
         out = _out_dir(args.out)
     except _RUN_ERRORS as exc:

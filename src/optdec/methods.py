@@ -1,16 +1,17 @@
 """The method table: the problem kinds, constants and solve of every method.
 
 :func:`run_method` is the one way a method runs: it checks the run settings
-(:func:`run_settings`) and the constants against the method's record and
-their domains in :data:`CONSTANTS` (:func:`method_constants`), calls its
-``solve`` with the checked values and flags an auto ``N`` that ``max_N``
-stopped before its certificate held (:data:`CAP_FLAG`).  A solve returns
-``(trace, y, x, capped)``: the dual point, the primal point (or
-``spdstm``'s primal average) and whether the cap stopped the plan.  Its
-problem gives the dual oracle ``dual`` and ``R_y``, a bound on the minimal
-dual solution's norm that a given constant ``R_y`` replaces (``run_method``
-sets it on the problem): a :class:`Machine`, or what
-:func:`optdec.network.run_distributed` builds.
+(:func:`run_settings`, defaults :data:`RUN_SETTINGS`) and the constants
+against the method's record and their domains in :data:`CONSTANTS`
+(:func:`method_constants`), calls its ``solve`` with the checked values and
+flags an auto ``N`` that ``max_N`` stopped before its certificate held
+(:data:`CAP_FLAG`).  A solve returns ``(trace, y, x, capped)``: the dual
+point, the primal point (or ``spdstm``'s primal average) and whether the cap
+stopped the plan.  Its problem, a :class:`Machine` or an
+:class:`optdec.network.Network`, gives the dual oracle ``dual`` and ``R_y``, a
+bound on the minimal dual solution's norm that a given constant ``R_y``
+replaces; its ``finish(trace, y, x, seed)`` gives the ``x`` that
+``run_method`` returns and fills in its ``summary``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .schedules import (CAP_FLAG, batch_size_sstm_sc, capped_N, gap_certificate_
 from .trace import RunTrace
 
 DECENTRALIZED_KINDS = ("consensus_quadratic", "barycenter")
+RUN_SETTINGS = {"N": "auto", "eps": 1e-3, "beta": 0.1, "seed": 0}  # optdec run's and the library's
 
 
 class Constant(NamedTuple):  # a constant's default and domain
@@ -61,9 +63,9 @@ class Method(NamedTuple):
 
 
 class Machine:
-    """One run's quadratic ``qp``, constraint rows ``A`` (or None), start ``x0`` and
-    noise; its dual oracle is built on first use, and ``summary`` then names ``R_y``:
-    the min-norm bound, or the constant ``R_y`` that ``run_method`` was given."""
+    """A single-machine run's quadratic ``qp``, constraint rows ``A`` (or None), start ``x0``
+    and noise; its dual oracle is built on first use, and ``summary`` then names ``R_y``: the
+    min-norm bound, or the constant ``R_y`` run_method was given.  ``finish`` keeps ``x``."""
 
     def __init__(self, qp, A, x0, noise):
         self.qp, self.A, self.x0, self.noise = qp, A, x0, noise
@@ -78,6 +80,9 @@ class Machine:
     def dual(self) -> DualOracle:
         self.summary["R_y"] = self.R_y
         return DualOracle(self.oracle, self.A, self.qp.conjugate_argmax, noise=self.noise)
+
+    def finish(self, trace, y, x, seed):
+        return x
 
 
 def _stm(p, N, eps, beta, c, seed, stochastic=False):
@@ -99,7 +104,6 @@ def _stm_ips(p, N, eps, beta, c, seed):
     N, capped = capped_N(N, lambda cap: gap_certificate_N(
         float(np.linalg.norm(p.x0 - x_F)), p.oracle.L, eps, cap), c["max_N"])
     x, trace = stm_ips(pen, p.x0, N, inner_T=c["inner_T"], F_star=pen.F_value(x_F), x_star=x_F)
-    trace.metadata["R_y"] = format(p.R_y, ".17g")
     return trace, None, x, capped
 
 
@@ -199,4 +203,4 @@ def run_method(method: str, problem, N, eps, beta, constants: dict, seed=0):
     trace, y, x, capped = METHODS[method].solve(problem, N, eps, beta, c, seed)
     if capped:
         trace.flag(CAP_FLAG.format(c["max_N"]))
-    return trace, y, x
+    return trace, y, problem.finish(trace, y, x, seed)

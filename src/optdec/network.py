@@ -21,7 +21,8 @@ problems' own inverses ``Q_inv``, and barycenter nodes evaluate their
 transport marginals from one cached Gibbs kernel in two ``(m, n) x (n, n)``
 products (:func:`optdec.problems.barycenter_problem`; costs wider than
 ``KERNEL_RANGE * mu`` keep the log-domain plan).  The instance reads the
-local oracles' declared fields and never writes to them.
+local oracles' declared fields and never writes to them.  :func:`run_distributed`
+runs :func:`optdec.methods.run_method` on a :class:`Network`, beside ``Machine``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .dual import primal_recovery
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
-from .methods import DECENTRALIZED_KINDS, METHODS, run_method
+from .methods import DECENTRALIZED_KINDS, METHODS, RUN_SETTINGS, run_method
 from .oracles import (RANK_TOL, CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams,
                       spectrum)
 from .primal import argmax_solver_via_stm
@@ -51,6 +52,7 @@ __all__ = [
     "chi",
     "laplacian_pair",
     "DistributedDualOracle",
+    "Network",
     "run_distributed",
 ]
 
@@ -382,51 +384,50 @@ class DistributedDualOracle(DualOracle):
     sample_x = DualOracle.sample_x
 
 
-# the run settings of run_distributed; its other keys are the method's constants
-_RUN_SETTINGS = {"N": "auto", "eps": 1e-4, "beta": 0.1, "seed": 0, "noise": None}
+class Network:
+    """A network run's ``instance`` and dual oracle on the per-node ``noise``; ``R_y`` defaults to
+    :func:`_dual_norm_bound`.  ``finish`` recovers ``x`` from one sample at the final ``y`` when
+    the method keeps no primal average, closes the trace with a counter row and returns ``x``
+    per node, with ``summary`` the Laplacian's ``chi``, ``m`` and ``||sqrt(W) x||``."""
 
-
-def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
-    """Run a method on the lifted instance over the simulated network.
-
-    ``method``'s record in :data:`optdec.methods.METHODS` must name a
-    network kind.  ``config`` may set the keys of ``_RUN_SETTINGS`` and the
-    constants of the record, which ``run_method`` checks as ``optdec run``
-    does (ValueError).  ``R_y`` defaults to :func:`_dual_norm_bound`.  Without
-    a primal average, ``x`` is recovered from one sample at the final ``y``.
-    Returns ``(x_per_node, trace, counter)`` where ``x_per_node`` has one
-    row per node and ``counter`` is the instance's :class:`CallCounter`.
-    Every counted communication round (``counter.comm_rounds``) is one
-    ``W`` or ``sqrt(W)`` multiplication; metric evaluations are computed
-    centrally by the simulator and are free.
-    """
-    if method not in METHODS or not set(DECENTRALIZED_KINDS) & set(METHODS[method].kinds):
-        raise ValueError(f"method {method!r} does not run on a network")
-    run = {key: config.get(key, value) for key, value in _RUN_SETTINGS.items()}
-    constants = {key: value for key, value in config.items() if key not in _RUN_SETTINGS}
-
-    dual = DistributedDualOracle(instance, run["noise"])
-    instance.counter.reset()
-    trace, y, x = run_method(method, _Lifted(dual), run["N"], run["eps"], run["beta"], constants,
-                             seed=run["seed"])
-    if x is None:
-        # run_method has checked that the seed is integral
-        x = primal_recovery(dual, y, 1, RngStreams(int(run["seed"])).child(999_999))
-
-    # closing row: primal recovery rounds happen after the last iteration
-    trace.record(trace.final["iter"], trace.final["A_k"], instance.counter)
-    return instance.blocks(x), trace, instance.counter
-
-
-class _Lifted:
-    """The problem ``run_method`` solves on a network: its dual oracle and ``R_y``."""
-
-    def __init__(self, dual: DistributedDualOracle):
-        self.dual = dual
+    def __init__(self, instance: DecentralizedInstance, noise: NoiseSpec | None = None):
+        self.instance, self.summary = instance, {}
+        self.dual = DistributedDualOracle(instance, noise)
+        instance.counter.reset()
 
     @cached_property
     def R_y(self) -> float:
-        return _dual_norm_bound(self.dual.instance)
+        return _dual_norm_bound(self.instance)
+
+    def finish(self, trace, y, x, seed):
+        if x is None:
+            x = primal_recovery(self.dual, y, 1, RngStreams(seed).child(999_999))
+        trace.record(trace.final["iter"], trace.final["A_k"], self.instance.counter)
+        pair = self.instance.pair  # sqrt(W) is the blockwise operator: no dense lift is formed
+        self.summary = {"chi": pair.chi, "m": self.instance.m,
+                        "consensus_residual": float(np.linalg.norm(pair.sqrtW @ x))}
+        return self.instance.blocks(x)
+
+
+def run_distributed(method: str, instance: DecentralizedInstance, config: dict):
+    """:func:`optdec.methods.run_method` on a :class:`Network` of ``instance``.
+
+    ``config`` may set ``noise``, the run settings (defaults
+    :data:`optdec.methods.RUN_SETTINGS`, as in ``optdec run``) and the
+    constants of ``method``'s record, which must name a network kind; all are
+    checked as ``optdec run`` checks them (ValueError).  Returns
+    ``(x_per_node, trace, counter)``: one row per node, and the instance's
+    :class:`CallCounter`, whose ``comm_rounds`` counts each ``W`` or
+    ``sqrt(W)`` multiplication; central metric evaluations are free.
+    """
+    if method not in METHODS or not set(DECENTRALIZED_KINDS) & set(METHODS[method].kinds):
+        raise ValueError(f"method {method!r} does not run on a network")
+    settings = {**RUN_SETTINGS, "noise": None}
+    run = {key: config.get(key, value) for key, value in settings.items()}
+    network = Network(instance, run.pop("noise"))
+    trace, _, x_per_node = run_method(method, network, constants={
+        key: value for key, value in config.items() if key not in settings}, **run)
+    return x_per_node, trace, instance.counter
 
 
 def _dual_norm_bound(instance: DecentralizedInstance) -> float:

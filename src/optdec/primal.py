@@ -67,7 +67,7 @@ def _pull_back(mu):
 
 
 def _R0(x0, x_star) -> dict:
-    """A solver's only trace metadata: ``R0 = ||x0 - x*||`` when ``x_star`` is known."""
+    """A solver's trace metadata: ``R0 = ||x0 - x*||`` when ``x_star`` is known."""
     return {} if x_star is None else {"R0": format(float(np.linalg.norm(x0 - x_star)), ".17g")}
 
 
@@ -307,7 +307,8 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
     either by an inner strongly convex triangle run (``inner_stm``) or by
     the problem's exact proximal solver (``exact``).  Inner non-convergence
     within the budget is flagged in the trace and the run continues.  With
-    ``x_star`` given the metadata carries ``R0``, as in :func:`stm`.
+    ``x_star`` given the metadata carries ``R0``, as in :func:`stm`, and on a
+    :class:`PenaltyProblem` it carries the ``R_y`` that sized the penalty.
 
     Returns ``(x_N, trace)``.
     """
@@ -320,14 +321,15 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
 
     x = np.array(x0, dtype=float)
     trace = RunTrace(_R0(x, x_star))
+    penalty = isinstance(problem, PenaltyProblem)
+    if penalty:  # the R_y that sized it, beside R0
+        trace.metadata["R_y"] = format(problem.R_y, ".17g")
 
     def gap(point):
         return None if F_star is None else problem.F_value(point) - F_star
 
     def feas(point):
-        if isinstance(problem, PenaltyProblem):
-            return float(np.linalg.norm(problem.A @ point))
-        return None
+        return float(np.linalg.norm(problem.A @ point)) if penalty else None
 
     def prox(z, lin, x_tilde, alpha, A_next):
         if prox_mode == "exact":

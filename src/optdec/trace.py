@@ -132,8 +132,8 @@ def summary_from_trace(trace: RunTrace) -> dict:
     """Recompute the run summary from a trace alone (no hidden state).
 
     Each ``final_*`` metric is read from the last row that carries it: a
-    run records metrics every ``metric_every`` steps, and the network runner
-    appends a closing row with counters only.  The certificate bound
+    run records metrics every ``metric_every`` steps, and a network run's
+    ``finish`` appends a closing row with counters only.  The certificate bound
     ``3 R0^2 / (2 A_N)`` is recomputed when the trace metadata carries
     ``R0``.
     """

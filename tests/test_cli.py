@@ -1,5 +1,6 @@
 import gc
 import importlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -12,7 +13,7 @@ import optdec.dual
 import optdec.methods
 from optdec.cli import (ConfigError, apply_sweep_value, config_hash, main,
                         validate_config)
-from optdec.methods import CONSTANTS, Machine, run_method
+from optdec.methods import CONSTANTS, RUN_SETTINGS, Machine, run_method
 from optdec.network import (DistributedDualOracle, Topology, _dual_norm_bound, chi,
                             laplacian, run_distributed)
 from optdec.oracles import NoiseSpec
@@ -610,6 +611,18 @@ def test_method_kind_matrix(tmp_path, capsys, method, kind):
         assert not list(tmp_path.glob("**/*.trace.csv"))
 
 
+@pytest.mark.parametrize("method", ["stm", "stm_ips"])
+@pytest.mark.parametrize("key", ["Q_csv", "b_csv", "A_csv"])
+def test_an_empty_file_path_exits_2_naming_it(tmp_path, capsys, method, key):
+    # an A_csv of "" once ran stm unconstrained, and stm_ips exited 2 without naming it
+    cfg = _custom_without_A(tmp_path, method)
+    cfg["problem"] = {**cfg["problem"], "A_csv": str(tmp_path / "b.csv"), key: ""}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")]) == 2
+    kind = "file path or null" if key == "A_csv" else "file path"
+    assert capsys.readouterr().err == f"config error: problem.{key} must be a {kind}, got ''\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("method", cli.METHODS)
 def test_custom_without_A_runs_only_unconstrained_methods(tmp_path, capsys, method):
     cfgp = write_config(tmp_path, _custom_without_A(tmp_path, method))
@@ -634,6 +647,37 @@ def test_run_distributed_serves_every_network_method(tmp_path):
         else:
             with pytest.raises(ValueError, match=f"method '{name}' does not run on a network"):
                 run_distributed(name, instance, {"N": 2, "eps": 0.1})
+
+
+def test_run_distributed_defaults_are_optdec_runs(tmp_path, capsys):
+    # one default per run setting: without eps, run_distributed plans and writes what
+    # optdec run does (at eps 1e-4 it once took 75 steps here where optdec run took 62)
+    problem = {"kind": "consensus_quadratic", "n": 2, "cond": 4,
+               "topology": {"kind": "ring", "m": 4}}
+    cfgp = write_config(tmp_path, {"method": "sstm_sc", "problem": problem, "seed": 1})
+    assert main(["run", str(cfgp), "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    (csv,) = (tmp_path / "cli").glob("*.trace.csv")
+    _, trace, _ = run_distributed("sstm_sc", cli.build_problem(problem, 1), {"seed": 1})
+    trace.to_csv(tmp_path / "library.csv")
+    rows = [[line for line in path.read_text().splitlines() if not line.startswith("#")]
+            for path in (csv, tmp_path / "library.csv")]
+    assert rows[0] == rows[1]
+    assert trace.final["iter"] == 62
+
+
+# each solver's keyword default of a constant: (module, solver, keyword and constant)
+SOLVER_DEFAULTS = [("dual", "spdstm", "C_hat"), ("dual", "spdstm", "L_tilde_factor"),
+                   ("dual", "spdstm", "metric_every"), ("dual", "sstm_sc", "metric_every"),
+                   ("primal", "stm", "step_factor"), ("primal", "sstm", "step_factor"),
+                   ("dual", "restarted_rrma", "C")]
+
+
+@pytest.mark.parametrize("module, solver, key", SOLVER_DEFAULTS)
+def test_a_solver_keyword_default_is_its_constant_default(module, solver, key):
+    # the library's solvers and optdec run cannot drift apart on a constant's default
+    function = getattr(importlib.import_module(f"optdec.{module}"), solver)
+    assert inspect.signature(function).parameters[key].default == CONSTANTS[key].default
 
 
 # a valid value of every constant, so that only the method it is set on can be wrong
@@ -663,11 +707,11 @@ def assert_refused_alike(tmp_path, capsys, cfg):
     assert not list(tmp_path.glob("*.trace.csv"))
     message = err[len("config error: "):-1]
     method, constants = cfg["method"], cfg.get("constants", {})
-    settings = {key: cfg[key] for key in ("N", "eps", "beta", "seed") if key in cfg}
+    settings = {key: cfg[key] for key in RUN_SETTINGS if key in cfg}
+    run = {**RUN_SETTINGS, **settings}
     qp, A = cli.build_problem({"kind": "penalty", "dim": 4, "m_rows": 2}, 0)
-    calls = [lambda: run_method(method, Machine(qp, A, np.zeros(4), NoiseSpec()),
-                                settings.get("N", "auto"), settings.get("eps", 1e-3),
-                                settings.get("beta", 0.1), constants, settings.get("seed", 0))]
+    calls = [lambda: run_method(method, Machine(qp, A, np.zeros(4), NoiseSpec()), run["N"],
+                                run["eps"], run["beta"], constants, run["seed"])]
     if _on_network(method):
         instance = cli.build_problem(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
         calls.append(lambda: run_distributed(method, instance, {**constants, **settings}))
@@ -941,6 +985,26 @@ def test_sweep_bad_value_exit_2_before_any_run(tmp_path, capsys, monkeypatch, na
     assert "config error:" in err and "Traceback" not in err
     assert runs == []
     assert not list(tmp_path.rglob("*.sweep.csv"))
+
+
+def test_a_ring_of_2_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    # a ring needs 3 nodes: the m sweep once ran m = 3 to the end before m = 2 exited 2
+    runs = []
+    monkeypatch.setattr(cli, "execute_run", lambda cfg, run=cli.execute_run: runs.append(cfg)
+                        or run(cfg))
+    refusal = "config error: topology.m must be finite and >= 3, got 2\n"
+    cfg = {"method": "sstm_sc", "problem": {"kind": "consensus_quadratic", "n": 2,
+                                            "topology": {"kind": "ring", "m": 3}}, "N": 3}
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["sweep", str(cfgp), "--param", "m", "--values", "3,2",
+                 "--out", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err == refusal and runs == []
+    cfg["problem"]["topology"]["m"] = 2
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == refusal and runs == []
+    assert main(["gen-topology", "--kind", "ring", "--m", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == refusal
+    assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.glob("topology_*"))
 
 
 @pytest.mark.parametrize("values, message", [

@@ -1,10 +1,13 @@
 """The problem table ``optdec.cli.PROBLEMS``: the README lists exactly its
 kinds, keys, defaults and domains, and ``optdec run`` refuses every field
-outside its record before it reads a file or builds anything.
+outside its record before it reads a file or builds anything.  Each inline
+topology kind's record in ``optdec.cli.TOPOLOGIES`` takes the least ``m``
+its ``Topology`` constructor takes.
 
 The refusal test is derandomized: for every kind and every numeric field
-of its record (the inline topology's ``m`` and ``p`` included), a value
-outside the field's domain -- a wrong type, a non-finite number, one below
+of its record (the inline topology's ``m`` and ``p`` included, checked
+against the record of the topology kind drawn), a value outside the
+field's domain -- a wrong type, a non-finite number, one below
 the least value, a fraction where an integer is due -- must exit 2 with a
 message that names ``problem.<key>`` or ``topology.<key>``.  Every other
 field holds a valid value or is left out, and the file paths name files
@@ -22,14 +25,15 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optdec.cli as cli
-from optdec.cli import (FILE_OR_NULL, INLINE_TOPOLOGY, PROBLEMS, TOPOLOGY, TOPOLOGY_KINDS,
-                        main)
+from optdec.cli import (FILE_OR_NULL, PROBLEMS, TOPOLOGIES, TOPOLOGY, TOPOLOGY_KINDS, main)
 from optdec.methods import METHODS, Constant
+from optdec.network import Topology
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -65,10 +69,18 @@ def _domain_text(field):
     return field  # the file and topology markers are their domains
 
 
+def _topology_domains(key):
+    """The domain of the inline topology field ``key`` in most kinds' records, and
+    ``{kind: domain}`` of each kind whose record has another."""
+    texts = {kind: _domain_text(TOPOLOGIES[kind][key]) for kind in TOPOLOGY_KINDS}
+    common = max(texts.values(), key=list(texts.values()).count)
+    return common, {kind: text for kind, text in texts.items() if text != common}
+
+
 def test_readme_lists_every_field_of_the_problem_table():
     rows = _readme_rows()
     records = {kind: record.fields for kind, record in PROBLEMS.items()}
-    records["inline topology"] = {"kind": ..., **INLINE_TOPOLOGY}
+    records["inline topology"] = {"kind": ..., **TOPOLOGIES[TOPOLOGY_KINDS[0]]}
     assert list(rows) == list(records)
     for kind, fields in records.items():
         assert list(rows[kind]) == list(fields), kind
@@ -80,7 +92,21 @@ def test_readme_lists_every_field_of_the_problem_table():
                 continue
             # a default may be followed by what it is read as, a domain by a note
             assert re.split(r",| \(", default)[0] == _default_text(field), (kind, key)
-            assert re.split(r" \(", domain)[0] == _domain_text(field), (kind, key)
+            if kind == "inline topology":  # most kinds' domain, then "`kind`: domain" of others
+                common, others = _topology_domains(key)
+                assert re.split(r" \(", domain)[0] == common, key
+                assert dict(re.findall(r"`(\w+)`: ([^,)]+)", domain)) == others, key
+            else:
+                assert re.split(r" \(", domain)[0] == _domain_text(field), (kind, key)
+
+
+@pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+def test_each_topology_record_takes_the_least_m_of_its_constructor(kind):
+    low = TOPOLOGIES[kind]["m"].low
+    p = (1.0, np.random.default_rng(0)) if kind == "erdos_renyi" else ()
+    assert getattr(Topology, kind)(low, *p).m == low
+    with pytest.raises(ValueError):
+        getattr(Topology, kind)(low - 1, *p)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +176,8 @@ def _refusal(problem):
 def _records(kind):
     """``(where, fields)`` of the records a problem of ``kind`` is checked against."""
     records = [("problem", PROBLEMS[kind].fields)]
-    if "topology" in PROBLEMS[kind].fields:
-        records.append(("topology", INLINE_TOPOLOGY))
+    if "topology" in PROBLEMS[kind].fields:  # every topology kind's record has the same keys
+        records.append(("topology", TOPOLOGIES[TOPOLOGY_KINDS[0]]))
     return records
 
 
@@ -167,7 +193,8 @@ REQUIRED = [(kind, where, key) for kind in PROBLEMS for where, fields in _record
 def test_a_field_outside_its_domain_exits_2_naming_it(kind, where, key, data):
     problem = data.draw(_problems(kind), label="problem")
     target = problem if where == "problem" else problem["topology"]
-    target[key] = data.draw(_outside(dict(_records(kind))[where][key]), label="value")
+    fields = PROBLEMS[kind].fields if where == "problem" else TOPOLOGIES[target["kind"]]
+    target[key] = data.draw(_outside(fields[key]), label="value")
     code, err = _refusal(problem)
     assert code == 2 and err.startswith(f"config error: {where}.{key} must be "), err
 
