@@ -37,10 +37,10 @@ from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound h
 from .methods import (DECENTRALIZED_KINDS, METHODS, RUN_SETTINGS, Constant, Machine,
                       method_constants, run_method, run_settings)
 from .network import DecentralizedInstance, Network, Topology
-from .oracles import NoiseSpec, number
+from .oracles import COUNTERS, NoiseSpec, constraint_gram, number
 from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
                        load_measures_csv, random_quadratic, random_quadratics)
-from .trace import summary_from_trace
+from .trace import METRICS, summary_from_trace
 
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
 SWEEP_PARAMS = ("eps", "sigma", "m", "chi-topology", "N")
@@ -204,6 +204,7 @@ def _custom(f, seed):
         if A.shape[1] != b.size:
             raise ValueError(f"A must have one column per coordinate ({b.size}), "
                              f"got shape {A.shape}")
+        A, _ = constraint_gram(A, b.size)  # finite and not all zero, before any solver reads it
     return qp, A
 
 
@@ -292,10 +293,9 @@ def apply_sweep_value(cfg: dict, param: str, value: str) -> dict:
     return out
 
 
-# the swept parameter and value, then summary keys
-_SWEEP_COLUMNS = ("param", "value", "iterations", "final_f_gap", "final_dual_gap",
-                  "final_grad_norm", "final_constraint_norm", "grad_calls",
-                  "stoch_samples", "comm_rounds", "chi")
+# the swept parameter and value, then summary keys: every final metric and every counter
+_SWEEP_COLUMNS = ("param", "value", "iterations", *(f"final_{name}" for name in METRICS),
+                  *COUNTERS, "chi")
 
 
 def run_sweep(param: str, values: list[str], configs: list[dict]):
@@ -310,16 +310,10 @@ def run_sweep(param: str, values: list[str], configs: list[dict]):
 
 def sweep_csv_text(rows) -> str:
     def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return format(v, ".17g")
-        return str(v)
+        return "" if v is None else format(v, ".17g") if isinstance(v, float) else str(v)
 
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(fmt(row[c]) for c in _SWEEP_COLUMNS))
-    return "\n".join(lines) + "\n"
+    lines = [_SWEEP_COLUMNS, *([fmt(row[c]) for c in _SWEEP_COLUMNS] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

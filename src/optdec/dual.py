@@ -107,7 +107,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     y = np.zeros(dual.dual_dim)
     acc = np.zeros(dual.primal.dim)
     R_y = y_star_norm_estimate if y_star_norm_estimate is not None else 1.0
-    trace = RunTrace()
+    trace = RunTrace(dual.counter)
 
     def gradient(k, y_tilde, alpha, A_next):
         nonlocal acc
@@ -121,11 +121,11 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
         if metric_every and (k + 1) % metric_every == 0:
             metrics = duality_gap(dual.primal, dual, acc / A, y)
             gap, feas = metrics["gap"], metrics["constraint_norm"]
-        trace.record(k + 1, A, dual.counter, dual_gap=gap, constraint_norm=feas)
+        trace.record(k + 1, A, dual_gap=gap, constraint_norm=feas)
         return (stop_gap is not None and gap is not None and gap <= stop_gap
                 and feas * R_y <= eps)
 
-    trace.record(0, 0.0, dual.counter)
+    trace.record(0, 0.0)
     y, _, A = triangle(stm_step(L_tilde, 0.0, 2.0), 0.0, y, y, N,
                        gradient, lambda z, g, y_tilde, alpha, A_next: z - alpha * g, after)
     x_out = acc / A if A > 0 else acc
@@ -160,7 +160,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
 
     y = z0 = np.array(y0, dtype=float)
     scale = float(np.linalg.norm(y)) + (np.linalg.norm(y_star) if y_star is not None else 1.0)
-    trace = RunTrace()
+    trace = RunTrace(dual.counter)
 
     def gradient(k, y_tilde, alpha, A_next):
         return dual.batch_grad_and_x(y_tilde, batch, streams.child(k + 1))[0]
@@ -181,7 +181,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
     def after(k, y, z, A):
         _guard(z, scale, trace, "sstm_sc")
         gn, dist = metrics(k + 1, y)
-        trace.record(k + 1, A, dual.counter, grad_norm=gn, dual_gap=dist)
+        trace.record(k + 1, A, grad_norm=gn, dual_gap=dist)
         return stop_grad_norm is not None and gn is not None and gn <= stop_grad_norm
 
     # step 0 (alpha_0 = A_0 = 1/L) only seeds the running sums with the gradient at y0
@@ -190,7 +190,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
     sum_mu_y = alpha * mu * y
     sum_g = alpha * g
     gn, dist = metrics(0, y)
-    trace.record(0, A, dual.counter, grad_norm=gn, dual_gap=dist)
+    trace.record(0, A, grad_norm=gn, dual_gap=dist)
     y, _, _ = triangle(stm_step(L, mu), A, y, z0, N, gradient, mirror, after)
     return y, trace
 
@@ -388,8 +388,8 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *, R_y: float,
     g0, _ = dual.batch_grad_and_x(y, pre_r, streams.child(0, 0))
     cfg = restart_config(dual, float(np.linalg.norm(g0)), eps, beta, R_y, C=C)
 
-    trace = RunTrace()
-    trace.record(0, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
+    trace = RunTrace(dual.counter)
+    trace.record(0, 0.0, grad_norm=_exact_grad_norm(dual, y))
 
     probe = g0
     for k in range(1, cfg.l + 1):
@@ -415,7 +415,7 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *, R_y: float,
             candidates.append((float(np.linalg.norm(sel)), p, y_p))
         candidates.sort(key=lambda item: (item[0], item[1]))
         y = candidates[0][2]
-        trace.record(k, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
+        trace.record(k, 0.0, grad_norm=_exact_grad_norm(dual, y))
     return y, trace
 
 

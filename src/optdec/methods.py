@@ -142,8 +142,8 @@ def _ac_sa(p, N, eps, beta, c, seed, recursive=False):
         y = rrma_ac_sa2(dual, y0, m_iters, lam, streams=RngStreams(seed))
     else:
         y = ac_sa(RegularizedDual(dual, lam, y0), y0, m_iters, streams=RngStreams(seed))
-    trace = RunTrace()
-    trace.record(m_iters, 0.0, dual.counter, grad_norm=_exact_grad_norm(dual, y))
+    trace = RunTrace(dual.counter)
+    trace.record(m_iters, 0.0, grad_norm=_exact_grad_norm(dual, y))
     return trace, y, None, False
 
 

@@ -38,7 +38,7 @@ from .dual import primal_recovery
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
 from .methods import DECENTRALIZED_KINDS, METHODS, RUN_SETTINGS, run_method
 from .oracles import (RANK_TOL, CallCounter, DualOracle, FirstOrderOracle, NoiseSpec, RngStreams,
-                      spectrum)
+                      number, spectrum)
 from .primal import argmax_solver_via_stm
 
 __all__ = [
@@ -148,9 +148,20 @@ class Topology:
 
     @staticmethod
     def from_json(text: str) -> "Topology":
+        """The topology of a ``to_json`` file: an object of exactly ``m``, an integer >= 1, and
+        ``edges``, a list of int pairs ``[i, j]`` in ``[1, m]``; ValueError names the field."""
         payload = json.loads(text)
-        edges = [(i - 1, j - 1) for i, j in payload["edges"]]
-        return Topology.normalized(int(payload["m"]), edges)
+        if not isinstance(payload, dict) or payload.keys() != {"m", "edges"}:
+            got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+            raise ValueError(f"a topology file holds exactly topology.m and topology.edges, "
+                             f"got {got}")
+        m, pairs = number(payload["m"], "topology.m", integer=True, low=1), payload["edges"]
+        for pair in pairs if isinstance(pairs, list) else [pairs]:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) is int and 1 <= v <= m for v in pair)):
+                raise ValueError(f"topology.edges must be a list of node pairs [i, j] in [1, {m}], "
+                                 f"got {pair!r}")
+        return Topology.normalized(m, [(i - 1, j - 1) for i, j in pairs])
 
 
 def laplacian(topology: Topology) -> np.ndarray:
@@ -402,7 +413,7 @@ class Network:
     def finish(self, trace, y, x, seed):
         if x is None:
             x = primal_recovery(self.dual, y, 1, RngStreams(seed).child(999_999))
-        trace.record(trace.final["iter"], trace.final["A_k"], self.instance.counter)
+        trace.record(trace.final["iter"], trace.final["A_k"])
         pair = self.instance.pair  # sqrt(W) is the blockwise operator: no dense lift is formed
         self.summary = {"chi": pair.chi, "m": self.instance.m,
                         "consensus_residual": float(np.linalg.norm(pair.sqrtW @ x))}

@@ -61,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "COUNTERS",
     "CallCounter",
     "RngStreams",
     "NoiseSpec",
@@ -109,41 +110,40 @@ def number(value, where: str, integer=False, low=-math.inf, strict=False, text=F
 
 
 def constraint_gram(A, dim: int):
-    """Checked dense ``(m_rows x dim)`` matrix ``A``, not all zero, and ``A^T A``."""
+    """Checked dense ``(m_rows x dim)`` matrix ``A``, finite and not all zero, and ``A^T A``."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != dim:
         raise ValueError("A must be a (m_rows x dim) matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("A must be finite")
     if not np.any(A):
         raise ValueError("A must not be identically zero")
     return A, A.T @ A
 
 
+# The four counters of the paper's cost model: the one list of their names.
+COUNTERS = ("grad_calls", "stoch_samples", "matvec_AtA", "comm_rounds")
+
+
 class CallCounter:
-    """Monotone counters for oracle and communication accounting.
+    """Monotone counters for oracle and communication accounting, one per name in ``COUNTERS``.
 
     Counters only grow during a run; ``reset`` is meant to be called once
     at run start.  Increments are plain integer additions, safe to share
     between threads under CPython for the accounting purposes here.
     """
 
-    __slots__ = ("grad_calls", "stoch_samples", "matvec_AtA", "comm_rounds")
+    __slots__ = COUNTERS
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self.grad_calls = 0
-        self.stoch_samples = 0
-        self.matvec_AtA = 0
-        self.comm_rounds = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
 
     def snapshot(self) -> dict:
-        return {
-            "grad_calls": self.grad_calls,
-            "stoch_samples": self.stoch_samples,
-            "matvec_AtA": self.matvec_AtA,
-            "comm_rounds": self.comm_rounds,
-        }
+        return {name: getattr(self, name) for name in COUNTERS}
 
 
 class RngStreams:

@@ -81,15 +81,15 @@ def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source, f_star, x_s
         raise ValueError("oracle.L must be positive")
 
     x = np.array(x0, dtype=float)
-    trace = RunTrace(_R0(x, x_star))
+    trace = RunTrace(oracle.counter, _R0(x, x_star))
 
     def gap(point):
         return None if f_star is None else float(oracle.value(point)) - f_star
 
     def after(k, x_avg, z, A):
-        trace.record(k + 1, A, oracle.counter, f_gap=gap(x_avg))
+        trace.record(k + 1, A, f_gap=gap(x_avg))
 
-    trace.record(0, 0.0, oracle.counter, f_gap=gap(x))
+    trace.record(0, 0.0, f_gap=gap(x))
     x_avg, _, _ = triangle(
         stm_step(oracle.L, mu, step_factor), 0.0, x, x, N, gradient_source,
         _pull_back(mu) if mu != 0.0 else lambda z, g, x_tilde, alpha, A_next: z - alpha * g,
@@ -320,7 +320,7 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
     delta = default_inner_delta(f.L, problem.L_h, max(N, 1))
 
     x = np.array(x0, dtype=float)
-    trace = RunTrace(_R0(x, x_star))
+    trace = RunTrace(problem.counter, _R0(x, x_star))
     penalty = isinstance(problem, PenaltyProblem)
     if penalty:  # the R_y that sized it, beside R0
         trace.metadata["R_y"] = format(problem.R_y, ".17g")
@@ -345,9 +345,9 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
         return z
 
     def after(k, x_avg, z, A):
-        trace.record(k + 1, A, problem.counter, f_gap=gap(x_avg), constraint_norm=feas(x_avg))
+        trace.record(k + 1, A, f_gap=gap(x_avg), constraint_norm=feas(x_avg))
 
-    trace.record(0, 0.0, problem.counter, f_gap=gap(x), constraint_norm=feas(x))
+    trace.record(0, 0.0, f_gap=gap(x), constraint_norm=feas(x))
     x_avg, _, _ = triangle(stm_step(f.L, 0.0, 2.0), 0.0, x, x, N,
                            lambda k, x_tilde, a, A_next: f.eval_grad(x_tilde), prox, after)
     return x_avg, trace

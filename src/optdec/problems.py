@@ -109,13 +109,16 @@ class QuadraticProblem:
 
 
 def _decompose(Q, b, node):
-    """Eigenvalues, minimisers and inverses of a checked ``(m, n, n)`` SPD stack.
+    """Eigenvalues, minimisers and inverses of a checked ``(m, n, n)`` SPD stack and finite ``b``.
 
     ``node`` is formatted with the index of the first bad node into its
     error message ("" leaves the index out).
     """
     if Q.ndim != 3 or Q.shape[1] != Q.shape[2] or b.shape != Q.shape[:2]:
         raise ValueError("Q must be square and b conforming")
+    for name, M in (("Q", Q), ("b", b)):
+        if not (finite := np.isfinite(M).reshape(len(M), -1).all(axis=1)).all():
+            raise ValueError(f"{name}{node.format(finite.argmin())} must be finite")
     # an exactly symmetric stack passes every node's tolerance check; the
     # check itself runs node by node, so it makes no (m, n, n) float temporary
     if not np.array_equal(Q, Q.mT):

@@ -10,25 +10,22 @@ byte-identical files.
 from __future__ import annotations
 
 import io
+from operator import attrgetter
 
 import numpy as np
 
-__all__ = ["RunTrace", "summary_from_trace"]
+from .oracles import COUNTERS
 
-_COLUMNS = (
-    "iter",
-    "A_k",
-    "f_gap",
-    "dual_gap",
-    "grad_norm",
-    "constraint_norm",
-    "grad_calls",
-    "stoch_samples",
-    "matvec_AtA",
-    "comm_rounds",
-)
+__all__ = ["METRICS", "RunTrace", "summary_from_trace"]
 
-_INT_COLUMNS = {"iter", "grad_calls", "stoch_samples", "matvec_AtA", "comm_rounds"}
+# The metrics a row may carry: the one list of their names.  A row leaves a
+# metric it did not measure empty.
+METRICS = ("f_gap", "dual_gap", "grad_norm", "constraint_norm")
+
+_COLUMNS = ("iter", "A_k", *METRICS, *COUNTERS)
+_INT_COLUMNS = {"iter", *COUNTERS}
+_NO_METRICS = dict.fromkeys(METRICS)
+_counts = attrgetter(*COUNTERS)
 
 
 def _fmt(col, value):
@@ -40,34 +37,33 @@ def _fmt(col, value):
 
 
 class RunTrace:
-    """Rows of (iteration, step sum, gaps, norms, counters) plus metadata."""
+    """Rows of (iteration, step sum, ``METRICS``, ``COUNTERS``) plus metadata.  Every row reads
+    its counters from the trace's one ``counter``; a trace read by :meth:`from_csv` has none."""
 
-    def __init__(self, metadata: dict | None = None):
+    def __init__(self, counter, metadata: dict | None = None):
+        self.counter = counter
         self.metadata = dict(metadata or {})
         self.rows: list[dict] = []
         self.flags: list[str] = []
 
-    def record(self, it, A_k, counter, f_gap=None, dual_gap=None,
-               grad_norm=None, constraint_norm=None):
-        """Append a row with the metrics given and the four counters of ``counter``."""
-        self.rows.append({
-            "iter": int(it),
-            "A_k": float(A_k),
-            "f_gap": f_gap,
-            "dual_gap": dual_gap,
-            "grad_norm": grad_norm,
-            "constraint_norm": constraint_norm,
-            **counter.snapshot(),
-        })
+    def record(self, it, A_k, **metrics):
+        """Append a row with the ``metrics`` given and the counters of ``self.counter``.
+
+        A metric left out is empty; a name not in ``METRICS`` raises TypeError.
+        """
+        if not metrics.keys() <= _NO_METRICS.keys():
+            unknown = ", ".join(sorted(metrics.keys() - _NO_METRICS.keys()))
+            raise TypeError(f"record() takes the metrics {', '.join(METRICS)}, got {unknown}")
+        row = {"iter": int(it), "A_k": float(A_k), **_NO_METRICS, **metrics}
+        row.update(zip(COUNTERS, _counts(self.counter)))
+        self.rows.append(row)
 
     def flag(self, message: str):
         self.flags.append(str(message))
 
     def column(self, name) -> np.ndarray:
-        vals = [r[name] for r in self.rows]
-        if name in _INT_COLUMNS:
-            return np.array(vals, dtype=int)
-        return np.array([np.nan if v is None else float(v) for v in vals])
+        return np.array([np.nan if r[name] is None else r[name] for r in self.rows],
+                        dtype=int if name in _INT_COLUMNS else float)
 
     @property
     def final(self) -> dict:
@@ -93,7 +89,7 @@ class RunTrace:
     @classmethod
     def from_csv(cls, path) -> "RunTrace":
         """The trace in the file ``to_csv`` wrote; ValueError for a wrong header or row."""
-        trace = cls()
+        trace = cls(None)
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         body = []
@@ -117,35 +113,28 @@ class RunTrace:
         return trace
 
 
-_METRICS = ("f_gap", "dual_gap", "grad_norm", "constraint_norm")
-
-
 def _last(trace: RunTrace, column: str):
     """Value of ``column`` in the last row that carries it, else ``None``."""
-    for row in reversed(trace.rows):
-        if row[column] is not None:
-            return row[column]
-    return None
+    return next((row[column] for row in reversed(trace.rows) if row[column] is not None), None)
 
 
 def summary_from_trace(trace: RunTrace) -> dict:
     """Recompute the run summary from a trace alone (no hidden state).
 
-    Each ``final_*`` metric is read from the last row that carries it: a
-    run records metrics every ``metric_every`` steps, and a network run's
-    ``finish`` appends a closing row with counters only.  The certificate bound
-    ``3 R0^2 / (2 A_N)`` is recomputed when the trace metadata carries
-    ``R0``.
+    The summary holds ``iterations`` and ``A_N`` of the last row, one
+    ``final_<metric>`` per name in ``METRICS`` and the last row's
+    ``COUNTERS``.  Each ``final_*`` metric is read from the last row that
+    carries it: a run records metrics every ``metric_every`` steps, and a
+    network run's ``finish`` appends a closing row with counters only.  The
+    certificate bound ``3 R0^2 / (2 A_N)`` is recomputed when the trace
+    metadata carries ``R0``.
     """
     final = trace.final
     summary = {
         "iterations": final.get("iter"),
         "A_N": final.get("A_k"),
-        **{f"final_{name}": _last(trace, name) for name in _METRICS},
-        "grad_calls": final.get("grad_calls"),
-        "stoch_samples": final.get("stoch_samples"),
-        "matvec_AtA": final.get("matvec_AtA"),
-        "comm_rounds": final.get("comm_rounds"),
+        **{f"final_{name}": _last(trace, name) for name in METRICS},
+        **{name: final.get(name) for name in COUNTERS},
         "flags": list(trace.flags),
     }
     if "R0" in trace.metadata and final.get("A_k"):

@@ -1,3 +1,4 @@
+import csv
 import gc
 import importlib
 import inspect
@@ -16,7 +17,7 @@ from optdec.cli import (ConfigError, apply_sweep_value, config_hash, main,
 from optdec.methods import CONSTANTS, RUN_SETTINGS, Machine, run_method
 from optdec.network import (DistributedDualOracle, Topology, _dual_norm_bound, chi,
                             laplacian, run_distributed)
-from optdec.oracles import NoiseSpec
+from optdec.oracles import COUNTERS, NoiseSpec
 from optdec.schedules import grad_certificate_N
 from optdec.trace import RunTrace
 
@@ -546,6 +547,70 @@ def test_run_bad_decentralized_input_exit_2(tmp_path, capsys, case):
     assert not list(tmp_path.glob("*.trace.csv"))
 
 
+@pytest.mark.parametrize("payload, field", [
+    ([1, 2], "topology.m and topology.edges, got list"),
+    ("ring", "topology.m and topology.edges, got str"),
+    ({"m": 3, "edges": [[1, 2], [2, 3]], "extra": 1}, "got ['edges', 'extra', 'm']"),
+    ({"edges": [[1, 2]]}, "got ['edges']"),
+    ({"m": 3.7, "edges": [[1, 2], [2, 3]]}, "topology.m must be an integer, got 3.7"),
+    ({"m": True, "edges": []}, "topology.m must be an integer, got True"),
+    ({"m": 0, "edges": []}, "topology.m must be finite and >= 1, got 0"),
+    ({"m": 3, "edges": 5}, "topology.edges must be a list of node pairs [i, j] in [1, 3], got 5"),
+    ({"m": 3, "edges": [["a", "b"]]}, "topology.edges must be a list of node pairs [i, j] in "
+                                      "[1, 3], got ['a', 'b']"),
+    ({"m": 3, "edges": [[1, 2], [2, 3], None]}, "topology.edges must be a list of node pairs "
+                                                "[i, j] in [1, 3], got None"),
+    ({"m": 3, "edges": [[1, 2], [2, 3, 1]]}, "got [2, 3, 1]"),
+    ({"m": 3, "edges": [[1, 2], [3, 4]]}, "got [3, 4]"),
+    ({"m": 3, "edges": [[0, 1], [1, 2]]}, "got [0, 1]"),
+    ({"m": 3, "edges": [[1, True], [2, 3]]}, "got [1, True]"),
+    ({"m": 3, "edges": [[1.0, 2], [2, 3]]}, "got [1.0, 2]"),
+], ids=["list", "string", "extra_key", "no_m", "m_fractional", "m_boolean", "m_zero",
+        "edges_a_number", "edges_strings", "edges_null", "edge_of_three", "node_above_m",
+        "node_zero", "node_boolean", "node_float"])
+def test_a_malformed_topology_file_exits_2_naming_the_field(tmp_path, capsys, payload, field):
+    # a list, a string, a number of edges or a null edge raised TypeError and a float node
+    # IndexError (exit 1); a fractional m ran as int(m), a boolean m as 1 node, and an
+    # extra key was ignored
+    path = tmp_path / "topology.json"
+    path.write_text(json.dumps(payload))
+    cfg = {"method": "sstm_sc", "N": 5,
+           "problem": {"kind": "consensus_quadratic", "n": 2, "topology": str(path)}}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid consensus_quadratic problem: ")
+    assert err.endswith(f"{field}\n") and "topology." in err
+    assert not list(tmp_path.glob("**/*.trace.csv"))
+
+
+@pytest.mark.parametrize("method", ["stm", "stm_ips"])
+@pytest.mark.parametrize("name, value", [
+    ("b", np.array([1.0, np.nan, 0.5])),
+    ("Q", np.diag([np.inf, 2.0, 4.0])),
+    ("Q", np.array([[1.0, np.nan, 0.0], [np.nan, 2.0, 0.0], [0.0, 0.0, 4.0]])),
+    ("A", np.array([[1.0, np.nan, 1.0]])),
+    ("A", np.array([[1.0, 1.0, -np.inf]])),
+], ids=["b_nan", "Q_inf", "Q_nan", "A_nan", "A_inf"])
+def test_a_non_finite_custom_array_exits_2_naming_it(tmp_path, capsys, method, name, value):
+    # a NaN b wrote NaN gaps and bounds, an inf Q a NaN A_N (exit 0), and a NaN A
+    # exited 3 with "SVD did not converge"
+    files = {"A": np.array([[1.0, 1.0, 1.0]]), name: value}
+    cfgp = write_config(tmp_path, _bad_custom(tmp_path, method, **files))
+    assert main(["run", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: invalid custom problem: {name} must be finite\n"
+    assert not list(tmp_path.glob("**/*.trace.csv"))
+
+
+def test_an_all_zero_custom_A_exits_2_for_every_method(tmp_path, capsys):
+    # a solver that reads A raised an uncaught ValueError (exit 1); stm, which reads none, ran
+    for method in ("stm", "spdstm"):
+        cfgp = write_config(tmp_path, _bad_custom(tmp_path, method, A=np.zeros((1, 3))))
+        assert main(["run", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: invalid custom problem: "
+                                           "A must not be identically zero\n")
+
+
 _RING4 = {"kind": "consensus_quadratic", "topology": {"kind": "ring", "m": 4}}
 
 # configs that once ended in a traceback, with the exit code each has now
@@ -899,13 +964,16 @@ def test_gen_topology_sparse_random_exit_3(tmp_path):
 # sweep command
 
 
+def _sweep_rows(tmp_path):
+    """The rows of the one sweep CSV in ``tmp_path``, each a dict keyed by its header."""
+    return list(csv.DictReader(next(tmp_path.glob("*.sweep.csv")).read_text().splitlines()))
+
+
 def test_sweep_eps_scaling_law(tmp_path):
     cfgp = write_config(tmp_path, quad_config(N="auto"))
     assert main(["sweep", str(cfgp), "--param", "eps",
                  "--values", "1e-1,1e-2,1e-3", "--out", str(tmp_path)]) == 0
-    text = next(tmp_path.glob("*.sweep.csv")).read_text()
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    Ns = [int(r[2]) for r in rows]
+    Ns = [int(r["iterations"]) for r in _sweep_rows(tmp_path)]
     for a, b in zip(Ns, Ns[1:]):
         assert 2.0 <= b / a <= 4.5
 
@@ -915,11 +983,10 @@ def test_sweep_sigma_zero_column_degenerates(tmp_path):
     cfgp = write_config(tmp_path, cfg)
     assert main(["sweep", str(cfgp), "--param", "sigma",
                  "--values", "0.0,0.5", "--out", str(tmp_path)]) == 0
-    text = next(tmp_path.glob("*.sweep.csv")).read_text()
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    rows = _sweep_rows(tmp_path)
     # noiseless row: one sample per iteration; noisy row: strictly more
-    assert int(rows[0][8]) == 40
-    assert int(rows[1][8]) > 40
+    assert int(rows[0]["stoch_samples"]) == 40
+    assert int(rows[1]["stoch_samples"]) > 40
 
 
 def test_sweep_star_m_chi_scaling(tmp_path):
@@ -931,9 +998,7 @@ def test_sweep_star_m_chi_scaling(tmp_path):
     cfgp = write_config(tmp_path, cfg)
     assert main(["sweep", str(cfgp), "--param", "m",
                  "--values", "4,8,16", "--out", str(tmp_path)]) == 0
-    text = next(tmp_path.glob("*.sweep.csv")).read_text()
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    normalized = [float(r[9]) / np.sqrt(float(r[10])) for r in rows]
+    normalized = [float(r["comm_rounds"]) / np.sqrt(float(r["chi"])) for r in _sweep_rows(tmp_path)]
     assert max(normalized) / min(normalized) <= 1.5
 
 
@@ -946,13 +1011,29 @@ def test_sweep_chi_topology_kinds(tmp_path):
     cfgp = write_config(tmp_path, cfg)
     assert main(["sweep", str(cfgp), "--param", "chi-topology",
                  "--values", "complete,ring,path", "--out", str(tmp_path)]) == 0
-    text = next(tmp_path.glob("*.sweep.csv")).read_text()
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    chis = [float(r[10]) for r in rows]
-    rounds = [int(r[9]) for r in rows]
+    rows = _sweep_rows(tmp_path)
+    chis = [float(r["chi"]) for r in rows]
+    rounds = [int(r["comm_rounds"]) for r in rows]
     # worse conditioning costs more communication
     assert chis[0] < chis[1] < chis[2]
     assert rounds[0] <= rounds[1] <= rounds[2]
+
+
+def test_sweep_writes_every_counter_of_each_run(tmp_path):
+    # the sweep CSV once left out matvec_AtA: an stm_ips sweep showed its 20 gradient
+    # calls but not the 840 penalty products each run's summary counts
+    cfg = {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 4, "m_rows": 2},
+           "N": 20, "seed": 1, "constants": {"inner_T": 20}}
+    values = ["0.1", "0.01"]
+    assert main(["sweep", str(write_config(tmp_path, cfg)), "--param", "eps",
+                 "--values", ",".join(values), "--out", str(tmp_path)]) == 0
+    rows = _sweep_rows(tmp_path)
+    assert tuple(rows[0]) == cli._SWEEP_COLUMNS
+    for value, row in zip(values, rows, strict=True):
+        _, summary = cli.execute_run(validate_config(apply_sweep_value(cfg, "eps", value)))
+        for name in COUNTERS:
+            assert int(row[name]) == summary[name]
+        assert int(row["matvec_AtA"]) > int(row["grad_calls"]) == 20
 
 
 def test_sweep_invalid_param_exit_2(tmp_path):

@@ -1,27 +1,33 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optdec import CallCounter, RunTrace, summary_from_trace
+from optdec.cli import _SWEEP_COLUMNS
+from optdec.oracles import COUNTERS
+from optdec.trace import _COLUMNS, METRICS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def make_trace():
     counter = CallCounter()
-    trace = RunTrace({"config_hash": "abc123", "seed": 7, "R0": "2.5"})
-    trace.record(0, 0.0, counter)
+    trace = RunTrace(counter, {"config_hash": "abc123", "seed": 7, "R0": "2.5"})
+    trace.record(0, 0.0)
     counter.grad_calls += 3
     counter.comm_rounds += 2
-    trace.record(1, 0.5, counter, f_gap=0.125, grad_norm=1.0)
+    trace.record(1, 0.5, f_gap=0.125, grad_norm=1.0)
     counter.grad_calls += 4
-    trace.record(2, 1.309, counter, f_gap=0.01)
+    trace.record(2, 1.309, f_gap=0.01)
     trace.flag("example diagnostic")
     return trace
 
 
 def test_counters_nondecreasing():
     trace = make_trace()
-    for col in ("grad_calls", "stoch_samples", "matvec_AtA", "comm_rounds"):
+    for col in COUNTERS:
         vals = trace.column(col)
         assert (np.diff(vals) >= 0).all()
 
@@ -85,3 +91,55 @@ def test_missing_metrics_render_empty(tmp_path):
     text = trace.to_csv_text()
     header = text.splitlines()[-3]
     assert header.split(",")[3] == ""  # dual_gap never recorded
+
+
+def test_record_refuses_a_metric_outside_metrics():
+    # a misspelt metric was a TypeError of the keyword list; a counter name
+    # passed as a metric must not overwrite the counter read from the trace's counter
+    trace = make_trace()
+    for name in ("f_gaps", "grad_calls", "iter"):
+        with pytest.raises(TypeError, match=f"got {name}$"):
+            trace.record(3, 2.0, f_gap=0.0, **{name: 1})
+    assert [row["iter"] for row in trace.rows] == [0, 1, 2]
+
+
+def test_a_row_holds_every_column_and_reads_its_trace_counter():
+    counter = CallCounter()
+    trace = RunTrace(counter)
+    for k, name in enumerate(COUNTERS):
+        setattr(counter, name, k + 1)
+    metrics = {name: 0.5 + k for k, name in enumerate(METRICS)}
+    trace.record(4, 2.5, **metrics)
+    assert _COLUMNS == ("iter", "A_k", *METRICS, *COUNTERS)
+    assert trace.final == {"iter": 4, "A_k": 2.5, **metrics,
+                           **{name: k + 1 for k, name in enumerate(COUNTERS)}}
+    summary = summary_from_trace(trace)
+    assert [summary[f"final_{name}"] for name in METRICS] == [0.5, 1.5, 2.5, 3.5]
+    assert [summary[name] for name in COUNTERS] == [1, 2, 3, 4]
+
+
+def test_csv_round_trip_keeps_every_column(tmp_path):
+    counter = CallCounter()
+    trace = RunTrace(counter)
+    for k in range(3):
+        for j, name in enumerate(COUNTERS):
+            setattr(counter, name, getattr(counter, name) + j + k)
+        trace.record(k, 0.25 * k, **{name: k / (j + 3) for j, name in enumerate(METRICS)})
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    back = RunTrace.from_csv(path)
+    assert path.read_text().splitlines()[0] == ",".join(_COLUMNS)
+    assert back.rows == trace.rows
+    for name in _COLUMNS:
+        assert np.array_equal(back.column(name), trace.column(name))
+
+
+def _readme_columns(label):
+    """The backquoted names on README's line that starts with ``label``."""
+    line = next(line for line in README.read_text().splitlines() if line.startswith(label))
+    return tuple(re.findall(r"`([^`]+)`", line))
+
+
+def test_readme_lists_the_trace_and_sweep_columns():
+    assert _readme_columns("- Trace columns:") == _COLUMNS
+    assert _readme_columns("- Sweep columns:") == _SWEEP_COLUMNS
