@@ -11,7 +11,8 @@ Subcommands::
 pairs produce byte-identical files.  ``sweep`` re-runs a base config over
 one swept parameter and writes an aggregated CSV of final metrics.  The
 output directory is ``--out``, else ``$OPTDEC_OUT``, else the current
-directory.  Exit codes: 0 ok, 2 config error, 3 runtime error/divergence.
+directory.  Exit codes: 0 ok, 2 config error, 3 runtime error/divergence; the
+commands raise, and :func:`main` alone turns an error into its code.
 
 :data:`PROBLEMS` holds each problem kind's fields, defaults and domains and
 its build; :func:`problem_fields` is the one check of a ``problem`` object.
@@ -174,7 +175,10 @@ def _topology(spec, rng) -> Topology:
     """The topology of ``run`` and ``gen-topology``, on at least two nodes: in the file at the
     path ``spec``, or of the checked inline ``spec`` (``rng`` draws an ``erdos_renyi`` one)."""
     if isinstance(spec, str):
-        topo = Topology.from_json(Path(spec).read_text())
+        try:
+            topo = Topology.from_json(Path(spec).read_text())
+        except RecursionError as exc:  # JSON nested too deeply to decode
+            raise ValueError(f"cannot read problem.topology: {exc}") from None
     else:
         args = (spec["m"], spec["p"], rng) if spec["kind"] == "erdos_renyi" else (spec["m"],)
         topo = getattr(Topology, spec["kind"])(*args)
@@ -193,14 +197,24 @@ def _random(f, seed):
     return qp, np.random.default_rng((seed, 2)).standard_normal((m_rows, f["dim"]))
 
 
+def _csv(f, key) -> list:
+    """The lines of file ``f[key]``, opened as ``np.loadtxt`` opens a path; a file that holds no
+    data, of which ``loadtxt`` would only warn, is a ValueError naming the field."""
+    with np.lib.npyio.DataSource().open(f[key], "rt") as fh:
+        lines = fh.readlines()
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise ValueError(f"problem.{key} holds no data")
+    return lines
+
+
 def _custom(f, seed):
     """Quadratic and optional constraint matrix from CSV files."""
-    Q = np.atleast_2d(np.loadtxt(f["Q_csv"], delimiter=","))
-    b = np.atleast_1d(np.loadtxt(f["b_csv"], delimiter=","))
+    Q = np.atleast_2d(np.loadtxt(_csv(f, "Q_csv"), delimiter=","))
+    b = np.atleast_1d(np.loadtxt(_csv(f, "b_csv"), delimiter=","))
     qp = QuadraticProblem(Q, b)
     A = None
     if f["A_csv"] is not None:
-        A = np.loadtxt(f["A_csv"], delimiter=",", ndmin=2)
+        A = np.loadtxt(_csv(f, "A_csv"), delimiter=",", ndmin=2)
         if A.shape[1] != b.size:
             raise ValueError(f"A must have one column per coordinate ({b.size}), "
                              f"got shape {A.shape}")
@@ -222,8 +236,8 @@ def _consensus(f, seed):
 
 def _barycenter(f, seed):
     topo = _topology(f["topology"], np.random.default_rng((seed, 7)))
-    return barycenter_problem(load_measures_csv(f["measures"]), load_cost_csv(f["cost"]),
-                              f["mu"], topo)
+    measures, cost = load_measures_csv(_csv(f, "measures")), load_cost_csv(_csv(f, "cost"))
+    return barycenter_problem(measures, cost, f["mu"], topo)
 
 
 _SIZE, _COND, _ANY = (True, 1, False), (False, 1, False), (False, -math.inf, False)
@@ -268,7 +282,7 @@ def execute_run(cfg: dict):
 
 @_config_errors()
 def apply_sweep_value(cfg: dict, param: str, value: str) -> dict:
-    out = json.loads(json.dumps(cfg))  # deep copy
+    out = dict(cfg)  # each object on the way to the swept entry is new: ``cfg`` is kept as is
     where = f"sweep value of {param}"
     if param == "eps":
         out["eps"] = number(value, where, text=True)
@@ -284,10 +298,9 @@ def apply_sweep_value(cfg: dict, param: str, value: str) -> dict:
         topo = problem.get("topology") if isinstance(problem, dict) else None
         if not isinstance(topo, dict):
             raise ConfigError(f"{param} sweep needs an inline topology spec")
-        if param == "m":  # validate_config checks it against its topology kind's record
-            topo["m"] = number(value, where, integer=True, text=True)
-        else:  # validate_config refuses a kind outside the table
-            topo["kind"] = value
+        # validate_config checks m against its topology kind's record, and a kind against the table
+        swept = number(value, where, integer=True, text=True) if param == "m" else value
+        out["problem"] = {**problem, "topology": {**topo, "m" if param == "m" else "kind": swept}}
     else:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
     return out
@@ -332,7 +345,7 @@ def _out_dir(arg) -> Path:
 def _load_config_file(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # a missing file, bad JSON or bytes that are not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # no file, not UTF-8, bad or deep JSON
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -343,73 +356,49 @@ def _load_config_file(path) -> dict:
 _RUN_ERRORS = (ConfigError, RuntimeError, np.linalg.LinAlgError, ArithmeticError)
 
 
-def _report(exc) -> int:
-    """Print a run error on stderr; returns its exit code (2 config, 3 runtime)."""
-    if isinstance(exc, ConfigError):
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    print(f"runtime error: {exc}", file=sys.stderr)
-    return 3
-
-
-def cmd_run(args) -> int:
-    try:
-        raw = _load_config_file(args.config)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        cfg = validate_config(raw)
-        out = _out_dir(args.out)
-    except ConfigError as exc:
-        return _report(exc)
-    h = config_hash(cfg)
+def cmd_run(args) -> Path:
+    """One configured run; returns the path of its summary.  A divergence writes its partial
+    trace, then raises."""
+    raw = _load_config_file(args.config)
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    cfg = validate_config(raw)
+    out, h = _out_dir(args.out), config_hash(cfg)
+    trace_csv, summary_json = out / f"{h}.trace.csv", out / f"{h}.summary.json"
     try:
         trace, summary = execute_run(cfg)
-    except _RUN_ERRORS as exc:
-        if isinstance(exc, DivergenceError) and exc.trace is not None:
+    except DivergenceError as exc:
+        if exc.trace is not None:
             exc.trace.metadata.update(run_identity(cfg))
-            exc.trace.to_csv(out / f"{h}.trace.csv")
-        return _report(exc)
-    trace.to_csv(out / f"{h}.trace.csv")
-    (out / f"{h}.summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1, default=float) + "\n")
-    print(out / f"{h}.summary.json")
-    return 0
+            exc.trace.to_csv(trace_csv)
+        raise
+    trace.to_csv(trace_csv)
+    summary_json.write_text(json.dumps(summary, sort_keys=True, indent=1, default=float) + "\n")
+    return summary_json
 
 
-def cmd_gen_topology(args) -> int:
-    try:
-        with _config_errors():
-            spec = _fields({"kind": args.kind, "m": args.m, "p": args.p}, TOPOLOGIES, "topology")
-            topo = _topology(spec, np.random.default_rng(args.seed))
-        out = _out_dir(args.out)
-    except _RUN_ERRORS as exc:
-        return _report(exc)
-    path = out / f"topology_{args.kind}_{args.m}.json"
+def cmd_gen_topology(args) -> Path:
+    with _config_errors():
+        spec = _fields({"kind": args.kind, "m": args.m, "p": args.p}, TOPOLOGIES, "topology")
+        topo = _topology(spec, np.random.default_rng(args.seed))
+    path = _out_dir(args.out) / f"topology_{args.kind}_{args.m}.json"
     path.write_text(topo.to_json() + "\n")
-    print(path)
-    return 0
+    return path
 
 
-def cmd_sweep(args) -> int:
-    try:
-        raw = _load_config_file(args.config)
-        values = [v for v in args.values.split(",") if v]
-        if not values:
-            raise ConfigError("no sweep values given")
-        # every value is checked before the first run
-        configs = [validate_config(apply_sweep_value(raw, args.param, v)) for v in values]
-        out = _out_dir(args.out)
-    except ConfigError as exc:
-        return _report(exc)
-    try:
-        rows = run_sweep(args.param, values, configs)
-    except _RUN_ERRORS as exc:
-        return _report(exc)
+def cmd_sweep(args) -> Path:
+    raw = _load_config_file(args.config)
+    values = [v for v in args.values.split(",") if v]
+    if not values:
+        raise ConfigError("no sweep values given")
+    # every value is checked before the first run
+    configs = [validate_config(apply_sweep_value(raw, args.param, v)) for v in values]
+    out = _out_dir(args.out)
+    rows = run_sweep(args.param, values, configs)
     h = config_hash({"base": configs[0], "param": args.param, "values": values})
     path = out / f"{h}.sweep.csv"
     path.write_text(sweep_csv_text(rows))
-    print(path)
-    return 0
+    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,13 +430,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The ``optdec`` command, and its one error boundary: a command returns the path it wrote,
+    printed here, or raises; a run error is one stderr line and exit 2 (ConfigError) or 3."""
     # argparse takes a token that starts with "-" (a value list such as
     # "-1,0.5") for an option, so "--values V" goes in as "--values=V"
     argv, tokens = [], iter(sys.argv[1:] if argv is None else argv)
     for token in tokens:
         argv.append(f"--values={next(tokens, '')}" if token == "--values" else token)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        print(args.func(args))
+    except _RUN_ERRORS as exc:
+        config = isinstance(exc, ConfigError)
+        print(f"{'config' if config else 'runtime'} error: {exc}", file=sys.stderr)
+        return 2 if config else 3
+    return 0
 
 
 if __name__ == "__main__":

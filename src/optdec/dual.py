@@ -92,7 +92,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     ``L~ = factor * L_psi``: 2 absorbs stochastic error (the default), 1 is
     the tighter schedule adequate for noiseless oracles.  The trace records
     the duality gap ``f(x~) + psi(y)`` and ``||A x~||`` every
-    ``metric_every`` iterations (:func:`duality_gap`).  With ``stop_gap``
+    ``metric_every``-th row and the last (:func:`duality_gap`).  With ``stop_gap``
     the run ends early once a measured gap reaches it and ``||A x~|| R_y <= eps``
     holds, ``R_y`` being ``y_star_norm_estimate`` (else 1): the gap of an
     infeasible ``x~`` is negative, so the gap alone does not imply the target.
@@ -118,7 +118,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     def after(k, y, z, A):
         _guard(z, R_y, trace, "spdstm")
         gap = feas = None
-        if metric_every and (k + 1) % metric_every == 0:
+        if metric_every and ((k + 1) % metric_every == 0 or k + 1 == N):  # as sstm_sc
             metrics = duality_gap(dual.primal, dual, acc / A, y)
             gap, feas = metrics["gap"], metrics["constraint_norm"]
         trace.record(k + 1, A, dual_gap=gap, constraint_norm=feas)
@@ -148,8 +148,8 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
     gradient is a mean over ``batch`` samples (see
     :func:`optdec.schedules.batch_size_sstm_sc`).
 
-    Returns ``(y_N, trace)``; the trace records the exact dual gradient
-    norm (and ``||y - y*||^2`` as ``dual_gap`` when ``y_star`` is given).
+    Returns ``(y_N, trace)``; the trace records the exact dual gradient norm (and
+    ``||y - y*||^2`` as ``dual_gap`` when ``y_star`` is given) on the rows :func:`spdstm` measures.
     With ``stop_grad_norm`` the run ends early once the measured exact
     gradient norm reaches the target.
     """

@@ -149,18 +149,23 @@ class Topology:
     @staticmethod
     def from_json(text: str) -> "Topology":
         """The topology of a ``to_json`` file: an object of exactly ``m``, an integer >= 1, and
-        ``edges``, a list of int pairs ``[i, j]`` in ``[1, m]``; ValueError names the field."""
+        ``edges``, distinct int pairs ``[i, j]``, i != j, in ``[1, m]``; ValueError names it."""
         payload = json.loads(text)
         if not isinstance(payload, dict) or payload.keys() != {"m", "edges"}:
             got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
             raise ValueError(f"a topology file holds exactly topology.m and topology.edges, "
                              f"got {got}")
         m, pairs = number(payload["m"], "topology.m", integer=True, low=1), payload["edges"]
+        seen = set()
         for pair in pairs if isinstance(pairs, list) else [pairs]:
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(type(v) is int and 1 <= v <= m for v in pair)):
                 raise ValueError(f"topology.edges must be a list of node pairs [i, j] in [1, {m}], "
                                  f"got {pair!r}")
+            if pair[0] == pair[1] or frozenset(pair) in seen:  # named 1-indexed, as written
+                what = "a self-loop" if pair[0] == pair[1] else "a repeated edge"
+                raise ValueError(f"topology.edges holds {what} {pair!r}")
+            seen.add(frozenset(pair))
         return Topology.normalized(m, [(i - 1, j - 1) for i, j in pairs])
 
 

@@ -128,9 +128,9 @@ COUNTERS = ("grad_calls", "stoch_samples", "matvec_AtA", "comm_rounds")
 class CallCounter:
     """Monotone counters for oracle and communication accounting, one per name in ``COUNTERS``.
 
-    Counters only grow during a run; ``reset`` is meant to be called once
-    at run start.  Increments are plain integer additions, safe to share
-    between threads under CPython for the accounting purposes here.
+    Counters only grow during a run; ``reset`` is meant to be called once at run start.
+    Increments are plain integer additions, safe to share between threads under CPython for the
+    accounting purposes here.  A trace row reads them all by name (``attrgetter(*COUNTERS)``).
     """
 
     __slots__ = COUNTERS
@@ -141,9 +141,6 @@ class CallCounter:
     def reset(self):
         for name in COUNTERS:
             setattr(self, name, 0)
-
-    def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in COUNTERS}
 
 
 class RngStreams:

@@ -485,7 +485,7 @@ def projected_gradient_barycenter(measures, C, mu: float, iters: int = 2000,
 
 
 def load_measures_csv(path) -> np.ndarray:
-    """Measures file: one row per measure, ``n`` columns summing to one."""
+    """Measures file (a path or its lines): one row per measure, ``n`` columns summing to one."""
     M = np.atleast_2d(np.loadtxt(path, delimiter=","))
     for row in M:
         _check_simplex(row, tol=1e-9)
@@ -493,7 +493,7 @@ def load_measures_csv(path) -> np.ndarray:
 
 
 def load_cost_csv(path) -> np.ndarray:
-    """Cost file: a finite, non-negative ``n x n`` matrix."""
+    """Cost file (a path or its lines): a finite, non-negative ``n x n`` matrix."""
     C = np.atleast_2d(np.loadtxt(path, delimiter=","))
     if C.shape[0] != C.shape[1] or not np.isfinite(C).all() or np.any(C < 0):
         raise ValueError("cost matrix must be square, finite and non-negative")

@@ -4,6 +4,9 @@ import importlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +173,19 @@ def test_stop_grad_norm_ends_single_machine_sstm_sc_early(tmp_path, capsys):
     summary, _ = run_summary(tmp_path, cfg)
     assert summary["iterations"] < 200
     assert summary["final_grad_norm"] <= 0.05
+
+
+def test_spdstm_measures_its_last_step(tmp_path, capsys):
+    # with N 20 and metric_every 7 spdstm measured rows 7 and 14 only, and its summary read
+    # row 14 as final (dual gap -1.8546 where row 20 reads -1.6110)
+    cfg = {**penalty_config("spdstm", metric_every=7), "eps": 0.01, "N": 20}
+    summary, rows = run_summary(tmp_path, cfg, "every7.json")
+    every, every_rows = run_summary(tmp_path, {**cfg, "constants": {"metric_every": 1}},
+                                    "every1.json")
+    assert [row["iter"] for row in rows if row["dual_gap"]] == ["7", "14", "20"]
+    assert rows[-1]["iter"] == every_rows[20]["iter"] == "20" and rows[-1]["constraint_norm"]
+    for name in ("dual_gap", "constraint_norm"):
+        assert summary[f"final_{name}"] == every[f"final_{name}"] == float(every_rows[20][name])
 
 
 def test_decentralized_summary_reads_each_metric_from_its_last_row(tmp_path, capsys):
@@ -1151,6 +1167,78 @@ def test_unusable_out_dir_exit_2(tmp_path, capsys, command):
     assert main([*argv, "--out", str(cfgp / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot use output directory") and "Traceback" not in err
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # deeper than json can decode
+
+
+def _argv(tmp_path, cfg, command="run"):
+    """``command`` on a config file of ``cfg``, a dict or the file's text."""
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    sweep = ["--param", "eps", "--values", "0.1"] if command == "sweep" else []
+    return [command, str(path), *sweep]
+
+
+def _topology_file(tmp_path, text):
+    path = tmp_path / "topology.json"
+    path.write_text(text)
+    return _argv(tmp_path, {"method": "sstm_sc", "N": 5, "problem": {
+        "kind": "consensus_quadratic", "n": 2, "topology": str(path)}})
+
+
+def _empty_csv(tmp_path, key, text=""):
+    """A run whose ``key`` file holds ``text``: of ``custom`` (with an ``A``) or ``barycenter``."""
+    cfg = (_bad_custom(tmp_path, "spdstm", A=np.ones((1, 3))) if key.endswith("_csv")
+           else _bad_barycenter(tmp_path))
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    cfg["problem"][key] = str(path)
+    return _argv(tmp_path, cfg)
+
+
+# input files that exited 1 with a traceback, 3, or 2 behind a numpy warning or naming no
+# field: each now exits 2 with one line naming what is wrong
+BAD_FILES = {
+    "deep_config_run": (lambda t: _argv(t, '{"a": %s}' % _DEEP), "cannot read config: "
+                        "maximum recursion depth exceeded while decoding a JSON array"),
+    "deep_config_sweep": (lambda t: _argv(t, '{"a": %s}' % _DEEP, "sweep"),
+                          "cannot read config: maximum recursion depth exceeded"),
+    "deep_topology_file": (lambda t: _topology_file(t, '{"m": 3, "edges": %s}' % _DEEP),
+                           "cannot read problem.topology: maximum recursion depth exceeded"),
+    **{f"empty_{key}": (lambda t, key=key: _empty_csv(t, key), f"problem.{key} holds no data")
+       for key in ("Q_csv", "b_csv", "A_csv", "measures", "cost")},
+    "blank_b_csv": (lambda t: _empty_csv(t, "b_csv", " \n\t\n"), "problem.b_csv holds no data"),
+    "comment_only_cost": (lambda t: _empty_csv(t, "cost", "# no rows\n"),
+                          "problem.cost holds no data"),
+    "self_loop": (lambda t: _topology_file(t, '{"m": 3, "edges": [[1, 1], [2, 3]]}'),
+                  "topology.edges holds a self-loop [1, 1]"),
+    "repeated_edge": (lambda t: _topology_file(t, '{"m": 3, "edges": [[1, 2], [2, 3], [3, 2]]}'),
+                      "topology.edges holds a repeated edge [3, 2]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_a_bad_input_file_exits_2_with_one_line_naming_it(tmp_path, capsys, case):
+    argv, message = BAD_FILES[case]
+    assert main([*argv(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not list(tmp_path.glob("out/*"))
+
+
+def test_the_module_entry_point_exits_2_without_a_traceback(tmp_path):
+    # `python -m optdec.cli`, as a shell runs it: numpy's warning of an empty file reached stderr
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    for case in ("deep_config_run", "empty_Q_csv"):
+        argv = [*BAD_FILES[case][0](tmp_path), "--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-m", "optdec.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_sweep_sigma_over_null_noise(tmp_path, capsys):
