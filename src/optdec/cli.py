@@ -36,14 +36,13 @@ from . import __version__
 from .dual import DivergenceError
 from .dual import spdstm  # noqa: F401  (perfbench checks its wrapper is bound here)
 from .methods import (DECENTRALIZED_KINDS, METHODS, RUN_SETTINGS, Constant, Machine,
-                      method_constants, run_method, run_settings)
-from .network import DecentralizedInstance, Network, Topology
+                      method_constants, method_noise, run_method, run_settings)
+from .network import LEAST_NODES, TOPOLOGY_KINDS, DecentralizedInstance, Network, Topology
 from .oracles import COUNTERS, NoiseSpec, constraint_gram, number
 from .problems import (QuadraticProblem, barycenter_problem, load_cost_csv,
                        load_measures_csv, random_quadratic, random_quadratics)
 from .trace import METRICS, summary_from_trace
 
-TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
 SWEEP_PARAMS = ("eps", "sigma", "m", "chi-topology", "N")
 
 
@@ -83,7 +82,7 @@ def _reject_unknown(obj: dict, allowed: set, where: str):
 @_config_errors()
 def validate_config(cfg: dict) -> dict:
     """Schema-check a run config and fill in its run settings' defaults; raises ConfigError.
-    Each part is checked by its owner: run_settings, method_constants, NoiseSpec and
+    Each part is checked by its owner: run_settings, method_constants, NoiseSpec, method_noise and
     :func:`problem_fields`.  ``problem`` is kept as given: its defaults, filled in by
     :func:`build_problem`, do not enter the config hash."""
     if not isinstance(cfg, dict):
@@ -99,7 +98,7 @@ def validate_config(cfg: dict) -> dict:
         **{key: out[key] for key in RUN_SETTINGS})
     method_constants(out["method"], out["constants"])
     _reject_unknown(out["noise"], _NOISE_KEYS, "noise")
-    NoiseSpec(**out["noise"])
+    noise = NoiseSpec(**out["noise"])
     problem = problem_fields(out["problem"])
     kind, method = problem["kind"], out["method"]
     kinds = METHODS[method].kinds
@@ -107,6 +106,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"method {method} runs on problem kinds {kinds}, not {kind!r}")
     if kind == "custom" and problem["A_csv"] is None and "penalty" in kinds:
         raise ConfigError(f"method {method} needs a constraint matrix")
+    method_noise(method, noise)
     return out
 
 
@@ -130,10 +130,10 @@ class Problem(NamedTuple):
 
 
 # the other fields: a file path (null in FILE_OR_NULL: no file) and the topology, a gen-topology
-# file's path or an inline topology of its kind's fields (m: at least what its constructor takes)
+# file's path or an inline topology of its kind's fields (m: at least its kind's LEAST_NODES)
 FILE, FILE_OR_NULL, TOPOLOGY = "file path", "file path or null", "file path or inline topology"
-TOPOLOGIES = {kind: {"m": Constant(..., True, 3 if kind == "ring" else 2, False),
-                     "p": Constant(0.5, False, 0, False)} for kind in TOPOLOGY_KINDS}
+TOPOLOGIES = {kind: {"m": Constant(..., True, LEAST_NODES[kind], False),
+                     "p": Constant(0.5, False, 0, True)} for kind in TOPOLOGY_KINDS}
 
 
 def _fields(obj, records: dict, where: str) -> dict:
@@ -172,19 +172,15 @@ def build_problem(problem: dict, seed: int):
 
 
 def _topology(spec, rng) -> Topology:
-    """The topology of ``run`` and ``gen-topology``, on at least two nodes: in the file at the
-    path ``spec``, or of the checked inline ``spec`` (``rng`` draws an ``erdos_renyi`` one)."""
+    """The topology of ``run`` and ``gen-topology``: in the file at the path ``spec``, or of the
+    checked inline ``spec`` (``rng`` draws an ``erdos_renyi`` one)."""
     if isinstance(spec, str):
         try:
-            topo = Topology.from_json(Path(spec).read_text())
+            return Topology.from_json(Path(spec).read_text())
         except RecursionError as exc:  # JSON nested too deeply to decode
             raise ValueError(f"cannot read problem.topology: {exc}") from None
-    else:
-        args = (spec["m"], spec["p"], rng) if spec["kind"] == "erdos_renyi" else (spec["m"],)
-        topo = getattr(Topology, spec["kind"])(*args)
-    if topo.m < 2:
-        raise ConfigError("a single node has no consensus constraint; need m >= 2")
-    return topo
+    args = (spec["m"], spec["p"], rng) if spec["kind"] == "erdos_renyi" else (spec["m"],)
+    return getattr(Topology, spec["kind"])(*args)
 
 
 def _random(f, seed):
@@ -415,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-topology", help="write a topology JSON file")
     p_gen.add_argument("--kind", required=True)
     p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--p", type=float, default=0.5)
+    p_gen.add_argument("--p", type=float, default=TOPOLOGIES["erdos_renyi"]["p"].default)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=cmd_gen_topology)

@@ -8,10 +8,10 @@ flags an auto ``N`` that ``max_N`` stopped before its certificate held
 (:data:`CAP_FLAG`).  A solve returns ``(trace, y, x, capped)``: the dual
 point, the primal point (or ``spdstm``'s primal average) and whether the cap
 stopped the plan.  Its problem, a :class:`Machine` or an
-:class:`optdec.network.Network`, gives the dual oracle ``dual`` and ``R_y``, a
-bound on the minimal dual solution's norm that a given constant ``R_y``
-replaces; its ``finish(trace, y, x, seed)`` gives the ``x`` that
-``run_method`` returns and fills in its ``summary``.
+:class:`optdec.network.Network`, gives its ``noise`` (:func:`method_noise`),
+the dual oracle ``dual`` and ``R_y``, a bound on the minimal dual solution's
+norm that a given constant ``R_y`` replaces; its ``finish(trace, y, x, seed)``
+gives the ``x`` that ``run_method`` returns and fills in its ``summary``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ class Method(NamedTuple):
     kinds: tuple  # the problem kinds it runs on
     constants: frozenset  # the names of the constants it reads
     solve: Callable  # (problem, N, eps, beta, constants, seed) -> (trace, y, x, capped)
+    samples: bool = True  # it draws samples, and so reads the noise (method_noise)
 
 
 class Machine:
@@ -153,8 +154,8 @@ _PLAIN, _AFFINE = ("quadratic", "custom"), ("penalty", "custom")
 _CONSENSUS = _AFFINE + ("consensus_quadratic",)
 _STM, _ACSA = frozenset({"step_factor", "max_N"}), frozenset({"m_iters", "lambda"})
 METHODS = {
-    "stm": Method(_PLAIN, _STM, _stm),
-    "stm_ips": Method(_AFFINE, frozenset({"inner_T", "R_y", "max_N"}), _stm_ips),
+    "stm": Method(_PLAIN, _STM, _stm, samples=False),
+    "stm_ips": Method(_AFFINE, frozenset({"inner_T", "R_y", "max_N"}), _stm_ips, samples=False),
     "sstm": Method(_PLAIN, _STM, partial(_stm, stochastic=True)),
     "spdstm": Method(_AFFINE + DECENTRALIZED_KINDS, frozenset(
         {"C_hat", "L_tilde_factor", "metric_every", "stop_gap", "R_y", "max_N"}), _spdstm),
@@ -194,10 +195,18 @@ def method_constants(method: str, constants: dict) -> dict:
     return c
 
 
+def method_noise(method: str, noise):
+    """ValueError for a ``noise`` (NoiseSpec or None) not zero on a method that draws no sample."""
+    if noise is not None and (noise.delta or noise.sigma) and not METHODS[method].samples:
+        raise ValueError(f"method {method} draws no sample, so its noise must be zero, "
+                         f"got noise.delta {noise.delta!r} and noise.sigma {noise.sigma!r}")
+
+
 def run_method(method: str, problem, N, eps, beta, constants: dict, seed=0):
     """Run ``method`` on ``problem`` (see the module docstring); returns ``(trace, y, x)``."""
     N, eps, beta, seed = run_settings(N, eps, beta, seed)
     c = method_constants(method, constants)
+    method_noise(method, problem.noise)
     if c.get("R_y") is not None:  # the given bound replaces the problem's own
         problem.R_y = c["R_y"]
     trace, y, x, capped = METHODS[method].solve(problem, N, eps, beta, c, seed)

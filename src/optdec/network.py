@@ -14,8 +14,8 @@ the node-mixing product ``M @ x.reshape(m, n)``, and the dense
 ``(mn) x (mn)`` lift is built only when asked for with ``np.asarray``
 (tests and diagnostics).  The spectral constants of the dual come from
 the eigenvalues of ``W_bar``, since ``lambda(A^T A) = lambda(W_bar)`` for
-``A = sqrt(W_bar) (x) I_n``.  The blockwise argmax is one batched call
-when the instance has one: quadratic local objectives, recognised by their
+``A = sqrt(W_bar) (x) I_n``.  The blockwise argmax is one call, which
+the instance fixes when it is built: quadratic local objectives, recognised by their
 declared ``quadratic`` field, take one product with the stack of the
 problems' own inverses ``Q_inv``, and barycenter nodes evaluate their
 transport marginals from one cached Gibbs kernel in two ``(m, n) x (n, n)``
@@ -60,6 +60,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # topologies
 
+# each constructor's fewest nodes: a ring closes on 3, the other graphs connect 2
+LEAST_NODES = {"ring": 3, "path": 2, "star": 2, "complete": 2, "erdos_renyi": 2}
+TOPOLOGY_KINDS = tuple(LEAST_NODES)
+
+
+def _node_count(kind: str, m: int) -> int:
+    if m < LEAST_NODES[kind]:
+        raise ValueError(f"{kind} needs m >= {LEAST_NODES[kind]}")
+    return m
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -82,8 +92,6 @@ class Topology:
 
     @property
     def connected(self) -> bool:
-        if self.m == 1:
-            return True
         adj = {i: [] for i in range(self.m)}
         for i, j in self.edges:
             adj[i].append(j)
@@ -105,33 +113,27 @@ class Topology:
 
     @staticmethod
     def ring(m: int) -> "Topology":
-        if m < 3:
-            raise ValueError("ring needs m >= 3")
-        return Topology.normalized(m, [(i, (i + 1) % m) for i in range(m)])
+        return Topology.normalized(_node_count("ring", m), [(i, (i + 1) % m) for i in range(m)])
 
     @staticmethod
     def path(m: int) -> "Topology":
-        if m < 2:
-            raise ValueError("path needs m >= 2")
-        return Topology.normalized(m, [(i, i + 1) for i in range(m - 1)])
+        return Topology.normalized(_node_count("path", m), [(i, i + 1) for i in range(m - 1)])
 
     @staticmethod
     def star(m: int) -> "Topology":
-        if m < 2:
-            raise ValueError("star needs m >= 2")
-        return Topology.normalized(m, [(0, i) for i in range(1, m)])
+        return Topology.normalized(_node_count("star", m), [(0, i) for i in range(1, m)])
 
     @staticmethod
     def complete(m: int) -> "Topology":
-        if m < 2:
-            raise ValueError("complete needs m >= 2")
-        return Topology.normalized(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
+        return Topology.normalized(_node_count("complete", m),
+                                   [(i, j) for i in range(m) for j in range(i + 1, m)])
 
     @staticmethod
     def erdos_renyi(m: int, p: float, rng: np.random.Generator) -> "Topology":
         """Random graph resampled until connected; fails after 10,000 samples."""
-        if m < 2 or not (0.0 <= p <= 1.0):
-            raise ValueError("need m >= 2 and p in [0, 1]")
+        _node_count("erdos_renyi", m)
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"topology.p must be in (0, 1], got {p!r}")
         for _ in range(10_000):
             mask = rng.random((m, m)) < p
             edges = [(i, j) for i in range(m) for j in range(i + 1, m) if mask[i, j]]
@@ -148,14 +150,14 @@ class Topology:
 
     @staticmethod
     def from_json(text: str) -> "Topology":
-        """The topology of a ``to_json`` file: an object of exactly ``m``, an integer >= 1, and
+        """The topology of a ``to_json`` file: an object of exactly ``m``, an integer >= 2, and
         ``edges``, distinct int pairs ``[i, j]``, i != j, in ``[1, m]``; ValueError names it."""
         payload = json.loads(text)
         if not isinstance(payload, dict) or payload.keys() != {"m", "edges"}:
             got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
             raise ValueError(f"a topology file holds exactly topology.m and topology.edges, "
                              f"got {got}")
-        m, pairs = number(payload["m"], "topology.m", integer=True, low=1), payload["edges"]
+        m, pairs = number(payload["m"], "topology.m", integer=True, low=2), payload["edges"]
         seen = set()
         for pair in pairs if isinstance(pairs, list) else [pairs]:
             if not (isinstance(pair, list) and len(pair) == 2
@@ -172,14 +174,11 @@ class Topology:
 def laplacian(topology: Topology) -> np.ndarray:
     """Integer-valued graph Laplacian (degree on the diagonal, -1 per edge)."""
     if not topology.connected:
-        raise ValueError("topology must be connected")
-    W = np.zeros((topology.m, topology.m))
+        raise ValueError(f"topology.edges must connect all {topology.m} nodes")
+    adjacency = np.zeros((topology.m, topology.m))
     for i, j in topology.edges:
-        W[i, j] -= 1.0
-        W[j, i] -= 1.0
-        W[i, i] += 1.0
-        W[j, j] += 1.0
-    return W
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    return np.diag(adjacency.sum(axis=1)) - adjacency
 
 
 def lift_laplacian(W_bar: np.ndarray, n: int) -> np.ndarray:
@@ -286,14 +285,13 @@ class DecentralizedInstance:
     ``L/m`` smoothness and ``mu/m`` strong convexity from the worst local
     constants, and declares the conjugate ``f*(u) = (1/m) sum_k f_k*(m u_k)``
     when every local declares its ``conjugate_value``.  ``local_argmax``
-    maps stacked dual inputs through the blockwise conjugate maximisers
-    ``x_k(m u_k)``.  ``batched_argmax``, when given, maps the ``(m, n)``
-    stack of inputs ``m u_k`` to the ``(m, n)`` stack of maximisers in one
-    call; when every local declares its ``quadratic`` it defaults to one
-    batched product with the stack of the problems' own ``Q_inv``.
-    Otherwise ``local_argmax`` calls the per-node maximisers of ``node_argmax``: each local's declared ``conjugate_argmax``, or inner
-    accelerated solves (:func:`optdec.primal.argmax_solver_via_stm`) for a
-    local that declares none.
+    maps stacked dual inputs to the blockwise conjugate maximisers
+    ``x_k(m u_k)`` in one call of ``batched_argmax``, which maps the
+    ``(m, n)`` stack ``m u_k`` to the ``(m, n)`` stack of maximisers: the one
+    given, else one product with the stack of the problems' own ``Q_inv``
+    when every local declares its ``quadratic``, else a loop over each local's
+    declared ``conjugate_argmax`` or, where it declares none, inner
+    accelerated solves (:func:`optdec.primal.argmax_solver_via_stm`).
     """
 
     def __init__(self, locals_, topology: Topology, n: int, batched_argmax=None):
@@ -331,19 +329,16 @@ class DecentralizedInstance:
         self.stacked = FirstOrderOracle(
             m * n, value, gradient, L, mu, counter=self.counter,
             conjugate_value=conjugate_value if None not in values else None)
-        if batched_argmax is None and all(f.quadratic is not None for f in self.locals):
-            batched_argmax = _stacked_quadratic_argmax([f.quadratic for f in self.locals])
+        quadratics = [f.quadratic for f in nodes]
+        if batched_argmax is None and None not in quadratics:
+            batched_argmax = _stacked_quadratic_argmax(quadratics)
+        elif batched_argmax is None:  # node by node
+            solvers = [f.conjugate_argmax or argmax_solver_via_stm(f) for f in nodes]
+            batched_argmax = lambda U: np.array([solve(u) for solve, u in zip(solvers, U)])
         self.batched_argmax = batched_argmax
-        self.node_argmax = [f.conjugate_argmax or argmax_solver_via_stm(f) for f in self.locals]
 
     def local_argmax(self, u_stacked: np.ndarray) -> np.ndarray:
-        U = self.m * u_stacked.reshape(self.m, self.n)
-        if self.batched_argmax is not None:
-            return self.batched_argmax(U).reshape(-1)
-        out = np.empty_like(U)
-        for k, argmax in enumerate(self.node_argmax):
-            out[k] = argmax(U[k])
-        return out.reshape(-1)
+        return self.batched_argmax(self.m * u_stacked.reshape(self.m, self.n)).reshape(-1)
 
     def blocks(self, x_stacked) -> np.ndarray:
         return np.asarray(x_stacked, dtype=float).reshape(self.m, self.n)
@@ -407,7 +402,7 @@ class Network:
     per node, with ``summary`` the Laplacian's ``chi``, ``m`` and ``||sqrt(W) x||``."""
 
     def __init__(self, instance: DecentralizedInstance, noise: NoiseSpec | None = None):
-        self.instance, self.summary = instance, {}
+        self.instance, self.noise, self.summary = instance, noise, {}
         self.dual = DistributedDualOracle(instance, noise)
         instance.counter.reset()
 

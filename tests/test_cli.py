@@ -570,7 +570,7 @@ def test_run_bad_decentralized_input_exit_2(tmp_path, capsys, case):
     ({"edges": [[1, 2]]}, "got ['edges']"),
     ({"m": 3.7, "edges": [[1, 2], [2, 3]]}, "topology.m must be an integer, got 3.7"),
     ({"m": True, "edges": []}, "topology.m must be an integer, got True"),
-    ({"m": 0, "edges": []}, "topology.m must be finite and >= 1, got 0"),
+    ({"m": 0, "edges": []}, "topology.m must be finite and >= 2, got 0"),
     ({"m": 3, "edges": 5}, "topology.edges must be a list of node pairs [i, j] in [1, 3], got 5"),
     ({"m": 3, "edges": [["a", "b"]]}, "topology.edges must be a list of node pairs [i, j] in "
                                       "[1, 3], got ['a', 'b']"),
@@ -971,9 +971,9 @@ def test_gen_topology_unknown_kind_exit_2(tmp_path):
 
 
 def test_gen_topology_sparse_random_exit_3(tmp_path):
-    # p = 0 can never connect: rejection sampling must give up
+    # p = 1e-12 all but never connects: rejection sampling must give up
     assert main(["gen-topology", "--kind", "erdos_renyi", "--m", "6",
-                 "--p", "0.0", "--out", str(tmp_path)]) == 3
+                 "--p", "1e-12", "--out", str(tmp_path)]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1118,11 +1118,11 @@ def test_sweep_values_with_a_leading_minus_read_as_with_equals(tmp_path, capsys,
 
 
 def test_sweep_runtime_error_exit_3(tmp_path, capsys):
-    # p = 0 never connects: building the topology raises RuntimeError, which
-    # `run` and `sweep` both report with exit 3
+    # p = 1e-12 all but never connects: building the topology raises RuntimeError,
+    # which `run` and `sweep` both report with exit 3
     cfg = {"method": "sstm_sc",
            "problem": {"kind": "consensus_quadratic", "n": 2,
-                       "topology": {"kind": "erdos_renyi", "m": 4, "p": 0}},
+                       "topology": {"kind": "erdos_renyi", "m": 4, "p": 1e-12}},
            "eps": 1e-2, "N": 5, "seed": 1}
     cfgp = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -1133,6 +1133,79 @@ def test_sweep_runtime_error_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "runtime error:" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.sweep.csv"))
+
+
+class _CountingRng:
+    """A generator that appends the arguments of each of its ``random`` calls to ``calls``."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def random(self, *args, **kwargs):
+        self._calls.append(args)
+        return self._rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "gen-topology"])
+@pytest.mark.parametrize("p", ["0", "2"])
+def test_an_erdos_renyi_p_outside_0_1_exits_2_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                             command, p):
+    # p = 0 drew 10,000 graphs that could never connect and exited 3; p = 2 exited 2 with
+    # "need m >= 2 and p in [0, 1]", which named no field
+    draws, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: _CountingRng(default_rng(*args), draws))
+    out = ["--out", str(tmp_path / "out")]
+    if command == "gen-topology":
+        argv = ["gen-topology", "--kind", "erdos_renyi", "--m", "30", "--p", p]
+    else:
+        cfg = {"method": "sstm_sc", "N": 5, "problem": {
+            "kind": "consensus_quadratic", "n": 2,
+            "topology": {"kind": "erdos_renyi", "m": 30, "p": int(p)}}}
+        argv = [command, str(write_config(tmp_path, cfg)),
+                *(["--param", "m", "--values", "30,31"] if command == "sweep" else [])]
+    assert main([*argv, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "topology.p must be " in err
+    assert err.count("\n") == 1 and draws == []
+    assert not list(tmp_path.glob("out/*"))
+    # the count sees the draws of a p inside (0, 1]
+    assert main(["gen-topology", "--kind", "erdos_renyi", "--m", "4", "--p", "0.5", *out]) == 0
+    assert draws
+
+
+@pytest.mark.parametrize("noise", [{"sigma": 5.0}, {"delta": 0.3}, {"sigma": 5.0, "delta": 0.3}],
+                         ids=["sigma", "delta", "both"])
+@pytest.mark.parametrize("method", ["stm", "stm_ips"])
+def test_a_method_that_draws_no_sample_refuses_noise(tmp_path, capsys, monkeypatch, method, noise):
+    # neither method draws a sample: a noisy config once ran to the rows of the noiseless one
+    runs = []
+    monkeypatch.setattr(cli, "execute_run", lambda cfg: runs.append(cfg))
+    cfg = {"method": method, "problem": {"kind": "quadratic" if method == "stm" else "penalty",
+                                         "dim": 4}, "N": 5, "noise": noise}
+
+    def refusal(spec):
+        return (f"method {method} draws no sample, so its noise must be zero, "
+                f"got noise.delta {spec.delta!r} and noise.sigma {spec.sigma!r}")
+
+    path, spec = write_config(tmp_path, cfg), NoiseSpec(**noise)
+    calls = [(["run", str(path)], spec),
+             (["sweep", str(path), "--param", "eps", "--values", "0.1,0.01"], spec),
+             (["sweep", str(write_config(tmp_path, {**cfg, "noise": None}, "base.json")),
+               "--param", "sigma", "--values", "0,5"], NoiseSpec(sigma=5.0))]
+    for argv, refused_spec in calls:
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {refusal(refused_spec)}\n"
+    assert runs == [] and not (tmp_path / "out").exists()
+    qp, A = cli.build_problem(cfg["problem"], 0)
+    with pytest.raises(ValueError) as refused:
+        run_method(method, Machine(qp, A, np.zeros(4), spec), 5, 1e-3, 0.1, {})
+    assert refused.type is ValueError and str(refused.value) == refusal(spec)
+    # a zero noise is no noise
+    validate_config({**cfg, "noise": {"delta": 0.0, "sigma": 0.0, "kind": "bounded"}})
 
 
 # config files that once ended in a traceback: (arguments after the path, file bytes)
@@ -1215,6 +1288,10 @@ BAD_FILES = {
                   "topology.edges holds a self-loop [1, 1]"),
     "repeated_edge": (lambda t: _topology_file(t, '{"m": 3, "edges": [[1, 2], [2, 3], [3, 2]]}'),
                       "topology.edges holds a repeated edge [3, 2]"),
+    "one_node": (lambda t: _topology_file(t, '{"m": 1, "edges": []}'),
+                 "topology.m must be finite and >= 2, got 1"),
+    "disconnected": (lambda t: _topology_file(t, '{"m": 4, "edges": [[1, 2], [3, 4]]}'),
+                     "topology.edges must connect all 4 nodes"),
 }
 
 

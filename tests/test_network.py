@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fd_grad, rel_err
-from optdec import (CallCounter, DualOracle, FirstOrderOracle, NoiseSpec,
+from optdec import (CallCounter, argmax_solver_via_stm, DualOracle, FirstOrderOracle, NoiseSpec,
                     DecentralizedInstance, DistributedDualOracle,
                     RngStreams, Topology, barycenter_problem, chi,
                     laplacian, laplacian_pair, lift_laplacian, QuadraticProblem,
@@ -218,11 +218,13 @@ def test_lift_problem_leaves_locals_without_a_conjugate_unchanged():
     assert [vars(f) for f in plain] == before
     assert all(f.conjugate_argmax is None for f in plain)
     # solved node by node by inner accelerated solves, to the closed form
-    assert inst.batched_argmax is None
+    solvers = [argmax_solver_via_stm(f) for f in plain]
     for _ in range(3):
         u = rng.standard_normal(m * n)
-        closed = np.concatenate([qp.conjugate_argmax(m * block)
-                                 for qp, block in zip(qps, u.reshape(m, n))])
+        blocks = u.reshape(m, n)
+        closed = np.concatenate([qp.conjugate_argmax(m * block) for qp, block in zip(qps, blocks)])
+        inner = np.concatenate([solve(m * block) for solve, block in zip(solvers, blocks)])
+        assert np.array_equal(inst.local_argmax(u), inner)
         assert rel_err(inst.local_argmax(u), closed) <= 1e-8
 
 

@@ -156,7 +156,7 @@ def _problems(draw, kind):
     if "topology" in problem:
         problem["topology"]["kind"] = draw(st.sampled_from(TOPOLOGY_KINDS))
         if draw(st.booleans()):
-            problem["topology"]["p"] = draw(st.sampled_from([0.0, 0.5, 1.0]))
+            problem["topology"]["p"] = draw(st.sampled_from([1e-12, 0.5, 1.0]))
     return problem
 
 
