@@ -133,7 +133,7 @@ class Problem(NamedTuple):
 # file's path or an inline topology of its kind's fields (m: at least its kind's LEAST_NODES)
 FILE, FILE_OR_NULL, TOPOLOGY = "file path", "file path or null", "file path or inline topology"
 TOPOLOGIES = {kind: {"m": Constant(..., True, LEAST_NODES[kind], False),
-                     "p": Constant(0.5, False, 0, True)} for kind in TOPOLOGY_KINDS}
+                     "p": Constant(0.5, False, 0, True, 1.0)} for kind in TOPOLOGY_KINDS}
 
 
 def _fields(obj, records: dict, where: str) -> dict:

@@ -39,6 +39,7 @@ class Constant(NamedTuple):  # a constant's default and domain
     integer: bool  # else a real
     low: float  # the least value, excluded when ``strict``
     strict: bool
+    high: float = float("inf")  # the greatest value
 
     def check(self, value, where: str):
         """``value`` in the domain, or ValueError naming ``where``; null only for a None default."""

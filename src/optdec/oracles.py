@@ -89,9 +89,10 @@ def spectrum(M) -> tuple[float, float]:
     return lam_max, float(positive[0]) if positive.size else 0.0
 
 
-def number(value, where: str, integer=False, low=-math.inf, strict=False, text=False):
-    """``value`` as a finite int or float of at least ``low`` (above it when ``strict``), or a
-    ValueError naming ``where``: the one numeric check.  An integer is integral (``3.0``, not
+def number(value, where: str, integer=False, low=-math.inf, strict=False, high=math.inf,
+           text=False):
+    """``value`` as a finite int or float in ``[low, high]`` (above ``low`` when ``strict``), or
+    a ValueError naming ``where``: the one numeric check.  An integer is integral (``3.0``, not
     ``2.5``); a boolean is no number, nor is a string unless ``text`` (a command-line value)."""
     try:
         if isinstance(value, bool) or isinstance(value, str) and not text:
@@ -103,8 +104,9 @@ def number(value, where: str, integer=False, low=-math.inf, strict=False, text=F
         kind = "an integer" if integer else "a number"
         raise ValueError(f"{where} must be {kind}, got {value!r}") from None
     x = int(x) if integer else x
-    if not ((integer or math.isfinite(x)) and (x > low if strict else x >= low)):
+    if not ((integer or math.isfinite(x)) and (x > low if strict else x >= low) and x <= high):
         bound = f" and {'>' if strict else '>='} {low}" if low > -math.inf else ""
+        bound += f" and <= {high}" if high < math.inf else ""
         raise ValueError(f"{where} must be finite{bound}, got {value!r}")
     return x
 

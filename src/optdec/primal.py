@@ -246,34 +246,51 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
     step (at ``x~`` and ``x'``) and two at the start (at ``z_k`` and ``c0``):
     ``matvec_AtA`` rises by ``2 + 2 (inner steps)``.  A gradient norm that is
     not finite ends the loop.
+
+    Both lower bounds are at most ``||z_k - z_hat||``, so (strong convexity)
+    at most ``far``, the least of ``||grad g(z_k)||`` and of ``||x - z_k|| +
+    ||grad g(x)||`` over the certificates formed: a step certifies only if
+    ``||grad g(x)||^2 <= 2 delta far^2``.  A step forms that norm alone, and
+    the full certificate (:func:`_certificate`) only at ``k = 0``, at the
+    budget's end, or on a norm not finite or below ``8 delta (far + L_g r)^2 +
+    16 r^2``: the factor 4 and ``r = n eps (||z_k|| + ||c0||)`` allow for
+    rounding, ``r`` where ``far`` is at rounding level (``z_k`` at ``z_hat``).
     """
     L_g = alpha * problem.L_h + 1.0
     grad_h = problem.grad_h
     c0 = z_k - alpha * lin
-    lb_static = float(np.linalg.norm((z_k - c0) + alpha * grad_h(z_k))) / L_g
+    lb_static = (far := float(np.linalg.norm((z_k - c0) + alpha * grad_h(z_k)))) / L_g
+    r = len(c0) * np.finfo(float).eps * float(np.linalg.norm(z_k) + np.linalg.norm(c0))
     buf = np.stack([c0, c0, c0, z_k, *np.zeros((2, len(c0)))])
     # each buffer with its views: all rows, x, grad_h(x~), grad_h(x) and [x; z]
     cur, nxt = ((b, b[0], b[4], b[5], b[:2]) for b in (buf, buf.copy()))
     certificate = np.array([[1.0, 0.0, -1.0, 0.0, 0.0, alpha], [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]])
+    gradient = certificate[0]
     steps = _prox_step_table(stm_step(L_g, 1.0, 2.0), alpha, budget)
     for k in itertools.count():
         buf, x, gh_tilde, gh_x, _ = cur
         gh_x[...] = grad_h(x)
-        W = certificate.dot(buf)
-        (gg, _), (_, dd) = W.dot(W.T).tolist()
-        gn = math.sqrt(gg)
-        lb = max(lb_static, math.sqrt(dd) - gn)
-        ok = gn * gn / 2.0 <= delta * lb * lb
-        if k == 0:
-            gn0 = gn
-        if ok or k >= budget or not math.isfinite(gn):
-            break
+        if not (0 < k < budget and reach < (w := gradient.dot(buf)).dot(w) < math.inf):
+            gn, ok, far = _certificate(certificate, buf, lb_static, delta, far)
+            reach = 8.0 * delta * (far + L_g * r) * (far + L_g * r) + 16.0 * r * r
+            gn0 = gn if k == 0 else gn0
+            if ok or k >= budget or not math.isfinite(gn):
+                break
         x_tilde_row, rows = next(steps)
         gh_tilde[...] = grad_h(x_tilde_row.dot(buf))
         np.dot(rows, buf, out=nxt[4])  # x' and z' into the other buffer
         cur, nxt = nxt, cur
     # on budget exhaustion trust the step unless the gradient norm stagnated
     return x.copy(), gn * gn / 2.0, ok or not gn > 1e-2 * gn0
+
+
+def _certificate(certificate, buf, lb_static, delta, far):
+    """:func:`_inner_prox_stm`'s test on its buffer: ``||grad g(x)||``, ok and ``far`` tightened."""
+    W = certificate.dot(buf)
+    (gg, _), (_, dd) = W.dot(W.T).tolist()
+    gn, d = math.sqrt(gg), math.sqrt(dd)
+    lb = max(lb_static, d - gn)
+    return gn, gn * gn / 2.0 <= delta * lb * lb, min(far, d + gn)
 
 
 def _prox_step_table(step, alpha, budget):

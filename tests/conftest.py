@@ -127,6 +127,49 @@ def split_form_inner_prox(pen, z_k, alpha, lin, delta, budget):
     return x, gn * gn / 2.0, ok or not gn > 1e-2 * gn0, products, steps
 
 
+def table_form_inner_prox(pen, z_k, alpha, lin, delta, budget):
+    """The inner prox of ``stm_ips`` in table form with the full certificate
+    formed on every step: the bitwise reference for
+    :func:`optdec.primal._inner_prox_stm`, which forms it only where it can
+    hold.  Returns (z, gap bound, converged, AtA products, steps)."""
+    import itertools
+    import math
+
+    from optdec.primal import _prox_step_table
+    from optdec.schedules import stm_step
+    products = 0
+
+    def grad_h(z):
+        nonlocal products
+        products += 1
+        return pen.h_gradient(z)
+
+    L_g = alpha * pen.L_h + 1.0
+    c0 = z_k - alpha * lin
+    lb_static = float(np.linalg.norm((z_k - c0) + alpha * grad_h(z_k))) / L_g
+    buf = np.stack([c0, c0, c0, z_k, *np.zeros((2, len(c0)))])
+    cur, nxt = ((b, b[0], b[4], b[5], b[:2]) for b in (buf, buf.copy()))
+    certificate = np.array([[1.0, 0.0, -1.0, 0.0, 0.0, alpha], [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]])
+    steps = _prox_step_table(stm_step(L_g, 1.0, 2.0), alpha, budget)
+    for k in itertools.count():
+        buf, x, gh_tilde, gh_x, _ = cur
+        gh_x[...] = grad_h(x)
+        W = certificate.dot(buf)
+        (gg, _), (_, dd) = W.dot(W.T).tolist()
+        gn = math.sqrt(gg)
+        lb = max(lb_static, math.sqrt(dd) - gn)
+        ok = gn * gn / 2.0 <= delta * lb * lb
+        if k == 0:
+            gn0 = gn
+        if ok or k >= budget or not math.isfinite(gn):
+            break
+        x_tilde_row, rows = next(steps)
+        gh_tilde[...] = grad_h(x_tilde_row.dot(buf))
+        np.dot(rows, buf, out=nxt[4])
+        cur, nxt = nxt, cur
+    return x.copy(), gn * gn / 2.0, ok or not gn > 1e-2 * gn0, products, k
+
+
 class ShiftByShiftRegularizedDual:
     """The restart regulariser as an explicit list of shifts, looped over on
     every call: the rounding reference for the one-quadratic

@@ -17,7 +17,7 @@ import optdec.dual
 import optdec.methods
 from optdec.cli import (ConfigError, apply_sweep_value, config_hash, main,
                         validate_config)
-from optdec.methods import CONSTANTS, RUN_SETTINGS, Machine, run_method
+from optdec.methods import CONSTANTS, METHODS, RUN_SETTINGS, Machine, run_method
 from optdec.network import (DistributedDualOracle, Topology, _dual_norm_bound, chi,
                             laplacian, run_distributed)
 from optdec.oracles import COUNTERS, NoiseSpec
@@ -1175,6 +1175,33 @@ def test_an_erdos_renyi_p_outside_0_1_exits_2_before_any_draw(tmp_path, capsys, 
     # the count sees the draws of a p inside (0, 1]
     assert main(["gen-topology", "--kind", "erdos_renyi", "--m", "4", "--p", "0.5", *out]) == 0
     assert draws
+
+
+@pytest.mark.parametrize("command", ["sweep", "gen-topology"])
+def test_a_p_above_1_exits_2_on_any_kind_before_any_run(tmp_path, capsys, monkeypatch, command):
+    # the p record had no upper bound: the sweep ran its ring before the erdos_renyi build
+    # refused p 2, and gen-topology wrote a ring for --p 2
+    solves, record = [], METHODS["sstm_sc"]
+    monkeypatch.setitem(METHODS, "sstm_sc", record._replace(
+        solve=lambda *args: solves.append(1) or record.solve(*args)))
+    out = ["--out", str(tmp_path / "out")]
+
+    def argv(p):
+        if command == "gen-topology":
+            return ["gen-topology", "--kind", "ring", "--m", "4", "--p", str(p), *out]
+        cfg = {"method": "sstm_sc", "N": 5, "problem": {
+            "kind": "consensus_quadratic", "n": 2, "topology": {"kind": "erdos_renyi", "m": 4,
+                                                               "p": p}}}
+        return ["sweep", str(write_config(tmp_path, cfg)), "--param", "chi-topology",
+                "--values", "ring,erdos_renyi", *out]
+
+    assert main(argv(2)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: topology.p must be ") and err.count("\n") == 1
+    assert solves == [] and not list(tmp_path.glob("out/*"))
+    # the same command with p 1 runs
+    assert main(argv(1)) == 0
+    assert len(solves) == (2 if command == "sweep" else 0)
 
 
 @pytest.mark.parametrize("noise", [{"sigma": 5.0}, {"delta": 0.3}, {"sigma": 5.0, "delta": 0.3}],

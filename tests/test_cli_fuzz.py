@@ -107,7 +107,8 @@ def _corrupt(draw, cfg):
     if action == "misplace":
         # a valid value of a constant from another method's record
         method = cfg.get("method")
-        reads = METHODS[method].constants if isinstance(method, str) and method in METHODS else ()
+        reads = (METHODS[method].constants if isinstance(method, str) and method in METHODS
+                 else frozenset())
         key = draw(st.sampled_from(sorted(set(_CONSTANTS) - reads)))
         if not isinstance(cfg.get("constants"), dict):
             cfg["constants"] = {}
@@ -167,6 +168,16 @@ def _assert_clean_exit(cfg, command, *args, out="out"):
 @given(data=st.data())
 def test_run_exits_0_2_or_3_without_a_traceback(files, data):
     _assert_clean_exit(data.draw(configs(files), label="config"), "run")
+
+
+def test_a_constant_misplaced_into_a_config_of_an_unknown_method_exits_2(files):
+    # the draws of _corrupt in turn: the target object, the action, the constant and its value;
+    # an unknown method reads no constant, and its empty record once raised TypeError here
+    cfg = {"method": "newton", "problem": {"kind": "quadratic", "dim": 2}, "eps": 0.1, "N": 2}
+    draws = iter([cfg, "misplace", "max_N", 5])
+    _corrupt(lambda strategy: next(draws), cfg)
+    assert cfg["constants"] == {"max_N": 5}
+    _assert_clean_exit(cfg, "run")
 
 
 # ---------------------------------------------------------------------------

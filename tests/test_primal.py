@@ -3,13 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import optdec.primal
 from conftest import (expression_form_inner_prox, expression_form_pull_back, fd_grad, rel_err,
-                      split_form_inner_prox)
+                      split_form_inner_prox, table_form_inner_prox)
 from optdec import (NoiseSpec, QuadraticProblem, StochasticGradientOracle,
                     build_penalty, random_quadratic, sstm, stm, stm_ips,
                     verify_penalty_transfer)
 from optdec.primal import (_inner_prox_stm, _pull_back, argmax_solver_via_stm,
                            default_inner_delta)
+from optdec.methods import Machine, run_method
 from optdec.problems import constrained_quadratic_optimum, min_norm_dual_solution
 
 
@@ -461,6 +463,66 @@ def test_inner_prox_takes_the_reference_steps_up_to_rounding(seed, dim, rows, R_
         assert (products_ref, converged_ref) == (products, converged)
         assert products == 2 + 2 * steps
         assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 20), cond=st.floats(1.0, 1e4),
+       alpha=st.floats(1e-3, 10.0), lin_kind=st.sampled_from(["free", "zero", "nan"]),
+       start=st.sampled_from(["free", "minimiser", "near"]), log_delta=st.floats(-14.0, -1.0),
+       budget=st.integers(0, 300))
+# z_k at the minimiser, where the certificate holds only by rounding: without the allowance
+# for rounding the skip steps past it
+@example(seed=3207469351, dim=3, cond=59.532055329272296, alpha=0.01798320656426214,
+         lin_kind="free", start="minimiser", log_delta=-1.7276067081513684, budget=295)
+def test_inner_prox_is_bitwise_the_table_form(seed, dim, cond, alpha, lin_kind, start, log_delta,
+                                              budget):
+    # the full certificate formed on every step, or only where it can hold: the same bits
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, dim + 1))
+    A = rng.standard_normal((rows, dim)) * np.logspace(0.0, np.log10(cond) / 2, dim)
+    pen = build_penalty(QuadraticProblem(np.eye(dim), np.zeros(dim)).oracle(), A,
+                        10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-3, 1))
+    z_k = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+    lin = np.zeros(dim) if lin_kind == "zero" else rng.standard_normal(dim)
+    if start != "free":  # z_k minimises <lin, z> + h(z) up to rounding: grad g(z_k) ~ 0
+        if lin_kind == "zero":
+            z_k -= np.linalg.pinv(A) @ (A @ z_k)
+        else:
+            lin = -pen.h_gradient(z_k)
+    if start == "near":
+        z_k += 1e-9 * np.linalg.norm(z_k) * rng.standard_normal(dim)
+    if lin_kind == "nan":
+        lin[rng.integers(dim)] = np.nan
+    delta = 10.0 ** log_delta
+    before = pen.counter.matvec_AtA
+    z, gap, converged = _inner_prox_stm(pen, z_k, alpha, lin, delta, budget)
+    products = pen.counter.matvec_AtA - before
+    z_ref, gap_ref, converged_ref, products_ref, _ = table_form_inner_prox(pen, z_k, alpha, lin,
+                                                                           delta, budget)
+    assert (_bits(z), _bits(gap)) == (_bits(z_ref), _bits(gap_ref))
+    assert (converged, products) == (converged_ref, products_ref)
+
+
+def test_inner_prox_forms_the_full_certificate_on_few_steps(monkeypatch):
+    # perfbench's primal_inexact_prox shape: a dim-20 custom penalty (Q of cond 100, ||A||_2 = 1,
+    # ||y*|| = 3.5), eps 1e-3, N 200, inner_T 200; about 1 % of its checks can certify
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    Q = (U * np.logspace(0.0, 2.0, 20)) @ U.T
+    Q = (Q + Q.T) / 2.0
+    A = rng.standard_normal((10, 20))
+    A /= np.linalg.norm(A, 2)
+    b = rng.standard_normal(20)
+    b *= 3.5 / np.linalg.norm(min_norm_dual_solution(Q, b, A)[0])
+    formed = []
+    certificate = optdec.primal._certificate
+    monkeypatch.setattr(optdec.primal, "_certificate",
+                        lambda *args: formed.append(1) or certificate(*args))
+    machine = Machine(QuadraticProblem(Q, b), A, np.zeros(20), NoiseSpec())
+    run_method("stm_ips", machine, 200, 1e-3, 0.5, {"inner_T": 200})
+    checks = machine.oracle.counter.matvec_AtA // 2  # 2 + 2 (inner steps) products per prox
+    assert checks > 200 * 100
+    assert len(formed) <= 0.02 * checks
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,13 +7,13 @@ its ``Topology`` constructor takes.
 The refusal test is derandomized: for every kind and every numeric field
 of its record (the inline topology's ``m`` and ``p`` included, checked
 against the record of the topology kind drawn), a value outside the
-field's domain -- a wrong type, a non-finite number, one below
-the least value, a fraction where an integer is due -- must exit 2 with a
-message that names ``problem.<key>`` or ``topology.<key>``.  Every other
-field holds a valid value or is left out, and the file paths name files
-that do not exist, so a config that passed the checks would fail on
-reading them; ``execute_run`` is replaced by a function that fails the
-test, so a config that passed them would fail the test first.
+field's domain -- a wrong type, a non-finite number, one below the least
+value or above the greatest, a fraction where an integer is due -- must
+exit 2 with a message that names ``problem.<key>`` or ``topology.<key>``.
+Every other field holds a valid value or is left out, and the file paths
+name files that do not exist, so a config that passed the checks would
+fail on reading them; ``execute_run`` is replaced by a function that fails
+the test, so a config that passed them would fail the test first.
 """
 
 import contextlib
@@ -65,7 +65,8 @@ def _domain_text(field):
         if field.low == -math.inf:
             return "any real"
         kind = "integer" if field.integer else "real"
-        return f"{kind} {'>' if field.strict else '>='} {field.low:g}"
+        high = f" and <= {field.high:g}" if field.high < math.inf else ""
+        return f"{kind} {'>' if field.strict else '>='} {field.low:g}{high}"
     return field  # the file and topology markers are their domains
 
 
@@ -135,6 +136,9 @@ def _outside(field: Constant):
                                 allow_nan=False, allow_infinity=False))
         if field.integer:
             values.append(st.integers(max_value=math.ceil(field.low) - 1))
+    if field.high < math.inf:
+        values.append(st.floats(min_value=field.high, exclude_min=True, allow_nan=False,
+                                allow_infinity=False))
     return st.one_of(values)
 
 
