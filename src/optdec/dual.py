@@ -191,7 +191,11 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
     sum_g = alpha * g
     gn, dist = metrics(0, y)
     trace.record(0, A, grad_norm=gn, dual_gap=dist)
-    y, _, _ = triangle(stm_step(L, mu), A, y, z0, N, gradient, mirror, after)
+    try:
+        y, _, _ = triangle(stm_step(L, mu), A, y, z0, N, gradient, mirror, after)
+    except OverflowError as exc:  # A grows geometrically: a long run passes the double range
+        trace.flag(f"sstm_sc: {exc}")
+        raise DivergenceError(f"sstm_sc: {exc}", trace) from None
     return y, trace
 
 

@@ -102,7 +102,11 @@ def _stm(p, N, eps, beta, c, seed, stochastic=False):
 
 def _stm_ips(p, N, eps, beta, c, seed):
     pen = build_penalty(p.oracle, p.A, p.R_y, eps)
-    x_F = np.linalg.solve(p.qp.Q + 2.0 * pen.coeff * pen.AtA, p.qp.b)
+    try:  # at a tiny eps the penalty term swamps Q in working precision
+        x_F = np.linalg.solve(p.qp.Q + 2.0 * pen.coeff * pen.AtA, p.qp.b)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"penalty system Q + 2 (R_y^2/eps) A^T A at eps {eps:g} "
+                                    f"(R_y^2/eps = {pen.coeff:.3g}): {exc}") from None
     N, capped = capped_N(N, lambda cap: gap_certificate_N(
         float(np.linalg.norm(p.x0 - x_F)), p.oracle.L, eps, cap), c["max_N"])
     x, trace = stm_ips(pen, p.x0, N, inner_T=c["inner_T"], F_star=pen.F_value(x_F), x_star=x_F)

@@ -23,10 +23,11 @@ import math
 
 import numpy as np
 
+from .dual import _norm
 from .oracles import (CallCounter, FirstOrderOracle, RngStreams, StochasticGradientOracle,
                       constraint_gram, spectrum)
 from .problems import constrained_quadratic_optimum
-from .schedules import batch_size_sstm, stm_step, triangle
+from .schedules import batch_size_sstm, stm_chain, stm_step, triangle
 from .trace import RunTrace
 
 __all__ = [
@@ -136,7 +137,13 @@ def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
 
 
 class CompositeProblem:
-    """Smooth composite ``F = f + h``, both L-smooth; each ``grad_h`` is one ``matvec_AtA``."""
+    """Smooth composite ``F = f + h``, both L-smooth; each ``grad_h`` is one ``matvec_AtA``.
+
+    ``h_gradient(z, out)`` returns ``grad h(z)``: a new array for ``out`` None, else written
+    into the array ``out`` and returned, as ``ndarray.dot(z, out)`` does.  ``grad_h(z, out)``
+    counts one product and passes ``out`` on, so the inner prox of :func:`stm_ips` writes
+    each gradient straight into its buffer.
+    """
 
     def __init__(self, f: FirstOrderOracle, h_value, h_gradient, L_h: float,
                  prox_solver=None):
@@ -153,9 +160,9 @@ class CompositeProblem:
     def F_value(self, x):
         return float(self.f.value(x)) + float(self.h_value(x))
 
-    def grad_h(self, z):
+    def grad_h(self, z, out=None):
         self.f.counter.matvec_AtA += 1
-        return self.h_gradient(z)
+        return self.h_gradient(z, out)
 
 
 class PenaltyProblem(CompositeProblem):
@@ -165,7 +172,7 @@ class PenaltyProblem(CompositeProblem):
     the minimal dual solution.  Driving ``F = f + h`` to accuracy ``eps``
     transfers to ``f``-gap at most ``eps`` and ``||A x|| <= 2 eps / R_y``.
     ``grad h(z) = H z`` with the penalty matrix ``H = 2 (R_y^2 / eps) A^T A``,
-    scaled once here, so each ``grad_h`` is the one product ``H.dot(z)``
+    scaled once here, so each ``grad_h`` is the one product ``H.dot(z, out)``
     and is counted as one ``A^T A`` product.  A coefficient or ``L_h`` that
     is not finite raises ``ArithmeticError`` before any step.
     """
@@ -243,9 +250,12 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
     ``(2, 6)`` block writes ``x' = p x + q z'`` and ``z'`` into the other
     buffer.  A fixed ``(2, 6)`` block gives ``[grad g(x), x - z_k]``, and its
     Gram matrix the certificate's two norms.  Two ``problem.grad_h`` calls per
-    step (at ``x~`` and ``x'``) and two at the start (at ``z_k`` and ``c0``):
-    ``matvec_AtA`` rises by ``2 + 2 (inner steps)``.  A gradient norm that is
-    not finite ends the loop.
+    step (at ``x~`` and ``x'``), each written into its buffer row, and two at
+    the start (at ``z_k`` and ``c0``): ``matvec_AtA`` rises by ``2 + 2 (inner
+    steps)``.  A gradient norm that is not finite ends the loop.  The table
+    (:func:`_prox_step_table`) is built in blocks of at most
+    :data:`_TABLE_BLOCK_CAP` steps as the loop reaches them, so a prox runs in
+    bounded memory whatever its budget.
 
     Both lower bounds are at most ``||z_k - z_hat||``, so (strong convexity)
     at most ``far``, the least of ``||grad g(z_k)||`` and of ``||x - z_k|| +
@@ -259,17 +269,19 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
     L_g = alpha * problem.L_h + 1.0
     grad_h = problem.grad_h
     c0 = z_k - alpha * lin
-    lb_static = (far := float(np.linalg.norm((z_k - c0) + alpha * grad_h(z_k)))) / L_g
-    r = len(c0) * np.finfo(float).eps * float(np.linalg.norm(z_k) + np.linalg.norm(c0))
-    buf = np.stack([c0, c0, c0, z_k, *np.zeros((2, len(c0)))])
+    lb_static = (far := _norm((z_k - c0) + alpha * grad_h(z_k))) / L_g
+    r = len(c0) * np.finfo(float).eps * (_norm(z_k) + _norm(c0))
+    bufs = np.empty((2, 6, len(c0)))
+    bufs[:, :3], bufs[:, 3], bufs[:, 4:] = c0, z_k, 0.0
     # each buffer with its views: all rows, x, grad_h(x~), grad_h(x) and [x; z]
-    cur, nxt = ((b, b[0], b[4], b[5], b[:2]) for b in (buf, buf.copy()))
+    cur, nxt = ((b, b[0], b[4], b[5], b[:2]) for b in bufs)
+    x_tilde = np.empty(len(c0))
     certificate = np.array([[1.0, 0.0, -1.0, 0.0, 0.0, alpha], [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]])
     gradient = certificate[0]
     steps = _prox_step_table(stm_step(L_g, 1.0, 2.0), alpha, budget)
     for k in itertools.count():
         buf, x, gh_tilde, gh_x, _ = cur
-        gh_x[...] = grad_h(x)
+        grad_h(x, gh_x)
         if not (0 < k < budget and reach < (w := gradient.dot(buf)).dot(w) < math.inf):
             gn, ok, far = _certificate(certificate, buf, lb_static, delta, far)
             reach = 8.0 * delta * (far + L_g * r) * (far + L_g * r) + 16.0 * r * r
@@ -277,8 +289,8 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
             if ok or k >= budget or not math.isfinite(gn):
                 break
         x_tilde_row, rows = next(steps)
-        gh_tilde[...] = grad_h(x_tilde_row.dot(buf))
-        np.dot(rows, buf, out=nxt[4])  # x' and z' into the other buffer
+        grad_h(x_tilde_row.dot(buf, x_tilde), gh_tilde)
+        rows.dot(buf, nxt[4])  # x' and z' into the other buffer
         cur, nxt = nxt, cur
     # on budget exhaustion trust the step unless the gradient norm stagnated
     return x.copy(), gn * gn / 2.0, ok or not gn > 1e-2 * gn0
@@ -293,23 +305,32 @@ def _certificate(certificate, buf, lb_static, delta, far):
     return gn, gn * gn / 2.0 <= delta * lb * lb, min(far, d + gn)
 
 
+_TABLE_BLOCK_CAP = 1024  # the most steps one block of _prox_step_table holds
+
+
 def _prox_step_table(step, alpha, budget):
     """Per step of :func:`_inner_prox_stm`, the ``x~`` row and the ``(2, 6)`` ``[x'; z']`` rows
-    over its buffer, built in blocks as the loop reaches them: 64, then as many again as built."""
+    over its buffer, built in blocks as the loop reaches them: 64, then as many again as built,
+    at most :data:`_TABLE_BLOCK_CAP`.
+
+    With ``alpha_k, A_k = step(A_{k-1})`` from ``A_0 = 0`` (one :func:`stm_chain` per block),
+    ``p = A_{k-1} / A_k``, ``q = alpha_k / A_k`` and ``s = alpha_k / (1 + A_k)``; the rows are
+    ``[p, q, 0, 0, 0, 0]``, ``[p, q (1 - s), q s, 0, -alpha (q s), 0]`` and
+    ``[0, 1 - s, s, 0, -alpha s, 0]``.  Block boundaries do not enter the values.
+    """
     A, k = 0.0, 0
     while k < budget:
-        m = min(budget - k, max(k, 64))
-        a, A_all = [], [A]
-        for _ in range(m):
-            a_k, A = step(A)
-            a.append(a_k)
-            A_all.append(A)
+        m = min(budget - k, max(k, 64), _TABLE_BLOCK_CAP)
+        a, A_all = stm_chain(step, A, m)
+        A = A_all[-1]
         a, A_all = np.array(a), np.array(A_all)
-        p, q, s = A_all[:-1] / A_all[1:], a / A_all[1:], a / (1.0 + A_all[1:])
-        r, o = 1.0 - s, np.zeros(m)
-        table = np.stack([p, q, o, o, o, o,
-                          p, q * r, q * s, o, -alpha * (q * s), o,
-                          o, r, s, o, -alpha * s, o], axis=1).reshape(m, 3, 6)
+        A_next, table = A_all[1:], np.zeros((m, 3, 6))
+        table[:, 1, 0] = np.divide(A_all[:-1], A_next, out=table[:, 0, 0])
+        q = np.divide(a, A_next, out=table[:, 0, 1])
+        s = np.divide(a, 1.0 + A_next, out=table[:, 2, 2])
+        np.multiply(q, np.subtract(1.0, s, out=table[:, 2, 1]), out=table[:, 1, 1])
+        np.multiply(-alpha, np.multiply(q, s, out=table[:, 1, 2]), out=table[:, 1, 4])
+        np.multiply(-alpha, s, out=table[:, 2, 4])
         yield from zip(table[:, 0], table[:, 1:])
         k += m
 

@@ -15,10 +15,11 @@ Every accelerated loop runs on :func:`triangle` (the inner prox of
 ``stm_ips`` runs the same steps as a coefficient table), driven by a stepper
 ``step = stm_step(L, mu, factor)`` that checks ``L`` and ``mu`` and scales
 ``L`` once; ``step(A)`` is bitwise ``next_alpha_stm(A, L, mu, factor)``, which
-evaluates the same expression.  The ``next_alpha_*`` functions serve the
-planners and single steps.  Inside :func:`triangle` the step sizes scale
-vectors as 0-d float64 arrays, the same bits as the expression form with
-Python floats, and every callback gets Python floats.
+evaluates the same expression, and :func:`stm_chain` takes ``m`` such steps
+in one loop.  The ``next_alpha_*`` functions serve the planners and single
+steps.  Inside :func:`triangle` the step sizes scale vectors as 0-d float64
+arrays, the same bits as the expression form with Python floats, and every
+callback gets Python floats.
 
 ``N: "auto"`` is planned by :func:`gap_certificate_N` from
 ``3 R0^2 / (2 A_N) <= eps``, or for ``sstm_sc`` by :func:`grad_certificate_N`
@@ -43,6 +44,7 @@ __all__ = [
     "next_alpha_strongly_convex",
     "next_alpha_spdstm",
     "stm_step",
+    "stm_chain",
     "triangle",
     "gap_certificate_N",
     "grad_certificate_N",
@@ -87,6 +89,26 @@ def stm_step(L: float, mu: float = 0.0, factor: float = 1.0):
     return functools.partial(_next_alpha, *_coupling(L, mu, factor))
 
 
+def stm_chain(step, A: float, m: int):
+    """``m`` steps of the stepper ``step = stm_step(L, mu, factor)`` from ``A``: the lists
+    ``[alpha_1, ..., alpha_m]`` and ``[A, A_1, ..., A_m]``.
+
+    One loop on local floats evaluates the root of :func:`_next_alpha` inline, so each
+    step has the bits of ``step(A)`` without a call per step.
+    """
+    mu, cL, two_cL = step.args
+    sqrt = math.sqrt
+    alphas, As = [], [A]
+    for _ in range(m):
+        w = 1.0 + A * mu
+        b = w / two_cL
+        alpha = b + sqrt(b * b + A * w / cL)
+        A += alpha
+        alphas.append(alpha)
+        As.append(A)
+    return alphas, As
+
+
 def next_alpha_stm(A_k: float, L: float, mu: float = 0.0, factor: float = 1.0):
     """Next ``(alpha, A)`` for the similar-triangles coupling.
 
@@ -125,7 +147,9 @@ def triangle(step, A, x, z, N, gradient, mirror, after):
     extrapolates ``x~ = (A x + alpha z) / A'``, asks
     ``gradient(k, x~, alpha, A')`` for ``g``, moves the mirror point to
     ``mirror(z, g, x~, alpha, A')`` and averages ``x = (A x + alpha z) / A'``.
-    A true ``after(k, x, z, A')`` ends the loop early.
+    A true ``after(k, x, z, A')`` ends the loop early.  A step whose ``A'`` is
+    not finite (nor then its ``alpha``) raises ``OverflowError`` naming the
+    step ``k + 1``, before any point is formed from it.
 
     The step is bitwise the expression form above: ``A x`` is computed once
     per step, and each point is built as ``t = alpha z; t += A x; t /= A'``,
@@ -142,8 +166,12 @@ def triangle(step, A, x, z, N, gradient, mirror, after):
     """
     A = float(A)
     A_arr = np.array(A)
+    inf = math.inf
     for k in range(N):
         alpha, A_next = step(A)
+        if not A_next < inf:  # A' = A + alpha with A finite: an alpha not finite fails too
+            raise OverflowError(f"step size overflow at step {k + 1}: A = {A:.17g} gives "
+                                f"A' = {A_next}")
         alpha_arr, A_next_arr = np.array(alpha), np.array(A_next)
         Ax = A_arr * x
         x_tilde = alpha_arr * z

@@ -395,19 +395,33 @@ def test_run_divergent_exit_3(tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.trace.csv"))  # partial trace persisted
 
 
-def test_nan_iterate_trips_the_divergence_guard(tmp_path, capsys):
-    # A_k reaches 2.9e154 at iteration 2040; the next step size overflows to inf,
-    # and inf / inf turns the iterate NaN, whose norm the guard must not let pass
+def test_a_step_size_overflow_exits_3_with_one_line_naming_its_step(tmp_path):
+    # A_k reaches 2.9e154 at iteration 2040 and the next step size overflows to inf; inf / inf
+    # turned the iterate NaN, and numpy's warning reached stderr before the guard's line
     cfg = {"method": "sstm_sc", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
            "eps": 0.01, "seed": 3, "N": 3200, "constants": {"metric_every": 400}}
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
-    assert capsys.readouterr().err == (
-        "runtime error: sstm_sc: iterate norm exceeded divergence guard\n")
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "optdec.cli", "run",
+                           str(write_config(tmp_path, cfg)), "--out", str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=120)
+    message = "sstm_sc: step size overflow at step 2041: A = 2.8559636854211654e+154 gives A' = inf"
+    assert (proc.returncode, proc.stderr) == (3, f"runtime error: {message}\n")
     (csv,) = tmp_path.glob("*.trace.csv")
     trace = RunTrace.from_csv(csv)
-    assert trace.flags == ["sstm_sc: divergence guard tripped"]
-    assert trace.final["iter"] == 2040 and np.isfinite(trace.final["A_k"])
+    assert trace.flags == [message]
+    assert trace.final["iter"] == 2040 and trace.final["A_k"] == 2.8559636854211654e+154
+
+
+@pytest.mark.parametrize("eps", [1e-20, 1e-60, 1e-100])
+def test_a_singular_penalty_system_exits_3_naming_it(tmp_path, capsys, eps):
+    # 2 (R_y^2/eps) A^T A swamps Q: numpy's bare "Singular matrix" named neither the system nor eps
+    cfg = {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 3, "m_rows": 1}, "eps": eps}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: penalty system Q + 2 (R_y^2/eps) A^T A at eps {eps:g} ")
+    assert err.endswith(": Singular matrix\n") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.trace.csv"))
 
 
 @pytest.mark.parametrize("method, rule", [("spdstm", "stop_gap"), ("sstm_sc", "stop_grad_norm")])

@@ -89,6 +89,17 @@ def test_spdstm_divergence_guard():
         spdstm(dual, 200, 1e-3, 0.1, metric_every=0)
 
 
+def test_sstm_sc_nan_iterate_trips_the_divergence_guard():
+    # a NaN gradient turns the mirror point NaN, whose norm the guard must not let pass
+    oracle, dual = shifted_instance()
+    dual.argmax_solver = lambda u: np.full(2, np.nan)
+    with pytest.raises(DivergenceError, match="^sstm_sc: iterate norm exceeded divergence guard$"
+                       ) as caught:
+        sstm_sc(dual, np.zeros(1), 50, metric_every=0)
+    assert caught.value.trace.flags == ["sstm_sc: divergence guard tripped"]
+    assert caught.value.trace.final["iter"] == 0
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(v=arrays(np.float64, st.integers(1, 2000),
                 elements=st.floats(allow_nan=True, allow_infinity=True)))

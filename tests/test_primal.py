@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +12,9 @@ from conftest import (expression_form_inner_prox, expression_form_pull_back, fd_
 from optdec import (NoiseSpec, QuadraticProblem, StochasticGradientOracle,
                     build_penalty, random_quadratic, sstm, stm, stm_ips,
                     verify_penalty_transfer)
-from optdec.primal import (_inner_prox_stm, _pull_back, argmax_solver_via_stm,
-                           default_inner_delta)
+from optdec.primal import (_TABLE_BLOCK_CAP, CompositeProblem, _inner_prox_stm, _prox_step_table,
+                           _pull_back, argmax_solver_via_stm, default_inner_delta)
+from optdec.schedules import stm_step
 from optdec.methods import Machine, run_method
 from optdec.problems import constrained_quadratic_optimum, min_norm_dual_solution
 
@@ -190,8 +194,8 @@ def test_stm_ips_zero_composite_matches_stm():
     qp = QuadraticProblem(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
     from optdec.primal import CompositeProblem
     o1, o2 = qp.oracle(), qp.oracle()
-    comp = CompositeProblem(o1, lambda x: 0.0, lambda z: np.zeros(2), L_h=0.0,
-                            prox_solver=lambda z, a, lin: z - a * lin)
+    comp = CompositeProblem(o1, lambda x: 0.0, lambda z, out=None: np.multiply(z, 0.0, out),
+                            L_h=0.0, prox_solver=lambda z, a, lin: z - a * lin)
     x_comp, _ = stm_ips(comp, np.zeros(2), 40, inner_T=1)
     x_stm, _ = stm(o2, np.zeros(2), 40)
     assert np.allclose(x_comp, x_stm, atol=1e-12)
@@ -204,9 +208,9 @@ def test_stm_ips_refuses_an_inner_prox_gradient_that_is_not_finite():
     qp = QuadraticProblem(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
     calls = []
 
-    def h_gradient(z):
+    def h_gradient(z, out=None):
         calls.append(1)
-        return z if len(calls) <= 2 * (2 + 2 * 3) else np.full(2, np.nan)
+        return np.multiply(z, 1.0 if len(calls) <= 2 * (2 + 2 * 3) else np.nan, out)
 
     comp = CompositeProblem(qp.oracle(), lambda x: 0.5 * float(x @ x), h_gradient, L_h=1.0)
     with pytest.raises(ArithmeticError, match="= nan is not finite at outer step 3$"):
@@ -503,26 +507,79 @@ def test_inner_prox_is_bitwise_the_table_form(seed, dim, cond, alpha, lin_kind, 
     assert (converged, products) == (converged_ref, products_ref)
 
 
-def test_inner_prox_forms_the_full_certificate_on_few_steps(monkeypatch):
-    # perfbench's primal_inexact_prox shape: a dim-20 custom penalty (Q of cond 100, ||A||_2 = 1,
-    # ||y*|| = 3.5), eps 1e-3, N 200, inner_T 200; about 1 % of its checks can certify
+def _workload_machine(dim):
+    """perfbench's primal_inexact_prox instance: a custom penalty of dimension ``dim`` (Q of
+    cond 100, ``dim // 2`` rows of A with ||A||_2 = 1, ||y*|| = 3.5)."""
     rng = np.random.default_rng(5)
-    U, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-    Q = (U * np.logspace(0.0, 2.0, 20)) @ U.T
+    U, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    Q = (U * np.logspace(0.0, 2.0, dim)) @ U.T
     Q = (Q + Q.T) / 2.0
-    A = rng.standard_normal((10, 20))
+    A = rng.standard_normal((dim // 2, dim))
     A /= np.linalg.norm(A, 2)
-    b = rng.standard_normal(20)
+    b = rng.standard_normal(dim)
     b *= 3.5 / np.linalg.norm(min_norm_dual_solution(Q, b, A)[0])
+    return Machine(QuadraticProblem(Q, b), A, np.zeros(dim), NoiseSpec())
+
+
+def test_inner_prox_forms_the_full_certificate_on_few_steps(monkeypatch):
+    # the workload's shape: dim 20, eps 1e-3, N 200, inner_T 200; about 1 % of its checks
+    # can certify
     formed = []
     certificate = optdec.primal._certificate
     monkeypatch.setattr(optdec.primal, "_certificate",
                         lambda *args: formed.append(1) or certificate(*args))
-    machine = Machine(QuadraticProblem(Q, b), A, np.zeros(20), NoiseSpec())
+    machine = _workload_machine(20)
     run_method("stm_ips", machine, 200, 1e-3, 0.5, {"inner_T": 200})
     checks = machine.oracle.counter.matvec_AtA // 2  # 2 + 2 (inner steps) products per prox
     assert checks > 200 * 100
     assert len(formed) <= 0.02 * checks
+
+
+def test_grad_h_calls_are_the_counted_products(monkeypatch):
+    # CompositeProblem.grad_h wrapped on the class, as perfbench's tracer wraps it: every
+    # product the inner prox writes into its buffer goes through it, at a fixed inner_T (the
+    # workload's tiny shape) and at default budgets (auto N, proxes of many table blocks)
+    calls = []
+    grad_h = CompositeProblem.grad_h
+    monkeypatch.setattr(CompositeProblem, "grad_h",
+                        lambda *args, **kwargs: calls.append(1) or grad_h(*args, **kwargs))
+    for N, eps, constants in ((80, 1e-2, {"inner_T": 40}), ("auto", 1e-2, {})):
+        calls.clear()
+        machine = _workload_machine(6)
+        run_method("stm_ips", machine, N, eps, 0.5, constants)
+        assert len(calls) == machine.oracle.counter.matvec_AtA > 2000
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(log_L_g=st.floats(0.0, 8.0), alpha=st.floats(1e-3, 10.0), budget=st.integers(1, 500))
+@example(log_L_g=3.0, alpha=0.37, budget=3 * _TABLE_BLOCK_CAP + 7)  # past the capped blocks
+@example(log_L_g=8.0, alpha=10.0, budget=2 * _TABLE_BLOCK_CAP)  # the first capped block's end
+def test_prox_step_table_is_bitwise_the_stepper_chain(log_L_g, alpha, budget):
+    # the reference takes its steps from stm_step one call at a time, in Python floats
+    step = stm_step(10.0 ** log_L_g, 1.0, 2.0)
+    A, n = 0.0, 0
+    for x_tilde_row, rows in _prox_step_table(step, alpha, budget):
+        a, A_next = step(A)
+        p, q, s = A / A_next, a / A_next, a / (1.0 + A_next)
+        want = [[p, q, 0.0, 0.0, 0.0, 0.0],
+                [p, q * (1.0 - s), q * s, 0.0, -alpha * (q * s), 0.0],
+                [0.0, 1.0 - s, s, 0.0, -alpha * s, 0.0]]
+        assert _bits(np.vstack([x_tilde_row, rows])) == _bits(want)
+        A, n = A_next, n + 1
+    assert n == budget
+
+
+def test_prox_step_table_runs_in_bounded_memory():
+    # a tiny eps plans inner budgets past 1e76 steps (L_h 1.9e149 at eps 1e-150); blocks of
+    # at most _TABLE_BLOCK_CAP steps keep the table's memory bounded along such a prox
+    steps = _prox_step_table(stm_step(1e6, 1.0, 2.0), 0.5, 10 ** 12)
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in itertools.islice(steps, 300_000)) == 300_000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @settings(max_examples=200, deadline=None)

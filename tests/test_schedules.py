@@ -10,7 +10,7 @@ from optdec.schedules import (acsa_params, batch_size_spdstm,
                               batch_size_sstm, batch_size_sstm_sc,
                               gap_certificate_N, next_alpha_spdstm,
                               next_alpha_stm, next_alpha_strongly_convex,
-                              stm_step, triangle)
+                              stm_chain, stm_step, triangle)
 
 
 def test_step_state_carrier():
@@ -305,6 +305,35 @@ def test_triangle_hands_python_floats_to_every_callback():
     seen.append(("return", A))
     assert len(seen) == 4 * 6 + 1
     assert [(who, type(v)) for who, v in seen] == [(who, float) for who, _ in seen]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_triangle_refuses_a_step_that_is_not_finite_before_forming_a_point(bad):
+    # an A' (or alpha) past the double range raised inf / inf warnings and NaN iterates
+    stepper = stm_step(1.0, 0.5)
+    seen = []
+
+    def step(A):
+        return (bad, A + bad) if len(seen) == 3 else stepper(A)
+
+    with pytest.raises(OverflowError, match=r"^step size overflow at step 4: A = .* gives A' = "):
+        triangle(step, 1.0, np.ones(2), np.ones(2), 10,
+                 lambda k, x_tilde, alpha, A_next: seen.append(k) or x_tilde,
+                 lambda z, g, x_tilde, alpha, A_next: z - alpha * g, lambda k, x, z, A: False)
+    assert seen == [0, 1, 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=st.floats(0.0, 1e12), L=st.floats(1e-6, 1e6), mu=st.floats(0.0, 50.0),
+       factor=st.sampled_from([1.0, 2.0]), m=st.integers(0, 40))
+def test_stm_chain_is_bitwise_the_stepper(A, L, mu, factor, m):
+    step = stm_step(L, mu, factor)
+    alphas, As = [], [A]
+    for _ in range(m):
+        alpha, A_next = step(As[-1])
+        alphas.append(alpha)
+        As.append(A_next)
+    assert stm_chain(step, A, m) == (alphas, As)
 
 
 def test_gap_certificate_N_is_first_certified_step():
