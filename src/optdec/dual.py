@@ -22,6 +22,7 @@ stamps the run's identity on them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,15 @@ def _exact_grad_norm(dual: DualOracle, y) -> float:
 
 
 def _guard(z, scale, trace, label):
-    if not _norm(z) <= DIVERGENCE_FACTOR * (1.0 + scale):  # a NaN norm trips it too
+    """Trip on ``||z||`` above ``DIVERGENCE_FACTOR (1 + scale())``, or not a number.
+
+    ``scale`` is a zero-argument callable giving a scale >= 0, called only for a norm above
+    ``DIVERGENCE_FACTOR``: since ``1 + scale >= 1``, a norm at most that passes whatever it is.
+    """
+    norm = _norm(z)
+    if norm <= DIVERGENCE_FACTOR:
+        return
+    if not norm <= DIVERGENCE_FACTOR * (1.0 + scale()):  # a NaN norm trips it too
         trace.flag(f"{label}: divergence guard tripped")
         raise DivergenceError(f"{label}: iterate norm exceeded divergence guard", trace)
 
@@ -81,7 +90,7 @@ def _guard(z, scale, trace, label):
 
 def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
            C_hat: float = 1.0, L_tilde_factor: float = 2.0, seed: int = 0,
-           metric_every: int = 1, y_star_norm_estimate: float | None = None,
+           metric_every: int = 1, read_R_y: Callable[[], float] | None = None,
            stop_gap: float | None = None):
     """Stochastic primal-dual triangle scheme from ``y^0 = 0``.
 
@@ -94,8 +103,11 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     the duality gap ``f(x~) + psi(y)`` and ``||A x~||`` every
     ``metric_every``-th row and the last (:func:`duality_gap`).  With ``stop_gap``
     the run ends early once a measured gap reaches it and ``||A x~|| R_y <= eps``
-    holds, ``R_y`` being ``y_star_norm_estimate`` (else 1): the gap of an
-    infeasible ``x~`` is negative, so the gap alone does not imply the target.
+    holds: the gap of an infeasible ``x~`` is negative, so the gap alone does not
+    imply the target.  ``read_R_y()`` gives ``R_y``, the bound on ``||y*||`` (else 1),
+    and is called only by that test, once a gap has reached ``stop_gap``, and by the
+    divergence guard, for an iterate norm above ``DIVERGENCE_FACTOR``: on a network
+    the bound costs one dual ascent per node, which a fixed-``N`` run need not pay.
     """
     L_tilde = L_tilde_factor * dual.L_psi
     sigma_psi = dual.sigma_psi
@@ -106,7 +118,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     streams = RngStreams(seed)
     y = np.zeros(dual.dual_dim)
     acc = np.zeros(dual.primal.dim)
-    R_y = y_star_norm_estimate if y_star_norm_estimate is not None else 1.0
+    read_R_y = read_R_y or (lambda: 1.0)
     trace = RunTrace(dual.counter)
 
     def gradient(k, y_tilde, alpha, A_next):
@@ -116,14 +128,14 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
         return g
 
     def after(k, y, z, A):
-        _guard(z, R_y, trace, "spdstm")
+        _guard(z, read_R_y, trace, "spdstm")
         gap = feas = None
         if metric_every and ((k + 1) % metric_every == 0 or k + 1 == N):  # as sstm_sc
             metrics = duality_gap(dual.primal, dual, acc / A, y)
             gap, feas = metrics["gap"], metrics["constraint_norm"]
         trace.record(k + 1, A, dual_gap=gap, constraint_norm=feas)
         return (stop_gap is not None and gap is not None and gap <= stop_gap
-                and feas * R_y <= eps)
+                and feas * read_R_y() <= eps)
 
     trace.record(0, 0.0)
     y, _, A = triangle(stm_step(L_tilde, 0.0, 2.0), 0.0, y, y, N,
@@ -179,7 +191,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
         return gn, dist
 
     def after(k, y, z, A):
-        _guard(z, scale, trace, "sstm_sc")
+        _guard(z, lambda: scale, trace, "sstm_sc")
         gn, dist = metrics(k + 1, y)
         trace.record(k + 1, A, grad_norm=gn, dual_gap=dist)
         return stop_grad_norm is not None and gn is not None and gn <= stop_grad_norm
@@ -311,7 +323,7 @@ def default_rrma_lambda(L_psi: float, N_bar: int) -> float:
     return L_psi * math.log(N_bar) ** 2 / N_bar ** 2
 
 
-# Largest working batch of a restart (taken when the probed gradient is zero).
+# Largest working batch of a restart: the cap on the batch sized from the probed norm.
 R_CAP = 10 ** 7
 
 
@@ -404,9 +416,7 @@ def restarted_rrma(dual: DualOracle, y0, eps: float, beta: float, *, R_y: float,
             break
         if sigma_psi == 0.0:
             r_k = 1
-        elif probe_norm_sq == 0.0:
-            r_k = R_CAP
-        else:
+        else:  # probe_norm_sq > (eps / 2 R_y)^2 >= 0 here
             r_k = min(R_CAP, max(1, math.ceil(
                 64.0 * C * sigma_psi ** 2 * math.log(cfg.N_bar) ** 6
                 / (cfg.N_bar * probe_norm_sq))))

@@ -10,8 +10,10 @@ point, the primal point (or ``spdstm``'s primal average) and whether the cap
 stopped the plan.  Its problem, a :class:`Machine` or an
 :class:`optdec.network.Network`, gives its ``noise`` (:func:`method_noise`),
 the dual oracle ``dual`` and ``R_y``, a bound on the minimal dual solution's
-norm that a given constant ``R_y`` replaces; its ``finish(trace, y, x, seed)``
-gives the ``x`` that ``run_method`` returns and fills in its ``summary``.
+norm that a given constant ``R_y`` replaces and that a solve reads only where
+a decision needs it (a ``Network`` computes it on first read); its
+``finish(trace, y, x, seed)`` gives the ``x`` that ``run_method`` returns and
+fills in its ``summary``.
 """
 
 from __future__ import annotations
@@ -114,12 +116,12 @@ def _stm_ips(p, N, eps, beta, c, seed):
 
 
 def _spdstm(p, N, eps, beta, c, seed):
-    dual, R_y, factor = p.dual, p.R_y, c["L_tilde_factor"]
+    dual, factor = p.dual, c["L_tilde_factor"]
     N, capped = capped_N(N, lambda cap: gap_certificate_N(
-        R_y, factor * dual.L_psi, eps, cap), c["max_N"])
+        p.R_y, factor * dual.L_psi, eps, cap), c["max_N"])
     y, x, trace = spdstm(dual, N, eps, beta, C_hat=c["C_hat"], L_tilde_factor=factor,
                          seed=seed, metric_every=c["metric_every"],
-                         y_star_norm_estimate=R_y, stop_gap=c["stop_gap"])
+                         read_R_y=lambda: p.R_y, stop_gap=c["stop_gap"])
     return trace, y, x, capped
 
 

@@ -397,7 +397,10 @@ class DistributedDualOracle(DualOracle):
 
 class Network:
     """A network run's ``instance`` and dual oracle on the per-node ``noise``; ``R_y`` defaults to
-    :func:`_dual_norm_bound`.  ``finish`` recovers ``x`` from one sample at the final ``y`` when
+    :func:`_dual_norm_bound`, computed on first read (one local gradient per node: a dual ascent
+    on a barycenter node) by a decision that needs it: an auto-``N`` plan, ``spdstm``'s
+    ``stop_gap`` test once a gap reaches it, ``restarted_rrma``, or a divergence guard on a norm
+    above ``DIVERGENCE_FACTOR``.  ``finish`` recovers ``x`` from one sample at the final ``y`` when
     the method keeps no primal average, closes the trace with a counter row and returns ``x``
     per node, with ``summary`` the Laplacian's ``chi``, ``m`` and ``||sqrt(W) x||``."""
 

@@ -223,11 +223,17 @@ def default_inner_delta(L: float, L_h: float, N: int) -> float:
 
 
 def default_inner_budget(alpha: float, L_h: float, N: int) -> int:
-    """Iteration cap for one proximal subproblem: ``sqrt(kappa) log(kappa N^3)``."""
+    """Iteration cap for one proximal subproblem: ``sqrt(kappa) log(kappa N^3)``,
+    ``kappa = alpha L_h + 1``; ``ArithmeticError`` names both when it is not finite."""
     kappa = alpha * L_h + 1.0
-    return max(1, math.ceil(math.sqrt(kappa) * math.log(max(kappa * N ** 3, 2.0))))
+    budget = math.sqrt(kappa) * math.log(max(kappa * N ** 3, 2.0))
+    if not math.isfinite(budget):
+        raise ArithmeticError(f"inner prox budget sqrt(kappa) log(kappa N^3) is not finite: "
+                              f"kappa = alpha L_h + 1 = {kappa:g}, N = {N}")
+    return max(1, math.ceil(budget))
 
 
+@np.errstate(over="ignore")  # an overflow is an infinite norm, which ends the loop
 def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
     """Approximately minimise ``g(z) = 0.5||z - z_k||^2 + alpha(<lin,z> + h(z))``.
 
@@ -252,7 +258,8 @@ def _inner_prox_stm(problem, z_k, alpha, lin, delta, budget):
     Gram matrix the certificate's two norms.  Two ``problem.grad_h`` calls per
     step (at ``x~`` and ``x'``), each written into its buffer row, and two at
     the start (at ``z_k`` and ``c0``): ``matvec_AtA`` rises by ``2 + 2 (inner
-    steps)``.  A gradient norm that is not finite ends the loop.  The table
+    steps)``.  A gradient norm that is not finite ends the loop; a product that
+    overflows gives such a norm, and no numpy warning.  The table
     (:func:`_prox_step_table`) is built in blocks of at most
     :data:`_TABLE_BLOCK_CAP` steps as the loop reaches them, so a prox runs in
     bounded memory whatever its budget.
@@ -372,9 +379,14 @@ def stm_ips(problem: CompositeProblem, x0, N: int, inner_T: int | None = None, *
     def prox(z, lin, x_tilde, alpha, A_next):
         if prox_mode == "exact":
             return problem.prox_solver(z, alpha, lin)
-        budget = inner_T if inner_T is not None else default_inner_budget(alpha, problem.L_h, N)
-        z, gap_bound, ok = _inner_prox_stm(problem, z, alpha, lin, delta, budget)
         # the trace holds the start row plus one row per finished step
+        try:
+            budget = inner_T if inner_T is not None else default_inner_budget(
+                alpha, problem.L_h, N)
+        except ArithmeticError as exc:  # named with its step and a penalty's eps
+            at_eps = f", penalty eps {problem.eps:g}" if penalty else ""
+            raise ArithmeticError(f"{exc}; at outer step {len(trace.rows)}{at_eps}") from None
+        z, gap_bound, ok = _inner_prox_stm(problem, z, alpha, lin, delta, budget)
         if not math.isfinite(gap_bound):
             raise ArithmeticError(f"inner prox gap bound ||grad g||^2/2 = {gap_bound:g} is not "
                                   f"finite at outer step {len(trace.rows)}")

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -422,6 +423,22 @@ def test_a_singular_penalty_system_exits_3_naming_it(tmp_path, capsys, eps):
     assert err.startswith(f"runtime error: penalty system Q + 2 (R_y^2/eps) A^T A at eps {eps:g} ")
     assert err.endswith(": Singular matrix\n") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.trace.csv"))
+
+
+@pytest.mark.parametrize("N, message", [
+    ("auto", r"inner prox budget sqrt\(kappa\) log\(kappa N\^3\) is not finite: kappa = alpha L_h "
+             r"\+ 1 = \d\.\d+e\+297, N = 200000; at outer step 1, penalty eps 1e-300"),
+    (2, r"inner prox gap bound \|\|grad g\|\|\^2/2 = inf is not finite at outer step 1")],
+    ids=["auto_N", "N_2"])
+def test_a_tiny_eps_stm_ips_exits_3_with_one_line(tmp_path, capsys, N, message):
+    # at eps 1e-300 the planned budget's kappa N^3 overflows (math.ceil(inf) read "cannot convert
+    # float infinity to integer"); at N 2 the prox's products overflow, and numpy's two warnings,
+    # errors under this suite's filter, reached stderr before the line
+    cfg = {"method": "stm_ips", "problem": {"kind": "penalty", "dim": 3, "m_rows": 1},
+           "eps": 1e-300, "N": N}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"runtime error: {message}\n", err), err
 
 
 @pytest.mark.parametrize("method, rule", [("spdstm", "stop_gap"), ("sstm_sc", "stop_grad_norm")])

@@ -10,9 +10,12 @@ from optdec import (DivergenceError, DualOracle, FirstOrderOracle, NoiseSpec,
                     RegularizedDual, RngStreams, ac_sa, ac_sa2, duality_gap,
                     primal_recovery, random_quadratic, restarted_rrma,
                     rrma_ac_sa2, spdstm, sstm_sc)
-from optdec.dual import _norm, default_rrma_lambda, restart_config
+from optdec.dual import (DIVERGENCE_FACTOR, _guard, _norm, default_rrma_lambda,
+                         restart_config)
+from optdec.oracles import CallCounter
 from optdec.problems import min_norm_dual_solution
 from optdec.schedules import next_alpha_spdstm, stm_step
+from optdec.trace import RunTrace
 
 
 def shifted_instance(c=(1.0, 3.0), noise=None):
@@ -112,6 +115,34 @@ def test_guard_and_metric_norm_is_bitwise_np_linalg_norm(v):
             warnings.simplefilter("always")
             results.append((np.array(norm(v)).tobytes(), [str(w.message) for w in caught]))
     assert results[0] == results[1]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(R_y=st.floats(0.0, 1e12), centre=st.sampled_from(["factor", "bound", "inf", "nan"]),
+       ulps=st.integers(-3, 3))
+def test_guard_decides_on_R_y_and_reads_it_only_above_the_factor(R_y, centre, ulps):
+    # the guard trips exactly when not ||z|| <= DIVERGENCE_FACTOR (1 + R_y), and calls for R_y
+    # only on a norm above DIVERGENCE_FACTOR, below which 1 + R_y >= 1 passes it anyway
+    norm = {"factor": DIVERGENCE_FACTOR, "bound": DIVERGENCE_FACTOR * (1.0 + R_y),
+            "inf": math.inf, "nan": math.nan}[centre]
+    for _ in range(abs(ulps)):
+        norm = float(np.nextafter(norm, math.copysign(math.inf, ulps)))
+    z, reads = np.array([norm]), []
+
+    def read_R_y():
+        reads.append(R_y)
+        return R_y
+
+    trace = RunTrace(CallCounter())
+    with np.errstate(over="ignore"):  # ||z||^2 of a norm near the largest double is inf
+        if not _norm(z) <= DIVERGENCE_FACTOR * (1.0 + R_y):
+            with pytest.raises(DivergenceError, match="^spdstm: iterate norm exceeded"):
+                _guard(z, read_R_y, trace, "spdstm")
+            assert trace.flags == ["spdstm: divergence guard tripped"]
+        else:
+            _guard(z, read_R_y, trace, "spdstm")
+            assert trace.flags == []
+        assert len(reads) == (not _norm(z) <= DIVERGENCE_FACTOR)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import optdec.dual
+import optdec.network
 import optdec.problems
 from conftest import fd_grad, rel_err
-from optdec import (Topology, barycenter_problem, entropic_ot_dual_grad,
+from optdec import (DivergenceError, Topology, barycenter_problem, entropic_ot_dual_grad,
                     entropic_ot_dual_value, entropic_wasserstein,
                     projected_gradient_barycenter, QuadraticProblem,
                     random_quadratic, random_quadratics, run_distributed,
@@ -541,25 +545,79 @@ def test_barycenter_instance_declares_the_stacked_conjugate():
         assert abs(dual.psi_value(y) - (u @ x - dual.primal.value(x))) <= 1e-10
 
 
-@pytest.mark.parametrize("metric_every, ascents", [(0, 8), (50, 16)])
-def test_barycenter_run_ascends_only_for_R_y_and_the_primal_value(monkeypatch, metric_every,
-                                                                   ascents):
-    # the barycenter_ot shape: 8 nodes, one final metric; R_y takes one ascent
-    # per node in set-up, f(x~) one per node in the metric, and psi none
-    calls = []
-    ascent = optdec.problems.entropic_wasserstein
+@pytest.fixture
+def barycenter_ot(monkeypatch):
+    """``spdstm`` on the barycenter_ot shape: 8 nodes, each taking one dual ascent for ``R_y`` and
+    one for ``f(x~)`` in each metric, and none for ``psi``.  ``run(**config)`` returns the trace;
+    ``ascents`` holds one entry per ascent, ``bounds`` the ascents taken before each ``R_y``."""
+    ascents, bounds = [], []
+    ascent, bound = optdec.problems.entropic_wasserstein, optdec.network._dual_norm_bound
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        ascents.append(1)
         return ascent(*args, **kwargs)
 
+    def recorded(instance):
+        bounds.append(len(ascents))
+        return bound(instance)
+
     monkeypatch.setattr(optdec.problems, "entropic_wasserstein", counted)
+    monkeypatch.setattr(optdec.network, "_dual_norm_bound", recorded)
     measures = np.random.default_rng(21).dirichlet(np.full(30, 2.0), size=8)
     inst = barycenter_problem(measures, grid_cost(30), 0.05, Topology.ring(8))
-    _, trace, _ = run_distributed("spdstm", inst, {"eps": 5e-3, "N": 50,
-                                                   "metric_every": metric_every})
-    assert len(calls) == ascents
-    assert sum(row["dual_gap"] is not None for row in trace.rows) == (metric_every > 0)
+
+    def run(**config):
+        return run_distributed("spdstm", inst, {"eps": 5e-3, **config})[1]
+    return SimpleNamespace(run=run, ascents=ascents, bounds=bounds)
+
+
+def _measured(trace):
+    return sum(row["dual_gap"] is not None for row in trace.rows)
+
+
+@pytest.mark.parametrize("metric_every, ascents", [(0, 0), (50, 8)])
+def test_barycenter_run_ascends_only_for_R_y_and_the_primal_value(barycenter_ot, metric_every,
+                                                                   ascents):
+    # at a fixed N no decision reads R_y, whose guard passes every norm up to DIVERGENCE_FACTOR:
+    # the only ascents are f(x~)'s, one per node in the final metric
+    trace = barycenter_ot.run(N=50, metric_every=metric_every)
+    assert (len(barycenter_ot.ascents), barycenter_ot.bounds) == (ascents, [])
+    assert _measured(trace) == (metric_every > 0)
+
+
+def test_barycenter_auto_N_ascends_for_R_y_in_set_up(barycenter_ot):
+    # the plan reads R_y before any step: 8 ascents more than the same run at a fixed N
+    trace = barycenter_ot.run(N="auto", metric_every=0)
+    assert (len(barycenter_ot.ascents), barycenter_ot.bounds) == (8, [0])
+    assert trace.final["iter"] > 50 and not trace.flags  # a plan the cap did not stop
+
+
+@pytest.mark.parametrize("stop_gap", [-1e9, 1e9])
+def test_barycenter_stop_gap_ascends_for_R_y_once_a_gap_reaches_it(barycenter_ot, stop_gap):
+    # the test ||A x~|| R_y <= eps runs only on a measured gap at most stop_gap: never at -1e9,
+    # and at 1e9 from the first metric on (after its 8 ascents), R_y computed once
+    trace = barycenter_ot.run(N=50, metric_every=10, stop_gap=stop_gap)
+    reached = stop_gap > 0
+    assert _measured(trace) == 5
+    assert barycenter_ot.bounds == ([8] if reached else [])
+    assert len(barycenter_ot.ascents) == 8 * 5 + 8 * reached
+
+
+def test_barycenter_given_R_y_ascends_for_none(barycenter_ot):
+    # a given constant replaces the bound in the plan and in the stop test
+    trace = barycenter_ot.run(N="auto", metric_every=10, stop_gap=1e9, R_y=2.0)
+    assert barycenter_ot.bounds == []
+    assert len(barycenter_ot.ascents) == 8 * _measured(trace) > 0
+
+
+def test_barycenter_guard_ascends_for_R_y_above_the_divergence_factor(barycenter_ot,
+                                                                     monkeypatch):
+    # an iterate norm above DIVERGENCE_FACTOR is weighed against R_y: the first step's trips it
+    monkeypatch.setattr(optdec.dual, "DIVERGENCE_FACTOR", 1e-12)
+    with pytest.raises(DivergenceError) as caught:
+        barycenter_ot.run(N=50, metric_every=0)
+    assert (len(barycenter_ot.ascents), barycenter_ot.bounds) == (8, [0])
+    assert caught.value.trace.final["iter"] == 0
 
 
 # ---------------------------------------------------------------------------
