@@ -104,8 +104,9 @@ def validate_config(cfg: dict) -> dict:
     kinds = METHODS[method].kinds
     if kind not in kinds:
         raise ConfigError(f"method {method} runs on problem kinds {kinds}, not {kind!r}")
-    if kind == "custom" and problem["A_csv"] is None and "penalty" in kinds:
-        raise ConfigError(f"method {method} needs a constraint matrix")
+    if kind == "custom" and (problem["A_csv"] is None) == ("penalty" in kinds):
+        raise ConfigError(f"method {method} needs a constraint matrix" if "penalty" in kinds else
+                          f"method {method} reads no constraint matrix: problem.A_csv must be null")
     method_noise(method, noise)
     return out
 
@@ -211,10 +212,7 @@ def _custom(f, seed):
     A = None
     if f["A_csv"] is not None:
         A = np.loadtxt(_csv(f, "A_csv"), delimiter=",", ndmin=2)
-        if A.shape[1] != b.size:
-            raise ValueError(f"A must have one column per coordinate ({b.size}), "
-                             f"got shape {A.shape}")
-        A, _ = constraint_gram(A, b.size)  # finite and not all zero, before any solver reads it
+        A, _ = constraint_gram(A, b.size)  # its shape, finite and not all zero, before any solve
     return qp, A
 
 

@@ -70,6 +70,11 @@ def _exact_grad_norm(dual: DualOracle, y) -> float:
     return _norm(dual.A @ dual.x_exact(dual.A.T @ y))
 
 
+def _measured(k: int, N: int, metric_every: int) -> bool:
+    """Row ``k`` of ``N`` carries metrics: each ``metric_every``-th and the last (0: none)."""
+    return bool(metric_every) and (k % metric_every == 0 or k == N)
+
+
 def _guard(z, scale, trace, label):
     """Trip on ``||z||`` above ``DIVERGENCE_FACTOR (1 + scale())``, or not a number.
 
@@ -130,7 +135,7 @@ def spdstm(dual: DualOracle, N: int, eps: float, beta: float, *,
     def after(k, y, z, A):
         _guard(z, read_R_y, trace, "spdstm")
         gap = feas = None
-        if metric_every and ((k + 1) % metric_every == 0 or k + 1 == N):  # as sstm_sc
+        if _measured(k + 1, N, metric_every):
             metrics = duality_gap(dual.primal, dual, acc / A, y)
             gap, feas = metrics["gap"], metrics["constraint_norm"]
         trace.record(k + 1, A, dual_gap=gap, constraint_norm=feas)
@@ -184,7 +189,7 @@ def sstm_sc(dual: DualOracle, y0, N: int, batch: int = 1, *, seed: int = 0,
         return (z0 + sum_mu_y - sum_g) / (1.0 + A_next * mu)
 
     def metrics(k, point):
-        if not metric_every or (k % metric_every and k != N):
+        if not _measured(k, N, metric_every):
             return None, None
         gn = _exact_grad_norm(dual, point)
         dist = float(np.linalg.norm(point - y_star) ** 2) if y_star is not None else None
@@ -340,11 +345,17 @@ class RestartConfig:
 
 
 def _smallest_N_bar(L_psi, mu_psi, C):
+    def too_large(N):
+        return C * L_psi ** 2 * math.log(N) ** 4 / (mu_psi ** 2 * N ** 4) > 1.0 / 32.0
+
+    # ln(N) / N falls from N = 3 on and is the same at 2 as at 4: if the cap fails, every N does
+    if too_large(cap := 10 ** 6):
+        raise RuntimeError(f"no restart inner budget N_bar up to its cap {cap} meets C (L_psi / "
+                           f"mu_psi)^2 ln(N)^4 / N^4 <= 1/32: L_psi / mu_psi = {L_psi / mu_psi:g}, "
+                           f"C = {C:g}")
     N = 2
-    while C * L_psi ** 2 * math.log(N) ** 4 / (mu_psi ** 2 * N ** 4) > 1.0 / 32.0:
+    while too_large(N):
         N += 1
-        if N > 10 ** 6:
-            raise RuntimeError("no admissible inner budget below cap")
     return N
 
 

@@ -156,7 +156,7 @@ def _ac_sa(p, N, eps, beta, c, seed, recursive=False):
 
 
 # sstm_sc and restarted_rrma need mu_psi > 0, which barycenter locals (no L) lack;
-# a method that runs on "penalty" needs a constraint matrix, so on "custom" it needs A_csv
+# a method reads an A_csv on "custom" exactly when it runs on "penalty", which has a matrix A
 _PLAIN, _AFFINE = ("quadratic", "custom"), ("penalty", "custom")
 _CONSENSUS = _AFFINE + ("consensus_quadratic",)
 _STM, _ACSA = frozenset({"step_factor", "max_N"}), frozenset({"m_iters", "lambda"})

@@ -115,7 +115,7 @@ def constraint_gram(A, dim: int):
     """Checked dense ``(m_rows x dim)`` matrix ``A``, finite and not all zero, and ``A^T A``."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != dim:
-        raise ValueError("A must be a (m_rows x dim) matrix")
+        raise ValueError(f"A must have one column per coordinate ({dim}), got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("A must be finite")
     if not np.any(A):
@@ -261,13 +261,6 @@ class NoiseSpec:
         return buf[0]
 
 
-def e_1(x: np.ndarray) -> np.ndarray:
-    """The bias field: the first unit vector, shaped like ``x``."""
-    e = np.zeros_like(x)
-    e[0] = 1.0
-    return e
-
-
 class FirstOrderOracle:
     """Exact first-order oracle for an L-smooth, mu-strongly convex function.
 
@@ -323,7 +316,9 @@ class _NoisySampler:
         x = self._exact(at)
         delta, block = self.noise.delta, self.noise_block
         if delta > 0:
-            x = (x.reshape(-1, block) + delta * e_1(np.zeros(block))).reshape(-1)
+            bias = np.zeros(block)
+            bias[0] = delta
+            x = (x.reshape(-1, block) + bias).reshape(-1)
         return x
 
     def _sample(self, at: np.ndarray, rng: np.random.Generator, center=None, row=None) -> np.ndarray:
@@ -357,6 +352,8 @@ class _NoisySampler:
         per-sample method as looked up on ``self``, so that patches of it
         see every sample.
         """
+        if r < 1:
+            raise ValueError("batch size must be >= 1")
         center = self._sample_center(at)
         if self.noise.silent:
             for _ in range(r):
@@ -389,8 +386,6 @@ class StochasticGradientOracle(_NoisySampler):
     sample = _NoisySampler._sample
 
     def batch(self, x: np.ndarray, r: int, streams: RngStreams) -> np.ndarray:
-        if r < 1:
-            raise ValueError("batch size must be >= 1")
         return self._batch_mean(x, r, streams, self.sample)
 
 
@@ -479,8 +474,6 @@ class DualOracle(_NoisySampler):
         The maximiser and bias are computed once; each sample adds its own
         noise to them.
         """
-        if r < 1:
-            raise ValueError("batch size must be >= 1")
         u = self.apply_At(np.asarray(y, dtype=float))
         x_mean = self._batch_mean(u, r, streams, self.sample_x)
         return self.apply_A(x_mean), x_mean

@@ -78,8 +78,7 @@ def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source, f_star, x_s
     mu = oracle.mu if mode == "strongly_convex" else 0.0
     if mode == "strongly_convex" and oracle.mu <= 0:
         raise ValueError("strongly_convex mode requires oracle.mu > 0")
-    if oracle.L <= 0:
-        raise ValueError("oracle.L must be positive")
+    step = stm_step(oracle.L, mu, step_factor)  # checks L before any evaluation
 
     x = np.array(x0, dtype=float)
     trace = RunTrace(oracle.counter, _R0(x, x_star))
@@ -92,7 +91,7 @@ def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source, f_star, x_s
 
     trace.record(0, 0.0, f_gap=gap(x))
     x_avg, _, _ = triangle(
-        stm_step(oracle.L, mu, step_factor), 0.0, x, x, N, gradient_source,
+        step, 0.0, x, x, N, gradient_source,
         _pull_back(mu) if mu != 0.0 else lambda z, g, x_tilde, alpha, A_next: z - alpha * g,
         after)
     return x_avg, trace

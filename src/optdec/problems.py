@@ -201,26 +201,33 @@ def min_norm_dual_solution(Q, b, A):
 # entropic optimal transport
 
 
-def _on_simplex(q, tol=1e-12) -> bool:
+def _on_simplex(q) -> bool:
     return bool(np.isfinite(q).all()) and not (
-        np.any(q < -tol) or abs(q.sum() - 1.0) > max(tol, 1e-12 * q.size))
+        np.any(q < -1e-12) or abs(q.sum() - 1.0) > 1e-12 * max(1, q.size))
 
 
-def _check_simplex(q, tol=1e-12):
+def _check_simplex(q, where="measure"):
     q = np.asarray(q, dtype=float)
-    if not _on_simplex(q, tol):
-        raise ValueError("measure must be finite and lie in the probability simplex")
+    if not _on_simplex(q):
+        raise ValueError(f"{where} must be finite and lie in the probability simplex")
     return np.clip(q, 0.0, None)
 
 
+def _check_measures(M) -> np.ndarray:
+    """The rows of ``M``, each checked by :func:`_check_simplex` naming ``problem.measures``."""
+    return np.array([_check_simplex(q, f"problem.measures row {i}") for i, q in enumerate(M, 1)])
+
+
 def _check_entropic(q, C, mu):
-    """Validated ``(q, C)`` for the entropic functions; ``mu`` must be positive, ``C`` finite."""
+    """Validated ``(q, C)`` for the entropic functions; ``mu`` must be positive, ``C`` finite.
+    ``q`` is one measure, or the ``(m, n)`` rows of ``m`` (:func:`_check_measures`)."""
     if not mu > 0:
         raise ValueError("mu must be positive")
-    q = _check_simplex(q)
+    q = _check_simplex(q) if np.ndim(q) == 1 else _check_measures(q)
     C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[1] != q.size:
-        raise ValueError(f"cost must have one column per atom of q ({q.size}), got shape {C.shape}")
+    if C.ndim != 2 or C.shape[1] != q.shape[-1]:
+        raise ValueError(f"cost must have one column per atom of q ({q.shape[-1]}), "
+                         f"got shape {C.shape}")
     if not np.isfinite(C).all():
         raise ValueError("cost must be finite")
     return q, C
@@ -431,12 +438,9 @@ def barycenter_problem(measures, C, mu: float, topology):
 
     measures = np.atleast_2d(np.asarray(measures, dtype=float))
     n = measures.shape[1]
-    C = np.asarray(C, dtype=float)
-    if C.shape != (n, n):
-        raise ValueError(f"cost must be {n}x{n} for {n} atoms, got shape {C.shape}")
-    for q in measures:
-        _check_entropic(q, C, mu)
-    Q = np.clip(measures, 0.0, None)
+    if np.shape(C) != (n, n):
+        raise ValueError(f"cost must be {n}x{n} for {n} atoms, got shape {np.shape(C)}")
+    Q, C = _check_entropic(measures, C, mu)
     marginal = _transport_marginal(C, mu)
     locals_ = [_local_oracle(q, C, mu, marginal) for q in Q]
     return DecentralizedInstance(locals_, topology, n, batched_argmax=lambda U: marginal(U, Q))
@@ -486,10 +490,7 @@ def projected_gradient_barycenter(measures, C, mu: float, iters: int = 2000,
 
 def load_measures_csv(path) -> np.ndarray:
     """Measures file (a path or its lines): one row per measure, ``n`` columns summing to one."""
-    M = np.atleast_2d(np.loadtxt(path, delimiter=","))
-    for row in M:
-        _check_simplex(row, tol=1e-9)
-    return M
+    return _check_measures(np.atleast_2d(np.loadtxt(path, delimiter=",")))
 
 
 def load_cost_csv(path) -> np.ndarray:

@@ -242,10 +242,6 @@ def acsa_params(t: int, L_tilde_psi: float):
     return 2.0 / (t + 1), 4.0 * L_tilde_psi / (t * (t + 1))
 
 
-def _ceil_at_least_one(x: float) -> int:
-    return max(1, math.ceil(x))
-
-
 def batch_size_sstm(alpha_next: float, A_next: float, mu: float, sigma: float,
                     eps: float, N: int, beta: float) -> int:
     """Mini-batch size ``max(1, ceil(sigma^2 alpha ln(N/beta) / ((1+A mu) eps)))``."""
@@ -254,7 +250,7 @@ def batch_size_sstm(alpha_next: float, A_next: float, mu: float, sigma: float,
     if sigma == 0.0:
         return 1
     raw = sigma ** 2 * alpha_next * math.log(N / beta) / ((1.0 + A_next * mu) * eps)
-    return _ceil_at_least_one(raw)
+    return max(1, math.ceil(raw))
 
 
 def batch_size_spdstm(alpha_tilde_k: float, sigma_psi: float, eps: float,
@@ -267,7 +263,7 @@ def batch_size_spdstm(alpha_tilde_k: float, sigma_psi: float, eps: float,
     if sigma_psi == 0.0:
         return 1
     raw = sigma_psi ** 2 * alpha_tilde_k * math.log(N / beta) / (C_hat * eps)
-    return _ceil_at_least_one(raw)
+    return max(1, math.ceil(raw))
 
 
 def batch_size_sstm_sc(L_psi: float, mu_psi: float, sigma_psi: float, eps: float,
@@ -282,4 +278,4 @@ def batch_size_sstm_sc(L_psi: float, mu_psi: float, sigma_psi: float, eps: float
     if sigma_psi == 0.0 or N == 0:
         return 1
     raw = (mu_psi / L_psi) ** 1.5 * N ** 2 * sigma_psi ** 2 * math.log(N / beta) / (C * eps)
-    return _ceil_at_least_one(raw)
+    return max(1, math.ceil(raw))

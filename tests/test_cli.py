@@ -55,6 +55,13 @@ def test_validate_rejects_unknown_problem_key():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("cfg", [[], "stm", None, 3])
+def test_validate_rejects_a_config_that_is_not_an_object(cfg):
+    # optdec run reads the file as an object first; a library caller reaches this
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        validate_config(cfg)
+
+
 def test_validate_rejects_unknown_method():
     with pytest.raises(ConfigError):
         validate_config(quad_config(method="sgd"))
@@ -414,6 +421,39 @@ def test_a_step_size_overflow_exits_3_with_one_line_naming_its_step(tmp_path):
     assert trace.final["iter"] == 2040 and trace.final["A_k"] == 2.8559636854211654e+154
 
 
+def test_a_step_size_overflow_raises_divergence_in_process():
+    # the subprocess test above is not seen by an in-process tracer; A's digits follow the BLAS
+    # kernel (L_psi and mu_psi come from an eigendecomposition), the step does not
+    cfg = {"method": "sstm_sc", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
+           "eps": 0.01, "seed": 3, "N": 3200, "constants": {"metric_every": 400}}
+    with pytest.raises(optdec.dual.DivergenceError) as caught:
+        cli.execute_run(validate_config(cfg))
+    message, trace = str(caught.value), caught.value.trace
+    assert message.startswith("sstm_sc: step size overflow at step 2041: A = ")
+    assert message.endswith(" gives A' = inf") and trace.flags == [message]
+    assert trace.final["iter"] == 2040
+
+
+def test_a_restart_budget_above_its_cap_exits_3_naming_it(tmp_path, capsys):
+    # the search ran through 10^6 values of N_bar (1.3 s) to a line that named nothing
+    cfg = {"method": "restarted_rrma", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3,
+                                                   "cond": 1e10}, "eps": 0.1, "seed": 3}
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 3
+    assert re.fullmatch(r"runtime error: no restart inner budget N_bar up to its cap 1000000 meets "
+                        r"C \(L_psi / mu_psi\)\^2 ln\(N\)\^4 / N\^4 <= 1/32: "
+                        r"L_psi / mu_psi = \d\.\d+e\+10, C = 1\n", capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.trace.csv"))
+
+
+def test_a_linear_algebra_error_in_the_build_exits_3(tmp_path, capsys, monkeypatch):
+    # a LinAlgError is a ValueError, which a build's bad input is: it stays a runtime error
+    def build(problem, seed):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(cli, "build_problem", build)
+    assert main(["run", str(write_config(tmp_path, quad_config())), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "runtime error: Singular matrix\n"
+
+
 @pytest.mark.parametrize("eps", [1e-20, 1e-60, 1e-100])
 def test_a_singular_penalty_system_exits_3_naming_it(tmp_path, capsys, eps):
     # 2 (R_y^2/eps) A^T A swamps Q: numpy's bare "Singular matrix" named neither the system nor eps
@@ -630,6 +670,9 @@ def test_a_malformed_topology_file_exits_2_naming_the_field(tmp_path, capsys, pa
     assert not list(tmp_path.glob("**/*.trace.csv"))
 
 
+_NO_A_REFUSAL = "method {} reads no constraint matrix: problem.A_csv must be null"
+
+
 @pytest.mark.parametrize("method", ["stm", "stm_ips"])
 @pytest.mark.parametrize("name, value", [
     ("b", np.array([1.0, np.nan, 0.5])),
@@ -640,22 +683,60 @@ def test_a_malformed_topology_file_exits_2_naming_the_field(tmp_path, capsys, pa
 ], ids=["b_nan", "Q_inf", "Q_nan", "A_nan", "A_inf"])
 def test_a_non_finite_custom_array_exits_2_naming_it(tmp_path, capsys, method, name, value):
     # a NaN b wrote NaN gaps and bounds, an inf Q a NaN A_N (exit 0), and a NaN A
-    # exited 3 with "SVD did not converge"
-    files = {"A": np.array([[1.0, 1.0, 1.0]]), name: value}
-    cfgp = write_config(tmp_path, _bad_custom(tmp_path, method, **files))
+    # exited 3 with "SVD did not converge"; stm reads no A, so it is given none, and refuses
+    # an A file whatever it holds
+    files = {"A": np.array([[1.0, 1.0, 1.0]])} if method == "stm_ips" else {}
+    cfgp = write_config(tmp_path, _bad_custom(tmp_path, method, **{**files, name: value}))
     assert main(["run", str(cfgp), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: invalid custom problem: {name} must be finite\n"
+    refusal = (_NO_A_REFUSAL.format(method) if (method, name) == ("stm", "A")
+               else f"invalid custom problem: {name} must be finite")
+    assert err == f"config error: {refusal}\n"
     assert not list(tmp_path.glob("**/*.trace.csv"))
 
 
 def test_an_all_zero_custom_A_exits_2_for_every_method(tmp_path, capsys):
-    # a solver that reads A raised an uncaught ValueError (exit 1); stm, which reads none, ran
-    for method in ("stm", "spdstm"):
+    # a solver that reads A raised an uncaught ValueError (exit 1); stm, which reads none, ran,
+    # and now refuses an A file whatever it holds
+    for method, refusal in (("stm", _NO_A_REFUSAL.format("stm")),
+                            ("spdstm", "invalid custom problem: A must not be identically zero")):
         cfgp = write_config(tmp_path, _bad_custom(tmp_path, method, A=np.zeros((1, 3))))
         assert main(["run", str(cfgp), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("config error: invalid custom problem: "
-                                           "A must not be identically zero\n")
+        assert capsys.readouterr().err == f"config error: {refusal}\n"
+
+
+@pytest.mark.parametrize("method", ["stm", "sstm"])
+def test_a_method_that_reads_no_A_refuses_an_A_csv(tmp_path, capsys, monkeypatch, method):
+    # both ran with a constraint file to the rows of the run without one: it was read,
+    # checked, then dropped
+    runs = []
+    monkeypatch.setattr(cli, "execute_run", lambda cfg: runs.append(cfg))
+    cfg = _bad_custom(tmp_path, method, A=np.array([[1.0, -1.0, 0.0]]))
+    path = write_config(tmp_path, cfg)
+    sweep = ["sweep", str(path), "--param", "eps", "--values", "0.1,0.01"]
+    for argv in (["run", str(path)], sweep):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {_NO_A_REFUSAL.format(method)}\n"
+    assert runs == [] and not (tmp_path / "out").exists()
+    validate_config({**cfg, "problem": {**cfg["problem"], "A_csv": None}})
+
+
+@pytest.mark.parametrize("cfg, refusal", [
+    (lambda t: _bad_custom(t, "spdstm", A=np.ones((2, 4))),
+     "invalid custom problem: A must have one column per coordinate (3), got shape (2, 4)"),
+    # a row within 1e-9 of the simplex passed the file's check, then failed the instance's 1e-12
+    # with a line that named neither the field nor the row
+    (lambda t: _bad_barycenter(t, measures=np.array([[0.3, 0.7], [0.6, 0.4 + 5e-11], [0.5, 0.5]])),
+     "invalid barycenter problem: problem.measures row 2 must be finite and lie in the "
+     "probability simplex"),
+    (lambda t: _bad_barycenter(t, measures=np.array([[0.3, 0.7], [0.5, 0.5], [np.nan, 0.5]])),
+     "invalid barycenter problem: problem.measures row 3 must be finite and lie in the "
+     "probability simplex"),
+], ids=["custom_A_too_wide", "measures_row_off_by_5e-11", "measures_row_nan"])
+def test_a_bad_problem_file_exits_2_naming_it(tmp_path, capsys, cfg, refusal):
+    assert main(["run", str(write_config(tmp_path, cfg(tmp_path))), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {refusal}\n"
+    assert not list(tmp_path.glob("*.trace.csv"))
 
 
 _RING4 = {"kind": "consensus_quadratic", "topology": {"kind": "ring", "m": 4}}
@@ -694,9 +775,11 @@ def test_null_noise_and_constants_run(tmp_path, key):
     assert main(["run", str(cfgp), "--out", str(tmp_path)]) == 0
 
 
-def _matrix_problem(tmp_path, kind):
-    if kind == "custom":
-        problem = _custom_without_A(tmp_path, "stm")["problem"]
+def _matrix_problem(tmp_path, kind, method="spdstm"):
+    if kind == "custom":  # with a constraint file for a method that reads one
+        problem = _custom_without_A(tmp_path, method)["problem"]
+        if "penalty" not in cli.METHODS[method].kinds:
+            return problem
         np.savetxt(tmp_path / "A.csv", np.array([[1.0, 1.0, 1.0]]), delimiter=",")
         return {**problem, "A_csv": str(tmp_path / "A.csv")}
     if kind == "barycenter":
@@ -710,8 +793,8 @@ def _matrix_problem(tmp_path, kind):
 @pytest.mark.parametrize("kind", cli.PROBLEM_KINDS)
 @pytest.mark.parametrize("method", cli.METHODS)
 def test_method_kind_matrix(tmp_path, capsys, method, kind):
-    cfg = {"method": method, "problem": _matrix_problem(tmp_path, kind), "eps": 0.1, "N": 3,
-           "seed": 1}
+    cfg = {"method": method, "problem": _matrix_problem(tmp_path, kind, method), "eps": 0.1,
+           "N": 3, "seed": 1}
     code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     if kind in cli.METHODS[method].kinds:

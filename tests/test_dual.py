@@ -449,6 +449,22 @@ def test_restart_config_count_formula():
     assert cfg.hat_r == 1 and cfg.bar_r == 1
 
 
+def _dual_without_mu_psi():
+    # L = 0, as on a barycenter node: mu_psi = lambda_min_plus(A^T A) / L is taken as 0
+    oracle = FirstOrderOracle(2, lambda x: 0.0, lambda x: x, L=0.0, mu=1.0)
+    return DualOracle(oracle, np.array([[1.0, -1.0]]), lambda u: u)
+
+
+@pytest.mark.parametrize("dual, eps, message", [
+    (_dual_without_mu_psi, 0.1, "restarted_rrma requires mu_psi > 0"),
+    (lambda: shifted_instance()[1], 0.0, "eps must be positive"),
+], ids=["mu_psi_zero", "eps_zero"])
+def test_restarted_rrma_refuses_a_dual_or_eps_outside_its_domain(dual, eps, message):
+    # optdec run offers restarted_rrma only kinds with mu_psi > 0, and checks eps first
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        restarted_rrma(dual(), np.zeros(1), eps, 0.1, R_y=1.0)
+
+
 def test_restarted_rrma_noiseless_contraction_and_target():
     oracle, dual = shifted_instance()
     eps, R_y = 1e-3, 1.0

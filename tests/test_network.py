@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fd_grad, rel_err
 from optdec import (CallCounter, argmax_solver_via_stm, DualOracle, FirstOrderOracle, NoiseSpec,
-                    DecentralizedInstance, DistributedDualOracle,
+                    DecentralizedInstance, DistributedDualOracle, KronOperator,
                     RngStreams, Topology, barycenter_problem, chi,
                     laplacian, laplacian_pair, lift_laplacian, QuadraticProblem,
                     random_quadratic, run_distributed, spdstm, sqrt_psd,
@@ -474,6 +474,29 @@ def test_topology_rejects_self_loops_and_duplicates():
         Topology(3, ((0, 1), (1, 0)))
     with pytest.raises(ValueError):
         Topology(3, ((0, 5),))
+
+
+def _two_nodes_of_dims(*dims):
+    return [QuadraticProblem(np.eye(d), np.zeros(d)).oracle() for d in dims]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Topology.erdos_renyi(4, 0.0, np.random.default_rng(0)),
+     r"topology.p must be in \(0, 1\], got 0.0"),
+    (lambda: Topology.erdos_renyi(4, 1.5, np.random.default_rng(0)),
+     r"topology.p must be in \(0, 1\], got 1.5"),
+    (lambda: lift_laplacian(np.eye(2), 0), "n must be >= 1"),
+    (lambda: KronOperator(np.array([[1.0, 2.0], [0.0, 1.0]]), 2), "M must be a symmetric matrix"),
+    (lambda: KronOperator(np.ones(3), 2), "M must be a symmetric matrix"),
+    (lambda: KronOperator(np.eye(2), 0), "n must be >= 1"),
+    (lambda: DecentralizedInstance(_two_nodes_of_dims(2, 3), Topology.path(2), 2),
+     "all local oracles must share dimension n"),
+], ids=["erdos_renyi_p_zero", "erdos_renyi_p_above_1", "lift_n_zero", "kron_asymmetric",
+        "kron_a_vector", "kron_n_zero", "instance_dims_differ"])
+def test_a_network_builder_refuses_a_value_outside_its_domain(call, message):
+    # optdec run checks p, n and the nodes in its problem table; a library caller reaches these
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_topology_json_round_trip():

@@ -319,6 +319,27 @@ def test_dual_rejects_zero_map():
         DualOracle(oracle, np.zeros((1, 2)), qp.conjugate_argmax)
 
 
+def _dual_of_identity():
+    oracle, qp = make_quadratic_oracle(dim=2)
+    return DualOracle(oracle, np.array([[1.0, -1.0]]), qp.conjugate_argmax)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FirstOrderOracle(2, None, None, L=-1.0), "L and mu must be non-negative"),
+    (lambda: FirstOrderOracle(2, None, None, L=1.0, mu=-0.5), "L and mu must be non-negative"),
+    (lambda: DualOracle(make_quadratic_oracle(dim=2)[0], np.ones((1, 3)), None),
+     r"A must have one column per coordinate \(2\), got shape \(1, 3\)"),
+    (lambda: DualOracle(make_quadratic_oracle(dim=2)[0], np.ones(2), None),
+     r"A must have one column per coordinate \(2\), got shape \(2,\)"),
+    (lambda: _dual_of_identity().batch_grad_and_x(np.zeros(1), 0, RngStreams(0)),
+     "batch size must be >= 1"),
+], ids=["L_negative", "mu_negative", "A_too_wide", "A_a_vector", "dual_batch_zero"])
+def test_an_oracle_refuses_a_value_outside_its_domain(call, message):
+    # optdec run builds its oracles only from checked problems; a library caller reaches these
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_demyanov_danskin_on_random_duals():
     rng = np.random.default_rng(21)
     M = rng.standard_normal((3, 3))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import optdec.primal
 from conftest import (expression_form_inner_prox, expression_form_pull_back, fd_grad, rel_err,
                       split_form_inner_prox, table_form_inner_prox)
-from optdec import (NoiseSpec, QuadraticProblem, StochasticGradientOracle,
+from optdec import (FirstOrderOracle, NoiseSpec, QuadraticProblem, StochasticGradientOracle,
                     build_penalty, random_quadratic, sstm, stm, stm_ips,
                     verify_penalty_transfer)
 from optdec.primal import (_TABLE_BLOCK_CAP, CompositeProblem, _inner_prox_stm, _prox_step_table,
@@ -143,6 +143,50 @@ def test_penalty_gradient_matches_fd():
     pen = build_penalty(qp.oracle(), A, 2.0, 0.05)
     x = rng.standard_normal(4)
     assert rel_err(pen.grad_h(x), fd_grad(pen.h_value, x)) <= 1e-6
+
+
+def _flat_oracle(L=1.0):
+    """``f = 0`` on one coordinate: not strongly convex, and no quadratic declared."""
+    return FirstOrderOracle(1, lambda x: 0.0, lambda x: np.zeros(1), L=L)
+
+
+def _penalty(base=None, R_y=1.0, eps=0.1):
+    return build_penalty(base or scalar_quadratic().oracle(), np.eye(1), R_y, eps)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: stm(scalar_quadratic().oracle(), np.zeros(1), 3, mode="concave"),
+     "unknown mode 'concave'"),
+    (lambda: stm(_flat_oracle(), np.zeros(1), 3, mode="strongly_convex"),
+     "strongly_convex mode requires oracle.mu > 0"),
+    (lambda: _penalty(eps=0.0), "eps and R_y must be positive"),
+    (lambda: _penalty(R_y=-1.0), "eps and R_y must be positive"),
+    (lambda: stm_ips(_penalty(), np.zeros(1), 3, prox_mode="newton"), "unknown prox_mode 'newton'"),
+    (lambda: stm_ips(CompositeProblem(_flat_oracle(), lambda x: 0.0, lambda z, out=None: 0 * z,
+                                      1.0), np.zeros(1), 3, prox_mode="exact"),
+     "problem has no exact proximal solver"),
+    (lambda: argmax_solver_via_stm(_flat_oracle()),
+     "argmax solver requires a strongly convex oracle"),
+    (lambda: verify_penalty_transfer(np.zeros(1), _penalty(_flat_oracle()), 0.0),
+     "the constrained optimum needs a quadratic base"),
+], ids=["stm_mode_unknown", "stm_strongly_convex_without_mu", "penalty_eps_zero",
+        "penalty_R_y_negative", "stm_ips_prox_mode_unknown", "stm_ips_exact_without_solver",
+        "argmax_solver_without_mu", "transfer_without_quadratic"])
+def test_a_primal_solver_refuses_a_value_outside_its_domain(call, message):
+    # optdec run passes only checked modes and problems; a library caller reaches these
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("solver", [stm, lambda oracle, x0, N, **kw: sstm(
+    StochasticGradientOracle(oracle, NoiseSpec()), x0, N, 0.1, 0.1, **kw)], ids=["stm", "sstm"])
+def test_a_primal_run_refuses_L_0_before_any_evaluation(solver):
+    calls = []
+    oracle = FirstOrderOracle(1, lambda x: calls.append(x) or 0.0, lambda x: calls.append(x) or x,
+                              L=0.0)
+    with pytest.raises(ValueError, match="^L must be positive$"):
+        solver(oracle, np.ones(1), 3, f_star=0.0)
+    assert calls == [] and oracle.counter.grad_calls == 0
 
 
 def test_penalty_rejects_zero_map():

@@ -669,6 +669,27 @@ def test_transport_inputs_must_be_finite(tmp_path, value):
         entropic_wasserstein(np.array([value, 0.5]), measures[1], C, 0.5)
 
 
+_Q, _COST = np.array([0.3, 0.7]), np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: entropic_ot_dual_value(np.zeros(2), _Q, _COST, 0.0), "mu must be positive"),
+    (lambda: entropic_ot_dual_grad(np.zeros(3), _Q, np.ones((3, 3)), 0.5),
+     r"cost must have one column per atom of q \(2\), got shape \(3, 3\)"),
+    (lambda: entropic_wasserstein(np.array([0.2, 0.3, 0.5]), _Q, _COST, 0.5),
+     r"cost must have one row per atom of p \(3\), got shape \(2, 2\)"),
+    (lambda: barycenter_problem(np.array([_Q, _Q[::-1]]), _COST, -1.0, Topology.path(2)),
+     "mu must be positive"),
+    (lambda: barycenter_problem(np.array([_Q, [0.6, 0.4 + 5e-11]]), _COST, 0.5, Topology.path(2)),
+     "problem.measures row 2 must be finite and lie in the probability simplex"),
+], ids=["dual_value_mu_zero", "dual_grad_cost_too_wide", "wasserstein_cost_too_short",
+        "barycenter_mu_negative", "barycenter_row_off_by_5e-11"])
+def test_an_entropic_function_refuses_a_value_outside_its_domain(call, message):
+    # optdec run checks mu and the cost in its problem table; a library caller reaches these
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_wasserstein_refuses_a_nan_residual(monkeypatch):
     # res > tol is False for NaN: the solve must not return it as converged
     monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: np.nan)

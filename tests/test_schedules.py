@@ -155,6 +155,22 @@ def test_acsa_params_rejects_zero():
         acsa_params(0, 1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: next_alpha_stm(-1.0, 1.0), "A_k must be non-negative"),
+    (lambda: acsa_params(1, 0.0), "L_tilde_psi must be positive"),
+    (lambda: batch_size_sstm(1.0, 1.0, 0.0, 1.0, 0.0, 10, 0.1), "eps must be positive"),
+    (lambda: batch_size_spdstm(1.0, 1.0, 0.1, 10, 0.1, C_hat=0.0), "C_hat must be positive"),
+    (lambda: batch_size_spdstm(1.0, 1.0, -0.1, 10, 0.1), "eps must be positive"),
+    (lambda: batch_size_sstm_sc(1.0, 0.5, 1.0, 0.0, 10, 0.1), "eps and C must be positive"),
+    (lambda: batch_size_sstm_sc(1.0, 0.5, 1.0, 0.1, 10, 0.1, C=0.0), "eps and C must be positive"),
+], ids=["next_alpha_stm_A_k", "acsa_params_L", "batch_size_sstm_eps", "batch_size_spdstm_C_hat",
+        "batch_size_spdstm_eps", "batch_size_sstm_sc_eps", "batch_size_sstm_sc_C"])
+def test_a_schedule_refuses_a_value_outside_its_domain(call, message):
+    # optdec run checks these before any schedule is read; a library caller reaches them first
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # batch rules
 
