@@ -10,7 +10,7 @@ check the sqrt(1/eps) iteration law.
 import numpy as np
 
 from optdec import random_quadratic, stm
-from optdec.schedules import next_alpha_stm
+from optdec.schedules import gap_certificate_N
 
 rng = np.random.default_rng(0)
 
@@ -41,8 +41,5 @@ print(f"strongly-convex-mode final gap: {trace_sc.final['f_gap']:.3e}")
 # iteration law: the N needed to certify eps scales like sqrt(1/eps)
 print("\n  eps      N(eps) from the certificate")
 for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-    A, N = 0.0, 0
-    while 1.5 * R0 ** 2 / max(A, 1e-300) > eps:
-        N += 1
-        _, A = next_alpha_stm(A, oracle.L, 0.0, factor=2.0)
+    N = gap_certificate_N(R0, oracle.L, eps, max_N=10 ** 6)
     print(f"{eps:7.0e}  {N:6d}")

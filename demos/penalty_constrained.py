@@ -11,7 +11,7 @@ import numpy as np
 
 from optdec import QuadraticProblem, build_penalty, stm_ips, verify_penalty_transfer
 from optdec.problems import constrained_quadratic_optimum, min_norm_dual_solution
-from optdec.schedules import next_alpha_stm
+from optdec.schedules import gap_certificate_N
 
 # f(x) = 0.5 ||x - (1, 3)||^2 constrained to x1 = x2; the constrained
 # optimum is (2, 2) with value 1 (up to the fixed constant)
@@ -32,11 +32,7 @@ x_F = np.linalg.solve(problem.Q + 2 * penalty.coeff * penalty.AtA, problem.b)
 F_star = penalty.F_value(x_F)
 
 # iterations sized by the certificate
-R0 = np.linalg.norm(x_F)
-acc, N = 0.0, 0
-while 1.5 * R0 ** 2 / max(acc, 1e-300) > eps:
-    N += 1
-    _, acc = next_alpha_stm(acc, problem.L, 0.0, factor=2.0)
+N = gap_certificate_N(np.linalg.norm(x_F), problem.L, eps, max_N=10 ** 6)
 print(f"running {N} outer steps (certificate-sized for eps={eps:g})")
 
 x, trace = stm_ips(penalty, np.zeros(2), N, F_star=F_star, x_star=x_F)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import DualOracle, RngStreams
-from .schedules import acsa_params, batch_size_spdstm, stm_step, triangle
+from .schedules import _out_of_range, acsa_params, batch_size_spdstm, stm_step, triangle
 from .trace import RunTrace
 
 __all__ = [
@@ -365,9 +365,14 @@ def _probe_batch(const: float, sigma_psi: float, count: int, beta: float, R_y: f
     or 1 for a noiseless oracle."""
     if sigma_psi == 0.0:
         return 1
-    return max(1, math.ceil(
-        const * sigma_psi ** 2 * (1.0 + math.sqrt(3.0 * math.log(count / beta))) ** 2
-        * R_y ** 2 / eps ** 2))
+    try:
+        return max(1, math.ceil(
+            const * sigma_psi ** 2 * (1.0 + math.sqrt(3.0 * math.log(count / beta))) ** 2
+            * R_y ** 2 / eps ** 2))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(exc, f"restart probe batch {const:g} sigma_psi^2 (1 + sqrt(3 "
+                           f"ln(count/beta)))^2 R_y^2 / eps^2", sigma_psi=sigma_psi,
+                           count=count, beta=beta, R_y=R_y, eps=eps) from None
 
 
 def restart_config(dual: DualOracle, grad0_norm: float, eps: float, beta: float,
@@ -378,7 +383,11 @@ def restart_config(dual: DualOracle, grad0_norm: float, eps: float, beta: float,
     selection batches scale like ``sigma^2 R_y^2 / eps^2`` and degenerate
     to 1 when the oracle is noiseless.
     """
-    l = max(1, math.ceil(math.log2(max(2.0 * R_y ** 2 * grad0_norm ** 2 / eps ** 2, 2.0))))
+    try:
+        l = max(1, math.ceil(math.log2(max(2.0 * R_y ** 2 * grad0_norm ** 2 / eps ** 2, 2.0))))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(exc, "restart count log2(2 R_y^2 ||grad||^2 / eps^2)", R_y=R_y,
+                           grad_norm=grad0_norm, eps=eps) from None
     p = max(1, math.ceil(math.log2(l / beta)))
     hat_r = _probe_batch(4.0, dual.sigma_psi, l, beta, R_y, eps)
     bar_r = _probe_batch(128.0, dual.sigma_psi, l * p, beta, R_y, eps)

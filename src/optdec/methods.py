@@ -51,9 +51,8 @@ class Constant(NamedTuple):  # a constant's default and domain
 _POSITIVE, _ANY = (False, 0, True), (False, float("-inf"), False)
 CONSTANTS = {
     "C": Constant(1.0, *_POSITIVE), "C_hat": Constant(1.0, *_POSITIVE),
-    "step_factor": Constant(2.0, *_POSITIVE), "L_tilde_factor": Constant(2.0, *_POSITIVE),
+    "L_tilde_factor": Constant(2.0, *_POSITIVE), "inner_T": Constant(None, True, 0, False),
     "lambda": Constant(None, *_POSITIVE), "R_y": Constant(None, *_POSITIVE),
-    "inner_T": Constant(None, True, 0, False), "m_iters": Constant(None, True, 0, False),
     "stop_gap": Constant(None, *_ANY), "stop_grad_norm": Constant(None, *_ANY),
     "metric_every": Constant(1, True, 0, False), "max_N": Constant(200_000, True, 1, False),
 }
@@ -90,15 +89,14 @@ class Machine:
 
 
 def _stm(p, N, eps, beta, c, seed, stochastic=False):
-    oracle, qp, step_factor = p.oracle, p.qp, c["step_factor"]
+    oracle, qp = p.oracle, p.qp
     N, capped = capped_N(N, lambda cap: gap_certificate_N(
-        float(np.linalg.norm(p.x0 - qp.x_star)), oracle.L, eps, cap, step_factor), c["max_N"])
+        float(np.linalg.norm(p.x0 - qp.x_star)), oracle.L, eps, cap), c["max_N"])
     if stochastic:
         x, trace = sstm(StochasticGradientOracle(oracle, p.noise), p.x0, N, eps, beta, seed=seed,
-                        step_factor=step_factor, f_star=qp.f_star, x_star=qp.x_star)
+                        f_star=qp.f_star, x_star=qp.x_star)
     else:
-        x, trace = stm(oracle, p.x0, N, f_star=qp.f_star, x_star=qp.x_star,
-                       step_factor=step_factor)
+        x, trace = stm(oracle, p.x0, N, f_star=qp.f_star, x_star=qp.x_star)
     return trace, None, x, capped
 
 
@@ -142,16 +140,16 @@ def _restarted_rrma(p, N, eps, beta, c, seed):
 
 
 def _ac_sa(p, N, eps, beta, c, seed, recursive=False):
-    # m_iters steps (default N, or 100 for "auto") at weight lambda, and one trace row
+    # N steps (100 for "auto") at weight lambda, and one trace row
     dual, y0 = p.dual, np.zeros(p.dual.dual_dim)
-    m_iters = c["m_iters"] if c["m_iters"] is not None else 100 if N == "auto" else N
-    lam = c["lambda"] or default_rrma_lambda(dual.L_psi, max(m_iters, 2))  # lambda > 0
+    N = 100 if N == "auto" else N
+    lam = c["lambda"] or default_rrma_lambda(dual.L_psi, max(N, 2))  # lambda > 0
     if recursive:
-        y = rrma_ac_sa2(dual, y0, m_iters, lam, streams=RngStreams(seed))
+        y = rrma_ac_sa2(dual, y0, N, lam, streams=RngStreams(seed))
     else:
-        y = ac_sa(RegularizedDual(dual, lam, y0), y0, m_iters, streams=RngStreams(seed))
+        y = ac_sa(RegularizedDual(dual, lam, y0), y0, N, streams=RngStreams(seed))
     trace = RunTrace(dual.counter)
-    trace.record(m_iters, 0.0, grad_norm=_exact_grad_norm(dual, y))
+    trace.record(N, 0.0, grad_norm=_exact_grad_norm(dual, y))
     return trace, y, None, False
 
 
@@ -159,17 +157,16 @@ def _ac_sa(p, N, eps, beta, c, seed, recursive=False):
 # a method reads an A_csv on "custom" exactly when it runs on "penalty", which has a matrix A
 _PLAIN, _AFFINE = ("quadratic", "custom"), ("penalty", "custom")
 _CONSENSUS = _AFFINE + ("consensus_quadratic",)
-_STM, _ACSA = frozenset({"step_factor", "max_N"}), frozenset({"m_iters", "lambda"})
 METHODS = {
-    "stm": Method(_PLAIN, _STM, _stm, samples=False),
+    "stm": Method(_PLAIN, frozenset({"max_N"}), _stm, samples=False),
     "stm_ips": Method(_AFFINE, frozenset({"inner_T", "R_y", "max_N"}), _stm_ips, samples=False),
-    "sstm": Method(_PLAIN, _STM, partial(_stm, stochastic=True)),
+    "sstm": Method(_PLAIN, frozenset({"max_N"}), partial(_stm, stochastic=True)),
     "spdstm": Method(_AFFINE + DECENTRALIZED_KINDS, frozenset(
         {"C_hat", "L_tilde_factor", "metric_every", "stop_gap", "R_y", "max_N"}), _spdstm),
     "sstm_sc": Method(_CONSENSUS, frozenset(
         {"C", "metric_every", "stop_grad_norm", "R_y", "max_N"}), _sstm_sc),
-    "ac_sa": Method(_AFFINE, _ACSA, _ac_sa),
-    "rrma": Method(_AFFINE, _ACSA, partial(_ac_sa, recursive=True)),
+    "ac_sa": Method(_AFFINE, frozenset({"lambda"}), _ac_sa),
+    "rrma": Method(_AFFINE, frozenset({"lambda"}), partial(_ac_sa, recursive=True)),
     "restarted_rrma": Method(_CONSENSUS, frozenset({"C", "R_y"}), _restarted_rrma),
 }
 

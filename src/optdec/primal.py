@@ -7,7 +7,9 @@ point ``x~`` (convex combination of the averaged iterate and the mirror
 point), a mirror point ``z`` updated from the gradient at ``x~``, and the
 averaged iterate ``x``; every loop here runs on
 :func:`optdec.schedules.triangle` except the inner prox of :func:`stm_ips`,
-a table of the same steps over stacked rows.  The strongly convex update is
+a table of the same steps over stacked rows.  Every loop steps at coupling
+factor 2, the factor of the certificate ``3 R0^2 / (2 A_N)`` a summary
+states.  The strongly convex update is
 
     ``z_{k+1} = z_k - alpha (g - mu (x~ - z_k)) / (1 + A_{k+1} mu)``
 
@@ -72,13 +74,13 @@ def _R0(x0, x_star) -> dict:
     return {} if x_star is None else {"R0": format(float(np.linalg.norm(x0 - x_star)), ".17g")}
 
 
-def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source, f_star, x_star):
+def _run_triangle(oracle, x0, N, mode, gradient_source, f_star, x_star):
     if mode not in ("convex", "strongly_convex"):
         raise ValueError(f"unknown mode {mode!r}")
     mu = oracle.mu if mode == "strongly_convex" else 0.0
     if mode == "strongly_convex" and oracle.mu <= 0:
         raise ValueError("strongly_convex mode requires oracle.mu > 0")
-    step = stm_step(oracle.L, mu, step_factor)  # checks L before any evaluation
+    step = stm_step(oracle.L, mu, 2.0)  # checks L before any evaluation
 
     x = np.array(x0, dtype=float)
     trace = RunTrace(oracle.counter, _R0(x, x_star))
@@ -98,7 +100,7 @@ def _run_triangle(oracle, x0, N, mode, step_factor, gradient_source, f_star, x_s
 
 
 def stm(oracle: FirstOrderOracle, x0, N: int, mode: str = "convex", *,
-        step_factor: float = 2.0, f_star=None, x_star=None):
+        f_star=None, x_star=None):
     """Accelerated triangle scheme on an L-smooth convex objective.
 
     Returns ``(x_N, trace)``.  With ``f_star`` given the trace records the
@@ -106,15 +108,12 @@ def stm(oracle: FirstOrderOracle, x0, N: int, mode: str = "convex", *,
     carries ``R0 = ||x0 - x*||`` so the certificate ``3 R0^2 / (2 A_N)``
     can be recomputed from the trace.  ``N = 0`` returns ``x0``.
     """
-    return _run_triangle(
-        oracle, x0, N, mode, step_factor,
-        lambda k, xt, a, An: oracle.eval_grad(xt),
-        f_star, x_star)
+    return _run_triangle(oracle, x0, N, mode, lambda k, xt, a, An: oracle.eval_grad(xt),
+                         f_star, x_star)
 
 
 def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
-         mode: str = "convex", *, seed: int = 0, step_factor: float = 2.0,
-         f_star=None, x_star=None):
+         mode: str = "convex", *, seed: int = 0, f_star=None, x_star=None):
     """Mini-batch variant of :func:`stm`.
 
     The gradient at each extrapolation point is a batch mean whose size
@@ -128,7 +127,7 @@ def sstm(oracle: StochasticGradientOracle, x0, N: int, eps: float, beta: float,
         r = batch_size_sstm(alpha, A_next, mu, oracle.noise.sigma, eps, N, beta)
         return oracle.batch(x_tilde, r, streams.child(k))
 
-    return _run_triangle(oracle.base, x0, N, mode, step_factor, source, f_star, x_star)
+    return _run_triangle(oracle.base, x0, N, mode, source, f_star, x_star)
 
 
 # ---------------------------------------------------------------------------

@@ -452,32 +452,31 @@ def projected_gradient_barycenter(measures, C, mu: float, iters: int = 2000,
 
     Minimises ``(1/m) sum_i W_mu(p, q^i)`` over the simplex with Armijo
     backtracking; each gradient is the mean of the optimal dual potentials.
+    Each point's ``m`` transport problems are solved once: the accepted
+    candidate's solutions give the next step's gradient.
     It stops after ``iters`` steps or a step that moves ``p`` by at most 1e-10.
     """
     measures = np.atleast_2d(np.asarray(measures, dtype=float))
     m, n = measures.shape
     p = np.full(n, 1.0 / n)
 
-    def fval(point):
-        return np.mean([entropic_wasserstein(point, q, C, mu, tol=inner_tol)[0]
-                        for q in measures])
+    def solve(point):
+        """The objective at ``point`` and the potentials of its transport problems."""
+        solved = [entropic_wasserstein(point, q, C, mu, tol=inner_tol) for q in measures]
+        return np.mean([value for value, _ in solved]), [lam for _, lam in solved]
 
-    def grad(point):
-        return np.mean([entropic_wasserstein(point, q, C, mu, tol=inner_tol)[1]
-                        for q in measures], axis=0)
-
-    fp = fval(p)
+    fp, potentials = solve(p)
     step = 1.0
     for _ in range(iters):
-        g = grad(p)
+        g = np.mean(potentials, axis=0)
         while step > 1e-12:
             cand = simplex_project(p - step * g)
-            fc = fval(cand)
+            fc, cand_potentials = solve(cand)
             if fc <= fp - 1e-4 * float(g @ (p - cand)):
                 break
             step *= 0.5
         move = float(np.linalg.norm(cand - p))
-        p, fp = cand, fc
+        p, fp, potentials = cand, fc, cand_potentials
         step = min(step * 2.0, 1e6)
         if move <= 1e-10:
             break

@@ -6,10 +6,10 @@ is the positive root of a quadratic coupling relation
 
     ``A_{k+1} (1 + A_k mu) = factor * L * alpha_{k+1}^2``
 
-whose ``factor`` is 1 for the direct schemes and 2 for the inexact-prox and
-primal-dual schemes.  Roots are computed in the cancellation-free
-arrangement ``b + sqrt(b^2 + c)`` because ``A_k`` reaches 1e6+ at the
-scales exercised here.
+whose ``factor`` is 2 for every solver but ``sstm_sc`` (1), and 1 for the
+direct scheme a library caller may run on :func:`triangle`.  Roots are
+computed in the cancellation-free arrangement ``b + sqrt(b^2 + c)`` because
+``A_k`` reaches 1e6+ at the scales exercised here.
 
 Every accelerated loop runs on :func:`triangle` (the inner prox of
 ``stm_ips`` runs the same steps as a coefficient table), driven by a stepper
@@ -22,14 +22,16 @@ arrays, the same bits as the expression form with Python floats, and every
 callback gets Python floats.
 
 ``N: "auto"`` is planned by :func:`gap_certificate_N` from
-``3 R0^2 / (2 A_N) <= eps``, or for ``sstm_sc`` by :func:`grad_certificate_N`
-from ``L^3 R_y^2 / A_N <= (eps/R_y)^2``, and capped at ``max_N`` by
-:func:`capped_N`, which tells whether the cap stopped the plan before its
-certificate held (:data:`CAP_FLAG`).
+``3 R0^2 / (2 A_N) <= eps`` at factor 2, or for ``sstm_sc`` by
+:func:`grad_certificate_N` from ``L^3 R_y^2 / A_N <= (eps/R_y)^2``, and
+capped at ``max_N`` by :func:`capped_N`, which tells whether the cap
+stopped the plan before its certificate held (:data:`CAP_FLAG`).
 
 The dual batch rules expose their hidden proportionality constants
 (``C_hat``, ``C``) as arguments defaulting to 1; every rule degenerates to
-batch 1 on a noiseless oracle.
+batch 1 on a noiseless oracle.  A batch rule or planner whose Python float
+arithmetic overflows, or divides by a square that underflows to 0, raises
+that ``OverflowError`` or ``ZeroDivisionError`` naming the rule and its inputs.
 """
 
 from __future__ import annotations
@@ -188,14 +190,14 @@ def triangle(step, A, x, z, N, gradient, mirror, after):
     return x, z, A
 
 
-def gap_certificate_N(R0: float, L: float, eps: float, max_N: int, factor: float = 2.0) -> int:
-    """Fewest steps of :func:`next_alpha_stm` (``mu = 0``) with
+def gap_certificate_N(R0: float, L: float, eps: float, max_N: int) -> int:
+    """Fewest steps of :func:`next_alpha_stm` (``mu = 0``, factor 2) with
     ``3 R0^2 / (2 A_N) <= eps``, or ``max_N`` if the cap comes first.
 
     ``next_alpha_spdstm(A, L)`` is ``next_alpha_stm(A, L, 0, 2)``, so this
     also plans the primal-dual scheme with ``L = L~``.
     """
-    return _fewest_steps(lambda A: next_alpha_stm(A, L, 0.0, factor=factor), 0.0,
+    return _fewest_steps(lambda A: next_alpha_stm(A, L, 0.0, factor=2.0), 0.0,
                          lambda A: 1.5 * R0 * R0 / A <= eps, max_N)
 
 
@@ -205,10 +207,14 @@ def grad_certificate_N(R_y: float, L: float, mu: float, eps: float, max_N: int) 
 
     ``L R_y^2 / A_N`` bounds ``||y_N - y*||^2``, so the left side bounds ``||grad psi(y_N)||^2``.
     """
-    target = (eps / max(R_y, 1e-12)) ** 2
-    R0sq = R_y ** 2
-    return _fewest_steps(lambda A: next_alpha_strongly_convex(A, L, mu), 1.0 / L,
-                         lambda A: L ** 2 * R0sq * L / A <= target, max_N)
+    try:
+        target = (eps / max(R_y, 1e-12)) ** 2
+        R0sq = R_y ** 2
+        return _fewest_steps(lambda A: next_alpha_strongly_convex(A, L, mu), 1.0 / L,
+                             lambda A: L ** 2 * R0sq * L / A <= target, max_N)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(exc, "sstm_sc auto-N rule L^3 R_y^2 / A_N <= (eps / R_y)^2",
+                           R_y=R_y, L=L, eps=eps) from None
 
 
 def _fewest_steps(step, A, certified, max_N: int) -> int:
@@ -218,6 +224,13 @@ def _fewest_steps(step, A, certified, max_N: int) -> int:
         if certified(A):
             return k
     return max_N
+
+
+def _out_of_range(exc, rule: str, **inputs):
+    """The ``OverflowError`` or ``ZeroDivisionError`` ``exc`` that Python float arithmetic
+    raised in ``rule``, again, with a message naming the rule and its ``inputs``."""
+    given = ", ".join(f"{name} = {value:g}" for name, value in inputs.items())
+    return type(exc)(f"{rule} leaves the float range: {given}")
 
 
 # trace flag of an auto N that the cap stopped before its certificate held
@@ -249,8 +262,13 @@ def batch_size_sstm(alpha_next: float, A_next: float, mu: float, sigma: float,
         raise ValueError("eps must be positive")
     if sigma == 0.0:
         return 1
-    raw = sigma ** 2 * alpha_next * math.log(N / beta) / ((1.0 + A_next * mu) * eps)
-    return max(1, math.ceil(raw))
+    try:
+        raw = sigma ** 2 * alpha_next * math.log(N / beta) / ((1.0 + A_next * mu) * eps)
+        return max(1, math.ceil(raw))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(exc, "sstm batch rule sigma^2 alpha ln(N/beta) / ((1 + A mu) eps)",
+                           sigma=sigma, alpha=alpha_next, A=A_next, mu=mu, eps=eps, N=N,
+                           beta=beta) from None
 
 
 def batch_size_spdstm(alpha_tilde_k: float, sigma_psi: float, eps: float,
@@ -262,8 +280,13 @@ def batch_size_spdstm(alpha_tilde_k: float, sigma_psi: float, eps: float,
         raise ValueError("eps must be positive")
     if sigma_psi == 0.0:
         return 1
-    raw = sigma_psi ** 2 * alpha_tilde_k * math.log(N / beta) / (C_hat * eps)
-    return max(1, math.ceil(raw))
+    try:
+        raw = sigma_psi ** 2 * alpha_tilde_k * math.log(N / beta) / (C_hat * eps)
+        return max(1, math.ceil(raw))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(exc, "spdstm batch rule sigma_psi^2 alpha~ ln(N/beta) / (C_hat eps)",
+                           sigma_psi=sigma_psi, alpha_tilde=alpha_tilde_k, eps=eps, N=N,
+                           beta=beta, C_hat=C_hat) from None
 
 
 def batch_size_sstm_sc(L_psi: float, mu_psi: float, sigma_psi: float, eps: float,
@@ -277,5 +300,10 @@ def batch_size_sstm_sc(L_psi: float, mu_psi: float, sigma_psi: float, eps: float
         raise ValueError("eps and C must be positive")
     if sigma_psi == 0.0 or N == 0:
         return 1
-    raw = (mu_psi / L_psi) ** 1.5 * N ** 2 * sigma_psi ** 2 * math.log(N / beta) / (C * eps)
-    return max(1, math.ceil(raw))
+    try:
+        raw = (mu_psi / L_psi) ** 1.5 * N ** 2 * sigma_psi ** 2 * math.log(N / beta) / (C * eps)
+        return max(1, math.ceil(raw))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(exc, "sstm_sc batch rule (mu/L)^{3/2} N^2 sigma^2 ln(N/beta) / (C eps)",
+                           mu_psi=mu_psi, L_psi=L_psi, sigma_psi=sigma_psi, eps=eps, N=N,
+                           beta=beta, C=C) from None

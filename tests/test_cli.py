@@ -8,10 +8,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import optdec.cli as cli
 import optdec.dual
@@ -92,6 +95,29 @@ def test_run_writes_summary_and_certificate(tmp_path):
     assert summary["grad_calls"] == summary["iterations"]
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(dim=st.integers(2, 12), cond=st.floats(1.0, 1e3),
+       eps=st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e),
+       N=st.one_of(st.just("auto"), st.integers(1, 2000)), seed=st.integers(0, 2 ** 16))
+def test_the_certificate_an_stm_summary_states_holds(dim, cond, eps, N, seed):
+    # f(x_N) - f* <= 3 R0^2 / (2 A_N), up to the rounding of f(x_N) - f*, a difference of two
+    # values of size |f*|: 16 ulps of 1 + |f*|.  max_N keeps each run short; an auto N that
+    # stops there is flagged, and one that does not meets eps
+    problem = {"kind": "quadratic", "dim": dim, "cond": cond}
+    cfg = {"method": "stm", "problem": problem, "eps": eps, "N": N, "seed": seed,
+           "constants": {"max_N": 2000}}
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out, "cfg.json")
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", out]) == 0
+        summary = json.loads(next(Path(out).glob("*.summary.json")).read_text())
+    qp, _ = cli.build_problem(problem, seed)
+    allowance = 16 * np.finfo(float).eps * (1.0 + abs(qp.f_star))
+    assert summary["final_f_gap"] <= summary["certificate_bound"] + allowance
+    if N == "auto" and not summary["flags"]:
+        assert summary["certificate_bound"] <= eps
+
+
 def test_run_byte_identical_traces(tmp_path):
     cfgp = write_config(tmp_path, quad_config(method="sstm",
                                               noise={"sigma": 0.2}, N=60))
@@ -137,7 +163,7 @@ def test_run_decentralized_consensus(tmp_path):
 def test_run_dual_methods_on_penalty_problem(tmp_path):
     for method in ("spdstm", "sstm_sc", "restarted_rrma", "ac_sa", "rrma"):
         # each method gets the constants of its own record
-        constants = {key: value for key, value in {"metric_every": 50, "m_iters": 60}.items()
+        constants = {key: value for key, value in {"metric_every": 50}.items()
                      if key in cli.METHODS[method].constants}
         cfg = {"method": method,
                "problem": {"kind": "penalty", "dim": 4, "cond": 5.0, "m_rows": 2},
@@ -445,6 +471,52 @@ def test_a_restart_budget_above_its_cap_exits_3_naming_it(tmp_path, capsys):
     assert not list(tmp_path.glob("*.trace.csv"))
 
 
+_PENALTY_4 = {"kind": "penalty", "dim": 4, "m_rows": 2, "cond": 5.0}
+# planning arithmetic whose Python floats overflow, or divide by an eps^2 that underflows to 0:
+# each config, the rule it breaks and the input that breaks it
+OUT_OF_RANGE = {
+    "restarted_rrma_eps_tiny": (
+        {"method": "restarted_rrma", "problem": _PENALTY_4, "eps": 1e-200},
+        "restart count log2(2 R_y^2 ||grad||^2 / eps^2)", "eps = 1e-200"),
+    "restarted_rrma_R_y_huge": (
+        {"method": "restarted_rrma", "problem": _PENALTY_4, "eps": 0.1,
+         "constants": {"R_y": 1e200}},
+        "restart count log2(2 R_y^2 ||grad||^2 / eps^2)", "R_y = 1e+200"),
+    "restarted_rrma_R_y_huge_noisy": (
+        {"method": "restarted_rrma", "problem": _PENALTY_4, "eps": 0.1,
+         "constants": {"R_y": 1e200}, "noise": {"sigma": 0.1}},
+        "restart probe batch 4 sigma_psi^2 (1 + sqrt(3 ln(count/beta)))^2 R_y^2 / eps^2",
+        "R_y = 1e+200"),
+    "sstm_sc_R_y_huge": (
+        {"method": "sstm_sc", "problem": _PENALTY_4, "eps": 0.1, "constants": {"R_y": 1e200}},
+        "sstm_sc auto-N rule L^3 R_y^2 / A_N <= (eps / R_y)^2", "R_y = 1e+200"),
+    "sstm_sigma_huge": (
+        {"method": "sstm", "problem": {"kind": "quadratic", "dim": 4}, "N": 5,
+         "noise": {"sigma": 1e200}},
+        "sstm batch rule sigma^2 alpha ln(N/beta) / ((1 + A mu) eps)", "sigma = 1e+200"),
+    "spdstm_sigma_huge": (
+        {"method": "spdstm", "problem": _PENALTY_4, "N": 5, "noise": {"sigma": 1e200}},
+        "spdstm batch rule sigma_psi^2 alpha~ ln(N/beta) / (C_hat eps)",
+        "sigma_psi = 2.09113e+200"),
+    "sstm_sc_sigma_huge": (
+        {"method": "sstm_sc", "problem": _PENALTY_4, "N": 5, "noise": {"sigma": 1e200}},
+        "sstm_sc batch rule (mu/L)^{3/2} N^2 sigma^2 ln(N/beta) / (C eps)",
+        "sigma_psi = 2.09113e+200"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_planning_arithmetic_out_of_the_float_range_exits_3_naming_it(tmp_path, capsys, name):
+    # each exited 3 with "(34, 'Numerical result out of range')" or "float division by zero"
+    cfg, rule, named = OUT_OF_RANGE[name]
+    path = write_config(tmp_path, {**cfg, "seed": 1})
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: {rule} leaves the float range: ")
+    assert named in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.trace.csv"))
+
+
 def test_a_linear_algebra_error_in_the_build_exits_3(tmp_path, capsys, monkeypatch):
     # a LinAlgError is a ValueError, which a build's bad input is: it stays a runtime error
     def build(problem, seed):
@@ -584,6 +656,7 @@ BAD_INPUTS = {
     "dim_not_an_integer": lambda t: quad_config(problem={"kind": "quadratic", "dim": "x"}),
     "dim_zero": lambda t: quad_config(problem={"kind": "quadratic", "dim": 0}),
     "metric_every_not_an_integer": lambda t: quad_config(constants={"metric_every": "x"}),
+    # no method reads step_factor, whatever its value
     "step_factor_zero": lambda t: quad_config(constants={"step_factor": 0}),
     "N_boolean": lambda t: quad_config(N=True),
     "inner_T_negative": lambda t: {
@@ -864,7 +937,6 @@ def test_run_distributed_defaults_are_optdec_runs(tmp_path, capsys):
 # each solver's keyword default of a constant: (module, solver, keyword and constant)
 SOLVER_DEFAULTS = [("dual", "spdstm", "C_hat"), ("dual", "spdstm", "L_tilde_factor"),
                    ("dual", "spdstm", "metric_every"), ("dual", "sstm_sc", "metric_every"),
-                   ("primal", "stm", "step_factor"), ("primal", "sstm", "step_factor"),
                    ("dual", "restarted_rrma", "C")]
 
 
@@ -875,10 +947,12 @@ def test_a_solver_keyword_default_is_its_constant_default(module, solver, key):
     assert inspect.signature(function).parameters[key].default == CONSTANTS[key].default
 
 
+# constants that optdec no longer reads, at a value they once took: every method refuses them
+_REMOVED_CONSTANTS = {"step_factor": 2.0, "m_iters": 5}
 # a valid value of every constant, so that only the method it is set on can be wrong
 _CONSTANT_VALUES = {**{key: c.default for key, c in CONSTANTS.items() if c.default is not None},
-                    "lambda": 0.05, "inner_T": 3, "m_iters": 5, "R_y": 1.0, "stop_gap": 0.1,
-                    "stop_grad_norm": 0.1}
+                    "lambda": 0.05, "inner_T": 3, "R_y": 1.0, "stop_gap": 0.1,
+                    "stop_grad_norm": 0.1, **_REMOVED_CONSTANTS}
 
 
 def _record_config(tmp_path, method, key, *value):
@@ -917,8 +991,9 @@ def assert_refused_alike(tmp_path, capsys, cfg):
     return message
 
 
-@pytest.mark.parametrize("method, key", [(method, key) for method, record in cli.METHODS.items()
-                                         for key in sorted(set(CONSTANTS) - record.constants)])
+@pytest.mark.parametrize("method, key", [
+    (method, key) for method, record in cli.METHODS.items()
+    for key in sorted({*CONSTANTS, *_REMOVED_CONSTANTS} - record.constants)])
 def test_a_constant_the_method_does_not_read_exits_2(tmp_path, capsys, method, key):
     message = assert_refused_alike(tmp_path, capsys, _record_config(tmp_path, method, key))
     assert message.startswith(f"method {method} does not read the constants ['{key}']")
@@ -926,6 +1001,22 @@ def test_a_constant_the_method_does_not_read_exits_2(tmp_path, capsys, method, k
         instance = cli.build_problem(_matrix_problem(tmp_path, "consensus_quadratic"), 0)
         with pytest.raises(ValueError, match="does not run on a network"):
             run_distributed(method, instance, {"N": 2, key: _CONSTANT_VALUES[key]})
+
+
+@pytest.mark.parametrize("method, key", [(method, key) for method in cli.METHODS
+                                         for key in sorted(_REMOVED_CONSTANTS)])
+def test_a_removed_constant_exits_2_on_every_sweep_value(tmp_path, capsys, monkeypatch, method,
+                                                         key):
+    # with the line optdec run prints, before the first run
+    runs = []
+    monkeypatch.setattr(cli, "execute_run", lambda cfg: runs.append(cfg))
+    path = write_config(tmp_path, _record_config(tmp_path, method, key))
+    refusal = (f"config error: method {method} does not read the constants ['{key}']; "
+               f"it reads {sorted(cli.METHODS[method].constants)}\n")
+    for argv in (["run", str(path)], ["sweep", str(path), "--param", "N", "--values", "2,3"]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == refusal
+    assert runs == [] and not (tmp_path / "out").exists()
 
 
 def _out_of_domain(key):

@@ -77,9 +77,9 @@ def _problem(kind, files):
 
 
 _CONSTANTS = {
-    "C": st.just(1.0), "C_hat": st.just(1.0), "step_factor": st.just(2.0),
+    "C": st.just(1.0), "C_hat": st.just(1.0),
     "L_tilde_factor": st.sampled_from([1.0, 2.0]), "lambda": st.just(0.05),
-    "inner_T": st.sampled_from([None, 3]), "m_iters": st.just(5),
+    "inner_T": st.sampled_from([None, 3]),
     "R_y": st.sampled_from([None, 1.0]), "stop_gap": st.sampled_from([None, -0.3]),
     "stop_grad_norm": st.sampled_from([None, 0.1]), "metric_every": st.integers(0, 2),
     "max_N": st.integers(1, 20)}

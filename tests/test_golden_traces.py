@@ -35,7 +35,11 @@ metrics moved by at most 1.1e-13 relative, as
 against the digests the split form still writes.  The single-machine
 ``ac_sa`` and ``rrma`` runs in both tables, recorded before these methods
 ran through the one run path ``methods.run_method``, pin how their budget
-``m_iters`` and weight ``lambda`` follow from ``N`` and the constants.
+and weight ``lambda`` follow from ``N`` and the constants.  The
+``rrma_penalty_lambda`` config once set the budget with a constant
+``m_iters`` of 30 beside ``N`` 40; since the budget is ``N`` alone it sets
+``N`` 30, and its two digests in each table were re-recorded: its trace and
+summary differ from the old ones only in ``config_hash``.
 Six runs on a single machine's quadratic were re-recorded when its conjugate
 argmax became a product with the inverse cached at build time, instead of
 one ``solve`` per call, and the restart regulariser became one quadratic
@@ -189,12 +193,12 @@ GOLDEN_DETERMINISTIC = {
          "eps": 0.02, "N": "auto", "seed": 3},
         "4ca88bcac8e7af5090dcbf259be49b21237b19a4fce419f2afc6d93a1b6bfdc7",
         "2be033c5d0ae704f3395f5300935d62a7b0de53feb68b3586c4662ce5decdb01"),
-    # lambda and m_iters override the budget N and the default lambda
+    # lambda overrides the default lambda
     "rrma_penalty_lambda": (
         {"method": "rrma", "problem": {"kind": "penalty", "dim": 6, "m_rows": 3, "cond": 5.0},
-         "eps": 0.02, "N": 40, "seed": 3, "constants": {"lambda": 0.05, "m_iters": 30}},
-        "190b5ae9e34973ff76a3d67e7173dd3920de03f466e020bfb3f5af2d906cb5f1",
-        "de0ac389973d9bba2ba31c9cba970ad4fbfc80b9f79c45d502de989fd271b764"),
+         "eps": 0.02, "N": 30, "seed": 3, "constants": {"lambda": 0.05}},
+        "0a8d894f16686072f943569011747860e4e252b2b722df048e4b2934ba1a5be3",
+        "12660efba8894c5ea899795883620cb041c3f0b573eb011625a82ee8db27b654"),
 }
 
 # the digests of the two stm_ips runs when the inner prox runs in expression form
@@ -226,8 +230,8 @@ SOLVE_AND_SHIFT_LIST = {
         "937516638e9f2d35e7a5e57f441440c368480dd963a4a08b010298289545e61b",
         "05919c6070043039132018db7df43f1c4fc1f43c03fa7f4eae54604d8a83b413"),
     "rrma_penalty_lambda": (
-        "aa83b957340629799c0b4e4b2ffe0b45f3f444db29977acf062c5226f8c364cd",
-        "ebb17696b3b70c1642afeeb907a005c5cb64f3a99cbc4972bc9d5bebab12713b"),
+        "e86660738b12bb128126bbc69f346d1fe8577223151f8ed20dbdc06d1537579b",
+        "2d8b4aac974c39527bcad5c0225d87770ba54e5e2766456ad116fd47a5c9389c"),
     "spdstm_gaussian_delta": (
         "c52c41db97fd97a1fe65767bf462c4ff59166930ca53badb7434d064cd3725ea",
         "fcf9f8d1284ce7adee2d7d225d374fef753577527f45e25c9a7c46966fc7c735"),

@@ -1,5 +1,7 @@
 """The problem table ``optdec.cli.PROBLEMS``: the README lists exactly its
-kinds, keys, defaults and domains, and ``optdec run`` refuses every field
+kinds, keys, defaults and domains (and, for the method table
+``optdec.methods.METHODS``, each method's problem kinds and the constants
+it reads), and ``optdec run`` refuses every field
 outside its record before it reads a file or builds anything.  Each inline
 topology kind's record in ``optdec.cli.TOPOLOGIES`` takes the least ``m``
 its ``Topology`` constructor takes.
@@ -99,6 +101,29 @@ def test_readme_lists_every_field_of_the_problem_table():
                 assert dict(re.findall(r"`(\w+)`: ([^,)]+)", domain)) == others, key
             else:
                 assert re.split(r" \(", domain)[0] == _domain_text(field), (kind, key)
+
+
+def _readme_method_rows():
+    """``{method: (kinds, constants)}`` from README's method table; a row may name several
+    methods."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| method | problem kinds | constants it reads |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        methods, kinds, constants = (re.findall(r"`(\w+)`", cell)
+                                     for cell in line.strip("|").split("|"))
+        rows.update(dict.fromkeys(methods, (tuple(kinds), sorted(constants))))
+    return rows
+
+
+def test_readme_lists_every_method_record():
+    # so a constant that leaves a record cannot stay documented
+    rows = _readme_method_rows()
+    assert sorted(rows) == sorted(METHODS)
+    for method, record in METHODS.items():
+        assert rows[method] == (record.kinds, sorted(record.constants)), method
 
 
 @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
